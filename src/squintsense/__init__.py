@@ -16,7 +16,6 @@ from .beamforming import (
     aas_azimuth_grid,
     aas_beamformer,
     aas_ttd,
-    array_gain,
     comm_beamformer,
     comm_ttd,
     eas_beamformer,
@@ -32,6 +31,7 @@ from .channel import (
     comm_gain,
     echo_gain,
     generate_scene,
+    scene_arrays,
     scene_from_json,
     scene_to_json,
     sensing_attenuation,
@@ -40,11 +40,13 @@ from .config import RunConfig, SystemConfig, db_to_linear, dbm_to_watt
 from .detection import (
     CountingVector,
     DetectionResult,
+    EasStage,
     MeasurementMatrix,
     ObservationVector,
     assemble_observation,
     azimuth_candidates,
     build_measurement_matrix,
+    eas_stage,
     elevation_candidates,
     hierarchical_detect,
     matched_echo,
@@ -61,6 +63,7 @@ from .geometry import (
     flat_horizontal_gain,
     horizontal_steering,
     safe_arccos,
+    uniform_phase_power,
     uniform_phase_sum,
     upa_steering,
     vertical_steering,
@@ -76,7 +79,6 @@ from .power import (
     sinr_context,
 )
 from .simkit import (
-    ExperimentSpec,
     TrialRecord,
     aggregate,
     aggregate_to_csv,

@@ -12,6 +12,10 @@ Three beamformer kinds exist:
 
 All closed-form TTD profiles are affine in the element index, so every
 partial array gain reduces to a uniform phase sum evaluated in O(1).
+Consumers that need only the power |g|^2 (echo synthesis, dictionaries,
+grid strengths, SINR tables) evaluate it through the real Fejer kernel
+:func:`~squintsense.geometry.uniform_phase_power` via
+:meth:`BeamformerWeights.power_gain`, broadcast over angles x subcarriers.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from .geometry import (
     flat_horizontal_gain,
     horizontal_steering,
     safe_arccos,
+    uniform_phase_power,
     uniform_phase_sum,
     vertical_steering,
 )
@@ -129,45 +134,66 @@ class BeamformerWeights:
             if max(np.max(np.abs(d)) for d in delays) > cfg.max_abs_ttd:
                 raise ConfigError("TTD delay exceeds configured max_abs_ttd")
 
-    def _f_dev(self, n):
-        return self._f[n]
-
-    def _vertical_gain(self, theta, f_dev):
+    def _vertical_phase(self, theta, f_dev):
         cfg = self.cfg
         # vertical TTD profiles are linear in the element index
         v_slope = self.ttd.vertical[1] - self.ttd.vertical[0] if cfg.m_v > 1 else 0.0
-        x = (
+        return (
             np.cos(theta) * (1.0 + f_dev / cfg.fc)
             - np.cos(self.ps_theta)
             + 2.0 * f_dev * v_slope
         )
-        return uniform_phase_sum(x, cfg.m_v)
 
-    def _horizontal_gain(self, theta, phi, f_dev):
+    def _horizontal_phase(self, theta, phi, f_dev):
         cfg = self.cfg
         h_slope = self.ttd.horizontal[1] - self.ttd.horizontal[0] if cfg.m_h > 1 else 0.0
-        x = (
+        return (
             np.sin(theta) * np.cos(phi) * (1.0 + f_dev / cfg.fc)
             - np.sin(self.ps_theta) * np.cos(self.ps_phi)
             + 2.0 * f_dev * h_slope
         )
-        return uniform_phase_sum(x, cfg.m_h)
+
+    def _vertical_gain(self, theta, f_dev):
+        return uniform_phase_sum(self._vertical_phase(theta, f_dev), self.cfg.m_v)
+
+    def _flat_gain(self, theta, phi):
+        """EAS horizontal model: the flat magnitude inside the ROI, zero outside."""
+        cfg = self.cfg
+        inside = (
+            (theta >= cfg.theta_min - 1e-12)
+            & (theta <= cfg.theta_max + 1e-12)
+            & (phi >= cfg.phi_min - 1e-12)
+            & (phi <= cfg.phi_max + 1e-12)
+        )
+        return np.where(inside, self._flat, 0.0)
 
     def gain(self, theta, phi, n):
         """Array gain a(theta, phi, f_n) . w_n; broadcasts over angle arrays."""
-        f_dev = self._f_dev(n)
+        f_dev = self._f[n]
         if self.kind == "eas":
-            cfg = self.cfg
-            inside = (
-                (theta >= cfg.theta_min - 1e-12)
-                & (theta <= cfg.theta_max + 1e-12)
-                & (phi >= cfg.phi_min - 1e-12)
-                & (phi <= cfg.phi_max + 1e-12)
-            )
-            horizontal = np.where(inside, self._flat, 0.0)
+            horizontal = self._flat_gain(theta, phi)
         else:
-            horizontal = self._horizontal_gain(theta, phi, f_dev)
+            horizontal = uniform_phase_sum(
+                self._horizontal_phase(theta, phi, f_dev), self.cfg.m_h
+            )
         return horizontal * self._vertical_gain(theta, f_dev)
+
+    def power_gain(self, theta, phi, n):
+        """|gain(theta, phi, n)|^2 through the Fejer kernel.
+
+        Broadcasts angle arrays against subcarrier-index arrays, e.g.
+        ``power_gain(theta[:, None], phi[:, None], np.arange(N))`` gives the
+        (angles x N) table in one call.
+        """
+        f_dev = self._f[n]
+        vertical = uniform_phase_power(self._vertical_phase(theta, f_dev), self.cfg.m_v)
+        if self.kind == "eas":
+            horizontal = self._flat_gain(theta, phi) ** 2
+        else:
+            horizontal = uniform_phase_power(
+                self._horizontal_phase(theta, phi, f_dev), self.cfg.m_h
+            )
+        return horizontal * vertical
 
     def weight_vector(self, n) -> np.ndarray:
         """Explicit length-M weights diag(exp(-j 2 pi f_n t)) a^H(ps angles, 0)."""
@@ -176,7 +202,7 @@ class BeamformerWeights:
                 "EAS horizontal chain is modeled analytically; no explicit weights"
             )
         cfg = self.cfg
-        f_dev = self._f_dev(n)
+        f_dev = self._f[n]
         a_ps = np.kron(
             horizontal_steering(self.ps_theta, self.ps_phi, 0.0, cfg.m_h, cfg.fc),
             vertical_steering(self.ps_theta, 0.0, cfg.m_v, cfg.fc),
@@ -187,7 +213,7 @@ class BeamformerWeights:
     def vertical_weights(self, n) -> np.ndarray:
         """Vertical-chain weights only (length M_v); defined for every kind."""
         cfg = self.cfg
-        f_dev = self._f_dev(n)
+        f_dev = self._f[n]
         a_v = vertical_steering(self.ps_theta, 0.0, cfg.m_v, cfg.fc)
         return np.exp(-2j * np.pi * f_dev * self.ttd.vertical) * np.conj(a_v)
 
@@ -211,11 +237,3 @@ def comm_beamformer(cfg: SystemConfig, theta_u: float, phi_u: float) -> Beamform
         cfg, "comm", ps_theta=theta_u, ps_phi=phi_u, ttd=comm_ttd(cfg, theta_u, phi_u)
     )
 
-
-def array_gain(steering: np.ndarray, weights: np.ndarray) -> complex:
-    """Inner product of a steering (row) vector with a weight (column) vector."""
-    if steering.shape != weights.shape:
-        raise ConfigError(
-            f"length mismatch: steering {steering.shape} vs weights {weights.shape}"
-        )
-    return complex(np.dot(steering, weights))

@@ -2,13 +2,17 @@
 
 Echo and communication gains are evaluated through scalar inner products
 (rank-1 structure of the per-scatterer channels); the M x M channel matrix
-is never materialized.
+is never materialized. Echoes need only the beamforming power |g|^2, which
+is evaluated through the real Fejer kernel
+(:meth:`~squintsense.beamforming.BeamformerWeights.power_gain`) for all
+scatterers x subcarriers in one broadcast over the scene's array form
+(:func:`scene_arrays`).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,58 +54,75 @@ class Scene:
     rng_seed: int = 0
 
 
-def sensing_attenuation(cfg: SystemConfig, distance: float, rcs: float) -> float:
-    """Two-way sensing amplitude gain sqrt(lambda^2 M^2 rcs / ((4 pi)^3 l^4))."""
-    if distance <= 0:
+def sensing_attenuation(cfg: SystemConfig, distance, rcs):
+    """Two-way sensing amplitude gain sqrt(lambda^2 M^2 rcs / ((4 pi)^3 l^4)).
+
+    Broadcasts over distance and rcs arrays; scalars give a float.
+    """
+    if np.any(np.asarray(distance) <= 0):
         raise ConfigError("distance must be positive")
     lam = cfg.wavelength
-    return float(
-        np.sqrt(lam**2 * cfg.m_total**2 * rcs / ((4.0 * np.pi) ** 3 * distance**4))
-    )
+    out = np.sqrt(lam**2 * cfg.m_total**2 * rcs / ((4.0 * np.pi) ** 3 * distance**4))
+    return out if np.ndim(out) else float(out)
 
 
-def comm_attenuation(cfg: SystemConfig, distance: float) -> float:
-    """One-way communication amplitude gain sqrt(lambda^2 M) / (4 pi l)."""
-    if distance <= 0:
+def comm_attenuation(cfg: SystemConfig, distance):
+    """One-way communication amplitude gain sqrt(lambda^2 M) / (4 pi l).
+
+    Broadcasts over distance arrays; a scalar gives a float.
+    """
+    if np.any(np.asarray(distance) <= 0):
         raise ConfigError("distance must be positive")
-    return float(np.sqrt(cfg.wavelength**2 * cfg.m_total) / (4.0 * np.pi * distance))
+    out = np.sqrt(cfg.wavelength**2 * cfg.m_total) / (4.0 * np.pi * distance)
+    return out if np.ndim(out) else float(out)
 
 
-def subcarrier_noise_variance(cfg: SystemConfig) -> float:
-    """Thermal noise power per subcarrier band [W]."""
-    return cfg.noise_variance()
+def scene_arrays(cfg: SystemConfig, scene: Scene, include_clutter: bool = True):
+    """Angles and complex amplitudes of every echo contributor, targets first.
+
+    With clutter present the Rician split applies: LoS terms carry
+    sqrt(kappa/(1+kappa)) and the range phasor, clutter terms
+    sqrt(1/(1+kappa)) / sqrt(C) and the per-trial fading draws. Without
+    clutter the channel is pure line of sight and the LoS weight is 1.
+    Returns (theta, phi, amplitude) arrays of equal length.
+    """
+    kappa = cfg.kappa
+    has_clutter = include_clutter and bool(scene.clutterers)
+    sources = scene.targets + (scene.clutterers if has_clutter else ())
+    theta = np.array([s.theta for s in sources], dtype=float)
+    phi = np.array([s.phi for s in sources], dtype=float)
+    dist = np.array([s.distance for s in sources], dtype=float)
+    alpha = sensing_attenuation(cfg, dist, np.array([s.rcs for s in sources], dtype=float))
+    q = len(scene.targets)
+    amp = np.empty(len(sources), dtype=complex)
+    los_w = np.sqrt(kappa / (1.0 + kappa)) if has_clutter else 1.0
+    # range phase in real arithmetic: numpy's complex-by-real division
+    # multiplies by a reciprocal, which adds a rounding to a ~1e4 rad angle
+    range_phase = 4.0 * np.pi * dist[:q] / cfg.wavelength
+    amp[:q] = los_w * alpha[:q] * np.exp(-1j * range_phase)
+    if has_clutter:
+        clu_w = np.sqrt(1.0 / (1.0 + kappa)) / np.sqrt(len(scene.clutterers))
+        amp[q:] = clu_w * alpha[q:] * np.array([c.fading for c in scene.clutterers])
+    return theta, phi, amp
 
 
 def echo_gain(
     cfg: SystemConfig,
     scene: Scene,
     weights: BeamformerWeights,
-    n: int,
+    n,
     include_clutter: bool = True,
-) -> complex:
+):
     """Quadratic form b^H G_n b via rank-1 shortcuts.
 
-    With clutter present the Rician split applies: LoS terms carry
-    sqrt(kappa/(1+kappa)) and clutter terms sqrt(1/(1+kappa)) / sqrt(C)
-    together with the per-trial fading draws.  Without clutter the channel
-    degenerates to the pure line-of-sight model and the LoS weight is 1.
+    Sums amplitude * |gain|^2 over the contributors of :func:`scene_arrays`.
+    ``n`` is a subcarrier index (complex result) or an index array (one
+    complex value per entry, all in one broadcast).
     """
-    kappa = cfg.kappa
-    has_clutter = include_clutter and bool(scene.clutterers)
-    los_w = np.sqrt(kappa / (1.0 + kappa)) if has_clutter else 1.0
-    total = 0.0 + 0.0j
-    lam = cfg.wavelength
-    for t in scene.targets:
-        alpha = sensing_attenuation(cfg, t.distance, t.rcs)
-        g = weights.gain(t.theta, t.phi, n)
-        total += los_w * alpha * np.exp(-4j * np.pi * t.distance / lam) * abs(g) ** 2
-    if has_clutter:
-        clu_w = np.sqrt(1.0 / (1.0 + kappa)) / np.sqrt(len(scene.clutterers))
-        for c in scene.clutterers:
-            alpha = sensing_attenuation(cfg, c.distance, c.rcs)
-            g = weights.gain(c.theta, c.phi, n)
-            total += clu_w * alpha * c.fading * abs(g) ** 2
-    return complex(total)
+    theta, phi, amp = scene_arrays(cfg, scene, include_clutter)
+    power = weights.power_gain(theta[:, None], phi[:, None], n)
+    total = np.sum(amp[:, None] * power, axis=0)
+    return total if np.ndim(n) else complex(total[0])
 
 
 def comm_gain(cfg: SystemConfig, user: User, weights: BeamformerWeights, n: int) -> complex:

@@ -59,6 +59,15 @@ class SystemConfig:
     max_abs_ttd: float = math.inf         # optional hardware delay-range assert [s]
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "max_abs_ttd":
+                if not value > 0:  # +inf means no limit
+                    raise ConfigError(f"max_abs_ttd must be positive (got {value!r})")
+            elif isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite (got {value!r})")
+            elif type(f.default) is int and not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"{f.name} must be an integer (got {value!r})")
         if self.fc <= 0:
             raise ConfigError("fc must be positive")
         if self.bandwidth <= 0:
@@ -156,8 +165,48 @@ class RunConfig:
             raise ConfigError("q_targets and k_users must be nonnegative")
         if self.sweep_var is not None and len(self.sweep_values) == 0:
             raise ConfigError("sweep_values must be nonempty when sweep_var is set")
+        for value in self.sweep_values if self.sweep_var is not None else ():
+            self.at_sweep_value(value)
+
+    def at_sweep_value(self, value):
+        """(system, q_targets, k_users) with the sweep variable set to ``value``.
+
+        Integer and boolean fields take only integral (boolean: 0 or 1)
+        values, so the recorded sweep value is the one that runs; every
+        swept SystemConfig is validated.
+        """
+        if self.sweep_var is None:
+            return self.system, self.q_targets, self.k_users
+        if self.sweep_var in ("q_targets", "k_users"):
+            count = _integral(self.sweep_var, value)
+            if count < 0:
+                raise ConfigError(f"{self.sweep_var} sweep value must be nonnegative")
+            if self.sweep_var == "q_targets":
+                return self.system, count, self.k_users
+            return self.system, self.q_targets, count
+        kinds = {f.name: type(f.default) for f in fields(SystemConfig)}
+        kind = kinds.get(self.sweep_var)
+        if kind is None:
+            raise ConfigError(f"unknown sweep variable {self.sweep_var!r}")
+        if kind is bool:
+            if value not in (0, 1):
+                raise ConfigError(f"sweep value {value!r} for {self.sweep_var!r} must be 0 or 1")
+            value = bool(value)
+        elif kind is int:
+            value = _integral(self.sweep_var, value)
+        else:
+            value = float(value)
+        return self.system.replace(**{self.sweep_var: value}), self.q_targets, self.k_users
 
     def replace(self, **kwargs) -> "RunConfig":
         values = {f.name: getattr(self, f.name) for f in fields(self)}
         values.update(kwargs)
         return RunConfig(**values)
+
+
+def _integral(name: str, value) -> int:
+    """``value`` as an int; ConfigError unless it is a whole number."""
+    number = float(value)
+    if not number.is_integer():
+        raise ConfigError(f"sweep value {value!r} for integer field {name!r} is not integral")
+    return int(number)

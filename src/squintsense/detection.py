@@ -3,7 +3,8 @@ pursuit with a counting vector, and the hierarchical EAS -> AAS pipeline."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,8 +19,6 @@ from .channel import Scene, echo_gain, sensing_attenuation
 from .config import SystemConfig
 from .exceptions import ConfigError
 from .power import allocate_sensing, grid_echo_strength
-
-DEFAULT_STOP_RATIO = 1e-3
 
 
 @dataclass(frozen=True)
@@ -98,12 +97,7 @@ def assemble_observation(
         raise ConfigError("t_symbols must be at least 1")
     n = cfg.n_subcarriers
     sigma2 = cfg.noise_variance()
-    signal = np.array(
-        [
-            np.sqrt(powers[sc]) * echo_gain(cfg, scene, weights, sc, include_clutter)
-            for sc in range(n)
-        ]
-    )
+    signal = np.sqrt(powers) * echo_gain(cfg, scene, weights, np.arange(n), include_clutter)
     scale = np.sqrt(sigma2 / (2.0 * t_symbols))
     noise = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
     return ObservationVector(values=signal + noise, stage=stage, symbol_count=t_symbols)
@@ -125,18 +119,17 @@ def build_measurement_matrix(
     if weights.kind == "eas":
         cand = elevation_candidates(cfg)
         phi_probe = 0.5 * (cfg.phi_min + cfg.phi_max)  # flat model: phi-independent
-        gains = weights.gain(cand[:, None], phi_probe, n_idx)  # (L, N)
-        dist = cfg.height / np.cos(cand)
+        gains = weights.power_gain(cand[:, None], phi_probe, n_idx)  # (L, N)
+        alpha = sensing_attenuation(cfg, cfg.height / np.cos(cand), cfg.sigma_rcs)[:, None]
         kind = "eas"
     else:
         if theta_hat is None:
             raise ConfigError("AAS measurement matrix requires theta_hat")
         cand = azimuth_candidates(cfg)
-        gains = weights.gain(theta_hat, cand[:, None], n_idx)  # (L, N)
-        dist = np.full(cfg.n_candidates, cfg.height / np.cos(theta_hat))
+        gains = weights.power_gain(theta_hat, cand[:, None], n_idx)  # (L, N)
+        alpha = sensing_attenuation(cfg, cfg.height / np.cos(theta_hat), cfg.sigma_rcs)
         kind = "aas"
-    alpha = np.array([sensing_attenuation(cfg, d, cfg.sigma_rcs) for d in dist])
-    columns = (sqrt_p[None, :] * alpha[:, None] * np.abs(gains) ** 2).T  # (N, L)
+    columns = (sqrt_p * alpha * gains).T  # (N, L)
     return MeasurementMatrix(columns=columns, candidates=cand, kind=kind)
 
 
@@ -184,6 +177,34 @@ def modified_mp(
     return CountingVector(counts=counts, phasors=tuple(phasors), trace=tuple(trace))
 
 
+@dataclass(frozen=True)
+class EasStage:
+    """Trial-invariant stage-0 plan; every array in it is read-only."""
+
+    weights: BeamformerWeights
+    symbol_count: int
+    powers: np.ndarray        # (N,) sensing powers p_0
+    matrix: MeasurementMatrix
+
+
+@functools.lru_cache(maxsize=4)
+def eas_stage(cfg: SystemConfig) -> EasStage:
+    """EAS beamformer, (T_0, p_0) and dictionary, computed once per config.
+
+    None of them depends on the scene, so the cached entry is shared by
+    every trial; its arrays are made read-only so no caller can alter it.
+    """
+    weights = eas_beamformer(cfg)
+    strengths = grid_echo_strength(
+        cfg, weights, eas_elevation_grid(cfg), 0.5 * (cfg.phi_min + cfg.phi_max)
+    )
+    t0, p0 = allocate_sensing(cfg, strengths)
+    mtx = build_measurement_matrix(cfg, weights, p0)
+    for arr in (weights.ttd.horizontal, weights.ttd.vertical, p0, mtx.columns, mtx.candidates):
+        arr.flags.writeable = False
+    return EasStage(weights=weights, symbol_count=t0, powers=p0, matrix=mtx)
+
+
 def hierarchical_detect(
     cfg: SystemConfig,
     scene: Scene,
@@ -198,13 +219,10 @@ def hierarchical_detect(
     counts. Each distinct elevation candidate selected in stage 0 spawns
     one AAS stage whose iteration count is that candidate's multiplicity.
     """
-    eas_w = eas_beamformer(cfg)
-    theta_grid = eas_elevation_grid(cfg)
-    strengths0 = grid_echo_strength(cfg, eas_w, theta_grid, 0.5 * (cfg.phi_min + cfg.phi_max))
-    t0, p0 = allocate_sensing(cfg, strengths0)
+    stage0 = eas_stage(cfg)
+    eas_w, t0, p0, mtx0 = stage0.weights, stage0.symbol_count, stage0.powers, stage0.matrix
 
     obs0 = assemble_observation(cfg, scene, eas_w, p0, t0, rng, 0, include_clutter)
-    mtx0 = build_measurement_matrix(cfg, eas_w, p0)
     cv0 = modified_mp(obs0.values, mtx0, q, stop_ratio)
 
     selected = np.flatnonzero(cv0.counts)

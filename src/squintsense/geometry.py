@@ -97,3 +97,27 @@ def uniform_phase_sum(slope, m):
     if np.isscalar(slope) or np.asarray(slope).ndim == 0:
         return complex(out[0])
     return out.reshape(np.shape(slope))
+
+
+def uniform_phase_power(slope, m):
+    """|uniform_phase_sum(slope, m)|^2 as a real Fejer kernel, vectorized over slope.
+
+    Equals (sin(m u) / (m sin u))^2 with u = pi*slope/2, and the squared
+    limit (cos(m u) / cos(u))^2 where |sin u| < 1e-12. No complex numbers
+    are formed; the work arrays are reused in place.
+    """
+    u = 0.5 * np.pi * np.atleast_1d(np.asarray(slope, dtype=float))
+    den = np.sin(u)
+    near_zero = (den > -1e-12) & (den < 1e-12)
+    limit = None
+    if near_zero.any():
+        u_near = u[near_zero]
+        limit = (np.cos(m * u_near) / np.cos(u_near)) ** 2
+        den[near_zero] = 1.0
+    den *= m
+    out = np.sin(np.multiply(u, m, out=u), out=u)
+    out /= den
+    out *= out
+    if limit is not None:
+        out[near_zero] = limit
+    return float(out[0]) if np.ndim(slope) == 0 else out

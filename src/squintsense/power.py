@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .beamforming import BeamformerWeights
-from .channel import Scene, comm_gain, sensing_attenuation
+from .channel import Scene, comm_attenuation, sensing_attenuation
 from .config import SystemConfig
 from .exceptions import InfeasibleError
 
@@ -55,15 +55,11 @@ def grid_echo_strength(
     A single hypothetical on-grid LoS target with the configured RCS is
     assumed; equals alpha(grid)^2 * |array gain|^4.
     """
-    grid_theta = np.broadcast_to(np.asarray(grid_theta, float), (cfg.n_subcarriers,))
-    grid_phi = np.broadcast_to(np.asarray(grid_phi, float), (cfg.n_subcarriers,))
-    out = np.empty(cfg.n_subcarriers)
-    for n in range(cfg.n_subcarriers):
-        dist = cfg.height / np.cos(grid_theta[n])
-        alpha = sensing_attenuation(cfg, dist, cfg.sigma_rcs)
-        g = weights.gain(grid_theta[n], grid_phi[n], n)
-        out[n] = alpha**2 * abs(g) ** 4
-    return out
+    n = cfg.n_subcarriers
+    grid_theta = np.broadcast_to(np.asarray(grid_theta, float), (n,))
+    grid_phi = np.broadcast_to(np.asarray(grid_phi, float), (n,))
+    alpha = sensing_attenuation(cfg, cfg.height / np.cos(grid_theta), cfg.sigma_rcs)
+    return alpha**2 * weights.power_gain(grid_theta, grid_phi, np.arange(n)) ** 2
 
 
 def allocate_sensing(cfg: SystemConfig, strengths: np.ndarray):
@@ -90,62 +86,84 @@ def sinr_context(
     sensing_weights: BeamformerWeights,
     sensing_powers: np.ndarray,
 ) -> SinrContext:
-    """Gain table and effective noise for one sensing stage."""
-    k_users = len(scene.users)
-    n = cfg.n_subcarriers
-    chi = np.empty((k_users, k_users, n))
-    eff_noise = np.empty((k_users, n))
-    for k, user in enumerate(scene.users):
-        for l, w in enumerate(comm_weights):
-            for sc in range(n):
-                chi[k, l, sc] = abs(comm_gain(cfg, user, w, sc)) ** 2
-        for sc in range(n):
-            leak = abs(comm_gain(cfg, user, sensing_weights, sc)) ** 2
-            eff_noise[k, sc] = leak * sensing_powers[sc] + user.noise_var
+    """Gain table and effective noise for one sensing stage.
+
+    chi[k, l, :] = beta_k^2 |w_l gain at user k|^2, one power-gain call per
+    beamformer over (users x subcarriers).
+    """
+    users = scene.users
+    n_idx = np.arange(cfg.n_subcarriers)
+    theta = np.array([u.theta for u in users], dtype=float)[:, None]
+    phi = np.array([u.phi for u in users], dtype=float)[:, None]
+    beta2 = comm_attenuation(cfg, np.array([u.distance for u in users], dtype=float)) ** 2
+    noise_var = np.array([u.noise_var for u in users], dtype=float)
+    chi = np.empty((len(users), len(comm_weights), cfg.n_subcarriers))
+    for l, w in enumerate(comm_weights):
+        chi[:, l, :] = beta2[:, None] * w.power_gain(theta, phi, n_idx)
+    leak = beta2[:, None] * sensing_weights.power_gain(theta, phi, n_idx)
+    eff_noise = leak * sensing_powers + noise_var[:, None]
     return SinrContext(chi=chi, effective_noise=eff_noise)
 
 
-def check_feasibility(ctx: SinrContext, tau_c: float, n: int) -> bool:
-    """True iff 1/tau_c strictly dominates every row's cross-gain ratio sum."""
-    chi = ctx.chi[:, :, n]
-    diag = np.diag(chi)
+def _ratio_sums(chi: np.ndarray) -> np.ndarray:
+    """Cross-gain ratio sums sum_{l != k} chi[k, l, n] / chi[k, k, n], shape (K, N')."""
+    diag = np.einsum("kkn->kn", chi)
     if np.any(diag == 0.0):
         raise InfeasibleError("a user has zero direct beamforming gain")
-    ratio_sums = (chi.sum(axis=1) - diag) / diag
+    return (chi.sum(axis=1) - diag) / diag
+
+
+def _subcarriers(n):
+    """Index selecting subcarrier n (kept as an axis), or all when n is None."""
+    return slice(None) if n is None else [n]
+
+
+def check_feasibility(ctx: SinrContext, tau_c: float, n: int | None = None) -> bool:
+    """True iff 1/tau_c strictly dominates every row's cross-gain ratio sum
+    on subcarrier n (on every subcarrier when n is None)."""
+    ratio_sums = _ratio_sums(ctx.chi[:, :, _subcarriers(n)])
     return bool(np.all(1.0 / tau_c > ratio_sums))
 
 
-def allocate_comm(ctx: SinrContext, tau_c: float, n: int) -> np.ndarray:
+def allocate_comm(ctx: SinrContext, tau_c: float, n: int | None = None) -> np.ndarray:
     """Solve D_n p = s_n for the per-user powers on subcarrier n.
 
-    Requires the diagonal-dominance condition to hold at tau_c; the returned
-    powers are strictly positive and achieve SINR exactly tau_c per user.
+    With n None, all subcarriers are solved in one batched call and the
+    result has shape (K, N); otherwise it is the (K,) vector for n.
+    Requires the diagonal-dominance condition to hold at tau_c on every
+    solved subcarrier; the returned powers are strictly positive and achieve
+    SINR exactly tau_c per user.
     """
-    if not check_feasibility(ctx, tau_c, n):
+    sel = _subcarriers(n)
+    chi = ctx.chi[:, :, sel]
+    feasible = np.all(1.0 / tau_c > _ratio_sums(chi), axis=0)
+    if not feasible.all():
+        bad = n if n is not None else int(np.argmin(feasible))
         raise InfeasibleError(
-            f"SINR threshold infeasible on subcarrier {n}", last_threshold=tau_c
+            f"SINR threshold infeasible on subcarrier {bad}", last_threshold=tau_c
         )
-    chi = ctx.chi[:, :, n]
-    diag = np.diag(chi)
+    diag = np.einsum("kkn->kn", chi)
     k = chi.shape[0]
-    d_mtx = -tau_c * chi / diag[:, None]
-    d_mtx[np.arange(k), np.arange(k)] = 1.0
-    rhs = tau_c * ctx.effective_noise[:, n] / diag
+    d_mtx = np.moveaxis(-tau_c * chi / diag[:, None, :], 2, 0)  # (N', K, K)
+    d_mtx[:, np.arange(k), np.arange(k)] = 1.0
+    rhs = (tau_c * ctx.effective_noise[:, sel] / diag).T[:, :, None]  # (N', K, 1)
     powers = np.linalg.solve(d_mtx, rhs)
-    residual = np.linalg.norm(d_mtx @ powers - rhs)
-    if residual > SOLVE_RESIDUAL_TOL * max(np.linalg.norm(rhs), 1e-300):
-        raise InfeasibleError(f"power solve residual too large: {residual}")
-    return powers
+    residual = np.linalg.norm(d_mtx @ powers - rhs, axis=(1, 2))
+    limit = SOLVE_RESIDUAL_TOL * np.maximum(np.linalg.norm(rhs, axis=(1, 2)), 1e-300)
+    if np.any(residual > limit):
+        raise InfeasibleError(f"power solve residual too large: {residual.max()}")
+    powers = powers[:, :, 0].T  # (K, N')
+    return powers if n is None else powers[:, 0]
 
 
 def backoff_tau_c(ctx: SinrContext, tau_c: float) -> float:
     """Largest tau_c * 10^(-0.05 j) feasible on every subcarrier (0.5 dB steps)."""
-    n_sub = ctx.chi.shape[2]
+    ratio_sums = _ratio_sums(ctx.chi)
     floor = tau_c * BACKOFF_FLOOR_RATIO
     candidate = tau_c
     step = 10.0 ** (-BACKOFF_STEP_DB / 10.0)
     while candidate >= floor:
-        if all(check_feasibility(ctx, candidate, n) for n in range(n_sub)):
+        if np.all(1.0 / candidate > ratio_sums):
             return candidate
         candidate *= step
     raise InfeasibleError(

@@ -4,22 +4,21 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .beamforming import (
     aas_azimuth_grid,
     comm_beamformer,
-    eas_beamformer,
     eas_elevation_grid,
     eas_vertical_ttd,
 )
-from .channel import Scene, generate_scene, sensing_attenuation
+from .channel import Scene, generate_scene, scene_arrays, sensing_attenuation
 from .config import RunConfig, SystemConfig
 from .detection import hierarchical_detect
 from .exceptions import ConfigError, SquintSenseError
-from .geometry import flat_horizontal_gain, uniform_phase_sum
+from .geometry import flat_horizontal_gain, uniform_phase_power
 from .power import (
     PowerPlan,
     allocate_comm,
@@ -77,17 +76,6 @@ class TrialRecord:
     symbol_counts: tuple = ()
     ok: bool = True
     error: str = ""
-
-
-@dataclass(frozen=True)
-class ExperimentSpec:
-    config: RunConfig
-
-    @property
-    def sweep_values(self):
-        if self.config.sweep_var is None:
-            return (float("nan"),)
-        return self.config.sweep_values
 
 
 def _positions(height: float, pairs) -> np.ndarray:
@@ -152,9 +140,7 @@ def allocate_comm_plan(cfg: SystemConfig, scene: Scene, stage_weights, sensing_p
     comm_powers = []
     sinrs = []
     for ctx in contexts:
-        p_stage = np.empty((k_users, cfg.n_subcarriers))
-        for n in range(cfg.n_subcarriers):
-            p_stage[:, n] = allocate_comm(ctx, tau_eff, n)
+        p_stage = allocate_comm(ctx, tau_eff)
         comm_powers.append(p_stage)
         diag = np.einsum("kkn->kn", ctx.chi)
         interference = np.einsum("kln,ln->kn", ctx.chi, p_stage) - diag * p_stage
@@ -196,29 +182,6 @@ def run_proposed_trial(
     return _finish_record(record, cfg, scene, result.estimates, plan, sinrs)
 
 
-def _scatterer_arrays(cfg: SystemConfig, scene: Scene, include_clutter: bool):
-    """Angles, amplitudes, and phases of every echo contributor in a scene."""
-    kappa = cfg.kappa
-    has_clutter = include_clutter and bool(scene.clutterers)
-    los_w = np.sqrt(kappa / (1 + kappa)) if has_clutter else 1.0
-    thetas, phis, amps = [], [], []
-    for t in scene.targets:
-        thetas.append(t.theta)
-        phis.append(t.phi)
-        amps.append(
-            los_w
-            * sensing_attenuation(cfg, t.distance, t.rcs)
-            * np.exp(-4j * np.pi * t.distance / cfg.wavelength)
-        )
-    if has_clutter:
-        clu_w = np.sqrt(1.0 / (1 + kappa)) / np.sqrt(len(scene.clutterers))
-        for c in scene.clutterers:
-            thetas.append(c.theta)
-            phis.append(c.phi)
-            amps.append(clu_w * sensing_attenuation(cfg, c.distance, c.rcs) * c.fading)
-    return np.array(thetas), np.array(phis), np.array(amps, dtype=complex)
-
-
 def run_exhaustive_baseline(
     cfg: SystemConfig,
     scene: Scene,
@@ -237,12 +200,10 @@ def run_exhaustive_baseline(
     phi_grid = aas_azimuth_grid(cfg)      # (N,)
     f = cfg.subcarrier_offsets()
     sigma2 = cfg.noise_variance()
-    alpha_grid = np.array(
-        [sensing_attenuation(cfg, cfg.height / np.cos(th), cfg.sigma_rcs) for th in theta_grid]
-    )
+    alpha_grid = sensing_attenuation(cfg, cfg.height / np.cos(theta_grid), cfg.sigma_rcs)
     p_cell = cfg.tau_s * sigma2 / alpha_grid**2  # (N,) per elevation row, gain 1
 
-    s_theta, s_phi, s_amp = _scatterer_arrays(cfg, scene, include_clutter)
+    s_theta, s_phi, s_amp = scene_arrays(cfg, scene, include_clutter)
     # squint-compensated pencil at cell (m, c): residual slope is
     # (1 + f/fc) * (target trig - cell trig) in both axes
     ratio = 1.0 + f / cfg.fc  # (N,)
@@ -254,9 +215,9 @@ def run_exhaustive_baseline(
             np.sin(th) * np.cos(ph) - cell_h[:, :, None]
         )  # (m, c, n)
         x_v = ratio[None, :] * (np.cos(th) - cell_v[:, None])  # (m, n)
-        g_h = uniform_phase_sum(x_h, cfg.m_h)
-        g_v = uniform_phase_sum(x_v, cfg.m_v)
-        gain2 = np.abs(g_h * g_v[:, None, :]) ** 2  # (m, c, n)
+        gain2 = uniform_phase_power(x_h, cfg.m_h)
+        del x_h  # free one (N, N, N) array before the next scatterer allocates its own
+        gain2 *= uniform_phase_power(x_v, cfg.m_v)[:, None, :]  # (m, c, n)
         response += amp * np.mean(gain2, axis=2)
     signal = np.sqrt(p_cell)[:, None] * response
     noise = np.sqrt(sigma2 / (2.0 * n)) * (
@@ -322,16 +283,14 @@ def run_azimuth_only_baseline(
     flat = flat_horizontal_gain(cfg)
     # design-point horizontal gain per (subcarrier n, symbol m); whenever the
     # pointed beam is below the flat ROI-wide gain, that cell uses the flat beam
-    g_point = np.abs(uniform_phase_sum(residual[:, None] * cos_phi[None, :], cfg.m_h))
+    g_point = np.sqrt(uniform_phase_power(residual[:, None] * cos_phi[None, :], cfg.m_h))
     pointed = g_point >= flat
     g_design = np.where(pointed, g_point, flat)
-    alpha_grid = np.array(
-        [sensing_attenuation(cfg, cfg.height / np.cos(th), cfg.sigma_rcs) for th in theta_grid]
-    )
+    alpha_grid = sensing_attenuation(cfg, cfg.height / np.cos(theta_grid), cfg.sigma_rcs)
     strength = alpha_grid[:, None] ** 2 * g_design**4  # (n, m)
     powers = cfg.tau_s * sigma2 / strength
 
-    s_theta, s_phi, s_amp = _scatterer_arrays(cfg, scene, include_clutter)
+    s_theta, s_phi, s_amp = scene_arrays(cfg, scene, include_clutter)
     response = np.zeros((n, n), dtype=complex)  # (subcarrier, symbol)
     affine = coef[0] + coef[1] * f  # realized horizontal slope trajectory
     for th, ph, amp in zip(s_theta, s_phi, s_amp):
@@ -340,9 +299,8 @@ def run_azimuth_only_baseline(
             - affine[:, None] * cos_phi[None, :]
         )
         x_v = np.cos(th) * ratio - np.cos(cfg.theta_min) + 2.0 * f * v_slope
-        g_h = np.where(pointed, np.abs(uniform_phase_sum(x_h, cfg.m_h)), flat)
-        g_v = uniform_phase_sum(x_v, cfg.m_v)
-        response += amp * np.abs(g_h * g_v[:, None]) ** 2
+        p_h = np.where(pointed, uniform_phase_power(x_h, cfg.m_h), flat**2)
+        response += amp * (p_h * uniform_phase_power(x_v, cfg.m_v)[:, None])
     noise = np.sqrt(sigma2 / 2.0) * (
         rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     )
@@ -372,23 +330,9 @@ def trial_seed(master: int, sweep_idx: int, trial: int, stream: int):
     return (int(master), int(sweep_idx), int(trial), int(stream))
 
 
-def _apply_sweep(run: RunConfig, value):
-    if run.sweep_var is None:
-        return run.system, run.q_targets, run.k_users
-    if run.sweep_var == "q_targets":
-        return run.system, int(value), run.k_users
-    if run.sweep_var == "k_users":
-        return run.system, run.q_targets, int(value)
-    field_types = {f: type(getattr(run.system, f)) for f in run.system.__dataclass_fields__}
-    if run.sweep_var not in field_types:
-        raise ConfigError(f"unknown sweep variable {run.sweep_var!r}")
-    caster = field_types[run.sweep_var]
-    return run.system.replace(**{run.sweep_var: caster(value)}), run.q_targets, run.k_users
-
-
 def run_single_trial(run: RunConfig, sweep_idx: int, trial: int, value=None) -> TrialRecord:
     """One seeded trial; scene and noise streams derive from (master, sweep, trial)."""
-    cfg, q, k = _apply_sweep(run, value)
+    cfg, q, k = run.at_sweep_value(value)
     scene_seed = trial_seed(run.seed, sweep_idx, trial, 0)
     scene = generate_scene(cfg, q, k, scene_seed)
     rng = np.random.default_rng(trial_seed(run.seed, sweep_idx, trial, 1))

@@ -30,7 +30,7 @@ from squintsense.detection import (
     modified_mp,
 )
 from squintsense.power import allocate_comm, allocate_sensing, grid_echo_strength
-from squintsense.simkit import distance_error, run_experiment, trial_seed
+from squintsense.simkit import distance_error, run_experiment, run_single_trial, trial_seed
 
 SCALED = SystemConfig(
     m_h=16, m_v=16, n_subcarriers=32, n_candidates=512, tau_s_db=25.0
@@ -41,7 +41,7 @@ REPORT_LINES = []  # printed by the conftest terminal-summary hook
 
 
 def _report(num, name, ok, elapsed, budget):
-    line = "[%2d/14] %-28s %s (%.1fs / %.0fs budget)" % (
+    line = "[%2d/15] %-28s %s (%.1fs / %.0fs budget)" % (
         num, name, "PASS" if ok else "FAIL", elapsed, budget
     )
     REPORT_LINES.append(line)
@@ -423,6 +423,21 @@ def test_repeated_runs_are_byte_identical(tmp_path):
         trial_file = out.with_name(out.stem + "_trials.csv")
         outputs.append(base.read_bytes() + trial_file.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+@acceptance(15, "full-scale-smoke", 20)
+def test_full_scale_defaults_within_budget():
+    """One proposed and one exhaustive trial at the defaults (64x64, N=128,
+    L=4096), each within 10 s including any first-use set-up."""
+    for method in ("proposed", "exhaustive"):
+        run = RunConfig(method=method, q_targets=2, k_users=2, trials=1, seed=15)
+        start = time.perf_counter()
+        record = run_single_trial(run, 0, 0)
+        elapsed = time.perf_counter() - start
+        assert record.ok, record.error
+        assert np.isfinite(record.distance_error_m)
+        assert record.total_sensing_energy > 0
+        assert elapsed < 10.0, f"{method} trial took {elapsed:.1f}s of its 10s budget"
 
 
 if __name__ == "__main__":

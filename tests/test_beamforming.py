@@ -136,6 +136,59 @@ class TestCommChain:
         assert bf.gain(0.6, 1.8, 17) == pytest.approx(explicit, abs=1e-9)
 
 
+class TestPowerGain:
+    """power_gain (Fejer kernel) against the explicit |a . w|^2."""
+
+    def probe_angles(self, cfg, theta_hat, rng):
+        """The design grid at theta_hat plus random ROI angles: peaks and sidelobes."""
+        theta = np.concatenate(
+            [np.full(cfg.n_subcarriers, theta_hat), rng.uniform(cfg.theta_min, cfg.theta_max, 8)]
+        )
+        phi = np.concatenate(
+            [aas_azimuth_grid(cfg), rng.uniform(cfg.phi_min, cfg.phi_max, 8)]
+        )
+        return theta, phi
+
+    @pytest.mark.parametrize("kind", ["aas", "comm"])
+    def test_matches_weight_vector_at_every_subcarrier(self, kind):
+        cfg = SMALL
+        rng = np.random.default_rng(21)
+        theta_hat = math.radians(50.0)
+        if kind == "aas":
+            bf = aas_beamformer(cfg, theta_hat)
+        else:
+            bf = comm_beamformer(cfg, theta_hat, math.radians(100.0))
+        theta, phi = self.probe_angles(cfg, theta_hat, rng)
+        n_idx = np.arange(cfg.n_subcarriers)
+        power = bf.power_gain(theta[:, None], phi[:, None], n_idx)  # (angles, N)
+        assert power.shape == (len(theta), cfg.n_subcarriers)
+        f = cfg.subcarrier_offsets()
+        explicit = np.array(
+            [
+                [abs(upa_steering(cfg, th, ph, f[n]) @ bf.weight_vector(n)) ** 2 for n in n_idx]
+                for th, ph in zip(theta, phi)
+            ]
+        )
+        # the explicit M-term sum is accurate only to ~1e-15 of the unit
+        # beam peak in deep sidelobes, hence the absolute floor at 1e-12 * peak
+        np.testing.assert_allclose(power, explicit, rtol=1e-12, atol=1e-12)
+
+    def test_eas_matches_squared_complex_gain(self):
+        cfg = SMALL
+        bf = eas_beamformer(cfg)
+        theta = np.linspace(cfg.theta_min - 0.05, cfg.theta_max + 0.05, 50)[:, None]
+        n_idx = np.arange(cfg.n_subcarriers)
+        power = bf.power_gain(theta, 1.5, n_idx)
+        np.testing.assert_allclose(
+            power, np.abs(bf.gain(theta, 1.5, n_idx)) ** 2, rtol=1e-12, atol=0
+        )
+        assert np.all(power[0] == 0.0) and np.all(power[-1] == 0.0)
+
+    def test_scalar_arguments(self):
+        bf = aas_beamformer(SMALL, 0.7)
+        assert bf.power_gain(0.7, 1.2, 3) == pytest.approx(abs(bf.gain(0.7, 1.2, 3)) ** 2, rel=1e-12)
+
+
 class TestEasBeamformer:
     def test_zero_outside_roi(self):
         cfg = SMALL

@@ -11,6 +11,7 @@ from squintsense.channel import (
     comm_gain,
     echo_gain,
     generate_scene,
+    scene_arrays,
     scene_from_json,
     scene_to_json,
     sensing_attenuation,
@@ -67,6 +68,21 @@ class TestAttenuation:
     def test_rejects_nonpositive_distance(self):
         with pytest.raises(ConfigError):
             sensing_attenuation(SystemConfig(), 0.0, 1.0)
+        with pytest.raises(ConfigError):
+            sensing_attenuation(SystemConfig(), np.array([50.0, -1.0]), 1.0)
+        with pytest.raises(ConfigError):
+            comm_attenuation(SystemConfig(), np.array([50.0, 0.0]))
+
+    def test_array_distances_match_scalar_calls(self):
+        cfg = SystemConfig()
+        dist = np.array([42.0, 55.5, 90.0])
+        np.testing.assert_array_equal(
+            sensing_attenuation(cfg, dist, 2.0), [sensing_attenuation(cfg, d, 2.0) for d in dist]
+        )
+        np.testing.assert_array_equal(
+            comm_attenuation(cfg, dist), [comm_attenuation(cfg, d) for d in dist]
+        )
+        assert isinstance(sensing_attenuation(cfg, 42.0, 2.0), float)
 
 
 class TestEchoGainOracle:
@@ -83,6 +99,29 @@ class TestEchoGainOracle:
             slow = materialized_echo(cfg, scene, weights, n)
             assert abs(fast - slow) <= 1e-10 * max(abs(slow), 1e-30)
 
+    @pytest.mark.parametrize("include_clutter", [True, False])
+    def test_broadcast_matches_materialized_on_all_subcarriers(self, include_clutter):
+        cfg = SystemConfig(m_h=8, m_v=8, n_subcarriers=16, n_candidates=16, n_clutter=3)
+        rng = np.random.default_rng(43)
+        n_idx = np.arange(cfg.n_subcarriers)
+        for trial in range(6):
+            scene = generate_scene(cfg, 2, 1, (43, trial))
+            user = scene.users[0]
+            for weights in (
+                aas_beamformer(cfg, rng.uniform(cfg.theta_min, cfg.theta_max)),
+                comm_beamformer(cfg, user.theta, user.phi),
+            ):
+                fast = echo_gain(cfg, scene, weights, n_idx, include_clutter)
+                assert fast.shape == (cfg.n_subcarriers,)
+                slow = np.array(
+                    [materialized_echo(cfg, scene, weights, n, include_clutter) for n in n_idx]
+                )
+                # when every scatterer sits in a sidelobe the M x M oracle
+                # loses relative accuracy, so the floor is 1e-12 of the echo
+                # with all scatterers at the unit beam peak
+                peak = np.sum(np.abs(scene_arrays(cfg, scene, include_clutter)[2]))
+                np.testing.assert_allclose(fast, slow, rtol=1e-12, atol=1e-12 * peak)
+
     def test_clutter_flag(self):
         cfg = SystemConfig(m_h=8, m_v=8, n_subcarriers=16, n_candidates=16)
         scene = generate_scene(cfg, 1, 0, 5)
@@ -93,6 +132,41 @@ class TestEchoGainOracle:
     def test_empty_scene_zero(self):
         cfg = SystemConfig(m_h=8, m_v=8, n_subcarriers=16, n_candidates=16)
         assert echo_gain(cfg, Scene(), aas_beamformer(cfg, 0.7), 0) == 0.0
+
+
+class TestSceneArrays:
+    def test_targets_first_with_rician_weights(self):
+        cfg = SystemConfig(m_h=8, m_v=8, n_subcarriers=16, n_candidates=16, n_clutter=2)
+        scene = generate_scene(cfg, 2, 0, 17)
+        theta, phi, amp = scene_arrays(cfg, scene)
+        sources = scene.targets + scene.clutterers
+        np.testing.assert_array_equal(theta, [s.theta for s in sources])
+        np.testing.assert_array_equal(phi, [s.phi for s in sources])
+        los_w = np.sqrt(cfg.kappa / (1 + cfg.kappa))
+        clu_w = np.sqrt(1 / (1 + cfg.kappa)) / np.sqrt(2)
+        for a, t in zip(amp[:2], scene.targets):
+            expected = (
+                los_w
+                * sensing_attenuation(cfg, t.distance, t.rcs)
+                * np.exp(-4j * np.pi * t.distance / cfg.wavelength)
+            )
+            assert a == pytest.approx(expected, rel=1e-12)
+        for a, c in zip(amp[2:], scene.clutterers):
+            expected = clu_w * sensing_attenuation(cfg, c.distance, c.rcs) * c.fading
+            assert a == pytest.approx(expected, rel=1e-12)
+
+    def test_without_clutter_pure_los(self):
+        cfg = SystemConfig(m_h=8, m_v=8, n_subcarriers=16, n_candidates=16, n_clutter=2)
+        scene = generate_scene(cfg, 1, 0, 18)
+        theta, _, amp = scene_arrays(cfg, scene, include_clutter=False)
+        assert len(theta) == 1
+        t = scene.targets[0]
+        assert abs(amp[0]) == pytest.approx(sensing_attenuation(cfg, t.distance, t.rcs))
+
+    def test_empty_scene(self):
+        cfg = SystemConfig(m_h=8, m_v=8, n_subcarriers=16, n_candidates=16)
+        theta, phi, amp = scene_arrays(cfg, Scene())
+        assert theta.shape == phi.shape == amp.shape == (0,)
 
 
 class TestCommGain:

@@ -13,6 +13,7 @@ from squintsense.detection import (
     assemble_observation,
     azimuth_candidates,
     build_measurement_matrix,
+    eas_stage,
     elevation_candidates,
     hierarchical_detect,
     matched_echo,
@@ -205,6 +206,58 @@ class TestObservation:
             assemble_observation(
                 CFG, Scene(), eas_beamformer(CFG), np.zeros(32), 0, np.random.default_rng(0)
             )
+
+
+class TestEasStageCache:
+    def test_matches_fresh_computation(self):
+        stage = eas_stage(CFG)
+        mtx, bf, t, p = eas_matrix(CFG)
+        assert stage.symbol_count == t
+        np.testing.assert_array_equal(stage.powers, p)
+        np.testing.assert_array_equal(stage.matrix.columns, mtx.columns)
+        np.testing.assert_array_equal(stage.matrix.candidates, mtx.candidates)
+        assert stage.weights.kind == "eas"
+
+    def test_cached_arrays_are_read_only(self):
+        stage = eas_stage(CFG)
+        arrays = (
+            stage.powers,
+            stage.matrix.columns,
+            stage.matrix.candidates,
+            stage.weights.ttd.vertical,
+            stage.weights.ttd.horizontal,
+        )
+        for arr in arrays:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        with pytest.raises(ValueError):
+            stage.matrix.columns *= 2.0
+
+    def test_one_entry_per_config(self):
+        assert eas_stage(CFG) is eas_stage(SystemConfig(**{
+            f: getattr(CFG, f) for f in CFG.__dataclass_fields__
+        }))
+        for change in ({"tau_s_db": 24.0}, {"n_candidates": 128}, {"kappa_db": 7.0}):
+            other = CFG.replace(**change)
+            assert eas_stage(other) is not eas_stage(CFG)
+        assert eas_stage(CFG.replace(tau_s_db=24.0)).symbol_count <= eas_stage(CFG).symbol_count
+
+    def test_cache_is_small_and_bounded(self):
+        maxsize = eas_stage.cache_info().maxsize
+        assert maxsize is not None and maxsize <= 8
+        for tau in np.linspace(10.0, 20.0, maxsize + 3):
+            eas_stage(CFG.replace(tau_s_db=float(tau), m_h=4, m_v=4, n_candidates=64))
+        assert eas_stage.cache_info().currsize <= maxsize
+
+    def test_detection_leaves_cache_intact(self):
+        stage = eas_stage(CFG)
+        before = stage.matrix.columns.copy(), stage.powers.copy()
+        scene = generate_scene(CFG, 2, 0, 5)
+        result = hierarchical_detect(CFG, scene, 2, np.random.default_rng(1))
+        assert result.sensing_powers[0] is stage.powers
+        np.testing.assert_array_equal(stage.matrix.columns, before[0])
+        np.testing.assert_array_equal(stage.powers, before[1])
 
 
 class TestHierarchicalDetect:

@@ -10,6 +10,7 @@ from squintsense.geometry import (
     flat_horizontal_gain,
     horizontal_steering,
     safe_arccos,
+    uniform_phase_power,
     uniform_phase_sum,
     upa_steering,
     vertical_steering,
@@ -62,6 +63,45 @@ class TestUniformPhaseSum:
         slopes = np.zeros((3, 4, 5))
         out = uniform_phase_sum(slopes, 8)
         assert out.shape == (3, 4, 5)
+
+
+# generic slopes, and even integers (the kernel's removable singularities)
+# nudged by at most 1e-13
+SLOPES = st.one_of(
+    st.floats(-8.0, 8.0, allow_nan=False),
+    st.builds(
+        lambda k, eps: 2.0 * k + eps,
+        st.integers(-4, 4),
+        st.sampled_from([-1e-13, -1e-14, 0.0, 1e-14, 1e-13]),
+    ),
+)
+
+
+class TestUniformPhasePower:
+    @given(slope=SLOPES, m=st.one_of(st.just(1), st.integers(1, 128)))
+    @settings(max_examples=400, deadline=None)
+    def test_equals_squared_phase_sum(self, slope, m):
+        power = uniform_phase_power(slope, m)
+        assert isinstance(power, float)
+        expected = abs(uniform_phase_sum(slope, m)) ** 2
+        assert abs(power - expected) <= 1e-12 * expected
+
+    def test_matches_on_arrays_with_singular_entries(self):
+        slopes = np.concatenate([np.linspace(-6.0, 6.0, 2001), [2.0 + 1e-13, -4.0 - 1e-13]])
+        for m in (1, 2, 7, 16, 64):
+            power = uniform_phase_power(slopes, m)
+            np.testing.assert_allclose(
+                power, np.abs(uniform_phase_sum(slopes, m)) ** 2, rtol=1e-12, atol=0
+            )
+
+    def test_array_shape_preserved(self):
+        assert uniform_phase_power(np.zeros((3, 4, 5)), 8).shape == (3, 4, 5)
+
+    def test_input_not_modified(self):
+        slopes = np.linspace(-1.0, 1.0, 11)
+        before = slopes.copy()
+        uniform_phase_power(slopes, 16)
+        np.testing.assert_array_equal(slopes, before)
 
 
 class TestSteering:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from squintsense.beamforming import aas_beamformer, comm_beamformer, eas_beamformer, eas_elevation_grid
-from squintsense.channel import generate_scene
+from squintsense.channel import comm_gain, generate_scene
 from squintsense.config import SystemConfig
 from squintsense.exceptions import InfeasibleError
 from squintsense.power import (
@@ -142,6 +142,35 @@ class TestAllocateComm:
             allocate_comm(ctx, 10.0, 0)
 
 
+class TestBatchedComm:
+    def test_matches_per_subcarrier_solves(self):
+        rng = np.random.default_rng(13)
+        for _ in range(50):
+            k = int(rng.integers(1, 6))
+            tau_c = 10 ** rng.uniform(0, 1.5)
+            ctx = random_feasible_context(rng, k, n=9, tau_c=tau_c)
+            batched = allocate_comm(ctx, tau_c)
+            assert batched.shape == (k, 9)
+            per_n = np.column_stack([allocate_comm(ctx, tau_c, n) for n in range(9)])
+            np.testing.assert_allclose(batched, per_n, rtol=1e-12, atol=0)
+
+    def test_infeasible_subcarrier_named(self):
+        rng = np.random.default_rng(14)
+        ctx = random_feasible_context(rng, 2, n=5)
+        ctx.chi[0, 1, 3] = 1e3 * ctx.chi[0, 0, 3]
+        assert check_feasibility(ctx, 10.0, 2)
+        assert not check_feasibility(ctx, 10.0, 3)
+        assert not check_feasibility(ctx, 10.0)
+        with pytest.raises(InfeasibleError, match="subcarrier 3"):
+            allocate_comm(ctx, 10.0)
+
+    def test_zero_direct_gain_raises(self):
+        ctx = random_feasible_context(np.random.default_rng(15), 2, n=3)
+        ctx.chi[1, 1, 2] = 0.0
+        with pytest.raises(InfeasibleError):
+            allocate_comm(ctx, 10.0)
+
+
 class TestBackoff:
     def test_no_backoff_when_feasible(self):
         rng = np.random.default_rng(3)
@@ -166,6 +195,21 @@ class TestBackoff:
             backoff_tau_c(ctx, 10.0)
 
 
+def sinr_context_reference(cfg, scene, comm_weights, sensing_weights, sensing_powers):
+    """Scalar per-subcarrier reference: |h_n(user) . w_n|^2 from comm_gain."""
+    k_users, n = len(scene.users), cfg.n_subcarriers
+    chi = np.empty((k_users, k_users, n))
+    eff_noise = np.empty((k_users, n))
+    for k, user in enumerate(scene.users):
+        for l, w in enumerate(comm_weights):
+            for sc in range(n):
+                chi[k, l, sc] = abs(comm_gain(cfg, user, w, sc)) ** 2
+        for sc in range(n):
+            leak = abs(comm_gain(cfg, user, sensing_weights, sc)) ** 2
+            eff_noise[k, sc] = leak * sensing_powers[sc] + user.noise_var
+    return chi, eff_noise
+
+
 class TestSinrContext:
     def test_shapes_and_noise_floor(self):
         cfg = CFG
@@ -185,3 +229,17 @@ class TestSinrContext:
         ctx = sinr_context(cfg, scene, comm_w, eas_beamformer(cfg), np.zeros(cfg.n_subcarriers))
         diag = np.einsum("kkn->kn", ctx.chi)
         assert np.all(diag > 0)
+
+    @pytest.mark.parametrize("stage", ["eas", "aas"])
+    def test_matches_per_subcarrier_comm_gain_reference(self, stage):
+        cfg = CFG
+        rng = np.random.default_rng(16)
+        for seed in range(4):
+            scene = generate_scene(cfg, 1, 3, (16, seed))
+            comm_w = [comm_beamformer(cfg, u.theta, u.phi) for u in scene.users]
+            bf = eas_beamformer(cfg) if stage == "eas" else aas_beamformer(cfg, 0.9)
+            p = 10 ** rng.uniform(-4, -2, cfg.n_subcarriers)
+            ctx = sinr_context(cfg, scene, comm_w, bf, p)
+            chi, eff_noise = sinr_context_reference(cfg, scene, comm_w, bf, p)
+            np.testing.assert_allclose(ctx.chi, chi, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(ctx.effective_noise, eff_noise, rtol=1e-12, atol=0)
