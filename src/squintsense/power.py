@@ -53,12 +53,16 @@ def grid_echo_strength(
     """|b^H G^los b|^2 at the per-subcarrier design grid points.
 
     A single hypothetical on-grid LoS target with the configured RCS is
-    assumed; equals alpha(grid)^2 * |array gain|^4.
+    assumed; equals alpha(grid)^2 * |array gain|^4. An AAS beam has unit
+    gain at each subcarrier's design grid point (theta_hat, phi_n), so for
+    ``aas`` weights this is alpha(theta_hat)^2 and grid_phi is not used.
     """
     n = cfg.n_subcarriers
     grid_theta = np.broadcast_to(np.asarray(grid_theta, float), (n,))
-    grid_phi = np.broadcast_to(np.asarray(grid_phi, float), (n,))
     alpha = sensing_attenuation(cfg, cfg.height / np.cos(grid_theta), cfg.sigma_rcs)
+    if weights.kind == "aas":
+        return alpha**2
+    grid_phi = np.broadcast_to(np.asarray(grid_phi, float), (n,))
     return alpha**2 * weights.power_gain(grid_theta, grid_phi, np.arange(n)) ** 2
 
 

@@ -34,6 +34,27 @@ def eas_matrix(cfg):
     return build_measurement_matrix(cfg, bf, p), bf, t, p
 
 
+def reference_mp(obs, columns, iterations, stop_ratio=None):
+    """Matching pursuit with complex correlation against the dictionary cast
+    to complex and the norms computed per call; (index, metric, residual
+    norm, phasor) per iteration."""
+    norms = np.linalg.norm(columns, axis=0)
+    residual = np.asarray(obs, dtype=complex).copy()
+    stop_level = stop_ratio * np.linalg.norm(residual) if stop_ratio else None
+    steps = []
+    for _ in range(iterations):
+        corr = columns.astype(complex).T @ residual
+        metric = np.abs(corr) / norms
+        best = int(np.argmax(metric))
+        coeff = corr[best] / norms[best] ** 2
+        phasor = coeff / abs(coeff)
+        residual = residual - phasor * columns[:, best]
+        steps.append((best, metric[best], np.linalg.norm(residual), phasor))
+        if stop_level is not None and np.linalg.norm(residual) < stop_level:
+            break
+    return steps
+
+
 class TestMatchedEcho:
     def test_removes_symbol_phase(self):
         raw = 2.0 * np.exp(1j * 0.3)
@@ -178,6 +199,45 @@ class TestModifiedMp:
         assert cv.counts.sum() < 5
         assert cv.counts[120] >= 1
 
+    def test_matches_complex_reference(self):
+        """Real-GEMM correlation and stored norms reproduce the complex-cast
+        pursuit: same indices, metrics, residual norms and phasors."""
+        eas, _, _, _ = eas_matrix(CFG)
+        aas = build_measurement_matrix(
+            CFG, aas_beamformer(CFG, 0.7), np.full(CFG.n_subcarriers, 1e-3), theta_hat=0.7
+        )
+        rng = np.random.default_rng(11)
+        for mtx in (eas, aas):
+            np.testing.assert_allclose(
+                mtx.norms, np.linalg.norm(mtx.columns, axis=0), rtol=1e-14, atol=0
+            )
+            obs = self.synth(mtx, [(40, 0.5), (60, 1.5), (200, 2.5)])
+            noise = rng.standard_normal(len(obs)) + 1j * rng.standard_normal(len(obs))
+            obs = obs + 1e-2 * np.linalg.norm(obs) * noise
+            cases = (
+                (obs, 4, None),                                      # q > 1, noisy
+                (self.synth(mtx, [(90, 0.2), (90, 0.2)]), 2, None),  # repeated index
+                (self.synth(mtx, [(120, 0.0)]), 5, 1e-6),            # stops early
+            )
+            selected = []
+            for obs, iterations, stop_ratio in cases:
+                scale = np.linalg.norm(obs)
+                cv = modified_mp(obs, mtx, iterations, stop_ratio)
+                steps = reference_mp(obs, mtx.columns, iterations, stop_ratio)
+                assert len(cv.trace) == len(steps)
+                for (idx, metric, res), phasor, (r_idx, r_metric, r_res, r_phasor) in zip(
+                    cv.trace, cv.phasors, steps
+                ):
+                    assert idx == r_idx
+                    assert metric == pytest.approx(r_metric, rel=1e-12, abs=0.0)
+                    # a fully deflated residual is rounding noise: scale by |obs|
+                    assert res == pytest.approx(r_res, rel=1e-12, abs=1e-12 * scale)
+                    assert phasor == pytest.approx(r_phasor, rel=1e-12, abs=0.0)
+                selected.append([idx for idx, _, _ in cv.trace])
+            assert len(selected[0]) == 4
+            assert selected[1] == [90, 90]
+            assert len(selected[2]) < 5
+
 
 class TestObservation:
     def test_noise_variance_scales_with_symbols(self):
@@ -224,6 +284,7 @@ class TestEasStageCache:
             stage.powers,
             stage.matrix.columns,
             stage.matrix.candidates,
+            stage.matrix.norms,
             stage.weights.ttd.vertical,
             stage.weights.ttd.horizontal,
         )

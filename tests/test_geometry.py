@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from squintsense.config import SystemConfig
 from squintsense.exceptions import ConfigError
 from squintsense.geometry import (
+    FEJER_BLOCK,
     composite_aod_bounds,
     flat_horizontal_gain,
     horizontal_steering,
@@ -77,6 +78,24 @@ SLOPES = st.one_of(
 )
 
 
+KERNEL_SIZES = (1, 2, 7, 16, 64, 128)
+NUDGES = (0.0, 1e-13, -1e-13, 1e-9, -1e-9)
+
+
+def assert_kernel_matches_phase_sum(slopes, m):
+    """uniform_phase_power, with every floating-point error raising, equals
+    |uniform_phase_sum|^2 to rtol 1e-12, keeps the input's shape and leaves
+    the input unmodified."""
+    before = slopes.copy()
+    with np.errstate(all="raise"):
+        power = uniform_phase_power(slopes, m)
+    np.testing.assert_array_equal(slopes, before)
+    assert power.shape == slopes.shape
+    np.testing.assert_allclose(
+        power, np.abs(uniform_phase_sum(slopes, m)) ** 2, rtol=1e-12, atol=0
+    )
+
+
 class TestUniformPhasePower:
     @given(slope=SLOPES, m=st.one_of(st.just(1), st.integers(1, 128)))
     @settings(max_examples=400, deadline=None)
@@ -102,6 +121,47 @@ class TestUniformPhasePower:
         before = slopes.copy()
         uniform_phase_power(slopes, 16)
         np.testing.assert_array_equal(slopes, before)
+
+    @pytest.mark.parametrize("m", KERNEL_SIZES)
+    def test_near_nulls(self, m):
+        # x = 2k/m are the nulls; for odd k they are the poles of tan(m u/2),
+        # and for k a multiple of m the even-integer singularities
+        k = np.arange(-2 * m, 2 * m + 1)
+        assert_kernel_matches_phase_sum((2.0 * k / m)[:, None] + np.array(NUDGES), m)
+
+    @pytest.mark.parametrize("m", KERNEL_SIZES)
+    def test_near_even_integers(self, m):
+        # even integers 2 mod 4 are the poles of tan(u/2); the nudges of
+        # +-1e-12 fall just outside the limit branch (|sin u| < 1e-12)
+        nudges = np.array(NUDGES + (1e-14, -1e-14, 1e-12, -1e-12))
+        assert_kernel_matches_phase_sum((2.0 * np.arange(-4, 5))[:, None] + nudges, m)
+
+    def test_inputs_larger_than_one_block(self):
+        rng = np.random.default_rng(3)
+        for size in (FEJER_BLOCK + 1, 2 * FEJER_BLOCK + 123, 3 * FEJER_BLOCK - 1):
+            slopes = rng.uniform(-6.0, 6.0, size)
+            # singular and null entries in every block, up to the last element
+            slopes[::997] = 2.0 * rng.integers(-3, 4, slopes[::997].size)
+            slopes[5::997] = 2.0 / 16.0 * rng.integers(-40, 41, slopes[5::997].size)
+            slopes[-1] = 2.0
+            assert_kernel_matches_phase_sum(slopes, 16)
+            assert_kernel_matches_phase_sum(slopes.reshape(1, -1, 1), 7)
+
+    def test_non_contiguous_input(self):
+        rng = np.random.default_rng(4)
+        for shape in ((24, 16), (FEJER_BLOCK // 3 + 5, 7)):
+            slopes = rng.uniform(-6.0, 6.0, shape)
+            slopes[::5, ::3] = 2.0
+            assert_kernel_matches_phase_sum(slopes.T, 64)
+            assert_kernel_matches_phase_sum(slopes[::2, ::-1], 64)
+
+    def test_zero_dimensional_input_returns_float(self):
+        for slope in (np.array(0.3), np.float64(2.0), np.array(0.0), 6.0 + 1e-13):
+            with np.errstate(all="raise"):
+                power = uniform_phase_power(slope, 16)
+            assert type(power) is float
+            expected = abs(uniform_phase_sum(float(slope), 16)) ** 2
+            assert power == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 class TestSteering:

@@ -3,9 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from squintsense.beamforming import aas_beamformer, comm_beamformer, eas_beamformer, eas_elevation_grid
+from squintsense.beamforming import (
+    aas_azimuth_grid,
+    aas_beamformer,
+    comm_beamformer,
+    eas_beamformer,
+    eas_elevation_grid,
+)
 from squintsense.channel import comm_gain, generate_scene
 from squintsense.config import SystemConfig
+from squintsense.detection import elevation_candidates
 from squintsense.exceptions import InfeasibleError
 from squintsense.power import (
     SinrContext,
@@ -73,17 +80,40 @@ class TestAllocateSensing:
 
 class TestGridEchoStrength:
     def test_alpha_squared_gain_fourth(self):
-        cfg = CFG
-        theta_hat = 0.8
-        bf = aas_beamformer(cfg, theta_hat)
-        phi = np.full(cfg.n_subcarriers, 1.2)
-        out = grid_echo_strength(cfg, bf, theta_hat, phi)
+        """alpha^2 |g|^4 against the explicit gain: at an arbitrary azimuth
+        for EAS weights, and on the design grid for AAS weights, which the
+        AAS closed form assumes."""
         from squintsense.channel import sensing_attenuation
 
-        for n in (0, 13, 31):
-            alpha = sensing_attenuation(cfg, cfg.height / math.cos(theta_hat), cfg.sigma_rcs)
-            g = abs(bf.gain(theta_hat, 1.2, n))
-            assert out[n] == pytest.approx(alpha**2 * g**4, rel=1e-12)
+        cfg = CFG
+        theta_hat = 0.8
+        alpha = sensing_attenuation(cfg, cfg.height / math.cos(theta_hat), cfg.sigma_rcs)
+        cases = (
+            (eas_beamformer(cfg), np.full(cfg.n_subcarriers, 1.2)),
+            (aas_beamformer(cfg, theta_hat), aas_azimuth_grid(cfg)),
+        )
+        for bf, phi in cases:
+            out = grid_echo_strength(cfg, bf, theta_hat, phi)
+            for n in (0, 13, 31):
+                g = abs(bf.gain(theta_hat, phi[n], n))
+                assert g > 0.0
+                assert out[n] == pytest.approx(alpha**2 * g**4, rel=1e-12)
+
+    def test_aas_closed_form_matches_kernel_on_every_candidate(self):
+        """For AAS weights the strength is alpha(theta_hat)^2 with no kernel
+        call; the kernel evaluation on the design grid agrees to 1e-15."""
+        from squintsense.channel import sensing_attenuation
+
+        cfg = SystemConfig(m_h=16, m_v=16, n_subcarriers=32, n_candidates=512)
+        phi_grid = aas_azimuth_grid(cfg)
+        n_idx = np.arange(cfg.n_subcarriers)
+        for theta_hat in elevation_candidates(cfg):
+            bf = aas_beamformer(cfg, theta_hat)
+            alpha = sensing_attenuation(cfg, cfg.height / np.cos(theta_hat), cfg.sigma_rcs)
+            kernel = alpha**2 * bf.power_gain(theta_hat, phi_grid, n_idx) ** 2
+            closed = grid_echo_strength(cfg, bf, theta_hat, phi_grid)
+            assert closed.shape == (cfg.n_subcarriers,)
+            np.testing.assert_allclose(closed, kernel, rtol=1e-15, atol=0)
 
 
 def random_feasible_context(rng, k, n=1, margin=2.0, tau_c=10.0):
