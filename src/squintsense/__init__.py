@@ -32,8 +32,6 @@ from .channel import (
     echo_gain,
     generate_scene,
     scene_arrays,
-    scene_from_json,
-    scene_to_json,
     sensing_attenuation,
 )
 from .config import RunConfig, SystemConfig, db_to_linear, dbm_to_watt
@@ -42,14 +40,12 @@ from .detection import (
     DetectionResult,
     EasStage,
     MeasurementMatrix,
-    ObservationVector,
     assemble_observation,
     azimuth_candidates,
     build_measurement_matrix,
     eas_stage,
     elevation_candidates,
     hierarchical_detect,
-    matched_echo,
     modified_mp,
 )
 from .exceptions import (

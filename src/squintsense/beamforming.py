@@ -69,13 +69,22 @@ def eas_vertical_ttd(cfg: SystemConfig) -> np.ndarray:
     return _linear_delays(cfg.m_v, slope)
 
 
-def eas_elevation_grid(cfg: SystemConfig, f_dev=None) -> np.ndarray:
-    """Squint-induced elevation angles; defaults to the N subcarrier offsets."""
+def _squint_grid(cfg: SystemConfig, lo: float, hi: float, f_dev) -> np.ndarray:
+    """Angles swept from lo (f = 0) to hi (f = F) by a TTD squint sweep.
+
+    arccos((cos lo - (f/F)(cos lo - cos hi (1+F/fc))) / (1+f/fc)); f_dev
+    defaults to the N subcarrier offsets.
+    """
     f = cfg.subcarrier_offsets() if f_dev is None else np.asarray(f_dev, dtype=float)
-    c_lo = np.cos(cfg.theta_min)
-    c_hi = np.cos(cfg.theta_max) * (1.0 + cfg.bandwidth / cfg.fc)
+    c_lo = np.cos(lo)
+    c_hi = np.cos(hi) * (1.0 + cfg.bandwidth / cfg.fc)
     arg = (c_lo - (f / cfg.bandwidth) * (c_lo - c_hi)) / (1.0 + f / cfg.fc)
     return safe_arccos(arg)
+
+
+def eas_elevation_grid(cfg: SystemConfig, f_dev=None) -> np.ndarray:
+    """Squint-induced elevation angles; defaults to the N subcarrier offsets."""
+    return _squint_grid(cfg, cfg.theta_min, cfg.theta_max, f_dev)
 
 
 def aas_ttd(cfg: SystemConfig, theta_hat: float) -> TtdProfile:
@@ -96,11 +105,7 @@ def aas_ttd(cfg: SystemConfig, theta_hat: float) -> TtdProfile:
 
 def aas_azimuth_grid(cfg: SystemConfig, f_dev=None) -> np.ndarray:
     """Squint-induced azimuth angles; independent of the locked elevation."""
-    f = cfg.subcarrier_offsets() if f_dev is None else np.asarray(f_dev, dtype=float)
-    c_lo = np.cos(cfg.phi_min)
-    c_hi = np.cos(cfg.phi_max) * (1.0 + cfg.bandwidth / cfg.fc)
-    arg = (c_lo - (f / cfg.bandwidth) * (c_lo - c_hi)) / (1.0 + f / cfg.fc)
-    return safe_arccos(arg)
+    return _squint_grid(cfg, cfg.phi_min, cfg.phi_max, f_dev)
 
 
 def comm_ttd(cfg: SystemConfig, theta_u: float, phi_u: float) -> TtdProfile:

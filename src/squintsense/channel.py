@@ -11,7 +11,6 @@ scatterers x subcarriers in one broadcast over the scene's array form
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,47 +186,3 @@ def generate_scene(
             )
     return Scene(targets=targets, clutterers=clutterers, users=tuple(users), rng_seed=seed)
 
-
-def scene_to_json(scene: Scene) -> str:
-    """Serialize a scene to JSON (complex fading stored as [re, im])."""
-    doc = {
-        "rng_seed": scene.rng_seed,
-        "targets": [
-            {"theta": t.theta, "phi": t.phi, "distance": t.distance, "rcs": t.rcs}
-            for t in scene.targets
-        ],
-        "clutterers": [
-            {
-                "theta": c.theta,
-                "phi": c.phi,
-                "distance": c.distance,
-                "rcs": c.rcs,
-                "fading": [c.fading.real, c.fading.imag],
-            }
-            for c in scene.clutterers
-        ],
-        "users": [
-            {"theta": u.theta, "phi": u.phi, "distance": u.distance, "noise_var": u.noise_var}
-            for u in scene.users
-        ],
-    }
-    return json.dumps(doc, indent=2)
-
-
-def scene_from_json(text: str) -> Scene:
-    doc = json.loads(text)
-    return Scene(
-        targets=tuple(Target(**t) for t in doc["targets"]),
-        clutterers=tuple(
-            Clutterer(
-                theta=c["theta"],
-                phi=c["phi"],
-                distance=c["distance"],
-                rcs=c["rcs"],
-                fading=complex(c["fading"][0], c["fading"][1]),
-            )
-            for c in doc["clutterers"]
-        ),
-        users=tuple(User(**u) for u in doc["users"]),
-        rng_seed=doc["rng_seed"],
-    )

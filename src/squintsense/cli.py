@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import math
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -17,10 +16,10 @@ from .channel import generate_scene
 from .config import RunConfig, SystemConfig
 from .detection import hierarchical_detect
 from .exceptions import ConfigError, SquintSenseError
-from .power import PowerPlan
 from .simkit import (
     aggregate_to_csv,
-    allocate_comm_plan,
+    csv_text,
+    plan_proposed_trial,
     records_to_csv,
     run_experiment,
     trial_seed,
@@ -33,6 +32,20 @@ def _deg(value: str) -> float:
     return math.radians(float(value))
 
 
+def _echo_deg(radians: float) -> str:
+    """Degree text that loads back as exactly ``radians``: ``math.degrees``
+    when it does, else its nearest neighbour (up to 4 ulp away) that does.
+    24 deg echoes as 24.000000000000004 by ``math.degrees``, 1 ulp high."""
+    degrees = math.degrees(radians)
+    candidates = [degrees]
+    above = below = degrees
+    for _ in range(4):
+        above = math.nextafter(above, math.inf)
+        below = math.nextafter(below, -math.inf)
+        candidates += [above, below]
+    return repr(next((d for d in candidates if math.radians(d) == radians), degrees))
+
+
 def _bool(value: str) -> bool:
     lowered = value.strip().lower()
     if lowered in ("true", "1", "yes"):
@@ -42,8 +55,23 @@ def _bool(value: str) -> bool:
     raise ValueError(f"expected boolean, got {value!r}")
 
 
-# config-file key -> (SystemConfig field, parser)
-_SYSTEM_KEYS = {
+def _floats(text: str) -> tuple:
+    return tuple(float(x) for x in text.split(","))
+
+
+def _echo(parse, value) -> str:
+    """Config-file text that ``parse`` turns back into ``value``."""
+    if parse is _deg:
+        return _echo_deg(value)
+    if parse is _bool:
+        return str(value).lower()
+    if parse is _floats:
+        return ",".join(repr(v) for v in value)
+    return str(value) if parse is str else repr(value)
+
+
+# config-file key -> (SystemConfig or RunConfig field, parser), in echo order
+CONFIG_KEYS = {
     "fc_hz": ("fc", float),
     "bandwidth_hz": ("bandwidth", float),
     "n_subcarriers": ("n_subcarriers", int),
@@ -66,19 +94,17 @@ _SYSTEM_KEYS = {
     "user_min_separation_deg": ("user_min_separation", _deg),
     "uniform_candidate_grid": ("uniform_candidate_grid", _bool),
     "max_abs_ttd_s": ("max_abs_ttd", float),
-}
-
-_RUN_KEYS = {
     "method": ("method", str),
     "q_targets": ("q_targets", int),
     "k_users": ("k_users", int),
     "trials": ("trials", int),
     "seed": ("seed", int),
-    "sweep_var": ("sweep_var", str),
-    "sweep_values": ("sweep_values", lambda v: tuple(float(x) for x in v.split(","))),
-    "output": ("output", str),
     "include_clutter": ("include_clutter", _bool),
+    "sweep_var": ("sweep_var", str),
+    "sweep_values": ("sweep_values", _floats),
+    "output": ("output", str),
 }
+_SYSTEM_FIELDS = frozenset(f.name for f in fields(SystemConfig))
 
 
 def load_config(path: str) -> RunConfig:
@@ -99,17 +125,12 @@ def load_config(path: str) -> RunConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
+        if key not in CONFIG_KEYS:
+            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        field, parse = CONFIG_KEYS[key]
+        kwargs = system_kwargs if field in _SYSTEM_FIELDS else run_kwargs
         try:
-            if key in _SYSTEM_KEYS:
-                field, parse = _SYSTEM_KEYS[key]
-                system_kwargs[field] = parse(value)
-            elif key in _RUN_KEYS:
-                field, parse = _RUN_KEYS[key]
-                run_kwargs[field] = parse(value)
-            else:
-                raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        except ConfigError:
-            raise
+            kwargs[field] = parse(value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
     try:
@@ -121,43 +142,13 @@ def load_config(path: str) -> RunConfig:
 
 def echo_config(run: RunConfig) -> list:
     """Config-file lines that reproduce this run exactly."""
-    sys_cfg = run.system
-    inverse = {
-        "fc_hz": sys_cfg.fc,
-        "bandwidth_hz": sys_cfg.bandwidth,
-        "n_subcarriers": sys_cfg.n_subcarriers,
-        "m_h": sys_cfg.m_h,
-        "m_v": sys_cfg.m_v,
-        "height_m": sys_cfg.height,
-        "theta_min_deg": math.degrees(sys_cfg.theta_min),
-        "theta_max_deg": math.degrees(sys_cfg.theta_max),
-        "phi_min_deg": math.degrees(sys_cfg.phi_min),
-        "phi_max_deg": math.degrees(sys_cfg.phi_max),
-        "noise_psd_dbm_hz": sys_cfg.noise_psd_dbm_hz,
-        "sigma_rcs_dbsm": sys_cfg.sigma_rcs_dbsm,
-        "kappa_db": sys_cfg.kappa_db,
-        "n_clutter": sys_cfg.n_clutter,
-        "sigma_clutter_dbsm": sys_cfg.sigma_clutter_dbsm,
-        "tau_s_db": sys_cfg.tau_s_db,
-        "tau_c_db": sys_cfg.tau_c_db,
-        "p_s_max_w": sys_cfg.p_s_max,
-        "n_candidates": sys_cfg.n_candidates,
-        "user_min_separation_deg": math.degrees(sys_cfg.user_min_separation),
-        "uniform_candidate_grid": str(sys_cfg.uniform_candidate_grid).lower(),
-        "max_abs_ttd_s": sys_cfg.max_abs_ttd,
-        "method": run.method,
-        "q_targets": run.q_targets,
-        "k_users": run.k_users,
-        "trials": run.trials,
-        "seed": run.seed,
-        "include_clutter": str(run.include_clutter).lower(),
-    }
-    lines = [f"{key} = {value!r}".replace("'", "") for key, value in inverse.items()]
-    if run.sweep_var is not None:
-        lines.append(f"sweep_var = {run.sweep_var}")
-        lines.append("sweep_values = " + ",".join(repr(v) for v in run.sweep_values))
-    if run.output is not None:
-        lines.append(f"output = {run.output}")
+    lines = []
+    for key, (field, parse) in CONFIG_KEYS.items():
+        value = getattr(run.system if field in _SYSTEM_FIELDS else run, field)
+        # unset optional keys are left out; sweep values count only with a sweep variable
+        if value is None or (field == "sweep_values" and run.sweep_var is None):
+            continue
+        lines.append(f"{key} = {_echo(parse, value)}")
     return lines
 
 
@@ -200,55 +191,38 @@ def cmd_simulate(run: RunConfig, args, stdout) -> int:
     return 0
 
 
-def _one_detection(run: RunConfig):
-    cfg = run.system
-    scene = generate_scene(cfg, run.q_targets, run.k_users, trial_seed(run.seed, 0, 0, 0))
-    rng = np.random.default_rng(trial_seed(run.seed, 0, 0, 1))
-    result = hierarchical_detect(cfg, scene, run.q_targets, rng, run.include_clutter)
-    return cfg, scene, result
+def _first_trial(run: RunConfig):
+    """Scene and noise stream of trial 0 on the unswept base system."""
+    scene = generate_scene(run.system, run.q_targets, run.k_users, trial_seed(run.seed, 0, 0, 0))
+    return scene, np.random.default_rng(trial_seed(run.seed, 0, 0, 1))
 
 
 def cmd_detect(run: RunConfig, args, stdout) -> int:
-    _, _, result = _one_detection(run)
-    buf = io.StringIO()
-    for line in provenance_lines(run):
-        buf.write(f"# {line}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["stage", "iteration", "selected_index", "correlation", "residual_norm"])
-    for stage, counting in enumerate(result.traces):
-        for it, (idx, corr, res) in enumerate(counting.trace):
-            writer.writerow([stage, it, idx, f"{corr:.12e}", f"{res:.12e}"])
-    _write(run.output or args.output, buf.getvalue(), stdout)
+    scene, rng = _first_trial(run)
+    result = hierarchical_detect(run.system, scene, run.q_targets, rng, run.include_clutter)
+    rows = (
+        [stage, it, idx, f"{corr:.12e}", f"{res:.12e}"]
+        for stage, counting in enumerate(result.traces)
+        for it, (idx, corr, res) in enumerate(counting.trace)
+    )
+    header = ["stage", "iteration", "selected_index", "correlation", "residual_norm"]
+    _write(run.output or args.output, csv_text(header, rows, provenance_lines(run)), stdout)
     return 0
 
 
 def cmd_power(run: RunConfig, args, stdout) -> int:
-    cfg, scene, result = _one_detection(run)
-    comm_powers, _, tau_eff = allocate_comm_plan(
-        cfg, scene, result.stage_weights, result.sensing_powers
-    )
-    plan = PowerPlan(
-        symbol_counts=list(result.symbol_counts),
-        sensing_powers=list(result.sensing_powers),
-        comm_powers=comm_powers,
-        effective_tau_c=tau_eff,
-    )
-    buf = io.StringIO()
-    for line in provenance_lines(run):
-        buf.write(f"# {line}\n")
-    buf.write(f"# effective sinr threshold (linear) {tau_eff:.12g}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["kind", "stage", "user", "subcarrier", "symbols", "power_w"])
+    scene, rng = _first_trial(run)
+    _, plan, _ = plan_proposed_trial(run.system, scene, rng, run.include_clutter)
+    provenance = provenance_lines(run) + [
+        f"effective sinr threshold (linear) {plan.effective_tau_c:.12g}"
+    ]
+    rows = []
     for stage, (t, p_s) in enumerate(zip(plan.symbol_counts, plan.sensing_powers)):
-        for n, p in enumerate(p_s):
-            writer.writerow(["sensing", stage, "", n, t, f"{p:.12e}"])
-    for stage, p_c in enumerate(plan.comm_powers):
-        for k in range(p_c.shape[0]):
-            for n in range(p_c.shape[1]):
-                writer.writerow(
-                    ["comm", stage, k, n, plan.symbol_counts[stage], f"{p_c[k, n]:.12e}"]
-                )
-    _write(run.output or args.output, buf.getvalue(), stdout)
+        rows.extend(["sensing", stage, "", n, t, f"{p:.12e}"] for n, p in enumerate(p_s))
+    for stage, (t, p_c) in enumerate(zip(plan.symbol_counts, plan.comm_powers)):
+        rows.extend(["comm", stage, k, n, t, f"{p:.12e}"] for (k, n), p in np.ndenumerate(p_c))
+    header = ["kind", "stage", "user", "subcarrier", "symbols", "power_w"]
+    _write(run.output or args.output, csv_text(header, rows, provenance), stdout)
     return 0
 
 
@@ -261,44 +235,29 @@ def cmd_beampattern(run: RunConfig, args, stdout) -> int:
             raise ConfigError(f"subcarrier index {n} outside [0, {cfg.n_subcarriers - 1}]")
     if kind == "eas":
         bf = eas_beamformer(cfg)
-    elif kind == "aas":
-        if args.theta_hat is None:
-            raise ConfigError("beampattern --stage aas requires --theta-hat")
-        bf = aas_beamformer(cfg, math.radians(args.theta_hat))
-    elif kind == "comm":
-        if args.theta_hat is None or args.phi is None:
-            raise ConfigError("beampattern --stage comm requires --theta-hat and --phi")
-        bf = comm_beamformer(cfg, math.radians(args.theta_hat), math.radians(args.phi))
-    else:
-        raise ConfigError(f"unknown beampattern stage {kind!r}")
-
-    buf = io.StringIO()
-    for line in provenance_lines(run):
-        buf.write(f"# {line}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    if kind == "eas":
         # sweep elevation at mid azimuth
-        writer.writerow(["stage", "subcarrier", "theta_deg", "phi_deg", "gain_abs"])
-        thetas = np.linspace(cfg.theta_min, cfg.theta_max, args.points)
+        theta = np.linspace(cfg.theta_min, cfg.theta_max, args.points)
         phi = 0.5 * (cfg.phi_min + cfg.phi_max)
-        for n in subcarriers:
-            gains = np.abs(bf.gain(thetas, phi, n))
-            for th, g in zip(thetas, gains):
-                writer.writerow(
-                    [kind, n, f"{math.degrees(th):.6f}", f"{math.degrees(phi):.6f}", f"{g:.12e}"]
-                )
     else:
-        # sweep azimuth at the pointing elevation
+        if kind == "aas" and args.theta_hat is None:
+            raise ConfigError("beampattern --stage aas requires --theta-hat")
+        if kind == "comm" and (args.theta_hat is None or args.phi is None):
+            raise ConfigError("beampattern --stage comm requires --theta-hat and --phi")
         theta = math.radians(args.theta_hat)
-        writer.writerow(["stage", "subcarrier", "theta_deg", "phi_deg", "gain_abs"])
-        phis = np.linspace(cfg.phi_min, cfg.phi_max, args.points)
-        for n in subcarriers:
-            gains = np.abs(bf.gain(theta, phis, n))
-            for ph, g in zip(phis, gains):
-                writer.writerow(
-                    [kind, n, f"{math.degrees(theta):.6f}", f"{math.degrees(ph):.6f}", f"{g:.12e}"]
-                )
-    _write(run.output or args.output, buf.getvalue(), stdout)
+        if kind == "aas":
+            bf = aas_beamformer(cfg, theta)
+        else:
+            bf = comm_beamformer(cfg, theta, math.radians(args.phi))
+        # sweep azimuth at the pointing elevation
+        phi = np.linspace(cfg.phi_min, cfg.phi_max, args.points)
+    thetas, phis = np.broadcast_arrays(theta, phi)
+    rows = (
+        [kind, n, f"{math.degrees(th):.6f}", f"{math.degrees(ph):.6f}", f"{g:.12e}"]
+        for n in subcarriers
+        for th, ph, g in zip(thetas, phis, np.abs(bf.gain(theta, phi, n)))
+    )
+    header = ["stage", "subcarrier", "theta_deg", "phi_deg", "gain_abs"]
+    _write(run.output or args.output, csv_text(header, rows, provenance_lines(run)), stdout)
     return 0
 
 

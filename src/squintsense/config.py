@@ -6,6 +6,7 @@ All angles are stored in radians internally; the file loader in
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field, fields
 
@@ -136,9 +137,7 @@ class SystemConfig:
         return dbm_to_watt(self.noise_psd_dbm_hz) * self.bandwidth / self.n_subcarriers
 
     def replace(self, **kwargs) -> "SystemConfig":
-        values = {f.name: getattr(self, f.name) for f in fields(self)}
-        values.update(kwargs)
-        return SystemConfig(**values)
+        return dataclasses.replace(self, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -177,6 +176,8 @@ class RunConfig:
         """
         if self.sweep_var is None:
             return self.system, self.q_targets, self.k_users
+        if value is None:
+            raise ConfigError(f"sweep variable {self.sweep_var!r} needs a sweep value")
         if self.sweep_var in ("q_targets", "k_users"):
             count = _integral(self.sweep_var, value)
             if count < 0:
@@ -199,9 +200,7 @@ class RunConfig:
         return self.system.replace(**{self.sweep_var: value}), self.q_targets, self.k_users
 
     def replace(self, **kwargs) -> "RunConfig":
-        values = {f.name: getattr(self, f.name) for f in fields(self)}
-        values.update(kwargs)
-        return RunConfig(**values)
+        return dataclasses.replace(self, **kwargs)
 
 
 def _integral(name: str, value) -> int:

@@ -22,17 +22,9 @@ from .power import allocate_sensing, grid_echo_strength
 
 
 @dataclass(frozen=True)
-class ObservationVector:
-    values: np.ndarray   # length N complex
-    stage: int
-    symbol_count: int
-
-
-@dataclass(frozen=True)
 class MeasurementMatrix:
     columns: np.ndarray     # (N, L) real nonnegative
     candidates: np.ndarray  # (L,) angles: elevation (stage 0) or azimuth
-    kind: str               # 'eas' or 'aas'
     norms: np.ndarray       # (L,) column 2-norms
 
 
@@ -46,20 +38,11 @@ class CountingVector:
 @dataclass(frozen=True)
 class DetectionResult:
     elevations: tuple    # ((theta_hat, Q_i), ...) from the EAS stage
-    azimuths: tuple      # per AAS stage: array of azimuth estimates
     estimates: tuple     # Q final (theta, phi) pairs
     symbol_counts: tuple
     sensing_powers: tuple
     stage_weights: tuple
     traces: tuple        # CountingVector per stage
-
-
-def matched_echo(raw: complex, symbol: complex) -> complex:
-    """Rotate the received sample by the symbol's conjugate phase."""
-    mag = abs(symbol)
-    if mag == 0:
-        raise ConfigError("matched filter requires a nonzero symbol")
-    return raw * symbol.conjugate() / mag
 
 
 def candidate_offsets(cfg: SystemConfig) -> np.ndarray:
@@ -86,10 +69,9 @@ def assemble_observation(
     powers: np.ndarray,
     t_symbols: int,
     rng: np.random.Generator,
-    stage: int = 0,
     include_clutter: bool = True,
-) -> ObservationVector:
-    """Average of t_symbols matched echoes per subcarrier.
+) -> np.ndarray:
+    """Average of t_symbols matched echoes per subcarrier, as an (N,) array.
 
     The matched filter preserves the circular Gaussian noise statistics, so
     the T-symbol average is drawn directly with variance sigma^2 / T.
@@ -101,7 +83,7 @@ def assemble_observation(
     signal = np.sqrt(powers) * echo_gain(cfg, scene, weights, np.arange(n), include_clutter)
     scale = np.sqrt(sigma2 / (2.0 * t_symbols))
     noise = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    return ObservationVector(values=signal + noise, stage=stage, symbol_count=t_symbols)
+    return signal + noise
 
 
 def build_measurement_matrix(
@@ -124,17 +106,15 @@ def build_measurement_matrix(
         phi_probe = 0.5 * (cfg.phi_min + cfg.phi_max)  # flat model: phi-independent
         gains = weights.power_gain(cand[:, None], phi_probe, n_idx)  # (L, N)
         alpha = sensing_attenuation(cfg, cfg.height / np.cos(cand), cfg.sigma_rcs)[:, None]
-        kind = "eas"
     else:
         if theta_hat is None:
             raise ConfigError("AAS measurement matrix requires theta_hat")
         cand = azimuth_candidates(cfg)
         gains = weights.power_gain(theta_hat, cand[:, None], n_idx)  # (L, N)
         alpha = sensing_attenuation(cfg, cfg.height / np.cos(theta_hat), cfg.sigma_rcs)
-        kind = "aas"
     gains *= sqrt_p * alpha
     norms = np.sqrt(np.einsum("ln,ln->l", gains, gains))
-    return MeasurementMatrix(columns=gains.T, candidates=cand, kind=kind, norms=norms)
+    return MeasurementMatrix(columns=gains.T, candidates=cand, norms=norms)
 
 
 def modified_mp(
@@ -218,7 +198,6 @@ def hierarchical_detect(
     q: int,
     rng: np.random.Generator,
     include_clutter: bool = True,
-    stop_ratio: float | None = None,
 ) -> DetectionResult:
     """Full EAS -> AAS pipeline with per-stage power allocation.
 
@@ -229,8 +208,8 @@ def hierarchical_detect(
     stage0 = eas_stage(cfg)
     eas_w, t0, p0, mtx0 = stage0.weights, stage0.symbol_count, stage0.powers, stage0.matrix
 
-    obs0 = assemble_observation(cfg, scene, eas_w, p0, t0, rng, 0, include_clutter)
-    cv0 = modified_mp(obs0.values, mtx0, q, stop_ratio)
+    obs0 = assemble_observation(cfg, scene, eas_w, p0, t0, rng, include_clutter)
+    cv0 = modified_mp(obs0, mtx0, q)
 
     selected = np.flatnonzero(cv0.counts)
     elevations = tuple(
@@ -238,7 +217,6 @@ def hierarchical_detect(
     )
 
     phi_grid = aas_azimuth_grid(cfg)
-    azimuths = []
     estimates = []
     symbol_counts = [t0]
     sensing_powers = [p0]
@@ -248,13 +226,10 @@ def hierarchical_detect(
         aas_w = aas_beamformer(cfg, theta_hat)
         strengths = grid_echo_strength(cfg, aas_w, theta_hat, phi_grid)
         t_i, p_i = allocate_sensing(cfg, strengths)
-        obs = assemble_observation(
-            cfg, scene, aas_w, p_i, t_i, rng, len(symbol_counts), include_clutter
-        )
+        obs = assemble_observation(cfg, scene, aas_w, p_i, t_i, rng, include_clutter)
         mtx = build_measurement_matrix(cfg, aas_w, p_i, theta_hat=theta_hat)
-        cv = modified_mp(obs.values, mtx, multiplicity, stop_ratio)
+        cv = modified_mp(obs, mtx, multiplicity)
         stage_azimuths = np.repeat(mtx.candidates, cv.counts)
-        azimuths.append(stage_azimuths)
         estimates.extend((theta_hat, float(ph)) for ph in stage_azimuths)
         symbol_counts.append(t_i)
         sensing_powers.append(p_i)
@@ -263,7 +238,6 @@ def hierarchical_detect(
 
     return DetectionResult(
         elevations=elevations,
-        azimuths=tuple(azimuths),
         estimates=tuple(estimates),
         symbol_counts=tuple(symbol_counts),
         sensing_powers=tuple(sensing_powers),

@@ -148,7 +148,8 @@ def allocate_comm_plan(cfg: SystemConfig, scene: Scene, stage_weights, sensing_p
     return comm_powers, sinrs, tau_eff
 
 
-def _finish_record(record: TrialRecord, cfg: SystemConfig, scene: Scene, estimates, plan, sinrs):
+def _finish_record(method: str, cfg: SystemConfig, scene: Scene, estimates, plan, sinrs):
+    record = TrialRecord(method=method, q_targets=len(scene.targets))
     truth = [(t.theta, t.phi) for t in scene.targets]
     record.distance_error_m = distance_error(cfg.height, truth, estimates)
     record.total_sensing_energy, record.avg_transmit_power = transmit_power_metrics(plan)
@@ -161,14 +162,14 @@ def _finish_record(record: TrialRecord, cfg: SystemConfig, scene: Scene, estimat
     return record
 
 
-def run_proposed_trial(
+def plan_proposed_trial(
     cfg: SystemConfig,
     scene: Scene,
     rng: np.random.Generator,
     include_clutter: bool = True,
-) -> TrialRecord:
-    """Hierarchical detection plus communication allocation for one scene."""
-    record = TrialRecord(method="proposed", q_targets=len(scene.targets))
+):
+    """Hierarchical detection, then communication allocation over its stages:
+    (DetectionResult, PowerPlan, achieved SINR arrays per stage)."""
     result = hierarchical_detect(cfg, scene, len(scene.targets), rng, include_clutter)
     comm_powers, sinrs, tau_eff = allocate_comm_plan(
         cfg, scene, result.stage_weights, result.sensing_powers
@@ -179,7 +180,35 @@ def run_proposed_trial(
         comm_powers=comm_powers,
         effective_tau_c=tau_eff,
     )
-    return _finish_record(record, cfg, scene, result.estimates, plan, sinrs)
+    return result, plan, sinrs
+
+
+def run_proposed_trial(
+    cfg: SystemConfig,
+    scene: Scene,
+    rng: np.random.Generator,
+    include_clutter: bool = True,
+) -> TrialRecord:
+    """Hierarchical detection plus communication allocation for one scene."""
+    result, plan, sinrs = plan_proposed_trial(cfg, scene, rng, include_clutter)
+    return _finish_record("proposed", cfg, scene, result.estimates, plan, sinrs)
+
+
+def _scan_record(method: str, cfg: SystemConfig, scene: Scene, statistic, grids, powers):
+    """Record of an N x N scan: the top-q cells of its statistic, whose rows
+    and columns follow grids = (elevation grid, azimuth grid), and a one-stage
+    plan whose sensing powers have every symbol's T folded in."""
+    theta_grid, phi_grid = grids
+    n = statistic.shape[1]
+    flat = np.argsort(statistic.ravel())[::-1][: len(scene.targets)]
+    estimates = [(float(theta_grid[i // n]), float(phi_grid[i % n])) for i in flat]
+    plan = PowerPlan(
+        symbol_counts=[1],
+        sensing_powers=[powers],
+        comm_powers=[],
+        effective_tau_c=cfg.tau_c,
+    )
+    return _finish_record(method, cfg, scene, estimates, plan, [])
 
 
 def run_exhaustive_baseline(
@@ -194,7 +223,6 @@ def run_exhaustive_baseline(
     on each subcarrier follows the tau_s-tight rule with T = 1, so a symbol
     costs N times the single-subcarrier tight power of its cell.
     """
-    record = TrialRecord(method="exhaustive", q_targets=len(scene.targets))
     n = cfg.n_subcarriers
     theta_grid = eas_elevation_grid(cfg)  # (N,)
     phi_grid = aas_azimuth_grid(cfg)      # (N,)
@@ -224,18 +252,10 @@ def run_exhaustive_baseline(
         rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     )
     statistic = np.abs(signal + noise) / (np.sqrt(p_cell)[:, None] * alpha_grid[:, None])
-
-    flat = np.argsort(statistic.ravel())[::-1][: len(scene.targets)]
-    estimates = [(float(theta_grid[i // n]), float(phi_grid[i % n])) for i in flat]
     # energy bookkeeping: N^2 symbols, each transmitting its cell's tight
     # power on all N subcarriers; folded into a single pseudo-stage
-    plan = PowerPlan(
-        symbol_counts=[1],
-        sensing_powers=[n * np.repeat(p_cell, n)],
-        comm_powers=[],
-        effective_tau_c=cfg.tau_c,
-    )
-    return _finish_record(record, cfg, scene, estimates, plan, [])
+    grids = (theta_grid, phi_grid)
+    return _scan_record("exhaustive", cfg, scene, statistic, grids, n * np.repeat(p_cell, n))
 
 
 def _azimuth_only_fit(cfg: SystemConfig):
@@ -271,7 +291,6 @@ def run_azimuth_only_baseline(
     beam for those subcarriers. The power rule stays tau_s-tight against
     the resulting (degraded) design-point gain.
     """
-    record = TrialRecord(method="azimuth_only", q_targets=len(scene.targets))
     n = cfg.n_subcarriers
     theta_grid, f, coef, residual = _azimuth_only_fit(cfg)
     phi_grid = aas_azimuth_grid(cfg)
@@ -307,16 +326,9 @@ def run_azimuth_only_baseline(
     signal = np.sqrt(powers) * response
     expected = np.sqrt(powers) * alpha_grid[:, None] * g_design**2
     statistic = np.abs(signal + noise) / expected
-
-    flat = np.argsort(statistic.ravel())[::-1][: len(scene.targets)]
-    estimates = [(float(theta_grid[i // n]), float(phi_grid[i % n])) for i in flat]
-    plan = PowerPlan(
-        symbol_counts=[1],
-        sensing_powers=[powers.ravel()],  # N symbols x N subcarriers, T folded in
-        comm_powers=[],
-        effective_tau_c=cfg.tau_c,
-    )
-    return _finish_record(record, cfg, scene, estimates, plan, [])
+    grids = (theta_grid, phi_grid)
+    # sensing powers of N symbols x N subcarriers, T folded in
+    return _scan_record("azimuth_only", cfg, scene, statistic, grids, powers.ravel())
 
 
 _METHODS = {
@@ -330,18 +342,22 @@ def trial_seed(master: int, sweep_idx: int, trial: int, stream: int):
     return (int(master), int(sweep_idx), int(trial), int(stream))
 
 
-def run_single_trial(run: RunConfig, sweep_idx: int, trial: int, value=None) -> TrialRecord:
-    """One seeded trial; scene and noise streams derive from (master, sweep, trial)."""
-    cfg, q, k = run.at_sweep_value(value)
-    scene_seed = trial_seed(run.seed, sweep_idx, trial, 0)
-    scene = generate_scene(cfg, q, k, scene_seed)
-    rng = np.random.default_rng(trial_seed(run.seed, sweep_idx, trial, 1))
-    record = _METHODS[run.method](cfg, scene, rng, include_clutter=run.include_clutter)
+def _label(record: TrialRecord, run: RunConfig, sweep_idx: int, trial: int, value):
+    """Stamp a record with its trial, seed path and sweep point."""
     record.trial = trial
-    record.seed = "/".join(map(str, scene_seed[:-1]))
+    record.seed = "/".join(map(str, trial_seed(run.seed, sweep_idx, trial, 0)[:-1]))
     record.sweep_var = run.sweep_var or ""
     record.sweep_value = float("nan") if value is None else float(value)
     return record
+
+
+def run_single_trial(run: RunConfig, sweep_idx: int, trial: int, value=None) -> TrialRecord:
+    """One seeded trial; scene and noise streams derive from (master, sweep, trial)."""
+    cfg, q, k = run.at_sweep_value(value)
+    scene = generate_scene(cfg, q, k, trial_seed(run.seed, sweep_idx, trial, 0))
+    rng = np.random.default_rng(trial_seed(run.seed, sweep_idx, trial, 1))
+    record = _METHODS[run.method](cfg, scene, rng, include_clutter=run.include_clutter)
+    return _label(record, run, sweep_idx, trial, value)
 
 
 def run_experiment(run: RunConfig):
@@ -353,15 +369,8 @@ def run_experiment(run: RunConfig):
             try:
                 rec = run_single_trial(run, sweep_idx, trial, value)
             except SquintSenseError as exc:
-                rec = TrialRecord(
-                    trial=trial,
-                    seed="/".join(map(str, (run.seed, sweep_idx, trial))),
-                    method=run.method,
-                    sweep_var=run.sweep_var or "",
-                    sweep_value=float("nan") if value is None else float(value),
-                    ok=False,
-                    error=str(exc),
-                )
+                failed = TrialRecord(method=run.method, ok=False, error=str(exc))
+                rec = _label(failed, run, sweep_idx, trial, value)
             records.append(rec)
     return records, aggregate(records)
 
@@ -371,55 +380,57 @@ def _group_key(rec):
     return (rec.sweep_var, value, rec.method)
 
 
+def _mean(records, name: str) -> float:
+    return float(np.mean([getattr(r, name) for r in records])) if records else float("nan")
+
+
 def aggregate(records):
     """Mean and standard error per (sweep value, method) over successful trials."""
-    keys = []
+    groups = {}  # in order of first appearance
     for rec in records:
-        key = _group_key(rec)
-        if key not in keys:
-            keys.append(key)
+        groups.setdefault(_group_key(rec), []).append(rec)
     rows = []
-    for var, value, method in keys:
-        group = [r for r in records if _group_key(r) == (var, value, method)]
-        value = float("nan") if value is None else value
+    for (var, value, method), group in groups.items():
         ok = [r for r in group if r.ok]
         errs = np.array([r.distance_error_m for r in ok])
-        row = {
+        rows.append({
             "sweep_var": var,
-            "sweep_value": value,
+            "sweep_value": float("nan") if value is None else value,
             "method": method,
-            "mean_distance_error_m": float(np.mean(errs)) if len(ok) else float("nan"),
+            "mean_distance_error_m": _mean(ok, "distance_error_m"),
             "stderr_m": float(np.std(errs, ddof=1) / np.sqrt(len(ok))) if len(ok) > 1 else 0.0,
-            "mean_total_sensing_energy": float(np.mean([r.total_sensing_energy for r in ok])) if ok else float("nan"),
-            "mean_avg_transmit_power": float(np.mean([r.avg_transmit_power for r in ok])) if ok else float("nan"),
-            "mean_sum_rate": float(np.mean([r.sum_rate for r in ok])) if ok else float("nan"),
-            "mean_ee": float(np.mean([r.energy_efficiency for r in ok])) if ok else float("nan"),
+            "mean_total_sensing_energy": _mean(ok, "total_sensing_energy"),
+            "mean_avg_transmit_power": _mean(ok, "avg_transmit_power"),
+            "mean_sum_rate": _mean(ok, "sum_rate"),
+            "mean_ee": _mean(ok, "energy_efficiency"),
             "trials_ok": len(ok),
             "trials_failed": len(group) - len(ok),
-        }
-        rows.append(row)
+        })
     return rows
 
 
-def records_to_csv(records, provenance=()) -> str:
+def csv_text(header, rows, provenance=()) -> str:
+    """CSV text: one ``# `` line per provenance entry, the header, the rows."""
     buf = io.StringIO()
     for line in provenance:
         buf.write(f"# {line}\n")
-    writer = csv.DictWriter(buf, fieldnames=TRIAL_FIELDS, lineterminator="\n")
-    writer.writeheader()
-    for rec in records:
-        row = {k: getattr(rec, k) for k in TRIAL_FIELDS}
-        row["symbol_counts"] = ";".join(map(str, rec.symbol_counts))
-        writer.writerow(row)
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue()
+
+
+def _trial_row(rec: TrialRecord) -> list:
+    return [
+        ";".join(map(str, rec.symbol_counts)) if k == "symbol_counts" else getattr(rec, k)
+        for k in TRIAL_FIELDS
+    ]
+
+
+def records_to_csv(records, provenance=()) -> str:
+    return csv_text(TRIAL_FIELDS, map(_trial_row, records), provenance)
 
 
 def aggregate_to_csv(rows, provenance=()) -> str:
-    buf = io.StringIO()
-    for line in provenance:
-        buf.write(f"# {line}\n")
-    writer = csv.DictWriter(buf, fieldnames=AGGREGATE_FIELDS, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
-    return buf.getvalue()
+    table = ([row[k] for k in AGGREGATE_FIELDS] for row in rows)
+    return csv_text(AGGREGATE_FIELDS, table, provenance)

@@ -12,8 +12,6 @@ from squintsense.channel import (
     echo_gain,
     generate_scene,
     scene_arrays,
-    scene_from_json,
-    scene_to_json,
     sensing_attenuation,
 )
 from squintsense.config import SystemConfig
@@ -245,13 +243,3 @@ class TestSceneGeneration:
         assert np.mean(np.abs(draws) ** 2) == pytest.approx(1.0, abs=0.1)
         assert abs(np.mean(draws)) < 0.1
 
-
-class TestSceneJson:
-    def test_round_trip(self):
-        cfg = SystemConfig(m_h=8, m_v=8, n_subcarriers=16, n_candidates=16)
-        scene = generate_scene(cfg, 2, 2, 31)
-        again = scene_from_json(scene_to_json(scene))
-        assert again == scene
-
-    def test_handles_empty_scene(self):
-        assert scene_from_json(scene_to_json(Scene())) == Scene()

@@ -2,12 +2,16 @@ import csv
 import io
 import math
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from squintsense.cli import echo_config, load_config, main
+from squintsense.cli import CONFIG_KEYS, echo_config, load_config, main
 from squintsense.config import RunConfig, SystemConfig
+from squintsense.detection import eas_stage
 from squintsense.exceptions import ConfigError
 
 SCALED_LINES = """
@@ -98,6 +102,92 @@ class TestLoadConfig:
         assert again == run
 
 
+# every config key, each set to a value other than its default
+EVERY_KEY_LINES = """
+fc_hz = 28e9
+bandwidth_hz = 2e9
+n_subcarriers = 16
+m_h = 8
+m_v = 4
+height_m = 25.5
+theta_min_deg = 24
+theta_max_deg = 57
+phi_min_deg = 48
+phi_max_deg = 114
+noise_psd_dbm_hz = -170
+sigma_rcs_dbsm = 5
+kappa_db = 3
+n_clutter = 2
+sigma_clutter_dbsm = -3
+tau_s_db = 15
+tau_c_db = 12
+p_s_max_w = 0.5
+n_candidates = 64
+user_min_separation_deg = 6
+uniform_candidate_grid = true
+max_abs_ttd_s = 1e-6
+method = exhaustive
+q_targets = 3
+k_users = 1
+trials = 7
+seed = 42
+include_clutter = false
+sweep_var = height
+sweep_values = 20, 30.5
+output = out/res.csv
+"""
+
+# valid degree range of each degree key while the others keep their defaults
+DEGREE_RANGES = {
+    "theta_min_deg": (0.01, 69.99),
+    "theta_max_deg": (15.01, 89.99),
+    "phi_min_deg": (0.01, 149.99),
+    "phi_max_deg": (30.01, 179.99),
+    "user_min_separation_deg": (0.0, 180.0),
+}
+
+
+class TestConfigKeys:
+    def test_every_field_set_by_exactly_one_key(self):
+        targets = sorted(field for field, _ in CONFIG_KEYS.values())
+        expected = [f.name for f in fields(SystemConfig)] + [
+            f.name for f in fields(RunConfig) if f.name != "system"
+        ]
+        assert len(set(expected)) == len(expected)
+        assert targets == sorted(expected)
+
+    def test_echo_round_trips_every_key(self, tmp_path):
+        run = load_config(write_config(tmp_path, EVERY_KEY_LINES))
+        default = RunConfig()
+        system_fields = {f.name for f in fields(SystemConfig)}
+        for key, (field, _) in CONFIG_KEYS.items():
+            in_system = field in system_fields
+            loaded, base = (run.system, default.system) if in_system else (run, default)
+            assert getattr(loaded, field) != getattr(base, field), key
+        echoed = echo_config(run)
+        assert [line.split(" = ")[0] for line in echoed] == list(CONFIG_KEYS)
+        again = load_config(write_config(tmp_path, "\n".join(echoed) + "\n", name="echo.cfg"))
+        assert again == run
+
+    def test_degree_echo_text(self, tmp_path):
+        """math.degrees text is kept where it reloads exactly (the default
+        15 deg); 24 deg, whose math.degrees text reloads 1 ulp high, echoes
+        as its neighbour 24.0."""
+        assert "theta_min_deg = 14.999999999999998" in echo_config(RunConfig())
+        run = load_config(write_config(tmp_path, "theta_min_deg = 24\n"))
+        assert "theta_min_deg = 24.0" in echo_config(run)
+
+    @given(data=st.data(), key=st.sampled_from(sorted(DEGREE_RANGES)))
+    @settings(max_examples=300, deadline=None)
+    def test_degree_keys_round_trip(self, tmp_path_factory, data, key):
+        lo, hi = DEGREE_RANGES[key]
+        degrees = data.draw(st.floats(lo, hi))
+        path = tmp_path_factory.mktemp("deg")
+        run = load_config(write_config(path, f"{key} = {degrees!r}\n"))
+        echoed = "\n".join(echo_config(run)) + "\n"
+        assert load_config(write_config(path, echoed, name="echo.cfg")) == run
+
+
 class TestDispatch:
     def test_no_subcommand_exits_one(self):
         code, _, err = run_cli([])
@@ -140,6 +230,31 @@ class TestDispatch:
         a = (tmp_path / "a_aggregate.csv").read_text()
         b = (tmp_path / "b_aggregate.csv").read_text()
         assert a == b
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["detect"],
+            ["power"],
+            ["beampattern", "--stage", "eas", "--subcarriers", "0,31", "--points", "101"],
+            ["beampattern", "--stage", "aas", "--theta-hat", "40", "--points", "101"],
+            ["beampattern", "--stage", "comm", "--theta-hat", "40", "--phi", "80"],
+        ],
+        ids=["detect", "power", "beampattern-eas", "beampattern-aas", "beampattern-comm"],
+    )
+    def test_subcommand_deterministic_bytes(self, tmp_path, argv):
+        cfg_path = write_config(tmp_path, SCALED_LINES + "k_users = 2\n")
+        outputs = []
+        for name in ("a.csv", "b.csv"):
+            eas_stage.cache_clear()  # the second run rebuilds the cached EAS stage
+            out_path = tmp_path / name
+            code, _, err = run_cli(
+                [argv[0], "--config", cfg_path, "--output", str(out_path), *argv[1:]]
+            )
+            assert code == 0, err
+            outputs.append(out_path.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert outputs[0].startswith(b"# squintsense")
 
     def test_output_dir_env_override(self, tmp_path, monkeypatch):
         override = tmp_path / "elsewhere"

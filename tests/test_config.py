@@ -54,6 +54,13 @@ class TestFieldValidation:
 
 
 class TestSweepValues:
+    def test_swept_run_without_value_fails_fast(self):
+        run = RunConfig(system=SCALED, sweep_var="height", sweep_values=(40.0,), trials=1)
+        with pytest.raises(ConfigError, match="height"):
+            run.at_sweep_value(None)
+        with pytest.raises(ConfigError, match="height"):
+            run_single_trial(run, 0, 0)
+
     @given(name=st.sampled_from(INT_FIELDS + ["q_targets", "k_users"]), value=NON_INTEGRAL)
     @settings(max_examples=200, deadline=None)
     def test_non_integral_rejected(self, name, value):
