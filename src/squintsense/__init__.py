@@ -58,6 +58,7 @@ from .geometry import (
     composite_aod_bounds,
     flat_horizontal_gain,
     horizontal_steering,
+    phase_difference_power,
     safe_arccos,
     uniform_phase_power,
     uniform_phase_sum,

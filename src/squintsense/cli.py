@@ -180,7 +180,7 @@ def _write(path, text, stdout):
 def cmd_simulate(run: RunConfig, args, stdout) -> int:
     records, rows = run_experiment(run)
     prov = provenance_lines(run)
-    base = run.output or args.output
+    base = args.output
     if base is None:
         _write(None, aggregate_to_csv(rows, prov), stdout)
     else:
@@ -206,7 +206,7 @@ def cmd_detect(run: RunConfig, args, stdout) -> int:
         for it, (idx, corr, res) in enumerate(counting.trace)
     )
     header = ["stage", "iteration", "selected_index", "correlation", "residual_norm"]
-    _write(run.output or args.output, csv_text(header, rows, provenance_lines(run)), stdout)
+    _write(args.output, csv_text(header, rows, provenance_lines(run)), stdout)
     return 0
 
 
@@ -222,7 +222,7 @@ def cmd_power(run: RunConfig, args, stdout) -> int:
     for stage, (t, p_c) in enumerate(zip(plan.symbol_counts, plan.comm_powers)):
         rows.extend(["comm", stage, k, n, t, f"{p:.12e}"] for (k, n), p in np.ndenumerate(p_c))
     header = ["kind", "stage", "user", "subcarrier", "symbols", "power_w"]
-    _write(run.output or args.output, csv_text(header, rows, provenance), stdout)
+    _write(args.output, csv_text(header, rows, provenance), stdout)
     return 0
 
 
@@ -257,7 +257,7 @@ def cmd_beampattern(run: RunConfig, args, stdout) -> int:
         for th, ph, g in zip(thetas, phis, np.abs(bf.gain(theta, phi, n)))
     )
     header = ["stage", "subcarrier", "theta_deg", "phi_deg", "gain_abs"]
-    _write(run.output or args.output, csv_text(header, rows, provenance_lines(run)), stdout)
+    _write(args.output, csv_text(header, rows, provenance_lines(run)), stdout)
     return 0
 
 
@@ -309,6 +309,8 @@ def main(argv=None, stdout=None, stderr=None) -> int:
             run = RunConfig(system=SystemConfig())
         if args.seed is not None:
             run = run.replace(seed=args.seed)
+        # the --output flag takes precedence over the config file's output key
+        args.output = args.output or run.output
         for line in echo_config(run):
             stderr.write(f"# {line}\n")
         return _COMMANDS[args.command](run, args, stdout)

@@ -18,7 +18,7 @@ from .channel import Scene, generate_scene, scene_arrays, sensing_attenuation
 from .config import RunConfig, SystemConfig
 from .detection import hierarchical_detect
 from .exceptions import ConfigError, SquintSenseError
-from .geometry import flat_horizontal_gain, uniform_phase_power
+from .geometry import flat_horizontal_gain, phase_difference_power, uniform_phase_power
 from .power import (
     PowerPlan,
     allocate_comm,
@@ -211,6 +211,23 @@ def _scan_record(method: str, cfg: SystemConfig, scene: Scene, statistic, grids,
     return _finish_record(method, cfg, scene, estimates, plan, [])
 
 
+def _exhaustive_response(cfg: SystemConfig, scene: Scene, grids, include_clutter=True):
+    """Noise-free echo of each scan cell, averaged coherently over subcarriers:
+    (N, N), with rows and columns following grids = (elevation grid, azimuth grid)."""
+    theta_grid, phi_grid = grids
+    s_theta, s_phi, s_amp = scene_arrays(cfg, scene, include_clutter)
+    # squint-compensated pencil at cell (m, c): residual slope is
+    # (1 + f/fc) * (target trig - cell trig) in both axes
+    ratio = 1.0 + cfg.subcarrier_offsets() / cfg.fc  # (N,)
+    cell_h = np.sin(theta_grid)[:, None] * np.cos(phi_grid)[None, :]  # (m, c)
+    x_v = ratio[:, None] * (np.cos(s_theta) - np.cos(theta_grid)[:, None, None])  # (m, n, s)
+    # each scatterer's horizontal power on subcarrier n, weighted by its
+    # vertical power and amplitude over N
+    weights = uniform_phase_power(x_v, cfg.m_v) * (s_amp / cfg.n_subcarriers)
+    s_h = np.sin(s_theta) * np.cos(s_phi)
+    return phase_difference_power(s_h, cell_h, ratio, cfg.m_h, weights)
+
+
 def run_exhaustive_baseline(
     cfg: SystemConfig,
     scene: Scene,
@@ -226,27 +243,12 @@ def run_exhaustive_baseline(
     n = cfg.n_subcarriers
     theta_grid = eas_elevation_grid(cfg)  # (N,)
     phi_grid = aas_azimuth_grid(cfg)      # (N,)
-    f = cfg.subcarrier_offsets()
+    grids = (theta_grid, phi_grid)
     sigma2 = cfg.noise_variance()
     alpha_grid = sensing_attenuation(cfg, cfg.height / np.cos(theta_grid), cfg.sigma_rcs)
     p_cell = cfg.tau_s * sigma2 / alpha_grid**2  # (N,) per elevation row, gain 1
 
-    s_theta, s_phi, s_amp = scene_arrays(cfg, scene, include_clutter)
-    # squint-compensated pencil at cell (m, c): residual slope is
-    # (1 + f/fc) * (target trig - cell trig) in both axes
-    ratio = 1.0 + f / cfg.fc  # (N,)
-    cell_h = np.sin(theta_grid)[:, None] * np.cos(phi_grid)[None, :]  # (m, c)
-    cell_v = np.cos(theta_grid)  # (m,)
-    response = np.zeros((n, n), dtype=complex)  # coherent subcarrier average per cell
-    for th, ph, amp in zip(s_theta, s_phi, s_amp):
-        x_h = ratio[None, None, :] * (
-            np.sin(th) * np.cos(ph) - cell_h[:, :, None]
-        )  # (m, c, n)
-        x_v = ratio[None, :] * (np.cos(th) - cell_v[:, None])  # (m, n)
-        gain2 = uniform_phase_power(x_h, cfg.m_h)
-        del x_h  # free one (N, N, N) array before the next scatterer allocates its own
-        gain2 *= uniform_phase_power(x_v, cfg.m_v)[:, None, :]  # (m, c, n)
-        response += amp * np.mean(gain2, axis=2)
+    response = _exhaustive_response(cfg, scene, grids, include_clutter)
     signal = np.sqrt(p_cell)[:, None] * response
     noise = np.sqrt(sigma2 / (2.0 * n)) * (
         rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -254,7 +256,6 @@ def run_exhaustive_baseline(
     statistic = np.abs(signal + noise) / (np.sqrt(p_cell)[:, None] * alpha_grid[:, None])
     # energy bookkeeping: N^2 symbols, each transmitting its cell's tight
     # power on all N subcarriers; folded into a single pseudo-stage
-    grids = (theta_grid, phi_grid)
     return _scan_record("exhaustive", cfg, scene, statistic, grids, n * np.repeat(p_cell, n))
 
 

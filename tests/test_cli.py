@@ -221,6 +221,23 @@ class TestDispatch:
         assert len(parse_csv(trials)) == 2
         assert agg.startswith("# squintsense")
 
+    def test_output_flag_overrides_config_output(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg_path = write_config(tmp_path, SCALED_LINES + "output = sim.csv\n")
+        code, _, err = run_cli(["simulate", "--config", cfg_path, "--output", "res.csv"])
+        assert code == 0, err
+        written = sorted(p.name for p in tmp_path.glob("*.csv"))
+        assert written == ["res_aggregate.csv", "res_trials.csv"]
+
+    def test_config_output_used_without_flag(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg_path = write_config(tmp_path, SCALED_LINES + "output = sim.csv\n")
+        code, out, err = run_cli(["simulate", "--config", cfg_path])
+        assert code == 0, err
+        assert out == ""
+        written = sorted(p.name for p in tmp_path.glob("*.csv"))
+        assert written == ["sim_aggregate.csv", "sim_trials.csv"]
+
     def test_simulate_deterministic_bytes(self, tmp_path):
         cfg_path = write_config(tmp_path, SCALED_LINES)
         outputs = []

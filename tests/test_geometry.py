@@ -10,6 +10,7 @@ from squintsense.geometry import (
     composite_aod_bounds,
     flat_horizontal_gain,
     horizontal_steering,
+    phase_difference_power,
     safe_arccos,
     uniform_phase_power,
     uniform_phase_sum,
@@ -162,6 +163,33 @@ class TestUniformPhasePower:
             assert type(power) is float
             expected = abs(uniform_phase_sum(float(slope), 16)) ** 2
             assert power == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+class TestPhaseDifferencePower:
+    @staticmethod
+    def direct(sources, cells, ratio, m, weights):
+        slopes = ratio[:, None] * (sources - cells[:, :, None, None])  # (R, C, N, S)
+        return np.einsum("rns,rcns->rc", weights, uniform_phase_power(slopes, m))
+
+    @pytest.mark.parametrize("m", [7, 16])
+    def test_matches_direct_sum(self, m):
+        rng = np.random.default_rng(m)
+        n_rows, n_cols, n = 30, 40, 30  # row blocks of 13, 13 and 4 rows
+        cells = rng.uniform(-1.0, 1.0, (n_rows, n_cols))
+        cells[0, 0], cells[5, 7], cells[9, 3] = -1.0, 0.25, 0.0
+        # sources on a cell (u = 0; at slope 0 the identity gives sin u = 0
+        # exactly) and at slope 2 on the unit-ratio subcarrier (u = pi)
+        sources = np.concatenate([[0.25, 0.0, 1.0], rng.uniform(-1.0, 1.0, 3)])
+        ratio = 1.0 + rng.uniform(-0.05, 0.05, n)
+        ratio[4] = 1.0
+        real = rng.uniform(0.0, 1.0, (sources.size, n, n_rows)).transpose(2, 1, 0)
+        complex_ = real * np.exp(1j * rng.uniform(0.0, 2 * np.pi, real.shape))
+        for weights in (real, complex_):
+            with np.errstate(all="raise"):
+                got = phase_difference_power(sources, cells, ratio, m, weights)
+            want = self.direct(sources, cells, ratio, m, weights)
+            assert got.shape == (n_rows, n_cols)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestSteering:

@@ -1,14 +1,18 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from squintsense.channel import Scene, Target, generate_scene
+from squintsense.beamforming import aas_azimuth_grid, eas_elevation_grid
+from squintsense.channel import Clutterer, Scene, Target, generate_scene, scene_arrays
 from squintsense.config import RunConfig, SystemConfig
 from squintsense.exceptions import ConfigError
+from squintsense.geometry import uniform_phase_power
 from squintsense.power import PowerPlan
 from squintsense.simkit import (
+    _exhaustive_response,
     aggregate,
     aggregate_to_csv,
     distance_error,
@@ -109,8 +113,6 @@ class TestTransmitPowerMetrics:
 
 
 def on_grid_single_target_scene(cfg, row, col):
-    from squintsense.beamforming import aas_azimuth_grid, eas_elevation_grid
-
     theta = float(eas_elevation_grid(cfg)[row])
     phi = float(aas_azimuth_grid(cfg)[col])
     return (
@@ -152,6 +154,97 @@ class TestBaselines:
         assert rec.energy_efficiency * rec.avg_transmit_power == pytest.approx(
             rec.sum_rate, rel=1e-12
         )
+
+
+# non-power-of-two arrays; at N = 24 one partial row block, at N = 44 five
+# blocks of 8 rows and a partial one
+ODD_CONFIGS = [
+    SystemConfig(m_h=13, m_v=7, n_subcarriers=24, n_candidates=64, tau_s_db=25.0),
+    SystemConfig(m_h=13, m_v=7, n_subcarriers=44, n_candidates=64, tau_s_db=25.0),
+]
+EVERY_CONFIG = pytest.mark.parametrize(
+    "cfg", [SCALED, *ODD_CONFIGS], ids=["scaled", "13x7-n24", "13x7-n44"]
+)
+
+
+def reference_exhaustive_response(cfg, scene, include_clutter):
+    """The scan's noise-free response as one (N, N, N) kernel broadcast per
+    scatterer, averaged over subcarriers."""
+    n = cfg.n_subcarriers
+    theta_grid, phi_grid = eas_elevation_grid(cfg), aas_azimuth_grid(cfg)
+    ratio = 1.0 + cfg.subcarrier_offsets() / cfg.fc
+    cell_h = np.sin(theta_grid)[:, None] * np.cos(phi_grid)[None, :]
+    cell_v = np.cos(theta_grid)
+    response = np.zeros((n, n), dtype=complex)
+    for th, ph, amp in zip(*scene_arrays(cfg, scene, include_clutter)):
+        x_h = ratio[None, None, :] * (np.sin(th) * np.cos(ph) - cell_h[:, :, None])
+        x_v = ratio[None, :] * (np.cos(th) - cell_v[:, None])
+        gain2 = uniform_phase_power(x_h, cfg.m_h) * uniform_phase_power(x_v, cfg.m_v)[:, None, :]
+        response += amp * np.mean(gain2, axis=2)
+    return response
+
+
+class TestExhaustiveResponse:
+    @staticmethod
+    def check(cfg, scene, include_clutter):
+        grids = (eas_elevation_grid(cfg), aas_azimuth_grid(cfg))
+        with np.errstate(all="raise"):
+            got = _exhaustive_response(cfg, scene, grids, include_clutter)
+        want = reference_exhaustive_response(cfg, scene, include_clutter)
+        peak = np.max(np.abs(want))
+        assert np.max(np.abs(got - want)) <= 1e-12 * peak
+
+    @EVERY_CONFIG
+    @pytest.mark.parametrize("q", [1, 3])
+    @pytest.mark.parametrize("include_clutter", [True, False], ids=["clutter", "los"])
+    def test_matches_per_scatterer_reference(self, cfg, q, include_clutter):
+        for seed in range(4):
+            self.check(cfg, generate_scene(cfg, q, 0, seed), include_clutter)
+
+    @EVERY_CONFIG
+    def test_scatterers_on_grid_cells(self, cfg):
+        """Zero slope difference on every subcarrier: the kernel's limit branch."""
+        theta_grid, phi_grid = eas_elevation_grid(cfg), aas_azimuth_grid(cfg)
+        n = cfg.n_subcarriers
+        cells = [(n // 3, n // 2), (n - 1, 0), (0, n - 1)]
+        targets = tuple(
+            Target(theta_grid[r], phi_grid[c], cfg.height / np.cos(theta_grid[r]), cfg.sigma_rcs)
+            for r, c in cells
+        )
+        theta, phi = theta_grid[n // 2], phi_grid[n // 4]
+        clutter = Clutterer(theta, phi, cfg.height / np.cos(theta), cfg.sigma_clutter, 0.6 - 0.8j)
+        self.check(cfg, Scene(targets=targets, clutterers=(clutter,)), True)
+
+    @EVERY_CONFIG
+    def test_scatterer_just_off_grid_cell(self, cfg):
+        """A slope difference of ~1e-7 on every subcarrier, where the
+        angle-difference identity alone is off by 1e-11 of the peak."""
+        theta_grid, phi_grid = eas_elevation_grid(cfg), aas_azimuth_grid(cfg)
+        n = cfg.n_subcarriers
+        theta, phi = theta_grid[n // 3], phi_grid[n // 2] + 1e-7
+        target = Target(theta, phi, cfg.height / np.cos(theta), cfg.sigma_rcs)
+        self.check(cfg, Scene(targets=(target,)), False)
+
+    def test_no_scatterers(self):
+        grids = (eas_elevation_grid(SCALED), aas_azimuth_grid(SCALED))
+        response = _exhaustive_response(SCALED, Scene(), grids)
+        assert response.shape == (32, 32)
+        assert not response.any()
+
+
+class TestExhaustiveMemory:
+    def test_peak_below_one_cube(self):
+        """No (N, N, N) array: the traced peak of one scan stays below N^3 float64s."""
+        cfg = SCALED.replace(n_subcarriers=96)
+        scene = generate_scene(cfg, 3, 0, 1)
+        run_exhaustive_baseline(cfg, scene, np.random.default_rng(0))
+        tracemalloc.start()
+        try:
+            run_exhaustive_baseline(cfg, scene, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 96**3 * 8
 
 
 class TestRunExperiment:
