@@ -12,15 +12,11 @@ __version__ = "0.1.0"
 
 from .beamforming import (
     BeamformerWeights,
-    TtdProfile,
     aas_azimuth_grid,
     aas_beamformer,
-    aas_ttd,
     comm_beamformer,
-    comm_ttd,
     eas_beamformer,
     eas_elevation_grid,
-    eas_vertical_ttd,
 )
 from .channel import (
     Clutterer,

@@ -50,7 +50,6 @@ class Scene:
     targets: tuple = ()
     clutterers: tuple = ()
     users: tuple = ()
-    rng_seed: int = 0
 
 
 def sensing_attenuation(cfg: SystemConfig, distance, rcs):
@@ -184,5 +183,5 @@ def generate_scene(
                 f"could not place user with separation {cfg.user_min_separation} "
                 f"after {max_retries} retries"
             )
-    return Scene(targets=targets, clutterers=clutterers, users=tuple(users), rng_seed=seed)
+    return Scene(targets=targets, clutterers=clutterers, users=tuple(users))
 

@@ -229,7 +229,12 @@ def cmd_power(run: RunConfig, args, stdout) -> int:
 def cmd_beampattern(run: RunConfig, args, stdout) -> int:
     cfg = run.system
     kind = args.stage
-    subcarriers = [int(s) for s in args.subcarriers.split(",")]
+    try:
+        subcarriers = [int(s) for s in args.subcarriers.split(",")]
+    except ValueError:
+        raise ConfigError(f"bad --subcarriers list: {args.subcarriers!r}") from None
+    if args.points < 1:
+        raise ConfigError(f"--points must be at least 1 (got {args.points})")
     for n in subcarriers:
         if not 0 <= n < cfg.n_subcarriers:
             raise ConfigError(f"subcarrier index {n} outside [0, {cfg.n_subcarriers - 1}]")

@@ -162,6 +162,8 @@ class RunConfig:
             raise ConfigError("trials must be at least 1")
         if self.q_targets < 0 or self.k_users < 0:
             raise ConfigError("q_targets and k_users must be nonnegative")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative (got {self.seed})")
         if self.sweep_var is not None and len(self.sweep_values) == 0:
             raise ConfigError("sweep_values must be nonempty when sweep_var is set")
         for value in self.sweep_values if self.sweep_var is not None else ():

@@ -185,9 +185,7 @@ def eas_stage(cfg: SystemConfig) -> EasStage:
     )
     t0, p0 = allocate_sensing(cfg, strengths)
     mtx = build_measurement_matrix(cfg, weights, p0)
-    for arr in (
-        weights.ttd.horizontal, weights.ttd.vertical, p0, mtx.columns, mtx.candidates, mtx.norms
-    ):
+    for arr in (p0, mtx.columns, mtx.candidates, mtx.norms):
         arr.flags.writeable = False
     return EasStage(weights=weights, symbol_count=t0, powers=p0, matrix=mtx)
 

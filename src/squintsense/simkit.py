@@ -11,8 +11,8 @@ import numpy as np
 from .beamforming import (
     aas_azimuth_grid,
     comm_beamformer,
+    eas_beamformer,
     eas_elevation_grid,
-    eas_vertical_ttd,
 )
 from .channel import Scene, generate_scene, scene_arrays, sensing_attenuation
 from .config import RunConfig, SystemConfig
@@ -297,7 +297,8 @@ def run_azimuth_only_baseline(
     phi_grid = aas_azimuth_grid(cfg)
     sigma2 = cfg.noise_variance()
     ratio = 1.0 + f / cfg.fc
-    v_slope = eas_vertical_ttd(cfg)[1] - eas_vertical_ttd(cfg)[0] if cfg.m_v > 1 else 0.0
+    # the stage-0 vertical slope; this baseline is not held to max_abs_ttd
+    v_slope = eas_beamformer(cfg.replace(max_abs_ttd=np.inf)).v_slope
 
     cos_phi = np.cos(phi_grid)  # per-symbol horizontal pointing
     flat = flat_horizontal_gain(cfg)
@@ -311,16 +312,16 @@ def run_azimuth_only_baseline(
     powers = cfg.tau_s * sigma2 / strength
 
     s_theta, s_phi, s_amp = scene_arrays(cfg, scene, include_clutter)
-    response = np.zeros((n, n), dtype=complex)  # (subcarrier, symbol)
     affine = coef[0] + coef[1] * f  # realized horizontal slope trajectory
-    for th, ph, amp in zip(s_theta, s_phi, s_amp):
-        x_h = (
-            np.sin(th) * np.cos(ph) * ratio[:, None]
-            - affine[:, None] * cos_phi[None, :]
-        )
-        x_v = np.cos(th) * ratio - np.cos(cfg.theta_min) + 2.0 * f * v_slope
-        p_h = np.where(pointed, uniform_phase_power(x_h, cfg.m_h), flat**2)
-        response += amp * (p_h * uniform_phase_power(x_v, cfg.m_v)[:, None])
+    # phases per (scatterer, subcarrier, symbol) and (scatterer, subcarrier)
+    x_h = (
+        (np.sin(s_theta) * np.cos(s_phi))[:, None, None] * ratio[:, None]
+        - affine[:, None] * cos_phi[None, :]
+    )
+    x_v = np.cos(s_theta)[:, None] * ratio - np.cos(cfg.theta_min) + 2.0 * f * v_slope
+    p_h = np.where(pointed, uniform_phase_power(x_h, cfg.m_h), flat**2)
+    p_h *= uniform_phase_power(x_v, cfg.m_v)[:, :, None]
+    response = np.sum(s_amp[:, None, None] * p_h, axis=0)  # (subcarrier, symbol)
     noise = np.sqrt(sigma2 / 2.0) * (
         rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     )

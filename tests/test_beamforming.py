@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -6,11 +7,9 @@ import pytest
 from squintsense.beamforming import (
     aas_azimuth_grid,
     aas_beamformer,
-    aas_ttd,
     comm_beamformer,
     eas_beamformer,
     eas_elevation_grid,
-    eas_vertical_ttd,
 )
 from squintsense.config import SystemConfig
 from squintsense.exceptions import ConfigError
@@ -71,11 +70,12 @@ class TestVerticalChain:
 
     def test_eas_ttd_slope_formula(self):
         cfg = SMALL
-        delays = eas_vertical_ttd(cfg)
+        bf = eas_beamformer(cfg)
         slope = (
             math.cos(cfg.theta_min) - math.cos(cfg.theta_max) * (1 + cfg.bandwidth / cfg.fc)
         ) / (2 * cfg.bandwidth)
-        np.testing.assert_allclose(delays, np.arange(cfg.m_v) * slope)
+        assert bf.v_slope == pytest.approx(slope, rel=1e-12)
+        assert bf.h_slope == 0.0
 
 
 class TestAasChain:
@@ -213,20 +213,53 @@ class TestTtdLimits:
     def test_aas_ttd_slopes(self):
         cfg = SMALL
         theta_hat = 0.9
-        prof = aas_ttd(cfg, theta_hat)
+        bf = aas_beamformer(cfg, theta_hat)
         v_slope = -math.cos(theta_hat) / (2 * cfg.fc)
         h_slope = (
             math.sin(theta_hat)
             * (math.cos(cfg.phi_min) - math.cos(cfg.phi_max) * (1 + cfg.bandwidth / cfg.fc))
             / (2 * cfg.bandwidth)
         )
-        np.testing.assert_allclose(prof.vertical, np.arange(cfg.m_v) * v_slope)
-        np.testing.assert_allclose(prof.horizontal, np.arange(cfg.m_h) * h_slope)
+        assert bf.v_slope == pytest.approx(v_slope, rel=1e-12)
+        assert bf.h_slope == pytest.approx(h_slope, rel=1e-12)
 
-    def test_combined_delay_layout(self):
-        prof = aas_ttd(SMALL, 0.7)
-        combined = prof.combined()
-        assert combined.shape == (SMALL.m_total,)
-        assert combined[1 * SMALL.m_v + 2] == pytest.approx(
-            prof.horizontal[1] + prof.vertical[2]
+    def test_comm_ttd_slopes(self):
+        cfg = SMALL
+        theta_u, phi_u = 0.8, 1.3
+        bf = comm_beamformer(cfg, theta_u, phi_u)
+        assert bf.v_slope == pytest.approx(-math.cos(theta_u) / (2 * cfg.fc), rel=1e-12)
+        assert bf.h_slope == pytest.approx(
+            -math.sin(theta_u) * math.cos(phi_u) / (2 * cfg.fc), rel=1e-12
         )
+
+    @pytest.mark.parametrize(
+        "kind, cfg",
+        [("eas", SMALL), ("aas", SMALL), ("comm", SMALL), ("aas", SMALL.replace(m_v=1))],
+        ids=["eas", "aas", "comm", "aas-one-row"],
+    )
+    def test_max_abs_ttd_boundary(self, kind, cfg):
+        """The largest delay, at the last element of an axis, is allowed; one
+        ulp less is not. Slopes are formed as in the constructors."""
+        theta, phi = 0.9, 1.3
+        ratio = 1.0 + cfg.bandwidth / cfg.fc
+        if kind == "eas":
+            build, h_slope = eas_beamformer, 0.0
+            v_slope = (
+                np.cos(cfg.theta_min) - np.cos(cfg.theta_max) * ratio
+            ) / (2.0 * cfg.bandwidth)
+        elif kind == "aas":
+            v_slope = -np.cos(theta) / (2.0 * cfg.fc)
+            h_slope = (
+                np.sin(theta)
+                * (np.cos(cfg.phi_min) - np.cos(cfg.phi_max) * ratio)
+                / (2.0 * cfg.bandwidth)
+            )
+            build = functools.partial(aas_beamformer, theta_hat=theta)
+        else:
+            h_slope = -np.sin(theta) * np.cos(phi) / (2.0 * cfg.fc)
+            v_slope = -np.cos(theta) / (2.0 * cfg.fc)
+            build = functools.partial(comm_beamformer, theta_u=theta, phi_u=phi)
+        largest = max((cfg.m_h - 1) * abs(h_slope), (cfg.m_v - 1) * abs(v_slope))
+        build(cfg.replace(max_abs_ttd=float(largest)))
+        with pytest.raises(ConfigError, match="max_abs_ttd"):
+            build(cfg.replace(max_abs_ttd=math.nextafter(largest, 0.0)))

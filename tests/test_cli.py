@@ -200,6 +200,18 @@ class TestDispatch:
         assert code == 1
         assert "config error" in err
 
+    @pytest.mark.parametrize(
+        "config, flags",
+        [("", ["--seed", "-1"]), ("seed = -3\n", [])],
+        ids=["flag", "config-key"],
+    )
+    def test_negative_seed_is_config_error(self, tmp_path, config, flags):
+        path = write_config(tmp_path, SCALED_LINES + config)
+        code, _, err = run_cli(["simulate", "--config", path, *flags])
+        assert code == 1
+        assert err.startswith("config error:")
+        assert "seed must be nonnegative" in err
+
     def test_simulate_stdout_csv(self, tmp_path):
         path = write_config(tmp_path, SCALED_LINES)
         code, out, err = run_cli(["simulate", "--config", path])
@@ -348,3 +360,17 @@ class TestDispatch:
         code, _, err = run_cli(["beampattern", "--config", path, "--stage", "aas"])
         assert code == 1
         assert "theta-hat" in err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--points", "-1"], ["--subcarriers", "x"], ["--subcarriers", "0,,1"]],
+        ids=["negative-points", "non-integer-subcarrier", "empty-subcarrier"],
+    )
+    def test_beampattern_bad_input_is_config_error(self, tmp_path, flags):
+        path = write_config(tmp_path, SCALED_LINES)
+        code, _, err = run_cli(["beampattern", "--config", path, "--stage", "eas", *flags])
+        assert code == 1
+        # the effective-config echo lines come first, each behind a '#'
+        messages = [line for line in err.splitlines() if not line.startswith("#")]
+        assert len(messages) == 1 and messages[0].startswith("config error:")
+        assert "Traceback" not in err

@@ -269,8 +269,6 @@ class TestEasStageCache:
             stage.matrix.columns,
             stage.matrix.candidates,
             stage.matrix.norms,
-            stage.weights.ttd.vertical,
-            stage.weights.ttd.horizontal,
         )
         for arr in arrays:
             assert not arr.flags.writeable

@@ -135,6 +135,11 @@ class TestBaselines:
         rec = run_azimuth_only_baseline(cfg, scene, np.random.default_rng(0))
         assert rec.distance_error_m < 1e-6
 
+    def test_azimuth_only_empty_scene(self):
+        rec = run_azimuth_only_baseline(SCALED, Scene(), np.random.default_rng(0))
+        assert rec.ok
+        assert rec.total_sensing_energy > 0
+
     def test_symbol_energy_accounting(self):
         """Exhaustive probes N^2 cell-symbols; azimuth-only N symbols."""
         cfg = SCALED
