@@ -24,7 +24,6 @@ from .channel import (
     Target,
     User,
     comm_attenuation,
-    comm_gain,
     echo_gain,
     generate_scene,
     scene_arrays,
@@ -53,13 +52,9 @@ from .exceptions import (
 from .geometry import (
     composite_aod_bounds,
     flat_horizontal_gain,
-    horizontal_steering,
     phase_difference_power,
     safe_arccos,
     uniform_phase_power,
-    uniform_phase_sum,
-    upa_steering,
-    vertical_steering,
 )
 from .power import (
     PowerPlan,
@@ -67,7 +62,6 @@ from .power import (
     allocate_comm,
     allocate_sensing,
     backoff_tau_c,
-    check_feasibility,
     grid_echo_strength,
     sinr_context,
 )

@@ -6,23 +6,22 @@ Three beamformer kinds exist:
   horizontal chain is represented by the ideal flat-gain model (a constant
   magnitude inside the ROI, zero outside), so no horizontal PS azimuth or
   horizontal TTDs are ever materialized.
-* ``aas``   -- per-elevation azimuth sweep, exact full-array weights.
-* ``comm``  -- per-user squint-compensated weights with unit gain at the
-  user direction on every subcarrier.
+* ``aas``   -- per-elevation azimuth sweep over the full array.
+* ``comm``  -- per-user squint-compensated beam with unit gain at the user
+  direction on every subcarrier.
 
 Every closed-form TTD profile is affine in the element index: element
 (m_h, m_v) is delayed by m_h * h_slope + m_v * v_slope, so a beamformer
-stores just the two slopes (seconds per element), and every partial array
-gain reduces to a uniform phase sum evaluated in O(1).
-Consumers that need only the power |g|^2 (echo synthesis, dictionaries,
-grid strengths, SINR tables) evaluate it through the real Fejer kernel
-:func:`~squintsense.geometry.uniform_phase_power` via
-:meth:`BeamformerWeights.power_gain`, broadcast over angles x subcarriers.
-The kernel forms its sines from SIMD half-angle tangents in cache-sized
-blocks. ``power_gain`` builds the horizontal phase table in one array and
-multiplies the vertical power into the kernel's output in place, so an
-(L x N) AAS dictionary allocates two (L x N) arrays: the phase table and
-the power table that becomes the dictionary.
+stores just the two slopes (seconds per element). Every consumer (echo
+synthesis, dictionaries, grid strengths, SINR tables, beam patterns) needs
+only the power |g|^2, which :meth:`BeamformerWeights.power_gain` evaluates
+through the real Fejer kernel :func:`~squintsense.geometry.uniform_phase_power`,
+broadcast over angles x subcarriers. The kernel forms its sines from SIMD
+half-angle tangents in cache-sized blocks. ``power_gain`` builds the
+horizontal phase table in one array and multiplies the vertical power into
+the kernel's output in place, so an (L x N) AAS dictionary allocates two
+(L x N) arrays: the phase table and the power table that becomes the
+dictionary.
 """
 
 from __future__ import annotations
@@ -31,14 +30,7 @@ import numpy as np
 
 from .config import SystemConfig
 from .exceptions import ConfigError
-from .geometry import (
-    flat_horizontal_gain,
-    horizontal_steering,
-    safe_arccos,
-    uniform_phase_power,
-    uniform_phase_sum,
-    vertical_steering,
-)
+from .geometry import flat_horizontal_gain, safe_arccos, uniform_phase_power
 
 
 def _squint_grid(cfg: SystemConfig, lo: float, hi: float, f_dev) -> np.ndarray:
@@ -64,14 +56,16 @@ def aas_azimuth_grid(cfg: SystemConfig, f_dev=None) -> np.ndarray:
     return _squint_grid(cfg, cfg.phi_min, cfg.phi_max, f_dev)
 
 
-class BeamformerWeights:
-    """Analog beamformer state (PS angles + TTD slopes) plus gain evaluation.
+def check_ttd_range(cfg: SystemConfig, h_slope: float, v_slope: float) -> None:
+    """ConfigError if the largest delay, at the last element of an axis, exceeds
+    cfg.max_abs_ttd. A caller that steers many beams passes its largest |slope|."""
+    largest = max((cfg.m_h - 1) * abs(h_slope), (cfg.m_v - 1) * abs(v_slope))
+    if largest > cfg.max_abs_ttd:
+        raise ConfigError("TTD delay exceeds configured max_abs_ttd")
 
-    Gains are evaluated through the Kronecker-factorized path by default;
-    ``weight_vector`` materializes the length-M weights for cross-checking
-    and for callers that need explicit vectors (not available for ``eas``,
-    whose horizontal chain is the analytic flat-gain model).
-    """
+
+class BeamformerWeights:
+    """Analog beamformer state (PS angles + TTD slopes) plus power-gain evaluation."""
 
     def __init__(self, cfg: SystemConfig, kind: str, ps_theta, ps_phi, h_slope, v_slope):
         if kind not in ("eas", "aas", "comm"):
@@ -84,10 +78,7 @@ class BeamformerWeights:
         self.v_slope = float(v_slope)
         self._f = cfg.subcarrier_offsets()
         self._flat = flat_horizontal_gain(cfg) if kind == "eas" else None
-        # the largest delay is at the last element of each axis
-        largest = max((cfg.m_h - 1) * abs(self.h_slope), (cfg.m_v - 1) * abs(self.v_slope))
-        if largest > cfg.max_abs_ttd:
-            raise ConfigError("TTD delay exceeds configured max_abs_ttd")
+        check_ttd_range(cfg, self.h_slope, self.v_slope)
 
     def _vertical_phase(self, theta, f_dev):
         cfg = self.cfg
@@ -106,9 +97,6 @@ class BeamformerWeights:
         phase += 2.0 * f_dev * self.h_slope
         return phase
 
-    def _vertical_gain(self, theta, f_dev):
-        return uniform_phase_sum(self._vertical_phase(theta, f_dev), self.cfg.m_v)
-
     def _flat_gain(self, theta, phi):
         """EAS horizontal model: the flat magnitude inside the ROI, zero outside."""
         cfg = self.cfg
@@ -120,19 +108,8 @@ class BeamformerWeights:
         )
         return np.where(inside, self._flat, 0.0)
 
-    def gain(self, theta, phi, n):
-        """Array gain a(theta, phi, f_n) . w_n; broadcasts over angle arrays."""
-        f_dev = self._f[n]
-        if self.kind == "eas":
-            horizontal = self._flat_gain(theta, phi)
-        else:
-            horizontal = uniform_phase_sum(
-                self._horizontal_phase(theta, phi, f_dev), self.cfg.m_h
-            )
-        return horizontal * self._vertical_gain(theta, f_dev)
-
     def power_gain(self, theta, phi, n):
-        """|gain(theta, phi, n)|^2 through the Fejer kernel.
+        """|a(theta, phi, f_n) . w_n|^2 through the Fejer kernel.
 
         Broadcasts angle arrays against subcarrier-index arrays, e.g.
         ``power_gain(theta[:, None], phi[:, None], np.arange(N))`` gives the
@@ -147,30 +124,6 @@ class BeamformerWeights:
         horizontal = uniform_phase_power(self._horizontal_phase(theta, phi, f_dev), self.cfg.m_h)
         horizontal *= vertical
         return horizontal
-
-    def weight_vector(self, n) -> np.ndarray:
-        """Explicit length-M weights diag(exp(-j 2 pi f_n t)) a^H(ps angles, 0)."""
-        if self.kind == "eas":
-            raise ConfigError(
-                "EAS horizontal chain is modeled analytically; no explicit weights"
-            )
-        cfg = self.cfg
-        f_dev = self._f[n]
-        a_ps = np.kron(
-            horizontal_steering(self.ps_theta, self.ps_phi, 0.0, cfg.m_h, cfg.fc),
-            vertical_steering(self.ps_theta, 0.0, cfg.m_v, cfg.fc),
-        )
-        # horizontal-major element order, as in upa_steering
-        delays = np.add.outer(np.arange(cfg.m_h) * self.h_slope, np.arange(cfg.m_v) * self.v_slope)
-        return np.exp(-2j * np.pi * f_dev * delays.ravel()) * np.conj(a_ps)
-
-    def vertical_weights(self, n) -> np.ndarray:
-        """Vertical-chain weights only (length M_v); defined for every kind."""
-        cfg = self.cfg
-        f_dev = self._f[n]
-        a_v = vertical_steering(self.ps_theta, 0.0, cfg.m_v, cfg.fc)
-        delays = np.arange(cfg.m_v) * self.v_slope
-        return np.exp(-2j * np.pi * f_dev * delays) * np.conj(a_v)
 
 
 def eas_beamformer(cfg: SystemConfig) -> BeamformerWeights:

@@ -1,9 +1,8 @@
 """Scene generation and effective channel interactions.
 
-Echo and communication gains are evaluated through scalar inner products
-(rank-1 structure of the per-scatterer channels); the M x M channel matrix
-is never materialized. Echoes need only the beamforming power |g|^2, which
-is evaluated through the real Fejer kernel
+Echo gains are evaluated through the rank-1 structure of the per-scatterer
+channels; the M x M channel matrix is never materialized. Echoes need only
+the beamforming power |g|^2, which is evaluated through the real Fejer kernel
 (:meth:`~squintsense.beamforming.BeamformerWeights.power_gain`) for all
 scatterers x subcarriers in one broadcast over the scene's array form
 (:func:`scene_arrays`).
@@ -18,6 +17,9 @@ import numpy as np
 from .beamforming import BeamformerWeights
 from .config import SystemConfig
 from .exceptions import ConfigError
+
+# user placements tried per user before generate_scene gives up
+MAX_USER_RETRIES = 1000
 
 
 @dataclass(frozen=True)
@@ -123,13 +125,6 @@ def echo_gain(
     return total if np.ndim(n) else complex(total[0])
 
 
-def comm_gain(cfg: SystemConfig, user: User, weights: BeamformerWeights, n: int) -> complex:
-    """One-way channel-beamformer product h_n(user) . w_n."""
-    beta = comm_attenuation(cfg, user.distance)
-    g = weights.gain(user.theta, user.phi, n)
-    return complex(beta * np.exp(-2j * np.pi * user.distance / cfg.wavelength) * g)
-
-
 def _draw_angles(cfg: SystemConfig, rng: np.random.Generator, count: int):
     theta = rng.uniform(cfg.theta_min, cfg.theta_max, size=count)
     phi = rng.uniform(cfg.phi_min, cfg.phi_max, size=count)
@@ -141,7 +136,6 @@ def generate_scene(
     q: int,
     k: int,
     seed: int,
-    max_retries: int = 1000,
 ) -> Scene:
     """Draw q targets, C clutterers, and k users uniformly over the ROI.
 
@@ -168,7 +162,7 @@ def generate_scene(
 
     users = []
     for _ in range(k):
-        for attempt in range(max_retries):
+        for attempt in range(MAX_USER_RETRIES):
             th = rng.uniform(cfg.theta_min, cfg.theta_max)
             ph = rng.uniform(cfg.phi_min, cfg.phi_max)
             sep = min(
@@ -181,7 +175,7 @@ def generate_scene(
         else:
             raise ConfigError(
                 f"could not place user with separation {cfg.user_min_separation} "
-                f"after {max_retries} retries"
+                f"after {MAX_USER_RETRIES} retries"
             )
     return Scene(targets=targets, clutterers=clutterers, users=tuple(users))
 

@@ -259,7 +259,7 @@ def cmd_beampattern(run: RunConfig, args, stdout) -> int:
     rows = (
         [kind, n, f"{math.degrees(th):.6f}", f"{math.degrees(ph):.6f}", f"{g:.12e}"]
         for n in subcarriers
-        for th, ph, g in zip(thetas, phis, np.abs(bf.gain(theta, phi, n)))
+        for th, ph, g in zip(thetas, phis, np.sqrt(bf.power_gain(theta, phi, n)))
     )
     header = ["stage", "subcarrier", "theta_deg", "phi_deg", "gain_abs"]
     _write(args.output, csv_text(header, rows, provenance_lines(run)), stdout)

@@ -45,21 +45,16 @@ class DetectionResult:
     traces: tuple        # CountingVector per stage
 
 
-def candidate_offsets(cfg: SystemConfig) -> np.ndarray:
-    """Fractional frequency positions realizing the L-point grid refinement."""
-    return np.arange(cfg.n_candidates) * (cfg.bandwidth / (cfg.n_candidates - 1))
-
-
 def elevation_candidates(cfg: SystemConfig) -> np.ndarray:
     if cfg.uniform_candidate_grid:
         return np.linspace(cfg.theta_min, cfg.theta_max, cfg.n_candidates)
-    return eas_elevation_grid(cfg, candidate_offsets(cfg))
+    return eas_elevation_grid(cfg, cfg.subcarrier_offsets(cfg.n_candidates))
 
 
 def azimuth_candidates(cfg: SystemConfig) -> np.ndarray:
     if cfg.uniform_candidate_grid:
         return np.linspace(cfg.phi_min, cfg.phi_max, cfg.n_candidates)
-    return aas_azimuth_grid(cfg, candidate_offsets(cfg))
+    return aas_azimuth_grid(cfg, cfg.subcarrier_offsets(cfg.n_candidates))
 
 
 def assemble_observation(
@@ -121,7 +116,6 @@ def modified_mp(
     obs: np.ndarray,
     mtx: MeasurementMatrix,
     iterations: int,
-    stop_ratio: float | None = None,
 ) -> CountingVector:
     """Greedy matching pursuit with phasor-normalized coefficients.
 
@@ -144,7 +138,6 @@ def modified_mp(
     if np.any(norms == 0.0):
         raise ConfigError("degenerate dictionary: zero-norm column")
     residual = np.asarray(obs, dtype=complex).copy()
-    stop_level = stop_ratio * np.linalg.norm(residual) if stop_ratio else None
     for _ in range(iterations):
         corr = (columns.T @ residual.view(float).reshape(-1, 2)).view(complex)[:, 0]
         metric = np.abs(corr) / norms
@@ -157,8 +150,6 @@ def modified_mp(
         counts[best] += 1
         phasors.append(phasor)
         trace.append((best, float(metric[best]), float(np.linalg.norm(residual))))
-        if stop_level is not None and np.linalg.norm(residual) < stop_level:
-            break
     return CountingVector(counts=counts, phasors=tuple(phasors), trace=tuple(trace))
 
 

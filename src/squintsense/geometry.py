@@ -1,8 +1,5 @@
-"""UPA steering vectors with beam squint and the flat horizontal-gain model.
-
-Element ordering of the full steering vector is horizontal-major:
-index = (m_h - 1) * M_v + m_v, consistent everywhere in the package.
-"""
+"""Array-factor power kernels of affine phase profiles, the flat
+horizontal-gain model and its composite-AoD bounds."""
 
 from __future__ import annotations
 
@@ -34,27 +31,6 @@ def safe_arccos(x):
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
 
-def horizontal_steering(theta, phi, f_dev, m_h, fc):
-    """Horizontal steering vector of length m_h at frequency deviation f_dev."""
-    m = np.arange(m_h)
-    phase = -np.pi * m * np.sin(theta) * np.cos(phi) * (1.0 + f_dev / fc)
-    return np.exp(1j * phase) / np.sqrt(m_h)
-
-
-def vertical_steering(theta, f_dev, m_v, fc):
-    """Vertical steering vector of length m_v; depends on elevation only."""
-    m = np.arange(m_v)
-    phase = -np.pi * m * np.cos(theta) * (1.0 + f_dev / fc)
-    return np.exp(1j * phase) / np.sqrt(m_v)
-
-
-def upa_steering(cfg: SystemConfig, theta, phi, f_dev):
-    """Full UPA steering vector a = a_h kron a_v (unit 2-norm, length M)."""
-    a_h = horizontal_steering(theta, phi, f_dev, cfg.m_h, cfg.fc)
-    a_v = vertical_steering(theta, f_dev, cfg.m_v, cfg.fc)
-    return np.kron(a_h, a_v)
-
-
 def composite_aod_bounds(cfg: SystemConfig):
     """Composite-AoD interval [psi_min, psi_max] covering the ROI with squint.
 
@@ -82,28 +58,6 @@ def flat_horizontal_gain(cfg: SystemConfig) -> float:
     """
     psi_min, psi_max = composite_aod_bounds(cfg)
     return float(np.sqrt(2.0 * np.pi / (cfg.m_h * (psi_max - psi_min))))
-
-
-def uniform_phase_sum(slope, m):
-    """(1/m) * sum_{k=0}^{m-1} exp(-1j*pi*k*slope), vectorized over slope.
-
-    Closed form of the array factor of an m-element uniform array whose
-    per-element phase is affine in the element index. Equals 1 when the
-    slope is an even integer (all terms in phase).
-    """
-    x = np.atleast_1d(np.asarray(slope, dtype=float))
-    u = 0.5 * np.pi * x
-    sin_u = np.sin(u)
-    near_zero = np.abs(sin_u) < 1e-12
-    sin_safe = np.where(near_zero, 1.0, sin_u)
-    ratio = np.sin(m * u) / (m * sin_safe)
-    # limit as u -> k*pi: sum magnitude m, sign cos(m*u)/cos(u)
-    limit = np.cos(m * u) / np.cos(u)
-    mag = np.where(near_zero, limit, ratio)
-    out = mag * np.exp(-1j * u * (m - 1))
-    if np.isscalar(slope) or np.asarray(slope).ndim == 0:
-        return complex(out[0])
-    return out.reshape(np.shape(slope))
 
 
 def _fejer_pass(x, m, t=None, s=None, w=None):
@@ -137,7 +91,7 @@ def _fejer_pass(x, m, t=None, s=None, w=None):
 
 
 def uniform_phase_power(slope, m):
-    """|uniform_phase_sum(slope, m)|^2 as a real Fejer kernel, vectorized over slope.
+    """|(1/m) sum_{k<m} exp(-1j*pi*k*slope)|^2 as a real Fejer kernel, vectorized over slope.
 
     Equals (sin(m u) / (m sin u))^2 with u = pi*slope/2, and the squared
     limit (cos(m u) / cos(u))^2 where |sin u| < 1e-12. No complex numbers

@@ -110,54 +110,38 @@ def sinr_context(
 
 
 def _ratio_sums(chi: np.ndarray) -> np.ndarray:
-    """Cross-gain ratio sums sum_{l != k} chi[k, l, n] / chi[k, k, n], shape (K, N')."""
+    """Cross-gain ratio sums sum_{l != k} chi[k, l, n] / chi[k, k, n], shape (K, N)."""
     diag = np.einsum("kkn->kn", chi)
     if np.any(diag == 0.0):
         raise InfeasibleError("a user has zero direct beamforming gain")
     return (chi.sum(axis=1) - diag) / diag
 
 
-def _subcarriers(n):
-    """Index selecting subcarrier n (kept as an axis), or all when n is None."""
-    return slice(None) if n is None else [n]
+def allocate_comm(ctx: SinrContext, tau_c: float) -> np.ndarray:
+    """Solve D_n p = s_n for the per-user powers on every subcarrier n.
 
-
-def check_feasibility(ctx: SinrContext, tau_c: float, n: int | None = None) -> bool:
-    """True iff 1/tau_c strictly dominates every row's cross-gain ratio sum
-    on subcarrier n (on every subcarrier when n is None)."""
-    ratio_sums = _ratio_sums(ctx.chi[:, :, _subcarriers(n)])
-    return bool(np.all(1.0 / tau_c > ratio_sums))
-
-
-def allocate_comm(ctx: SinrContext, tau_c: float, n: int | None = None) -> np.ndarray:
-    """Solve D_n p = s_n for the per-user powers on subcarrier n.
-
-    With n None, all subcarriers are solved in one batched call and the
-    result has shape (K, N); otherwise it is the (K,) vector for n.
-    Requires the diagonal-dominance condition to hold at tau_c on every
-    solved subcarrier; the returned powers are strictly positive and achieve
+    All subcarriers are solved in one batched call; the result has shape
+    (K, N). Requires the diagonal-dominance condition to hold at tau_c on
+    every subcarrier; the returned powers are strictly positive and achieve
     SINR exactly tau_c per user.
     """
-    sel = _subcarriers(n)
-    chi = ctx.chi[:, :, sel]
-    feasible = np.all(1.0 / tau_c > _ratio_sums(chi), axis=0)
+    feasible = np.all(1.0 / tau_c > _ratio_sums(ctx.chi), axis=0)
     if not feasible.all():
-        bad = n if n is not None else int(np.argmin(feasible))
+        bad = int(np.argmin(feasible))
         raise InfeasibleError(
             f"SINR threshold infeasible on subcarrier {bad}", last_threshold=tau_c
         )
-    diag = np.einsum("kkn->kn", chi)
-    k = chi.shape[0]
-    d_mtx = np.moveaxis(-tau_c * chi / diag[:, None, :], 2, 0)  # (N', K, K)
+    diag = np.einsum("kkn->kn", ctx.chi)
+    k = ctx.chi.shape[0]
+    d_mtx = np.moveaxis(-tau_c * ctx.chi / diag[:, None, :], 2, 0)  # (N, K, K)
     d_mtx[:, np.arange(k), np.arange(k)] = 1.0
-    rhs = (tau_c * ctx.effective_noise[:, sel] / diag).T[:, :, None]  # (N', K, 1)
+    rhs = (tau_c * ctx.effective_noise / diag).T[:, :, None]  # (N, K, 1)
     powers = np.linalg.solve(d_mtx, rhs)
     residual = np.linalg.norm(d_mtx @ powers - rhs, axis=(1, 2))
     limit = SOLVE_RESIDUAL_TOL * np.maximum(np.linalg.norm(rhs, axis=(1, 2)), 1e-300)
     if np.any(residual > limit):
         raise InfeasibleError(f"power solve residual too large: {residual.max()}")
-    powers = powers[:, :, 0].T  # (K, N')
-    return powers if n is None else powers[:, 0]
+    return powers[:, :, 0].T
 
 
 def backoff_tau_c(ctx: SinrContext, tau_c: float) -> float:

@@ -10,6 +10,7 @@ import numpy as np
 
 from .beamforming import (
     aas_azimuth_grid,
+    check_ttd_range,
     comm_beamformer,
     eas_beamformer,
     eas_elevation_grid,
@@ -243,6 +244,9 @@ def run_exhaustive_baseline(
     n = cfg.n_subcarriers
     theta_grid = eas_elevation_grid(cfg)  # (N,)
     phi_grid = aas_azimuth_grid(cfg)      # (N,)
+    # the pencil at cell (m, c) is the comm beamformer of (theta_m, phi_c)
+    h_slopes = -np.outer(np.sin(theta_grid), np.cos(phi_grid)) / (2.0 * cfg.fc)
+    check_ttd_range(cfg, np.abs(h_slopes).max(), np.abs(np.cos(theta_grid)).max() / (2.0 * cfg.fc))
     grids = (theta_grid, phi_grid)
     sigma2 = cfg.noise_variance()
     alpha_grid = sensing_attenuation(cfg, cfg.height / np.cos(theta_grid), cfg.sigma_rcs)
@@ -297,10 +301,11 @@ def run_azimuth_only_baseline(
     phi_grid = aas_azimuth_grid(cfg)
     sigma2 = cfg.noise_variance()
     ratio = 1.0 + f / cfg.fc
-    # the stage-0 vertical slope; this baseline is not held to max_abs_ttd
-    v_slope = eas_beamformer(cfg.replace(max_abs_ttd=np.inf)).v_slope
-
+    v_slope = eas_beamformer(cfg).v_slope
     cos_phi = np.cos(phi_grid)  # per-symbol horizontal pointing
+    # symbol m realizes the fit's slope in f with horizontal TTD slope -coef[1] cos(phi_m) / 2
+    check_ttd_range(cfg, 0.5 * coef[1] * np.abs(cos_phi).max(), v_slope)
+
     flat = flat_horizontal_gain(cfg)
     # design-point horizontal gain per (subcarrier n, symbol m); whenever the
     # pointed beam is below the flat ROI-wide gain, that cell uses the flat beam

@@ -1,0 +1,99 @@
+"""Complex-gain oracles that the Fejer power kernels are checked against. Steering
+vectors are horizontal-major: element index = (m_h - 1) * M_v + m_v."""
+
+import numpy as np
+
+from squintsense.channel import comm_attenuation
+from squintsense.exceptions import ConfigError
+
+
+def uniform_phase_sum(slope, m):
+    """(1/m) * sum_{k=0}^{m-1} exp(-1j*pi*k*slope), vectorized over slope.
+
+    Closed form of the array factor of an m-element uniform array whose
+    per-element phase is affine in the element index. Equals 1 when the
+    slope is an even integer (all terms in phase).
+    """
+    x = np.atleast_1d(np.asarray(slope, dtype=float))
+    u = 0.5 * np.pi * x
+    sin_u = np.sin(u)
+    near_zero = np.abs(sin_u) < 1e-12
+    sin_safe = np.where(near_zero, 1.0, sin_u)
+    ratio = np.sin(m * u) / (m * sin_safe)
+    # limit as u -> k*pi: sum magnitude m, sign cos(m*u)/cos(u)
+    limit = np.cos(m * u) / np.cos(u)
+    mag = np.where(near_zero, limit, ratio)
+    out = mag * np.exp(-1j * u * (m - 1))
+    if np.isscalar(slope) or np.asarray(slope).ndim == 0:
+        return complex(out[0])
+    return out.reshape(np.shape(slope))
+
+
+def horizontal_steering(theta, phi, f_dev, m_h, fc):
+    """Horizontal steering vector of length m_h at frequency deviation f_dev."""
+    m = np.arange(m_h)
+    phase = -np.pi * m * np.sin(theta) * np.cos(phi) * (1.0 + f_dev / fc)
+    return np.exp(1j * phase) / np.sqrt(m_h)
+
+
+def vertical_steering(theta, f_dev, m_v, fc):
+    """Vertical steering vector of length m_v; depends on elevation only."""
+    m = np.arange(m_v)
+    phase = -np.pi * m * np.cos(theta) * (1.0 + f_dev / fc)
+    return np.exp(1j * phase) / np.sqrt(m_v)
+
+
+def upa_steering(cfg, theta, phi, f_dev):
+    """Full UPA steering vector a = a_h kron a_v (unit 2-norm, length M)."""
+    a_h = horizontal_steering(theta, phi, f_dev, cfg.m_h, cfg.fc)
+    a_v = vertical_steering(theta, f_dev, cfg.m_v, cfg.fc)
+    return np.kron(a_h, a_v)
+
+
+def vertical_gain(bf, theta, f_dev):
+    return uniform_phase_sum(bf._vertical_phase(theta, f_dev), bf.cfg.m_v)
+
+
+def gain(bf, theta, phi, n):
+    """Array gain a(theta, phi, f_n) . w_n; broadcasts over angle arrays."""
+    f_dev = bf._f[n]
+    if bf.kind == "eas":
+        horizontal = bf._flat_gain(theta, phi)
+    else:
+        horizontal = uniform_phase_sum(
+            bf._horizontal_phase(theta, phi, f_dev), bf.cfg.m_h
+        )
+    return horizontal * vertical_gain(bf, theta, f_dev)
+
+
+def weight_vector(bf, n) -> np.ndarray:
+    """Explicit length-M weights diag(exp(-j 2 pi f_n t)) a^H(ps angles, 0)."""
+    if bf.kind == "eas":
+        raise ConfigError(
+            "EAS horizontal chain is modeled analytically; no explicit weights"
+        )
+    cfg = bf.cfg
+    f_dev = bf._f[n]
+    a_ps = np.kron(
+        horizontal_steering(bf.ps_theta, bf.ps_phi, 0.0, cfg.m_h, cfg.fc),
+        vertical_steering(bf.ps_theta, 0.0, cfg.m_v, cfg.fc),
+    )
+    # horizontal-major element order, as in upa_steering
+    delays = np.add.outer(np.arange(cfg.m_h) * bf.h_slope, np.arange(cfg.m_v) * bf.v_slope)
+    return np.exp(-2j * np.pi * f_dev * delays.ravel()) * np.conj(a_ps)
+
+
+def vertical_weights(bf, n) -> np.ndarray:
+    """Vertical-chain weights only (length M_v); defined for every kind."""
+    cfg = bf.cfg
+    f_dev = bf._f[n]
+    a_v = vertical_steering(bf.ps_theta, 0.0, cfg.m_v, cfg.fc)
+    delays = np.arange(cfg.m_v) * bf.v_slope
+    return np.exp(-2j * np.pi * f_dev * delays) * np.conj(a_v)
+
+
+def comm_gain(cfg, user, weights, n: int) -> complex:
+    """One-way channel-beamformer product h_n(user) . w_n."""
+    beta = comm_attenuation(cfg, user.distance)
+    g = gain(weights, user.theta, user.phi, n)
+    return complex(beta * np.exp(-2j * np.pi * user.distance / cfg.wavelength) * g)

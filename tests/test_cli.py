@@ -9,6 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+
+from squintsense.beamforming import aas_beamformer, comm_beamformer, eas_beamformer
 from squintsense.cli import CONFIG_KEYS, echo_config, load_config, main
 from squintsense.config import RunConfig, SystemConfig
 from squintsense.detection import eas_stage
@@ -354,6 +357,27 @@ class TestDispatch:
             assert float(best["phi_deg"]) == pytest.approx(
                 math.degrees(grid[n]), abs=2 * step
             )
+
+    @pytest.mark.parametrize("stage", ["eas", "aas", "comm"])
+    def test_beampattern_matches_complex_gain_oracle(self, tmp_path, stage):
+        """gain_abs, printed to 13 significant digits, is the oracle |a . w|."""
+        path = write_config(tmp_path, SCALED_LINES)
+        flags = ["--theta-hat", "40", "--phi", "80", "--points", "301", "--subcarriers", "0,15,31"]
+        code, out, err = run_cli(["beampattern", "--config", path, "--stage", stage, *flags])
+        assert code == 0, err
+        cfg = load_config(path).system
+        theta, phi = math.radians(40.0), np.linspace(cfg.phi_min, cfg.phi_max, 301)
+        if stage == "eas":  # elevation sweep at mid azimuth
+            bf = eas_beamformer(cfg)
+            theta = np.linspace(cfg.theta_min, cfg.theta_max, 301)
+            phi = 0.5 * (cfg.phi_min + cfg.phi_max)
+        elif stage == "aas":
+            bf = aas_beamformer(cfg, theta)
+        else:
+            bf = comm_beamformer(cfg, theta, math.radians(80.0))
+        want = np.concatenate([np.abs(oracles.gain(bf, theta, phi, n)) for n in (0, 15, 31)])
+        got = [float(r["gain_abs"]) for r in parse_csv(out)]
+        np.testing.assert_allclose(got, want, rtol=1e-11, atol=0)
 
     def test_beampattern_requires_theta_hat_for_aas(self, tmp_path):
         path = write_config(tmp_path, SCALED_LINES)

@@ -3,19 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import horizontal_steering, uniform_phase_sum, upa_steering, vertical_steering
+
 from squintsense.config import SystemConfig
 from squintsense.exceptions import ConfigError
 from squintsense.geometry import (
     FEJER_BLOCK,
     composite_aod_bounds,
     flat_horizontal_gain,
-    horizontal_steering,
     phase_difference_power,
     safe_arccos,
     uniform_phase_power,
-    uniform_phase_sum,
-    upa_steering,
-    vertical_steering,
 )
 
 

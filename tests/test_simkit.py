@@ -21,6 +21,7 @@ from squintsense.simkit import (
     run_exhaustive_baseline,
     run_experiment,
     run_proposed_trial,
+    run_single_trial,
     sum_rate,
     transmit_power_metrics,
 )
@@ -159,6 +160,19 @@ class TestBaselines:
         assert rec.energy_efficiency * rec.avg_transmit_power == pytest.approx(
             rec.sum_rate, rel=1e-12
         )
+
+    @pytest.mark.parametrize("limit", [2e-10, 4e-10, 8e-10, 1e-9])
+    def test_scans_held_to_max_abs_ttd(self, limit):
+        """A scan whose largest TTD delay exceeds the limit fails as a recorded
+        ConfigError. At SCALED the azimuth-only scan's largest delay is its
+        horizontal one, above its vertical 6.94e-10 s."""
+        for method, largest in (("exhaustive", 2.42e-10), ("azimuth_only", 8.55e-10)):
+            run = RunConfig(system=SCALED.replace(max_abs_ttd=limit), method=method, trials=2)
+            records, _ = run_experiment(run)
+            assert all(r.ok == (limit > largest) for r in records)
+            if limit < largest:
+                with pytest.raises(ConfigError, match="max_abs_ttd"):
+                    run_single_trial(run, 0, 0)
 
 
 # non-power-of-two arrays; at N = 24 one partial row block, at N = 44 five
