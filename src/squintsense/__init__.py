@@ -19,10 +19,7 @@ from .beamforming import (
     eas_elevation_grid,
 )
 from .channel import (
-    Clutterer,
     Scene,
-    Target,
-    User,
     comm_attenuation,
     echo_gain,
     generate_scene,

@@ -1,16 +1,21 @@
-"""Scene generation and effective channel interactions.
+"""Scenes as arrays, and effective channel interactions.
+
+A :class:`Scene` holds the (theta, phi) rows of a trial's targets, clutter
+scatterers and users, and the clutter's fading draws. Distances (H /
+cos(theta)), cross sections and noise powers follow from the config, so
+they are computed where they are used. Whether clutter is present is
+decided once, in :func:`generate_scene`.
 
 Echo gains are evaluated through the rank-1 structure of the per-scatterer
 channels; the M x M channel matrix is never materialized. Echoes need only
 the beamforming power |g|^2, which is evaluated through the real Fejer kernel
 (:meth:`~squintsense.beamforming.BeamformerWeights.power_gain`) for all
-scatterers x subcarriers in one broadcast over the scene's array form
-(:func:`scene_arrays`).
+scatterers x subcarriers in one broadcast over :func:`scene_arrays`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,36 +27,22 @@ from .exceptions import ConfigError
 MAX_USER_RETRIES = 1000
 
 
-@dataclass(frozen=True)
-class Target:
-    theta: float
-    phi: float
-    distance: float  # = H / cos(theta)
-    rcs: float       # m^2
+def _no_angles() -> np.ndarray:
+    return np.empty((0, 2))
 
 
-@dataclass(frozen=True)
-class Clutterer:
-    theta: float
-    phi: float
-    distance: float
-    rcs: float
-    fading: complex  # CN(0,1) draw, fixed within a trial (Swerling I)
-
-
-@dataclass(frozen=True)
-class User:
-    theta: float
-    phi: float
-    distance: float
-    noise_var: float  # W
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scene:
-    targets: tuple = ()
-    clutterers: tuple = ()
-    users: tuple = ()
+    """One trial's scene; every angle row is (theta, phi) in radians.
+
+    ``Scene()`` is the empty scene. Clutterer i has fading draw fading[i],
+    a CN(0, 1) value fixed within the trial (Swerling I).
+    """
+
+    targets: np.ndarray = field(default_factory=_no_angles)  # (q, 2)
+    clutter: np.ndarray = field(default_factory=_no_angles)  # (C, 2)
+    fading: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=complex))  # (C,)
+    users: np.ndarray = field(default_factory=_no_angles)    # (K, 2)
 
 
 def sensing_attenuation(cfg: SystemConfig, distance, rcs):
@@ -77,7 +68,7 @@ def comm_attenuation(cfg: SystemConfig, distance):
     return out if np.ndim(out) else float(out)
 
 
-def scene_arrays(cfg: SystemConfig, scene: Scene, include_clutter: bool = True):
+def scene_arrays(cfg: SystemConfig, scene: Scene):
     """Angles and complex amplitudes of every echo contributor, targets first.
 
     With clutter present the Rician split applies: LoS terms carry
@@ -87,48 +78,37 @@ def scene_arrays(cfg: SystemConfig, scene: Scene, include_clutter: bool = True):
     Returns (theta, phi, amplitude) arrays of equal length.
     """
     kappa = cfg.kappa
-    has_clutter = include_clutter and bool(scene.clutterers)
-    sources = scene.targets + (scene.clutterers if has_clutter else ())
-    theta = np.array([s.theta for s in sources], dtype=float)
-    phi = np.array([s.phi for s in sources], dtype=float)
-    dist = np.array([s.distance for s in sources], dtype=float)
-    alpha = sensing_attenuation(cfg, dist, np.array([s.rcs for s in sources], dtype=float))
-    q = len(scene.targets)
-    amp = np.empty(len(sources), dtype=complex)
-    los_w = np.sqrt(kappa / (1.0 + kappa)) if has_clutter else 1.0
+    q, c = len(scene.targets), len(scene.clutter)
+    theta, phi = np.concatenate([scene.targets, scene.clutter]).T
+    dist = cfg.height / np.cos(theta)
+    alpha = sensing_attenuation(cfg, dist, np.repeat([cfg.sigma_rcs, cfg.sigma_clutter], [q, c]))
+    amp = np.empty(q + c, dtype=complex)
+    los_w = np.sqrt(kappa / (1.0 + kappa)) if c else 1.0
     # range phase in real arithmetic: numpy's complex-by-real division
     # multiplies by a reciprocal, which adds a rounding to a ~1e4 rad angle
     range_phase = 4.0 * np.pi * dist[:q] / cfg.wavelength
     amp[:q] = los_w * alpha[:q] * np.exp(-1j * range_phase)
-    if has_clutter:
-        clu_w = np.sqrt(1.0 / (1.0 + kappa)) / np.sqrt(len(scene.clutterers))
-        amp[q:] = clu_w * alpha[q:] * np.array([c.fading for c in scene.clutterers])
+    if c:
+        clu_w = np.sqrt(1.0 / (1.0 + kappa)) / np.sqrt(c)
+        amp[q:] = clu_w * alpha[q:] * scene.fading
     return theta, phi, amp
 
 
-def echo_gain(
-    cfg: SystemConfig,
-    scene: Scene,
-    weights: BeamformerWeights,
-    n,
-    include_clutter: bool = True,
-):
-    """Quadratic form b^H G_n b via rank-1 shortcuts.
+def echo_gain(cfg: SystemConfig, scene: Scene, weights: BeamformerWeights, n_idx):
+    """Quadratic form b^H G_n b via rank-1 shortcuts, one value per index in n_idx.
 
-    Sums amplitude * |gain|^2 over the contributors of :func:`scene_arrays`.
-    ``n`` is a subcarrier index (complex result) or an index array (one
-    complex value per entry, all in one broadcast).
+    Sums amplitude * |gain|^2 over the contributors of :func:`scene_arrays`,
+    all subcarriers in one broadcast.
     """
-    theta, phi, amp = scene_arrays(cfg, scene, include_clutter)
-    power = weights.power_gain(theta[:, None], phi[:, None], n)
-    total = np.sum(amp[:, None] * power, axis=0)
-    return total if np.ndim(n) else complex(total[0])
+    theta, phi, amp = scene_arrays(cfg, scene)
+    power = weights.power_gain(theta[:, None], phi[:, None], n_idx)
+    return np.sum(amp[:, None] * power, axis=0)
 
 
 def _draw_angles(cfg: SystemConfig, rng: np.random.Generator, count: int):
     theta = rng.uniform(cfg.theta_min, cfg.theta_max, size=count)
     phi = rng.uniform(cfg.phi_min, cfg.phi_max, size=count)
-    return theta, phi
+    return np.column_stack([theta, phi])
 
 
 def generate_scene(
@@ -136,46 +116,36 @@ def generate_scene(
     q: int,
     k: int,
     seed: int,
+    include_clutter: bool = True,
 ) -> Scene:
     """Draw q targets, C clutterers, and k users uniformly over the ROI.
 
     Users are redrawn until every pair is at least cfg.user_min_separation
-    apart in the (theta, phi) plane; deterministic under the seed.
+    apart in the (theta, phi) plane; deterministic under the seed. The
+    clutter is always drawn, so the user draws do not depend on
+    ``include_clutter``; without it the scene's clutter arrays are empty.
     """
     rng = np.random.default_rng(seed)
-    noise_var = cfg.noise_variance()
-
-    t_theta, t_phi = _draw_angles(cfg, rng, q)
-    targets = tuple(
-        Target(th, ph, cfg.height / np.cos(th), cfg.sigma_rcs)
-        for th, ph in zip(t_theta, t_phi)
-    )
-
-    c_theta, c_phi = _draw_angles(cfg, rng, cfg.n_clutter)
+    targets = _draw_angles(cfg, rng, q)
+    clutter = _draw_angles(cfg, rng, cfg.n_clutter)
     fading = (
         rng.standard_normal(cfg.n_clutter) + 1j * rng.standard_normal(cfg.n_clutter)
     ) / np.sqrt(2.0)
-    clutterers = tuple(
-        Clutterer(th, ph, cfg.height / np.cos(th), cfg.sigma_clutter, complex(fa))
-        for th, ph, fa in zip(c_theta, c_phi, fading)
-    )
+    if not include_clutter:
+        clutter, fading = clutter[:0], fading[:0]
 
     users = []
     for _ in range(k):
         for attempt in range(MAX_USER_RETRIES):
             th = rng.uniform(cfg.theta_min, cfg.theta_max)
             ph = rng.uniform(cfg.phi_min, cfg.phi_max)
-            sep = min(
-                (np.hypot(th - u.theta, ph - u.phi) for u in users),
-                default=np.inf,
-            )
+            sep = min((np.hypot(th - u_th, ph - u_ph) for u_th, u_ph in users), default=np.inf)
             if sep >= cfg.user_min_separation:
-                users.append(User(th, ph, cfg.height / np.cos(th), noise_var))
+                users.append((th, ph))
                 break
         else:
             raise ConfigError(
                 f"could not place user with separation {cfg.user_min_separation} "
                 f"after {MAX_USER_RETRIES} retries"
             )
-    return Scene(targets=targets, clutterers=clutterers, users=tuple(users))
-
+    return Scene(targets, clutter, fading, np.array(users).reshape(k, 2))

@@ -193,13 +193,14 @@ def cmd_simulate(run: RunConfig, args, stdout) -> int:
 
 def _first_trial(run: RunConfig):
     """Scene and noise stream of trial 0 on the unswept base system."""
-    scene = generate_scene(run.system, run.q_targets, run.k_users, trial_seed(run.seed, 0, 0, 0))
+    seed = trial_seed(run.seed, 0, 0, 0)
+    scene = generate_scene(run.system, run.q_targets, run.k_users, seed, run.include_clutter)
     return scene, np.random.default_rng(trial_seed(run.seed, 0, 0, 1))
 
 
 def cmd_detect(run: RunConfig, args, stdout) -> int:
     scene, rng = _first_trial(run)
-    result = hierarchical_detect(run.system, scene, run.q_targets, rng, run.include_clutter)
+    result = hierarchical_detect(run.system, scene, rng)
     rows = (
         [stage, it, idx, f"{corr:.12e}", f"{res:.12e}"]
         for stage, counting in enumerate(result.traces)
@@ -212,7 +213,7 @@ def cmd_detect(run: RunConfig, args, stdout) -> int:
 
 def cmd_power(run: RunConfig, args, stdout) -> int:
     scene, rng = _first_trial(run)
-    _, plan, _ = plan_proposed_trial(run.system, scene, rng, run.include_clutter)
+    _, plan, _ = plan_proposed_trial(run.system, scene, rng)
     provenance = provenance_lines(run) + [
         f"effective sinr threshold (linear) {plan.effective_tau_c:.12g}"
     ]

@@ -27,6 +27,19 @@ def dbm_to_watt(value_dbm: float) -> float:
     return 10.0 ** (value_dbm / 10.0) * 1e-3
 
 
+def _check_kinds(config) -> None:
+    """ConfigError unless every int field of ``config`` holds an integer and
+    every bool field a bool; the field's default fixes its kind. A bool is
+    not taken as an integer: it would echo as text the int parser rejects."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        kind = type(f.default)
+        if kind is int and (isinstance(value, bool) or not isinstance(value, (int, np.integer))):
+            raise ConfigError(f"{f.name} must be an integer (got {value!r})")
+        if kind is bool and not isinstance(value, (bool, np.bool_)):
+            raise ConfigError(f"{f.name} must be a boolean (got {value!r})")
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """Physical and algorithmic parameters of the ISAC link.
@@ -67,8 +80,7 @@ class SystemConfig:
                     raise ConfigError(f"max_abs_ttd must be positive (got {value!r})")
             elif isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite (got {value!r})")
-            elif type(f.default) is int and not isinstance(value, (int, np.integer)):
-                raise ConfigError(f"{f.name} must be an integer (got {value!r})")
+        _check_kinds(self)
         if self.fc <= 0:
             raise ConfigError("fc must be positive")
         if self.bandwidth <= 0:
@@ -156,6 +168,7 @@ class RunConfig:
     include_clutter: bool = True
 
     def __post_init__(self):
+        _check_kinds(self)
         if self.method not in ("proposed", "exhaustive", "azimuth_only"):
             raise ConfigError(f"unknown method {self.method!r}")
         if self.trials < 1:

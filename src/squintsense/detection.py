@@ -64,7 +64,6 @@ def assemble_observation(
     powers: np.ndarray,
     t_symbols: int,
     rng: np.random.Generator,
-    include_clutter: bool = True,
 ) -> np.ndarray:
     """Average of t_symbols matched echoes per subcarrier, as an (N,) array.
 
@@ -75,7 +74,7 @@ def assemble_observation(
         raise ConfigError("t_symbols must be at least 1")
     n = cfg.n_subcarriers
     sigma2 = cfg.noise_variance()
-    signal = np.sqrt(powers) * echo_gain(cfg, scene, weights, np.arange(n), include_clutter)
+    signal = np.sqrt(powers) * echo_gain(cfg, scene, weights, np.arange(n))
     scale = np.sqrt(sigma2 / (2.0 * t_symbols))
     noise = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
     return signal + noise
@@ -184,21 +183,20 @@ def eas_stage(cfg: SystemConfig) -> EasStage:
 def hierarchical_detect(
     cfg: SystemConfig,
     scene: Scene,
-    q: int,
     rng: np.random.Generator,
-    include_clutter: bool = True,
 ) -> DetectionResult:
     """Full EAS -> AAS pipeline with per-stage power allocation.
 
-    The number of targets q is assumed known; it fixes the MP iteration
-    counts. Each distinct elevation candidate selected in stage 0 spawns
-    one AAS stage whose iteration count is that candidate's multiplicity.
+    The number of targets q = len(scene.targets) is assumed known; it fixes
+    the MP iteration counts. Each distinct elevation candidate selected in
+    stage 0 spawns one AAS stage whose iteration count is that candidate's
+    multiplicity.
     """
     stage0 = eas_stage(cfg)
     eas_w, t0, p0, mtx0 = stage0.weights, stage0.symbol_count, stage0.powers, stage0.matrix
 
-    obs0 = assemble_observation(cfg, scene, eas_w, p0, t0, rng, include_clutter)
-    cv0 = modified_mp(obs0, mtx0, q)
+    obs0 = assemble_observation(cfg, scene, eas_w, p0, t0, rng)
+    cv0 = modified_mp(obs0, mtx0, len(scene.targets))
 
     selected = np.flatnonzero(cv0.counts)
     elevations = tuple(
@@ -215,7 +213,7 @@ def hierarchical_detect(
         aas_w = aas_beamformer(cfg, theta_hat)
         strengths = grid_echo_strength(cfg, aas_w, theta_hat, phi_grid)
         t_i, p_i = allocate_sensing(cfg, strengths)
-        obs = assemble_observation(cfg, scene, aas_w, p_i, t_i, rng, include_clutter)
+        obs = assemble_observation(cfg, scene, aas_w, p_i, t_i, rng)
         mtx = build_measurement_matrix(cfg, aas_w, p_i, theta_hat=theta_hat)
         cv = modified_mp(obs, mtx, multiplicity)
         stage_azimuths = np.repeat(mtx.candidates, cv.counts)

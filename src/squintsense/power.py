@@ -92,20 +92,19 @@ def sinr_context(
 ) -> SinrContext:
     """Gain table and effective noise for one sensing stage.
 
+    Reads the user angles from ``scene.users``; each user's distance H /
+    cos(theta) and noise power cfg.noise_variance() follow from the config.
     chi[k, l, :] = beta_k^2 |w_l gain at user k|^2, one power-gain call per
     beamformer over (users x subcarriers).
     """
-    users = scene.users
     n_idx = np.arange(cfg.n_subcarriers)
-    theta = np.array([u.theta for u in users], dtype=float)[:, None]
-    phi = np.array([u.phi for u in users], dtype=float)[:, None]
-    beta2 = comm_attenuation(cfg, np.array([u.distance for u in users], dtype=float)) ** 2
-    noise_var = np.array([u.noise_var for u in users], dtype=float)
-    chi = np.empty((len(users), len(comm_weights), cfg.n_subcarriers))
+    theta, phi = scene.users.T[:, :, None]  # each (K, 1)
+    beta2 = comm_attenuation(cfg, cfg.height / np.cos(theta)) ** 2  # (K, 1)
+    chi = np.empty((len(theta), len(comm_weights), cfg.n_subcarriers))
     for l, w in enumerate(comm_weights):
-        chi[:, l, :] = beta2[:, None] * w.power_gain(theta, phi, n_idx)
-    leak = beta2[:, None] * sensing_weights.power_gain(theta, phi, n_idx)
-    eff_noise = leak * sensing_powers + noise_var[:, None]
+        chi[:, l, :] = beta2 * w.power_gain(theta, phi, n_idx)
+    leak = beta2 * sensing_weights.power_gain(theta, phi, n_idx)
+    eff_noise = leak * sensing_powers + cfg.noise_variance()
     return SinrContext(chi=chi, effective_noise=eff_noise)
 
 

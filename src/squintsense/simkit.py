@@ -132,7 +132,7 @@ def allocate_comm_plan(cfg: SystemConfig, scene: Scene, stage_weights, sensing_p
     k_users = len(scene.users)
     if k_users == 0:
         return [np.zeros((0, cfg.n_subcarriers)) for _ in stage_weights], [], cfg.tau_c
-    comm_w = [comm_beamformer(cfg, u.theta, u.phi) for u in scene.users]
+    comm_w = [comm_beamformer(cfg, theta, phi) for theta, phi in scene.users]
     contexts = [
         sinr_context(cfg, scene, comm_w, w, p)
         for w, p in zip(stage_weights, sensing_powers)
@@ -151,8 +151,7 @@ def allocate_comm_plan(cfg: SystemConfig, scene: Scene, stage_weights, sensing_p
 
 def _finish_record(method: str, cfg: SystemConfig, scene: Scene, estimates, plan, sinrs):
     record = TrialRecord(method=method, q_targets=len(scene.targets))
-    truth = [(t.theta, t.phi) for t in scene.targets]
-    record.distance_error_m = distance_error(cfg.height, truth, estimates)
+    record.distance_error_m = distance_error(cfg.height, scene.targets.tolist(), estimates)
     record.total_sensing_energy, record.avg_transmit_power = transmit_power_metrics(plan)
     record.sum_rate = sum_rate(sinrs)
     record.energy_efficiency = (
@@ -167,11 +166,10 @@ def plan_proposed_trial(
     cfg: SystemConfig,
     scene: Scene,
     rng: np.random.Generator,
-    include_clutter: bool = True,
 ):
     """Hierarchical detection, then communication allocation over its stages:
     (DetectionResult, PowerPlan, achieved SINR arrays per stage)."""
-    result = hierarchical_detect(cfg, scene, len(scene.targets), rng, include_clutter)
+    result = hierarchical_detect(cfg, scene, rng)
     comm_powers, sinrs, tau_eff = allocate_comm_plan(
         cfg, scene, result.stage_weights, result.sensing_powers
     )
@@ -188,10 +186,9 @@ def run_proposed_trial(
     cfg: SystemConfig,
     scene: Scene,
     rng: np.random.Generator,
-    include_clutter: bool = True,
 ) -> TrialRecord:
     """Hierarchical detection plus communication allocation for one scene."""
-    result, plan, sinrs = plan_proposed_trial(cfg, scene, rng, include_clutter)
+    result, plan, sinrs = plan_proposed_trial(cfg, scene, rng)
     return _finish_record("proposed", cfg, scene, result.estimates, plan, sinrs)
 
 
@@ -212,11 +209,11 @@ def _scan_record(method: str, cfg: SystemConfig, scene: Scene, statistic, grids,
     return _finish_record(method, cfg, scene, estimates, plan, [])
 
 
-def _exhaustive_response(cfg: SystemConfig, scene: Scene, grids, include_clutter=True):
+def _exhaustive_response(cfg: SystemConfig, scene: Scene, grids):
     """Noise-free echo of each scan cell, averaged coherently over subcarriers:
     (N, N), with rows and columns following grids = (elevation grid, azimuth grid)."""
     theta_grid, phi_grid = grids
-    s_theta, s_phi, s_amp = scene_arrays(cfg, scene, include_clutter)
+    s_theta, s_phi, s_amp = scene_arrays(cfg, scene)
     # squint-compensated pencil at cell (m, c): residual slope is
     # (1 + f/fc) * (target trig - cell trig) in both axes
     ratio = 1.0 + cfg.subcarrier_offsets() / cfg.fc  # (N,)
@@ -233,7 +230,6 @@ def run_exhaustive_baseline(
     cfg: SystemConfig,
     scene: Scene,
     rng: np.random.Generator,
-    include_clutter: bool = True,
 ) -> TrialRecord:
     """N x N pencil-beam scan, one squint-compensated beam per OFDM symbol.
 
@@ -252,7 +248,7 @@ def run_exhaustive_baseline(
     alpha_grid = sensing_attenuation(cfg, cfg.height / np.cos(theta_grid), cfg.sigma_rcs)
     p_cell = cfg.tau_s * sigma2 / alpha_grid**2  # (N,) per elevation row, gain 1
 
-    response = _exhaustive_response(cfg, scene, grids, include_clutter)
+    response = _exhaustive_response(cfg, scene, grids)
     signal = np.sqrt(p_cell)[:, None] * response
     noise = np.sqrt(sigma2 / (2.0 * n)) * (
         rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -284,7 +280,6 @@ def run_azimuth_only_baseline(
     cfg: SystemConfig,
     scene: Scene,
     rng: np.random.Generator,
-    include_clutter: bool = True,
 ) -> TrialRecord:
     """N-symbol azimuth scan with squint-spread elevation coverage.
 
@@ -316,7 +311,7 @@ def run_azimuth_only_baseline(
     strength = alpha_grid[:, None] ** 2 * g_design**4  # (n, m)
     powers = cfg.tau_s * sigma2 / strength
 
-    s_theta, s_phi, s_amp = scene_arrays(cfg, scene, include_clutter)
+    s_theta, s_phi, s_amp = scene_arrays(cfg, scene)
     affine = coef[0] + coef[1] * f  # realized horizontal slope trajectory
     # phases per (scatterer, subcarrier, symbol) and (scatterer, subcarrier)
     x_h = (
@@ -361,9 +356,11 @@ def _label(record: TrialRecord, run: RunConfig, sweep_idx: int, trial: int, valu
 def run_single_trial(run: RunConfig, sweep_idx: int, trial: int, value=None) -> TrialRecord:
     """One seeded trial; scene and noise streams derive from (master, sweep, trial)."""
     cfg, q, k = run.at_sweep_value(value)
-    scene = generate_scene(cfg, q, k, trial_seed(run.seed, sweep_idx, trial, 0))
+    scene = generate_scene(
+        cfg, q, k, trial_seed(run.seed, sweep_idx, trial, 0), run.include_clutter
+    )
     rng = np.random.default_rng(trial_seed(run.seed, sweep_idx, trial, 1))
-    record = _METHODS[run.method](cfg, scene, rng, include_clutter=run.include_clutter)
+    record = _METHODS[run.method](cfg, scene, rng)
     return _label(record, run, sweep_idx, trial, value)
 
 

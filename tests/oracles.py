@@ -92,8 +92,10 @@ def vertical_weights(bf, n) -> np.ndarray:
     return np.exp(-2j * np.pi * f_dev * delays) * np.conj(a_v)
 
 
-def comm_gain(cfg, user, weights, n: int) -> complex:
-    """One-way channel-beamformer product h_n(user) . w_n."""
-    beta = comm_attenuation(cfg, user.distance)
-    g = gain(weights, user.theta, user.phi, n)
-    return complex(beta * np.exp(-2j * np.pi * user.distance / cfg.wavelength) * g)
+def comm_gain(cfg, theta, phi, weights, n: int) -> complex:
+    """One-way channel-beamformer product h_n(user) . w_n for a user at
+    (theta, phi), distance H / cos(theta)."""
+    distance = cfg.height / np.cos(theta)
+    beta = comm_attenuation(cfg, distance)
+    g = gain(weights, theta, phi, n)
+    return complex(beta * np.exp(-2j * np.pi * distance / cfg.wavelength) * g)

@@ -148,10 +148,9 @@ def test_echo_gain_matches_materialized_matrix():
         for _ in range(25):
             scene = generate_scene(cfg, q=2, k=1, seed=int(rng.integers(1 << 31)))
             theta_hat = rng.uniform(cfg.theta_min, cfg.theta_max)
-            user = scene.users[0]
             beams = (
                 aas_beamformer(cfg, theta_hat),
-                comm_beamformer(cfg, user.theta, user.phi),
+                comm_beamformer(cfg, *scene.users[0]),
             )
             for bf in beams:
                 for n in (0, 15, 31):
@@ -164,29 +163,32 @@ def test_echo_gain_matches_materialized_matrix():
                     oracle = materialized_echo(cfg, scene, bf, n)
                     from squintsense.channel import echo_gain
 
-                    fast = echo_gain(cfg, scene, bf, n)
+                    fast = echo_gain(cfg, scene, bf, np.array([n]))[0]
                     assert abs(fast - oracle) <= 1e-10 * abs(oracle)
                     assert abs(got - oracle) <= 1e-10 * abs(oracle)
 
 
 def _scene_terms(cfg, scene):
-    """Independent expansion of every echo term (angles and coefficient)."""
+    """Independent expansion of every echo term (angles and coefficient),
+    with distances H / cos(theta) and cross sections from the config."""
     from squintsense.channel import sensing_attenuation
 
     kappa = cfg.kappa
-    los_w = np.sqrt(kappa / (1 + kappa)) if scene.clutterers else 1.0
-    for t in scene.targets:
+    los_w = np.sqrt(kappa / (1 + kappa)) if len(scene.clutter) else 1.0
+    for theta, phi in scene.targets:
+        distance = cfg.height / np.cos(theta)
         coeff = (
             los_w
-            * sensing_attenuation(cfg, t.distance, t.rcs)
-            * np.exp(-4j * np.pi * t.distance / cfg.wavelength)
+            * sensing_attenuation(cfg, distance, cfg.sigma_rcs)
+            * np.exp(-4j * np.pi * distance / cfg.wavelength)
         )
-        yield t.theta, t.phi, coeff
-    if scene.clutterers:
-        clu_w = np.sqrt(1 / (1 + kappa)) / np.sqrt(len(scene.clutterers))
-        for c in scene.clutterers:
-            coeff = clu_w * sensing_attenuation(cfg, c.distance, c.rcs) * c.fading
-            yield c.theta, c.phi, coeff
+        yield theta, phi, coeff
+    if len(scene.clutter):
+        clu_w = np.sqrt(1 / (1 + kappa)) / np.sqrt(len(scene.clutter))
+        for (theta, phi), fading in zip(scene.clutter, scene.fading):
+            distance = cfg.height / np.cos(theta)
+            coeff = clu_w * sensing_attenuation(cfg, distance, cfg.sigma_clutter) * fading
+            yield theta, phi, coeff
 
 
 @acceptance(5, "sensing-power-tightness", 10)
@@ -298,16 +300,16 @@ def test_high_snr_end_to_end_localization():
     hits = 0
     trials = 200
     for trial in range(trials):
-        scene = generate_scene(cfg, 1, 0, trial_seed(8, 0, trial, 0))
+        scene = generate_scene(cfg, 1, 0, trial_seed(8, 0, trial, 0), include_clutter=False)
         rng = np.random.default_rng(trial_seed(8, 0, trial, 1))
-        result = hierarchical_detect(cfg, scene, 1, rng, include_clutter=False)
-        tgt = scene.targets[0]
-        err = distance_error(height, [(tgt.theta, tgt.phi)], list(result.estimates))
-        d_theta = local_spacing(thg, tgt.theta)
-        d_phi = local_spacing(phg, tgt.phi)
+        result = hierarchical_detect(cfg, scene, rng)
+        tgt_theta, tgt_phi = scene.targets[0]
+        err = distance_error(height, [(tgt_theta, tgt_phi)], list(result.estimates))
+        d_theta = local_spacing(thg, tgt_theta)
+        d_phi = local_spacing(phg, tgt_phi)
         spacing = np.hypot(
-            height / np.cos(tgt.theta) ** 2 * d_theta,
-            height * np.tan(tgt.theta) * d_phi,
+            height / np.cos(tgt_theta) ** 2 * d_theta,
+            height * np.tan(tgt_theta) * d_phi,
         )
         hits += err < 2.0 * spacing
     assert hits >= int(np.ceil(0.99 * trials)), f"{hits}/{trials} within bound"
@@ -390,15 +392,15 @@ def test_error_beats_subcarrier_grid_bound():
 
     errs, bounds = [], []
     for trial in range(300):
-        scene = generate_scene(cfg, 1, 0, trial_seed(13, 0, trial, 0))
+        scene = generate_scene(cfg, 1, 0, trial_seed(13, 0, trial, 0), include_clutter=False)
         rng = np.random.default_rng(trial_seed(13, 0, trial, 1))
-        result = hierarchical_detect(cfg, scene, 1, rng, include_clutter=False)
-        tgt = scene.targets[0]
+        result = hierarchical_detect(cfg, scene, rng)
+        tgt_theta, tgt_phi = scene.targets[0]
         errs.append(
-            distance_error(cfg.height, [(tgt.theta, tgt.phi)], list(result.estimates))
+            distance_error(cfg.height, [(tgt_theta, tgt_phi)], list(result.estimates))
         )
-        r_true = cfg.height * np.tan(tgt.theta)
-        truth = np.array([r_true * np.cos(tgt.phi), r_true * np.sin(tgt.phi)])
+        r_true = cfg.height * np.tan(tgt_theta)
+        truth = np.array([r_true * np.cos(tgt_phi), r_true * np.sin(tgt_phi)])
         bounds.append(np.min(np.hypot(*(grid_xy - truth).T)))
     assert np.mean(errs) < np.mean(bounds), (np.mean(errs), np.mean(bounds))
 

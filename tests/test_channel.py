@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -7,8 +9,6 @@ from oracles import comm_gain, upa_steering, weight_vector
 from squintsense.beamforming import aas_beamformer, comm_beamformer
 from squintsense.channel import (
     Scene,
-    Target,
-    User,
     comm_attenuation,
     echo_gain,
     generate_scene,
@@ -19,26 +19,32 @@ from squintsense.config import SystemConfig
 from squintsense.exceptions import ConfigError
 
 
-def materialized_echo(cfg, scene, weights, n, include_clutter=True):
-    """Quadratic-form oracle: build the M x M channel matrix explicitly."""
+def materialized_echo(cfg, scene, weights, n):
+    """Quadratic-form oracle: build the M x M channel matrix explicitly.
+
+    Each scatterer's distance is H / cos(theta) and its cross section the
+    config's target or clutter RCS.
+    """
     kappa = cfg.kappa
-    has_clutter = include_clutter and bool(scene.clutterers)
+    has_clutter = len(scene.clutter) > 0
     los_w = np.sqrt(kappa / (1 + kappa)) if has_clutter else 1.0
     f = cfg.subcarrier_offsets()[n]
     g_mtx = np.zeros((cfg.m_total, cfg.m_total), dtype=complex)
-    for t in scene.targets:
-        a = upa_steering(cfg, t.theta, t.phi, f)
+    for theta, phi in scene.targets:
+        a = upa_steering(cfg, theta, phi, f)
+        distance = cfg.height / np.cos(theta)
         coeff = (
             los_w
-            * sensing_attenuation(cfg, t.distance, t.rcs)
-            * np.exp(-4j * np.pi * t.distance / cfg.wavelength)
+            * sensing_attenuation(cfg, distance, cfg.sigma_rcs)
+            * np.exp(-4j * np.pi * distance / cfg.wavelength)
         )
         g_mtx += coeff * np.outer(np.conj(a), a)
     if has_clutter:
-        clu_w = np.sqrt(1 / (1 + kappa)) / np.sqrt(len(scene.clutterers))
-        for c in scene.clutterers:
-            a = upa_steering(cfg, c.theta, c.phi, f)
-            coeff = clu_w * sensing_attenuation(cfg, c.distance, c.rcs) * c.fading
+        clu_w = np.sqrt(1 / (1 + kappa)) / np.sqrt(len(scene.clutter))
+        for (theta, phi), fading in zip(scene.clutter, scene.fading):
+            a = upa_steering(cfg, theta, phi, f)
+            distance = cfg.height / np.cos(theta)
+            coeff = clu_w * sensing_attenuation(cfg, distance, cfg.sigma_clutter) * fading
             g_mtx += coeff * np.outer(np.conj(a), a)
     w = weight_vector(weights, n)
     return complex(np.conj(w) @ g_mtx @ w)
@@ -93,7 +99,7 @@ class TestEchoGainOracle:
             theta_hat = rng.uniform(cfg.theta_min, cfg.theta_max)
             weights = aas_beamformer(cfg, theta_hat)
             n = int(rng.integers(cfg.n_subcarriers))
-            fast = echo_gain(cfg, scene, weights, n)
+            fast = echo_gain(cfg, scene, weights, np.array([n]))[0]
             slow = materialized_echo(cfg, scene, weights, n)
             assert abs(fast - slow) <= 1e-10 * max(abs(slow), 1e-30)
 
@@ -103,33 +109,33 @@ class TestEchoGainOracle:
         rng = np.random.default_rng(43)
         n_idx = np.arange(cfg.n_subcarriers)
         for trial in range(6):
-            scene = generate_scene(cfg, 2, 1, (43, trial))
-            user = scene.users[0]
+            scene = generate_scene(cfg, 2, 1, (43, trial), include_clutter)
             for weights in (
                 aas_beamformer(cfg, rng.uniform(cfg.theta_min, cfg.theta_max)),
-                comm_beamformer(cfg, user.theta, user.phi),
+                comm_beamformer(cfg, *scene.users[0]),
             ):
-                fast = echo_gain(cfg, scene, weights, n_idx, include_clutter)
+                fast = echo_gain(cfg, scene, weights, n_idx)
                 assert fast.shape == (cfg.n_subcarriers,)
-                slow = np.array(
-                    [materialized_echo(cfg, scene, weights, n, include_clutter) for n in n_idx]
-                )
+                slow = np.array([materialized_echo(cfg, scene, weights, n) for n in n_idx])
                 # when every scatterer sits in a sidelobe the M x M oracle
                 # loses relative accuracy, so the floor is 1e-12 of the echo
                 # with all scatterers at the unit beam peak
-                peak = np.sum(np.abs(scene_arrays(cfg, scene, include_clutter)[2]))
+                peak = np.sum(np.abs(scene_arrays(cfg, scene)[2]))
                 np.testing.assert_allclose(fast, slow, rtol=1e-12, atol=1e-12 * peak)
 
     def test_clutter_flag(self):
         cfg = SystemConfig(m_h=8, m_v=8, n_subcarriers=16, n_candidates=16)
-        scene = generate_scene(cfg, 1, 0, 5)
-        with_c = echo_gain(cfg, scene, aas_beamformer(cfg, 0.7), 3, include_clutter=True)
-        without = echo_gain(cfg, scene, aas_beamformer(cfg, 0.7), 3, include_clutter=False)
-        assert with_c != without
+        n = np.array([3])
+        with_c = echo_gain(cfg, generate_scene(cfg, 1, 0, 5), aas_beamformer(cfg, 0.7), n)
+        without = echo_gain(
+            cfg, generate_scene(cfg, 1, 0, 5, include_clutter=False), aas_beamformer(cfg, 0.7), n
+        )
+        assert with_c[0] != without[0]
 
     def test_empty_scene_zero(self):
         cfg = SystemConfig(m_h=8, m_v=8, n_subcarriers=16, n_candidates=16)
-        assert echo_gain(cfg, Scene(), aas_beamformer(cfg, 0.7), 0) == 0.0
+        gain = echo_gain(cfg, Scene(), aas_beamformer(cfg, 0.7), np.arange(4))
+        np.testing.assert_array_equal(gain, np.zeros(4))
 
 
 class TestSceneArrays:
@@ -137,29 +143,31 @@ class TestSceneArrays:
         cfg = SystemConfig(m_h=8, m_v=8, n_subcarriers=16, n_candidates=16, n_clutter=2)
         scene = generate_scene(cfg, 2, 0, 17)
         theta, phi, amp = scene_arrays(cfg, scene)
-        sources = scene.targets + scene.clutterers
-        np.testing.assert_array_equal(theta, [s.theta for s in sources])
-        np.testing.assert_array_equal(phi, [s.phi for s in sources])
+        sources = np.concatenate([scene.targets, scene.clutter])
+        np.testing.assert_array_equal(theta, sources[:, 0])
+        np.testing.assert_array_equal(phi, sources[:, 1])
         los_w = np.sqrt(cfg.kappa / (1 + cfg.kappa))
         clu_w = np.sqrt(1 / (1 + cfg.kappa)) / np.sqrt(2)
-        for a, t in zip(amp[:2], scene.targets):
+        for a, (th, _) in zip(amp[:2], scene.targets):
+            distance = cfg.height / np.cos(th)
             expected = (
                 los_w
-                * sensing_attenuation(cfg, t.distance, t.rcs)
-                * np.exp(-4j * np.pi * t.distance / cfg.wavelength)
+                * sensing_attenuation(cfg, distance, cfg.sigma_rcs)
+                * np.exp(-4j * np.pi * distance / cfg.wavelength)
             )
             assert a == pytest.approx(expected, rel=1e-12)
-        for a, c in zip(amp[2:], scene.clutterers):
-            expected = clu_w * sensing_attenuation(cfg, c.distance, c.rcs) * c.fading
+        for a, (th, _), fading in zip(amp[2:], scene.clutter, scene.fading):
+            distance = cfg.height / np.cos(th)
+            expected = clu_w * sensing_attenuation(cfg, distance, cfg.sigma_clutter) * fading
             assert a == pytest.approx(expected, rel=1e-12)
 
     def test_without_clutter_pure_los(self):
         cfg = SystemConfig(m_h=8, m_v=8, n_subcarriers=16, n_candidates=16, n_clutter=2)
-        scene = generate_scene(cfg, 1, 0, 18)
-        theta, _, amp = scene_arrays(cfg, scene, include_clutter=False)
+        scene = generate_scene(cfg, 1, 0, 18, include_clutter=False)
+        theta, _, amp = scene_arrays(cfg, scene)
         assert len(theta) == 1
-        t = scene.targets[0]
-        assert abs(amp[0]) == pytest.approx(sensing_attenuation(cfg, t.distance, t.rcs))
+        distance = cfg.height / np.cos(scene.targets[0, 0])
+        assert abs(amp[0]) == pytest.approx(sensing_attenuation(cfg, distance, cfg.sigma_rcs))
 
     def test_empty_scene(self):
         cfg = SystemConfig(m_h=8, m_v=8, n_subcarriers=16, n_candidates=16)
@@ -170,11 +178,11 @@ class TestSceneArrays:
 class TestCommGain:
     def test_unit_beamformed_magnitude(self):
         cfg = SystemConfig(m_h=8, m_v=8, n_subcarriers=16, n_candidates=16)
-        user = User(theta=0.7, phi=1.4, distance=cfg.height / np.cos(0.7), noise_var=1e-12)
-        bf = comm_beamformer(cfg, user.theta, user.phi)
+        theta, phi = 0.7, 1.4
+        bf = comm_beamformer(cfg, theta, phi)
+        expected = comm_attenuation(cfg, cfg.height / np.cos(theta))
         for n in range(cfg.n_subcarriers):
-            expected = comm_attenuation(cfg, user.distance)
-            assert abs(comm_gain(cfg, user, bf, n)) == pytest.approx(expected, rel=1e-9)
+            assert abs(comm_gain(cfg, theta, phi, bf, n)) == pytest.approx(expected, rel=1e-9)
 
 
 class TestSceneGeneration:
@@ -184,24 +192,31 @@ class TestSceneGeneration:
     def test_deterministic(self):
         a = generate_scene(self.cfg, 2, 2, 123)
         b = generate_scene(self.cfg, 2, 2, 123)
-        assert a == b
+        for f in fields(Scene):
+            np.testing.assert_array_equal(getattr(a, f.name), getattr(b, f.name))
 
     def test_counts(self):
         scene = generate_scene(self.cfg, 3, 2, 1)
-        assert len(scene.targets) == 3
-        assert len(scene.clutterers) == self.cfg.n_clutter
-        assert len(scene.users) == 2
+        assert scene.targets.shape == (3, 2)
+        assert scene.clutter.shape == (self.cfg.n_clutter, 2)
+        assert scene.fading.shape == (self.cfg.n_clutter,)
+        assert scene.users.shape == (2, 2)
+
+    def test_without_clutter_keeps_target_and_user_draws(self):
+        """Clutter is drawn either way, so the other streams do not move."""
+        for seed in range(5):
+            with_c = generate_scene(self.cfg, 3, 2, seed)
+            without = generate_scene(self.cfg, 3, 2, seed, include_clutter=False)
+            np.testing.assert_array_equal(without.targets, with_c.targets)
+            np.testing.assert_array_equal(without.users, with_c.users)
+            assert without.clutter.shape == (0, 2)
+            assert without.fading.shape == (0,)
 
     def test_angles_inside_roi(self):
         scene = generate_scene(self.cfg, 5, 3, 9)
-        for obj in scene.targets + scene.clutterers + scene.users:
-            assert self.cfg.theta_min <= obj.theta <= self.cfg.theta_max
-            assert self.cfg.phi_min <= obj.phi <= self.cfg.phi_max
-
-    def test_distances_consistent_with_height(self):
-        scene = generate_scene(self.cfg, 4, 0, 2)
-        for t in scene.targets:
-            assert t.distance == pytest.approx(self.cfg.height / np.cos(t.theta))
+        theta, phi = np.concatenate([scene.targets, scene.clutter, scene.users]).T
+        assert np.all((self.cfg.theta_min <= theta) & (theta <= self.cfg.theta_max))
+        assert np.all((self.cfg.phi_min <= phi) & (phi <= self.cfg.phi_max))
 
     def test_user_separation(self):
         cfg = self.cfg
@@ -210,7 +225,7 @@ class TestSceneGeneration:
             users = scene.users
             for i in range(len(users)):
                 for j in range(i + 1, len(users)):
-                    d = np.hypot(users[i].theta - users[j].theta, users[i].phi - users[j].phi)
+                    d = np.hypot(*(users[i] - users[j]))
                     assert d >= cfg.user_min_separation
 
     def test_separation_infeasible_raises(self):
@@ -224,8 +239,8 @@ class TestSceneGeneration:
         thetas, phis = [], []
         for seed in range(400):
             scene = generate_scene(cfg, 1, 0, (77, seed))
-            thetas.append(scene.targets[0].theta)
-            phis.append(scene.targets[0].phi)
+            thetas.append(scene.targets[0, 0])
+            phis.append(scene.targets[0, 1])
         span_t = cfg.theta_max - cfg.theta_min
         span_p = cfg.phi_max - cfg.phi_min
         p_t = stats.kstest((np.array(thetas) - cfg.theta_min) / span_t, "uniform").pvalue
@@ -238,7 +253,7 @@ class TestSceneGeneration:
         draws = []
         for seed in range(300):
             scene = generate_scene(cfg, 0, 0, (88, seed))
-            draws.extend(c.fading for c in scene.clutterers)
+            draws.extend(scene.fading)
         draws = np.array(draws)
         assert np.mean(np.abs(draws) ** 2) == pytest.approx(1.0, abs=0.1)
         assert abs(np.mean(draws)) < 0.1

@@ -1,7 +1,6 @@
 import csv
 import io
 import math
-import os
 from dataclasses import fields
 
 import numpy as np

@@ -53,6 +53,34 @@ class TestFieldValidation:
             RunConfig(system=SCALED, sweep_var="height", sweep_values=(40.0, math.nan))
 
 
+class TestRunFieldValidation:
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("trials", 2.5), ("q_targets", 1.5), ("k_users", 0.5), ("seed", 1.5), ("seed", "3"),
+            ("trials", True),
+        ],
+    )
+    def test_non_integer_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+            RunConfig(system=SCALED, **{name: value})
+
+    @pytest.mark.parametrize("value", ["no", "false", 0, 1.0, None])
+    def test_non_bool_include_clutter_rejected(self, value):
+        with pytest.raises(ConfigError, match="include_clutter must be a boolean"):
+            RunConfig(system=SCALED, include_clutter=value)
+
+    def test_non_bool_system_flag_rejected(self):
+        with pytest.raises(ConfigError, match="uniform_candidate_grid must be a boolean"):
+            SystemConfig(uniform_candidate_grid="no")
+
+    def test_numpy_scalars_accepted(self):
+        run = RunConfig(
+            system=SCALED, trials=np.int64(2), seed=np.int32(3), include_clutter=np.bool_(False)
+        )
+        assert run.trials == 2 and run.seed == 3 and not run.include_clutter
+
+
 class TestSweepValues:
     def test_swept_run_without_value_fails_fast(self):
         run = RunConfig(system=SCALED, sweep_var="height", sweep_values=(40.0,), trials=1)

@@ -4,12 +4,11 @@ import pytest
 import oracles
 
 from squintsense.beamforming import (
-    aas_azimuth_grid,
     aas_beamformer,
     eas_beamformer,
     eas_elevation_grid,
 )
-from squintsense.channel import Scene, Target, generate_scene
+from squintsense.channel import Scene, generate_scene
 from squintsense.config import SystemConfig
 from squintsense.detection import (
     assemble_observation,
@@ -287,7 +286,7 @@ class TestEasStageCache:
         stage = eas_stage(CFG)
         before = stage.matrix.columns.copy(), stage.powers.copy()
         scene = generate_scene(CFG, 2, 0, 5)
-        result = hierarchical_detect(CFG, scene, 2, np.random.default_rng(1))
+        result = hierarchical_detect(CFG, scene, np.random.default_rng(1))
         assert result.sensing_powers[0] is stage.powers
         np.testing.assert_array_equal(stage.matrix.columns, before[0])
         np.testing.assert_array_equal(stage.powers, before[1])
@@ -300,10 +299,8 @@ class TestHierarchicalDetect:
         cand_t = elevation_candidates(cfg)
         cand_p = azimuth_candidates(cfg)
         theta, phi = float(cand_t[37]), float(cand_p[149])
-        scene = Scene(
-            targets=(Target(theta, phi, cfg.height / np.cos(theta), cfg.sigma_rcs),)
-        )
-        result = hierarchical_detect(cfg, scene, 1, np.random.default_rng(12))
+        scene = Scene(targets=np.array([[theta, phi]]))
+        result = hierarchical_detect(cfg, scene, np.random.default_rng(12))
         assert len(result.estimates) == 1
         est_theta, est_phi = result.estimates[0]
         assert est_theta == pytest.approx(theta, abs=np.max(np.diff(cand_t)) * 1.5)
@@ -312,7 +309,7 @@ class TestHierarchicalDetect:
     def test_multiplicities_sum_to_q(self):
         cfg = CFG
         scene = generate_scene(cfg, 3, 0, 21)
-        result = hierarchical_detect(cfg, scene, 3, np.random.default_rng(4))
+        result = hierarchical_detect(cfg, scene, np.random.default_rng(4))
         assert sum(m for _, m in result.elevations) == 3
         assert len(result.estimates) <= 3
         assert result.symbol_counts[0] >= 1
@@ -321,7 +318,7 @@ class TestHierarchicalDetect:
     def test_estimates_inside_roi(self):
         cfg = CFG
         scene = generate_scene(cfg, 2, 0, 8)
-        result = hierarchical_detect(cfg, scene, 2, np.random.default_rng(2))
+        result = hierarchical_detect(cfg, scene, np.random.default_rng(2))
         for th, ph in result.estimates:
             assert cfg.theta_min - 1e-9 <= th <= cfg.theta_max + 1e-9
             assert cfg.phi_min - 1e-9 <= ph <= cfg.phi_max + 1e-9

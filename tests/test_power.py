@@ -229,13 +229,13 @@ def sinr_context_reference(cfg, scene, comm_weights, sensing_weights, sensing_po
     k_users, n = len(scene.users), cfg.n_subcarriers
     chi = np.empty((k_users, k_users, n))
     eff_noise = np.empty((k_users, n))
-    for k, user in enumerate(scene.users):
+    for k, (theta, phi) in enumerate(scene.users):
         for l, w in enumerate(comm_weights):
             for sc in range(n):
-                chi[k, l, sc] = abs(oracles.comm_gain(cfg, user, w, sc)) ** 2
+                chi[k, l, sc] = abs(oracles.comm_gain(cfg, theta, phi, w, sc)) ** 2
         for sc in range(n):
-            leak = abs(oracles.comm_gain(cfg, user, sensing_weights, sc)) ** 2
-            eff_noise[k, sc] = leak * sensing_powers[sc] + user.noise_var
+            leak = abs(oracles.comm_gain(cfg, theta, phi, sensing_weights, sc)) ** 2
+            eff_noise[k, sc] = leak * sensing_powers[sc] + cfg.noise_variance()
     return chi, eff_noise
 
 
@@ -243,7 +243,7 @@ class TestSinrContext:
     def test_shapes_and_noise_floor(self):
         cfg = CFG
         scene = generate_scene(cfg, 1, 2, 7)
-        comm_w = [comm_beamformer(cfg, u.theta, u.phi) for u in scene.users]
+        comm_w = [comm_beamformer(cfg, th, ph) for th, ph in scene.users]
         bf = eas_beamformer(cfg)
         p = np.full(cfg.n_subcarriers, 1e-3)
         ctx = sinr_context(cfg, scene, comm_w, bf, p)
@@ -254,7 +254,7 @@ class TestSinrContext:
     def test_direct_gain_dominates_for_separated_users(self):
         cfg = CFG
         scene = generate_scene(cfg, 1, 2, 11)
-        comm_w = [comm_beamformer(cfg, u.theta, u.phi) for u in scene.users]
+        comm_w = [comm_beamformer(cfg, th, ph) for th, ph in scene.users]
         ctx = sinr_context(cfg, scene, comm_w, eas_beamformer(cfg), np.zeros(cfg.n_subcarriers))
         diag = np.einsum("kkn->kn", ctx.chi)
         assert np.all(diag > 0)
@@ -265,7 +265,7 @@ class TestSinrContext:
         rng = np.random.default_rng(16)
         for seed in range(4):
             scene = generate_scene(cfg, 1, 3, (16, seed))
-            comm_w = [comm_beamformer(cfg, u.theta, u.phi) for u in scene.users]
+            comm_w = [comm_beamformer(cfg, th, ph) for th, ph in scene.users]
             bf = eas_beamformer(cfg) if stage == "eas" else aas_beamformer(cfg, 0.9)
             p = 10 ** rng.uniform(-4, -2, cfg.n_subcarriers)
             ctx = sinr_context(cfg, scene, comm_w, bf, p)

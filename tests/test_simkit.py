@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from squintsense.beamforming import aas_azimuth_grid, eas_elevation_grid
-from squintsense.channel import Clutterer, Scene, Target, generate_scene, scene_arrays
+from squintsense.channel import Scene, generate_scene, scene_arrays
 from squintsense.config import RunConfig, SystemConfig
 from squintsense.exceptions import ConfigError
 from squintsense.geometry import uniform_phase_power
@@ -116,11 +116,7 @@ class TestTransmitPowerMetrics:
 def on_grid_single_target_scene(cfg, row, col):
     theta = float(eas_elevation_grid(cfg)[row])
     phi = float(aas_azimuth_grid(cfg)[col])
-    return (
-        Scene(targets=(Target(theta, phi, cfg.height / np.cos(theta), cfg.sigma_rcs),)),
-        theta,
-        phi,
-    )
+    return Scene(targets=np.array([[theta, phi]])), theta, phi
 
 
 class TestBaselines:
@@ -186,7 +182,7 @@ EVERY_CONFIG = pytest.mark.parametrize(
 )
 
 
-def reference_exhaustive_response(cfg, scene, include_clutter):
+def reference_exhaustive_response(cfg, scene):
     """The scan's noise-free response as one (N, N, N) kernel broadcast per
     scatterer, averaged over subcarriers."""
     n = cfg.n_subcarriers
@@ -195,7 +191,7 @@ def reference_exhaustive_response(cfg, scene, include_clutter):
     cell_h = np.sin(theta_grid)[:, None] * np.cos(phi_grid)[None, :]
     cell_v = np.cos(theta_grid)
     response = np.zeros((n, n), dtype=complex)
-    for th, ph, amp in zip(*scene_arrays(cfg, scene, include_clutter)):
+    for th, ph, amp in zip(*scene_arrays(cfg, scene)):
         x_h = ratio[None, None, :] * (np.sin(th) * np.cos(ph) - cell_h[:, :, None])
         x_v = ratio[None, :] * (np.cos(th) - cell_v[:, None])
         gain2 = uniform_phase_power(x_h, cfg.m_h) * uniform_phase_power(x_v, cfg.m_v)[:, None, :]
@@ -205,11 +201,11 @@ def reference_exhaustive_response(cfg, scene, include_clutter):
 
 class TestExhaustiveResponse:
     @staticmethod
-    def check(cfg, scene, include_clutter):
+    def check(cfg, scene):
         grids = (eas_elevation_grid(cfg), aas_azimuth_grid(cfg))
         with np.errstate(all="raise"):
-            got = _exhaustive_response(cfg, scene, grids, include_clutter)
-        want = reference_exhaustive_response(cfg, scene, include_clutter)
+            got = _exhaustive_response(cfg, scene, grids)
+        want = reference_exhaustive_response(cfg, scene)
         peak = np.max(np.abs(want))
         assert np.max(np.abs(got - want)) <= 1e-12 * peak
 
@@ -218,7 +214,7 @@ class TestExhaustiveResponse:
     @pytest.mark.parametrize("include_clutter", [True, False], ids=["clutter", "los"])
     def test_matches_per_scatterer_reference(self, cfg, q, include_clutter):
         for seed in range(4):
-            self.check(cfg, generate_scene(cfg, q, 0, seed), include_clutter)
+            self.check(cfg, generate_scene(cfg, q, 0, seed, include_clutter))
 
     @EVERY_CONFIG
     def test_scatterers_on_grid_cells(self, cfg):
@@ -226,13 +222,9 @@ class TestExhaustiveResponse:
         theta_grid, phi_grid = eas_elevation_grid(cfg), aas_azimuth_grid(cfg)
         n = cfg.n_subcarriers
         cells = [(n // 3, n // 2), (n - 1, 0), (0, n - 1)]
-        targets = tuple(
-            Target(theta_grid[r], phi_grid[c], cfg.height / np.cos(theta_grid[r]), cfg.sigma_rcs)
-            for r, c in cells
-        )
-        theta, phi = theta_grid[n // 2], phi_grid[n // 4]
-        clutter = Clutterer(theta, phi, cfg.height / np.cos(theta), cfg.sigma_clutter, 0.6 - 0.8j)
-        self.check(cfg, Scene(targets=targets, clutterers=(clutter,)), True)
+        targets = np.array([(theta_grid[r], phi_grid[c]) for r, c in cells])
+        clutter = np.array([(theta_grid[n // 2], phi_grid[n // 4])])
+        self.check(cfg, Scene(targets, clutter, np.array([0.6 - 0.8j])))
 
     @EVERY_CONFIG
     def test_scatterer_just_off_grid_cell(self, cfg):
@@ -241,8 +233,7 @@ class TestExhaustiveResponse:
         theta_grid, phi_grid = eas_elevation_grid(cfg), aas_azimuth_grid(cfg)
         n = cfg.n_subcarriers
         theta, phi = theta_grid[n // 3], phi_grid[n // 2] + 1e-7
-        target = Target(theta, phi, cfg.height / np.cos(theta), cfg.sigma_rcs)
-        self.check(cfg, Scene(targets=(target,)), False)
+        self.check(cfg, Scene(targets=np.array([[theta, phi]])))
 
     def test_no_scatterers(self):
         grids = (eas_elevation_grid(SCALED), aas_azimuth_grid(SCALED))
