@@ -1,5 +1,10 @@
 """Closed-form sensing power / symbol-count allocation and communication
-power allocation via the diagonally dominant linear system."""
+power allocation via the diagonally dominant linear system.
+
+Each user's squint-compensated beam is fixed for the whole frame, so the
+cross-gain table chi is built once per trial; only the sensing-leakage
+noise, and with it the comm powers, changes from one sensing stage to the
+next."""
 
 from __future__ import annotations
 
@@ -34,14 +39,15 @@ class PowerPlan:
 
 @dataclass(frozen=True)
 class SinrContext:
-    """Per-subcarrier beamforming-gain table and effective noise power.
+    """Per-trial beamforming-gain table and per-stage effective noise power.
 
-    chi[k, l, n] = |h_n(user k) . w_{l,n}|^2;
-    effective_noise[k, n] = |h_n(user k) . b_{i,n}|^2 p^s_{i,n} + sigma_k^2.
+    chi[k, l, n] = beta_k^2 |h_n(user k) . w_{l,n}|^2;
+    effective_noise[i, k, n] = beta_k^2 |h_n(user k) . b_{i,n}|^2 p^s_{i,n} + sigma^2
+    for sensing stage i. allocate_comm also accepts a single stage's (K, N).
     """
 
-    chi: np.ndarray             # (K, K, N)
-    effective_noise: np.ndarray  # (K, N)
+    chi: np.ndarray              # (K, K, N), fixed for the trial
+    effective_noise: np.ndarray  # (S, K, N), one row per sensing stage
 
 
 def grid_echo_strength(
@@ -87,15 +93,16 @@ def sinr_context(
     cfg: SystemConfig,
     scene: Scene,
     comm_weights: list,
-    sensing_weights: BeamformerWeights,
-    sensing_powers: np.ndarray,
+    stage_weights: list,
+    stage_powers: list,
 ) -> SinrContext:
-    """Gain table and effective noise for one sensing stage.
+    """Gain table of one trial and the effective noise of each sensing stage.
 
     Reads the user angles from ``scene.users``; each user's distance H /
     cos(theta) and noise power cfg.noise_variance() follow from the config.
     chi[k, l, :] = beta_k^2 |w_l gain at user k|^2, one power-gain call per
-    beamformer over (users x subcarriers).
+    comm beamformer over (users x subcarriers); effective_noise[i] takes one
+    more call, for the leakage of stage i's sensing beam at stage_powers[i].
     """
     n_idx = np.arange(cfg.n_subcarriers)
     theta, phi = scene.users.T[:, :, None]  # each (K, 1)
@@ -103,8 +110,10 @@ def sinr_context(
     chi = np.empty((len(theta), len(comm_weights), cfg.n_subcarriers))
     for l, w in enumerate(comm_weights):
         chi[:, l, :] = beta2 * w.power_gain(theta, phi, n_idx)
-    leak = beta2 * sensing_weights.power_gain(theta, phi, n_idx)
-    eff_noise = leak * sensing_powers + cfg.noise_variance()
+    eff_noise = np.empty((len(stage_weights), len(theta), cfg.n_subcarriers))
+    for i, (w, p) in enumerate(zip(stage_weights, stage_powers)):
+        leak = beta2 * w.power_gain(theta, phi, n_idx)
+        eff_noise[i] = leak * p + cfg.noise_variance()
     return SinrContext(chi=chi, effective_noise=eff_noise)
 
 
@@ -119,10 +128,12 @@ def _ratio_sums(chi: np.ndarray) -> np.ndarray:
 def allocate_comm(ctx: SinrContext, tau_c: float) -> np.ndarray:
     """Solve D_n p = s_n for the per-user powers on every subcarrier n.
 
-    All subcarriers are solved in one batched call; the result has shape
-    (K, N). Requires the diagonal-dominance condition to hold at tau_c on
-    every subcarrier; the returned powers are strictly positive and achieve
-    SINR exactly tau_c per user.
+    Feasibility, diag and D_n depend only on chi, so they are formed once;
+    then all subcarriers of a stage are solved in one batched call. The
+    result has the shape of ``ctx.effective_noise``: (K, N), or (S, K, N)
+    with a leading stage axis. Requires the diagonal-dominance condition to
+    hold at tau_c on every subcarrier; the returned powers are strictly
+    positive and achieve SINR exactly tau_c per user.
     """
     feasible = np.all(1.0 / tau_c > _ratio_sums(ctx.chi), axis=0)
     if not feasible.all():
@@ -131,16 +142,24 @@ def allocate_comm(ctx: SinrContext, tau_c: float) -> np.ndarray:
             f"SINR threshold infeasible on subcarrier {bad}", last_threshold=tau_c
         )
     diag = np.einsum("kkn->kn", ctx.chi)
-    k = ctx.chi.shape[0]
+    k, n = diag.shape
     d_mtx = np.moveaxis(-tau_c * ctx.chi / diag[:, None, :], 2, 0)  # (N, K, K)
     d_mtx[:, np.arange(k), np.arange(k)] = 1.0
-    rhs = (tau_c * ctx.effective_noise / diag).T[:, :, None]  # (N, K, 1)
-    powers = np.linalg.solve(d_mtx, rhs)
-    residual = np.linalg.norm(d_mtx @ powers - rhs, axis=(1, 2))
-    limit = SOLVE_RESIDUAL_TOL * np.maximum(np.linalg.norm(rhs, axis=(1, 2)), 1e-300)
-    if np.any(residual > limit):
-        raise InfeasibleError(f"power solve residual too large: {residual.max()}")
-    return powers[:, :, 0].T
+    stages = (tau_c * ctx.effective_noise / diag).reshape(-1, k, n)
+    # each stage's powers stay the transposed view of a C-ordered (N, K)
+    # block: numpy's sums round by memory layout, and a (K, N) copy would
+    # move the trial's power sums in the last digit
+    powers = np.empty((len(stages), n, k))
+    for stage_rhs, out in zip(stages, powers):
+        rhs = stage_rhs.T[:, :, None]  # (N, K, 1)
+        solved = np.linalg.solve(d_mtx, rhs)
+        residual = np.linalg.norm(d_mtx @ solved - rhs, axis=(1, 2))
+        limit = SOLVE_RESIDUAL_TOL * np.maximum(np.linalg.norm(rhs, axis=(1, 2)), 1e-300)
+        if np.any(residual > limit):
+            raise InfeasibleError(f"power solve residual too large: {residual.max()}")
+        out[:] = solved[:, :, 0]
+    powers = np.swapaxes(powers, 1, 2)
+    return powers if ctx.effective_noise.ndim == 3 else powers[0]
 
 
 def backoff_tau_c(ctx: SinrContext, tau_c: float) -> float:

@@ -126,6 +126,8 @@ def transmit_power_metrics(plan: PowerPlan):
 def allocate_comm_plan(cfg: SystemConfig, scene: Scene, stage_weights, sensing_powers):
     """Per-stage communication powers under the (possibly backed-off) SINR target.
 
+    The comm beams and their gain table are fixed for the trial, so one SINR
+    context, one backoff and one allocation serve every sensing stage.
     Returns (comm_powers per stage, achieved SINR arrays per stage, effective
     tau_c). With no users, all outputs are empty and tau_c passes through.
     """
@@ -133,19 +135,14 @@ def allocate_comm_plan(cfg: SystemConfig, scene: Scene, stage_weights, sensing_p
     if k_users == 0:
         return [np.zeros((0, cfg.n_subcarriers)) for _ in stage_weights], [], cfg.tau_c
     comm_w = [comm_beamformer(cfg, theta, phi) for theta, phi in scene.users]
-    contexts = [
-        sinr_context(cfg, scene, comm_w, w, p)
-        for w, p in zip(stage_weights, sensing_powers)
-    ]
-    tau_eff = min(backoff_tau_c(ctx, cfg.tau_c) for ctx in contexts)
-    comm_powers = []
+    ctx = sinr_context(cfg, scene, comm_w, stage_weights, sensing_powers)
+    tau_eff = backoff_tau_c(ctx, cfg.tau_c)
+    comm_powers = list(allocate_comm(ctx, tau_eff))
+    diag = np.einsum("kkn->kn", ctx.chi)
     sinrs = []
-    for ctx in contexts:
-        p_stage = allocate_comm(ctx, tau_eff)
-        comm_powers.append(p_stage)
-        diag = np.einsum("kkn->kn", ctx.chi)
+    for p_stage, noise in zip(comm_powers, ctx.effective_noise):
         interference = np.einsum("kln,ln->kn", ctx.chi, p_stage) - diag * p_stage
-        sinrs.append(diag * p_stage / (interference + ctx.effective_noise))
+        sinrs.append(diag * p_stage / (interference + noise))
     return comm_powers, sinrs, tau_eff
 
 

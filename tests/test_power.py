@@ -246,16 +246,18 @@ class TestSinrContext:
         comm_w = [comm_beamformer(cfg, th, ph) for th, ph in scene.users]
         bf = eas_beamformer(cfg)
         p = np.full(cfg.n_subcarriers, 1e-3)
-        ctx = sinr_context(cfg, scene, comm_w, bf, p)
+        ctx = sinr_context(cfg, scene, comm_w, [bf], [p])
         assert ctx.chi.shape == (2, 2, cfg.n_subcarriers)
-        assert ctx.effective_noise.shape == (2, cfg.n_subcarriers)
+        assert ctx.effective_noise.shape == (1, 2, cfg.n_subcarriers)
         assert np.all(ctx.effective_noise >= cfg.noise_variance())
 
     def test_direct_gain_dominates_for_separated_users(self):
         cfg = CFG
         scene = generate_scene(cfg, 1, 2, 11)
         comm_w = [comm_beamformer(cfg, th, ph) for th, ph in scene.users]
-        ctx = sinr_context(cfg, scene, comm_w, eas_beamformer(cfg), np.zeros(cfg.n_subcarriers))
+        ctx = sinr_context(
+            cfg, scene, comm_w, [eas_beamformer(cfg)], [np.zeros(cfg.n_subcarriers)]
+        )
         diag = np.einsum("kkn->kn", ctx.chi)
         assert np.all(diag > 0)
 
@@ -268,7 +270,63 @@ class TestSinrContext:
             comm_w = [comm_beamformer(cfg, th, ph) for th, ph in scene.users]
             bf = eas_beamformer(cfg) if stage == "eas" else aas_beamformer(cfg, 0.9)
             p = 10 ** rng.uniform(-4, -2, cfg.n_subcarriers)
-            ctx = sinr_context(cfg, scene, comm_w, bf, p)
+            ctx = sinr_context(cfg, scene, comm_w, [bf], [p])
             chi, eff_noise = sinr_context_reference(cfg, scene, comm_w, bf, p)
             np.testing.assert_allclose(ctx.chi, chi, rtol=1e-12, atol=0)
-            np.testing.assert_allclose(ctx.effective_noise, eff_noise, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(ctx.effective_noise[0], eff_noise, rtol=1e-12, atol=0)
+
+    def test_two_stages_share_chi_and_get_one_noise_row_each(self):
+        cfg = CFG
+        rng = np.random.default_rng(17)
+        scene = generate_scene(cfg, 1, 3, (17, 0))
+        comm_w = [comm_beamformer(cfg, th, ph) for th, ph in scene.users]
+        stages = [eas_beamformer(cfg), aas_beamformer(cfg, 0.9)]
+        powers = [10 ** rng.uniform(-4, -2, cfg.n_subcarriers) for _ in stages]
+        ctx = sinr_context(cfg, scene, comm_w, stages, powers)
+        assert ctx.effective_noise.shape == (2, 3, cfg.n_subcarriers)
+        for row, bf, p in zip(ctx.effective_noise, stages, powers):
+            chi, eff_noise = sinr_context_reference(cfg, scene, comm_w, bf, p)
+            np.testing.assert_allclose(ctx.chi, chi, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(row, eff_noise, rtol=1e-12, atol=0)
+
+
+def stacked_context(rng, k, n_stages, n=7, tau_c=10.0):
+    """Feasible chi with an independent effective-noise row per stage."""
+    ctx = random_feasible_context(rng, k, n=n, tau_c=tau_c)
+    noise = 10 ** rng.uniform(-15, -13, size=(n_stages, k, n))
+    return SinrContext(chi=ctx.chi, effective_noise=noise)
+
+
+class TestStackedComm:
+    def test_matches_single_stage_calls_exactly(self):
+        rng = np.random.default_rng(18)
+        for _ in range(30):
+            k, n_stages = int(rng.integers(1, 7)), int(rng.integers(1, 6))
+            tau_c = 10 ** rng.uniform(0, 1.5)
+            ctx = stacked_context(rng, k, n_stages, tau_c=tau_c)
+            stacked = allocate_comm(ctx, tau_c)
+            assert stacked.shape == ctx.effective_noise.shape
+            for noise, got in zip(ctx.effective_noise, stacked):
+                one = allocate_comm(SinrContext(ctx.chi, noise), tau_c)
+                assert one.shape == (k, 7)
+                np.testing.assert_array_equal(got, one)
+                # each stage is the transposed view of a C-ordered (N, K) block:
+                # numpy's sums round by memory layout, and the trial metrics sum these
+                assert got.T.flags.c_contiguous and one.T.flags.c_contiguous
+
+    @pytest.mark.parametrize("bad_stage", [0, 1, 2])
+    def test_failing_residual_in_any_stage_raises(self, monkeypatch, bad_stage):
+        ctx = stacked_context(np.random.default_rng(19), 3, 3)
+        allocate_comm(ctx, 10.0)  # feasible as built
+        solve = np.linalg.solve
+        calls = []
+
+        def perturbed(a, b):
+            calls.append(b)
+            x = solve(a, b)
+            return x * (1.0 + 1e-6) if len(calls) == bad_stage + 1 else x
+
+        monkeypatch.setattr(np.linalg, "solve", perturbed)
+        with pytest.raises(InfeasibleError, match="residual too large"):
+            allocate_comm(ctx, 10.0)
+        assert len(calls) == bad_stage + 1

@@ -5,16 +5,29 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from squintsense.beamforming import aas_azimuth_grid, eas_elevation_grid
+from squintsense.beamforming import (
+    BeamformerWeights,
+    aas_azimuth_grid,
+    comm_beamformer,
+    eas_elevation_grid,
+)
 from squintsense.channel import Scene, generate_scene, scene_arrays
 from squintsense.config import RunConfig, SystemConfig
-from squintsense.exceptions import ConfigError
+from squintsense.detection import hierarchical_detect
+from squintsense.exceptions import ConfigError, InfeasibleError
 from squintsense.geometry import uniform_phase_power
-from squintsense.power import PowerPlan
+from squintsense.power import (
+    PowerPlan,
+    SinrContext,
+    allocate_comm,
+    backoff_tau_c,
+    sinr_context,
+)
 from squintsense.simkit import (
     _exhaustive_response,
     aggregate,
     aggregate_to_csv,
+    allocate_comm_plan,
     distance_error,
     records_to_csv,
     run_azimuth_only_baseline,
@@ -255,6 +268,106 @@ class TestExhaustiveMemory:
         finally:
             tracemalloc.stop()
         assert peak < 96**3 * 8
+
+
+def reference_comm_plan(cfg, scene, stage_weights, sensing_powers):
+    """The comm plan built stage by stage: one SINR context per sensing stage,
+    the smallest of their backed-off thresholds, then one allocation each."""
+    if len(scene.users) == 0:
+        return [np.zeros((0, cfg.n_subcarriers)) for _ in stage_weights], [], cfg.tau_c
+    comm_w = [comm_beamformer(cfg, theta, phi) for theta, phi in scene.users]
+    contexts = []
+    for w, p in zip(stage_weights, sensing_powers):
+        ctx = sinr_context(cfg, scene, comm_w, [w], [p])
+        contexts.append(SinrContext(chi=ctx.chi, effective_noise=ctx.effective_noise[0]))
+    tau_eff = min(backoff_tau_c(ctx, cfg.tau_c) for ctx in contexts)
+    comm_powers = []
+    sinrs = []
+    for ctx in contexts:
+        p_stage = allocate_comm(ctx, tau_eff)
+        comm_powers.append(p_stage)
+        diag = np.einsum("kkn->kn", ctx.chi)
+        interference = np.einsum("kln,ln->kn", ctx.chi, p_stage) - diag * p_stage
+        sinrs.append(diag * p_stage / (interference + ctx.effective_noise))
+    return comm_powers, sinrs, tau_eff
+
+
+# the scaled config of the benchmark workloads
+COMM_CFG = SystemConfig(m_h=16, m_v=16, n_subcarriers=32, n_candidates=512)
+
+
+def detected_stages(cfg, q, k, seed, include_clutter=True):
+    """(scene, detection result) of one detection run."""
+    scene = generate_scene(cfg, q, k, (seed, 0), include_clutter)
+    return scene, hierarchical_detect(cfg, scene, np.random.default_rng((seed, 1)))
+
+
+def comm_plan_args(cfg, scene, result):
+    return cfg, scene, result.stage_weights, result.sensing_powers
+
+
+class TestCommPlan:
+    @staticmethod
+    def assert_same_plan(cfg, scene, result):
+        got = allocate_comm_plan(*comm_plan_args(cfg, scene, result))
+        want = reference_comm_plan(*comm_plan_args(cfg, scene, result))
+        assert got[2] == want[2]
+        assert len(got[0]) == len(want[0]) == len(result.stage_weights)
+        assert len(got[1]) == len(want[1])
+        for a, b in zip(got[0] + got[1], want[0] + want[1]):
+            np.testing.assert_array_equal(a, b)
+        # the trial metrics sum over the powers: they must round alike too
+        plans = [
+            PowerPlan(list(result.symbol_counts), list(result.sensing_powers), powers, tau)
+            for powers, _, tau in (got, want)
+        ]
+        assert transmit_power_metrics(plans[0]) == transmit_power_metrics(plans[1])
+        assert sum_rate(got[1]) == sum_rate(want[1])
+        return got[2]
+
+    @pytest.mark.parametrize("include_clutter", [True, False])
+    @pytest.mark.parametrize("tau_c_db", [10.0, 20.0])
+    @pytest.mark.parametrize("q,k", [(0, 2), (1, 1), (2, 2), (4, 6)])
+    def test_matches_per_stage_reference_bitwise(self, q, k, tau_c_db, include_clutter):
+        cfg = COMM_CFG.replace(tau_c_db=tau_c_db)
+        taus = [
+            self.assert_same_plan(cfg, *detected_stages(cfg, q, k, seed, include_clutter))
+            for seed in range(3)
+        ]
+        if (k, tau_c_db) == (6, 20.0):  # the crowded case must exercise the backoff
+            assert min(taus) < cfg.tau_c
+
+    def test_no_users(self):
+        tau_eff = self.assert_same_plan(COMM_CFG, *detected_stages(COMM_CFG, 2, 0, 4))
+        assert tau_eff == COMM_CFG.tau_c
+
+    def test_infeasible_raises_the_same_error(self):
+        cfg = COMM_CFG.replace(tau_c_db=80.0)
+        args = comm_plan_args(cfg, *detected_stages(cfg, 2, 6, 5))
+        errors = []
+        for plan in (allocate_comm_plan, reference_comm_plan):
+            with pytest.raises(InfeasibleError) as info:
+                plan(*args)
+            errors.append((str(info.value), info.value.last_threshold))
+        assert errors[0] == errors[1]
+
+    def test_gain_table_built_once_per_trial(self, monkeypatch):
+        """K comm-beam calls for chi, then one leakage call per stage."""
+        cfg = COMM_CFG.replace(tau_c_db=20.0)
+        plan_args = comm_plan_args(cfg, *detected_stages(cfg, 4, 6, 3))
+        n_stages = len(plan_args[2])
+        assert n_stages > 1
+        calls = []
+        power_gain = BeamformerWeights.power_gain
+
+        def counted(self, *args):
+            calls.append(self.kind)
+            return power_gain(self, *args)
+
+        monkeypatch.setattr(BeamformerWeights, "power_gain", counted)
+        allocate_comm_plan(*plan_args)
+        assert len(calls) == 6 + n_stages
+        assert calls.count("comm") == 6
 
 
 class TestRunExperiment:
