@@ -14,6 +14,7 @@ from .beamforming import (
     BeamformerWeights,
     aas_azimuth_grid,
     aas_beamformer,
+    aas_unit_phase,
     comm_beamformer,
     eas_beamformer,
     eas_elevation_grid,
@@ -28,10 +29,12 @@ from .channel import (
 )
 from .config import RunConfig, SystemConfig, db_to_linear, dbm_to_watt
 from .detection import (
+    AasTable,
     CountingVector,
     DetectionResult,
     EasStage,
     MeasurementMatrix,
+    aas_table,
     assemble_observation,
     azimuth_candidates,
     build_measurement_matrix,

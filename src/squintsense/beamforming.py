@@ -19,8 +19,15 @@ through the real Fejer kernel :func:`~squintsense.geometry.uniform_phase_power`,
 broadcast over angles x subcarriers. The kernel forms its sines from SIMD
 half-angle tangents in cache-sized blocks. ``power_gain`` builds the
 horizontal phase table in one array and multiplies the vertical power into
-the kernel's output in place, so an (L x N) AAS dictionary allocates two
-(L x N) arrays: the phase table and the power table that becomes the
+the kernel's output in place.
+
+An AAS beam's PS term and horizontal TTD slope both scale with sin(theta_hat),
+so its horizontal phase at (theta_hat, phi) is sin(theta_hat) * X(phi, f),
+where :func:`aas_unit_phase` gives X from the config alone. Its vertical
+chain is locked at theta_hat, where the vertical phase cancels to round-off
+and the vertical power is exactly 1 on every subcarrier. So the AAS
+dictionary reuses one cached X for every theta_hat and scales it inside
+the kernel, and allocates only the (L x N) power table that becomes the
 dictionary.
 """
 
@@ -56,6 +63,40 @@ def aas_azimuth_grid(cfg: SystemConfig, f_dev=None) -> np.ndarray:
     return _squint_grid(cfg, cfg.phi_min, cfg.phi_max, f_dev)
 
 
+def _squinted_phase(cfg: SystemConfig, direction, steered, slope, f_dev):
+    """Per-element phase slope of one array axis: the direction cosine squinted
+    by (1 + f/fc), minus the PS steering cosine, plus the TTD term 2 f slope.
+
+    The first product already has the full broadcast shape; the other terms
+    are added in place, in the same order as the plain expression.
+    """
+    phase = direction * (1.0 + f_dev / cfg.fc)
+    phase -= steered
+    phase += 2.0 * f_dev * slope
+    return phase
+
+
+def _aas_h_slope(cfg: SystemConfig, sin_theta):
+    """Horizontal TTD slope of the AAS beam whose locked elevation has sine sin_theta."""
+    return (
+        sin_theta
+        * (np.cos(cfg.phi_min) - np.cos(cfg.phi_max) * (1.0 + cfg.bandwidth / cfg.fc))
+        / (2.0 * cfg.bandwidth)
+    )
+
+
+def aas_unit_phase(cfg: SystemConfig, phi: np.ndarray) -> np.ndarray:
+    """(L, N) table X over L azimuths phi: aas_beamformer(cfg, t) has horizontal phase
+    sin(t) * X at (t, phi) on every subcarrier, for every elevation t."""
+    return _squinted_phase(
+        cfg,
+        np.cos(phi)[:, None],
+        np.cos(cfg.phi_min),
+        _aas_h_slope(cfg, 1.0),
+        cfg.subcarrier_offsets(),
+    )
+
+
 def check_ttd_range(cfg: SystemConfig, h_slope: float, v_slope: float) -> None:
     """ConfigError if the largest delay, at the last element of an axis, exceeds
     cfg.max_abs_ttd. A caller that steers many beams passes its largest |slope|."""
@@ -81,21 +122,18 @@ class BeamformerWeights:
         check_ttd_range(cfg, self.h_slope, self.v_slope)
 
     def _vertical_phase(self, theta, f_dev):
-        cfg = self.cfg
-        return (
-            np.cos(theta) * (1.0 + f_dev / cfg.fc)
-            - np.cos(self.ps_theta)
-            + 2.0 * f_dev * self.v_slope
+        return _squinted_phase(
+            self.cfg, np.cos(theta), np.cos(self.ps_theta), self.v_slope, f_dev
         )
 
     def _horizontal_phase(self, theta, phi, f_dev):
-        cfg = self.cfg
-        # the first product already has the full broadcast shape; the other
-        # terms are added in place, in the same order as the plain expression
-        phase = np.sin(theta) * np.cos(phi) * (1.0 + f_dev / cfg.fc)
-        phase -= np.sin(self.ps_theta) * np.cos(self.ps_phi)
-        phase += 2.0 * f_dev * self.h_slope
-        return phase
+        return _squinted_phase(
+            self.cfg,
+            np.sin(theta) * np.cos(phi),
+            np.sin(self.ps_theta) * np.cos(self.ps_phi),
+            self.h_slope,
+            f_dev,
+        )
 
     def _flat_gain(self, theta, phi):
         """EAS horizontal model: the flat magnitude inside the ROI, zero outside."""
@@ -140,11 +178,7 @@ def eas_beamformer(cfg: SystemConfig) -> BeamformerWeights:
 def aas_beamformer(cfg: SystemConfig, theta_hat: float) -> BeamformerWeights:
     """Stage-i beamformer: PS at (theta_hat, phi_min), closed-form TTDs."""
     v_slope = -np.cos(theta_hat) / (2.0 * cfg.fc)
-    h_slope = (
-        np.sin(theta_hat)
-        * (np.cos(cfg.phi_min) - np.cos(cfg.phi_max) * (1.0 + cfg.bandwidth / cfg.fc))
-        / (2.0 * cfg.bandwidth)
-    )
+    h_slope = _aas_h_slope(cfg, np.sin(theta_hat))
     return BeamformerWeights(
         cfg, "aas", ps_theta=theta_hat, ps_phi=cfg.phi_min, h_slope=h_slope, v_slope=v_slope
     )

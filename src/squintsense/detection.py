@@ -1,5 +1,11 @@
 """Measurement matrices over dense angle candidates, modified matching
-pursuit with a counting vector, and the hierarchical EAS -> AAS pipeline."""
+pursuit with a counting vector, and the hierarchical EAS -> AAS pipeline.
+
+What does not depend on the scene is computed once per config and cached
+read-only: the whole EAS stage (:func:`eas_stage`) and, for the AAS stages,
+the azimuth candidates with their horizontal phase per unit sin(theta_hat)
+(:func:`aas_table`), from which each stage's dictionary takes one kernel
+call."""
 
 from __future__ import annotations
 
@@ -12,12 +18,14 @@ from .beamforming import (
     BeamformerWeights,
     aas_azimuth_grid,
     aas_beamformer,
+    aas_unit_phase,
     eas_beamformer,
     eas_elevation_grid,
 )
 from .channel import Scene, echo_gain, sensing_attenuation
 from .config import SystemConfig
 from .exceptions import ConfigError
+from .geometry import uniform_phase_power
 from .power import allocate_sensing, grid_echo_strength
 
 
@@ -57,6 +65,25 @@ def azimuth_candidates(cfg: SystemConfig) -> np.ndarray:
     return aas_azimuth_grid(cfg, cfg.subcarrier_offsets(cfg.n_candidates))
 
 
+@dataclass(frozen=True)
+class AasTable:
+    """Trial-invariant part of every AAS dictionary; its arrays are read-only."""
+
+    candidates: np.ndarray  # (L,) azimuth candidates
+    unit_phase: np.ndarray  # (L, N) horizontal phase over sin(theta_hat)
+
+
+@functools.lru_cache(maxsize=4)
+def aas_table(cfg: SystemConfig) -> AasTable:
+    """Azimuth candidates and their :func:`~squintsense.beamforming.aas_unit_phase`
+    table, computed once per config and shared by every AAS stage."""
+    cand = azimuth_candidates(cfg)
+    unit_phase = aas_unit_phase(cfg, cand)
+    for arr in (cand, unit_phase):
+        arr.flags.writeable = False
+    return AasTable(candidates=cand, unit_phase=unit_phase)
+
+
 def assemble_observation(
     cfg: SystemConfig,
     scene: Scene,
@@ -92,6 +119,12 @@ def build_measurement_matrix(
     alpha uses the candidate's implied distance H / cos(theta). The (L, N)
     gain table is scaled in place and returned transposed, so each column
     is contiguous in memory.
+
+    AAS weights must be aas_beamformer(cfg, theta_hat). Their gain at
+    (theta_hat, candidate) is the Fejer kernel of the cached :func:`aas_table`
+    phase scaled by sin(theta_hat), times a vertical power of exactly 1,
+    since the beam's vertical chain is locked at theta_hat; sqrt(p_n) and
+    alpha follow as one row scale.
     """
     n_idx = np.arange(cfg.n_subcarriers)
     sqrt_p = np.sqrt(np.asarray(powers, dtype=float))
@@ -101,10 +134,11 @@ def build_measurement_matrix(
         gains = weights.power_gain(cand[:, None], phi_probe, n_idx)  # (L, N)
         alpha = sensing_attenuation(cfg, cfg.height / np.cos(cand), cfg.sigma_rcs)[:, None]
     else:
-        if theta_hat is None:
-            raise ConfigError("AAS measurement matrix requires theta_hat")
-        cand = azimuth_candidates(cfg)
-        gains = weights.power_gain(theta_hat, cand[:, None], n_idx)  # (L, N)
+        if theta_hat != weights.ps_theta:  # also when theta_hat is None
+            raise ConfigError("AAS measurement matrix requires theta_hat, the beam's PS elevation")
+        table = aas_table(cfg)
+        cand = table.candidates
+        gains = uniform_phase_power(table.unit_phase, cfg.m_h, scale=np.sin(theta_hat))  # (L, N)
         alpha = sensing_attenuation(cfg, cfg.height / np.cos(theta_hat), cfg.sigma_rcs)
     gains *= sqrt_p * alpha
     norms = np.sqrt(np.einsum("ln,ln->l", gains, gains))
@@ -203,7 +237,6 @@ def hierarchical_detect(
         (float(mtx0.candidates[idx]), int(cv0.counts[idx])) for idx in selected
     )
 
-    phi_grid = aas_azimuth_grid(cfg)
     estimates = []
     symbol_counts = [t0]
     sensing_powers = [p0]
@@ -211,7 +244,7 @@ def hierarchical_detect(
     traces = [cv0]
     for theta_hat, multiplicity in elevations:
         aas_w = aas_beamformer(cfg, theta_hat)
-        strengths = grid_echo_strength(cfg, aas_w, theta_hat, phi_grid)
+        strengths = grid_echo_strength(cfg, aas_w, theta_hat, None)
         t_i, p_i = allocate_sensing(cfg, strengths)
         obs = assemble_observation(cfg, scene, aas_w, p_i, t_i, rng)
         mtx = build_measurement_matrix(cfg, aas_w, p_i, theta_hat=theta_hat)

@@ -1,5 +1,10 @@
 """Array-factor power kernels of affine phase profiles, the flat
-horizontal-gain model and its composite-AoD bounds."""
+horizontal-gain model and its composite-AoD bounds.
+
+:func:`uniform_phase_power` takes an optional scalar ``scale`` of the
+slopes, applied inside its first multiply, so a table of slopes that many
+callers share, such as the AAS phase per unit sin(theta_hat), is never
+rescaled into a copy."""
 
 from __future__ import annotations
 
@@ -60,14 +65,14 @@ def flat_horizontal_gain(cfg: SystemConfig) -> float:
     return float(np.sqrt(2.0 * np.pi / (cfg.m_h * (psi_max - psi_min))))
 
 
-def _fejer_pass(x, m, t=None, s=None, w=None):
-    """One pass of the Fejer kernel over x, returned in s.
+def _fejer_pass(x, m, t=None, s=None, w=None, scale=1.0):
+    """One pass of the Fejer kernel over scale * x, returned in s.
 
     t, s and w have x's shape and are allocated when not given; t and w are
     overwritten.
     """
-    t = np.multiply(x, 0.25 * np.pi, out=t)  # u/2, exactly half of pi*x/2
-    s = np.multiply(t, m, out=s)             # m u/2
+    t = np.multiply(x, 0.25 * np.pi * scale, out=t)  # u/2, exactly half of pi*scale*x/2
+    s = np.multiply(t, m, out=s)                     # m u/2
     np.tan(t, out=t)
     np.tan(s, out=s)
     w = np.multiply(t, t, out=w)
@@ -79,7 +84,7 @@ def _fejer_pass(x, m, t=None, s=None, w=None):
     near_zero = np.abs(t, out=w) < 0.5e-12
     limit = None
     if near_zero.any():
-        u_near = 0.5 * np.pi * x[near_zero]
+        u_near = 0.5 * np.pi * scale * x[near_zero]
         limit = np.cos(m * u_near) / np.cos(u_near)
         t[near_zero] = 1.0
     t *= m
@@ -90,12 +95,15 @@ def _fejer_pass(x, m, t=None, s=None, w=None):
     return s
 
 
-def uniform_phase_power(slope, m):
-    """|(1/m) sum_{k<m} exp(-1j*pi*k*slope)|^2 as a real Fejer kernel, vectorized over slope.
+def uniform_phase_power(slope, m, scale=1.0):
+    """|(1/m) sum_{k<m} exp(-1j*pi*k*scale*slope)|^2 as a real Fejer kernel, over slope.
 
-    Equals (sin(m u) / (m sin u))^2 with u = pi*slope/2, and the squared
-    limit (cos(m u) / cos(u))^2 where |sin u| < 1e-12. No complex numbers
-    are formed.
+    Equals (sin(m u) / (m sin u))^2 with u = pi*scale*slope/2, and the
+    squared limit (cos(m u) / cos(u))^2 where |sin u| < 1e-12. No complex
+    numbers are formed. The scalar ``scale`` joins the constant of the
+    kernel's first multiply, so a table of slopes shared by many calls is
+    scaled without a pass of its own; the default 1.0 leaves that constant,
+    and so every bit of the result, unchanged.
 
     Both sines come from half-angle tangents, sin v = 2 tan(v/2) / (1 +
     tan(v/2)^2), because float64 ``np.tan`` is SIMD-vectorized on this
@@ -109,7 +117,7 @@ def uniform_phase_power(slope, m):
     """
     x = np.asarray(slope, dtype=float)
     if x.size <= FEJER_BLOCK:
-        out = _fejer_pass(x.reshape(1) if x.ndim == 0 else x, m)
+        out = _fejer_pass(x.reshape(1) if x.ndim == 0 else x, m, scale=scale)
         return float(out[0]) if x.ndim == 0 else out
     out = np.empty(x.shape)
     flat_x, flat_out = x.reshape(-1), out.reshape(-1)
@@ -117,7 +125,7 @@ def uniform_phase_power(slope, m):
     for start in range(0, flat_x.size, FEJER_BLOCK):
         block = flat_x[start : start + FEJER_BLOCK]
         k = block.size
-        _fejer_pass(block, m, t[:k], flat_out[start : start + k], w[:k])
+        _fejer_pass(block, m, t[:k], flat_out[start : start + k], w[:k], scale)
     return out
 
 

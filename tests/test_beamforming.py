@@ -15,6 +15,7 @@ from squintsense.beamforming import (
 )
 from squintsense.config import SystemConfig
 from squintsense.exceptions import ConfigError
+from squintsense.geometry import uniform_phase_power
 
 
 SMALL = SystemConfig(m_h=16, m_v=16, n_subcarriers=32, n_candidates=32)
@@ -103,6 +104,18 @@ class TestAasChain:
         grid = aas_azimuth_grid(cfg)
         for n in range(cfg.n_subcarriers):
             assert abs(oracles.gain(bf, theta_hat, grid[n], n)) == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("cfg", [SMALL, SystemConfig()], ids=["scaled", "full"])
+    def test_vertical_power_is_exactly_one_at_theta_hat(self, cfg):
+        """The vertical phase at theta_hat cancels to round-off on every
+        subcarrier, far inside the kernel's limit branch, so the AAS
+        dictionary needs no vertical factor."""
+        f = cfg.subcarrier_offsets()
+        thetas = np.random.default_rng(8).uniform(cfg.theta_min, cfg.theta_max, 50)
+        for theta_hat in np.concatenate([[cfg.theta_min, cfg.theta_max], thetas]):
+            bf = aas_beamformer(cfg, theta_hat)
+            vertical = uniform_phase_power(bf._vertical_phase(theta_hat, f), cfg.m_v)
+            np.testing.assert_array_equal(vertical, 1.0)
 
     def test_vertical_lock_holds_off_band_center(self):
         """The elevation response stays peaked at theta_hat on every subcarrier."""

@@ -5,12 +5,15 @@ import oracles
 
 from squintsense.beamforming import (
     aas_beamformer,
+    aas_unit_phase,
     eas_beamformer,
     eas_elevation_grid,
 )
 from squintsense.channel import Scene, generate_scene
 from squintsense.config import SystemConfig
+from squintsense.channel import sensing_attenuation
 from squintsense.detection import (
+    aas_table,
     assemble_observation,
     azimuth_candidates,
     build_measurement_matrix,
@@ -84,8 +87,6 @@ class TestMeasurementMatrix:
         assert np.all(np.linalg.norm(mtx.columns, axis=0) > 0)
 
     def test_entries_match_direct_evaluation(self):
-        from squintsense.channel import sensing_attenuation
-
         cfg = CFG
         mtx, bf, _, p = eas_matrix(cfg)
         cand = elevation_candidates(cfg)
@@ -100,6 +101,58 @@ class TestMeasurementMatrix:
         bf = aas_beamformer(cfg, 0.7)
         with pytest.raises(ConfigError):
             build_measurement_matrix(cfg, bf, np.ones(cfg.n_subcarriers))
+
+    def test_aas_rejects_theta_hat_of_another_beam(self):
+        """The cached phase table holds only aas_beamformer(cfg, theta_hat)'s
+        beam, so a theta_hat other than the weights' PS elevation is refused."""
+        bf = aas_beamformer(CFG, 0.7)
+        for theta_hat in (0.8, np.nextafter(0.7, 1.0)):
+            with pytest.raises(ConfigError):
+                build_measurement_matrix(CFG, bf, np.ones(CFG.n_subcarriers), theta_hat=theta_hat)
+
+    @pytest.mark.parametrize(
+        "cfg, thetas, cells",
+        [
+            (
+                CFG,
+                (CFG.theta_min, 0.5, 0.7, 1.0, CFG.theta_max),
+                [(l, n) for l in (0, 37, 100, 180, 255) for n in (0, 9, 17, 31)],
+            ),
+            (SystemConfig(), (0.45, 1.1), [(0, 0), (1500, 47), (2600, 80), (4095, 127)]),
+        ],
+        ids=["scaled", "full"],
+    )
+    def test_aas_entries_match_explicit_weights(self, cfg, thetas, cells):
+        """Entry (n, l) = sqrt(p_n) alpha(theta_hat) |a(theta_hat, phi_l, f_n) . w_n|^2
+        with the steering vector and weights materialized."""
+        rng = np.random.default_rng(13)
+        cand = azimuth_candidates(cfg)
+        f = cfg.subcarrier_offsets()
+        for theta_hat in thetas:
+            bf = aas_beamformer(cfg, theta_hat)
+            p = rng.uniform(1e-4, 1e-2, cfg.n_subcarriers)
+            mtx = build_measurement_matrix(cfg, bf, p, theta_hat=theta_hat)
+            np.testing.assert_array_equal(mtx.candidates, cand)
+            alpha = sensing_attenuation(cfg, cfg.height / np.cos(theta_hat), cfg.sigma_rcs)
+            for l, n in cells:
+                a = oracles.upa_steering(cfg, theta_hat, cand[l], f[n])
+                want = np.sqrt(p[n]) * alpha * abs(a @ oracles.weight_vector(bf, n)) ** 2
+                # the explicit M-term sum is accurate only to ~1e-15 of the
+                # beam peak in deep sidelobes: floor at 1e-12 of the column peak
+                peak = mtx.columns[:, l].max()
+                assert mtx.columns[n, l] == pytest.approx(want, rel=1e-12, abs=1e-12 * peak)
+
+    def test_aas_unit_phase_times_sine_is_horizontal_phase(self):
+        cand = aas_table(CFG).candidates
+        f = CFG.subcarrier_offsets()
+        for theta_hat in np.linspace(CFG.theta_min, CFG.theta_max, 9):
+            bf = aas_beamformer(CFG, theta_hat)
+            np.testing.assert_allclose(
+                np.sin(theta_hat) * aas_table(CFG).unit_phase,
+                bf._horizontal_phase(theta_hat, cand[:, None], f),
+                rtol=0,
+                atol=1e-15,
+            )
 
 
 class TestModifiedMp:
@@ -290,6 +343,49 @@ class TestEasStageCache:
         assert result.sensing_powers[0] is stage.powers
         np.testing.assert_array_equal(stage.matrix.columns, before[0])
         np.testing.assert_array_equal(stage.powers, before[1])
+
+
+class TestAasTableCache:
+    def test_matches_fresh_computation(self):
+        table = aas_table(CFG)
+        cand = azimuth_candidates(CFG)
+        np.testing.assert_array_equal(table.candidates, cand)
+        assert table.unit_phase.shape == (CFG.n_candidates, CFG.n_subcarriers)
+        np.testing.assert_array_equal(table.unit_phase, aas_unit_phase(CFG, cand))
+
+    def test_cached_arrays_are_read_only(self):
+        table = aas_table(CFG)
+        for arr in (table.candidates, table.unit_phase):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        with pytest.raises(ValueError):
+            table.unit_phase *= 2.0
+
+    def test_one_entry_per_config(self):
+        assert aas_table(CFG) is aas_table(SystemConfig(**{
+            f: getattr(CFG, f) for f in CFG.__dataclass_fields__
+        }))
+        for change in ({"n_candidates": 128}, {"phi_max": 2.5}, {"tau_s_db": 24.0}):
+            assert aas_table(CFG.replace(**change)) is not aas_table(CFG)
+        assert aas_table(CFG.replace(n_candidates=128)).unit_phase.shape == (128, 32)
+
+    def test_cache_is_small_and_bounded(self):
+        maxsize = aas_table.cache_info().maxsize
+        assert maxsize is not None and maxsize <= 8
+        for tau in np.linspace(10.0, 20.0, maxsize + 3):
+            aas_table(CFG.replace(tau_s_db=float(tau), m_h=4, m_v=4, n_candidates=64))
+        assert aas_table.cache_info().currsize <= maxsize
+
+    def test_detection_leaves_table_intact(self):
+        table = aas_table(CFG)
+        before = table.candidates.copy(), table.unit_phase.copy()
+        scene = generate_scene(CFG, 2, 0, 5)
+        result = hierarchical_detect(CFG, scene, np.random.default_rng(1))
+        assert len(result.elevations) >= 1
+        assert aas_table(CFG) is table
+        np.testing.assert_array_equal(table.candidates, before[0])
+        np.testing.assert_array_equal(table.unit_phase, before[1])
 
 
 class TestHierarchicalDetect:

@@ -163,6 +163,68 @@ class TestUniformPhasePower:
             assert power == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
+# powers of two: s * x and the kernel's x * (pi/4 * s) are then exact
+# rescalings of the unscaled products, so the kernel sees the very phase
+# that uniform_phase_sum(s * x) sees, even at nulls
+EXACT_SCALES = (0.25, 0.5, 2.0)
+
+
+class TestScaledPower:
+    """uniform_phase_power(x, m, scale=s) against uniform_phase_sum(s * x)."""
+
+    @staticmethod
+    def assert_matches(slopes, m, scale):
+        before = slopes.copy()
+        with np.errstate(all="raise"):
+            power = uniform_phase_power(slopes, m, scale=scale)
+        np.testing.assert_array_equal(slopes, before)
+        assert power.shape == slopes.shape
+        np.testing.assert_allclose(
+            power, np.abs(uniform_phase_sum(scale * slopes, m)) ** 2, rtol=1e-12, atol=0
+        )
+
+    @pytest.mark.parametrize("m", KERNEL_SIZES)
+    @pytest.mark.parametrize("scale", EXACT_SCALES)
+    def test_products_at_nulls_and_even_integers(self, m, scale):
+        # products 2k/m (nulls, and even integers where m divides k) and even
+        # integers nudged into and just out of the limit branch
+        nulls = (2.0 * np.arange(-2 * m, 2 * m + 1) / m)[:, None] + np.array(NUDGES)
+        evens = (2.0 * np.arange(-4, 5))[:, None] + np.array(NUDGES + (1e-12, -1e-12))
+        for products in (nulls, evens):
+            self.assert_matches(products / scale, m, scale)
+
+    @pytest.mark.parametrize("scale", EXACT_SCALES)
+    def test_inputs_larger_than_one_block(self, scale):
+        rng = np.random.default_rng(5)
+        for size in (FEJER_BLOCK + 1, 2 * FEJER_BLOCK + 123):
+            products = rng.uniform(-6.0, 6.0, size)
+            products[::997] = 2.0 * rng.integers(-3, 4, products[::997].size)
+            products[5::997] = 2.0 / 16.0 * rng.integers(-40, 41, products[5::997].size)
+            products[-1] = 2.0
+            self.assert_matches(products / scale, 16, scale)
+            self.assert_matches((products / scale).reshape(1, -1, 1), 7, scale)
+
+    @given(
+        slope=SLOPES,
+        scale=st.floats(0.05, 1.0),
+        m=st.sampled_from([1, 2, 4, 8, 16, 32, 64, 128]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_generic_scale(self, slope, scale, m):
+        """Any scale, such as the sin(theta_hat) of an AAS dictionary. s * x and
+        x * (pi/4 * s) may then differ in their last bit, which at a null
+        moves the power by its own size, hence the floor at 1e-12 of the
+        kernel's unit peak, as in the explicit-sum oracle tests. m is a power
+        of two, as in the default and scaled configs, so m u is exact in
+        both: for other m, rounding m u alone moves both powers by up to
+        ~4e-4 within 1e-10 of a nonzero even-integer slope, by the same
+        amount only when both see the same u."""
+        power = uniform_phase_power(slope, m, scale=scale)
+        assert isinstance(power, float)
+        expected = abs(uniform_phase_sum(scale * slope, m)) ** 2
+        assert abs(power - expected) <= 1e-12 * expected + 1e-12
+
+
 class TestPhaseDifferencePower:
     @staticmethod
     def direct(sources, cells, ratio, m, weights):
