@@ -59,6 +59,7 @@ from .geometry import (
 from .power import (
     PowerPlan,
     SinrContext,
+    aas_grid_strength,
     allocate_comm,
     allocate_sensing,
     backoff_tau_c,
@@ -66,9 +67,11 @@ from .power import (
     sinr_context,
 )
 from .simkit import (
+    AzimuthOnlyPlan,
     TrialRecord,
     aggregate,
     aggregate_to_csv,
+    azimuth_only_plan,
     distance_error,
     records_to_csv,
     run_azimuth_only_baseline,

@@ -21,6 +21,13 @@ half-angle tangents in cache-sized blocks. ``power_gain`` builds the
 horizontal phase table in one array and multiplies the vertical power into
 the kernel's output in place.
 
+:meth:`BeamformerWeights.stack` joins B full (``aas`` or ``comm``) beams
+into one beamformer of kind ``stack``, whose PS angles and slopes are (B,)
+arrays. ``power_gain`` puts them on a leading axis of the same phase
+expression, so a stack gives (B, angles..., N) in one kernel call per
+array axis, and a single beam is the same code without that axis. A
+trial's AAS echoes and its SINR gain table are each one stacked call.
+
 An AAS beam's PS term and horizontal TTD slope both scale with sin(theta_hat),
 so its horizontal phase at (theta_hat, phi) is sin(theta_hat) * X(phi, f),
 where :func:`aas_unit_phase` gives X from the config alone. Its vertical
@@ -67,11 +74,11 @@ def _squinted_phase(cfg: SystemConfig, direction, steered, slope, f_dev):
     """Per-element phase slope of one array axis: the direction cosine squinted
     by (1 + f/fc), minus the PS steering cosine, plus the TTD term 2 f slope.
 
-    The first product already has the full broadcast shape; the other terms
-    are added in place, in the same order as the plain expression.
+    The subtraction forms the full broadcast shape, led by a stack's beam
+    axis when steered and slope carry one; the TTD term is added in place,
+    in the same order as the plain expression.
     """
-    phase = direction * (1.0 + f_dev / cfg.fc)
-    phase -= steered
+    phase = direction * (1.0 + f_dev / cfg.fc) - steered
     phase += 2.0 * f_dev * slope
     return phase
 
@@ -106,32 +113,65 @@ def check_ttd_range(cfg: SystemConfig, h_slope: float, v_slope: float) -> None:
 
 
 class BeamformerWeights:
-    """Analog beamformer state (PS angles + TTD slopes) plus power-gain evaluation."""
+    """Analog beamformer state (PS angles + TTD slopes) plus power-gain evaluation.
+
+    A beamformer of kind ``stack``, made by :meth:`stack`, holds B full beams:
+    its PS angles and slopes are (B,) arrays, and every phase and power it
+    forms has a leading beam axis.
+    """
 
     def __init__(self, cfg: SystemConfig, kind: str, ps_theta, ps_phi, h_slope, v_slope):
-        if kind not in ("eas", "aas", "comm"):
+        if kind not in ("eas", "aas", "comm", "stack"):
             raise ConfigError(f"unknown beamformer kind {kind!r}")
         self.cfg = cfg
         self.kind = kind
         self.ps_theta = ps_theta
         self.ps_phi = ps_phi  # None for EAS: never numerically needed
-        self.h_slope = float(h_slope)  # seconds per element
-        self.v_slope = float(v_slope)
+        # seconds per element
+        if kind == "stack":
+            self.h_slope, self.v_slope = np.asarray(h_slope, float), np.asarray(v_slope, float)
+            check_ttd_range(cfg, np.abs(self.h_slope).max(), np.abs(self.v_slope).max())
+        else:
+            self.h_slope, self.v_slope = float(h_slope), float(v_slope)
+            check_ttd_range(cfg, self.h_slope, self.v_slope)
         self._f = cfg.subcarrier_offsets()
         self._flat = flat_horizontal_gain(cfg) if kind == "eas" else None
-        check_ttd_range(cfg, self.h_slope, self.v_slope)
 
-    def _vertical_phase(self, theta, f_dev):
+    @classmethod
+    def stack(cls, beams) -> "BeamformerWeights":
+        """One beamformer of kind ``stack`` over B full (aas or comm) beams, in
+        order; its power_gain gives (B, angles..., N), whose row b is
+        beams[b].power_gain over the same angles."""
+        beams = list(beams)
+        if not beams or any(b.kind not in ("aas", "comm") for b in beams):
+            raise ConfigError("a stack takes one or more aas or comm beamformers")
+        state = (
+            np.array([getattr(b, name) for b in beams])
+            for name in ("ps_theta", "ps_phi", "h_slope", "v_slope")
+        )
+        return cls(beams[0].cfg, "stack", *state)
+
+    @staticmethod
+    def _lead(value, lead):
+        """value with the unit axes lead appended, so that a stack's (B,) PS terms
+        and slopes index the leading axis of the angle x subcarrier broadcast."""
+        return np.reshape(value, np.shape(value) + lead)
+
+    def _vertical_phase(self, theta, f_dev, lead=()):
         return _squinted_phase(
-            self.cfg, np.cos(theta), np.cos(self.ps_theta), self.v_slope, f_dev
+            self.cfg,
+            np.cos(theta),
+            self._lead(np.cos(self.ps_theta), lead),
+            self._lead(self.v_slope, lead),
+            f_dev,
         )
 
-    def _horizontal_phase(self, theta, phi, f_dev):
+    def _horizontal_phase(self, theta, phi, f_dev, lead=()):
         return _squinted_phase(
             self.cfg,
             np.sin(theta) * np.cos(phi),
-            np.sin(self.ps_theta) * np.cos(self.ps_phi),
-            self.h_slope,
+            self._lead(np.sin(self.ps_theta) * np.cos(self.ps_phi), lead),
+            self._lead(self.h_slope, lead),
             f_dev,
         )
 
@@ -151,15 +191,18 @@ class BeamformerWeights:
 
         Broadcasts angle arrays against subcarrier-index arrays, e.g.
         ``power_gain(theta[:, None], phi[:, None], np.arange(N))`` gives the
-        (angles x N) table in one call.
+        (angles x N) table in one call; a stack of B beams gives (B, angles x N).
         """
         f_dev = self._f[n]
-        vertical = uniform_phase_power(self._vertical_phase(theta, f_dev), self.cfg.m_v)
+        lead = (1,) * np.broadcast(theta, phi, f_dev).ndim
+        vertical = uniform_phase_power(self._vertical_phase(theta, f_dev, lead), self.cfg.m_v)
         if self.kind == "eas":
             return self._flat_gain(theta, phi) ** 2 * vertical
         # the horizontal phase depends on every argument, so its power table
         # already has the full broadcast shape and takes the product in place
-        horizontal = uniform_phase_power(self._horizontal_phase(theta, phi, f_dev), self.cfg.m_h)
+        horizontal = uniform_phase_power(
+            self._horizontal_phase(theta, phi, f_dev, lead), self.cfg.m_h
+        )
         horizontal *= vertical
         return horizontal
 

@@ -10,7 +10,10 @@ Echo gains are evaluated through the rank-1 structure of the per-scatterer
 channels; the M x M channel matrix is never materialized. Echoes need only
 the beamforming power |g|^2, which is evaluated through the real Fejer kernel
 (:meth:`~squintsense.beamforming.BeamformerWeights.power_gain`) for all
-scatterers x subcarriers in one broadcast over :func:`scene_arrays`.
+scatterers x subcarriers in one broadcast over the echo form of
+:func:`scene_arrays`. A caller with several sensing stages builds that
+form once and passes it to :func:`echo_gain` with a stack of the stages'
+beams, so all their echoes are one (stages x scatterers x N) broadcast.
 """
 
 from __future__ import annotations
@@ -94,15 +97,17 @@ def scene_arrays(cfg: SystemConfig, scene: Scene):
     return theta, phi, amp
 
 
-def echo_gain(cfg: SystemConfig, scene: Scene, weights: BeamformerWeights, n_idx):
+def echo_gain(cfg: SystemConfig, scene, weights: BeamformerWeights, n_idx):
     """Quadratic form b^H G_n b via rank-1 shortcuts, one value per index in n_idx.
 
     Sums amplitude * |gain|^2 over the contributors of :func:`scene_arrays`,
-    all subcarriers in one broadcast.
+    all subcarriers in one broadcast. ``scene`` is a :class:`Scene` or the
+    echo form scene_arrays(cfg, scene) already built from one. A stack of
+    B beams gives a (B, len(n_idx)) result, one row per beam.
     """
-    theta, phi, amp = scene_arrays(cfg, scene)
+    theta, phi, amp = scene_arrays(cfg, scene) if isinstance(scene, Scene) else scene
     power = weights.power_gain(theta[:, None], phi[:, None], n_idx)
-    return np.sum(amp[:, None] * power, axis=0)
+    return np.sum(amp[:, None] * power, axis=-2)
 
 
 def _draw_angles(cfg: SystemConfig, rng: np.random.Generator, count: int):

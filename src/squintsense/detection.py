@@ -5,7 +5,13 @@ What does not depend on the scene is computed once per config and cached
 read-only: the whole EAS stage (:func:`eas_stage`) and, for the AAS stages,
 the azimuth candidates with their horizontal phase per unit sin(theta_hat)
 (:func:`aas_table`), from which each stage's dictionary takes one kernel
-call."""
+call.
+
+The AAS stages depend only on the elevations the EAS pursuit picks, not on
+each other. So a trial builds its scene's echo form once, then all AAS
+beams, their grid strengths and allocations, and synthesizes every AAS
+echo in one stacked power-gain call; each stage keeps its own noise draw,
+in stage order, and its own dictionary and pursuit."""
 
 from __future__ import annotations
 
@@ -22,11 +28,11 @@ from .beamforming import (
     eas_beamformer,
     eas_elevation_grid,
 )
-from .channel import Scene, echo_gain, sensing_attenuation
+from .channel import Scene, echo_gain, scene_arrays, sensing_attenuation
 from .config import SystemConfig
 from .exceptions import ConfigError
 from .geometry import uniform_phase_power
-from .power import allocate_sensing, grid_echo_strength
+from .power import aas_grid_strength, allocate_sensing, grid_echo_strength
 
 
 @dataclass(frozen=True)
@@ -86,25 +92,28 @@ def aas_table(cfg: SystemConfig) -> AasTable:
 
 def assemble_observation(
     cfg: SystemConfig,
-    scene: Scene,
+    scene,
     weights: BeamformerWeights,
     powers: np.ndarray,
-    t_symbols: int,
+    t_symbols,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Average of t_symbols matched echoes per subcarrier, as an (N,) array.
 
     The matched filter preserves the circular Gaussian noise statistics, so
     the T-symbol average is drawn directly with variance sigma^2 / T.
+    ``scene`` is a Scene or its echo form (see :func:`~squintsense.channel.echo_gain`).
+    A stack of B beams takes (B, N) powers and B symbol counts and gives
+    (B, N): every echo in one call, then each beam's noise drawn in turn.
     """
-    if t_symbols < 1:
+    t_symbols = np.asarray(t_symbols)
+    if np.any(t_symbols < 1):
         raise ConfigError("t_symbols must be at least 1")
     n = cfg.n_subcarriers
-    sigma2 = cfg.noise_variance()
     signal = np.sqrt(powers) * echo_gain(cfg, scene, weights, np.arange(n))
-    scale = np.sqrt(sigma2 / (2.0 * t_symbols))
-    noise = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    return signal + noise
+    scales = np.sqrt(cfg.noise_variance() / (2.0 * t_symbols))
+    noise = [s * (rng.standard_normal(n) + 1j * rng.standard_normal(n)) for s in scales.flat]
+    return signal + np.reshape(noise, signal.shape)
 
 
 def build_measurement_matrix(
@@ -224,36 +233,42 @@ def hierarchical_detect(
     The number of targets q = len(scene.targets) is assumed known; it fixes
     the MP iteration counts. Each distinct elevation candidate selected in
     stage 0 spawns one AAS stage whose iteration count is that candidate's
-    multiplicity.
+    multiplicity. The scene's echo form is built once, and every AAS
+    stage's echo comes from one stacked call; the noise is drawn stage by
+    stage, EAS first, so the random stream is consumed in stage order.
     """
     stage0 = eas_stage(cfg)
     eas_w, t0, p0, mtx0 = stage0.weights, stage0.symbol_count, stage0.powers, stage0.matrix
+    echoes = scene_arrays(cfg, scene)
 
-    obs0 = assemble_observation(cfg, scene, eas_w, p0, t0, rng)
+    obs0 = assemble_observation(cfg, echoes, eas_w, p0, t0, rng)
     cv0 = modified_mp(obs0, mtx0, len(scene.targets))
 
     selected = np.flatnonzero(cv0.counts)
     elevations = tuple(
         (float(mtx0.candidates[idx]), int(cv0.counts[idx])) for idx in selected
     )
+    thetas = [theta_hat for theta_hat, _ in elevations]
+    aas_ws = [aas_beamformer(cfg, theta_hat) for theta_hat in thetas]
+    plans = [allocate_sensing(cfg, row) for row in aas_grid_strength(cfg, thetas)]
+    symbol_counts = [t0] + [t_i for t_i, _ in plans]
+    sensing_powers = [p0] + [p_i for _, p_i in plans]
 
+    observations = ()
+    if aas_ws:
+        observations = assemble_observation(
+            cfg, echoes, BeamformerWeights.stack(aas_ws), sensing_powers[1:],
+            symbol_counts[1:], rng,
+        )
     estimates = []
-    symbol_counts = [t0]
-    sensing_powers = [p0]
-    stage_weights = [eas_w]
     traces = [cv0]
-    for theta_hat, multiplicity in elevations:
-        aas_w = aas_beamformer(cfg, theta_hat)
-        strengths = grid_echo_strength(cfg, aas_w, theta_hat, None)
-        t_i, p_i = allocate_sensing(cfg, strengths)
-        obs = assemble_observation(cfg, scene, aas_w, p_i, t_i, rng)
+    for (theta_hat, multiplicity), aas_w, p_i, obs in zip(
+        elevations, aas_ws, sensing_powers[1:], observations
+    ):
         mtx = build_measurement_matrix(cfg, aas_w, p_i, theta_hat=theta_hat)
         cv = modified_mp(obs, mtx, multiplicity)
         stage_azimuths = np.repeat(mtx.candidates, cv.counts)
         estimates.extend((theta_hat, float(ph)) for ph in stage_azimuths)
-        symbol_counts.append(t_i)
-        sensing_powers.append(p_i)
-        stage_weights.append(aas_w)
         traces.append(cv)
 
     return DetectionResult(
@@ -261,6 +276,6 @@ def hierarchical_detect(
         estimates=tuple(estimates),
         symbol_counts=tuple(symbol_counts),
         sensing_powers=tuple(sensing_powers),
-        stage_weights=tuple(stage_weights),
+        stage_weights=(eas_w, *aas_ws),
         traces=tuple(traces),
     )

@@ -114,6 +114,16 @@ def uniform_phase_power(slope, m, scale=1.0):
     limit branch; those of tan(m u/2) are nulls, where sin(m u) -> 0.
     Inputs larger than FEJER_BLOCK elements are evaluated block by block
     over the flattened input, so the work arrays stay in L2 cache.
+
+    Accurate domain: m must be a power of two, as in every shipped config
+    (16 and 64). Then m u/2 is an exact rescaling of the rounded u/2, so both
+    sines see one slope, a few ulp from the input; against a 50-digit
+    reference at slopes near even integers up to 200 the relative error
+    stays below 1e-11 (with a floor of 1e-12 of the unit peak), and below
+    1e-12 inside the main lobe. For other m the two products round apart,
+    and near a nonzero even-integer slope, where both sines vanish, their
+    ratio can be off by percents: m = 3 at slope 192 + 1e-12 reads 1.025
+    against an exact 1.
     """
     x = np.asarray(slope, dtype=float)
     if x.size <= FEJER_BLOCK:

@@ -4,7 +4,11 @@ power allocation via the diagonally dominant linear system.
 Each user's squint-compensated beam is fixed for the whole frame, so the
 cross-gain table chi is built once per trial; only the sensing-leakage
 noise, and with it the comm powers, changes from one sensing stage to the
-next."""
+next. The K user beams and the AAS stages' beams are all full beams, so
+one stacked power-gain call over (beams x users x subcarriers) gives chi
+and every AAS stage's leakage; the EAS beam's flat model takes one more.
+An AAS stage's grid echo strength is alpha(theta_hat)^2 in closed form
+(:func:`aas_grid_strength`), for every stage of a trial at once."""
 
 from __future__ import annotations
 
@@ -59,17 +63,28 @@ def grid_echo_strength(
     """|b^H G^los b|^2 at the per-subcarrier design grid points.
 
     A single hypothetical on-grid LoS target with the configured RCS is
-    assumed; equals alpha(grid)^2 * |array gain|^4. An AAS beam has unit
-    gain at each subcarrier's design grid point (theta_hat, phi_n), so for
-    ``aas`` weights this is alpha(theta_hat)^2 and grid_phi is not used.
+    assumed; equals alpha(grid)^2 * |array gain|^4. AAS stages have the
+    closed form :func:`aas_grid_strength`.
     """
     n = cfg.n_subcarriers
     grid_theta = np.broadcast_to(np.asarray(grid_theta, float), (n,))
-    alpha = sensing_attenuation(cfg, cfg.height / np.cos(grid_theta), cfg.sigma_rcs)
-    if weights.kind == "aas":
-        return alpha**2
     grid_phi = np.broadcast_to(np.asarray(grid_phi, float), (n,))
+    alpha = sensing_attenuation(cfg, cfg.height / np.cos(grid_theta), cfg.sigma_rcs)
     return alpha**2 * weights.power_gain(grid_theta, grid_phi, np.arange(n)) ** 2
+
+
+def aas_grid_strength(cfg: SystemConfig, theta_hat) -> np.ndarray:
+    """:func:`grid_echo_strength` of the AAS stages locked at theta_hat.
+
+    An AAS beam has unit gain at each subcarrier's design grid point
+    (theta_hat, phi_n), so the strength is alpha(theta_hat)^2 on every
+    subcarrier: (N,) for one elevation, (S, N) for S of them. alpha is
+    evaluated on that broadcast array, never on a scalar: numpy's array
+    d**4 rounds differently from its scalar d**4 at some distances.
+    """
+    theta = np.asarray(theta_hat, dtype=float)
+    grid = np.broadcast_to(theta[..., None], theta.shape + (cfg.n_subcarriers,))
+    return sensing_attenuation(cfg, cfg.height / np.cos(grid), cfg.sigma_rcs) ** 2
 
 
 def allocate_sensing(cfg: SystemConfig, strengths: np.ndarray):
@@ -100,19 +115,25 @@ def sinr_context(
 
     Reads the user angles from ``scene.users``; each user's distance H /
     cos(theta) and noise power cfg.noise_variance() follow from the config.
-    chi[k, l, :] = beta_k^2 |w_l gain at user k|^2, one power-gain call per
-    comm beamformer over (users x subcarriers); effective_noise[i] takes one
-    more call, for the leakage of stage i's sensing beam at stage_powers[i].
+    chi[k, l, :] = beta_k^2 |w_l gain at user k|^2, and effective_noise[i]
+    adds the leakage of stage i's sensing beam at stage_powers[i]. The comm
+    beams, one or more, and the full (AAS) stage beams form one stack, so
+    one power-gain call over (beams x users x subcarriers) serves them all;
+    each EAS stage's flat-model beam takes a call of its own.
     """
     n_idx = np.arange(cfg.n_subcarriers)
     theta, phi = scene.users.T[:, :, None]  # each (K, 1)
+    k, n_comm = len(theta), len(comm_weights)
     beta2 = comm_attenuation(cfg, cfg.height / np.cos(theta)) ** 2  # (K, 1)
-    chi = np.empty((len(theta), len(comm_weights), cfg.n_subcarriers))
-    for l, w in enumerate(comm_weights):
-        chi[:, l, :] = beta2 * w.power_gain(theta, phi, n_idx)
-    eff_noise = np.empty((len(stage_weights), len(theta), cfg.n_subcarriers))
+    full = [i for i, w in enumerate(stage_weights) if w.kind != "eas"]
+    stack = BeamformerWeights.stack([*comm_weights, *(stage_weights[i] for i in full)])
+    gains = beta2 * stack.power_gain(theta, phi, n_idx)  # (n_comm + len(full), K, N)
+    leaks = dict(zip(full, gains[n_comm:]))
+    # chi keeps the C-ordered (K, K, N) layout its sums round by
+    chi = np.ascontiguousarray(np.swapaxes(gains[:n_comm], 0, 1))
+    eff_noise = np.empty((len(stage_weights), k, cfg.n_subcarriers))
     for i, (w, p) in enumerate(zip(stage_weights, stage_powers)):
-        leak = beta2 * w.power_gain(theta, phi, n_idx)
+        leak = leaks[i] if i in leaks else beta2 * w.power_gain(theta, phi, n_idx)
         eff_noise[i] = leak * p + cfg.noise_variance()
     return SinrContext(chi=chi, effective_noise=eff_noise)
 

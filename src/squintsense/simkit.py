@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import functools
 import io
 from dataclasses import dataclass
 
@@ -273,26 +274,30 @@ def _azimuth_only_fit(cfg: SystemConfig):
     return theta_grid, f, coef, residual
 
 
-def run_azimuth_only_baseline(
-    cfg: SystemConfig,
-    scene: Scene,
-    rng: np.random.Generator,
-) -> TrialRecord:
-    """N-symbol azimuth scan with squint-spread elevation coverage.
+@dataclass(frozen=True)
+class AzimuthOnlyPlan:
+    """Config-invariant part of the azimuth-only scan; its arrays are read-only.
+    Rows index subcarriers (elevation grid points), columns symbols (azimuths)."""
 
-    Symbol m points the horizontal beam at azimuth phi_m while the stage-0
-    vertical TTD spreads subcarriers over the N elevation grid points. The
-    horizontal chain can only realize an affine-in-frequency phase slope,
-    so mid-band cells suffer a pointing mismatch; wherever the pointed beam
-    is worse than the ROI-wide flat beam, the symbol falls back to the flat
-    beam for those subcarriers. The power rule stays tau_s-tight against
-    the resulting (degraded) design-point gain.
-    """
-    n = cfg.n_subcarriers
+    theta_grid: np.ndarray  # (N,) squint-spread elevation per subcarrier
+    phi_grid: np.ndarray    # (N,) azimuth pointed by each symbol
+    ratio: np.ndarray       # (N,) 1 + f_n / fc
+    v_ttd: np.ndarray       # (N,) vertical TTD phase term 2 f_n v_slope
+    steer_h: np.ndarray     # (N, N) realized horizontal slope times cos(phi_m)
+    flat: float             # flat ROI-wide horizontal gain
+    pointed: np.ndarray     # (N, N) cells whose pointed beam beats the flat one
+    sqrt_powers: np.ndarray  # (N, N) square roots of the tight cell powers
+    powers: np.ndarray      # (N, N) tau_s-tight sensing power per cell
+    expected: np.ndarray    # (N, N) noise-free echo amplitude of an on-grid target
+
+
+@functools.lru_cache(maxsize=4)
+def azimuth_only_plan(cfg: SystemConfig) -> AzimuthOnlyPlan:
+    """The affine fit, grids, flat gain, pointing table, attenuation and cell
+    powers of the azimuth-only scan, computed once per config and shared by
+    every trial."""
     theta_grid, f, coef, residual = _azimuth_only_fit(cfg)
     phi_grid = aas_azimuth_grid(cfg)
-    sigma2 = cfg.noise_variance()
-    ratio = 1.0 + f / cfg.fc
     v_slope = eas_beamformer(cfg).v_slope
     cos_phi = np.cos(phi_grid)  # per-symbol horizontal pointing
     # symbol m realizes the fit's slope in f with horizontal TTD slope -coef[1] cos(phi_m) / 2
@@ -306,28 +311,60 @@ def run_azimuth_only_baseline(
     g_design = np.where(pointed, g_point, flat)
     alpha_grid = sensing_attenuation(cfg, cfg.height / np.cos(theta_grid), cfg.sigma_rcs)
     strength = alpha_grid[:, None] ** 2 * g_design**4  # (n, m)
-    powers = cfg.tau_s * sigma2 / strength
-
-    s_theta, s_phi, s_amp = scene_arrays(cfg, scene)
+    powers = cfg.tau_s * cfg.noise_variance() / strength
+    sqrt_powers = np.sqrt(powers)
     affine = coef[0] + coef[1] * f  # realized horizontal slope trajectory
-    # phases per (scatterer, subcarrier, symbol) and (scatterer, subcarrier)
-    x_h = (
-        (np.sin(s_theta) * np.cos(s_phi))[:, None, None] * ratio[:, None]
-        - affine[:, None] * cos_phi[None, :]
+    plan = AzimuthOnlyPlan(
+        theta_grid=theta_grid,
+        phi_grid=phi_grid,
+        ratio=1.0 + f / cfg.fc,
+        v_ttd=2.0 * f * v_slope,
+        steer_h=affine[:, None] * cos_phi[None, :],
+        flat=flat,
+        pointed=pointed,
+        sqrt_powers=sqrt_powers,
+        powers=powers,
+        expected=sqrt_powers * alpha_grid[:, None] * g_design**2,
     )
-    x_v = np.cos(s_theta)[:, None] * ratio - np.cos(cfg.theta_min) + 2.0 * f * v_slope
-    p_h = np.where(pointed, uniform_phase_power(x_h, cfg.m_h), flat**2)
+    for value in vars(plan).values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    return plan
+
+
+def run_azimuth_only_baseline(
+    cfg: SystemConfig,
+    scene: Scene,
+    rng: np.random.Generator,
+) -> TrialRecord:
+    """N-symbol azimuth scan with squint-spread elevation coverage.
+
+    Symbol m points the horizontal beam at azimuth phi_m while the stage-0
+    vertical TTD spreads subcarriers over the N elevation grid points. The
+    horizontal chain can only realize an affine-in-frequency phase slope,
+    so mid-band cells suffer a pointing mismatch; wherever the pointed beam
+    is worse than the ROI-wide flat beam, the symbol falls back to the flat
+    beam for those subcarriers. The power rule stays tau_s-tight against
+    the resulting (degraded) design-point gain. The scene-independent part
+    is the cached :func:`azimuth_only_plan`.
+    """
+    n = cfg.n_subcarriers
+    plan = azimuth_only_plan(cfg)
+    s_theta, s_phi, s_amp = scene_arrays(cfg, scene)
+    # phases per (scatterer, subcarrier, symbol) and (scatterer, subcarrier)
+    x_h = (np.sin(s_theta) * np.cos(s_phi))[:, None, None] * plan.ratio[:, None] - plan.steer_h
+    x_v = np.cos(s_theta)[:, None] * plan.ratio - np.cos(cfg.theta_min) + plan.v_ttd
+    p_h = np.where(plan.pointed, uniform_phase_power(x_h, cfg.m_h), plan.flat**2)
     p_h *= uniform_phase_power(x_v, cfg.m_v)[:, :, None]
     response = np.sum(s_amp[:, None, None] * p_h, axis=0)  # (subcarrier, symbol)
-    noise = np.sqrt(sigma2 / 2.0) * (
+    noise = np.sqrt(cfg.noise_variance() / 2.0) * (
         rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     )
-    signal = np.sqrt(powers) * response
-    expected = np.sqrt(powers) * alpha_grid[:, None] * g_design**2
-    statistic = np.abs(signal + noise) / expected
-    grids = (theta_grid, phi_grid)
+    signal = plan.sqrt_powers * response
+    statistic = np.abs(signal + noise) / plan.expected
+    grids = (plan.theta_grid, plan.phi_grid)
     # sensing powers of N symbols x N subcarriers, T folded in
-    return _scan_record("azimuth_only", cfg, scene, statistic, grids, powers.ravel())
+    return _scan_record("azimuth_only", cfg, scene, statistic, grids, plan.powers.ravel())
 
 
 _METHODS = {

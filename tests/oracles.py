@@ -1,10 +1,20 @@
-"""Complex-gain oracles that the Fejer power kernels are checked against. Steering
-vectors are horizontal-major: element index = (m_h - 1) * M_v + m_v."""
+"""Complex-gain oracles that the Fejer power kernels are checked against, and
+the per-stage detection pipeline that the stacked one is checked against.
+Steering vectors are horizontal-major: element index = (m_h - 1) * M_v + m_v."""
 
 import numpy as np
 
-from squintsense.channel import comm_attenuation
+from squintsense.beamforming import aas_beamformer
+from squintsense.channel import comm_attenuation, sensing_attenuation
+from squintsense.detection import (
+    DetectionResult,
+    assemble_observation,
+    build_measurement_matrix,
+    eas_stage,
+    modified_mp,
+)
 from squintsense.exceptions import ConfigError
+from squintsense.power import allocate_sensing
 
 
 def uniform_phase_sum(slope, m):
@@ -99,3 +109,40 @@ def comm_gain(cfg, theta, phi, weights, n: int) -> complex:
     beta = comm_attenuation(cfg, distance)
     g = gain(weights, theta, phi, n)
     return complex(beta * np.exp(-2j * np.pi * distance / cfg.wavelength) * g)
+
+
+def per_stage_detect(cfg, scene, rng) -> DetectionResult:
+    """hierarchical_detect one AAS stage at a time: each stage builds its own
+    beam, its strength alpha(theta_hat)^2 on an (N,) array, its allocation,
+    and its observation from the Scene, echo and noise together."""
+    stage0 = eas_stage(cfg)
+    obs0 = assemble_observation(cfg, scene, stage0.weights, stage0.powers, stage0.symbol_count, rng)
+    cv0 = modified_mp(obs0, stage0.matrix, len(scene.targets))
+    selected = np.flatnonzero(cv0.counts)
+    elevations = tuple(
+        (float(stage0.matrix.candidates[idx]), int(cv0.counts[idx])) for idx in selected
+    )
+    estimates, symbol_counts, sensing_powers = [], [stage0.symbol_count], [stage0.powers]
+    stage_weights, traces = [stage0.weights], [cv0]
+    n = cfg.n_subcarriers
+    for theta_hat, multiplicity in elevations:
+        aas_w = aas_beamformer(cfg, theta_hat)
+        grid = np.broadcast_to(theta_hat, (n,))
+        alpha = sensing_attenuation(cfg, cfg.height / np.cos(grid), cfg.sigma_rcs)
+        t_i, p_i = allocate_sensing(cfg, alpha**2)
+        obs = assemble_observation(cfg, scene, aas_w, p_i, t_i, rng)
+        mtx = build_measurement_matrix(cfg, aas_w, p_i, theta_hat=theta_hat)
+        cv = modified_mp(obs, mtx, multiplicity)
+        estimates.extend((theta_hat, float(ph)) for ph in np.repeat(mtx.candidates, cv.counts))
+        symbol_counts.append(t_i)
+        sensing_powers.append(p_i)
+        stage_weights.append(aas_w)
+        traces.append(cv)
+    return DetectionResult(
+        elevations=elevations,
+        estimates=tuple(estimates),
+        symbol_counts=tuple(symbol_counts),
+        sensing_powers=tuple(sensing_powers),
+        stage_weights=tuple(stage_weights),
+        traces=tuple(traces),
+    )

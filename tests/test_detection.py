@@ -418,3 +418,47 @@ class TestHierarchicalDetect:
         for th, ph in result.estimates:
             assert cfg.theta_min - 1e-9 <= th <= cfg.theta_max + 1e-9
             assert cfg.phi_min - 1e-9 <= ph <= cfg.phi_max + 1e-9
+
+
+# the scaled and crowded configs of the benchmark workloads
+SCALED = SystemConfig(m_h=16, m_v=16, n_subcarriers=32, n_candidates=512)
+CROWDED = SCALED.replace(tau_c_db=20.0)
+
+
+class TestStackedStages:
+    """The stacked pipeline against the per-stage reference in oracles.py."""
+
+    @pytest.mark.parametrize(
+        "cfg, q, k",
+        [(SCALED, 2, 2), (CROWDED, 4, 6)],
+        ids=["scaled-q2", "crowded-q4"],
+    )
+    def test_matches_per_stage_reference(self, cfg, q, k):
+        stage_counts = set()
+        for seed in range(20):
+            scene = generate_scene(cfg, q, k, (seed, 0))
+            got = hierarchical_detect(cfg, scene, np.random.default_rng((seed, 1)))
+            want = oracles.per_stage_detect(cfg, scene, np.random.default_rng((seed, 1)))
+            assert got.elevations == want.elevations
+            assert got.estimates == want.estimates
+            assert got.symbol_counts == want.symbol_counts
+            assert len(got.sensing_powers) == len(want.sensing_powers)
+            for a, b in zip(got.sensing_powers, want.sensing_powers):
+                np.testing.assert_array_equal(a, b)
+            assert [w.kind for w in got.stage_weights] == [w.kind for w in want.stage_weights]
+            for a, b in zip(got.stage_weights[1:], want.stage_weights[1:]):
+                assert (a.ps_theta, a.h_slope, a.v_slope) == (b.ps_theta, b.h_slope, b.v_slope)
+            for a, b in zip(got.traces, want.traces):
+                np.testing.assert_array_equal(a.counts, b.counts)
+                assert a.phasors == b.phasors
+                assert a.trace == b.trace
+            stage_counts.add(len(got.symbol_counts))
+        assert max(stage_counts) >= 3  # several AAS stages share one stacked call
+
+    def test_no_targets_runs_no_aas_stage(self):
+        scene = generate_scene(CROWDED, 0, 2, 3)
+        got = hierarchical_detect(CROWDED, scene, np.random.default_rng(3))
+        want = oracles.per_stage_detect(CROWDED, scene, np.random.default_rng(3))
+        assert got.estimates == want.estimates == ()
+        assert got.symbol_counts == want.symbol_counts
+        assert len(got.stage_weights) == 1

@@ -225,6 +225,41 @@ class TestScaledPower:
         assert abs(power - expected) <= 1e-12 * expected + 1e-12
 
 
+def exact_fejer_power(slope: float, m: int, mpmath) -> float:
+    """(sin(m u) / (m sin u))^2, u = pi * slope / 2, at 50 digits. The Fejer
+    power has period 2 in the slope, and the reduction is exact in mpmath,
+    so no rounding is shared with the float64 kernel."""
+    with mpmath.workdps(50):
+        x = mpmath.mpf(slope)
+        reduced = x - 2 * mpmath.nint(x / 2)
+        if reduced == 0:
+            return 1.0
+        u = mpmath.pi * reduced / 2
+        return float((mpmath.sin(m * u) / (m * mpmath.sin(u))) ** 2)
+
+
+class TestKernelExactness:
+    """uniform_phase_power against an independent 50-digit reference at slopes
+    near even integers up to 200, for the power-of-two m of every shipped
+    config; the kernel's documented accurate domain."""
+
+    @pytest.mark.parametrize("m", [16, 64])
+    def test_near_even_integers_against_mpmath(self, m):
+        mpmath = pytest.importorskip("mpmath")
+        offsets = 10.0 ** -np.arange(1, 16)
+        offsets = np.concatenate([[0.0], offsets, -offsets])
+        slopes = (2.0 * np.arange(-3, 101)[:, None] + offsets).ravel()
+        got = uniform_phase_power(slopes, m)
+        want = np.array([exact_fejer_power(x, m, mpmath) for x in slopes])
+        # the rounded product pi x / 4 moves the slope by a few ulp of x, so
+        # the error grows with x and with the kernel's own slope; inside the
+        # main lobe it stays far below the sidelobe bound
+        error = np.abs(got - want)
+        assert np.all(error <= 1e-11 * np.maximum(want, 1e-12))
+        near = np.abs(np.tile(offsets, len(slopes) // offsets.size)) <= 1e-3
+        assert np.all(error[near] <= 1e-12 * want[near])
+
+
 class TestPhaseDifferencePower:
     @staticmethod
     def direct(sources, cells, ratio, m, weights):

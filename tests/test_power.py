@@ -18,6 +18,7 @@ from squintsense.detection import elevation_candidates
 from squintsense.exceptions import InfeasibleError
 from squintsense.power import (
     SinrContext,
+    aas_grid_strength,
     allocate_comm,
     allocate_sensing,
     backoff_tau_c,
@@ -89,32 +90,38 @@ class TestGridEchoStrength:
         cfg = CFG
         theta_hat = 0.8
         alpha = sensing_attenuation(cfg, cfg.height / math.cos(theta_hat), cfg.sigma_rcs)
+        eas, aas = eas_beamformer(cfg), aas_beamformer(cfg, theta_hat)
+        eas_phi, aas_phi = np.full(cfg.n_subcarriers, 1.2), aas_azimuth_grid(cfg)
         cases = (
-            (eas_beamformer(cfg), np.full(cfg.n_subcarriers, 1.2)),
-            (aas_beamformer(cfg, theta_hat), aas_azimuth_grid(cfg)),
+            (eas, eas_phi, grid_echo_strength(cfg, eas, theta_hat, eas_phi)),
+            (aas, aas_phi, aas_grid_strength(cfg, theta_hat)),
         )
-        for bf, phi in cases:
-            out = grid_echo_strength(cfg, bf, theta_hat, phi)
+        for bf, phi, out in cases:
             for n in (0, 13, 31):
                 g = abs(oracles.gain(bf, theta_hat, phi[n], n))
                 assert g > 0.0
                 assert out[n] == pytest.approx(alpha**2 * g**4, rel=1e-12)
 
     def test_aas_closed_form_matches_kernel_on_every_candidate(self):
-        """For AAS weights the strength is alpha(theta_hat)^2 with no kernel
-        call; the kernel evaluation on the design grid agrees to 1e-15."""
+        """For AAS stages the strength is alpha(theta_hat)^2 with no kernel
+        call; the kernel evaluation on the design grid agrees to 1e-15. All
+        stages at once give the same rows, bit for bit."""
         from squintsense.channel import sensing_attenuation
 
         cfg = SystemConfig(m_h=16, m_v=16, n_subcarriers=32, n_candidates=512)
         phi_grid = aas_azimuth_grid(cfg)
         n_idx = np.arange(cfg.n_subcarriers)
-        for theta_hat in elevation_candidates(cfg):
+        thetas = elevation_candidates(cfg)
+        stacked = aas_grid_strength(cfg, thetas)
+        assert stacked.shape == (len(thetas), cfg.n_subcarriers)
+        for theta_hat, row in zip(thetas, stacked):
             bf = aas_beamformer(cfg, theta_hat)
             alpha = sensing_attenuation(cfg, cfg.height / np.cos(theta_hat), cfg.sigma_rcs)
             kernel = alpha**2 * bf.power_gain(theta_hat, phi_grid, n_idx) ** 2
-            closed = grid_echo_strength(cfg, bf, theta_hat, phi_grid)
+            closed = aas_grid_strength(cfg, theta_hat)
             assert closed.shape == (cfg.n_subcarriers,)
             np.testing.assert_allclose(closed, kernel, rtol=1e-15, atol=0)
+            np.testing.assert_array_equal(row, closed)
 
 
 def random_feasible_context(rng, k, n=1, margin=2.0, tau_c=10.0):
