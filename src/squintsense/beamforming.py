@@ -134,7 +134,7 @@ class BeamformerWeights:
         else:
             self.h_slope, self.v_slope = float(h_slope), float(v_slope)
             check_ttd_range(cfg, self.h_slope, self.v_slope)
-        self._f = cfg.subcarrier_offsets()
+        self._f = cfg.offsets
         self._flat = flat_horizontal_gain(cfg) if kind == "eas" else None
 
     @classmethod

@@ -11,9 +11,9 @@ channels; the M x M channel matrix is never materialized. Echoes need only
 the beamforming power |g|^2, which is evaluated through the real Fejer kernel
 (:meth:`~squintsense.beamforming.BeamformerWeights.power_gain`) for all
 scatterers x subcarriers in one broadcast over the echo form of
-:func:`scene_arrays`. A caller with several sensing stages builds that
-form once and passes it to :func:`echo_gain` with a stack of the stages'
-beams, so all their echoes are one (stages x scatterers x N) broadcast.
+:func:`scene_arrays`, which a caller builds once per scene and passes to
+:func:`echo_gain`. With a stack of several sensing stages' beams, all
+their echoes are one (stages x scatterers x N) broadcast.
 """
 
 from __future__ import annotations
@@ -97,15 +97,14 @@ def scene_arrays(cfg: SystemConfig, scene: Scene):
     return theta, phi, amp
 
 
-def echo_gain(cfg: SystemConfig, scene, weights: BeamformerWeights, n_idx):
+def echo_gain(cfg: SystemConfig, echoes, weights: BeamformerWeights, n_idx):
     """Quadratic form b^H G_n b via rank-1 shortcuts, one value per index in n_idx.
 
-    Sums amplitude * |gain|^2 over the contributors of :func:`scene_arrays`,
-    all subcarriers in one broadcast. ``scene`` is a :class:`Scene` or the
-    echo form scene_arrays(cfg, scene) already built from one. A stack of
-    B beams gives a (B, len(n_idx)) result, one row per beam.
+    Sums amplitude * |gain|^2 over the contributors of ``echoes``, a scene's
+    echo form scene_arrays(cfg, scene), all subcarriers in one broadcast. A
+    stack of B beams gives a (B, len(n_idx)) result, one row per beam.
     """
-    theta, phi, amp = scene_arrays(cfg, scene) if isinstance(scene, Scene) else scene
+    theta, phi, amp = echoes
     power = weights.power_gain(theta[:, None], phi[:, None], n_idx)
     return np.sum(amp[:, None] * power, axis=-2)
 

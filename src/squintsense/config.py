@@ -7,6 +7,7 @@ All angles are stored in radians internally; the file loader in
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field, fields
 
@@ -143,6 +144,14 @@ class SystemConfig:
         """Frequency deviations of the subcarrier comb: (n-1)*F/(N-1)."""
         n = self.n_subcarriers if count is None else count
         return np.arange(n) * (self.bandwidth / (n - 1))
+
+    @functools.cached_property
+    def offsets(self) -> np.ndarray:
+        """subcarrier_offsets() of the N subcarriers, computed once per config
+        and read-only, for the beamformers built from it."""
+        offsets = self.subcarrier_offsets()
+        offsets.flags.writeable = False
+        return offsets
 
     def noise_variance(self) -> float:
         """Thermal noise power in one subcarrier band [W]."""

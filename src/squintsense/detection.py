@@ -92,7 +92,7 @@ def aas_table(cfg: SystemConfig) -> AasTable:
 
 def assemble_observation(
     cfg: SystemConfig,
-    scene,
+    echoes,
     weights: BeamformerWeights,
     powers: np.ndarray,
     t_symbols,
@@ -102,7 +102,7 @@ def assemble_observation(
 
     The matched filter preserves the circular Gaussian noise statistics, so
     the T-symbol average is drawn directly with variance sigma^2 / T.
-    ``scene`` is a Scene or its echo form (see :func:`~squintsense.channel.echo_gain`).
+    ``echoes`` is a scene's echo form :func:`~squintsense.channel.scene_arrays`.
     A stack of B beams takes (B, N) powers and B symbol counts and gives
     (B, N): every echo in one call, then each beam's noise drawn in turn.
     """
@@ -110,7 +110,7 @@ def assemble_observation(
     if np.any(t_symbols < 1):
         raise ConfigError("t_symbols must be at least 1")
     n = cfg.n_subcarriers
-    signal = np.sqrt(powers) * echo_gain(cfg, scene, weights, np.arange(n))
+    signal = np.sqrt(powers) * echo_gain(cfg, echoes, weights, np.arange(n))
     scales = np.sqrt(cfg.noise_variance() / (2.0 * t_symbols))
     noise = [s * (rng.standard_normal(n) + 1j * rng.standard_normal(n)) for s in scales.flat]
     return signal + np.reshape(noise, signal.shape)

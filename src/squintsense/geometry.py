@@ -4,9 +4,27 @@ horizontal-gain model and its composite-AoD bounds.
 :func:`uniform_phase_power` takes an optional scalar ``scale`` of the
 slopes, applied inside its first multiply, so a table of slopes that many
 callers share, such as the AAS phase per unit sin(theta_hat), is never
-rescaled into a copy."""
+rescaled into a copy.
+
+Both kernels loop over cache-sized blocks that write disjoint slices of
+their output. A call with more than one block shares its blocks between the
+calling thread and one helper thread per further CPU the process may use
+(``len(os.sched_getaffinity(0)) - 1``, read at each call, and never more
+helpers than blocks after the first); numpy releases the GIL inside its
+ufuncs and matmuls, so one call uses every core. The threads draw block
+starts from one shared iterator, so a slowed thread takes fewer blocks.
+Each thread has its own work arrays and computes every block it takes with
+the same code, so the result is bit-identical for any thread count. The
+helpers run in a copy of the caller's context, so an ``np.errstate`` set by
+the caller holds in their blocks too, and an exception raised in any block
+is re-raised in the caller after every thread has joined. A call of one
+block starts no thread, and importing the module starts none."""
 
 from __future__ import annotations
+
+import contextvars
+import os
+import threading
 
 import numpy as np
 
@@ -21,6 +39,53 @@ FEJER_BLOCK = 16384
 # slope difference itself: the angle-difference identity forms sin u with an
 # absolute error of ~1e-16, so its relative error grows as 1/|sin u|.
 DIFFERENCE_NEAR = 1e-3
+
+
+def _helper_count() -> int:
+    """Helper threads a block loop may start: one per CPU this process may use,
+    besides the calling thread."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) - 1
+    return (os.cpu_count() or 1) - 1
+
+
+def _for_each_block(starts, make_worker):
+    """Call work(start) once for every start in ``starts`` (a range), where
+    work = make_worker() is made once on each thread that takes blocks.
+
+    The calling thread takes blocks, and so does each of up to
+    min(_helper_count(), len(starts) - 1) helper threads, each started in its
+    own copy of the caller's context. After a failure no thread takes
+    another block; the first exception is raised here once every helper
+    has joined.
+    """
+    todo = iter(starts)
+    lock = threading.Lock()
+    failed = []
+
+    def drain():
+        try:
+            work = make_worker()
+            while not failed:
+                with lock:
+                    start = next(todo, None)
+                if start is None:
+                    return
+                work(start)
+        except BaseException as exc:  # re-raised in the caller
+            failed.append(exc)
+
+    helpers = [
+        threading.Thread(target=contextvars.copy_context().run, args=(drain,))
+        for _ in range(min(_helper_count(), len(starts) - 1))
+    ]
+    for helper in helpers:
+        helper.start()
+    drain()
+    for helper in helpers:
+        helper.join()
+    if failed:
+        raise failed[0]
 
 
 def safe_arccos(x):
@@ -113,7 +178,9 @@ def uniform_phase_power(slope, m, scale=1.0):
     poles of tan(u/2) are the even-integer singularities, handled by the
     limit branch; those of tan(m u/2) are nulls, where sin(m u) -> 0.
     Inputs larger than FEJER_BLOCK elements are evaluated block by block
-    over the flattened input, so the work arrays stay in L2 cache.
+    over the flattened input, so the work arrays stay in L2 cache; the
+    blocks are shared between the calling thread and helper threads (see
+    the module docstring), with the same bits for any thread count.
 
     Accurate domain: m must be a power of two, as in every shipped config
     (16 and 64). Then m u/2 is an exact rescaling of the rounded u/2, so both
@@ -131,11 +198,18 @@ def uniform_phase_power(slope, m, scale=1.0):
         return float(out[0]) if x.ndim == 0 else out
     out = np.empty(x.shape)
     flat_x, flat_out = x.reshape(-1), out.reshape(-1)
-    t, w = np.empty(FEJER_BLOCK), np.empty(FEJER_BLOCK)
-    for start in range(0, flat_x.size, FEJER_BLOCK):
-        block = flat_x[start : start + FEJER_BLOCK]
-        k = block.size
-        _fejer_pass(block, m, t[:k], flat_out[start : start + k], w[:k], scale)
+
+    def worker():
+        t, w = np.empty(FEJER_BLOCK), np.empty(FEJER_BLOCK)
+
+        def work(start):
+            block = flat_x[start : start + FEJER_BLOCK]
+            k = block.size
+            _fejer_pass(block, m, t[:k], flat_out[start : start + k], w[:k], scale)
+
+        return work
+
+    _for_each_block(range(0, flat_x.size, FEJER_BLOCK), worker)
     return out
 
 
@@ -172,7 +246,10 @@ def phase_difference_power(sources, cells, ratio, m, weights):
     holds up to FEJER_BLOCK elements per table, so no (R, C, N) array is
     formed. Elements with |sin u| < DIFFERENCE_NEAR, which include the
     even-integer slopes of the kernel's limit branch, are evaluated by the
-    kernel from the slope difference.
+    kernel from the slope difference. With more than one block of rows, the
+    blocks are shared between the calling thread and helper threads, each
+    with its own tables (see the module docstring), with the same bits for
+    any thread count.
     """
     sources = np.asarray(sources, dtype=float)
     cells = np.asarray(cells, dtype=float)
@@ -192,26 +269,33 @@ def phase_difference_power(sources, cells, ratio, m, weights):
         np.negative(table[..., 1], out=table[..., 1])
         src_tables.append(table)
     rows = max(1, FEJER_BLOCK // (n_cols * n))
-    # (rows, N, 2, C) columns [cos; sin] of beta, then of m beta
-    cell_tables = np.empty((2, rows, n, 2, n_cols))
-    sin_u = np.empty((rows, n, n_src, n_cols))
-    sin_mu = np.empty((rows, n, n_src, n_cols))
-    for r0 in range(0, n_rows, rows):
-        k = min(rows, n_rows - r0)
-        block = cells[r0 : r0 + k]
-        half_beta = quarter[:, None] * block[:, None, :]  # (k, N, C)
-        for table, half in zip(cell_tables[:, :k], (half_beta, m * half_beta)):
-            _sin_cos(half, table[:, :, 1], table[:, :, 0])
-        s1, sm = sin_u[:k], sin_mu[:k]
-        np.matmul(src_tables[0], cell_tables[0, :k], out=s1)  # (k, N, S, C)
-        near = np.abs(s1, out=sm) < DIFFERENCE_NEAR
-        np.matmul(src_tables[1], cell_tables[1, :k], out=sm)
-        flat = np.flatnonzero(near)
-        s1.reshape(-1)[flat] = 1.0
-        sm /= s1
-        sm *= sm
-        i, j, s, c = np.unravel_index(flat, sm.shape)
-        sm.reshape(-1)[flat] = m * m * _fejer_pass(ratio[j] * (sources[s] - block[i, c]), m)
-        terms = sm.reshape(k, n * n_src, n_cols).transpose(0, 2, 1)
-        np.matmul(terms, w_parts[r0 : r0 + k], out=out[r0 : r0 + k])
+
+    def worker():
+        # (rows, N, 2, C) columns [cos; sin] of beta, then of m beta
+        cell_tables = np.empty((2, rows, n, 2, n_cols))
+        sin_u = np.empty((rows, n, n_src, n_cols))
+        sin_mu = np.empty((rows, n, n_src, n_cols))
+
+        def work(r0):
+            k = min(rows, n_rows - r0)
+            block = cells[r0 : r0 + k]
+            half_beta = quarter[:, None] * block[:, None, :]  # (k, N, C)
+            for table, half in zip(cell_tables[:, :k], (half_beta, m * half_beta)):
+                _sin_cos(half, table[:, :, 1], table[:, :, 0])
+            s1, sm = sin_u[:k], sin_mu[:k]
+            np.matmul(src_tables[0], cell_tables[0, :k], out=s1)  # (k, N, S, C)
+            near = np.abs(s1, out=sm) < DIFFERENCE_NEAR
+            np.matmul(src_tables[1], cell_tables[1, :k], out=sm)
+            flat = np.flatnonzero(near)
+            s1.reshape(-1)[flat] = 1.0
+            sm /= s1
+            sm *= sm
+            i, j, s, c = np.unravel_index(flat, sm.shape)
+            sm.reshape(-1)[flat] = m * m * _fejer_pass(ratio[j] * (sources[s] - block[i, c]), m)
+            terms = sm.reshape(k, n * n_src, n_cols).transpose(0, 2, 1)
+            np.matmul(terms, w_parts[r0 : r0 + k], out=out[r0 : r0 + k])
+
+        return work
+
+    _for_each_block(range(0, n_rows, rows), worker)
     return out.view(complex).reshape(n_rows, n_cols)

@@ -5,7 +5,7 @@ Steering vectors are horizontal-major: element index = (m_h - 1) * M_v + m_v."""
 import numpy as np
 
 from squintsense.beamforming import aas_beamformer
-from squintsense.channel import comm_attenuation, sensing_attenuation
+from squintsense.channel import comm_attenuation, scene_arrays, sensing_attenuation
 from squintsense.detection import (
     DetectionResult,
     assemble_observation,
@@ -114,9 +114,12 @@ def comm_gain(cfg, theta, phi, weights, n: int) -> complex:
 def per_stage_detect(cfg, scene, rng) -> DetectionResult:
     """hierarchical_detect one AAS stage at a time: each stage builds its own
     beam, its strength alpha(theta_hat)^2 on an (N,) array, its allocation,
-    and its observation from the Scene, echo and noise together."""
+    and its observation from the scene's echo form, echo and noise together."""
     stage0 = eas_stage(cfg)
-    obs0 = assemble_observation(cfg, scene, stage0.weights, stage0.powers, stage0.symbol_count, rng)
+    echoes = scene_arrays(cfg, scene)
+    obs0 = assemble_observation(
+        cfg, echoes, stage0.weights, stage0.powers, stage0.symbol_count, rng
+    )
     cv0 = modified_mp(obs0, stage0.matrix, len(scene.targets))
     selected = np.flatnonzero(cv0.counts)
     elevations = tuple(
@@ -130,7 +133,7 @@ def per_stage_detect(cfg, scene, rng) -> DetectionResult:
         grid = np.broadcast_to(theta_hat, (n,))
         alpha = sensing_attenuation(cfg, cfg.height / np.cos(grid), cfg.sigma_rcs)
         t_i, p_i = allocate_sensing(cfg, alpha**2)
-        obs = assemble_observation(cfg, scene, aas_w, p_i, t_i, rng)
+        obs = assemble_observation(cfg, echoes, aas_w, p_i, t_i, rng)
         mtx = build_measurement_matrix(cfg, aas_w, p_i, theta_hat=theta_hat)
         cv = modified_mp(obs, mtx, multiplicity)
         estimates.extend((theta_hat, float(ph)) for ph in np.repeat(mtx.candidates, cv.counts))

@@ -161,9 +161,9 @@ def test_echo_gain_matches_materialized_matrix():
                         )
                     )
                     oracle = materialized_echo(cfg, scene, bf, n)
-                    from squintsense.channel import echo_gain
+                    from squintsense.channel import echo_gain, scene_arrays
 
-                    fast = echo_gain(cfg, scene, bf, np.array([n]))[0]
+                    fast = echo_gain(cfg, scene_arrays(cfg, scene), bf, np.array([n]))[0]
                     assert abs(fast - oracle) <= 1e-10 * abs(oracle)
                     assert abs(got - oracle) <= 1e-10 * abs(oracle)
 

@@ -99,7 +99,7 @@ class TestEchoGainOracle:
             theta_hat = rng.uniform(cfg.theta_min, cfg.theta_max)
             weights = aas_beamformer(cfg, theta_hat)
             n = int(rng.integers(cfg.n_subcarriers))
-            fast = echo_gain(cfg, scene, weights, np.array([n]))[0]
+            fast = echo_gain(cfg, scene_arrays(cfg, scene), weights, np.array([n]))[0]
             slow = materialized_echo(cfg, scene, weights, n)
             assert abs(fast - slow) <= 1e-10 * max(abs(slow), 1e-30)
 
@@ -114,7 +114,7 @@ class TestEchoGainOracle:
                 aas_beamformer(cfg, rng.uniform(cfg.theta_min, cfg.theta_max)),
                 comm_beamformer(cfg, *scene.users[0]),
             ):
-                fast = echo_gain(cfg, scene, weights, n_idx)
+                fast = echo_gain(cfg, scene_arrays(cfg, scene), weights, n_idx)
                 assert fast.shape == (cfg.n_subcarriers,)
                 slow = np.array([materialized_echo(cfg, scene, weights, n) for n in n_idx])
                 # when every scatterer sits in a sidelobe the M x M oracle
@@ -126,15 +126,15 @@ class TestEchoGainOracle:
     def test_clutter_flag(self):
         cfg = SystemConfig(m_h=8, m_v=8, n_subcarriers=16, n_candidates=16)
         n = np.array([3])
-        with_c = echo_gain(cfg, generate_scene(cfg, 1, 0, 5), aas_beamformer(cfg, 0.7), n)
-        without = echo_gain(
-            cfg, generate_scene(cfg, 1, 0, 5, include_clutter=False), aas_beamformer(cfg, 0.7), n
-        )
+        bf = aas_beamformer(cfg, 0.7)
+        with_c = echo_gain(cfg, scene_arrays(cfg, generate_scene(cfg, 1, 0, 5)), bf, n)
+        bare = generate_scene(cfg, 1, 0, 5, include_clutter=False)
+        without = echo_gain(cfg, scene_arrays(cfg, bare), bf, n)
         assert with_c[0] != without[0]
 
     def test_empty_scene_zero(self):
         cfg = SystemConfig(m_h=8, m_v=8, n_subcarriers=16, n_candidates=16)
-        gain = echo_gain(cfg, Scene(), aas_beamformer(cfg, 0.7), np.arange(4))
+        gain = echo_gain(cfg, scene_arrays(cfg, Scene()), aas_beamformer(cfg, 0.7), np.arange(4))
         np.testing.assert_array_equal(gain, np.zeros(4))
 
 

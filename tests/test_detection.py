@@ -9,7 +9,7 @@ from squintsense.beamforming import (
     eas_beamformer,
     eas_elevation_grid,
 )
-from squintsense.channel import Scene, generate_scene
+from squintsense.channel import Scene, generate_scene, scene_arrays
 from squintsense.config import SystemConfig
 from squintsense.channel import sensing_attenuation
 from squintsense.detection import (
@@ -274,23 +274,24 @@ class TestObservation:
         draws = []
         for seed in range(200):
             rng = np.random.default_rng(seed)
-            draws.append(assemble_observation(cfg, Scene(), bf, p, 4, rng))
+            draws.append(assemble_observation(cfg, scene_arrays(cfg, Scene()), bf, p, 4, rng))
         var = np.var(np.concatenate(draws))
         assert var == pytest.approx(cfg.noise_variance() / 4, rel=0.1)
 
     def test_signal_part_deterministic(self):
         cfg = CFG
-        scene = generate_scene(cfg, 1, 0, 3)
+        echoes = scene_arrays(cfg, generate_scene(cfg, 1, 0, 3))
         bf = eas_beamformer(cfg)
         p = np.full(cfg.n_subcarriers, 1e-3)
-        a = assemble_observation(cfg, scene, bf, p, 1, np.random.default_rng(0))
-        b = assemble_observation(cfg, scene, bf, p, 1, np.random.default_rng(0))
+        a = assemble_observation(cfg, echoes, bf, p, 1, np.random.default_rng(0))
+        b = assemble_observation(cfg, echoes, bf, p, 1, np.random.default_rng(0))
         np.testing.assert_array_equal(a, b)
 
     def test_rejects_zero_symbols(self):
         with pytest.raises(ConfigError):
             assemble_observation(
-                CFG, Scene(), eas_beamformer(CFG), np.zeros(32), 0, np.random.default_rng(0)
+                CFG, scene_arrays(CFG, Scene()), eas_beamformer(CFG), np.zeros(32), 0,
+                np.random.default_rng(0),
             )
 
 

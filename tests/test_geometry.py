@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +8,11 @@ from hypothesis import strategies as st
 
 from oracles import horizontal_steering, uniform_phase_sum, upa_steering, vertical_steering
 
+from squintsense import geometry
+from squintsense.beamforming import aas_azimuth_grid, eas_elevation_grid
+from squintsense.channel import generate_scene
 from squintsense.config import SystemConfig
+from squintsense.detection import aas_table
 from squintsense.exceptions import ConfigError
 from squintsense.geometry import (
     FEJER_BLOCK,
@@ -285,6 +292,162 @@ class TestPhaseDifferencePower:
             want = self.direct(sources, cells, ratio, m, weights)
             assert got.shape == (n_rows, n_cols)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+FULL = SystemConfig()
+SCALED = SystemConfig(m_h=16, m_v=16, n_subcarriers=32, n_candidates=512)
+
+
+def ragged_slopes():
+    """Three blocks and a ragged fourth, with singular entries in the last."""
+    x = np.random.default_rng(11).uniform(-4.0, 4.0, 3 * FEJER_BLOCK + 123)
+    x[-5:] = [0.0, 2.0, -4.0, 1e-13, 2.0 + 1e-13]
+    return x
+
+
+def difference_args(n_rows):
+    """phase_difference_power arguments over n_rows cell rows, in blocks of 18 rows."""
+    rng = np.random.default_rng(n_rows)
+    n_cols = n = 30
+    cells = rng.uniform(-1.0, 1.0, (n_rows, n_cols))
+    sources = np.concatenate([[cells[3, 4], 0.0], rng.uniform(-1.0, 1.0, 3)])
+    ratio = 1.0 + rng.uniform(-0.05, 0.05, n)
+    weights = rng.uniform(0.0, 1.0, (n_rows, n, sources.size)) * np.exp(
+        1j * rng.uniform(0.0, 2 * np.pi, (n_rows, n, sources.size))
+    )
+    return sources, cells, ratio, 16, weights
+
+
+def exhaustive_response(cfg):
+    """The exhaustive scan's noise-free response: both kernels at the config's
+    sizes, uniform_phase_power on its (N, N, S) vertical slopes included."""
+    from squintsense.simkit import _exhaustive_response
+
+    scene = generate_scene(cfg, 2, 0, 7)
+    return _exhaustive_response(cfg, scene, (eas_elevation_grid(cfg), aas_azimuth_grid(cfg)))
+
+
+class ThreadSpy(threading.Thread):
+    """threading.Thread that records every thread started."""
+
+    started = []
+
+    def start(self):
+        ThreadSpy.started.append(self)
+        super().start()
+
+
+@pytest.fixture
+def spy_threads(monkeypatch):
+    monkeypatch.setattr(ThreadSpy, "started", [])
+    monkeypatch.setattr(threading, "Thread", ThreadSpy)
+    return ThreadSpy.started
+
+
+def in_helper_block(monkeypatch, action):
+    """Run action() when a helper thread enters its first block; until then the
+    calling thread waits in its own first block, so a helper surely takes one."""
+    real = geometry._for_each_block
+    caller = threading.current_thread()
+    helper_began = threading.Event()
+
+    def spied(starts, make_worker):
+        def make():
+            work = make_worker()
+
+            def spied_work(start):
+                if threading.current_thread() is caller:
+                    helper_began.wait(10.0)
+                elif not helper_began.is_set():
+                    helper_began.set()
+                    action()
+                work(start)
+
+            return spied_work
+
+        return real(starts, make)
+
+    monkeypatch.setattr(geometry, "_for_each_block", spied)
+    monkeypatch.setattr(geometry, "_helper_count", lambda: 1)
+
+
+# kernel calls of more than one block, but for scaled-aas: exactly one block
+KERNEL_CASES = {
+    "ragged": lambda: uniform_phase_power(ragged_slopes(), 16),
+    "ragged-scaled-m7": lambda: uniform_phase_power(ragged_slopes(), 7, scale=0.3),
+    "full-aas": lambda: uniform_phase_power(aas_table(FULL).unit_phase, FULL.m_h, np.sin(0.7)),
+    "scaled-aas": lambda: uniform_phase_power(
+        aas_table(SCALED).unit_phase, SCALED.m_h, np.sin(0.7)
+    ),
+    "ragged-rows": lambda: phase_difference_power(*difference_args(40)),
+    "full-exhaustive": lambda: exhaustive_response(FULL),
+    "scaled-exhaustive": lambda: exhaustive_response(SCALED),
+}
+ONE_PER_KERNEL = ("ragged", "ragged-rows")
+
+
+class TestParallelBlocks:
+    """Blocks shared with helper threads give the bits of one thread."""
+
+    @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+    def test_bit_identical_for_any_thread_count(self, monkeypatch, case):
+        results = []
+        for count in (0, 1, 3):
+            monkeypatch.setattr(geometry, "_helper_count", lambda: count)
+            results.append(KERNEL_CASES[case]())
+        assert all(np.array_equal(shared, results[0]) for shared in results[1:])
+
+    def test_every_block_once_under_contention(self, monkeypatch):
+        """More threads than cores and a short switch interval: every block
+        start is drawn exactly once."""
+        monkeypatch.setattr(geometry, "_helper_count", lambda: 7)
+        seen = []
+
+        def make_worker():
+            mine = []
+            seen.append(mine)
+            return mine.append
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            geometry._for_each_block(range(5000), make_worker)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(seen) == 8
+        assert sorted(start for mine in seen for start in mine) == list(range(5000))
+
+    @pytest.mark.parametrize("kernel", ONE_PER_KERNEL)
+    def test_helper_failure_raised_in_caller(self, monkeypatch, kernel):
+        def fail():
+            raise RuntimeError("injected")
+
+        in_helper_block(monkeypatch, fail)
+        with pytest.raises(RuntimeError, match="injected"):
+            KERNEL_CASES[kernel]()
+        assert threading.active_count() == 1
+
+    @pytest.mark.parametrize("kernel", ONE_PER_KERNEL)
+    def test_caller_errstate_holds_in_helpers(self, monkeypatch, kernel):
+        in_helper_block(monkeypatch, lambda: np.divide(1.0, np.zeros(1)))
+        with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+            KERNEL_CASES[kernel]()
+
+    def test_one_block_starts_no_thread(self, monkeypatch, spy_threads):
+        monkeypatch.setattr(geometry, "_helper_count", lambda: 3)
+        uniform_phase_power(np.linspace(-3.0, 3.0, FEJER_BLOCK), 16)
+        phase_difference_power(*difference_args(18))  # one block of 18 rows
+        assert spy_threads == []
+        uniform_phase_power(np.linspace(-3.0, 3.0, FEJER_BLOCK + 1), 16)
+        assert len(spy_threads) == 1  # two blocks: one helper
+        phase_difference_power(*difference_args(40))
+        assert len(spy_threads) == 1 + 2  # blocks of 18, 18 and 4 rows: two helpers
+
+    def test_no_helper_without_spare_cpu(self, monkeypatch, spy_threads):
+        monkeypatch.setattr(geometry.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(geometry.os, "cpu_count", lambda: 1)
+        uniform_phase_power(ragged_slopes(), 16)
+        assert spy_threads == []
 
 
 class TestSteering:

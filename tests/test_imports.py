@@ -1,6 +1,10 @@
-"""Every imported name in src/ and tests/ is read somewhere in its module."""
+"""Every imported name in src/ and tests/ is read somewhere in its module, and
+importing the package starts no thread and loads no thread-pool machinery."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -43,3 +47,21 @@ def test_no_unused_imports():
         for line, name in unused_imports(path)
     ]
     assert not unused, unused
+
+
+def test_import_starts_no_thread():
+    """The kernels start their helper threads per call: a fresh import of the
+    CLI and the simulator starts no Python thread and imports neither
+    concurrent.futures nor logging (which it would pull in, ~10 ms)."""
+    code = (
+        "import sys, threading\n"
+        "import squintsense.cli, squintsense.simkit\n"
+        "print(threading.active_count(), *sorted(\n"
+        "    m for m in ('concurrent.futures', 'logging') if m in sys.modules))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    )
+    assert done.stdout.split() == ["1"]
