@@ -51,6 +51,7 @@ from .exceptions import (
 )
 from .geometry import (
     composite_aod_bounds,
+    fejer_envelope,
     flat_horizontal_gain,
     phase_difference_power,
     safe_arccos,
@@ -68,11 +69,13 @@ from .power import (
 )
 from .simkit import (
     AzimuthOnlyPlan,
+    ExhaustivePlan,
     TrialRecord,
     aggregate,
     aggregate_to_csv,
     azimuth_only_plan,
     distance_error,
+    exhaustive_plan,
     records_to_csv,
     run_azimuth_only_baseline,
     run_exhaustive_baseline,

@@ -39,6 +39,11 @@ FEJER_BLOCK = 16384
 # slope difference itself: the angle-difference identity forms sin u with an
 # absolute error of ~1e-16, so its relative error grows as 1/|sin u|.
 DIFFERENCE_NEAR = 1e-3
+# Relative margin that makes fejer_envelope bound the computed kernels, not
+# only the exact power: near slopes of +-2 the kernel reads up to 4.3e-4 above
+# the exact power for m in {3, 7, 13}, and 1e-15 above it for m in {16, 64}
+# (against a 50-digit reference).
+ENVELOPE_MARGIN = 1e-2
 
 
 def _helper_count() -> int:
@@ -211,6 +216,46 @@ def uniform_phase_power(slope, m, scale=1.0):
 
     _for_each_block(range(0, flat_x.size, FEJER_BLOCK), worker)
     return out
+
+
+def fejer_envelope(slope, m, lo, hi):
+    """Upper bound B of the Fejer power F(x) = (sin(m u) / (m sin u))^2, u =
+    pi x / 2, over every x = rho * slope with rho in [lo, hi], 0 < lo <= hi;
+    elementwise over a slope array, with no transcendental.
+
+    F depends on x only through the distance d <= 1 from x to the nearest
+    even integer, and B is evaluated at the distance from [lo |slope|,
+    hi |slope|] to the even integers. With y = pi d / 2 and t = m y:
+    sin y >= y (1 - y^2/6), sin t / t <= P(t) = 1 - t^2/6 + t^4/120 for
+    t <= pi/2, and |sin t| / t <= 1/t <= P(pi/2) (pi/2) / t beyond, so
+    B = min(1, (P(min(t, pi/2)) (pi/2) / max(t, pi/2) / (1 - y^2/6))^2)
+    >= F(d). B(d) >= F(d') for every d' >= d as well: F falls on its main
+    lobe d <= 1/m, and F(d') <= 1 / (m sin(pi d'/2))^2 <= F(1/m) beyond.
+    B is within 1% of F on the main lobe. It bounds the exact power; the
+    computed kernels stay below it times 1 + ENVELOPE_MARGIN.
+    """
+    a = np.abs(slope)
+    b = hi * a
+    even = 2.0 * np.floor(0.5 * b)  # the largest even integer <= b
+    y = np.minimum(lo * a - even, even + 2.0 - b)
+    np.maximum(y, 0.0, out=y)
+    y *= 0.5 * np.pi
+    t = np.minimum(m * y, 0.5 * np.pi)
+    t *= t
+    sinc = t * (1.0 / 120.0)
+    sinc -= 1.0 / 6.0
+    sinc *= t
+    sinc += 1.0  # P(min(t, pi/2))
+    np.multiply(m, y, out=t)
+    np.maximum(t, 0.5 * np.pi, out=t)
+    sinc *= 0.5 * np.pi
+    sinc /= t
+    y *= y
+    y *= -1.0 / 6.0
+    y += 1.0
+    sinc /= y
+    sinc *= sinc
+    return np.minimum(sinc, 1.0, out=sinc)
 
 
 def _sin_cos(half, sin_out, cos_out):

@@ -6,6 +6,7 @@ import csv
 import functools
 import io
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,7 +21,13 @@ from .channel import Scene, generate_scene, scene_arrays, sensing_attenuation
 from .config import RunConfig, SystemConfig
 from .detection import hierarchical_detect
 from .exceptions import ConfigError, SquintSenseError
-from .geometry import flat_horizontal_gain, phase_difference_power, uniform_phase_power
+from .geometry import (
+    ENVELOPE_MARGIN,
+    fejer_envelope,
+    flat_horizontal_gain,
+    phase_difference_power,
+    uniform_phase_power,
+)
 from .power import (
     PowerPlan,
     allocate_comm,
@@ -207,21 +214,94 @@ def _scan_record(method: str, cfg: SystemConfig, scene: Scene, statistic, grids,
     return _finish_record(method, cfg, scene, estimates, plan, [])
 
 
-def _exhaustive_response(cfg: SystemConfig, scene: Scene, grids):
-    """Noise-free echo of each scan cell, averaged coherently over subcarriers:
-    (N, N), with rows and columns following grids = (elevation grid, azimuth grid)."""
-    theta_grid, phi_grid = grids
-    s_theta, s_phi, s_amp = scene_arrays(cfg, scene)
-    # squint-compensated pencil at cell (m, c): residual slope is
+class ExhaustivePlan(NamedTuple):
+    """Config-invariant part of the exhaustive scan; its arrays are read-only.
+    Rows index elevation grid points, columns azimuth grid points. (A named
+    tuple: a frozen dataclass costs ~1.5 ms more per fresh import.)"""
+
+    theta_grid: np.ndarray  # (N,) elevation of each row
+    phi_grid: np.ndarray    # (N,) azimuth of each column
+    ratio: np.ndarray       # (N,) 1 + f_n / fc
+    cos_theta: np.ndarray   # (N,) vertical direction cosine of each row
+    cell_h: np.ndarray      # (N, N) horizontal direction cosine of each cell
+    sqrt_powers: np.ndarray  # (N,) square roots of each row's tight power at unit gain
+    expected: np.ndarray    # (N,) noise-free echo amplitude of an on-grid target
+    powers: np.ndarray      # (N^2,) sensing powers of the N^2 symbols, T folded in
+
+
+@functools.lru_cache(maxsize=4)
+def exhaustive_plan(cfg: SystemConfig) -> ExhaustivePlan:
+    """The grids, TTD check, attenuation and cell powers of the exhaustive
+    scan, computed once per config and shared by every trial."""
+    n = cfg.n_subcarriers
+    theta_grid = eas_elevation_grid(cfg)
+    phi_grid = aas_azimuth_grid(cfg)
+    # the pencil at cell (r, c) is the comm beamformer of (theta_r, phi_c)
+    cell_h = np.sin(theta_grid)[:, None] * np.cos(phi_grid)[None, :]
+    cos_theta = np.cos(theta_grid)
+    two_fc = 2.0 * cfg.fc
+    check_ttd_range(cfg, np.abs(cell_h).max() / two_fc, np.abs(cos_theta).max() / two_fc)
+    alpha_grid = sensing_attenuation(cfg, cfg.height / cos_theta, cfg.sigma_rcs)
+    p_cell = cfg.tau_s * cfg.noise_variance() / alpha_grid**2  # per elevation row, gain 1
+    sqrt_powers = np.sqrt(p_cell)
+    plan = ExhaustivePlan(
+        theta_grid=theta_grid,
+        phi_grid=phi_grid,
+        ratio=1.0 + cfg.subcarrier_offsets() / cfg.fc,
+        cos_theta=cos_theta,
+        cell_h=cell_h,
+        sqrt_powers=sqrt_powers,
+        expected=sqrt_powers * alpha_grid,
+        # N^2 symbols, each transmitting its cell's tight power on all N subcarriers
+        powers=n * np.repeat(p_cell, n),
+    )
+    for value in plan:
+        value.flags.writeable = False
+    return plan
+
+
+def _exhaustive_response(cfg: SystemConfig, echoes, rows):
+    """Noise-free echo of the scan cells in the given rows, averaged coherently
+    over subcarriers: (len(rows), N), columns following the azimuth grid.
+    ``echoes`` is the scene's echo form scene_arrays(cfg, scene)."""
+    plan = exhaustive_plan(cfg)
+    s_theta, s_phi, s_amp = echoes
+    # squint-compensated pencil at cell (r, c): residual slope is
     # (1 + f/fc) * (target trig - cell trig) in both axes
-    ratio = 1.0 + cfg.subcarrier_offsets() / cfg.fc  # (N,)
-    cell_h = np.sin(theta_grid)[:, None] * np.cos(phi_grid)[None, :]  # (m, c)
-    x_v = ratio[:, None] * (np.cos(s_theta) - np.cos(theta_grid)[:, None, None])  # (m, n, s)
+    x_v = plan.ratio[:, None] * (np.cos(s_theta) - plan.cos_theta[rows, None, None])  # (r, n, s)
     # each scatterer's horizontal power on subcarrier n, weighted by its
     # vertical power and amplitude over N
     weights = uniform_phase_power(x_v, cfg.m_v) * (s_amp / cfg.n_subcarriers)
     s_h = np.sin(s_theta) * np.cos(s_phi)
-    return phase_difference_power(s_h, cell_h, ratio, cfg.m_h, weights)
+    return phase_difference_power(s_h, plan.cell_h[rows], plan.ratio, cfg.m_h, weights)
+
+
+def _row_bound(cfg: SystemConfig, echoes, noise):
+    """Upper bound of the scan statistic over each row, (N,), and the (N, S)
+    array W whose entry W[r, s] bounds scatterer s's weights in
+    _exhaustive_response at row r, summed over subcarriers."""
+    plan = exhaustive_plan(cfg)
+    s_theta, _, s_amp = echoes
+    vertical = np.abs(s_amp) * fejer_envelope(
+        np.cos(s_theta) - plan.cos_theta[:, None], cfg.m_v, plan.ratio.min(), plan.ratio.max()
+    )
+    bound = plan.sqrt_powers * vertical.sum(axis=1) + np.abs(noise).max(axis=1)
+    bound *= (1.0 + ENVELOPE_MARGIN) / plan.expected
+    return bound, vertical
+
+
+def _cell_bound(cfg: SystemConfig, echoes, noise, vertical, rows):
+    """Upper bound of the scan statistic at every cell of the given rows,
+    (len(rows), N), from the W of _row_bound."""
+    plan = exhaustive_plan(cfg)
+    s_theta, s_phi, _ = echoes
+    s_h = np.sin(s_theta) * np.cos(s_phi)
+    horizontal = fejer_envelope(
+        s_h[:, None] - plan.cell_h[rows, None, :], cfg.m_h, plan.ratio.min(), plan.ratio.max()
+    )  # (r, s, c)
+    response = np.matmul(vertical[rows, None, :], horizontal)[:, 0]
+    bound = plan.sqrt_powers[rows, None] * response + np.abs(noise[rows])
+    return bound * ((1.0 + ENVELOPE_MARGIN) / plan.expected[rows, None])
 
 
 def run_exhaustive_baseline(
@@ -233,28 +313,52 @@ def run_exhaustive_baseline(
 
     Every subcarrier of a symbol is co-pointed at one grid cell; the power
     on each subcarrier follows the tau_s-tight rule with T = 1, so a symbol
-    costs N times the single-subcarrier tight power of its cell.
+    costs N times the single-subcarrier tight power of its cell. The
+    scene-independent part is the cached :func:`exhaustive_plan`.
+
+    Only the top-q cells of the statistic reach the record, so the exact
+    statistic |sqrt(p_r) response + noise| / (sqrt(p_r) alpha_r) is computed
+    only on rows that could hold one (a threshold stopping rule, as in
+    Fagin, Lotem & Naor, PODS 2001); the other rows hold -inf. With E_m the
+    ``geometry.fejer_envelope`` over the subcarrier ratios, scatterer s adds
+    at most W[r, s] = |amp_s| E_{m_v}(cos theta_s - cos theta_r) to row r,
+    and W[r, s] E_{m_h}(h_s - h_rc) to cell (r, c); a row's bound adds its
+    largest |noise|, a cell's its own, each times 1 + ENVELOPE_MARGIN. The
+    noise is drawn first (the response draws no random numbers). The 4 rows
+    of largest bound are evaluated first; every other row whose bound is
+    above the q-th largest statistic then takes the largest of its cell
+    bounds, and rows follow in batches of 8, 16, ... until that statistic is
+    at least every unevaluated row's bound. The kernels compute each row the
+    same way whatever other rows they are given, so evaluated rows, the
+    top-q cells and the record are bit-identical to a full-grid scan.
     """
     n = cfg.n_subcarriers
-    theta_grid = eas_elevation_grid(cfg)  # (N,)
-    phi_grid = aas_azimuth_grid(cfg)      # (N,)
-    # the pencil at cell (m, c) is the comm beamformer of (theta_m, phi_c)
-    h_slopes = -np.outer(np.sin(theta_grid), np.cos(phi_grid)) / (2.0 * cfg.fc)
-    check_ttd_range(cfg, np.abs(h_slopes).max(), np.abs(np.cos(theta_grid)).max() / (2.0 * cfg.fc))
-    grids = (theta_grid, phi_grid)
-    sigma2 = cfg.noise_variance()
-    alpha_grid = sensing_attenuation(cfg, cfg.height / np.cos(theta_grid), cfg.sigma_rcs)
-    p_cell = cfg.tau_s * sigma2 / alpha_grid**2  # (N,) per elevation row, gain 1
-
-    response = _exhaustive_response(cfg, scene, grids)
-    signal = np.sqrt(p_cell)[:, None] * response
-    noise = np.sqrt(sigma2 / (2.0 * n)) * (
+    plan = exhaustive_plan(cfg)
+    noise = np.sqrt(cfg.noise_variance() / (2.0 * n)) * (
         rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     )
-    statistic = np.abs(signal + noise) / (np.sqrt(p_cell)[:, None] * alpha_grid[:, None])
-    # energy bookkeeping: N^2 symbols, each transmitting its cell's tight
-    # power on all N subcarriers; folded into a single pseudo-stage
-    return _scan_record("exhaustive", cfg, scene, statistic, grids, n * np.repeat(p_cell, n))
+    echoes = scene_arrays(cfg, scene)
+    q = len(scene.targets)
+    statistic = np.full((n, n), -np.inf)
+
+    def evaluate(rows):
+        """Exact statistic of the given rows; the q-th largest so far."""
+        signal = plan.sqrt_powers[rows, None] * _exhaustive_response(cfg, echoes, rows)
+        statistic[rows] = np.abs(signal + noise[rows]) / plan.expected[rows, None]
+        return np.partition(statistic.ravel(), -q)[-q]
+
+    if q:
+        bound, vertical = _row_bound(cfg, echoes, noise)
+        order = np.argsort(bound)[::-1]
+        kth, pending = evaluate(order[:4]), order[4:]
+        tighten = pending[bound[pending] > kth]
+        bound[tighten] = _cell_bound(cfg, echoes, noise, vertical, tighten).max(axis=1)
+        pending = pending[np.argsort(bound[pending])[::-1]]
+        batch = 8
+        while pending.size and kth < bound[pending[0]]:
+            kth, pending, batch = evaluate(pending[:batch]), pending[batch:], 2 * batch
+    grids = (plan.theta_grid, plan.phi_grid)
+    return _scan_record("exhaustive", cfg, scene, statistic, grids, plan.powers)
 
 
 def _azimuth_only_fit(cfg: SystemConfig):

@@ -9,14 +9,15 @@ from hypothesis import strategies as st
 from oracles import horizontal_steering, uniform_phase_sum, upa_steering, vertical_steering
 
 from squintsense import geometry
-from squintsense.beamforming import aas_azimuth_grid, eas_elevation_grid
-from squintsense.channel import generate_scene
+from squintsense.channel import generate_scene, scene_arrays
 from squintsense.config import SystemConfig
 from squintsense.detection import aas_table
 from squintsense.exceptions import ConfigError
 from squintsense.geometry import (
+    ENVELOPE_MARGIN,
     FEJER_BLOCK,
     composite_aod_bounds,
+    fejer_envelope,
     flat_horizontal_gain,
     phase_difference_power,
     safe_arccos,
@@ -323,8 +324,8 @@ def exhaustive_response(cfg):
     sizes, uniform_phase_power on its (N, N, S) vertical slopes included."""
     from squintsense.simkit import _exhaustive_response
 
-    scene = generate_scene(cfg, 2, 0, 7)
-    return _exhaustive_response(cfg, scene, (eas_elevation_grid(cfg), aas_azimuth_grid(cfg)))
+    echoes = scene_arrays(cfg, generate_scene(cfg, 2, 0, 7))
+    return _exhaustive_response(cfg, echoes, np.arange(cfg.n_subcarriers))
 
 
 class ThreadSpy(threading.Thread):
@@ -448,6 +449,66 @@ class TestParallelBlocks:
         monkeypatch.setattr(geometry.os, "cpu_count", lambda: 1)
         uniform_phase_power(ragged_slopes(), 16)
         assert spy_threads == []
+
+
+# the subcarrier ratios 1 + f_n / fc of the default, scaled and odd-array configs
+ENVELOPE_RATIOS = [
+    1.0 + cfg.subcarrier_offsets() / cfg.fc
+    for cfg in (FULL, SCALED, SystemConfig(n_subcarriers=24), SystemConfig(n_subcarriers=44))
+]
+
+
+class TestFejerEnvelope:
+    """fejer_envelope bounds the kernel at every ratio of a config's range."""
+
+    @staticmethod
+    def kernel_max(slopes, m, ratio):
+        """The largest computed kernel value over the ratios, per slope."""
+        return uniform_phase_power(ratio[:, None] * slopes, m).max(axis=0)
+
+    @given(
+        m=st.sampled_from([7, 13, 16, 64]),
+        ratio=st.sampled_from(ENVELOPE_RATIOS),
+        center=st.sampled_from([0.0, 2.0, -2.0]),
+        exponent=st.floats(-14.0, -5.0),
+        sign=st.sampled_from([1.0, -1.0]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_bounds_kernel_near_peaks(self, m, ratio, center, exponent, sign):
+        """Near slopes 0 and +-2, where the kernel of a non-power-of-two m
+        reads above the exact power, the margin covers it."""
+        slope = np.array([center + sign * 10.0**exponent])
+        bound = fejer_envelope(slope, m, ratio.min(), ratio.max())
+        assert np.all((1.0 + ENVELOPE_MARGIN) * bound >= self.kernel_max(slope, m, ratio))
+
+    @pytest.mark.parametrize("m", [7, 13, 16, 64])
+    @pytest.mark.parametrize("ratio", ENVELOPE_RATIOS[::2], ids=["n128", "n24"])
+    def test_bounds_kernel_over_every_slope(self, m, ratio):
+        slopes = np.concatenate([np.linspace(-2.5, 2.5, 20001), 2.0 * np.arange(-1, 2) / m])
+        bound = fejer_envelope(slopes, m, ratio.min(), ratio.max())
+        assert np.all((1.0 + ENVELOPE_MARGIN) * bound >= self.kernel_max(slopes, m, ratio))
+
+    @pytest.mark.parametrize("m", [16, 64])
+    def test_bounds_accurate_kernel_without_margin(self, m):
+        """For the power-of-two m of the kernel's accurate domain, the bound
+        holds on its own: it bounds the exact power."""
+        ratio = ENVELOPE_RATIOS[0]
+        slopes = np.linspace(-2.5, 2.5, 20001)
+        bound = fejer_envelope(slopes, m, ratio.min(), ratio.max())
+        assert np.all(bound >= self.kernel_max(slopes, m, ratio) * (1.0 - 1e-12))
+
+    @pytest.mark.parametrize("m", [7, 16, 64])
+    def test_main_lobe_within_one_percent(self, m):
+        """At one ratio the bound is the power itself up to 1% on the main
+        lobe, so rows near a peak are not kept by a loose bound."""
+        slopes = np.linspace(-2.0 / m, 2.0 / m, 401)
+        ratio = np.ones(1)
+        bound = fejer_envelope(slopes, m, 1.0, 1.0)
+        power = self.kernel_max(slopes, m, ratio)
+        lobe = np.abs(slopes) <= 1.0 / m
+        assert np.all(bound >= power)
+        assert np.all(bound[lobe] <= 1.01 * power[lobe])
+        assert np.all(fejer_envelope(np.array([0.0, 2.0, -4.0]), m, 1.0, 1.2) == 1.0)
 
 
 class TestSteering:

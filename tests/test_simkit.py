@@ -11,7 +11,7 @@ from squintsense.beamforming import (
     comm_beamformer,
     eas_elevation_grid,
 )
-from squintsense.channel import Scene, generate_scene, scene_arrays
+from squintsense.channel import Scene, generate_scene, scene_arrays, sensing_attenuation
 from squintsense.config import RunConfig, SystemConfig
 from squintsense.detection import eas_stage, hierarchical_detect
 from squintsense.exceptions import ConfigError, InfeasibleError
@@ -24,12 +24,16 @@ from squintsense.power import (
     sinr_context,
 )
 from squintsense.simkit import (
+    _cell_bound,
     _exhaustive_response,
+    _row_bound,
+    _scan_record,
     aggregate,
     aggregate_to_csv,
     allocate_comm_plan,
     azimuth_only_plan,
     distance_error,
+    exhaustive_plan,
     plan_proposed_trial,
     records_to_csv,
     run_azimuth_only_baseline,
@@ -214,12 +218,22 @@ def reference_exhaustive_response(cfg, scene):
     return response
 
 
+def on_grid_scene(cfg):
+    """Targets and a clutterer exactly on grid cells: zero slope difference on
+    every subcarrier, the kernels' limit branch."""
+    theta_grid, phi_grid = eas_elevation_grid(cfg), aas_azimuth_grid(cfg)
+    n = cfg.n_subcarriers
+    cells = [(n // 3, n // 2), (n - 1, 0), (0, n - 1)]
+    targets = np.array([(theta_grid[r], phi_grid[c]) for r, c in cells])
+    clutter = np.array([(theta_grid[n // 2], phi_grid[n // 4])])
+    return Scene(targets, clutter, np.array([0.6 - 0.8j]))
+
+
 class TestExhaustiveResponse:
     @staticmethod
     def check(cfg, scene):
-        grids = (eas_elevation_grid(cfg), aas_azimuth_grid(cfg))
         with np.errstate(all="raise"):
-            got = _exhaustive_response(cfg, scene, grids)
+            got = _exhaustive_response(cfg, scene_arrays(cfg, scene), np.arange(cfg.n_subcarriers))
         want = reference_exhaustive_response(cfg, scene)
         peak = np.max(np.abs(want))
         assert np.max(np.abs(got - want)) <= 1e-12 * peak
@@ -233,13 +247,7 @@ class TestExhaustiveResponse:
 
     @EVERY_CONFIG
     def test_scatterers_on_grid_cells(self, cfg):
-        """Zero slope difference on every subcarrier: the kernel's limit branch."""
-        theta_grid, phi_grid = eas_elevation_grid(cfg), aas_azimuth_grid(cfg)
-        n = cfg.n_subcarriers
-        cells = [(n // 3, n // 2), (n - 1, 0), (0, n - 1)]
-        targets = np.array([(theta_grid[r], phi_grid[c]) for r, c in cells])
-        clutter = np.array([(theta_grid[n // 2], phi_grid[n // 4])])
-        self.check(cfg, Scene(targets, clutter, np.array([0.6 - 0.8j])))
+        self.check(cfg, on_grid_scene(cfg))
 
     @EVERY_CONFIG
     def test_scatterer_just_off_grid_cell(self, cfg):
@@ -251,10 +259,145 @@ class TestExhaustiveResponse:
         self.check(cfg, Scene(targets=np.array([[theta, phi]])))
 
     def test_no_scatterers(self):
-        grids = (eas_elevation_grid(SCALED), aas_azimuth_grid(SCALED))
-        response = _exhaustive_response(SCALED, Scene(), grids)
+        response = _exhaustive_response(SCALED, scene_arrays(SCALED, Scene()), np.arange(32))
         assert response.shape == (32, 32)
         assert not response.any()
+
+
+def scan_noise(cfg, rng):
+    """The exhaustive scan's noise draw, as the first use of its generator."""
+    n = cfg.n_subcarriers
+    return np.sqrt(cfg.noise_variance() / (2.0 * n)) * (
+        rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    )
+
+
+def full_grid_statistic(cfg, scene, noise):
+    """The scan statistic on every cell, from the response of every row."""
+    plan = exhaustive_plan(cfg)
+    response = _exhaustive_response(cfg, scene_arrays(cfg, scene), np.arange(cfg.n_subcarriers))
+    return np.abs(plan.sqrt_powers[:, None] * response + noise) / plan.expected[:, None]
+
+
+def full_grid_scan(cfg, scene, seed):
+    """The scan's record from the per-scatterer reference response on the
+    whole grid, the same noise draw and the same top-q rule."""
+    n = cfg.n_subcarriers
+    theta_grid, phi_grid = eas_elevation_grid(cfg), aas_azimuth_grid(cfg)
+    alpha = sensing_attenuation(cfg, cfg.height / np.cos(theta_grid), cfg.sigma_rcs)
+    p_cell = cfg.tau_s * cfg.noise_variance() / alpha**2
+    noise = scan_noise(cfg, np.random.default_rng(seed))
+    signal = np.sqrt(p_cell)[:, None] * reference_exhaustive_response(cfg, scene)
+    statistic = np.abs(signal + noise) / (np.sqrt(p_cell)[:, None] * alpha[:, None])
+    grids = (theta_grid, phi_grid)
+    return _scan_record("exhaustive", cfg, scene, statistic, grids, n * np.repeat(p_cell, n))
+
+
+def spy_scan(monkeypatch, cfg, scene, seed):
+    """Run the scan; return (its record, the statistic it ranked, the number
+    of rows whose response it computed)."""
+    import squintsense.simkit as simkit
+
+    seen = {"rows": 0}
+
+    def response(cfg, echoes, rows):
+        seen["rows"] += len(rows)
+        return _exhaustive_response(cfg, echoes, rows)
+
+    def record(method, cfg, scene, statistic, grids, powers):
+        seen["statistic"] = statistic.copy()
+        return _scan_record(method, cfg, scene, statistic, grids, powers)
+
+    monkeypatch.setattr(simkit, "_exhaustive_response", response)
+    monkeypatch.setattr(simkit, "_scan_record", record)
+    rec = run_exhaustive_baseline(cfg, scene, np.random.default_rng(seed))
+    return rec, seen["statistic"], seen["rows"]
+
+
+class TestExhaustivePruning:
+    """The scan evaluates only rows that may hold a top-q cell, and its
+    record is that of the full-grid scan."""
+
+    @staticmethod
+    def check(monkeypatch, cfg, scene, seed):
+        rec, statistic, rows = spy_scan(monkeypatch, cfg, scene, seed)
+        assert rec == full_grid_scan(cfg, scene, seed)
+        evaluated = np.isfinite(statistic).all(axis=1)
+        assert np.all(statistic[~evaluated] == -np.inf)
+        assert rows == evaluated.sum()
+        assert evaluated.any() == bool(len(scene.targets))
+        full = full_grid_statistic(cfg, scene, scan_noise(cfg, np.random.default_rng(seed)))
+        assert np.array_equal(statistic[evaluated], full[evaluated])
+
+    @EVERY_CONFIG
+    @pytest.mark.parametrize("q", [0, 1, 3])
+    @pytest.mark.parametrize("include_clutter", [True, False], ids=["clutter", "los"])
+    def test_same_record_as_full_grid(self, monkeypatch, cfg, q, include_clutter):
+        for seed in range(3):
+            self.check(monkeypatch, cfg, generate_scene(cfg, q, 0, seed, include_clutter), seed)
+
+    @EVERY_CONFIG
+    def test_scatterers_on_grid_cells(self, monkeypatch, cfg):
+        self.check(monkeypatch, cfg, on_grid_scene(cfg), 4)
+
+    def test_separated_full_scale_scene_evaluates_few_rows(self, monkeypatch):
+        cfg = SystemConfig()
+        n = cfg.n_subcarriers
+        theta_grid, phi_grid = eas_elevation_grid(cfg), aas_azimuth_grid(cfg)
+        targets = np.array([
+            (theta_grid[30] + 1e-3, phi_grid[40] - 2e-3),
+            (theta_grid[95] - 2e-3, phi_grid[100] + 1e-3),
+        ])
+        clutter = generate_scene(cfg, 2, 0, 3)
+        scene = Scene(targets, clutter.clutter, clutter.fading)
+        rec, statistic, rows = spy_scan(monkeypatch, cfg, scene, 3)
+        assert rows < n // 8
+        assert rec.distance_error_m < 1.0
+        full = full_grid_statistic(cfg, scene, scan_noise(cfg, np.random.default_rng(3)))
+        assert np.array_equal(np.argsort(statistic.ravel())[-2:], np.argsort(full.ravel())[-2:])
+
+
+class TestScanBound:
+    """The closed-form bounds hold at every cell of the full-grid statistic."""
+
+    @staticmethod
+    def check(cfg, scene, seed):
+        noise = scan_noise(cfg, np.random.default_rng(seed))
+        statistic = full_grid_statistic(cfg, scene, noise)
+        echoes = scene_arrays(cfg, scene)
+        rows, vertical = _row_bound(cfg, echoes, noise)
+        cells = _cell_bound(cfg, echoes, noise, vertical, np.arange(cfg.n_subcarriers))
+        assert np.all(cells >= statistic)
+        assert np.all(rows >= cells.max(axis=1))
+
+    @EVERY_CONFIG
+    @pytest.mark.parametrize("q", [1, 3])
+    @pytest.mark.parametrize("include_clutter", [True, False], ids=["clutter", "los"])
+    def test_bounds_hold(self, cfg, q, include_clutter):
+        for seed in range(4):
+            self.check(cfg, generate_scene(cfg, q, 0, seed, include_clutter), seed)
+
+    @EVERY_CONFIG
+    def test_bounds_hold_on_grid_cells(self, cfg):
+        self.check(cfg, on_grid_scene(cfg), 5)
+
+
+class TestExhaustivePlanCache:
+    def test_matches_fresh_computation(self):
+        plan = exhaustive_plan(SCALED)
+        fresh = exhaustive_plan.__wrapped__(SCALED)
+        assert plan is not fresh
+        for name, value in fresh._asdict().items():
+            np.testing.assert_array_equal(getattr(plan, name), value)
+        np.testing.assert_array_equal(plan.theta_grid, eas_elevation_grid(SCALED))
+        assert plan.powers.shape == (SCALED.n_subcarriers**2,)
+
+    def test_cached_arrays_are_read_only(self):
+        plan = exhaustive_plan(SCALED)
+        for arr in plan:
+            assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            plan.cell_h[0, 0] = 1.0
 
 
 class TestExhaustiveMemory:
