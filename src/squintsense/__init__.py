@@ -29,19 +29,17 @@ from .channel import (
 )
 from .config import RunConfig, SystemConfig, db_to_linear, dbm_to_watt
 from .detection import (
-    AasTable,
     CountingVector,
     DetectionResult,
-    EasStage,
     MeasurementMatrix,
-    aas_table,
+    ProposedPlan,
     assemble_observation,
     azimuth_candidates,
     build_measurement_matrix,
-    eas_stage,
     elevation_candidates,
     hierarchical_detect,
     modified_mp,
+    proposed_plan,
 )
 from .exceptions import (
     ConfigError,

@@ -2,10 +2,9 @@
 pursuit with a counting vector, and the hierarchical EAS -> AAS pipeline.
 
 What does not depend on the scene is computed once per config and cached
-read-only: the whole EAS stage (:func:`eas_stage`) and, for the AAS stages,
-the azimuth candidates with their horizontal phase per unit sin(theta_hat)
-(:func:`aas_table`), from which each stage's dictionary takes one kernel
-call.
+read-only in one :func:`proposed_plan`: the whole EAS stage and, for the AAS
+stages, the azimuth candidates with their horizontal phase per unit
+sin(theta_hat), from which each stage's dictionary takes one kernel call.
 
 The AAS stages depend only on the elevations the EAS pursuit picks, not on
 each other. So a trial builds its scene's echo form once, then all AAS
@@ -17,6 +16,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,25 +71,6 @@ def azimuth_candidates(cfg: SystemConfig) -> np.ndarray:
     return aas_azimuth_grid(cfg, cfg.subcarrier_offsets(cfg.n_candidates))
 
 
-@dataclass(frozen=True)
-class AasTable:
-    """Trial-invariant part of every AAS dictionary; its arrays are read-only."""
-
-    candidates: np.ndarray  # (L,) azimuth candidates
-    unit_phase: np.ndarray  # (L, N) horizontal phase over sin(theta_hat)
-
-
-@functools.lru_cache(maxsize=4)
-def aas_table(cfg: SystemConfig) -> AasTable:
-    """Azimuth candidates and their :func:`~squintsense.beamforming.aas_unit_phase`
-    table, computed once per config and shared by every AAS stage."""
-    cand = azimuth_candidates(cfg)
-    unit_phase = aas_unit_phase(cfg, cand)
-    for arr in (cand, unit_phase):
-        arr.flags.writeable = False
-    return AasTable(candidates=cand, unit_phase=unit_phase)
-
-
 def assemble_observation(
     cfg: SystemConfig,
     echoes,
@@ -120,7 +101,6 @@ def build_measurement_matrix(
     cfg: SystemConfig,
     weights: BeamformerWeights,
     powers: np.ndarray,
-    theta_hat: float | None = None,
 ) -> MeasurementMatrix:
     """Dictionary whose column l is the sensing gain pattern of candidate l.
 
@@ -129,11 +109,12 @@ def build_measurement_matrix(
     gain table is scaled in place and returned transposed, so each column
     is contiguous in memory.
 
-    AAS weights must be aas_beamformer(cfg, theta_hat). Their gain at
-    (theta_hat, candidate) is the Fejer kernel of the cached :func:`aas_table`
-    phase scaled by sin(theta_hat), times a vertical power of exactly 1,
-    since the beam's vertical chain is locked at theta_hat; sqrt(p_n) and
-    alpha follow as one row scale.
+    AAS weights are aas_beamformer(cfg, theta_hat), with theta_hat their PS
+    elevation. Their gain at (theta_hat, candidate) is the Fejer kernel of the
+    :func:`proposed_plan` phase table scaled by sin(theta_hat), times a
+    vertical power of exactly 1, since the beam's vertical chain is locked at
+    theta_hat; sqrt(p_n) and alpha follow as one row scale. Other beam kinds
+    raise ConfigError.
     """
     n_idx = np.arange(cfg.n_subcarriers)
     sqrt_p = np.sqrt(np.asarray(powers, dtype=float))
@@ -142,13 +123,14 @@ def build_measurement_matrix(
         phi_probe = 0.5 * (cfg.phi_min + cfg.phi_max)  # flat model: phi-independent
         gains = weights.power_gain(cand[:, None], phi_probe, n_idx)  # (L, N)
         alpha = sensing_attenuation(cfg, cfg.height / np.cos(cand), cfg.sigma_rcs)[:, None]
-    else:
-        if theta_hat != weights.ps_theta:  # also when theta_hat is None
-            raise ConfigError("AAS measurement matrix requires theta_hat, the beam's PS elevation")
-        table = aas_table(cfg)
-        cand = table.candidates
-        gains = uniform_phase_power(table.unit_phase, cfg.m_h, scale=np.sin(theta_hat))  # (L, N)
+    elif weights.kind == "aas":
+        theta_hat = weights.ps_theta
+        plan = proposed_plan(cfg)
+        cand = plan.aas_candidates
+        gains = uniform_phase_power(plan.aas_unit_phase, cfg.m_h, scale=np.sin(theta_hat))  # (L, N)
         alpha = sensing_attenuation(cfg, cfg.height / np.cos(theta_hat), cfg.sigma_rcs)
+    else:
+        raise ConfigError("a measurement matrix takes an eas or aas beamformer")
     gains *= sqrt_p * alpha
     norms = np.sqrt(np.einsum("ln,ln->l", gains, gains))
     return MeasurementMatrix(columns=gains.T, candidates=cand, norms=norms)
@@ -195,32 +177,34 @@ def modified_mp(
     return CountingVector(counts=counts, phasors=tuple(phasors), trace=tuple(trace))
 
 
-@dataclass(frozen=True)
-class EasStage:
-    """Trial-invariant stage-0 plan; every array in it is read-only."""
+class ProposedPlan(NamedTuple):
+    """Config-invariant part of the proposed method; its arrays are read-only."""
 
-    weights: BeamformerWeights
-    symbol_count: int
-    powers: np.ndarray        # (N,) sensing powers p_0
-    matrix: MeasurementMatrix
+    eas_weights: BeamformerWeights
+    eas_symbol_count: int          # T_0
+    eas_powers: np.ndarray         # (N,) sensing powers p_0
+    eas_matrix: MeasurementMatrix  # stage-0 dictionary
+    aas_candidates: np.ndarray     # (L,) azimuth candidates
+    aas_unit_phase: np.ndarray     # (L, N) horizontal phase over sin(theta_hat)
 
 
 @functools.lru_cache(maxsize=4)
-def eas_stage(cfg: SystemConfig) -> EasStage:
-    """EAS beamformer, (T_0, p_0) and dictionary, computed once per config.
-
-    None of them depends on the scene, so the cached entry is shared by
-    every trial; its arrays are made read-only so no caller can alter it.
-    """
+def proposed_plan(cfg: SystemConfig) -> ProposedPlan:
+    """EAS beamformer, (T_0, p_0) and dictionary, and the azimuth candidates
+    with their :func:`~squintsense.beamforming.aas_unit_phase` table. None of
+    them depends on the scene, so they are computed once per config, shared
+    by every trial and AAS stage, and made read-only."""
     weights = eas_beamformer(cfg)
     strengths = grid_echo_strength(
         cfg, weights, eas_elevation_grid(cfg), 0.5 * (cfg.phi_min + cfg.phi_max)
     )
     t0, p0 = allocate_sensing(cfg, strengths)
     mtx = build_measurement_matrix(cfg, weights, p0)
-    for arr in (p0, mtx.columns, mtx.candidates, mtx.norms):
+    cand = azimuth_candidates(cfg)
+    unit_phase = aas_unit_phase(cfg, cand)
+    for arr in (p0, mtx.columns, mtx.candidates, mtx.norms, cand, unit_phase):
         arr.flags.writeable = False
-    return EasStage(weights=weights, symbol_count=t0, powers=p0, matrix=mtx)
+    return ProposedPlan(weights, t0, p0, mtx, cand, unit_phase)
 
 
 def hierarchical_detect(
@@ -237,8 +221,7 @@ def hierarchical_detect(
     stage's echo comes from one stacked call; the noise is drawn stage by
     stage, EAS first, so the random stream is consumed in stage order.
     """
-    stage0 = eas_stage(cfg)
-    eas_w, t0, p0, mtx0 = stage0.weights, stage0.symbol_count, stage0.powers, stage0.matrix
+    eas_w, t0, p0, mtx0 = proposed_plan(cfg)[:4]
     echoes = scene_arrays(cfg, scene)
 
     obs0 = assemble_observation(cfg, echoes, eas_w, p0, t0, rng)
@@ -265,7 +248,7 @@ def hierarchical_detect(
     for (theta_hat, multiplicity), aas_w, p_i, obs in zip(
         elevations, aas_ws, sensing_powers[1:], observations
     ):
-        mtx = build_measurement_matrix(cfg, aas_w, p_i, theta_hat=theta_hat)
+        mtx = build_measurement_matrix(cfg, aas_w, p_i)
         cv = modified_mp(obs, mtx, multiplicity)
         stage_azimuths = np.repeat(mtx.candidates, cv.counts)
         estimates.extend((theta_hat, float(ph)) for ph in stage_azimuths)

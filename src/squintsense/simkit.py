@@ -200,10 +200,13 @@ def run_proposed_trial(
 def _scan_record(method: str, cfg: SystemConfig, scene: Scene, statistic, grids, powers):
     """Record of an N x N scan: the top-q cells of its statistic, whose rows
     and columns follow grids = (elevation grid, azimuth grid), and a one-stage
-    plan whose sensing powers have every symbol's T folded in."""
+    plan whose sensing powers have every symbol's T folded in. Cells at -inf
+    (rows the scan did not evaluate) are never picked."""
     theta_grid, phi_grid = grids
     n = statistic.shape[1]
-    flat = np.argsort(statistic.ravel())[::-1][: len(scene.targets)]
+    values = statistic.ravel()
+    cells = np.flatnonzero(values > -np.inf)
+    flat = cells[np.argsort(values[cells])[::-1][: len(scene.targets)]]
     estimates = [(float(theta_grid[i // n]), float(phi_grid[i % n])) for i in flat]
     plan = PowerPlan(
         symbol_counts=[1],
@@ -340,12 +343,14 @@ def run_exhaustive_baseline(
     echoes = scene_arrays(cfg, scene)
     q = len(scene.targets)
     statistic = np.full((n, n), -np.inf)
+    top = np.full(q, -np.inf)  # the q largest statistics so far
 
     def evaluate(rows):
         """Exact statistic of the given rows; the q-th largest so far."""
         signal = plan.sqrt_powers[rows, None] * _exhaustive_response(cfg, echoes, rows)
         statistic[rows] = np.abs(signal + noise[rows]) / plan.expected[rows, None]
-        return np.partition(statistic.ravel(), -q)[-q]
+        top[:] = np.partition(np.concatenate((top, statistic[rows].ravel())), -q)[-q:]
+        return top[0]
 
     if q:
         bound, vertical = _row_bound(cfg, echoes, noise)
@@ -378,8 +383,7 @@ def _azimuth_only_fit(cfg: SystemConfig):
     return theta_grid, f, coef, residual
 
 
-@dataclass(frozen=True)
-class AzimuthOnlyPlan:
+class AzimuthOnlyPlan(NamedTuple):
     """Config-invariant part of the azimuth-only scan; its arrays are read-only.
     Rows index subcarriers (elevation grid points), columns symbols (azimuths)."""
 
@@ -430,7 +434,7 @@ def azimuth_only_plan(cfg: SystemConfig) -> AzimuthOnlyPlan:
         powers=powers,
         expected=sqrt_powers * alpha_grid[:, None] * g_design**2,
     )
-    for value in vars(plan).values():
+    for value in plan:
         if isinstance(value, np.ndarray):
             value.flags.writeable = False
     return plan

@@ -10,8 +10,8 @@ from squintsense.detection import (
     DetectionResult,
     assemble_observation,
     build_measurement_matrix,
-    eas_stage,
     modified_mp,
+    proposed_plan,
 )
 from squintsense.exceptions import ConfigError
 from squintsense.power import allocate_sensing
@@ -115,18 +115,16 @@ def per_stage_detect(cfg, scene, rng) -> DetectionResult:
     """hierarchical_detect one AAS stage at a time: each stage builds its own
     beam, its strength alpha(theta_hat)^2 on an (N,) array, its allocation,
     and its observation from the scene's echo form, echo and noise together."""
-    stage0 = eas_stage(cfg)
+    eas_w, t0, p0, mtx0 = proposed_plan(cfg)[:4]
     echoes = scene_arrays(cfg, scene)
-    obs0 = assemble_observation(
-        cfg, echoes, stage0.weights, stage0.powers, stage0.symbol_count, rng
-    )
-    cv0 = modified_mp(obs0, stage0.matrix, len(scene.targets))
+    obs0 = assemble_observation(cfg, echoes, eas_w, p0, t0, rng)
+    cv0 = modified_mp(obs0, mtx0, len(scene.targets))
     selected = np.flatnonzero(cv0.counts)
     elevations = tuple(
-        (float(stage0.matrix.candidates[idx]), int(cv0.counts[idx])) for idx in selected
+        (float(mtx0.candidates[idx]), int(cv0.counts[idx])) for idx in selected
     )
-    estimates, symbol_counts, sensing_powers = [], [stage0.symbol_count], [stage0.powers]
-    stage_weights, traces = [stage0.weights], [cv0]
+    estimates, symbol_counts, sensing_powers = [], [t0], [p0]
+    stage_weights, traces = [eas_w], [cv0]
     n = cfg.n_subcarriers
     for theta_hat, multiplicity in elevations:
         aas_w = aas_beamformer(cfg, theta_hat)
@@ -134,7 +132,7 @@ def per_stage_detect(cfg, scene, rng) -> DetectionResult:
         alpha = sensing_attenuation(cfg, cfg.height / np.cos(grid), cfg.sigma_rcs)
         t_i, p_i = allocate_sensing(cfg, alpha**2)
         obs = assemble_observation(cfg, echoes, aas_w, p_i, t_i, rng)
-        mtx = build_measurement_matrix(cfg, aas_w, p_i, theta_hat=theta_hat)
+        mtx = build_measurement_matrix(cfg, aas_w, p_i)
         cv = modified_mp(obs, mtx, multiplicity)
         estimates.extend((theta_hat, float(ph)) for ph in np.repeat(mtx.candidates, cv.counts))
         symbol_counts.append(t_i)

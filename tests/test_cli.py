@@ -13,7 +13,7 @@ import oracles
 from squintsense.beamforming import aas_beamformer, comm_beamformer, eas_beamformer
 from squintsense.cli import CONFIG_KEYS, echo_config, load_config, main
 from squintsense.config import RunConfig, SystemConfig
-from squintsense.detection import aas_table, eas_stage
+from squintsense.detection import proposed_plan
 from squintsense.exceptions import ConfigError
 
 SCALED_LINES = """
@@ -277,9 +277,8 @@ class TestDispatch:
         cfg_path = write_config(tmp_path, SCALED_LINES + "k_users = 2\n")
         outputs = []
         for name in ("a.csv", "b.csv"):
-            # the second run rebuilds the cached EAS stage and AAS table
-            eas_stage.cache_clear()
-            aas_table.cache_clear()
+            # the second run rebuilds the cached plan
+            proposed_plan.cache_clear()
             out_path = tmp_path / name
             code, _, err = run_cli(
                 [argv[0], "--config", cfg_path, "--output", str(out_path), *argv[1:]]

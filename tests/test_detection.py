@@ -4,8 +4,9 @@ import pytest
 import oracles
 
 from squintsense.beamforming import (
+    BeamformerWeights,
     aas_beamformer,
-    aas_unit_phase,
+    comm_beamformer,
     eas_beamformer,
     eas_elevation_grid,
 )
@@ -13,14 +14,13 @@ from squintsense.channel import Scene, generate_scene, scene_arrays
 from squintsense.config import SystemConfig
 from squintsense.channel import sensing_attenuation
 from squintsense.detection import (
-    aas_table,
     assemble_observation,
     azimuth_candidates,
     build_measurement_matrix,
-    eas_stage,
     elevation_candidates,
     hierarchical_detect,
     modified_mp,
+    proposed_plan,
 )
 from squintsense.exceptions import ConfigError
 from squintsense.power import allocate_sensing, grid_echo_strength
@@ -96,19 +96,14 @@ class TestMeasurementMatrix:
                 g = abs(oracles.gain(bf, cand[l], 0.5 * (cfg.phi_min + cfg.phi_max), n))
                 assert mtx.columns[n, l] == pytest.approx(np.sqrt(p[n]) * alpha * g**2, rel=1e-9)
 
-    def test_aas_requires_theta_hat(self):
-        cfg = CFG
-        bf = aas_beamformer(cfg, 0.7)
-        with pytest.raises(ConfigError):
-            build_measurement_matrix(cfg, bf, np.ones(cfg.n_subcarriers))
-
-    def test_aas_rejects_theta_hat_of_another_beam(self):
-        """The cached phase table holds only aas_beamformer(cfg, theta_hat)'s
-        beam, so a theta_hat other than the weights' PS elevation is refused."""
-        bf = aas_beamformer(CFG, 0.7)
-        for theta_hat in (0.8, np.nextafter(0.7, 1.0)):
+    def test_rejects_comm_and_stack_beams(self):
+        """The AAS phase table holds only aas_beamformer(cfg, theta_hat)'s beam,
+        so a comm beam, or a stack of AAS beams, is refused at any elevation."""
+        comm = comm_beamformer(CFG, 0.7, CFG.phi_min)
+        stack = BeamformerWeights.stack([aas_beamformer(CFG, 0.7)])
+        for bf in (comm, stack):
             with pytest.raises(ConfigError):
-                build_measurement_matrix(CFG, bf, np.ones(CFG.n_subcarriers), theta_hat=theta_hat)
+                build_measurement_matrix(CFG, bf, np.ones(CFG.n_subcarriers))
 
     @pytest.mark.parametrize(
         "cfg, thetas, cells",
@@ -131,7 +126,7 @@ class TestMeasurementMatrix:
         for theta_hat in thetas:
             bf = aas_beamformer(cfg, theta_hat)
             p = rng.uniform(1e-4, 1e-2, cfg.n_subcarriers)
-            mtx = build_measurement_matrix(cfg, bf, p, theta_hat=theta_hat)
+            mtx = build_measurement_matrix(cfg, bf, p)
             np.testing.assert_array_equal(mtx.candidates, cand)
             alpha = sensing_attenuation(cfg, cfg.height / np.cos(theta_hat), cfg.sigma_rcs)
             for l, n in cells:
@@ -143,12 +138,13 @@ class TestMeasurementMatrix:
                 assert mtx.columns[n, l] == pytest.approx(want, rel=1e-12, abs=1e-12 * peak)
 
     def test_aas_unit_phase_times_sine_is_horizontal_phase(self):
-        cand = aas_table(CFG).candidates
+        plan = proposed_plan(CFG)
+        cand = plan.aas_candidates
         f = CFG.subcarrier_offsets()
         for theta_hat in np.linspace(CFG.theta_min, CFG.theta_max, 9):
             bf = aas_beamformer(CFG, theta_hat)
             np.testing.assert_allclose(
-                np.sin(theta_hat) * aas_table(CFG).unit_phase,
+                np.sin(theta_hat) * plan.aas_unit_phase,
                 bf._horizontal_phase(theta_hat, cand[:, None], f),
                 rtol=0,
                 atol=1e-15,
@@ -233,7 +229,7 @@ class TestModifiedMp:
         pursuit: same indices, metrics, residual norms and phasors."""
         eas, _, _, _ = eas_matrix(CFG)
         aas = build_measurement_matrix(
-            CFG, aas_beamformer(CFG, 0.7), np.full(CFG.n_subcarriers, 1e-3), theta_hat=0.7
+            CFG, aas_beamformer(CFG, 0.7), np.full(CFG.n_subcarriers, 1e-3)
         )
         rng = np.random.default_rng(11)
         for mtx in (eas, aas):
@@ -293,100 +289,6 @@ class TestObservation:
                 CFG, scene_arrays(CFG, Scene()), eas_beamformer(CFG), np.zeros(32), 0,
                 np.random.default_rng(0),
             )
-
-
-class TestEasStageCache:
-    def test_matches_fresh_computation(self):
-        stage = eas_stage(CFG)
-        mtx, bf, t, p = eas_matrix(CFG)
-        assert stage.symbol_count == t
-        np.testing.assert_array_equal(stage.powers, p)
-        np.testing.assert_array_equal(stage.matrix.columns, mtx.columns)
-        np.testing.assert_array_equal(stage.matrix.candidates, mtx.candidates)
-        assert stage.weights.kind == "eas"
-
-    def test_cached_arrays_are_read_only(self):
-        stage = eas_stage(CFG)
-        arrays = (
-            stage.powers,
-            stage.matrix.columns,
-            stage.matrix.candidates,
-            stage.matrix.norms,
-        )
-        for arr in arrays:
-            assert not arr.flags.writeable
-            with pytest.raises(ValueError):
-                arr[0] = 1.0
-        with pytest.raises(ValueError):
-            stage.matrix.columns *= 2.0
-
-    def test_one_entry_per_config(self):
-        assert eas_stage(CFG) is eas_stage(SystemConfig(**{
-            f: getattr(CFG, f) for f in CFG.__dataclass_fields__
-        }))
-        for change in ({"tau_s_db": 24.0}, {"n_candidates": 128}, {"kappa_db": 7.0}):
-            other = CFG.replace(**change)
-            assert eas_stage(other) is not eas_stage(CFG)
-        assert eas_stage(CFG.replace(tau_s_db=24.0)).symbol_count <= eas_stage(CFG).symbol_count
-
-    def test_cache_is_small_and_bounded(self):
-        maxsize = eas_stage.cache_info().maxsize
-        assert maxsize is not None and maxsize <= 8
-        for tau in np.linspace(10.0, 20.0, maxsize + 3):
-            eas_stage(CFG.replace(tau_s_db=float(tau), m_h=4, m_v=4, n_candidates=64))
-        assert eas_stage.cache_info().currsize <= maxsize
-
-    def test_detection_leaves_cache_intact(self):
-        stage = eas_stage(CFG)
-        before = stage.matrix.columns.copy(), stage.powers.copy()
-        scene = generate_scene(CFG, 2, 0, 5)
-        result = hierarchical_detect(CFG, scene, np.random.default_rng(1))
-        assert result.sensing_powers[0] is stage.powers
-        np.testing.assert_array_equal(stage.matrix.columns, before[0])
-        np.testing.assert_array_equal(stage.powers, before[1])
-
-
-class TestAasTableCache:
-    def test_matches_fresh_computation(self):
-        table = aas_table(CFG)
-        cand = azimuth_candidates(CFG)
-        np.testing.assert_array_equal(table.candidates, cand)
-        assert table.unit_phase.shape == (CFG.n_candidates, CFG.n_subcarriers)
-        np.testing.assert_array_equal(table.unit_phase, aas_unit_phase(CFG, cand))
-
-    def test_cached_arrays_are_read_only(self):
-        table = aas_table(CFG)
-        for arr in (table.candidates, table.unit_phase):
-            assert not arr.flags.writeable
-            with pytest.raises(ValueError):
-                arr[0] = 1.0
-        with pytest.raises(ValueError):
-            table.unit_phase *= 2.0
-
-    def test_one_entry_per_config(self):
-        assert aas_table(CFG) is aas_table(SystemConfig(**{
-            f: getattr(CFG, f) for f in CFG.__dataclass_fields__
-        }))
-        for change in ({"n_candidates": 128}, {"phi_max": 2.5}, {"tau_s_db": 24.0}):
-            assert aas_table(CFG.replace(**change)) is not aas_table(CFG)
-        assert aas_table(CFG.replace(n_candidates=128)).unit_phase.shape == (128, 32)
-
-    def test_cache_is_small_and_bounded(self):
-        maxsize = aas_table.cache_info().maxsize
-        assert maxsize is not None and maxsize <= 8
-        for tau in np.linspace(10.0, 20.0, maxsize + 3):
-            aas_table(CFG.replace(tau_s_db=float(tau), m_h=4, m_v=4, n_candidates=64))
-        assert aas_table.cache_info().currsize <= maxsize
-
-    def test_detection_leaves_table_intact(self):
-        table = aas_table(CFG)
-        before = table.candidates.copy(), table.unit_phase.copy()
-        scene = generate_scene(CFG, 2, 0, 5)
-        result = hierarchical_detect(CFG, scene, np.random.default_rng(1))
-        assert len(result.elevations) >= 1
-        assert aas_table(CFG) is table
-        np.testing.assert_array_equal(table.candidates, before[0])
-        np.testing.assert_array_equal(table.unit_phase, before[1])
 
 
 class TestHierarchicalDetect:

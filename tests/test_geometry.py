@@ -11,7 +11,7 @@ from oracles import horizontal_steering, uniform_phase_sum, upa_steering, vertic
 from squintsense import geometry
 from squintsense.channel import generate_scene, scene_arrays
 from squintsense.config import SystemConfig
-from squintsense.detection import aas_table
+from squintsense.detection import proposed_plan
 from squintsense.exceptions import ConfigError
 from squintsense.geometry import (
     ENVELOPE_MARGIN,
@@ -376,9 +376,11 @@ def in_helper_block(monkeypatch, action):
 KERNEL_CASES = {
     "ragged": lambda: uniform_phase_power(ragged_slopes(), 16),
     "ragged-scaled-m7": lambda: uniform_phase_power(ragged_slopes(), 7, scale=0.3),
-    "full-aas": lambda: uniform_phase_power(aas_table(FULL).unit_phase, FULL.m_h, np.sin(0.7)),
+    "full-aas": lambda: uniform_phase_power(
+        proposed_plan(FULL).aas_unit_phase, FULL.m_h, np.sin(0.7)
+    ),
     "scaled-aas": lambda: uniform_phase_power(
-        aas_table(SCALED).unit_phase, SCALED.m_h, np.sin(0.7)
+        proposed_plan(SCALED).aas_unit_phase, SCALED.m_h, np.sin(0.7)
     ),
     "ragged-rows": lambda: phase_difference_power(*difference_args(40)),
     "full-exhaustive": lambda: exhaustive_response(FULL),

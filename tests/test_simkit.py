@@ -5,15 +5,23 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import squintsense.simkit as simkit
 from squintsense.beamforming import (
     BeamformerWeights,
     aas_azimuth_grid,
+    aas_unit_phase,
     comm_beamformer,
     eas_elevation_grid,
 )
 from squintsense.channel import Scene, generate_scene, scene_arrays, sensing_attenuation
 from squintsense.config import RunConfig, SystemConfig
-from squintsense.detection import eas_stage, hierarchical_detect
+from squintsense.detection import (
+    MeasurementMatrix,
+    azimuth_candidates,
+    elevation_candidates,
+    hierarchical_detect,
+    proposed_plan,
+)
 from squintsense.exceptions import ConfigError, InfeasibleError
 from squintsense.geometry import uniform_phase_power
 from squintsense.power import (
@@ -296,8 +304,6 @@ def full_grid_scan(cfg, scene, seed):
 def spy_scan(monkeypatch, cfg, scene, seed):
     """Run the scan; return (its record, the statistic it ranked, the number
     of rows whose response it computed)."""
-    import squintsense.simkit as simkit
-
     seen = {"rows": 0}
 
     def response(cfg, echoes, rows):
@@ -380,24 +386,6 @@ class TestScanBound:
     @EVERY_CONFIG
     def test_bounds_hold_on_grid_cells(self, cfg):
         self.check(cfg, on_grid_scene(cfg), 5)
-
-
-class TestExhaustivePlanCache:
-    def test_matches_fresh_computation(self):
-        plan = exhaustive_plan(SCALED)
-        fresh = exhaustive_plan.__wrapped__(SCALED)
-        assert plan is not fresh
-        for name, value in fresh._asdict().items():
-            np.testing.assert_array_equal(getattr(plan, name), value)
-        np.testing.assert_array_equal(plan.theta_grid, eas_elevation_grid(SCALED))
-        assert plan.powers.shape == (SCALED.n_subcarriers**2,)
-
-    def test_cached_arrays_are_read_only(self):
-        plan = exhaustive_plan(SCALED)
-        for arr in plan:
-            assert not arr.flags.writeable
-        with pytest.raises(ValueError):
-            plan.cell_h[0, 0] = 1.0
 
 
 class TestExhaustiveMemory:
@@ -524,7 +512,7 @@ class TestTrialCallCounts:
         import squintsense.detection as detection
 
         cfg = COMM_CFG.replace(tau_c_db=20.0)
-        eas_stage(cfg)  # the cached EAS stage is built once per config, not per trial
+        proposed_plan(cfg)  # the cached plan is built once per config, not per trial
         counts = {"scene_arrays": 0, "kernel": 0}
 
         def counted(name, fn):
@@ -554,52 +542,128 @@ class TestTrialCallCounts:
         assert {kernel for _, _, kernel in seen} == {6}
 
 
-class TestAzimuthOnlyPlanCache:
+class TestScanTopCells:
+    @pytest.mark.parametrize("q", [0, 1, 3])
+    def test_same_cells_as_argsort_of_every_cell(self, monkeypatch, q):
+        """The scan record takes the cells that a descending argsort of the
+        whole statistic takes, when unevaluated rows read -inf."""
+        n = SCALED.n_subcarriers
+        grids = (np.arange(n, dtype=float), np.arange(n, dtype=float))
+        picked = []
+        monkeypatch.setattr(simkit, "_finish_record", lambda *args: picked.append(args[3]))
+        rng = np.random.default_rng(q)
+        for evaluated in (1, 4, 9, n):
+            statistic = np.full((n, n), -np.inf)
+            rows = rng.choice(n, evaluated, replace=False)
+            statistic[rows] = rng.rayleigh(size=(evaluated, n))
+            _scan_record("exhaustive", SCALED, Scene(np.zeros((q, 2))), statistic, grids, None)
+            flat = np.argsort(statistic.ravel())[::-1][:q]
+            assert picked.pop() == [(float(i // n), float(i % n)) for i in flat]
+
+
+def plan_arrays(plan):
+    """(name, array) of every ndarray of a method plan, the nested EAS
+    dictionary's included."""
+    for name, value in plan._asdict().items():
+        if isinstance(value, MeasurementMatrix):
+            yield from ((f"{name}.{key}", arr) for key, arr in vars(value).items())
+        elif isinstance(value, np.ndarray):
+            yield name, value
+
+
+class PlanCacheContract:
+    """Cache contract of a method's per-config plan, checked by one subclass
+    per method: ``plan`` is the cached plan function, ``run`` the trial that
+    reads it."""
+
+    plan = run = None
+
+    def test_cached_arrays_are_read_only(self):
+        arrays = dict(plan_arrays(self.plan(SCALED)))
+        assert len(arrays) >= 4
+        for name, arr in arrays.items():
+            assert not arr.flags.writeable, name
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+    def test_one_entry_per_config(self):
+        assert self.plan(SCALED) is self.plan(SystemConfig(**{
+            f: getattr(SCALED, f) for f in SCALED.__dataclass_fields__
+        }))
+        for change in ({"tau_s_db": 24.0}, {"phi_max": 2.5}, {"m_h": 8}):
+            assert self.plan(SCALED.replace(**change)) is not self.plan(SCALED)
+
+    def test_cache_is_small_and_bounded(self):
+        maxsize = self.plan.cache_info().maxsize
+        assert maxsize is not None and maxsize <= 8
+        small = SCALED.replace(m_h=4, m_v=4, n_subcarriers=8, n_candidates=64)
+        for tau in np.linspace(10.0, 20.0, maxsize + 3):
+            self.plan(small.replace(tau_s_db=float(tau)))
+        assert self.plan.cache_info().currsize <= maxsize
+
+    def test_trials_leave_plan_intact(self):
+        plan = self.plan(SCALED)
+        before = {name: arr.copy() for name, arr in plan_arrays(plan)}
+        for seed in range(3):
+            scene = generate_scene(SCALED, 2, 0, seed)
+            assert self.run(SCALED, scene, np.random.default_rng(seed)).ok
+        assert self.plan(SCALED) is plan
+        for name, arr in plan_arrays(plan):
+            np.testing.assert_array_equal(arr, before[name], err_msg=name)
+
+
+class TestProposedPlanCache(PlanCacheContract):
+    plan = staticmethod(proposed_plan)
+    run = staticmethod(run_proposed_trial)
+
+    def test_matches_fresh_computation(self):
+        plan = proposed_plan(SCALED)
+        fresh = proposed_plan.__wrapped__(SCALED)
+        assert plan is not fresh
+        for (name, arr), (_, want) in zip(plan_arrays(plan), plan_arrays(fresh), strict=True):
+            np.testing.assert_array_equal(arr, want, err_msg=name)
+        assert plan.eas_symbol_count == fresh.eas_symbol_count
+        assert plan.eas_weights.kind == "eas"
+        assert plan.eas_weights.v_slope == fresh.eas_weights.v_slope
+        np.testing.assert_array_equal(plan.eas_matrix.candidates, elevation_candidates(SCALED))
+        np.testing.assert_array_equal(plan.aas_candidates, azimuth_candidates(SCALED))
+        assert plan.aas_unit_phase.shape == (SCALED.n_candidates, SCALED.n_subcarriers)
+        np.testing.assert_array_equal(
+            plan.aas_unit_phase, aas_unit_phase(SCALED, azimuth_candidates(SCALED))
+        )
+        scene = generate_scene(SCALED, 2, 0, 5)
+        result = hierarchical_detect(SCALED, scene, np.random.default_rng(1))
+        assert result.sensing_powers[0] is plan.eas_powers
+        lower = proposed_plan(SCALED.replace(tau_s_db=24.0))
+        assert lower.eas_symbol_count <= plan.eas_symbol_count
+
+
+class TestExhaustivePlanCache(PlanCacheContract):
+    plan = staticmethod(exhaustive_plan)
+    run = staticmethod(run_exhaustive_baseline)
+
+    def test_matches_fresh_computation(self):
+        plan = exhaustive_plan(SCALED)
+        fresh = exhaustive_plan.__wrapped__(SCALED)
+        assert plan is not fresh
+        for name, value in fresh._asdict().items():
+            np.testing.assert_array_equal(getattr(plan, name), value)
+        np.testing.assert_array_equal(plan.theta_grid, eas_elevation_grid(SCALED))
+        assert plan.powers.shape == (SCALED.n_subcarriers**2,)
+
+
+class TestAzimuthOnlyPlanCache(PlanCacheContract):
+    plan = staticmethod(azimuth_only_plan)
+    run = staticmethod(run_azimuth_only_baseline)
+
     def test_matches_fresh_computation(self):
         plan = azimuth_only_plan(SCALED)
         fresh = azimuth_only_plan.__wrapped__(SCALED)
         assert plan is not fresh
-        for name, value in vars(fresh).items():
+        for name, value in fresh._asdict().items():
             np.testing.assert_array_equal(getattr(plan, name), value)
         assert plan.powers.shape == (SCALED.n_subcarriers, SCALED.n_subcarriers)
-
-    def test_cached_arrays_are_read_only(self):
-        plan = azimuth_only_plan(SCALED)
-        arrays = [v for v in vars(plan).values() if isinstance(v, np.ndarray)]
-        assert len(arrays) == 9
-        for arr in arrays:
-            assert not arr.flags.writeable
-            with pytest.raises(ValueError):
-                arr[0] = 1.0
-        with pytest.raises(ValueError):
-            plan.powers *= 2.0
-
-    def test_one_entry_per_config(self):
-        assert azimuth_only_plan(SCALED) is azimuth_only_plan(SystemConfig(**{
-            f: getattr(SCALED, f) for f in SCALED.__dataclass_fields__
-        }))
-        for change in ({"tau_s_db": 24.0}, {"phi_max": 2.5}, {"m_h": 8}):
-            assert azimuth_only_plan(SCALED.replace(**change)) is not azimuth_only_plan(SCALED)
-        lower = azimuth_only_plan(SCALED.replace(tau_s_db=24.0)).powers
-        assert np.all(lower < azimuth_only_plan(SCALED).powers)
-
-    def test_cache_is_small_and_bounded(self):
-        maxsize = azimuth_only_plan.cache_info().maxsize
-        assert maxsize is not None and maxsize <= 8
-        for tau in np.linspace(10.0, 20.0, maxsize + 3):
-            azimuth_only_plan(SCALED.replace(tau_s_db=float(tau), m_h=4, m_v=4, n_subcarriers=8))
-        assert azimuth_only_plan.cache_info().currsize <= maxsize
-
-    def test_trials_leave_plan_intact(self):
-        plan = azimuth_only_plan(SCALED)
-        before = {k: np.copy(v) for k, v in vars(plan).items()}
-        for seed in range(3):
-            scene = generate_scene(SCALED, 2, 0, seed)
-            record = run_azimuth_only_baseline(SCALED, scene, np.random.default_rng(seed))
-            assert record.ok
-        assert azimuth_only_plan(SCALED) is plan
-        for name, value in before.items():
-            np.testing.assert_array_equal(getattr(plan, name), value)
+        assert np.all(azimuth_only_plan(SCALED.replace(tau_s_db=24.0)).powers < plan.powers)
 
     def test_ttd_limit_fails_every_trial(self):
         cfg = SCALED.replace(max_abs_ttd=1e-15)
