@@ -6,6 +6,7 @@ import oracles
 from squintsense.beamforming import (
     BeamformerWeights,
     aas_beamformer,
+    aas_unit_phase,
     comm_beamformer,
     eas_beamformer,
     eas_elevation_grid,
@@ -289,6 +290,106 @@ class TestObservation:
                 CFG, scene_arrays(CFG, Scene()), eas_beamformer(CFG), np.zeros(32), 0,
                 np.random.default_rng(0),
             )
+
+
+class TestEasStageCache:
+    """The EAS half of :func:`proposed_plan`: beam, T_0, p_0 and dictionary."""
+
+    def test_matches_fresh_computation(self):
+        plan = proposed_plan(CFG)
+        mtx, bf, t, p = eas_matrix(CFG)
+        assert plan.eas_symbol_count == t
+        np.testing.assert_array_equal(plan.eas_powers, p)
+        np.testing.assert_array_equal(plan.eas_matrix.columns, mtx.columns)
+        np.testing.assert_array_equal(plan.eas_matrix.candidates, mtx.candidates)
+        assert plan.eas_weights.kind == "eas"
+
+    def test_cached_arrays_are_read_only(self):
+        plan = proposed_plan(CFG)
+        arrays = (
+            plan.eas_powers,
+            plan.eas_matrix.columns,
+            plan.eas_matrix.candidates,
+            plan.eas_matrix.norms,
+        )
+        for arr in arrays:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        with pytest.raises(ValueError):
+            plan.eas_matrix.columns *= 2.0
+
+    def test_one_entry_per_config(self):
+        assert proposed_plan(CFG) is proposed_plan(SystemConfig(**{
+            f: getattr(CFG, f) for f in CFG.__dataclass_fields__
+        }))
+        for change in ({"tau_s_db": 24.0}, {"n_candidates": 128}, {"kappa_db": 7.0}):
+            other = CFG.replace(**change)
+            assert proposed_plan(other) is not proposed_plan(CFG)
+        lower = proposed_plan(CFG.replace(tau_s_db=24.0))
+        assert lower.eas_symbol_count <= proposed_plan(CFG).eas_symbol_count
+
+    def test_cache_is_small_and_bounded(self):
+        maxsize = proposed_plan.cache_info().maxsize
+        assert maxsize is not None and maxsize <= 8
+        for tau in np.linspace(10.0, 20.0, maxsize + 3):
+            proposed_plan(CFG.replace(tau_s_db=float(tau), m_h=4, m_v=4, n_candidates=64))
+        assert proposed_plan.cache_info().currsize <= maxsize
+
+    def test_detection_leaves_cache_intact(self):
+        plan = proposed_plan(CFG)
+        before = plan.eas_matrix.columns.copy(), plan.eas_powers.copy()
+        scene = generate_scene(CFG, 2, 0, 5)
+        result = hierarchical_detect(CFG, scene, np.random.default_rng(1))
+        assert result.sensing_powers[0] is plan.eas_powers
+        np.testing.assert_array_equal(plan.eas_matrix.columns, before[0])
+        np.testing.assert_array_equal(plan.eas_powers, before[1])
+
+
+class TestAasTableCache:
+    """The AAS half of :func:`proposed_plan`: azimuth candidates and the
+    unit-phase table."""
+
+    def test_matches_fresh_computation(self):
+        plan = proposed_plan(CFG)
+        cand = azimuth_candidates(CFG)
+        np.testing.assert_array_equal(plan.aas_candidates, cand)
+        assert plan.aas_unit_phase.shape == (CFG.n_candidates, CFG.n_subcarriers)
+        np.testing.assert_array_equal(plan.aas_unit_phase, aas_unit_phase(CFG, cand))
+
+    def test_cached_arrays_are_read_only(self):
+        plan = proposed_plan(CFG)
+        for arr in (plan.aas_candidates, plan.aas_unit_phase):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        with pytest.raises(ValueError):
+            plan.aas_unit_phase *= 2.0
+
+    def test_one_entry_per_config(self):
+        assert proposed_plan(CFG) is proposed_plan(SystemConfig(**{
+            f: getattr(CFG, f) for f in CFG.__dataclass_fields__
+        }))
+        for change in ({"n_candidates": 128}, {"phi_max": 2.5}, {"tau_s_db": 24.0}):
+            assert proposed_plan(CFG.replace(**change)) is not proposed_plan(CFG)
+        assert proposed_plan(CFG.replace(n_candidates=128)).aas_unit_phase.shape == (128, 32)
+
+    def test_cache_is_small_and_bounded(self):
+        maxsize = proposed_plan.cache_info().maxsize
+        assert maxsize is not None and maxsize <= 8
+        for tau in np.linspace(10.0, 20.0, maxsize + 3):
+            proposed_plan(CFG.replace(tau_s_db=float(tau), m_h=4, m_v=4, n_candidates=64))
+        assert proposed_plan.cache_info().currsize <= maxsize
+
+    def test_detection_leaves_table_intact(self):
+        plan = proposed_plan(CFG)
+        before = plan.aas_candidates.copy(), plan.aas_unit_phase.copy()
+        scene = generate_scene(CFG, 2, 0, 5)
+        result = hierarchical_detect(CFG, scene, np.random.default_rng(1))
+        assert len(result.elevations) >= 1
+        assert proposed_plan(CFG) is plan
+        np.testing.assert_array_equal(plan.aas_candidates, before[0])
+        np.testing.assert_array_equal(plan.aas_unit_phase, before[1])
 
 
 class TestHierarchicalDetect:
