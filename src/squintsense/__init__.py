@@ -51,7 +51,6 @@ from .geometry import (
     composite_aod_bounds,
     fejer_envelope,
     flat_horizontal_gain,
-    phase_difference_power,
     safe_arccos,
     uniform_phase_power,
 )

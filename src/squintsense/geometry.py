@@ -1,4 +1,4 @@
-"""Array-factor power kernels of affine phase profiles, the flat
+"""The Fejer power kernel of affine phase profiles and its envelope, the flat
 horizontal-gain model and its composite-AoD bounds.
 
 :func:`uniform_phase_power` takes an optional scalar ``scale`` of the
@@ -6,19 +6,19 @@ slopes, applied inside its first multiply, so a table of slopes that many
 callers share, such as the AAS phase per unit sin(theta_hat), is never
 rescaled into a copy.
 
-Both kernels loop over cache-sized blocks that write disjoint slices of
-their output. A call with more than one block shares its blocks between the
+The kernel loops over cache-sized blocks that write disjoint slices of its
+output. A call with more than one block shares its blocks between the
 calling thread and one helper thread per further CPU the process may use
 (``len(os.sched_getaffinity(0)) - 1``, read at each call, and never more
 helpers than blocks after the first); numpy releases the GIL inside its
-ufuncs and matmuls, so one call uses every core. The threads draw block
-starts from one shared iterator, so a slowed thread takes fewer blocks.
-Each thread has its own work arrays and computes every block it takes with
-the same code, so the result is bit-identical for any thread count. The
-helpers run in a copy of the caller's context, so an ``np.errstate`` set by
-the caller holds in their blocks too, and an exception raised in any block
-is re-raised in the caller after every thread has joined. A call of one
-block starts no thread, and importing the module starts none."""
+ufuncs, so one call uses every core. The threads draw block starts from
+one shared iterator, so a slowed thread takes fewer blocks. Each thread
+has its own work arrays and computes every block it takes with the same
+code, so the result is bit-identical for any thread count. The helpers run
+in a copy of the caller's context, so an ``np.errstate`` set by the caller
+holds in their blocks too, and an exception raised in any block is
+re-raised in the caller after every thread has joined. A call of one block
+starts no thread, and importing the module starts none."""
 
 from __future__ import annotations
 
@@ -35,10 +35,6 @@ ARCCOS_CLAMP_TOL = 1e-9
 # Elements per pass of uniform_phase_power: its work arrays and the block of
 # output (384 KB of float64) stay in a core's L2 cache.
 FEJER_BLOCK = 16384
-# Below this |sin u|, phase_difference_power evaluates the kernel from the
-# slope difference itself: the angle-difference identity forms sin u with an
-# absolute error of ~1e-16, so its relative error grows as 1/|sin u|.
-DIFFERENCE_NEAR = 1e-3
 # Relative margin that makes fejer_envelope bound the computed kernels, not
 # only the exact power: near slopes of +-2 the kernel reads up to 4.3e-4 above
 # the exact power for m in {3, 7, 13}, and 1e-15 above it for m in {16, 64}
@@ -256,91 +252,3 @@ def fejer_envelope(slope, m, lo, hi):
     sinc /= y
     sinc *= sinc
     return np.minimum(sinc, 1.0, out=sinc)
-
-
-def _sin_cos(half, sin_out, cos_out):
-    """sin and cos of 2 * half from t = tan(half): with r = 2 / (1 + t^2),
-    sin = t r and cos = r - 1."""
-    t = np.tan(half)
-    r = np.multiply(t, t)
-    r += 1.0
-    np.divide(2.0, r, out=r)
-    np.multiply(t, r, out=sin_out)
-    np.subtract(r, 1.0, out=cos_out)
-
-
-def phase_difference_power(sources, cells, ratio, m, weights):
-    """Weighted sum over subcarriers n and sources s of the Fejer kernel at
-    slope ratio[n] * (sources[s] - cells[r, c]), for every cell (r, c):
-
-        out[r, c] = sum_{n, s} weights[r, n, s]
-                    * uniform_phase_power(ratio[n] * (sources[s] - cells[r, c]), m)
-
-    sources is (S,), cells (R, C), ratio (N,) and weights (R, N, S); out is
-    a complex (R, C) array.
-
-    The kernel's u = alpha - beta splits into a source phase alpha =
-    (pi/2) ratio[n] sources[s] and a cell phase beta = (pi/2) ratio[n]
-    cells[r, c], so sin u = sin(alpha) cos(beta) - cos(alpha) sin(beta), and
-    likewise sin(m u) from m alpha and m beta. The sin/cos tables of beta
-    and m beta are formed once per block of rows, from half-angle tangents
-    as in uniform_phase_power, and are shared by every source. Both
-    identities are then one batched matmul of (source table) x (cell table)
-    over subcarriers, so no element needs a transcendental. Each row's sum
-    over (n, s) is one matmul, with 1/m^2 folded into the weights. A block
-    holds up to FEJER_BLOCK elements per table, so no (R, C, N) array is
-    formed. Elements with |sin u| < DIFFERENCE_NEAR, which include the
-    even-integer slopes of the kernel's limit branch, are evaluated by the
-    kernel from the slope difference. With more than one block of rows, the
-    blocks are shared between the calling thread and helper threads, each
-    with its own tables (see the module docstring), with the same bits for
-    any thread count.
-    """
-    sources = np.asarray(sources, dtype=float)
-    cells = np.asarray(cells, dtype=float)
-    ratio = np.asarray(ratio, dtype=float)
-    (n_rows, n_cols), n, n_src = cells.shape, ratio.size, sources.size
-    # (sin(m u) / sin u)^2 is m^2 times the kernel
-    w = np.divide(weights, m * m, dtype=complex, order="C")
-    w_parts = w.view(float).reshape(n_rows, n * n_src, 2)  # real and imaginary parts
-    out = np.empty((n_rows, n_cols, 2))
-
-    quarter = 0.25 * np.pi * ratio  # half of each phase's (pi/2) ratio[n]
-    half_alpha = quarter[:, None] * sources  # (N, S)
-    src_tables = []  # (N, S, 2) rows [sin, -cos] of alpha, then of m alpha
-    for half in (half_alpha, m * half_alpha):
-        table = np.empty((n, n_src, 2))
-        _sin_cos(half, table[..., 0], table[..., 1])
-        np.negative(table[..., 1], out=table[..., 1])
-        src_tables.append(table)
-    rows = max(1, FEJER_BLOCK // (n_cols * n))
-
-    def worker():
-        # (rows, N, 2, C) columns [cos; sin] of beta, then of m beta
-        cell_tables = np.empty((2, rows, n, 2, n_cols))
-        sin_u = np.empty((rows, n, n_src, n_cols))
-        sin_mu = np.empty((rows, n, n_src, n_cols))
-
-        def work(r0):
-            k = min(rows, n_rows - r0)
-            block = cells[r0 : r0 + k]
-            half_beta = quarter[:, None] * block[:, None, :]  # (k, N, C)
-            for table, half in zip(cell_tables[:, :k], (half_beta, m * half_beta)):
-                _sin_cos(half, table[:, :, 1], table[:, :, 0])
-            s1, sm = sin_u[:k], sin_mu[:k]
-            np.matmul(src_tables[0], cell_tables[0, :k], out=s1)  # (k, N, S, C)
-            near = np.abs(s1, out=sm) < DIFFERENCE_NEAR
-            np.matmul(src_tables[1], cell_tables[1, :k], out=sm)
-            flat = np.flatnonzero(near)
-            s1.reshape(-1)[flat] = 1.0
-            sm /= s1
-            sm *= sm
-            i, j, s, c = np.unravel_index(flat, sm.shape)
-            sm.reshape(-1)[flat] = m * m * _fejer_pass(ratio[j] * (sources[s] - block[i, c]), m)
-            terms = sm.reshape(k, n * n_src, n_cols).transpose(0, 2, 1)
-            np.matmul(terms, w_parts[r0 : r0 + k], out=out[r0 : r0 + k])
-
-        return work
-
-    _for_each_block(range(0, n_rows, rows), worker)
-    return out.view(complex).reshape(n_rows, n_cols)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import functools
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -25,7 +25,6 @@ from .geometry import (
     ENVELOPE_MARGIN,
     fejer_envelope,
     flat_horizontal_gain,
-    phase_difference_power,
     uniform_phase_power,
 )
 from .power import (
@@ -49,24 +48,6 @@ AGGREGATE_FIELDS = [
     "trials_failed",
 ]
 
-TRIAL_FIELDS = [
-    "trial",
-    "seed",
-    "method",
-    "sweep_var",
-    "sweep_value",
-    "q_targets",
-    "distance_error_m",
-    "total_sensing_energy",
-    "avg_transmit_power",
-    "sum_rate",
-    "energy_efficiency",
-    "n_stages",
-    "symbol_counts",
-    "ok",
-    "error",
-]
-
 
 @dataclass
 class TrialRecord:
@@ -85,6 +66,9 @@ class TrialRecord:
     symbol_counts: tuple = ()
     ok: bool = True
     error: str = ""
+
+
+TRIAL_FIELDS = [field.name for field in fields(TrialRecord)]
 
 
 def _positions(height: float, pairs) -> np.ndarray:
@@ -263,26 +247,30 @@ def exhaustive_plan(cfg: SystemConfig) -> ExhaustivePlan:
     return plan
 
 
-def _exhaustive_response(cfg: SystemConfig, echoes, rows):
-    """Noise-free echo of the scan cells in the given rows, averaged coherently
-    over subcarriers: (len(rows), N), columns following the azimuth grid.
-    ``echoes`` is the scene's echo form scene_arrays(cfg, scene)."""
+def _cell_response(cfg: SystemConfig, echoes, rows, cols):
+    """Noise-free echo of the scan cells (rows[i], cols[i]), averaged coherently
+    over subcarriers: (len(rows),). ``echoes`` is the scene's echo form
+    scene_arrays(cfg, scene). Every step is elementwise or a reduction along a
+    cell's own axes, so each cell has the same bits whatever other cells it
+    is given."""
     plan = exhaustive_plan(cfg)
     s_theta, s_phi, s_amp = echoes
-    # squint-compensated pencil at cell (r, c): residual slope is
-    # (1 + f/fc) * (target trig - cell trig) in both axes
-    x_v = plan.ratio[:, None] * (np.cos(s_theta) - plan.cos_theta[rows, None, None])  # (r, n, s)
-    # each scatterer's horizontal power on subcarrier n, weighted by its
-    # vertical power and amplitude over N
-    weights = uniform_phase_power(x_v, cfg.m_v) * (s_amp / cfg.n_subcarriers)
     s_h = np.sin(s_theta) * np.cos(s_phi)
-    return phase_difference_power(s_h, plan.cell_h[rows], plan.ratio, cfg.m_h, weights)
+    # squint-compensated pencil at cell (r, c): residual slope is
+    # (1 + f/fc) * (target trig - cell trig) in both axes, (cell, n, s)
+    power = uniform_phase_power(
+        plan.ratio[:, None] * (np.cos(s_theta) - plan.cos_theta[rows, None, None]), cfg.m_v
+    )
+    power *= uniform_phase_power(
+        plan.ratio[:, None] * (s_h - plan.cell_h[rows, cols, None, None]), cfg.m_h
+    )
+    return (power * s_amp).sum(axis=2).mean(axis=1)
 
 
 def _row_bound(cfg: SystemConfig, echoes, noise):
     """Upper bound of the scan statistic over each row, (N,), and the (N, S)
-    array W whose entry W[r, s] bounds scatterer s's weights in
-    _exhaustive_response at row r, summed over subcarriers."""
+    array W whose entry W[r, s] bounds scatterer s's vertical power times
+    |amplitude| at row r, on every subcarrier."""
     plan = exhaustive_plan(cfg)
     s_theta, _, s_amp = echoes
     vertical = np.abs(s_amp) * fejer_envelope(
@@ -321,19 +309,21 @@ def run_exhaustive_baseline(
 
     Only the top-q cells of the statistic reach the record, so the exact
     statistic |sqrt(p_r) response + noise| / (sqrt(p_r) alpha_r) is computed
-    only on rows that could hold one (a threshold stopping rule, as in
-    Fagin, Lotem & Naor, PODS 2001); the other rows hold -inf. With E_m the
+    only at cells that could be one (a threshold stopping rule, as in
+    Fagin, Lotem & Naor, PODS 2001); the other cells hold -inf. With E_m the
     ``geometry.fejer_envelope`` over the subcarrier ratios, scatterer s adds
     at most W[r, s] = |amp_s| E_{m_v}(cos theta_s - cos theta_r) to row r,
     and W[r, s] E_{m_h}(h_s - h_rc) to cell (r, c); a row's bound adds its
     largest |noise|, a cell's its own, each times 1 + ENVELOPE_MARGIN. The
-    noise is drawn first (the response draws no random numbers). The 4 rows
-    of largest bound are evaluated first; every other row whose bound is
-    above the q-th largest statistic then takes the largest of its cell
-    bounds, and rows follow in batches of 8, 16, ... until that statistic is
-    at least every unevaluated row's bound. The kernels compute each row the
-    same way whatever other rows they are given, so evaluated rows, the
-    top-q cells and the record are bit-identical to a full-grid scan.
+    noise is drawn first (the response draws no random numbers). The cells
+    of the 4 rows of largest bound are bounded first. Then the unevaluated
+    cells of largest bound are evaluated in batches of 8, 16, ... (the first
+    at least q), and after each batch every row whose bound is above the
+    q-th largest statistic has its cells bounded, until no unevaluated
+    cell's bound is above that statistic. :func:`_cell_response` computes
+    each cell the same way whatever other cells it is given, so evaluated
+    cells, the top-q cells and the record are bit-identical to a full-grid
+    scan.
     """
     n = cfg.n_subcarriers
     plan = exhaustive_plan(cfg)
@@ -343,25 +333,24 @@ def run_exhaustive_baseline(
     echoes = scene_arrays(cfg, scene)
     q = len(scene.targets)
     statistic = np.full((n, n), -np.inf)
-    top = np.full(q, -np.inf)  # the q largest statistics so far
-
-    def evaluate(rows):
-        """Exact statistic of the given rows; the q-th largest so far."""
-        signal = plan.sqrt_powers[rows, None] * _exhaustive_response(cfg, echoes, rows)
-        statistic[rows] = np.abs(signal + noise[rows]) / plan.expected[rows, None]
-        top[:] = np.partition(np.concatenate((top, statistic[rows].ravel())), -q)[-q:]
-        return top[0]
-
     if q:
-        bound, vertical = _row_bound(cfg, echoes, noise)
-        order = np.argsort(bound)[::-1]
-        kth, pending = evaluate(order[:4]), order[4:]
-        tighten = pending[bound[pending] > kth]
-        bound[tighten] = _cell_bound(cfg, echoes, noise, vertical, tighten).max(axis=1)
-        pending = pending[np.argsort(bound[pending])[::-1]]
-        batch = 8
-        while pending.size and kth < bound[pending[0]]:
-            kth, pending, batch = evaluate(pending[:batch]), pending[batch:], 2 * batch
+        row_bound, vertical = _row_bound(cfg, echoes, noise)
+        bound = np.full((n, n), -np.inf)  # cell bounds; -inf once evaluated or unbounded
+        top = np.full(q, -np.inf)  # the q largest statistics so far
+        rows, batch = np.argsort(row_bound)[-4:], max(8, q)
+        while True:
+            bound[rows] = _cell_bound(cfg, echoes, noise, vertical, rows)
+            row_bound[rows] = -np.inf  # these rows are bounded cell by cell
+            live = np.flatnonzero(bound > top[0])
+            if not live.size:
+                break
+            cells = live[np.argsort(bound.flat[live])[-batch:]]
+            r, c = np.divmod(cells, n)
+            signal = plan.sqrt_powers[r] * _cell_response(cfg, echoes, r, c)
+            statistic[r, c] = np.abs(signal + noise[r, c]) / plan.expected[r]
+            bound[r, c] = -np.inf
+            top = np.partition(np.concatenate((top, statistic[r, c])), -q)[-q:]
+            rows, batch = np.flatnonzero(row_bound > top[0]), 2 * batch
     grids = (plan.theta_grid, plan.phi_grid)
     return _scan_record("exhaustive", cfg, scene, statistic, grids, plan.powers)
 

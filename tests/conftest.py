@@ -1,4 +1,11 @@
+import os
 import sys
+from pathlib import Path
+
+# Subprocesses that run the package (``python -m squintsense.cli``) import the
+# working tree too, not only this process through pytest's ``pythonpath``.
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -19,7 +19,6 @@ from squintsense.geometry import (
     composite_aod_bounds,
     fejer_envelope,
     flat_horizontal_gain,
-    phase_difference_power,
     safe_arccos,
     uniform_phase_power,
 )
@@ -268,33 +267,6 @@ class TestKernelExactness:
         assert np.all(error[near] <= 1e-12 * want[near])
 
 
-class TestPhaseDifferencePower:
-    @staticmethod
-    def direct(sources, cells, ratio, m, weights):
-        slopes = ratio[:, None] * (sources - cells[:, :, None, None])  # (R, C, N, S)
-        return np.einsum("rns,rcns->rc", weights, uniform_phase_power(slopes, m))
-
-    @pytest.mark.parametrize("m", [7, 16])
-    def test_matches_direct_sum(self, m):
-        rng = np.random.default_rng(m)
-        n_rows, n_cols, n = 30, 40, 30  # row blocks of 13, 13 and 4 rows
-        cells = rng.uniform(-1.0, 1.0, (n_rows, n_cols))
-        cells[0, 0], cells[5, 7], cells[9, 3] = -1.0, 0.25, 0.0
-        # sources on a cell (u = 0; at slope 0 the identity gives sin u = 0
-        # exactly) and at slope 2 on the unit-ratio subcarrier (u = pi)
-        sources = np.concatenate([[0.25, 0.0, 1.0], rng.uniform(-1.0, 1.0, 3)])
-        ratio = 1.0 + rng.uniform(-0.05, 0.05, n)
-        ratio[4] = 1.0
-        real = rng.uniform(0.0, 1.0, (sources.size, n, n_rows)).transpose(2, 1, 0)
-        complex_ = real * np.exp(1j * rng.uniform(0.0, 2 * np.pi, real.shape))
-        for weights in (real, complex_):
-            with np.errstate(all="raise"):
-                got = phase_difference_power(sources, cells, ratio, m, weights)
-            want = self.direct(sources, cells, ratio, m, weights)
-            assert got.shape == (n_rows, n_cols)
-            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-
-
 FULL = SystemConfig()
 SCALED = SystemConfig(m_h=16, m_v=16, n_subcarriers=32, n_candidates=512)
 
@@ -306,26 +278,16 @@ def ragged_slopes():
     return x
 
 
-def difference_args(n_rows):
-    """phase_difference_power arguments over n_rows cell rows, in blocks of 18 rows."""
-    rng = np.random.default_rng(n_rows)
-    n_cols = n = 30
-    cells = rng.uniform(-1.0, 1.0, (n_rows, n_cols))
-    sources = np.concatenate([[cells[3, 4], 0.0], rng.uniform(-1.0, 1.0, 3)])
-    ratio = 1.0 + rng.uniform(-0.05, 0.05, n)
-    weights = rng.uniform(0.0, 1.0, (n_rows, n, sources.size)) * np.exp(
-        1j * rng.uniform(0.0, 2 * np.pi, (n_rows, n, sources.size))
-    )
-    return sources, cells, ratio, 16, weights
+def exhaustive_response(cfg, include_clutter):
+    """The exhaustive scan's evaluator on all N^2 cells: two uniform_phase_power
+    calls of N^3 S elements each. The full-scale case has no clutter, so
+    S = 2 and each array is 34 MB; with clutter, S = 6."""
+    from squintsense.simkit import _cell_response
 
-
-def exhaustive_response(cfg):
-    """The exhaustive scan's noise-free response: both kernels at the config's
-    sizes, uniform_phase_power on its (N, N, S) vertical slopes included."""
-    from squintsense.simkit import _exhaustive_response
-
-    echoes = scene_arrays(cfg, generate_scene(cfg, 2, 0, 7))
-    return _exhaustive_response(cfg, echoes, np.arange(cfg.n_subcarriers))
+    n = cfg.n_subcarriers
+    echoes = scene_arrays(cfg, generate_scene(cfg, 2, 0, 7, include_clutter))
+    rows, cols = np.divmod(np.arange(n * n), n)
+    return _cell_response(cfg, echoes, rows, cols)
 
 
 class ThreadSpy(threading.Thread):
@@ -382,11 +344,10 @@ KERNEL_CASES = {
     "scaled-aas": lambda: uniform_phase_power(
         proposed_plan(SCALED).aas_unit_phase, SCALED.m_h, np.sin(0.7)
     ),
-    "ragged-rows": lambda: phase_difference_power(*difference_args(40)),
-    "full-exhaustive": lambda: exhaustive_response(FULL),
-    "scaled-exhaustive": lambda: exhaustive_response(SCALED),
+    "full-exhaustive": lambda: exhaustive_response(FULL, False),
+    "scaled-exhaustive": lambda: exhaustive_response(SCALED, True),
 }
-ONE_PER_KERNEL = ("ragged", "ragged-rows")
+ONE_PER_KERNEL = ("ragged",)
 
 
 class TestParallelBlocks:
@@ -439,12 +400,9 @@ class TestParallelBlocks:
     def test_one_block_starts_no_thread(self, monkeypatch, spy_threads):
         monkeypatch.setattr(geometry, "_helper_count", lambda: 3)
         uniform_phase_power(np.linspace(-3.0, 3.0, FEJER_BLOCK), 16)
-        phase_difference_power(*difference_args(18))  # one block of 18 rows
         assert spy_threads == []
         uniform_phase_power(np.linspace(-3.0, 3.0, FEJER_BLOCK + 1), 16)
         assert len(spy_threads) == 1  # two blocks: one helper
-        phase_difference_power(*difference_args(40))
-        assert len(spy_threads) == 1 + 2  # blocks of 18, 18 and 4 rows: two helpers
 
     def test_no_helper_without_spare_cpu(self, monkeypatch, spy_threads):
         monkeypatch.setattr(geometry.os, "sched_getaffinity", lambda pid: {0}, raising=False)

@@ -2,7 +2,6 @@
 importing the package starts no thread and loads no thread-pool machinery."""
 
 import ast
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -59,9 +58,7 @@ def test_import_starts_no_thread():
         "print(threading.active_count(), *sorted(\n"
         "    m for m in ('concurrent.futures', 'logging') if m in sys.modules))\n"
     )
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
-        capture_output=True, text=True, check=True,
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
     assert done.stdout.split() == ["1"]

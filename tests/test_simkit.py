@@ -33,7 +33,7 @@ from squintsense.power import (
 )
 from squintsense.simkit import (
     _cell_bound,
-    _exhaustive_response,
+    _cell_response,
     _row_bound,
     _scan_record,
     aggregate,
@@ -198,8 +198,7 @@ class TestBaselines:
                     run_single_trial(run, 0, 0)
 
 
-# non-power-of-two arrays; at N = 24 one partial row block, at N = 44 five
-# blocks of 8 rows and a partial one
+# non-power-of-two arrays, and subcarrier counts that are not powers of two
 ODD_CONFIGS = [
     SystemConfig(m_h=13, m_v=7, n_subcarriers=24, n_candidates=64, tau_s_db=25.0),
     SystemConfig(m_h=13, m_v=7, n_subcarriers=44, n_candidates=64, tau_s_db=25.0),
@@ -226,6 +225,19 @@ def reference_exhaustive_response(cfg, scene):
     return response
 
 
+def every_cell_response(cfg, scene):
+    """_cell_response on all N^2 cells, (N, N): in one call up to N = 45, in
+    calls of 2048 cells above, so a full-scale grid forms no ~100 MB array."""
+    n = cfg.n_subcarriers
+    rows, cols = np.divmod(np.arange(n * n), n)
+    echoes = scene_arrays(cfg, scene)
+    parts = [
+        _cell_response(cfg, echoes, rows[i : i + 2048], cols[i : i + 2048])
+        for i in range(0, n * n, 2048)
+    ]
+    return np.concatenate(parts).reshape(n, n)
+
+
 def on_grid_scene(cfg):
     """Targets and a clutterer exactly on grid cells: zero slope difference on
     every subcarrier, the kernels' limit branch."""
@@ -241,7 +253,7 @@ class TestExhaustiveResponse:
     @staticmethod
     def check(cfg, scene):
         with np.errstate(all="raise"):
-            got = _exhaustive_response(cfg, scene_arrays(cfg, scene), np.arange(cfg.n_subcarriers))
+            got = every_cell_response(cfg, scene)
         want = reference_exhaustive_response(cfg, scene)
         peak = np.max(np.abs(want))
         assert np.max(np.abs(got - want)) <= 1e-12 * peak
@@ -259,15 +271,15 @@ class TestExhaustiveResponse:
 
     @EVERY_CONFIG
     def test_scatterer_just_off_grid_cell(self, cfg):
-        """A slope difference of ~1e-7 on every subcarrier, where the
-        angle-difference identity alone is off by 1e-11 of the peak."""
+        """A slope difference of ~1e-7 on every subcarrier, near the kernel's
+        limit branch but outside it."""
         theta_grid, phi_grid = eas_elevation_grid(cfg), aas_azimuth_grid(cfg)
         n = cfg.n_subcarriers
         theta, phi = theta_grid[n // 3], phi_grid[n // 2] + 1e-7
         self.check(cfg, Scene(targets=np.array([[theta, phi]])))
 
     def test_no_scatterers(self):
-        response = _exhaustive_response(SCALED, scene_arrays(SCALED, Scene()), np.arange(32))
+        response = every_cell_response(SCALED, Scene())
         assert response.shape == (32, 32)
         assert not response.any()
 
@@ -281,9 +293,9 @@ def scan_noise(cfg, rng):
 
 
 def full_grid_statistic(cfg, scene, noise):
-    """The scan statistic on every cell, from the response of every row."""
+    """The scan statistic on every cell, from the response of every cell."""
     plan = exhaustive_plan(cfg)
-    response = _exhaustive_response(cfg, scene_arrays(cfg, scene), np.arange(cfg.n_subcarriers))
+    response = every_cell_response(cfg, scene)
     return np.abs(plan.sqrt_powers[:, None] * response + noise) / plan.expected[:, None]
 
 
@@ -302,38 +314,46 @@ def full_grid_scan(cfg, scene, seed):
 
 
 def spy_scan(monkeypatch, cfg, scene, seed):
-    """Run the scan; return (its record, the statistic it ranked, the number
-    of rows whose response it computed)."""
-    seen = {"rows": 0}
+    """Run the scan; return (its record, the statistic it ranked, the size of
+    each batch of cells it evaluated, the rows whose cells it bounded)."""
+    seen = {"batches": [], "bounded": []}
 
-    def response(cfg, echoes, rows):
-        seen["rows"] += len(rows)
-        return _exhaustive_response(cfg, echoes, rows)
+    def response(cfg, echoes, rows, cols):
+        seen["batches"].append(len(rows))
+        return _cell_response(cfg, echoes, rows, cols)
+
+    def cell_bound(cfg, echoes, noise, vertical, rows):
+        seen["bounded"].extend(rows)
+        return _cell_bound(cfg, echoes, noise, vertical, rows)
 
     def record(method, cfg, scene, statistic, grids, powers):
         seen["statistic"] = statistic.copy()
         return _scan_record(method, cfg, scene, statistic, grids, powers)
 
-    monkeypatch.setattr(simkit, "_exhaustive_response", response)
+    monkeypatch.setattr(simkit, "_cell_response", response)
+    monkeypatch.setattr(simkit, "_cell_bound", cell_bound)
     monkeypatch.setattr(simkit, "_scan_record", record)
     rec = run_exhaustive_baseline(cfg, scene, np.random.default_rng(seed))
-    return rec, seen["statistic"], seen["rows"]
+    return rec, seen["statistic"], seen["batches"], seen["bounded"]
 
 
 class TestExhaustivePruning:
-    """The scan evaluates only rows that may hold a top-q cell, and its
-    record is that of the full-grid scan."""
+    """The scan evaluates only cells that may be a top-q cell, each once and
+    with the bits of the evaluator on every cell, and its record is that of
+    the full-grid scan."""
 
     @staticmethod
     def check(monkeypatch, cfg, scene, seed):
-        rec, statistic, rows = spy_scan(monkeypatch, cfg, scene, seed)
+        rec, statistic, batches, bounded = spy_scan(monkeypatch, cfg, scene, seed)
         assert rec == full_grid_scan(cfg, scene, seed)
-        evaluated = np.isfinite(statistic).all(axis=1)
+        evaluated = np.isfinite(statistic)
         assert np.all(statistic[~evaluated] == -np.inf)
-        assert rows == evaluated.sum()
+        assert sum(batches) == evaluated.sum()
         assert evaluated.any() == bool(len(scene.targets))
+        assert len(set(bounded)) == len(bounded)
         full = full_grid_statistic(cfg, scene, scan_noise(cfg, np.random.default_rng(seed)))
         assert np.array_equal(statistic[evaluated], full[evaluated])
+        return batches, bounded
 
     @EVERY_CONFIG
     @pytest.mark.parametrize("q", [0, 1, 3])
@@ -342,11 +362,21 @@ class TestExhaustivePruning:
         for seed in range(3):
             self.check(monkeypatch, cfg, generate_scene(cfg, q, 0, seed, include_clutter), seed)
 
+    @pytest.mark.parametrize("include_clutter", [True, False], ids=["clutter", "los"])
+    def test_more_targets_than_first_batch(self, monkeypatch, include_clutter):
+        """q = 12 is above the first batch of 8 cells, so the first batch
+        takes q cells."""
+        for seed in range(3):
+            scene = generate_scene(SCALED, 12, 0, seed, include_clutter)
+            batches, _ = self.check(monkeypatch, SCALED, scene, seed)
+            assert batches[0] == 12
+
     @EVERY_CONFIG
     def test_scatterers_on_grid_cells(self, monkeypatch, cfg):
         self.check(monkeypatch, cfg, on_grid_scene(cfg), 4)
 
     def test_separated_full_scale_scene_evaluates_few_rows(self, monkeypatch):
+        """Few cells are evaluated, and few rows are bounded cell by cell."""
         cfg = SystemConfig()
         n = cfg.n_subcarriers
         theta_grid, phi_grid = eas_elevation_grid(cfg), aas_azimuth_grid(cfg)
@@ -356,8 +386,9 @@ class TestExhaustivePruning:
         ])
         clutter = generate_scene(cfg, 2, 0, 3)
         scene = Scene(targets, clutter.clutter, clutter.fading)
-        rec, statistic, rows = spy_scan(monkeypatch, cfg, scene, 3)
-        assert rows < n // 8
+        rec, statistic, batches, bounded = spy_scan(monkeypatch, cfg, scene, 3)
+        assert sum(batches) <= 16
+        assert len(bounded) < n // 8
         assert rec.distance_error_m < 1.0
         full = full_grid_statistic(cfg, scene, scan_noise(cfg, np.random.default_rng(3)))
         assert np.array_equal(np.argsort(statistic.ravel())[-2:], np.argsort(full.ravel())[-2:])
