@@ -4,7 +4,7 @@ pursuit with a counting vector, and the hierarchical EAS -> AAS pipeline.
 What does not depend on the scene is computed once per config and cached
 read-only in one :func:`proposed_plan`: the whole EAS stage and, for the AAS
 stages, the azimuth candidates with their horizontal phase per unit
-sin(theta_hat), from which each stage's dictionary takes one kernel call.
+sin(theta_hat), of which a stage evaluates only the rows that can win.
 
 The AAS stages depend only on the elevations the EAS pursuit picks, not on
 each other. So a trial builds its scene's echo form once, then all AAS
@@ -31,7 +31,7 @@ from .beamforming import (
 from .channel import Scene, echo_gain, scene_arrays, sensing_attenuation
 from .config import SystemConfig
 from .exceptions import ConfigError
-from .geometry import uniform_phase_power
+from .geometry import ENVELOPE_MARGIN, FEJER_BLOCK, fejer_envelope, uniform_phase_power
 from .power import aas_grid_strength, allocate_sensing, grid_echo_strength
 
 
@@ -125,15 +125,20 @@ def build_measurement_matrix(
         alpha = sensing_attenuation(cfg, cfg.height / np.cos(cand), cfg.sigma_rcs)[:, None]
     elif weights.kind == "aas":
         theta_hat = weights.ps_theta
-        plan = proposed_plan(cfg)
-        cand = plan.aas_candidates
-        gains = uniform_phase_power(plan.aas_unit_phase, cfg.m_h, scale=np.sin(theta_hat))  # (L, N)
+        cand = proposed_plan(cfg).aas_candidates
+        gains = _aas_rows(cfg, theta_hat, slice(None))  # (L, N)
         alpha = sensing_attenuation(cfg, cfg.height / np.cos(theta_hat), cfg.sigma_rcs)
     else:
         raise ConfigError("a measurement matrix takes an eas or aas beamformer")
     gains *= sqrt_p * alpha
     norms = np.sqrt(np.einsum("ln,ln->l", gains, gains))
     return MeasurementMatrix(columns=gains.T, candidates=cand, norms=norms)
+
+
+def _aas_rows(cfg: SystemConfig, theta_hat: float, index) -> np.ndarray:
+    """Rows ``index`` of the (L, N) Fejer power table of the AAS beam at theta_hat."""
+    table = proposed_plan(cfg).aas_unit_phase
+    return uniform_phase_power(table[index], cfg.m_h, scale=np.sin(theta_hat))
 
 
 def modified_mp(
@@ -150,31 +155,86 @@ def modified_mp(
     index is allowed. The real dictionary is correlated with the complex
     residual in one real GEMM over the residual's (N, 2) float view.
     """
+    norms, rows = mtx.norms, mtx.columns.T
+    if iterations > 0 and np.any(norms == 0.0):
+        raise ConfigError("degenerate dictionary: zero-norm column")
+
+    def evaluate(residual):
+        corr = (rows @ residual.view(float).reshape(-1, 2)).view(complex)[:, 0]
+        return corr, norms, np.abs(corr) / norms
+
+    return _pursuit(obs, iterations, len(norms), evaluate, rows.__getitem__)
+
+
+def _pursuit(obs, iterations: int, size: int, evaluate, column) -> CountingVector:
+    """The loop of :func:`modified_mp`: evaluate(residual) gives (size,) arrays (corr,
+    norms, metric), the metric exact wherever it can reach its maximum."""
     if iterations < 0:
         raise ConfigError("iterations must be nonnegative")
-    columns = mtx.columns
-    counts = np.zeros(columns.shape[1], dtype=int)
+    counts = np.zeros(size, dtype=int)
     phasors = []
     trace = []
-    if iterations == 0:
-        return CountingVector(counts=counts, phasors=(), trace=())
-    norms = mtx.norms
-    if np.any(norms == 0.0):
-        raise ConfigError("degenerate dictionary: zero-norm column")
     residual = np.asarray(obs, dtype=complex).copy()
     for _ in range(iterations):
-        corr = (columns.T @ residual.view(float).reshape(-1, 2)).view(complex)[:, 0]
-        metric = np.abs(corr) / norms
+        corr, norms, metric = evaluate(residual)
         best = int(np.argmax(metric))
         coeff = corr[best] / norms[best] ** 2
         if coeff == 0:
             break
         phasor = coeff / abs(coeff)
-        residual = residual - phasor * columns[:, best]
+        residual = residual - phasor * column(best)
         counts[best] += 1
         phasors.append(phasor)
         trace.append((best, float(metric[best]), float(np.linalg.norm(residual))))
     return CountingVector(counts=counts, phasors=tuple(phasors), trace=tuple(trace))
+
+
+def aas_pursuit(cfg: SystemConfig, weights, powers, obs, iterations: int) -> CountingVector:
+    """modified_mp over build_measurement_matrix(cfg, weights, powers) for an
+    AAS beam. Past FEJER_BLOCK table entries, each pick evaluates only the
+    plan blocks b whose bound (1 + ENVELOPE_MARGIN) sum_n U(b, n) scale_n |r_n|
+    / ((1 - ENVELOPE_MARGIN) peak(b) min(scale)), inf for a zero divisor,
+    reaches the best metric, with U the fejer_envelope of the block's |X| at
+    sin(theta_hat) and scale_n = sqrt(p_n) alpha: largest bound first, in
+    batches of FEJER_BLOCK // N rows and doubling (Fagin, Lotem & Naor, PODS
+    2001). Picks are the table's; a GEMM of fewer rows may round apart."""
+    plan = proposed_plan(cfg)
+    n_cand, n = plan.aas_unit_phase.shape
+    if n_cand * n <= FEJER_BLOCK:
+        return modified_mp(obs, build_measurement_matrix(cfg, weights, powers), iterations)
+    alpha = sensing_attenuation(cfg, cfg.height / np.cos(weights.ps_theta), cfg.sigma_rcs)
+    scale = np.sqrt(np.asarray(powers, dtype=float)) * alpha
+    envelope = fejer_envelope(np.sin(weights.ps_theta), cfg.m_h, *plan.aas_block_range) * scale
+    floor = (1 - ENVELOPE_MARGIN) / (1 + ENVELOPE_MARGIN) * scale.min() * plan.aas_block_peak
+    size, chunk = -(-n_cand // n), FEJER_BLOCK // n
+    block_of, pending = np.arange(n_cand) // size, np.ones(len(floor), dtype=bool)
+    # rows in evaluation order, the candidate of each (-1: none yet), norms by candidate
+    gains, order, norms = np.empty((n_cand, n)), np.full(n_cand, -1), np.full(n_cand, np.inf)
+
+    def evaluate(residual):
+        bound = np.full(len(floor), np.inf)
+        np.divide(envelope @ np.abs(residual), floor, out=bound, where=floor > 0)
+        batch = max(1, chunk // size)
+        while True:
+            k = np.count_nonzero(order >= 0)
+            corr = np.zeros(n_cand, dtype=complex)
+            corr[order[:k]] = (gains[:k] @ residual.view(float).reshape(-1, 2)).view(complex)[:, 0]
+            metric = np.abs(corr) / norms  # 0 where not evaluated
+            live = np.flatnonzero(pending & (bound >= metric.max()))
+            if not live.size:
+                return corr, norms, metric
+            pending[live[np.argsort(bound[live])[::-1][:batch]]] = False
+            new = np.flatnonzero(~pending[block_of] & np.isinf(norms))
+            fresh = gains[k : k + len(new)]
+            for i in range(0, len(new), chunk):  # one kernel block per call
+                fresh[i : i + chunk] = _aas_rows(cfg, weights.ps_theta, new[i : i + chunk]) * scale
+            norms[new] = np.sqrt(np.einsum("ln,ln->l", fresh, fresh))
+            if not norms[new].all():
+                raise ConfigError("degenerate dictionary: zero-norm column")
+            order[k : k + len(new)] = new
+            batch *= 2
+
+    return _pursuit(obs, iterations, n_cand, evaluate, lambda j: gains[np.argmax(order == j)])
 
 
 class ProposedPlan(NamedTuple):
@@ -186,14 +246,17 @@ class ProposedPlan(NamedTuple):
     eas_matrix: MeasurementMatrix  # stage-0 dictionary
     aas_candidates: np.ndarray     # (L,) azimuth candidates
     aas_unit_phase: np.ndarray     # (L, N) horizontal phase over sin(theta_hat)
+    aas_block_range: np.ndarray    # (2, B, N) least and largest |aas_unit_phase| per block
+    aas_block_peak: np.ndarray     # (B,) least F(x) of a block's rows, 0 where |x| > 2/m_h
 
 
 @functools.lru_cache(maxsize=4)
 def proposed_plan(cfg: SystemConfig) -> ProposedPlan:
     """EAS beamformer, (T_0, p_0) and dictionary, and the azimuth candidates
-    with their :func:`~squintsense.beamforming.aas_unit_phase` table. None of
-    them depends on the scene, so they are computed once per config, shared
-    by every trial and AAS stage, and made read-only."""
+    with their :func:`~squintsense.beamforming.aas_unit_phase` table X and the
+    bounds of its blocks of ceil(L/N) rows. None of them depends on the scene,
+    so they are computed once per config, shared by every trial and AAS
+    stage, and made read-only."""
     weights = eas_beamformer(cfg)
     strengths = grid_echo_strength(
         cfg, weights, eas_elevation_grid(cfg), 0.5 * (cfg.phi_min + cfg.phi_max)
@@ -202,9 +265,16 @@ def proposed_plan(cfg: SystemConfig) -> ProposedPlan:
     mtx = build_measurement_matrix(cfg, weights, p0)
     cand = azimuth_candidates(cfg)
     unit_phase = aas_unit_phase(cfg, cand)
-    for arr in (p0, mtx.columns, mtx.candidates, mtx.norms, cand, unit_phase):
+    magnitude = np.abs(unit_phase)
+    starts = np.arange(0, len(cand), -(-len(cand) // cfg.n_subcarriers))
+    block_range = np.stack([f.reduceat(magnitude, starts) for f in (np.minimum, np.maximum)])
+    # the Fejer power F falls on its main lobe |x| <= 2/m_h, and a stage runs at
+    # sin(theta_hat) X, so a row's largest entry is >= F(x) min(scale), x its least |X|
+    x = magnitude.min(axis=1)
+    peak = np.minimum.reduceat(uniform_phase_power(x, cfg.m_h) * (x <= 2 / cfg.m_h), starts)
+    for arr in (p0, mtx.columns, mtx.candidates, mtx.norms, cand, unit_phase, block_range, peak):
         arr.flags.writeable = False
-    return ProposedPlan(weights, t0, p0, mtx, cand, unit_phase)
+    return ProposedPlan(weights, t0, p0, mtx, cand, unit_phase, block_range, peak)
 
 
 def hierarchical_detect(
@@ -248,9 +318,8 @@ def hierarchical_detect(
     for (theta_hat, multiplicity), aas_w, p_i, obs in zip(
         elevations, aas_ws, sensing_powers[1:], observations
     ):
-        mtx = build_measurement_matrix(cfg, aas_w, p_i)
-        cv = modified_mp(obs, mtx, multiplicity)
-        stage_azimuths = np.repeat(mtx.candidates, cv.counts)
+        cv = aas_pursuit(cfg, aas_w, p_i, obs, multiplicity)
+        stage_azimuths = np.repeat(proposed_plan(cfg).aas_candidates, cv.counts)
         estimates.extend((theta_hat, float(ph)) for ph in stage_azimuths)
         traces.append(cv)
 

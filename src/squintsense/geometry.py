@@ -216,7 +216,7 @@ def uniform_phase_power(slope, m, scale=1.0):
 
 def fejer_envelope(slope, m, lo, hi):
     """Upper bound B of the Fejer power F(x) = (sin(m u) / (m sin u))^2, u =
-    pi x / 2, over every x = rho * slope with rho in [lo, hi], 0 < lo <= hi;
+    pi x / 2, over every x = rho * slope with rho in [lo, hi], 0 <= lo <= hi;
     elementwise over a slope array, with no transcendental.
 
     F depends on x only through the distance d <= 1 from x to the nearest

@@ -256,11 +256,12 @@ def _cell_response(cfg: SystemConfig, echoes, rows, cols):
     plan = exhaustive_plan(cfg)
     s_theta, s_phi, s_amp = echoes
     s_h = np.sin(s_theta) * np.cos(s_phi)
-    # squint-compensated pencil at cell (r, c): residual slope is
-    # (1 + f/fc) * (target trig - cell trig) in both axes, (cell, n, s)
+    # squint-compensated pencil at cell (r, c): residual slope is (1 + f/fc) *
+    # (target trig - cell trig) in both axes, (cell, n, s); vertical once per row
+    distinct, inverse = np.unique(rows, return_inverse=True)
     power = uniform_phase_power(
-        plan.ratio[:, None] * (np.cos(s_theta) - plan.cos_theta[rows, None, None]), cfg.m_v
-    )
+        plan.ratio[:, None] * (np.cos(s_theta) - plan.cos_theta[distinct, None, None]), cfg.m_v
+    )[inverse]
     power *= uniform_phase_power(
         plan.ratio[:, None] * (s_h - plan.cell_h[rows, cols, None, None]), cfg.m_h
     )

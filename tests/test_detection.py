@@ -14,7 +14,9 @@ from squintsense.beamforming import (
 from squintsense.channel import Scene, generate_scene, scene_arrays
 from squintsense.config import SystemConfig
 from squintsense.channel import sensing_attenuation
+from squintsense import detection
 from squintsense.detection import (
+    aas_pursuit,
     assemble_observation,
     azimuth_candidates,
     build_measurement_matrix,
@@ -24,6 +26,7 @@ from squintsense.detection import (
     proposed_plan,
 )
 from squintsense.exceptions import ConfigError
+from squintsense.geometry import ENVELOPE_MARGIN, fejer_envelope, uniform_phase_power
 from squintsense.power import allocate_sensing, grid_echo_strength
 
 CFG = SystemConfig(
@@ -466,3 +469,159 @@ class TestStackedStages:
         assert got.estimates == want.estimates == ()
         assert got.symbol_counts == want.symbol_counts
         assert len(got.stage_weights) == 1
+
+
+FULL = SystemConfig()
+# every config whose AAS table exceeds one kernel block, so aas_pursuit bounds it
+CERTIFIED = [FULL, SCALED.replace(n_candidates=1024), SCALED.replace(n_candidates=2048)]
+# a config whose rows all leave the main lobe: every block's peak bound is 0
+OFF_LOBE = SystemConfig(m_h=64, m_v=16, n_subcarriers=16, n_candidates=2048)
+
+
+def spy_rows(monkeypatch):
+    """Record the candidates whose rows aas_pursuit evaluates, one list per call."""
+    calls = []
+    real_rows, real_pursuit = detection._aas_rows, detection.aas_pursuit
+
+    def rows(cfg, theta_hat, index):
+        if not isinstance(index, slice) and calls:
+            calls[-1].extend(np.asarray(index).tolist())
+        return real_rows(cfg, theta_hat, index)
+
+    def pursuit(*args):
+        calls.append([])
+        return real_pursuit(*args)
+
+    monkeypatch.setattr(detection, "_aas_rows", rows)
+    monkeypatch.setattr(detection, "aas_pursuit", pursuit)
+    return calls
+
+
+def reference_block_bound(cfg, theta_hat, powers, residual):
+    """The bound of aas_pursuit on each block of ceil(L/N) candidates, from the
+    unit-phase table directly: (bound (B,), block of each candidate (L,))."""
+    table = np.abs(aas_unit_phase(cfg, azimuth_candidates(cfg)))
+    n_cand, n = table.shape
+    size = -(-n_cand // n)
+    blocks = [table[i : i + size] for i in range(0, n_cand, size)]
+    lo = np.array([b.min(axis=0) for b in blocks])
+    hi = np.array([b.max(axis=0) for b in blocks])
+    peak = []
+    for b in blocks:
+        x = b.min(axis=1)  # each row's entry of least |X|
+        peak.append(np.where(x <= 2 / cfg.m_h, uniform_phase_power(x, cfg.m_h), 0.0).min())
+    peak = np.array(peak)
+    alpha = sensing_attenuation(cfg, cfg.height / np.cos(theta_hat), cfg.sigma_rcs)
+    scale = np.sqrt(powers) * alpha
+    top = (1 + ENVELOPE_MARGIN) * fejer_envelope(np.sin(theta_hat), cfg.m_h, lo, hi) @ (
+        scale * np.abs(residual)
+    )
+    bottom = (1 - ENVELOPE_MARGIN) * peak * scale.min()
+    bound = np.full(len(blocks), np.inf)
+    np.divide(top, bottom, out=bound, where=bottom > 0)
+    return bound, np.arange(n_cand) // size
+
+
+def assert_same_pursuit(got, want, obs):
+    """Counts and picks equal; metrics, residual norms and phasors within the
+    tolerances of test_matches_complex_reference."""
+    np.testing.assert_array_equal(got.counts, want.counts)
+    assert [idx for idx, _, _ in got.trace] == [idx for idx, _, _ in want.trace]
+    scale = np.linalg.norm(obs)
+    for (_, metric, res), phasor, (_, w_metric, w_res), w_phasor in zip(
+        got.trace, got.phasors, want.trace, want.phasors
+    ):
+        assert metric == pytest.approx(w_metric, rel=1e-12, abs=0.0)
+        assert res == pytest.approx(w_res, rel=1e-12, abs=1e-12 * scale)
+        assert phasor == pytest.approx(w_phasor, rel=1e-12, abs=0.0)
+
+
+class TestCertifiedAasPursuit:
+    """aas_pursuit on tables past one kernel block against the whole dictionary."""
+
+    @pytest.mark.parametrize("cfg", CERTIFIED, ids=["full", "scaled-1024", "scaled-2048"])
+    def test_matches_whole_dictionary(self, monkeypatch, cfg):
+        calls = spy_rows(monkeypatch)
+        stages = []
+        real = detection.aas_pursuit
+
+        def record(cfg, weights, powers, obs, iterations):
+            got = real(cfg, weights, powers, obs, iterations)
+            stages.append((weights, powers, obs, iterations, got))
+            return got
+
+        monkeypatch.setattr(detection, "aas_pursuit", record)
+        for q in (1, 2, 3, 5):
+            for include_clutter in (True, False):
+                for seed in range(5):
+                    scene = generate_scene(cfg, q, 2, (seed, q), include_clutter)
+                    hierarchical_detect(cfg, scene, np.random.default_rng((seed, q, 1)))
+        assert len(stages) >= 40
+        for weights, powers, obs, iterations, got in stages:
+            want = modified_mp(obs, build_measurement_matrix(cfg, weights, powers), iterations)
+            assert_same_pursuit(got, want, obs)
+        evaluated = [len(rows) for rows in calls]
+        assert len(evaluated) == len(stages)
+        assert np.median(evaluated) < cfg.n_candidates  # the bounds pruned rows
+
+    @pytest.mark.parametrize("cfg", CERTIFIED + [OFF_LOBE], ids=["full", "s1024", "s2048", "off"])
+    def test_bound_holds_and_certifies_the_pick(self, monkeypatch, cfg):
+        """For random residuals, powers and elevations, every candidate's exact
+        metric is at most its block's bound, and every block whose bound
+        reaches the pick's metric was evaluated."""
+        calls = spy_rows(monkeypatch)
+        rng = np.random.default_rng(17)
+        n = cfg.n_subcarriers
+        for _ in range(12):
+            theta_hat = rng.uniform(cfg.theta_min, cfg.theta_max)
+            weights = aas_beamformer(cfg, theta_hat)
+            powers = rng.uniform(1e-4, 1e-2, n)
+            residual = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            mtx = build_measurement_matrix(cfg, weights, powers)
+            metric = np.abs(mtx.columns.T @ residual) / mtx.norms
+            bound, block = reference_block_bound(cfg, theta_hat, powers, residual)
+            assert np.all(metric <= bound[block])
+
+            got = detection.aas_pursuit(cfg, weights, powers, residual, 1)
+            assert got.trace[0][0] == int(np.argmax(metric))
+            needed = np.flatnonzero(bound >= metric.max())
+            assert set(needed) <= set(block[calls[-1]])
+
+    @pytest.mark.parametrize("cfg", CERTIFIED + [OFF_LOBE], ids=["full", "s1024", "s2048", "off"])
+    def test_block_tables_hold_at_every_elevation(self, cfg):
+        """Each row's |X| lies in its block's range, and at every sin(theta_hat)
+        in (0, 1] its largest entry is at least its block's peak bound."""
+        plan = proposed_plan(cfg)
+        table = plan.aas_unit_phase
+        block = np.arange(len(table)) // -(-len(table) // cfg.n_subcarriers)
+        lo, hi = plan.aas_block_range
+        assert np.all(lo[block] <= np.abs(table)) and np.all(np.abs(table) <= hi[block])
+        for sin_theta in np.linspace(0.05, 1.0, 40):
+            largest = uniform_phase_power(table, cfg.m_h, scale=sin_theta).max(axis=1)
+            assert np.all(largest >= (1 - ENVELOPE_MARGIN) * plan.aas_block_peak[block])
+
+    def test_margin_widens_every_bound(self, monkeypatch):
+        """With a margin of 1 every block bound is infinite: each stage
+        evaluates all rows, and the picks stay those of the whole table."""
+        calls = spy_rows(monkeypatch)
+        monkeypatch.setattr(detection, "ENVELOPE_MARGIN", 1.0)
+        result = hierarchical_detect(FULL, generate_scene(FULL, 2, 0, 3), np.random.default_rng(3))
+        assert len(calls) == len(result.traces) - 1 >= 1
+        assert all(sorted(rows) == list(range(FULL.n_candidates)) for rows in calls)
+
+    @pytest.mark.parametrize("cfg", CERTIFIED[:2], ids=["full", "s1024"])
+    def test_zero_powers_raise(self, cfg):
+        weights = aas_beamformer(cfg, 0.7)
+        obs = np.ones(cfg.n_subcarriers, dtype=complex)
+        with pytest.raises(ConfigError, match="zero-norm"):
+            aas_pursuit(cfg, weights, np.zeros(cfg.n_subcarriers), obs, 1)
+
+    def test_few_rows_for_a_separated_target(self, monkeypatch):
+        """A lone target at full scale: each stage evaluates at most 512 of the
+        4096 rows."""
+        calls = spy_rows(monkeypatch)
+        for seed in range(10):
+            scene = generate_scene(FULL, 1, 0, seed, include_clutter=False)
+            hierarchical_detect(FULL, scene, np.random.default_rng(seed))
+        assert len(calls) == 10
+        assert max(len(rows) for rows in calls) <= 512
