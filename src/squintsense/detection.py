@@ -4,7 +4,9 @@ pursuit with a counting vector, and the hierarchical EAS -> AAS pipeline.
 What does not depend on the scene is computed once per config and cached
 read-only in one :func:`proposed_plan`: the whole EAS stage and, for the AAS
 stages, the azimuth candidates with their horizontal phase per unit
-sin(theta_hat), of which a stage evaluates only the rows that can win.
+sin(theta_hat). Past one kernel block, both stages' pursuits evaluate only
+the dictionary rows whose block bound can reach the best pick, and each
+pick is still certified against the whole dictionary.
 
 The AAS stages depend only on the elevations the EAS pursuit picks, not on
 each other. So a trial builds its scene's echo form once, then all AAS
@@ -189,15 +191,72 @@ def _pursuit(obs, iterations: int, size: int, evaluate, column) -> CountingVecto
     return CountingVector(counts=counts, phasors=tuple(phasors), trace=tuple(trace))
 
 
+def _block_pursuit(obs, iterations: int, n_cand: int, size: int, bound, rows) -> CountingVector:
+    """:func:`_pursuit` over n_cand candidates in blocks of ``size``, whose picks
+    are those of the whole dictionary. Each pick evaluates only the blocks whose
+    bound(residual) (B,) reaches the best exact metric: largest bound first, in
+    batches of FEJER_BLOCK // N rows and doubling (Fagin, Lotem & Naor, PODS
+    2001). rows(index) gives (rows, norms) of at most FEJER_BLOCK // N candidates;
+    they are kept for later picks, and candidates not evaluated read metric 0."""
+    chunk = FEJER_BLOCK // len(obs)
+    kept = np.empty((n_cand, len(obs)))  # rows in evaluation order: one GEMM, few pages
+    seen, where = np.zeros(0, dtype=int), np.zeros(n_cand, dtype=int)  # their candidates, and back
+    norms, pending = np.full(n_cand, np.inf), np.ones(-(-n_cand // size), dtype=bool)
+
+    def evaluate(residual):
+        nonlocal seen
+        top, batch, r = bound(residual), max(1, chunk // size), residual.view(float).reshape(-1, 2)
+        corr = np.zeros(n_cand, dtype=complex)
+        corr[seen] = (kept[: len(seen)] @ r).view(complex)[:, 0]
+        while True:
+            metric = np.abs(corr) / norms
+            live = np.flatnonzero(pending & (top >= metric.max()))
+            if not live.size:
+                return corr, norms, metric
+            blocks = live[np.argsort(top[live])[::-1][:batch]]
+            pending[blocks] = False
+            new = (blocks[:, None] * size + np.arange(size)).ravel()
+            new = new[new < n_cand]
+            where[new] = np.arange(len(seen), len(seen) + len(new))
+            fresh = kept[len(seen) : len(seen) + len(new)]
+            for i in range(0, len(new), chunk):  # one kernel block per call
+                fresh[i : i + chunk], norms[new[i : i + chunk]] = rows(new[i : i + chunk])
+            if not norms[new].all():
+                raise ConfigError("degenerate dictionary: zero-norm column")
+            corr[new] = (fresh @ r).view(complex)[:, 0]
+            seen = np.concatenate([seen, new])
+            batch *= 2
+
+    return _pursuit(obs, iterations, n_cand, evaluate, lambda j: kept[where[j]])
+
+
+def eas_pursuit(cfg: SystemConfig, obs, iterations: int) -> CountingVector:
+    """modified_mp over the plan's EAS dictionary D. Past FEJER_BLOCK entries it
+    runs :func:`_block_pursuit` on blocks of ceil(L/N) rows, with bound
+    (1 + ENVELOPE_MARGIN) sum_n U(b, n) |r_n|, U the plan's eas_block_bound:
+    since D >= 0, |corr_l| / norm_l is at most that sum for every row l of
+    block b. Picks are the dictionary's; a GEMM of fewer rows may round apart.
+    A dictionary with a zero-norm row goes to modified_mp, which rejects it."""
+    plan = proposed_plan(cfg)
+    mtx = plan.eas_matrix
+    if mtx.columns.size <= FEJER_BLOCK or (iterations > 0 and not mtx.norms.all()):
+        return modified_mp(obs, mtx, iterations)
+    n, n_cand = mtx.columns.shape
+    return _block_pursuit(
+        obs, iterations, n_cand, -(-n_cand // n),
+        lambda r: (1 + ENVELOPE_MARGIN) * (plan.eas_block_bound @ np.abs(r)),
+        lambda index: (mtx.columns.T[index], mtx.norms[index]),
+    )
+
+
 def aas_pursuit(cfg: SystemConfig, weights, powers, obs, iterations: int) -> CountingVector:
     """modified_mp over build_measurement_matrix(cfg, weights, powers) for an
-    AAS beam. Past FEJER_BLOCK table entries, each pick evaluates only the
-    plan blocks b whose bound (1 + ENVELOPE_MARGIN) sum_n U(b, n) scale_n |r_n|
-    / ((1 - ENVELOPE_MARGIN) peak(b) min(scale)), inf for a zero divisor,
-    reaches the best metric, with U the fejer_envelope of the block's |X| at
-    sin(theta_hat) and scale_n = sqrt(p_n) alpha: largest bound first, in
-    batches of FEJER_BLOCK // N rows and doubling (Fagin, Lotem & Naor, PODS
-    2001). Picks are the table's; a GEMM of fewer rows may round apart."""
+    AAS beam. Past FEJER_BLOCK table entries it runs :func:`_block_pursuit` on
+    the plan's blocks, with bound (1 + ENVELOPE_MARGIN) sum_n U(b, n) scale_n
+    |r_n| / ((1 - ENVELOPE_MARGIN) peak(b) min(scale)), inf for a zero divisor,
+    U the fejer_envelope of the block's |X| at sin(theta_hat) and scale_n =
+    sqrt(p_n) alpha; each row is computed at most once per stage. Picks are
+    the table's; a GEMM of fewer rows may round apart."""
     plan = proposed_plan(cfg)
     n_cand, n = plan.aas_unit_phase.shape
     if n_cand * n <= FEJER_BLOCK:
@@ -206,35 +265,16 @@ def aas_pursuit(cfg: SystemConfig, weights, powers, obs, iterations: int) -> Cou
     scale = np.sqrt(np.asarray(powers, dtype=float)) * alpha
     envelope = fejer_envelope(np.sin(weights.ps_theta), cfg.m_h, *plan.aas_block_range) * scale
     floor = (1 - ENVELOPE_MARGIN) / (1 + ENVELOPE_MARGIN) * scale.min() * plan.aas_block_peak
-    size, chunk = -(-n_cand // n), FEJER_BLOCK // n
-    block_of, pending = np.arange(n_cand) // size, np.ones(len(floor), dtype=bool)
-    # rows in evaluation order, the candidate of each (-1: none yet), norms by candidate
-    gains, order, norms = np.empty((n_cand, n)), np.full(n_cand, -1), np.full(n_cand, np.inf)
 
-    def evaluate(residual):
-        bound = np.full(len(floor), np.inf)
-        np.divide(envelope @ np.abs(residual), floor, out=bound, where=floor > 0)
-        batch = max(1, chunk // size)
-        while True:
-            k = np.count_nonzero(order >= 0)
-            corr = np.zeros(n_cand, dtype=complex)
-            corr[order[:k]] = (gains[:k] @ residual.view(float).reshape(-1, 2)).view(complex)[:, 0]
-            metric = np.abs(corr) / norms  # 0 where not evaluated
-            live = np.flatnonzero(pending & (bound >= metric.max()))
-            if not live.size:
-                return corr, norms, metric
-            pending[live[np.argsort(bound[live])[::-1][:batch]]] = False
-            new = np.flatnonzero(~pending[block_of] & np.isinf(norms))
-            fresh = gains[k : k + len(new)]
-            for i in range(0, len(new), chunk):  # one kernel block per call
-                fresh[i : i + chunk] = _aas_rows(cfg, weights.ps_theta, new[i : i + chunk]) * scale
-            norms[new] = np.sqrt(np.einsum("ln,ln->l", fresh, fresh))
-            if not norms[new].all():
-                raise ConfigError("degenerate dictionary: zero-norm column")
-            order[k : k + len(new)] = new
-            batch *= 2
+    def bound(residual):
+        out = np.full(len(floor), np.inf)
+        return np.divide(envelope @ np.abs(residual), floor, out=out, where=floor > 0)
 
-    return _pursuit(obs, iterations, n_cand, evaluate, lambda j: gains[np.argmax(order == j)])
+    def rows(index):
+        gains = _aas_rows(cfg, weights.ps_theta, index) * scale
+        return gains, np.sqrt(np.einsum("ln,ln->l", gains, gains))
+
+    return _block_pursuit(obs, iterations, n_cand, -(-n_cand // n), bound, rows)
 
 
 class ProposedPlan(NamedTuple):
@@ -244,6 +284,7 @@ class ProposedPlan(NamedTuple):
     eas_symbol_count: int          # T_0
     eas_powers: np.ndarray         # (N,) sensing powers p_0
     eas_matrix: MeasurementMatrix  # stage-0 dictionary
+    eas_block_bound: np.ndarray    # (B, N) largest entry over least norm per block of rows
     aas_candidates: np.ndarray     # (L,) azimuth candidates
     aas_unit_phase: np.ndarray     # (L, N) horizontal phase over sin(theta_hat)
     aas_block_range: np.ndarray    # (2, B, N) least and largest |aas_unit_phase| per block
@@ -253,8 +294,8 @@ class ProposedPlan(NamedTuple):
 @functools.lru_cache(maxsize=4)
 def proposed_plan(cfg: SystemConfig) -> ProposedPlan:
     """EAS beamformer, (T_0, p_0) and dictionary, and the azimuth candidates
-    with their :func:`~squintsense.beamforming.aas_unit_phase` table X and the
-    bounds of its blocks of ceil(L/N) rows. None of them depends on the scene,
+    with their :func:`~squintsense.beamforming.aas_unit_phase` table X, each
+    with bounds on its blocks of ceil(L/N) rows. None of them depends on the scene,
     so they are computed once per config, shared by every trial and AAS
     stage, and made read-only."""
     weights = eas_beamformer(cfg)
@@ -263,18 +304,21 @@ def proposed_plan(cfg: SystemConfig) -> ProposedPlan:
     )
     t0, p0 = allocate_sensing(cfg, strengths)
     mtx = build_measurement_matrix(cfg, weights, p0)
+    starts = np.arange(0, cfg.n_candidates, -(-cfg.n_candidates // cfg.n_subcarriers))
+    # one (B, N) reduction each, with no (L, N) temporary
+    eas_bound = np.maximum.reduceat(mtx.columns.T, starts)
+    eas_bound /= np.minimum.reduceat(mtx.norms, starts)[:, None]
     cand = azimuth_candidates(cfg)
     unit_phase = aas_unit_phase(cfg, cand)
     magnitude = np.abs(unit_phase)
-    starts = np.arange(0, len(cand), -(-len(cand) // cfg.n_subcarriers))
     block_range = np.stack([f.reduceat(magnitude, starts) for f in (np.minimum, np.maximum)])
     # the Fejer power F falls on its main lobe |x| <= 2/m_h, and a stage runs at
     # sin(theta_hat) X, so a row's largest entry is >= F(x) min(scale), x its least |X|
     x = magnitude.min(axis=1)
     peak = np.minimum.reduceat(uniform_phase_power(x, cfg.m_h) * (x <= 2 / cfg.m_h), starts)
-    for arr in (p0, mtx.columns, mtx.candidates, mtx.norms, cand, unit_phase, block_range, peak):
+    for arr in (p0, *vars(mtx).values(), eas_bound, cand, unit_phase, block_range, peak):
         arr.flags.writeable = False
-    return ProposedPlan(weights, t0, p0, mtx, cand, unit_phase, block_range, peak)
+    return ProposedPlan(weights, t0, p0, mtx, eas_bound, cand, unit_phase, block_range, peak)
 
 
 def hierarchical_detect(
@@ -295,7 +339,7 @@ def hierarchical_detect(
     echoes = scene_arrays(cfg, scene)
 
     obs0 = assemble_observation(cfg, echoes, eas_w, p0, t0, rng)
-    cv0 = modified_mp(obs0, mtx0, len(scene.targets))
+    cv0 = eas_pursuit(cfg, obs0, len(scene.targets))
 
     selected = np.flatnonzero(cv0.counts)
     elevations = tuple(

@@ -31,7 +31,14 @@ from squintsense.detection import (
     modified_mp,
 )
 from squintsense.power import allocate_comm, allocate_sensing, grid_echo_strength
-from squintsense.simkit import distance_error, run_experiment, run_single_trial, trial_seed
+from squintsense.simkit import (
+    azimuth_only_plan,
+    distance_error,
+    exhaustive_plan,
+    run_experiment,
+    run_single_trial,
+    trial_seed,
+)
 
 SCALED = SystemConfig(
     m_h=16, m_v=16, n_subcarriers=32, n_candidates=512, tau_s_db=25.0
@@ -42,7 +49,7 @@ REPORT_LINES = []  # printed by the conftest terminal-summary hook
 
 
 def _report(num, name, ok, elapsed, budget):
-    line = "[%2d/15] %-28s %s (%.1fs / %.0fs budget)" % (
+    line = "[%2d/16] %-28s %s (%.1fs / %.0fs budget)" % (
         num, name, "PASS" if ok else "FAIL", elapsed, budget
     )
     REPORT_LINES.append(line)
@@ -441,6 +448,29 @@ def test_full_scale_defaults_within_budget():
         assert np.isfinite(record.distance_error_m)
         assert record.total_sensing_energy > 0
         assert elapsed < 10.0, f"{method} trial took {elapsed:.1f}s of its 10s budget"
+
+
+def _at_energy(cfg, method, energy):
+    """cfg with tau_s shifted by 10 log10(E / energy), E the baseline's sensing
+    energy: fixed by the config and linear in tau_s, it then equals energy."""
+    plan = exhaustive_plan(cfg) if method == "exhaustive" else azimuth_only_plan(cfg)
+    return cfg.replace(tau_s_db=cfg.tau_s_db - 10.0 * np.log10(plan.powers.sum() / energy))
+
+
+@acceptance(16, "equal-energy-claim", 900)
+def test_proposed_beats_baselines_at_equal_energy():
+    """The abstract's claim at q=1 on check 11's set-up: with each baseline's
+    tau_s lowered until its sensing energy equals the proposed run's mean,
+    proposed's mean error plus its stderr is below each baseline's mean error
+    minus its stderr."""
+    proposed = _run(SCALED, trials=200, seed=11)
+    energy = proposed["mean_total_sensing_energy"]
+    for method in ("exhaustive", "azimuth_only"):
+        row = _run(_at_energy(SCALED, method, energy), method=method, trials=200, seed=11)
+        assert row["mean_total_sensing_energy"] == pytest.approx(energy, rel=1e-9)
+        ours = proposed["mean_distance_error_m"] + proposed["stderr_m"]
+        theirs = row["mean_distance_error_m"] - row["stderr_m"]
+        assert ours < theirs, (method, proposed, row)
 
 
 if __name__ == "__main__":

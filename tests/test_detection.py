@@ -19,7 +19,9 @@ from squintsense.detection import (
     aas_pursuit,
     assemble_observation,
     azimuth_candidates,
+    MeasurementMatrix,
     build_measurement_matrix,
+    eas_pursuit,
     elevation_candidates,
     hierarchical_detect,
     modified_mp,
@@ -625,3 +627,127 @@ class TestCertifiedAasPursuit:
             hierarchical_detect(FULL, scene, np.random.default_rng(seed))
         assert len(calls) == 10
         assert max(len(rows) for rows in calls) <= 512
+
+
+def spy_blocks(monkeypatch):
+    """Record each _block_pursuit call as (bound, candidates whose rows it evaluates)."""
+    calls = []
+    real = detection._block_pursuit
+
+    def block_pursuit(obs, iterations, n_cand, size, bound, rows):
+        seen = []
+        calls.append((bound, seen))
+
+        def spied(index):
+            seen.extend(np.asarray(index).tolist())
+            return rows(index)
+
+        return real(obs, iterations, n_cand, size, bound, spied)
+
+    monkeypatch.setattr(detection, "_block_pursuit", block_pursuit)
+    return calls
+
+
+def reference_eas_table(cfg):
+    """eas_block_bound from the EAS dictionary one block of ceil(L/N) rows at a
+    time: (table (B, N), block of each candidate (L,))."""
+    mtx = proposed_plan(cfg).eas_matrix
+    rows, norms = mtx.columns.T, mtx.norms
+    size = -(-len(rows) // cfg.n_subcarriers)
+    table = [rows[i : i + size].max(axis=0) / norms[i : i + size].min()
+             for i in range(0, len(rows), size)]
+    return np.array(table), np.arange(len(rows)) // size
+
+
+class TestCertifiedEasPursuit:
+    """eas_pursuit on dictionaries past one kernel block against the whole dictionary."""
+
+    @pytest.mark.parametrize("cfg", CERTIFIED, ids=["full", "scaled-1024", "scaled-2048"])
+    def test_matches_whole_dictionary(self, monkeypatch, cfg):
+        calls = spy_blocks(monkeypatch)
+        stages = []
+        real = detection.eas_pursuit
+
+        def record(cfg, obs, iterations):
+            got = real(cfg, obs, iterations)
+            stages.append((obs, iterations, got, len(calls) - 1))
+            return got
+
+        monkeypatch.setattr(detection, "eas_pursuit", record)
+        for q in (1, 2, 3, 5):
+            for include_clutter in (True, False):
+                for seed in range(5):
+                    scene = generate_scene(cfg, q, 2, (seed, q), include_clutter)
+                    hierarchical_detect(cfg, scene, np.random.default_rng((seed, q, 1)))
+        assert len(stages) == 40
+        mtx = proposed_plan(cfg).eas_matrix
+        for obs, iterations, got, call in stages:
+            assert_same_pursuit(got, modified_mp(obs, mtx, iterations), obs)
+        evaluated = [len(calls[call][1]) for _, _, _, call in stages]
+        assert np.median(evaluated) < cfg.n_candidates  # the bounds pruned rows
+
+    @pytest.mark.parametrize("cfg", CERTIFIED, ids=["full", "scaled-1024", "scaled-2048"])
+    def test_bound_holds_and_certifies_the_pick(self, monkeypatch, cfg):
+        """For random residuals, and for dictionary rows under noise, every
+        row's exact metric is at most its block's bound, the pursuit bounds
+        with the reference table times 1 + ENVELOPE_MARGIN, and every block
+        whose bound reaches the pick's metric was evaluated."""
+        calls = spy_blocks(monkeypatch)
+        mtx = proposed_plan(cfg).eas_matrix
+        table, block = reference_eas_table(cfg)
+        rng = np.random.default_rng(18)
+        n = cfg.n_subcarriers
+        for i in range(16):
+            residual = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            if i % 2:  # a phased dictionary row: bounds near the pick, so blocks are pruned
+                row = mtx.columns[:, rng.integers(cfg.n_candidates)]
+                residual = np.exp(2j * np.pi * rng.random()) * row + 0.05 * row.max() * residual
+            metric = np.abs(mtx.columns.T @ residual) / mtx.norms
+            assert np.all(metric <= (table @ np.abs(residual))[block])
+
+            got = eas_pursuit(cfg, residual, 1)
+            assert got.trace[0][0] == int(np.argmax(metric))
+            bound, seen = calls[-1]
+            want = (1 + ENVELOPE_MARGIN) * (table @ np.abs(residual))
+            np.testing.assert_allclose(bound(residual), want, rtol=1e-12)
+            needed = np.flatnonzero(want >= metric.max())
+            assert set(needed) <= set(block[seen])
+
+    @pytest.mark.parametrize("cfg", CERTIFIED, ids=["full", "scaled-1024", "scaled-2048"])
+    def test_block_table_matches_reference(self, cfg):
+        plan = proposed_plan(cfg)
+        table, block = reference_eas_table(cfg)
+        assert plan.eas_block_bound.shape == (block[-1] + 1, cfg.n_subcarriers)
+        np.testing.assert_array_equal(plan.eas_block_bound, table)
+        assert not plan.eas_block_bound.flags.writeable
+        with pytest.raises(ValueError):
+            plan.eas_block_bound[0] = 1.0
+
+    def test_few_rows_for_a_lone_target(self, monkeypatch):
+        """A lone target at full scale: its one EAS pick evaluates at most 512
+        of the 4096 rows."""
+        calls = spy_blocks(monkeypatch)
+        plan = proposed_plan(FULL)
+        for seed in range(10):
+            scene = generate_scene(FULL, 1, 0, seed, include_clutter=False)
+            obs = assemble_observation(
+                FULL, scene_arrays(FULL, scene), plan.eas_weights, plan.eas_powers,
+                plan.eas_symbol_count, np.random.default_rng(seed),
+            )
+            eas_pursuit(FULL, obs, 1)
+        assert len(calls) == 10
+        assert max(len(seen) for _, seen in calls) <= 512
+
+    @pytest.mark.parametrize("cfg", CERTIFIED[:2], ids=["full", "s1024"])
+    def test_zero_norm_row_raises(self, monkeypatch, cfg):
+        plan = proposed_plan(cfg)
+        columns, norms = plan.eas_matrix.columns.copy(), plan.eas_matrix.norms.copy()
+        columns[:, 7], norms[7] = 0.0, 0.0
+        degenerate = plan._replace(
+            eas_matrix=MeasurementMatrix(columns, plan.eas_matrix.candidates, norms)
+        )
+        monkeypatch.setattr(detection, "proposed_plan", lambda cfg: degenerate)
+        obs = np.ones(cfg.n_subcarriers, dtype=complex)
+        with pytest.raises(ConfigError, match="zero-norm"):
+            eas_pursuit(cfg, obs, 1)
+        assert eas_pursuit(cfg, obs, 0).trace == ()
