@@ -4,27 +4,9 @@ horizontal-gain model and its composite-AoD bounds.
 :func:`uniform_phase_power` takes an optional scalar ``scale`` of the
 slopes, applied inside its first multiply, so a table of slopes that many
 callers share, such as the AAS phase per unit sin(theta_hat), is never
-rescaled into a copy.
-
-The kernel loops over cache-sized blocks that write disjoint slices of its
-output. A call with more than one block shares its blocks between the
-calling thread and one helper thread per further CPU the process may use
-(``len(os.sched_getaffinity(0)) - 1``, read at each call, and never more
-helpers than blocks after the first); numpy releases the GIL inside its
-ufuncs, so one call uses every core. The threads draw block starts from
-one shared iterator, so a slowed thread takes fewer blocks. Each thread
-has its own work arrays and computes every block it takes with the same
-code, so the result is bit-identical for any thread count. The helpers run
-in a copy of the caller's context, so an ``np.errstate`` set by the caller
-holds in their blocks too, and an exception raised in any block is
-re-raised in the caller after every thread has joined. A call of one block
-starts no thread, and importing the module starts none."""
+rescaled into a copy."""
 
 from __future__ import annotations
-
-import contextvars
-import os
-import threading
 
 import numpy as np
 
@@ -40,53 +22,6 @@ FEJER_BLOCK = 16384
 # the exact power for m in {3, 7, 13}, and 1e-15 above it for m in {16, 64}
 # (against a 50-digit reference).
 ENVELOPE_MARGIN = 1e-2
-
-
-def _helper_count() -> int:
-    """Helper threads a block loop may start: one per CPU this process may use,
-    besides the calling thread."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0)) - 1
-    return (os.cpu_count() or 1) - 1
-
-
-def _for_each_block(starts, make_worker):
-    """Call work(start) once for every start in ``starts`` (a range), where
-    work = make_worker() is made once on each thread that takes blocks.
-
-    The calling thread takes blocks, and so does each of up to
-    min(_helper_count(), len(starts) - 1) helper threads, each started in its
-    own copy of the caller's context. After a failure no thread takes
-    another block; the first exception is raised here once every helper
-    has joined.
-    """
-    todo = iter(starts)
-    lock = threading.Lock()
-    failed = []
-
-    def drain():
-        try:
-            work = make_worker()
-            while not failed:
-                with lock:
-                    start = next(todo, None)
-                if start is None:
-                    return
-                work(start)
-        except BaseException as exc:  # re-raised in the caller
-            failed.append(exc)
-
-    helpers = [
-        threading.Thread(target=contextvars.copy_context().run, args=(drain,))
-        for _ in range(min(_helper_count(), len(starts) - 1))
-    ]
-    for helper in helpers:
-        helper.start()
-    drain()
-    for helper in helpers:
-        helper.join()
-    if failed:
-        raise failed[0]
 
 
 def safe_arccos(x):
@@ -179,9 +114,7 @@ def uniform_phase_power(slope, m, scale=1.0):
     poles of tan(u/2) are the even-integer singularities, handled by the
     limit branch; those of tan(m u/2) are nulls, where sin(m u) -> 0.
     Inputs larger than FEJER_BLOCK elements are evaluated block by block
-    over the flattened input, so the work arrays stay in L2 cache; the
-    blocks are shared between the calling thread and helper threads (see
-    the module docstring), with the same bits for any thread count.
+    over the flattened input, so the work arrays stay in L2 cache.
 
     Accurate domain: m must be a power of two, as in every shipped config
     (16 and 64). Then m u/2 is an exact rescaling of the rounded u/2, so both
@@ -199,18 +132,11 @@ def uniform_phase_power(slope, m, scale=1.0):
         return float(out[0]) if x.ndim == 0 else out
     out = np.empty(x.shape)
     flat_x, flat_out = x.reshape(-1), out.reshape(-1)
-
-    def worker():
-        t, w = np.empty(FEJER_BLOCK), np.empty(FEJER_BLOCK)
-
-        def work(start):
-            block = flat_x[start : start + FEJER_BLOCK]
-            k = block.size
-            _fejer_pass(block, m, t[:k], flat_out[start : start + k], w[:k], scale)
-
-        return work
-
-    _for_each_block(range(0, flat_x.size, FEJER_BLOCK), worker)
+    t, w = np.empty(FEJER_BLOCK), np.empty(FEJER_BLOCK)
+    for start in range(0, flat_x.size, FEJER_BLOCK):
+        block = flat_x[start : start + FEJER_BLOCK]
+        k = block.size
+        _fejer_pass(block, m, t[:k], flat_out[start : start + k], w[:k], scale)
     return out
 
 

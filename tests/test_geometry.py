@@ -1,4 +1,3 @@
-import sys
 import threading
 
 import numpy as np
@@ -8,10 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import horizontal_steering, uniform_phase_sum, upa_steering, vertical_steering
 
-from squintsense import geometry
-from squintsense.channel import generate_scene, scene_arrays
 from squintsense.config import SystemConfig
-from squintsense.detection import proposed_plan
 from squintsense.exceptions import ConfigError
 from squintsense.geometry import (
     ENVELOPE_MARGIN,
@@ -153,6 +149,18 @@ class TestUniformPhasePower:
             assert_kernel_matches_phase_sum(slopes, 16)
             assert_kernel_matches_phase_sum(slopes.reshape(1, -1, 1), 7)
 
+    def test_starts_no_thread(self, monkeypatch):
+        """Every block of a call runs on the calling thread."""
+
+        def refuse(thread):
+            raise AssertionError("uniform_phase_power started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        # two blocks and a ragged third, with singular entries in the last
+        slopes = np.random.default_rng(11).uniform(-4.0, 4.0, 2 * FEJER_BLOCK + 123)
+        slopes[-5:] = [0.0, 2.0, -4.0, 1e-13, 2.0 + 1e-13]
+        assert_kernel_matches_phase_sum(slopes, 16)
+
     def test_non_contiguous_input(self):
         rng = np.random.default_rng(4)
         for shape in ((24, 16), (FEJER_BLOCK // 3 + 5, 7)):
@@ -269,146 +277,6 @@ class TestKernelExactness:
 
 FULL = SystemConfig()
 SCALED = SystemConfig(m_h=16, m_v=16, n_subcarriers=32, n_candidates=512)
-
-
-def ragged_slopes():
-    """Three blocks and a ragged fourth, with singular entries in the last."""
-    x = np.random.default_rng(11).uniform(-4.0, 4.0, 3 * FEJER_BLOCK + 123)
-    x[-5:] = [0.0, 2.0, -4.0, 1e-13, 2.0 + 1e-13]
-    return x
-
-
-def exhaustive_response(cfg, include_clutter):
-    """The exhaustive scan's evaluator on all N^2 cells: two uniform_phase_power
-    calls of N^3 S elements each. The full-scale case has no clutter, so
-    S = 2 and each array is 34 MB; with clutter, S = 6."""
-    from squintsense.simkit import _cell_response
-
-    n = cfg.n_subcarriers
-    echoes = scene_arrays(cfg, generate_scene(cfg, 2, 0, 7, include_clutter))
-    rows, cols = np.divmod(np.arange(n * n), n)
-    return _cell_response(cfg, echoes, rows, cols)
-
-
-class ThreadSpy(threading.Thread):
-    """threading.Thread that records every thread started."""
-
-    started = []
-
-    def start(self):
-        ThreadSpy.started.append(self)
-        super().start()
-
-
-@pytest.fixture
-def spy_threads(monkeypatch):
-    monkeypatch.setattr(ThreadSpy, "started", [])
-    monkeypatch.setattr(threading, "Thread", ThreadSpy)
-    return ThreadSpy.started
-
-
-def in_helper_block(monkeypatch, action):
-    """Run action() when a helper thread enters its first block; until then the
-    calling thread waits in its own first block, so a helper surely takes one."""
-    real = geometry._for_each_block
-    caller = threading.current_thread()
-    helper_began = threading.Event()
-
-    def spied(starts, make_worker):
-        def make():
-            work = make_worker()
-
-            def spied_work(start):
-                if threading.current_thread() is caller:
-                    helper_began.wait(10.0)
-                elif not helper_began.is_set():
-                    helper_began.set()
-                    action()
-                work(start)
-
-            return spied_work
-
-        return real(starts, make)
-
-    monkeypatch.setattr(geometry, "_for_each_block", spied)
-    monkeypatch.setattr(geometry, "_helper_count", lambda: 1)
-
-
-# kernel calls of more than one block, but for scaled-aas: exactly one block
-KERNEL_CASES = {
-    "ragged": lambda: uniform_phase_power(ragged_slopes(), 16),
-    "ragged-scaled-m7": lambda: uniform_phase_power(ragged_slopes(), 7, scale=0.3),
-    "full-aas": lambda: uniform_phase_power(
-        proposed_plan(FULL).aas_unit_phase, FULL.m_h, np.sin(0.7)
-    ),
-    "scaled-aas": lambda: uniform_phase_power(
-        proposed_plan(SCALED).aas_unit_phase, SCALED.m_h, np.sin(0.7)
-    ),
-    "full-exhaustive": lambda: exhaustive_response(FULL, False),
-    "scaled-exhaustive": lambda: exhaustive_response(SCALED, True),
-}
-ONE_PER_KERNEL = ("ragged",)
-
-
-class TestParallelBlocks:
-    """Blocks shared with helper threads give the bits of one thread."""
-
-    @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
-    def test_bit_identical_for_any_thread_count(self, monkeypatch, case):
-        results = []
-        for count in (0, 1, 3):
-            monkeypatch.setattr(geometry, "_helper_count", lambda: count)
-            results.append(KERNEL_CASES[case]())
-        assert all(np.array_equal(shared, results[0]) for shared in results[1:])
-
-    def test_every_block_once_under_contention(self, monkeypatch):
-        """More threads than cores and a short switch interval: every block
-        start is drawn exactly once."""
-        monkeypatch.setattr(geometry, "_helper_count", lambda: 7)
-        seen = []
-
-        def make_worker():
-            mine = []
-            seen.append(mine)
-            return mine.append
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            geometry._for_each_block(range(5000), make_worker)
-        finally:
-            sys.setswitchinterval(interval)
-        assert len(seen) == 8
-        assert sorted(start for mine in seen for start in mine) == list(range(5000))
-
-    @pytest.mark.parametrize("kernel", ONE_PER_KERNEL)
-    def test_helper_failure_raised_in_caller(self, monkeypatch, kernel):
-        def fail():
-            raise RuntimeError("injected")
-
-        in_helper_block(monkeypatch, fail)
-        with pytest.raises(RuntimeError, match="injected"):
-            KERNEL_CASES[kernel]()
-        assert threading.active_count() == 1
-
-    @pytest.mark.parametrize("kernel", ONE_PER_KERNEL)
-    def test_caller_errstate_holds_in_helpers(self, monkeypatch, kernel):
-        in_helper_block(monkeypatch, lambda: np.divide(1.0, np.zeros(1)))
-        with np.errstate(all="raise"), pytest.raises(FloatingPointError):
-            KERNEL_CASES[kernel]()
-
-    def test_one_block_starts_no_thread(self, monkeypatch, spy_threads):
-        monkeypatch.setattr(geometry, "_helper_count", lambda: 3)
-        uniform_phase_power(np.linspace(-3.0, 3.0, FEJER_BLOCK), 16)
-        assert spy_threads == []
-        uniform_phase_power(np.linspace(-3.0, 3.0, FEJER_BLOCK + 1), 16)
-        assert len(spy_threads) == 1  # two blocks: one helper
-
-    def test_no_helper_without_spare_cpu(self, monkeypatch, spy_threads):
-        monkeypatch.setattr(geometry.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        monkeypatch.setattr(geometry.os, "cpu_count", lambda: 1)
-        uniform_phase_power(ragged_slopes(), 16)
-        assert spy_threads == []
 
 
 # the subcarrier ratios 1 + f_n / fc of the default, scaled and odd-array configs

@@ -49,9 +49,9 @@ def test_no_unused_imports():
 
 
 def test_import_starts_no_thread():
-    """The kernels start their helper threads per call: a fresh import of the
-    CLI and the simulator starts no Python thread and imports neither
-    concurrent.futures nor logging (which it would pull in, ~10 ms)."""
+    """A fresh import of the CLI and the simulator starts no Python thread
+    and imports neither concurrent.futures nor logging (which it would pull
+    in, ~10 ms)."""
     code = (
         "import sys, threading\n"
         "import squintsense.cli, squintsense.simkit\n"
