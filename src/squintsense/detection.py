@@ -6,7 +6,10 @@ read-only in one :func:`proposed_plan`: the whole EAS stage and, for the AAS
 stages, the azimuth candidates with their horizontal phase per unit
 sin(theta_hat). Past one kernel block, both stages' pursuits evaluate only
 the dictionary rows whose block bound can reach the best pick, and each
-pick is still certified against the whole dictionary.
+pick is still certified against the whole dictionary. An AAS stage's block
+bounds depend only on the config and |sin(theta_hat)|, so they are
+tabulated per bin of |sin(theta_hat)| (:func:`aas_bin_tables`), each bin
+built once, on the first stage that falls in it.
 
 The AAS stages depend only on the elevations the EAS pursuit picks, not on
 each other. So a trial builds its scene's echo form once, then all AAS
@@ -35,6 +38,11 @@ from .config import SystemConfig
 from .exceptions import ConfigError
 from .geometry import ENVELOPE_MARGIN, FEJER_BLOCK, fejer_envelope, uniform_phase_power
 from .power import aas_grid_strength, allocate_sensing, grid_echo_strength
+
+# Uniform bins of |sin(theta_hat)| over the EAS candidates' range, about
+# [sin(theta_min), sin(theta_max)], plus one bin on each side out to 0 and 1,
+# each with its AAS block bounds
+AAS_BINS = 16
 
 
 @dataclass(frozen=True)
@@ -87,7 +95,8 @@ def assemble_observation(
     the T-symbol average is drawn directly with variance sigma^2 / T.
     ``echoes`` is a scene's echo form :func:`~squintsense.channel.scene_arrays`.
     A stack of B beams takes (B, N) powers and B symbol counts and gives
-    (B, N): every echo in one call, then each beam's noise drawn in turn.
+    (B, N): every echo in one call, and every beam's noise in one draw, beam
+    by beam in the random stream.
     """
     t_symbols = np.asarray(t_symbols)
     if np.any(t_symbols < 1):
@@ -95,8 +104,9 @@ def assemble_observation(
     n = cfg.n_subcarriers
     signal = np.sqrt(powers) * echo_gain(cfg, echoes, weights, np.arange(n))
     scales = np.sqrt(cfg.noise_variance() / (2.0 * t_symbols))
-    noise = [s * (rng.standard_normal(n) + 1j * rng.standard_normal(n)) for s in scales.flat]
-    return signal + np.reshape(noise, signal.shape)
+    draws = rng.standard_normal((scales.size, 2, n))  # beam by beam: real, then imaginary
+    noise = scales.reshape(-1, 1) * (draws[:, 0] + 1j * draws[:, 1])
+    return signal + noise.reshape(signal.shape)
 
 
 def build_measurement_matrix(
@@ -253,28 +263,52 @@ def aas_pursuit(cfg: SystemConfig, weights, powers, obs, iterations: int) -> Cou
     """modified_mp over build_measurement_matrix(cfg, weights, powers) for an
     AAS beam. Past FEJER_BLOCK table entries it runs :func:`_block_pursuit` on
     the plan's blocks, with bound (1 + ENVELOPE_MARGIN) sum_n U(b, n) scale_n
-    |r_n| / ((1 - ENVELOPE_MARGIN) peak(b) min(scale)), inf for a zero divisor,
-    U the fejer_envelope of the block's |X| at sin(theta_hat) and scale_n =
-    sqrt(p_n) alpha; each row is computed at most once per stage. Picks are
-    the table's; a GEMM of fewer rows may round apart."""
+    |r_n| / ((1 - ENVELOPE_MARGIN) floor(b) min(scale)), inf for a zero divisor:
+    U and floor are the :func:`aas_bin_tables` of the bin holding |sin(theta_hat)|
+    and scale_n = sqrt(p_n) alpha. Each row is computed at most once per stage.
+    Picks are the table's; a GEMM of fewer rows may round apart."""
     plan = proposed_plan(cfg)
     n_cand, n = plan.aas_unit_phase.shape
     if n_cand * n <= FEJER_BLOCK:
         return modified_mp(obs, build_measurement_matrix(cfg, weights, powers), iterations)
+    sin_theta = abs(np.sin(weights.ps_theta))
+    envelope, floor = aas_bin_tables(
+        cfg, int(np.searchsorted(plan.aas_bin_edges[1:-1], sin_theta, side="right"))
+    )
     alpha = sensing_attenuation(cfg, cfg.height / np.cos(weights.ps_theta), cfg.sigma_rcs)
     scale = np.sqrt(np.asarray(powers, dtype=float)) * alpha
-    envelope = fejer_envelope(np.sin(weights.ps_theta), cfg.m_h, *plan.aas_block_range) * scale
-    floor = (1 - ENVELOPE_MARGIN) / (1 + ENVELOPE_MARGIN) * scale.min() * plan.aas_block_peak
+    divisor = (1 - ENVELOPE_MARGIN) / (1 + ENVELOPE_MARGIN) * scale.min() * floor
 
     def bound(residual):
-        out = np.full(len(floor), np.inf)
-        return np.divide(envelope @ np.abs(residual), floor, out=out, where=floor > 0)
+        top = envelope @ (scale * np.abs(residual))
+        return np.divide(top, divisor, out=np.full(len(divisor), np.inf), where=divisor > 0)
 
     def rows(index):
         gains = _aas_rows(cfg, weights.ps_theta, index) * scale
         return gains, np.sqrt(np.einsum("ln,ln->l", gains, gains))
 
     return _block_pursuit(obs, iterations, n_cand, -(-n_cand // n), bound, rows)
+
+
+@functools.lru_cache(maxsize=4 * (AAS_BINS + 2))
+def aas_bin_tables(cfg: SystemConfig, j: int):
+    """Read-only AAS block bounds of bin j = [s_j, s_j+1] of the plan's
+    aas_bin_edges, valid for every |sin(theta_hat)| in it: the envelope U (B, N)
+    of the Fejer power over each block's |X| range, widened to the bin, and a
+    floor (B,) of every block row's 2-norm at unit scale. F falls on its main
+    lobe |x| <= 2/m_h, so a row of block b has at least the norm of
+    F(s_j+1 hi_b) on the entries where s_j+1 hi_b <= 2/m_h, hi_b its block's
+    largest |X|; the floor is the larger of that and aas_block_peak. Built on
+    the first stage that needs it; ENVELOPE_MARGIN is left to the caller."""
+    plan = proposed_plan(cfg)
+    lo, hi = plan.aas_block_range
+    s_lo, s_hi = plan.aas_bin_edges[j : j + 2]
+    envelope = fejer_envelope(1.0, cfg.m_h, s_lo * lo, s_hi * hi)
+    x = s_hi * hi
+    least = uniform_phase_power(x, cfg.m_h) * (x <= 2 / cfg.m_h)
+    floor = np.maximum(plan.aas_block_peak, np.sqrt(np.einsum("bn,bn->b", least, least)))
+    envelope.flags.writeable = floor.flags.writeable = False
+    return envelope, floor
 
 
 class ProposedPlan(NamedTuple):
@@ -287,8 +321,12 @@ class ProposedPlan(NamedTuple):
     eas_block_bound: np.ndarray    # (B, N) largest entry over least norm per block of rows
     aas_candidates: np.ndarray     # (L,) azimuth candidates
     aas_unit_phase: np.ndarray     # (L, N) horizontal phase over sin(theta_hat)
-    aas_block_range: np.ndarray    # (2, B, N) least and largest |aas_unit_phase| per block
-    aas_block_peak: np.ndarray     # (B,) least F(x) of a block's rows, 0 where |x| > 2/m_h
+    aas_block_range: np.ndarray    # (2, B, N) least and largest |aas_unit_phase| per block;
+                                   # aas_bin_tables widens it to a bin's envelope
+    aas_block_peak: np.ndarray     # (B,) least F(x) of a block's rows, 0 where |x| > 2/m_h:
+                                   # a floor of their norms at every sin(theta_hat)
+    aas_bin_edges: np.ndarray      # (AAS_BINS + 3,) 0, the candidates' sine range, 1:
+                                   # the |sin(theta_hat)| bins of aas_bin_tables
 
 
 @functools.lru_cache(maxsize=4)
@@ -316,9 +354,16 @@ def proposed_plan(cfg: SystemConfig) -> ProposedPlan:
     # sin(theta_hat) X, so a row's largest entry is >= F(x) min(scale), x its least |X|
     x = magnitude.min(axis=1)
     peak = np.minimum.reduceat(uniform_phase_power(x, cfg.m_h) * (x <= 2 / cfg.m_h), starts)
-    for arr in (p0, *vars(mtx).values(), eas_bound, cand, unit_phase, block_range, peak):
+    # the squint grid's ends can sit an ulp outside [theta_min, theta_max]: the
+    # inner bins span the candidates, so every EAS pick takes an inner bin
+    inner = np.linspace(*np.sin([mtx.candidates.min(), mtx.candidates.max()]), AAS_BINS + 1)
+    edges = np.concatenate([[0.0], inner, [1.0]])
+    arrays = (p0, *vars(mtx).values(), eas_bound, cand, unit_phase, block_range, peak, edges)
+    for arr in arrays:
         arr.flags.writeable = False
-    return ProposedPlan(weights, t0, p0, mtx, eas_bound, cand, unit_phase, block_range, peak)
+    return ProposedPlan(
+        weights, t0, p0, mtx, eas_bound, cand, unit_phase, block_range, peak, edges
+    )
 
 
 def hierarchical_detect(

@@ -150,7 +150,7 @@ def allocate_comm(ctx: SinrContext, tau_c: float) -> np.ndarray:
     """Solve D_n p = s_n for the per-user powers on every subcarrier n.
 
     Feasibility, diag and D_n depend only on chi, so they are formed once;
-    then all subcarriers of a stage are solved in one batched call. The
+    then every subcarrier of every stage is solved in one batched call. The
     result has the shape of ``ctx.effective_noise``: (K, N), or (S, K, N)
     with a leading stage axis. Requires the diagonal-dominance condition to
     hold at tau_c on every subcarrier; the returned powers are strictly
@@ -167,19 +167,16 @@ def allocate_comm(ctx: SinrContext, tau_c: float) -> np.ndarray:
     d_mtx = np.moveaxis(-tau_c * ctx.chi / diag[:, None, :], 2, 0)  # (N, K, K)
     d_mtx[:, np.arange(k), np.arange(k)] = 1.0
     stages = (tau_c * ctx.effective_noise / diag).reshape(-1, k, n)
+    rhs = np.swapaxes(stages, 1, 2)[..., None]  # (S, N, K, 1)
+    solved = np.linalg.solve(d_mtx, rhs)  # d_mtx broadcasts over the stage axis
+    residual = np.linalg.norm(d_mtx @ solved - rhs, axis=(2, 3))
+    limit = SOLVE_RESIDUAL_TOL * np.maximum(np.linalg.norm(rhs, axis=(2, 3)), 1e-300)
+    if np.any(residual > limit):
+        raise InfeasibleError(f"power solve residual too large: {residual.max()}")
     # each stage's powers stay the transposed view of a C-ordered (N, K)
     # block: numpy's sums round by memory layout, and a (K, N) copy would
     # move the trial's power sums in the last digit
-    powers = np.empty((len(stages), n, k))
-    for stage_rhs, out in zip(stages, powers):
-        rhs = stage_rhs.T[:, :, None]  # (N, K, 1)
-        solved = np.linalg.solve(d_mtx, rhs)
-        residual = np.linalg.norm(d_mtx @ solved - rhs, axis=(1, 2))
-        limit = SOLVE_RESIDUAL_TOL * np.maximum(np.linalg.norm(rhs, axis=(1, 2)), 1e-300)
-        if np.any(residual > limit):
-            raise InfeasibleError(f"power solve residual too large: {residual.max()}")
-        out[:] = solved[:, :, 0]
-    powers = np.swapaxes(powers, 1, 2)
+    powers = np.swapaxes(solved[..., 0], 1, 2)
     return powers if ctx.effective_noise.ndim == 3 else powers[0]
 
 

@@ -499,26 +499,40 @@ def spy_rows(monkeypatch):
     return calls
 
 
+def reference_bins(cfg):
+    """Edges of the |sin(theta_hat)| bins: 0, AAS_BINS + 1 uniform points over
+    the sines of the least and largest elevation candidates, and 1."""
+    cand = elevation_candidates(cfg)
+    inner = np.linspace(np.sin(cand.min()), np.sin(cand.max()), detection.AAS_BINS + 1)
+    return np.concatenate([[0.0], inner, [1.0]])
+
+
 def reference_block_bound(cfg, theta_hat, powers, residual):
     """The bound of aas_pursuit on each block of ceil(L/N) candidates, from the
-    unit-phase table directly: (bound (B,), block of each candidate (L,))."""
+    unit-phase table directly, in the bin holding |sin(theta_hat)|:
+    (bound (B,), block of each candidate (L,))."""
     table = np.abs(aas_unit_phase(cfg, azimuth_candidates(cfg)))
     n_cand, n = table.shape
     size = -(-n_cand // n)
     blocks = [table[i : i + size] for i in range(0, n_cand, size)]
     lo = np.array([b.min(axis=0) for b in blocks])
     hi = np.array([b.max(axis=0) for b in blocks])
-    peak = []
-    for b in blocks:
+    edges = reference_bins(cfg)
+    sin_theta = abs(np.sin(theta_hat))
+    j = max(i for i in range(len(edges) - 1) if edges[i] <= sin_theta)
+    s_lo, s_hi = edges[j], edges[j + 1]
+    assert s_lo <= sin_theta <= s_hi
+    floor = []
+    for b, top in zip(blocks, hi):
         x = b.min(axis=1)  # each row's entry of least |X|
-        peak.append(np.where(x <= 2 / cfg.m_h, uniform_phase_power(x, cfg.m_h), 0.0).min())
-    peak = np.array(peak)
+        peak = np.where(x <= 2 / cfg.m_h, uniform_phase_power(x, cfg.m_h), 0.0).min()
+        least = np.where(s_hi * top <= 2 / cfg.m_h, uniform_phase_power(s_hi * top, cfg.m_h), 0.0)
+        floor.append(max(peak, np.linalg.norm(least)))
     alpha = sensing_attenuation(cfg, cfg.height / np.cos(theta_hat), cfg.sigma_rcs)
     scale = np.sqrt(powers) * alpha
-    top = (1 + ENVELOPE_MARGIN) * fejer_envelope(np.sin(theta_hat), cfg.m_h, lo, hi) @ (
-        scale * np.abs(residual)
-    )
-    bottom = (1 - ENVELOPE_MARGIN) * peak * scale.min()
+    envelope = fejer_envelope(1.0, cfg.m_h, s_lo * lo, s_hi * hi)
+    top = (1 + ENVELOPE_MARGIN) * envelope @ (scale * np.abs(residual))
+    bottom = (1 - ENVELOPE_MARGIN) * np.array(floor) * scale.min()
     bound = np.full(len(blocks), np.inf)
     np.divide(top, bottom, out=bound, where=bottom > 0)
     return bound, np.arange(n_cand) // size
@@ -558,7 +572,19 @@ class TestCertifiedAasPursuit:
                 for seed in range(5):
                     scene = generate_scene(cfg, q, 2, (seed, q), include_clutter)
                     hierarchical_detect(cfg, scene, np.random.default_rng((seed, q, 1)))
-        assert len(stages) >= 40
+        rng = np.random.default_rng(5)
+        edges = proposed_plan(cfg).aas_bin_edges
+        for theta_hat in (0.05, 1.5):  # one elevation in each outer bin
+            assert not edges[1] <= np.sin(theta_hat) <= edges[-2]
+            weights = aas_beamformer(cfg, theta_hat)
+            powers = rng.uniform(1e-4, 1e-2, cfg.n_subcarriers)
+            columns = build_measurement_matrix(cfg, weights, powers).columns
+            obs = columns[:, rng.choice(cfg.n_candidates, 3, replace=False)] @ np.exp(
+                2j * np.pi * rng.random(3)
+            )
+            obs += 0.05 * np.abs(obs).max() * rng.standard_normal(cfg.n_subcarriers)
+            detection.aas_pursuit(cfg, weights, powers, obs, 3)
+        assert len(stages) >= 42
         for weights, powers, obs, iterations, got in stages:
             want = modified_mp(obs, build_measurement_matrix(cfg, weights, powers), iterations)
             assert_same_pursuit(got, want, obs)
@@ -569,13 +595,13 @@ class TestCertifiedAasPursuit:
     @pytest.mark.parametrize("cfg", CERTIFIED + [OFF_LOBE], ids=["full", "s1024", "s2048", "off"])
     def test_bound_holds_and_certifies_the_pick(self, monkeypatch, cfg):
         """For random residuals, powers and elevations, every candidate's exact
-        metric is at most its block's bound, and every block whose bound
-        reaches the pick's metric was evaluated."""
-        calls = spy_rows(monkeypatch)
+        metric is at most its block's bound, every block whose bound reaches
+        the pick's metric was evaluated, and the pursuit's bound is that one."""
+        calls, pursuits = spy_rows(monkeypatch), spy_blocks(monkeypatch)
         rng = np.random.default_rng(17)
         n = cfg.n_subcarriers
-        for _ in range(12):
-            theta_hat = rng.uniform(cfg.theta_min, cfg.theta_max)
+        thetas = [*rng.uniform(cfg.theta_min, cfg.theta_max, 12), 0.05, 1.5]
+        for theta_hat in thetas:
             weights = aas_beamformer(cfg, theta_hat)
             powers = rng.uniform(1e-4, 1e-2, n)
             residual = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -588,19 +614,49 @@ class TestCertifiedAasPursuit:
             assert got.trace[0][0] == int(np.argmax(metric))
             needed = np.flatnonzero(bound >= metric.max())
             assert set(needed) <= set(block[calls[-1]])
+            np.testing.assert_allclose(pursuits[-1][0](residual), bound, rtol=1e-12)
 
     @pytest.mark.parametrize("cfg", CERTIFIED + [OFF_LOBE], ids=["full", "s1024", "s2048", "off"])
     def test_block_tables_hold_at_every_elevation(self, cfg):
         """Each row's |X| lies in its block's range, and at every sin(theta_hat)
-        in (0, 1] its largest entry is at least its block's peak bound."""
+        in (0, 1], bin edges included, the tables of each bin holding it bound
+        the kernel: (1 + M) U is at least every row's entries and (1 - M) floor
+        at most every row's norm."""
         plan = proposed_plan(cfg)
         table = plan.aas_unit_phase
         block = np.arange(len(table)) // -(-len(table) // cfg.n_subcarriers)
         lo, hi = plan.aas_block_range
         assert np.all(lo[block] <= np.abs(table)) and np.all(np.abs(table) <= hi[block])
-        for sin_theta in np.linspace(0.05, 1.0, 40):
-            largest = uniform_phase_power(table, cfg.m_h, scale=sin_theta).max(axis=1)
-            assert np.all(largest >= (1 - ENVELOPE_MARGIN) * plan.aas_block_peak[block])
+        edges = reference_bins(cfg)
+        np.testing.assert_array_equal(plan.aas_bin_edges, edges)
+        for sin_theta in np.union1d(np.linspace(0.02, 1.0, 30), edges[1:]):
+            power = uniform_phase_power(table, cfg.m_h, scale=sin_theta)
+            norms = np.linalg.norm(power, axis=1)
+            bins = np.flatnonzero((edges[:-1] <= sin_theta) & (sin_theta <= edges[1:]))
+            assert bins.size >= 1
+            for j in bins:
+                envelope, floor = detection.aas_bin_tables(cfg, j)
+                assert np.all(power <= (1 + ENVELOPE_MARGIN) * envelope[block])
+                assert np.all((1 - ENVELOPE_MARGIN) * floor[block] <= norms)
+
+    @pytest.mark.parametrize("cfg", CERTIFIED + [OFF_LOBE], ids=["full", "s1024", "s2048", "off"])
+    def test_every_elevation_candidate_takes_an_inner_bin(self, cfg):
+        """The squint grid's first candidate sits an ulp below theta_min; it
+        still takes an inner bin, not the wide bin down to 0."""
+        edges = proposed_plan(cfg).aas_bin_edges
+        sines = np.sin(elevation_candidates(cfg))
+        assert np.all((edges[1] <= sines) & (sines <= edges[-2]))
+        assert np.all(np.diff(edges) > 0)
+
+    def test_bin_tables_are_cached_and_read_only(self):
+        for j in range(detection.AAS_BINS + 2):
+            tables = detection.aas_bin_tables(FULL, j)
+            assert detection.aas_bin_tables(FULL, j) is tables
+            for arr in tables:
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[0] = 1.0
+        assert detection.aas_bin_tables.cache_info().maxsize is not None
 
     def test_margin_widens_every_bound(self, monkeypatch):
         """With a margin of 1 every block bound is infinite: each stage
@@ -619,14 +675,14 @@ class TestCertifiedAasPursuit:
             aas_pursuit(cfg, weights, np.zeros(cfg.n_subcarriers), obs, 1)
 
     def test_few_rows_for_a_separated_target(self, monkeypatch):
-        """A lone target at full scale: each stage evaluates at most 512 of the
+        """A lone target at full scale: each stage evaluates at most 256 of the
         4096 rows."""
         calls = spy_rows(monkeypatch)
         for seed in range(10):
             scene = generate_scene(FULL, 1, 0, seed, include_clutter=False)
             hierarchical_detect(FULL, scene, np.random.default_rng(seed))
         assert len(calls) == 10
-        assert max(len(rows) for rows in calls) <= 512
+        assert max(len(rows) for rows in calls) <= 256
 
 
 def spy_blocks(monkeypatch):

@@ -330,10 +330,11 @@ class TestStackedComm:
 
         def perturbed(a, b):
             calls.append(b)
-            x = solve(a, b)
-            return x * (1.0 + 1e-6) if len(calls) == bad_stage + 1 else x
+            x = solve(a, b)  # every stage in one call: (S, N, K, 1)
+            x[bad_stage] *= 1.0 + 1e-6
+            return x
 
         monkeypatch.setattr(np.linalg, "solve", perturbed)
         with pytest.raises(InfeasibleError, match="residual too large"):
             allocate_comm(ctx, 10.0)
-        assert len(calls) == bad_stage + 1
+        assert len(calls) == 1 and calls[0].shape[0] == 3
