@@ -147,10 +147,11 @@ def build_measurement_matrix(
     return MeasurementMatrix(columns=gains.T, candidates=cand, norms=norms)
 
 
-def _aas_rows(cfg: SystemConfig, theta_hat: float, index) -> np.ndarray:
-    """Rows ``index`` of the (L, N) Fejer power table of the AAS beam at theta_hat."""
+def _aas_rows(cfg: SystemConfig, theta_hat: float, index, out=None) -> np.ndarray:
+    """Rows ``index`` of the (L, N) Fejer power table of the AAS beam at theta_hat,
+    written to ``out`` when given."""
     table = proposed_plan(cfg).aas_unit_phase
-    return uniform_phase_power(table[index], cfg.m_h, scale=np.sin(theta_hat))
+    return uniform_phase_power(table[index], cfg.m_h, scale=np.sin(theta_hat), out=out)
 
 
 def modified_mp(
@@ -170,74 +171,76 @@ def modified_mp(
     norms, rows = mtx.norms, mtx.columns.T
     if iterations > 0 and np.any(norms == 0.0):
         raise ConfigError("degenerate dictionary: zero-norm column")
-
-    def evaluate(residual):
-        corr = (rows @ residual.view(float).reshape(-1, 2)).view(complex)[:, 0]
-        return corr, norms, np.abs(corr) / norms
-
-    return _pursuit(obs, iterations, len(norms), evaluate, rows.__getitem__)
+    return _block_pursuit(obs, iterations, len(norms), len(norms), None, None, (rows, norms))
 
 
-def _pursuit(obs, iterations: int, size: int, evaluate, column) -> CountingVector:
-    """The loop of :func:`modified_mp`: evaluate(residual) gives (size,) arrays (corr,
-    norms, metric), the metric exact wherever it can reach its maximum."""
+def _block_pursuit(
+    obs, iterations: int, n_cand: int, size: int, bound, rows, evaluated=None
+) -> CountingVector:
+    """The loop of :func:`modified_mp` over n_cand candidates in blocks of ``size``,
+    whose picks are those of the whole dictionary, ties to the least candidate.
+    Each pick evaluates only the blocks whose bound(residual) (B,) reaches the
+    best exact metric: largest bound first, in batches of FEJER_BLOCK // N rows
+    and doubling (Fagin, Lotem & Naor, PODS 2001). rows(index, out) writes the
+    rows of at most FEJER_BLOCK // N candidates to out and returns their norms.
+    Evaluated rows are kept, in evaluation order, for later picks; each pick
+    correlates them in one GEMM and each fresh batch in one more. Given
+    ``evaluated`` = (rows (n_cand, N), norms (n_cand,)), every candidate starts
+    evaluated, in order, and no bound is taken."""
     if iterations < 0:
         raise ConfigError("iterations must be nonnegative")
-    counts = np.zeros(size, dtype=int)
+    chunk = FEJER_BLOCK // len(obs)
+    done = np.zeros(-(-n_cand // size), dtype=bool)  # blocks evaluated
+    if evaluated is None:
+        kept, norms = np.empty((n_cand, len(obs))), np.empty(n_cand)
+        cand, count, left = np.empty(n_cand, dtype=int), 0, len(done)
+    else:
+        (kept, norms), cand, count, left = evaluated, range(n_cand), n_cand, 0
+    corr, metric = np.empty(n_cand, dtype=complex), np.empty(n_cand)
+    pairs = corr.view(float).reshape(-1, 2)  # the real GEMM's output
+    counts = np.zeros(n_cand, dtype=int)
     phasors = []
     trace = []
     residual = np.asarray(obs, dtype=complex).copy()
     for _ in range(iterations):
-        corr, norms, metric = evaluate(residual)
-        best = int(np.argmax(metric))
-        coeff = corr[best] / norms[best] ** 2
+        r = residual.view(float).reshape(-1, 2)
+        np.matmul(kept[:count], r, out=pairs[:count])
+        np.divide(np.abs(corr[:count]), norms[:count], metric[:count])
+        if left:
+            top, batch = bound(residual), max(1, chunk // size)
+            top[done] = -np.inf
+        while left:
+            live = np.flatnonzero(top >= metric[:count].max(initial=0.0))
+            if not live.size:
+                break
+            blocks = live[np.argsort(top[live])[::-1][:batch]]
+            top[blocks], done[blocks], left = -np.inf, True, left - len(blocks)
+            new = (blocks[:, None] * size + np.arange(size)).ravel()
+            new = new[new < n_cand]
+            end = count + len(new)
+            cand[count:end] = new
+            for i in range(count, end, chunk):  # one kernel block per call
+                j = min(i + chunk, end)
+                norms[i:j] = rows(cand[i:j], kept[i:j])
+            if not norms[count:end].all():
+                raise ConfigError("degenerate dictionary: zero-norm column")
+            np.matmul(kept[count:end], r, out=pairs[count:end])
+            np.divide(np.abs(corr[count:end]), norms[count:end], metric[count:end])
+            count, batch = end, 2 * batch
+        i = int(np.argmax(metric[:count]))
+        if evaluated is None:  # rows in evaluation order: a tie goes to the least candidate
+            ties = np.flatnonzero(metric[:count] == metric[i])
+            i = ties[np.argmin(cand[ties])]
+        coeff = corr[i] / norms[i] ** 2
         if coeff == 0:
             break
         phasor = coeff / abs(coeff)
-        residual = residual - phasor * column(best)
+        residual = residual - phasor * kept[i]
+        best = int(cand[i])
         counts[best] += 1
         phasors.append(phasor)
-        trace.append((best, float(metric[best]), float(np.linalg.norm(residual))))
+        trace.append((best, float(metric[i]), float(np.linalg.norm(residual))))
     return CountingVector(counts=counts, phasors=tuple(phasors), trace=tuple(trace))
-
-
-def _block_pursuit(obs, iterations: int, n_cand: int, size: int, bound, rows) -> CountingVector:
-    """:func:`_pursuit` over n_cand candidates in blocks of ``size``, whose picks
-    are those of the whole dictionary. Each pick evaluates only the blocks whose
-    bound(residual) (B,) reaches the best exact metric: largest bound first, in
-    batches of FEJER_BLOCK // N rows and doubling (Fagin, Lotem & Naor, PODS
-    2001). rows(index) gives (rows, norms) of at most FEJER_BLOCK // N candidates;
-    they are kept for later picks, and candidates not evaluated read metric 0."""
-    chunk = FEJER_BLOCK // len(obs)
-    kept = np.empty((n_cand, len(obs)))  # rows in evaluation order: one GEMM, few pages
-    seen, where = np.zeros(0, dtype=int), np.zeros(n_cand, dtype=int)  # their candidates, and back
-    norms, pending = np.full(n_cand, np.inf), np.ones(-(-n_cand // size), dtype=bool)
-
-    def evaluate(residual):
-        nonlocal seen
-        top, batch, r = bound(residual), max(1, chunk // size), residual.view(float).reshape(-1, 2)
-        corr = np.zeros(n_cand, dtype=complex)
-        corr[seen] = (kept[: len(seen)] @ r).view(complex)[:, 0]
-        while True:
-            metric = np.abs(corr) / norms
-            live = np.flatnonzero(pending & (top >= metric.max()))
-            if not live.size:
-                return corr, norms, metric
-            blocks = live[np.argsort(top[live])[::-1][:batch]]
-            pending[blocks] = False
-            new = (blocks[:, None] * size + np.arange(size)).ravel()
-            new = new[new < n_cand]
-            where[new] = np.arange(len(seen), len(seen) + len(new))
-            fresh = kept[len(seen) : len(seen) + len(new)]
-            for i in range(0, len(new), chunk):  # one kernel block per call
-                fresh[i : i + chunk], norms[new[i : i + chunk]] = rows(new[i : i + chunk])
-            if not norms[new].all():
-                raise ConfigError("degenerate dictionary: zero-norm column")
-            corr[new] = (fresh @ r).view(complex)[:, 0]
-            seen = np.concatenate([seen, new])
-            batch *= 2
-
-    return _pursuit(obs, iterations, n_cand, evaluate, lambda j: kept[where[j]])
 
 
 def eas_pursuit(cfg: SystemConfig, obs, iterations: int) -> CountingVector:
@@ -252,10 +255,14 @@ def eas_pursuit(cfg: SystemConfig, obs, iterations: int) -> CountingVector:
     if mtx.columns.size <= FEJER_BLOCK or (iterations > 0 and not mtx.norms.all()):
         return modified_mp(obs, mtx, iterations)
     n, n_cand = mtx.columns.shape
+
+    def rows(index, out):
+        np.take(mtx.columns.T, index, axis=0, out=out, mode="clip")  # "raise" copies twice
+        return mtx.norms[index]
+
     return _block_pursuit(
         obs, iterations, n_cand, -(-n_cand // n),
-        lambda r: (1 + ENVELOPE_MARGIN) * (plan.eas_block_bound @ np.abs(r)),
-        lambda index: (mtx.columns.T[index], mtx.norms[index]),
+        lambda r: (1 + ENVELOPE_MARGIN) * (plan.eas_block_bound @ np.abs(r)), rows,
     )
 
 
@@ -283,9 +290,10 @@ def aas_pursuit(cfg: SystemConfig, weights, powers, obs, iterations: int) -> Cou
         top = envelope @ (scale * np.abs(residual))
         return np.divide(top, divisor, out=np.full(len(divisor), np.inf), where=divisor > 0)
 
-    def rows(index):
-        gains = _aas_rows(cfg, weights.ps_theta, index) * scale
-        return gains, np.sqrt(np.einsum("ln,ln->l", gains, gains))
+    def rows(index, out):
+        _aas_rows(cfg, weights.ps_theta, index, out=out)
+        out *= scale
+        return np.sqrt(np.einsum("ln,ln->l", out, out))
 
     return _block_pursuit(obs, iterations, n_cand, -(-n_cand // n), bound, rows)
 
@@ -296,17 +304,22 @@ def aas_bin_tables(cfg: SystemConfig, j: int):
     aas_bin_edges, valid for every |sin(theta_hat)| in it: the envelope U (B, N)
     of the Fejer power over each block's |X| range, widened to the bin, and a
     floor (B,) of every block row's 2-norm at unit scale. F falls on its main
-    lobe |x| <= 2/m_h, so a row of block b has at least the norm of
-    F(s_j+1 hi_b) on the entries where s_j+1 hi_b <= 2/m_h, hi_b its block's
-    largest |X|; the floor is the larger of that and aas_block_peak. Built on
-    the first stage that needs it; ENVELOPE_MARGIN is left to the caller."""
+    lobe |x| <= 2/m_h, so a row with entries |X| <= x on some subcarriers has
+    at least the norm of F(s_j+1 x) on those where s_j+1 x <= 2/m_h. The floor
+    takes the larger of two such sets: every subcarrier at x = hi_b, its
+    block's largest |X|, and the least over the block's rows of the row's own
+    aas_row_window. Built on the first stage that needs it; ENVELOPE_MARGIN is
+    left to the caller."""
     plan = proposed_plan(cfg)
     lo, hi = plan.aas_block_range
     s_lo, s_hi = plan.aas_bin_edges[j : j + 2]
     envelope = fejer_envelope(1.0, cfg.m_h, s_lo * lo, s_hi * hi)
-    x = s_hi * hi
-    least = uniform_phase_power(x, cfg.m_h) * (x <= 2 / cfg.m_h)
-    floor = np.maximum(plan.aas_block_peak, np.sqrt(np.einsum("bn,bn->b", least, least)))
+    block, row = (
+        np.linalg.norm(uniform_phase_power(x, cfg.m_h) * (x <= 2 / cfg.m_h), axis=1)
+        for x in (s_hi * hi, s_hi * plan.aas_row_window)
+    )
+    starts = np.arange(0, cfg.n_candidates, -(-cfg.n_candidates // cfg.n_subcarriers))
+    floor = np.maximum(block, np.minimum.reduceat(row, starts))
     envelope.flags.writeable = floor.flags.writeable = False
     return envelope, floor
 
@@ -323,8 +336,8 @@ class ProposedPlan(NamedTuple):
     aas_unit_phase: np.ndarray     # (L, N) horizontal phase over sin(theta_hat)
     aas_block_range: np.ndarray    # (2, B, N) least and largest |aas_unit_phase| per block;
                                    # aas_bin_tables widens it to a bin's envelope
-    aas_block_peak: np.ndarray     # (B,) least F(x) of a block's rows, 0 where |x| > 2/m_h:
-                                   # a floor of their norms at every sin(theta_hat)
+    aas_row_window: np.ndarray     # (L, W) each row's |aas_unit_phase| on the W = min(8, N)
+                                   # subcarriers around its least: aas_bin_tables' row floors
     aas_bin_edges: np.ndarray      # (AAS_BINS + 3,) 0, the candidates' sine range, 1:
                                    # the |sin(theta_hat)| bins of aas_bin_tables
 
@@ -350,19 +363,18 @@ def proposed_plan(cfg: SystemConfig) -> ProposedPlan:
     unit_phase = aas_unit_phase(cfg, cand)
     magnitude = np.abs(unit_phase)
     block_range = np.stack([f.reduceat(magnitude, starts) for f in (np.minimum, np.maximum)])
-    # the Fejer power F falls on its main lobe |x| <= 2/m_h, and a stage runs at
-    # sin(theta_hat) X, so a row's largest entry is >= F(x) min(scale), x its least |X|
-    x = magnitude.min(axis=1)
-    peak = np.minimum.reduceat(uniform_phase_power(x, cfg.m_h) * (x <= 2 / cfg.m_h), starts)
+    width = min(8, cfg.n_subcarriers)
+    first = np.clip(magnitude.argmin(axis=1) - width // 2, 0, cfg.n_subcarriers - width)
+    window = np.take_along_axis(magnitude, first[:, None] + np.arange(width), axis=1)
     # the squint grid's ends can sit an ulp outside [theta_min, theta_max]: the
     # inner bins span the candidates, so every EAS pick takes an inner bin
     inner = np.linspace(*np.sin([mtx.candidates.min(), mtx.candidates.max()]), AAS_BINS + 1)
     edges = np.concatenate([[0.0], inner, [1.0]])
-    arrays = (p0, *vars(mtx).values(), eas_bound, cand, unit_phase, block_range, peak, edges)
+    arrays = (p0, *vars(mtx).values(), eas_bound, cand, unit_phase, block_range, window, edges)
     for arr in arrays:
         arr.flags.writeable = False
     return ProposedPlan(
-        weights, t0, p0, mtx, eas_bound, cand, unit_phase, block_range, peak, edges
+        weights, t0, p0, mtx, eas_bound, cand, unit_phase, block_range, window, edges
     )
 
 

@@ -96,7 +96,7 @@ def _fejer_pass(x, m, t=None, s=None, w=None, scale=1.0):
     return s
 
 
-def uniform_phase_power(slope, m, scale=1.0):
+def uniform_phase_power(slope, m, scale=1.0, out=None):
     """|(1/m) sum_{k<m} exp(-1j*pi*k*scale*slope)|^2 as a real Fejer kernel, over slope.
 
     Equals (sin(m u) / (m sin u))^2 with u = pi*scale*slope/2, and the
@@ -114,7 +114,9 @@ def uniform_phase_power(slope, m, scale=1.0):
     poles of tan(u/2) are the even-integer singularities, handled by the
     limit branch; those of tan(m u/2) are nulls, where sin(m u) -> 0.
     Inputs larger than FEJER_BLOCK elements are evaluated block by block
-    over the flattened input, so the work arrays stay in L2 cache.
+    over the flattened input, so the work arrays stay in L2 cache. A
+    C-contiguous array ``out`` of the input's shape takes the result in place
+    of a new array, with the same bits.
 
     Accurate domain: m must be a power of two, as in every shipped config
     (16 and 64). Then m u/2 is an exact rescaling of the rounded u/2, so both
@@ -127,10 +129,11 @@ def uniform_phase_power(slope, m, scale=1.0):
     against an exact 1.
     """
     x = np.asarray(slope, dtype=float)
+    if x.ndim == 0:
+        return float(_fejer_pass(x.reshape(1), m, scale=scale)[0])
     if x.size <= FEJER_BLOCK:
-        out = _fejer_pass(x.reshape(1) if x.ndim == 0 else x, m, scale=scale)
-        return float(out[0]) if x.ndim == 0 else out
-    out = np.empty(x.shape)
+        return _fejer_pass(x, m, s=out, scale=scale)
+    out = np.empty(x.shape) if out is None else out
     flat_x, flat_out = x.reshape(-1), out.reshape(-1)
     t, w = np.empty(FEJER_BLOCK), np.empty(FEJER_BLOCK)
     for start in range(0, flat_x.size, FEJER_BLOCK):

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -364,12 +366,13 @@ class TestAasTableCache:
 
     def test_cached_arrays_are_read_only(self):
         plan = proposed_plan(CFG)
-        for arr in (plan.aas_candidates, plan.aas_unit_phase):
+        for arr in (plan.aas_candidates, plan.aas_unit_phase, plan.aas_row_window):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 1.0
-        with pytest.raises(ValueError):
-            plan.aas_unit_phase *= 2.0
+        for arr in (plan.aas_unit_phase, plan.aas_row_window):
+            with pytest.raises(ValueError):
+                arr *= 2.0
 
     def test_one_entry_per_config(self):
         assert proposed_plan(CFG) is proposed_plan(SystemConfig(**{
@@ -485,10 +488,10 @@ def spy_rows(monkeypatch):
     calls = []
     real_rows, real_pursuit = detection._aas_rows, detection.aas_pursuit
 
-    def rows(cfg, theta_hat, index):
+    def rows(cfg, theta_hat, index, out=None):
         if not isinstance(index, slice) and calls:
             calls[-1].extend(np.asarray(index).tolist())
-        return real_rows(cfg, theta_hat, index)
+        return real_rows(cfg, theta_hat, index, out=out)
 
     def pursuit(*args):
         calls.append([])
@@ -522,12 +525,20 @@ def reference_block_bound(cfg, theta_hat, powers, residual):
     j = max(i for i in range(len(edges) - 1) if edges[i] <= sin_theta)
     s_lo, s_hi = edges[j], edges[j + 1]
     assert s_lo <= sin_theta <= s_hi
+
+    def lobe(x):  # the Fejer power on its main lobe, 0 beyond
+        return np.where(x <= 2 / cfg.m_h, uniform_phase_power(x, cfg.m_h), 0.0)
+
+    width = min(8, n)
     floor = []
     for b, top in zip(blocks, hi):
         x = b.min(axis=1)  # each row's entry of least |X|
-        peak = np.where(x <= 2 / cfg.m_h, uniform_phase_power(x, cfg.m_h), 0.0).min()
-        least = np.where(s_hi * top <= 2 / cfg.m_h, uniform_phase_power(s_hi * top, cfg.m_h), 0.0)
-        floor.append(max(peak, np.linalg.norm(least)))
+        peak = lobe(x).min()
+        # each row's entries on the width subcarriers around its least |X|
+        first = np.clip(b.argmin(axis=1) - width // 2, 0, n - width)
+        window = b[np.arange(len(b))[:, None], first[:, None] + np.arange(width)]
+        rows = np.linalg.norm(lobe(s_hi * window), axis=1).min()
+        floor.append(max(peak, np.linalg.norm(lobe(s_hi * top)), rows))
     alpha = sensing_attenuation(cfg, cfg.height / np.cos(theta_hat), cfg.sigma_rcs)
     scale = np.sqrt(powers) * alpha
     envelope = fejer_envelope(1.0, cfg.m_h, s_lo * lo, s_hi * hi)
@@ -618,7 +629,8 @@ class TestCertifiedAasPursuit:
 
     @pytest.mark.parametrize("cfg", CERTIFIED + [OFF_LOBE], ids=["full", "s1024", "s2048", "off"])
     def test_block_tables_hold_at_every_elevation(self, cfg):
-        """Each row's |X| lies in its block's range, and at every sin(theta_hat)
+        """Each row's |X| lies in its block's range, its aas_row_window is the
+        run of min(8, N) |X| that holds its least, and at every sin(theta_hat)
         in (0, 1], bin edges included, the tables of each bin holding it bound
         the kernel: (1 + M) U is at least every row's entries and (1 - M) floor
         at most every row's norm."""
@@ -627,6 +639,11 @@ class TestCertifiedAasPursuit:
         block = np.arange(len(table)) // -(-len(table) // cfg.n_subcarriers)
         lo, hi = plan.aas_block_range
         assert np.all(lo[block] <= np.abs(table)) and np.all(np.abs(table) <= hi[block])
+        window, width = plan.aas_row_window, min(8, cfg.n_subcarriers)
+        assert window.shape == (len(table), width)
+        np.testing.assert_array_equal(window.min(axis=1), np.abs(table).min(axis=1))
+        runs = np.lib.stride_tricks.sliding_window_view(np.abs(table), width, axis=1)
+        assert np.all((runs == window[:, None, :]).all(axis=2).any(axis=1))
         edges = reference_bins(cfg)
         np.testing.assert_array_equal(plan.aas_bin_edges, edges)
         for sin_theta in np.union1d(np.linspace(0.02, 1.0, 30), edges[1:]):
@@ -675,28 +692,31 @@ class TestCertifiedAasPursuit:
             aas_pursuit(cfg, weights, np.zeros(cfg.n_subcarriers), obs, 1)
 
     def test_few_rows_for_a_separated_target(self, monkeypatch):
-        """A lone target at full scale: each stage evaluates at most 256 of the
-        4096 rows."""
+        """A lone target at full scale: each stage evaluates at most 160 of the
+        4096 rows, one first batch of 128 and one more block."""
         calls = spy_rows(monkeypatch)
         for seed in range(10):
             scene = generate_scene(FULL, 1, 0, seed, include_clutter=False)
             hierarchical_detect(FULL, scene, np.random.default_rng(seed))
         assert len(calls) == 10
-        assert max(len(rows) for rows in calls) <= 256
+        assert max(len(rows) for rows in calls) <= 160
 
 
 def spy_blocks(monkeypatch):
-    """Record each _block_pursuit call as (bound, candidates whose rows it evaluates)."""
+    """Record each _block_pursuit call on blocks as (bound, candidates whose rows
+    it evaluates); modified_mp's calls, with every row evaluated, pass through."""
     calls = []
     real = detection._block_pursuit
 
-    def block_pursuit(obs, iterations, n_cand, size, bound, rows):
+    def block_pursuit(obs, iterations, n_cand, size, bound, rows, evaluated=None):
+        if evaluated is not None:
+            return real(obs, iterations, n_cand, size, bound, rows, evaluated)
         seen = []
         calls.append((bound, seen))
 
-        def spied(index):
+        def spied(index, out):
             seen.extend(np.asarray(index).tolist())
-            return rows(index)
+            return rows(index, out)
 
         return real(obs, iterations, n_cand, size, bound, spied)
 
@@ -807,3 +827,60 @@ class TestCertifiedEasPursuit:
         with pytest.raises(ConfigError, match="zero-norm"):
             eas_pursuit(cfg, obs, 1)
         assert eas_pursuit(cfg, obs, 0).trace == ()
+
+
+class TestBlockPursuitPicks:
+    """eas_pursuit and aas_pursuit pick what modified_mp picks over the whole
+    dictionary where that pick is a tie, or no pick at all."""
+
+    @pytest.mark.parametrize("stage", ["eas", "aas"])
+    def test_tie_goes_to_the_least_candidate(self, monkeypatch, stage):
+        """Candidate 700 repeated at 100, in a block of lower bound that the
+        block path evaluates later: a residual on that row ties the two
+        exactly, and every path picks 100."""
+        cfg, lo, hi = CERTIFIED[1], 100, 700
+        grid = {"eas": "elevation_candidates", "aas": "azimuth_candidates"}[stage]
+        real = getattr(detection, grid)
+
+        def duplicated(cfg):
+            cand = real(cfg).copy()
+            cand[lo] = cand[hi]
+            return cand
+
+        monkeypatch.setattr(detection, grid, duplicated)
+        plan = detection.proposed_plan.__wrapped__(cfg)
+        monkeypatch.setattr(detection, "proposed_plan", lambda cfg: plan)
+        monkeypatch.setattr(detection, "aas_bin_tables", detection.aas_bin_tables.__wrapped__)
+        calls = spy_blocks(monkeypatch)
+        size = -(-cfg.n_candidates // cfg.n_subcarriers)
+        assert lo // size != hi // size
+        if stage == "eas":
+            mtx = plan.eas_matrix
+            pursue = functools.partial(eas_pursuit, cfg)
+        else:
+            weights = aas_beamformer(cfg, 0.7)
+            powers = np.random.default_rng(19).uniform(1e-4, 1e-2, cfg.n_subcarriers)
+            mtx = build_measurement_matrix(cfg, weights, powers)
+            pursue = functools.partial(aas_pursuit, cfg, weights, powers)
+        obs = np.exp(0.3j) * mtx.columns[:, hi]
+        metric = np.abs(mtx.columns.T @ obs) / mtx.norms
+        assert metric[lo] == metric[hi] == metric.max()  # an exact tie
+        want = modified_mp(obs, mtx, 1)
+        got = pursue(obs, 1)
+        assert want.trace[0][0] == got.trace[0][0] == lo
+        assert_same_pursuit(got, want, obs)
+        seen = calls[-1][1]
+        assert seen.index(hi) < seen.index(lo)  # the later pick of the two is the least
+
+    @pytest.mark.parametrize("cfg", CERTIFIED[:2], ids=["full", "s1024"])
+    def test_zero_residual_makes_no_pick(self, cfg):
+        zero = np.zeros(cfg.n_subcarriers, dtype=complex)
+        weights, powers = aas_beamformer(cfg, 0.7), np.full(cfg.n_subcarriers, 1e-3)
+        for got, mtx in (
+            (eas_pursuit(cfg, zero, 2), proposed_plan(cfg).eas_matrix),
+            (aas_pursuit(cfg, weights, powers, zero, 2), build_measurement_matrix(cfg, weights, powers)),
+        ):
+            want = modified_mp(zero, mtx, 2)
+            assert want.trace == got.trace == () and want.phasors == got.phasors == ()
+            np.testing.assert_array_equal(got.counts, want.counts)
+            assert not got.counts.any()

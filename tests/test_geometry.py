@@ -118,6 +118,13 @@ class TestUniformPhasePower:
     def test_array_shape_preserved(self):
         assert uniform_phase_power(np.zeros((3, 4, 5)), 8).shape == (3, 4, 5)
 
+    @pytest.mark.parametrize("shape", [(11,), (128, 128), (3, 16384)], ids=["small", "one-block", "blocks"])
+    def test_out_takes_the_same_bits(self, shape):
+        slopes = np.random.default_rng(4).uniform(-3.0, 3.0, shape)
+        out = np.full(shape, np.nan)
+        assert uniform_phase_power(slopes, 16, scale=0.7, out=out) is out
+        np.testing.assert_array_equal(out, uniform_phase_power(slopes, 16, scale=0.7))
+
     def test_input_not_modified(self):
         slopes = np.linspace(-1.0, 1.0, 11)
         before = slopes.copy()

@@ -338,3 +338,78 @@ class TestStackedComm:
         with pytest.raises(InfeasibleError, match="residual too large"):
             allocate_comm(ctx, 10.0)
         assert len(calls) == 1 and calls[0].shape[0] == 3
+
+
+def cross_gain_ratios(chi):
+    """F (N, K, K): F_n[k, l] = chi[k, l, n] / chi[k, k, n] off the diagonal, 0 on it."""
+    ratios = np.moveaxis(chi / np.einsum("kkn->kn", chi)[:, None, :], 2, 0).copy()
+    k = ratios.shape[1]
+    ratios[:, np.arange(k), np.arange(k)] = 0.0
+    return ratios
+
+
+class TestLeastPowerCertificate:
+    """allocate_comm's powers are the least meeting SINR tau_c, and its
+    row-sum (diagonal dominance) test is no looser than the exact one,
+    tau rho(F_n) < 1 on every subcarrier (Zander 1992; Foschini & Miljanic 1993)."""
+
+    def test_every_feasible_power_is_at_least_the_solve(self):
+        """Powers with SINR >= tau_c for every user, drawn both as the solve
+        plus (I - tau F)^-1 e for e >= 0 and as random perturbations of the
+        solve kept only where they meet tau_c, are >= the solve entry by entry."""
+        rng = np.random.default_rng(21)
+        accepted = rejected = 0
+        for _ in range(100):
+            k = int(rng.integers(2, 6))
+            tau_c = 10 ** rng.uniform(0, 1.5)
+            ctx = random_feasible_context(rng, k, margin=rng.uniform(1.05, 3.0), tau_c=tau_c)
+            least = allocate_comm(ctx, tau_c)[:, 0]
+            system = np.eye(k) - tau_c * cross_gain_ratios(ctx.chi)[0]
+            slack = rng.exponential(size=(20, k)) * least * rng.uniform(0, 0.5, size=(20, 1))
+            candidates = [least + np.linalg.solve(system, e) for e in slack]
+            candidates += list(least * (1 + rng.uniform(-0.05, 0.3, size=(200, k))))
+            for p in candidates:
+                if np.all(sinr_of(ctx, p, tau_c) >= tau_c * (1 - 1e-12)):
+                    accepted += 1
+                    assert np.all(p >= least * (1 - 1e-9))
+                else:
+                    rejected += 1
+        assert accepted >= 2000 and rejected >= 2000
+
+    def test_row_sum_test_accepts_no_tau_the_spectral_test_rejects(self):
+        """On random gains, and on gains whose every row of F_n sums to one s,
+        where rho(F_n) = s and the two tests meet at tau = 1/s."""
+        rng = np.random.default_rng(22)
+        accepted = spectral_only = backed_off = 0
+        for i in range(300):
+            k, n = int(rng.integers(2, 7)), int(rng.integers(1, 5))
+            chi = 10 ** rng.uniform(-14, -10, size=(k, k, n))
+            diag = np.arange(k), np.arange(k)
+            if i % 2:
+                chi[diag] *= 10 ** rng.uniform(0, 3, size=(k, n))
+                tau = 10 ** rng.uniform(-1, 1.5)
+            else:
+                row_sum = 10 ** rng.uniform(-1.5, 0)
+                chi[diag] = 0.0
+                chi *= row_sum / chi.sum(axis=1, keepdims=True)
+                chi[diag] = 1.0
+                chi *= 10 ** rng.uniform(-12, -10, size=(k, 1, n))
+                tau = 10 ** rng.uniform(-0.3, 0.3) / row_sum
+            ctx = SinrContext(chi=chi, effective_noise=10 ** rng.uniform(-15, -13, size=(k, n)))
+            radius = np.abs(np.linalg.eigvals(cross_gain_ratios(chi))).max(axis=1)
+            # backoff_tau_c steps down to the first tau the row-sum test accepts
+            try:
+                assert np.all(backoff_tau_c(ctx, tau) * radius < 1)
+                backed_off += 1
+            except InfeasibleError as exc:  # none above its floor
+                assert "backoff floor" in str(exc)
+            try:
+                allocate_comm(ctx, tau)
+            except InfeasibleError as exc:
+                assert "SINR threshold infeasible" in str(exc)
+                spectral_only += np.all(tau * radius < 1)
+                continue
+            accepted += 1
+            assert np.all(tau * radius < 1)
+        assert accepted >= 20 and spectral_only >= 20  # both tests decide, and differ
+        assert backed_off >= 200
