@@ -4,10 +4,13 @@ pursuit with a counting vector, and the hierarchical EAS -> AAS pipeline.
 What does not depend on the scene is computed once per config and cached
 read-only in one :func:`proposed_plan`: the whole EAS stage and, for the AAS
 stages, the azimuth candidates with their horizontal phase per unit
-sin(theta_hat). Past one kernel block, both stages' pursuits evaluate only
-the dictionary rows whose block bound can reach the best pick, and each
-pick is still certified against the whole dictionary. An AAS stage's block
-bounds depend only on the config and |sin(theta_hat)|, so they are
+sin(theta_hat). Every AAS stage's pursuit, and past one kernel block the
+EAS pursuit, evaluates only the dictionary rows whose block bound can reach
+the best pick, and each pick is still certified against the whole
+dictionary. AAS rows are kernel evaluations, so skipping them pays at every
+size; EAS rows are read from the cached dictionary, so up to one kernel
+block its whole-dictionary GEMM is cheaper than the bounds. An AAS stage's
+block bounds depend only on the config and |sin(theta_hat)|, so they are
 tabulated per bin of |sin(theta_hat)| (:func:`aas_bin_tables`), each bin
 built once, on the first stage that falls in it.
 
@@ -180,9 +183,11 @@ def _block_pursuit(
     """The loop of :func:`modified_mp` over n_cand candidates in blocks of ``size``,
     whose picks are those of the whole dictionary, ties to the least candidate.
     Each pick evaluates only the blocks whose bound(residual) (B,) reaches the
-    best exact metric: largest bound first, in batches of FEJER_BLOCK // N rows
-    and doubling (Fagin, Lotem & Naor, PODS 2001). rows(index, out) writes the
-    rows of at most FEJER_BLOCK // N candidates to out and returns their norms.
+    best exact metric: largest bound first, in a first batch of
+    max(1, min(4, FEJER_BLOCK // N // size)) blocks, doubling after each batch
+    (Fagin, Lotem & Naor, PODS 2001). rows(index, out) writes the rows of at
+    most FEJER_BLOCK // N candidates, one kernel block, to out and returns
+    their norms.
     Evaluated rows are kept, in evaluation order, for later picks; each pick
     correlates them in one GEMM and each fresh batch in one more. Given
     ``evaluated`` = (rows (n_cand, N), norms (n_cand,)), every candidate starts
@@ -207,7 +212,7 @@ def _block_pursuit(
         np.matmul(kept[:count], r, out=pairs[:count])
         np.divide(np.abs(corr[:count]), norms[:count], metric[:count])
         if left:
-            top, batch = bound(residual), max(1, chunk // size)
+            top, batch = bound(residual), max(1, min(4, chunk // size))
             top[done] = -np.inf
         while left:
             live = np.flatnonzero(top >= metric[:count].max(initial=0.0))
@@ -249,7 +254,10 @@ def eas_pursuit(cfg: SystemConfig, obs, iterations: int) -> CountingVector:
     (1 + ENVELOPE_MARGIN) sum_n U(b, n) |r_n|, U the plan's eas_block_bound:
     since D >= 0, |corr_l| / norm_l is at most that sum for every row l of
     block b. Picks are the dictionary's; a GEMM of fewer rows may round apart.
-    A dictionary with a zero-norm row goes to modified_mp, which rejects it."""
+    Up to FEJER_BLOCK entries the whole GEMM of modified_mp is kept: EAS rows
+    are read from the cached dictionary, not computed, so bounds save no
+    kernel work there. A dictionary with a zero-norm row goes to modified_mp,
+    which rejects it."""
     plan = proposed_plan(cfg)
     mtx = plan.eas_matrix
     if mtx.columns.size <= FEJER_BLOCK or (iterations > 0 and not mtx.norms.all()):
@@ -268,16 +276,14 @@ def eas_pursuit(cfg: SystemConfig, obs, iterations: int) -> CountingVector:
 
 def aas_pursuit(cfg: SystemConfig, weights, powers, obs, iterations: int) -> CountingVector:
     """modified_mp over build_measurement_matrix(cfg, weights, powers) for an
-    AAS beam. Past FEJER_BLOCK table entries it runs :func:`_block_pursuit` on
-    the plan's blocks, with bound (1 + ENVELOPE_MARGIN) sum_n U(b, n) scale_n
-    |r_n| / ((1 - ENVELOPE_MARGIN) floor(b) min(scale)), inf for a zero divisor:
+    AAS beam, at every table size through :func:`_block_pursuit` on the plan's
+    blocks of ceil(L/N) rows, with bound (1 + ENVELOPE_MARGIN) sum_n U(b, n)
+    scale_n |r_n| / ((1 - ENVELOPE_MARGIN) floor(b) min(scale)), inf for a zero divisor:
     U and floor are the :func:`aas_bin_tables` of the bin holding |sin(theta_hat)|
     and scale_n = sqrt(p_n) alpha. Each row is computed at most once per stage.
     Picks are the table's; a GEMM of fewer rows may round apart."""
     plan = proposed_plan(cfg)
     n_cand, n = plan.aas_unit_phase.shape
-    if n_cand * n <= FEJER_BLOCK:
-        return modified_mp(obs, build_measurement_matrix(cfg, weights, powers), iterations)
     sin_theta = abs(np.sin(weights.ps_theta))
     envelope, floor = aas_bin_tables(
         cfg, int(np.searchsorted(plan.aas_bin_edges[1:-1], sin_theta, side="right"))
@@ -392,7 +398,8 @@ def hierarchical_detect(
     stage's echo comes from one stacked call; the noise is drawn stage by
     stage, EAS first, so the random stream is consumed in stage order.
     """
-    eas_w, t0, p0, mtx0 = proposed_plan(cfg)[:4]
+    plan = proposed_plan(cfg)
+    eas_w, t0, p0, mtx0 = plan[:4]
     echoes = scene_arrays(cfg, scene)
 
     obs0 = assemble_observation(cfg, echoes, eas_w, p0, t0, rng)
@@ -420,7 +427,7 @@ def hierarchical_detect(
         elevations, aas_ws, sensing_powers[1:], observations
     ):
         cv = aas_pursuit(cfg, aas_w, p_i, obs, multiplicity)
-        stage_azimuths = np.repeat(proposed_plan(cfg).aas_candidates, cv.counts)
+        stage_azimuths = np.repeat(plan.aas_candidates, cv.counts)
         estimates.extend((theta_hat, float(ph)) for ph in stage_azimuths)
         traces.append(cv)
 

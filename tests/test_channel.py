@@ -88,6 +88,33 @@ class TestAttenuation:
         )
         assert isinstance(sensing_attenuation(cfg, 42.0, 2.0), float)
 
+    def test_scalar_path_keeps_the_numpy_expression_bits(self):
+        """On 10k random scalar distances, as Python and numpy floats, the
+        scalar path gives the bits of the numpy expression evaluated on that
+        scalar, and arrays of distances or cross sections still take it."""
+        cfg = SystemConfig()
+        rng = np.random.default_rng(23)
+        dist = cfg.height / np.cos(rng.uniform(0.0, 1.5, 10_000))
+        rcs = cfg.sigma_rcs
+
+        def expression(distance, rcs):
+            lam = cfg.wavelength
+            out = np.sqrt(lam**2 * cfg.m_total**2 * rcs / ((4.0 * np.pi) ** 3 * distance**4))
+            return out if np.ndim(out) else float(out)
+
+        for scalars in (list(dist), dist.tolist()):  # np.float64, then float
+            got = [sensing_attenuation(cfg, d, rcs) for d in scalars]
+            assert all(type(a) is float for a in got)
+            np.testing.assert_array_equal(got, [expression(d, rcs) for d in scalars])
+        rcs_rows = rng.uniform(0.5, 2.0, dist.size)
+        np.testing.assert_array_equal(sensing_attenuation(cfg, dist, rcs), expression(dist, rcs))
+        np.testing.assert_array_equal(
+            sensing_attenuation(cfg, dist, rcs_rows), expression(dist, rcs_rows)
+        )
+        np.testing.assert_array_equal(
+            sensing_attenuation(cfg, dist[0], rcs_rows), expression(dist[0], rcs_rows)
+        )
+
 
 class TestEchoGainOracle:
     @pytest.mark.parametrize("m", [8, 16])

@@ -477,25 +477,32 @@ class TestStackedStages:
 
 
 FULL = SystemConfig()
-# every config whose AAS table exceeds one kernel block, so aas_pursuit bounds it
+# every config whose EAS dictionary exceeds one kernel block, so eas_pursuit bounds it
 CERTIFIED = [FULL, SCALED.replace(n_candidates=1024), SCALED.replace(n_candidates=2048)]
+# aas_pursuit bounds the AAS table at every size, the scaled config's one block too
+AAS_CERTIFIED = CERTIFIED + [SCALED]
 # a config whose rows all leave the main lobe: every block's peak bound is 0
 OFF_LOBE = SystemConfig(m_h=64, m_v=16, n_subcarriers=16, n_candidates=2048)
 
 
 def spy_rows(monkeypatch):
-    """Record the candidates whose rows aas_pursuit evaluates, one list per call."""
-    calls = []
+    """Record the candidates whose rows aas_pursuit evaluates, one list per call;
+    a whole-table build inside it counts every row."""
+    calls, active = [], []
     real_rows, real_pursuit = detection._aas_rows, detection.aas_pursuit
 
     def rows(cfg, theta_hat, index, out=None):
-        if not isinstance(index, slice) and calls:
-            calls[-1].extend(np.asarray(index).tolist())
+        if active:
+            calls[-1].extend(np.arange(cfg.n_candidates)[index].tolist())
         return real_rows(cfg, theta_hat, index, out=out)
 
     def pursuit(*args):
         calls.append([])
-        return real_pursuit(*args)
+        active.append(True)
+        try:
+            return real_pursuit(*args)
+        finally:
+            active.pop()
 
     monkeypatch.setattr(detection, "_aas_rows", rows)
     monkeypatch.setattr(detection, "aas_pursuit", pursuit)
@@ -564,9 +571,11 @@ def assert_same_pursuit(got, want, obs):
 
 
 class TestCertifiedAasPursuit:
-    """aas_pursuit on tables past one kernel block against the whole dictionary."""
+    """aas_pursuit against the whole dictionary, at every table size."""
 
-    @pytest.mark.parametrize("cfg", CERTIFIED, ids=["full", "scaled-1024", "scaled-2048"])
+    @pytest.mark.parametrize(
+        "cfg", AAS_CERTIFIED, ids=["full", "scaled-1024", "scaled-2048", "scaled"]
+    )
     def test_matches_whole_dictionary(self, monkeypatch, cfg):
         calls = spy_rows(monkeypatch)
         stages = []
@@ -603,7 +612,9 @@ class TestCertifiedAasPursuit:
         assert len(evaluated) == len(stages)
         assert np.median(evaluated) < cfg.n_candidates  # the bounds pruned rows
 
-    @pytest.mark.parametrize("cfg", CERTIFIED + [OFF_LOBE], ids=["full", "s1024", "s2048", "off"])
+    @pytest.mark.parametrize(
+        "cfg", AAS_CERTIFIED + [OFF_LOBE], ids=["full", "s1024", "s2048", "s512", "off"]
+    )
     def test_bound_holds_and_certifies_the_pick(self, monkeypatch, cfg):
         """For random residuals, powers and elevations, every candidate's exact
         metric is at most its block's bound, every block whose bound reaches
@@ -627,7 +638,9 @@ class TestCertifiedAasPursuit:
             assert set(needed) <= set(block[calls[-1]])
             np.testing.assert_allclose(pursuits[-1][0](residual), bound, rtol=1e-12)
 
-    @pytest.mark.parametrize("cfg", CERTIFIED + [OFF_LOBE], ids=["full", "s1024", "s2048", "off"])
+    @pytest.mark.parametrize(
+        "cfg", AAS_CERTIFIED + [OFF_LOBE], ids=["full", "s1024", "s2048", "s512", "off"]
+    )
     def test_block_tables_hold_at_every_elevation(self, cfg):
         """Each row's |X| lies in its block's range, its aas_row_window is the
         run of min(8, N) |X| that holds its least, and at every sin(theta_hat)
@@ -656,7 +669,9 @@ class TestCertifiedAasPursuit:
                 assert np.all(power <= (1 + ENVELOPE_MARGIN) * envelope[block])
                 assert np.all((1 - ENVELOPE_MARGIN) * floor[block] <= norms)
 
-    @pytest.mark.parametrize("cfg", CERTIFIED + [OFF_LOBE], ids=["full", "s1024", "s2048", "off"])
+    @pytest.mark.parametrize(
+        "cfg", AAS_CERTIFIED + [OFF_LOBE], ids=["full", "s1024", "s2048", "s512", "off"]
+    )
     def test_every_elevation_candidate_takes_an_inner_bin(self, cfg):
         """The squint grid's first candidate sits an ulp below theta_min; it
         still takes an inner bin, not the wide bin down to 0."""
@@ -684,7 +699,7 @@ class TestCertifiedAasPursuit:
         assert len(calls) == len(result.traces) - 1 >= 1
         assert all(sorted(rows) == list(range(FULL.n_candidates)) for rows in calls)
 
-    @pytest.mark.parametrize("cfg", CERTIFIED[:2], ids=["full", "s1024"])
+    @pytest.mark.parametrize("cfg", [*CERTIFIED[:2], SCALED], ids=["full", "s1024", "s512"])
     def test_zero_powers_raise(self, cfg):
         weights = aas_beamformer(cfg, 0.7)
         obs = np.ones(cfg.n_subcarriers, dtype=complex)
@@ -700,6 +715,16 @@ class TestCertifiedAasPursuit:
             hierarchical_detect(FULL, scene, np.random.default_rng(seed))
         assert len(calls) == 10
         assert max(len(rows) for rows in calls) <= 160
+
+    def test_few_rows_at_the_scaled_config(self, monkeypatch):
+        """50 scaled q=2 trials with clutter: the median AAS stage evaluates at
+        most 64 of the 512 rows, one first batch of 4 blocks."""
+        calls = spy_rows(monkeypatch)
+        for seed in range(50):
+            scene = generate_scene(SCALED, 2, 2, seed)
+            hierarchical_detect(SCALED, scene, np.random.default_rng(seed))
+        assert len(calls) >= 50
+        assert np.median([len(rows) for rows in calls]) <= 64
 
 
 def spy_blocks(monkeypatch):
