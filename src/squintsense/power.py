@@ -181,13 +181,19 @@ def allocate_comm(ctx: SinrContext, tau_c: float) -> np.ndarray:
 
 
 def backoff_tau_c(ctx: SinrContext, tau_c: float) -> float:
-    """Largest tau_c * 10^(-0.05 j) feasible on every subcarrier (0.5 dB steps)."""
-    ratio_sums = _ratio_sums(ctx.chi)
+    """Largest tau_c * 10^(-0.05 j) feasible on every subcarrier (0.5 dB steps).
+
+    A candidate is feasible when 1 / candidate exceeds every ratio sum, so each
+    ladder step compares one float with the largest of them (NaN when any is
+    NaN, which no candidate passes). The ladder is the repeated product
+    tau_c * step * step ..., so every candidate keeps its bits.
+    """
+    worst = float(np.max(_ratio_sums(ctx.chi), initial=-np.inf))
     floor = tau_c * BACKOFF_FLOOR_RATIO
     candidate = tau_c
     step = 10.0 ** (-BACKOFF_STEP_DB / 10.0)
     while candidate >= floor:
-        if np.all(1.0 / candidate > ratio_sums):
+        if 1.0 / candidate > worst:
             return candidate
         candidate *= step
     raise InfeasibleError(

@@ -1,4 +1,13 @@
-"""Monte Carlo experiment harness, metrics, and scan baselines."""
+"""Monte Carlo experiment harness, metrics, and scan baselines.
+
+Both scan baselines fill (N, N) work arrays that every trial of one N in the
+process reuses (:func:`scan_work`), so a steady-state trial allocates
+nothing of N^2 size. A trial's fresh N^2 temporaries used to exceed glibc's
+heap trim threshold: each trial handed them back to the kernel and the next
+faulted them in again, ~100 minor page faults per full-scale exhaustive
+trial and 928 per azimuth-only trial. A scan is therefore not safe to run
+from two threads at once; separate processes are.
+"""
 
 from __future__ import annotations
 
@@ -23,6 +32,7 @@ from .detection import hierarchical_detect
 from .exceptions import ConfigError, SquintSenseError
 from .geometry import (
     ENVELOPE_MARGIN,
+    FEJER_BLOCK,
     fejer_envelope,
     flat_horizontal_gain,
     uniform_phase_power,
@@ -216,6 +226,46 @@ class ExhaustivePlan(NamedTuple):
     powers: np.ndarray      # (N^2,) sensing powers of the N^2 symbols, T folded in
 
 
+class ScanWork(NamedTuple):
+    """Work arrays of the scan baselines at one N, overwritten by every trial.
+    B is the azimuth-only scan's scatterers per block, max(1, FEJER_BLOCK // N^2)."""
+
+    draws: np.ndarray      # (2, N, N) standard normal draws: real parts, then imaginary
+    noise: np.ndarray      # (N, N) complex receiver noise
+    statistic: np.ndarray  # (N, N) scan statistic
+    bound: np.ndarray      # (N, N) exhaustive scan's cell bounds
+    response: np.ndarray   # (N, N) complex azimuth-only response of the scene
+    slope: np.ndarray      # (B, N, N) azimuth-only horizontal slopes of a block
+    power: np.ndarray      # (B, N, N) azimuth-only power gains of a block
+    term: np.ndarray       # (B, N, N) complex azimuth-only responses of a block
+
+
+@functools.lru_cache(maxsize=4)
+def scan_work(n: int) -> ScanWork:
+    """The work arrays of the scans at N subcarriers, shared by every trial
+    of the process; see the module docstring for why, and its thread caveat."""
+    block = (max(1, FEJER_BLOCK // (n * n)), n, n)
+    return ScanWork(
+        draws=np.empty((2, n, n)),
+        noise=np.empty((n, n), dtype=complex),
+        statistic=np.empty((n, n)),
+        bound=np.empty((n, n)),
+        response=np.empty((n, n), dtype=complex),
+        slope=np.empty(block),
+        power=np.empty(block),
+        term=np.empty(block, dtype=complex),
+    )
+
+
+def _scan_noise(work: ScanWork, rng: np.random.Generator, scale) -> np.ndarray:
+    """work.noise filled with scale * (x + 1j y), x and y the generator's next
+    two (N, N) standard normal draws; the bits of that expression."""
+    draws = rng.standard_normal(out=work.draws)
+    draws *= scale
+    work.noise.real, work.noise.imag = draws
+    return work.noise
+
+
 @functools.lru_cache(maxsize=4)
 def exhaustive_plan(cfg: SystemConfig) -> ExhaustivePlan:
     """The grids, TTD check, attenuation and cell powers of the exhaustive
@@ -324,19 +374,20 @@ def run_exhaustive_baseline(
     cell's bound is above that statistic. :func:`_cell_response` computes
     each cell the same way whatever other cells it is given, so evaluated
     cells, the top-q cells and the record are bit-identical to a full-grid
-    scan.
+    scan. The noise, statistic and bounds live in :func:`scan_work`.
     """
     n = cfg.n_subcarriers
     plan = exhaustive_plan(cfg)
-    noise = np.sqrt(cfg.noise_variance() / (2.0 * n)) * (
-        rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    )
+    work = scan_work(n)
+    noise = _scan_noise(work, rng, np.sqrt(cfg.noise_variance() / (2.0 * n)))
     echoes = scene_arrays(cfg, scene)
     q = len(scene.targets)
-    statistic = np.full((n, n), -np.inf)
+    statistic = work.statistic
+    statistic.fill(-np.inf)
     if q:
         row_bound, vertical = _row_bound(cfg, echoes, noise)
-        bound = np.full((n, n), -np.inf)  # cell bounds; -inf once evaluated or unbounded
+        bound = work.bound  # cell bounds; -inf once evaluated or unbounded
+        bound.fill(-np.inf)
         top = np.full(q, -np.inf)  # the q largest statistics so far
         rows, batch = np.argsort(row_bound)[-4:], max(8, q)
         while True:
@@ -445,21 +496,41 @@ def run_azimuth_only_baseline(
     beam for those subcarriers. The power rule stays tau_s-tight against
     the resulting (degraded) design-point gain. The scene-independent part
     is the cached :func:`azimuth_only_plan`.
+
+    The response over (subcarrier, symbol) is computed in the arrays of
+    :func:`scan_work`, for blocks of scatterers of at most FEJER_BLOCK
+    elements (one scatterer each from N = 128 up), and added up from zero
+    one scatterer at a time, in scatterer order: the order in which numpy
+    sums a (scatterer, subcarrier, symbol) array over its first axis.
     """
-    n = cfg.n_subcarriers
     plan = azimuth_only_plan(cfg)
+    work = scan_work(cfg.n_subcarriers)
     s_theta, s_phi, s_amp = scene_arrays(cfg, scene)
-    # phases per (scatterer, subcarrier, symbol) and (scatterer, subcarrier)
-    x_h = (np.sin(s_theta) * np.cos(s_phi))[:, None, None] * plan.ratio[:, None] - plan.steer_h
+    s_h = np.sin(s_theta) * np.cos(s_phi)
+    # vertical phase per (scatterer, subcarrier)
     x_v = np.cos(s_theta)[:, None] * plan.ratio - np.cos(cfg.theta_min) + plan.v_ttd
-    p_h = np.where(plan.pointed, uniform_phase_power(x_h, cfg.m_h), plan.flat**2)
-    p_h *= uniform_phase_power(x_v, cfg.m_v)[:, :, None]
-    response = np.sum(s_amp[:, None, None] * p_h, axis=0)  # (subcarrier, symbol)
-    noise = np.sqrt(cfg.noise_variance() / 2.0) * (
-        rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    )
-    signal = plan.sqrt_powers * response
-    statistic = np.abs(signal + noise) / plan.expected
+    p_v = uniform_phase_power(x_v, cfg.m_v)
+    flat_cells = ~plan.pointed
+    response = work.response
+    response.fill(0.0)
+    per_block = len(work.slope)
+    for start in range(0, len(s_amp), per_block):
+        block = slice(start, start + per_block)
+        k = len(s_amp[block])
+        # horizontal phase per (scatterer, subcarrier, symbol)
+        slope = np.subtract(
+            s_h[block, None, None] * plan.ratio[:, None], plan.steer_h, out=work.slope[:k]
+        )
+        power = uniform_phase_power(slope, cfg.m_h, out=work.power[:k])
+        np.copyto(power, plan.flat**2, where=flat_cells)
+        power *= p_v[block, :, None]
+        for term in np.multiply(s_amp[block, None, None], power, out=work.term[:k]):
+            response += term
+    noise = _scan_noise(work, rng, np.sqrt(cfg.noise_variance() / 2.0))
+    signal = np.multiply(plan.sqrt_powers, response, out=response)
+    signal += noise
+    statistic = np.abs(signal, out=work.statistic)
+    statistic /= plan.expected
     grids = (plan.theta_grid, plan.phi_grid)
     # sensing powers of N symbols x N subcarriers, T folded in
     return _scan_record("azimuth_only", cfg, scene, statistic, grids, plan.powers.ravel())

@@ -5,6 +5,7 @@ import pytest
 
 import oracles
 
+import squintsense.power as power
 from squintsense.beamforming import (
     aas_azimuth_grid,
     aas_beamformer,
@@ -229,6 +230,72 @@ class TestBackoff:
         ctx = SinrContext(chi=chi, effective_noise=np.full((2, 1), 1e-14))
         with pytest.raises(InfeasibleError):
             backoff_tau_c(ctx, 10.0)
+
+    @staticmethod
+    def assert_same_outcome(ctx, tau_c):
+        """backoff_tau_c returns or raises exactly as the reference loop."""
+        try:
+            want = reference_backoff_tau_c(ctx, tau_c)
+        except InfeasibleError as exc:
+            with pytest.raises(InfeasibleError) as got:
+                backoff_tau_c(ctx, tau_c)
+            assert got.value.last_threshold == exc.last_threshold
+            return None
+        got = backoff_tau_c(ctx, tau_c)
+        assert got == want and type(got) is type(want)
+        return got
+
+    def test_matches_reference_on_random_contexts(self):
+        rng = np.random.default_rng(23)
+        outcomes = set()
+        for _ in range(300):
+            k, n = int(rng.integers(1, 6)), int(rng.integers(1, 9))
+            ctx = random_feasible_context(rng, k, n, margin=10 ** rng.uniform(-4, 1))
+            tau = 10 ** rng.uniform(-1, 2)
+            got = self.assert_same_outcome(ctx, tau)
+            outcomes.add("raised" if got is None else "kept" if got == tau else "backed off")
+        assert outcomes == {"raised", "kept", "backed off"}
+
+    def test_matches_reference_at_ladder_ties(self, monkeypatch):
+        """Largest ratio sums at 1 / candidate exactly, and one ulp either side,
+        on every rung of the ladder; also NaN and no ratio sums at all."""
+        ctx = random_feasible_context(np.random.default_rng(4), 2, n=3)
+        tau_c, rungs = 10.0, []
+        candidate, step = tau_c, 10.0 ** (-power.BACKOFF_STEP_DB / 10.0)
+        while candidate >= tau_c * power.BACKOFF_FLOOR_RATIO:
+            rungs.append(candidate)
+            candidate *= step
+        sums = np.array([[0.01, 0.02, 0.03], [0.04, 0.05, 0.06]])
+        tables = [np.full((2, 3), np.nan), np.empty((0, 3))]
+        for rung in rungs:
+            tie = 1.0 / rung
+            for worst in (np.nextafter(tie, -np.inf), tie, np.nextafter(tie, np.inf)):
+                table = sums.copy()
+                table[1, 2] = worst
+                tables.append(table)
+        results = []
+        for table in tables:
+            monkeypatch.setattr(power, "_ratio_sums", lambda chi, table=table: table)
+            results.append(self.assert_same_outcome(ctx, tau_c))
+        assert results[:2] == [None, tau_c]
+        ties = results[2:]
+        assert ties[0::3] == rungs and ties[1::3] == [*rungs[1:], None]
+
+
+def reference_backoff_tau_c(ctx, tau_c):
+    """backoff_tau_c as an elementwise test of the whole ratio-sum table at
+    every step of the ladder."""
+    ratio_sums = power._ratio_sums(ctx.chi)
+    floor = tau_c * power.BACKOFF_FLOOR_RATIO
+    candidate = tau_c
+    step = 10.0 ** (-power.BACKOFF_STEP_DB / 10.0)
+    while candidate >= floor:
+        if np.all(1.0 / candidate > ratio_sums):
+            return candidate
+        candidate *= step
+    raise InfeasibleError(
+        "no feasible SINR threshold above the backoff floor", last_threshold=candidate
+    )
 
 
 def sinr_context_reference(cfg, scene, comm_weights, sensing_weights, sensing_powers):

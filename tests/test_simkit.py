@@ -375,6 +375,18 @@ class TestExhaustivePruning:
     def test_scatterers_on_grid_cells(self, monkeypatch, cfg):
         self.check(monkeypatch, cfg, on_grid_scene(cfg), 4)
 
+    def test_same_work_after_other_scans(self, monkeypatch):
+        """Cell bounds left in the reused work arrays by earlier trials add no
+        evaluated cell and no bounded row."""
+        scene = generate_scene(SCALED, 1, 0, 2)
+        simkit.scan_work.cache_clear()
+        _, alone, *work_alone = spy_scan(monkeypatch, SCALED, scene, 2)
+        for seed in range(3):
+            spy_scan(monkeypatch, SCALED, generate_scene(SCALED, 3, 0, seed), seed)
+        _, after, *work_after = spy_scan(monkeypatch, SCALED, scene, 2)
+        assert work_after == work_alone
+        assert after.tobytes() == alone.tobytes()
+
     def test_separated_full_scale_scene_evaluates_few_rows(self, monkeypatch):
         """Few cells are evaluated, and few rows are bounded cell by cell."""
         cfg = SystemConfig()
@@ -419,19 +431,102 @@ class TestScanBound:
         self.check(cfg, on_grid_scene(cfg), 5)
 
 
+def reference_azimuth_only_scan(cfg, scene, seed):
+    """The azimuth-only scan as one (scatterer, subcarrier, symbol) broadcast
+    summed over its first axis: (record, statistic)."""
+    n = cfg.n_subcarriers
+    plan = azimuth_only_plan(cfg)
+    rng = np.random.default_rng(seed)
+    s_theta, s_phi, s_amp = scene_arrays(cfg, scene)
+    x_h = (np.sin(s_theta) * np.cos(s_phi))[:, None, None] * plan.ratio[:, None] - plan.steer_h
+    x_v = np.cos(s_theta)[:, None] * plan.ratio - np.cos(cfg.theta_min) + plan.v_ttd
+    p_h = np.where(plan.pointed, uniform_phase_power(x_h, cfg.m_h), plan.flat**2)
+    p_h *= uniform_phase_power(x_v, cfg.m_v)[:, :, None]
+    response = np.sum(s_amp[:, None, None] * p_h, axis=0)
+    noise = np.sqrt(cfg.noise_variance() / 2.0) * (
+        rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    )
+    statistic = np.abs(plan.sqrt_powers * response + noise) / plan.expected
+    grids = (plan.theta_grid, plan.phi_grid)
+    record = _scan_record("azimuth_only", cfg, scene, statistic, grids, plan.powers.ravel())
+    return record, statistic
+
+
+class TestAzimuthOnlyScan:
+    """The scan's record and every bit of its statistic equal the broadcast
+    reference's, whatever scene the reused work arrays held before."""
+
+    @staticmethod
+    def check(monkeypatch, cfg, scene, seed):
+        seen = []
+
+        def record(method, cfg, scene, statistic, grids, powers):
+            seen.append(statistic.copy())
+            return _scan_record(method, cfg, scene, statistic, grids, powers)
+
+        monkeypatch.setattr(simkit, "_scan_record", record)
+        rec = run_azimuth_only_baseline(cfg, scene, np.random.default_rng(seed))
+        monkeypatch.undo()
+        want_rec, want = reference_azimuth_only_scan(cfg, scene, seed)
+        assert rec == want_rec
+        assert seen[0].tobytes() == want.tobytes()
+
+    @EVERY_CONFIG
+    @pytest.mark.parametrize("q", [0, 1, 3])
+    @pytest.mark.parametrize("include_clutter", [True, False], ids=["clutter", "los"])
+    def test_matches_broadcast_reference(self, monkeypatch, cfg, q, include_clutter):
+        for seed in range(3):
+            self.check(monkeypatch, cfg, generate_scene(cfg, q, 0, seed, include_clutter), seed)
+
+    @EVERY_CONFIG
+    def test_scatterers_on_grid_cells(self, monkeypatch, cfg):
+        self.check(monkeypatch, cfg, on_grid_scene(cfg), 4)
+
+    def test_empty_scene_after_a_full_one(self, monkeypatch):
+        """With no scatterers the reused response reads zero again."""
+        self.check(monkeypatch, SCALED, generate_scene(SCALED, 3, 0, 1), 1)
+        self.check(monkeypatch, SCALED, Scene(), 2)
+
+    def test_more_scatterers_than_a_block(self, monkeypatch):
+        """At N = 32 a block holds 16 scatterers; 20 take two blocks."""
+        assert len(simkit.scan_work(SCALED.n_subcarriers).slope) == 16
+        cfg = SCALED.replace(n_clutter=17)
+        self.check(monkeypatch, cfg, generate_scene(cfg, 3, 0, 5), 5)
+
+
+def traced_peak(scan, cfg, scene):
+    """tracemalloc peak of one scan, after one warm-up scan of the scene."""
+    scan(cfg, scene, np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        scan(cfg, scene, np.random.default_rng(0))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestExhaustiveMemory:
     def test_peak_below_one_cube(self):
         """No (N, N, N) array: the traced peak of one scan stays below N^3 float64s."""
         cfg = SCALED.replace(n_subcarriers=96)
-        scene = generate_scene(cfg, 3, 0, 1)
-        run_exhaustive_baseline(cfg, scene, np.random.default_rng(0))
-        tracemalloc.start()
-        try:
-            run_exhaustive_baseline(cfg, scene, np.random.default_rng(0))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 96**3 * 8
+        assert traced_peak(run_exhaustive_baseline, cfg, generate_scene(cfg, 3, 0, 1)) < 96**3 * 8
+
+    def test_steady_state_peak_at_defaults(self):
+        """A full-scale trial reuses the scan's N x N work arrays: its traced
+        peak stays below four N x N float64 arrays."""
+        cfg = SystemConfig()
+        peak = traced_peak(run_exhaustive_baseline, cfg, generate_scene(cfg, 2, 2, 1))
+        assert peak < 4 * cfg.n_subcarriers**2 * 8
+
+    def test_azimuth_only_peak_independent_of_scatterers(self):
+        """The azimuth-only scan holds one scatterer's arrays at a time at
+        full scale: q = 8 peaks within 10% of q = 1."""
+        cfg = SystemConfig()
+        peaks = [
+            traced_peak(run_azimuth_only_baseline, cfg, generate_scene(cfg, q, 0, 1))
+            for q in (1, 8)
+        ]
+        assert peaks[1] <= 1.1 * peaks[0]
 
 
 def reference_comm_plan(cfg, scene, stage_weights, sensing_powers):
@@ -716,11 +811,32 @@ class TestRunExperiment:
         defaults.update(kwargs)
         return RunConfig(**defaults)
 
-    def test_deterministic_aggregate_csv(self):
-        run = self.make_run()
-        _, rows1 = run_experiment(run)
-        _, rows2 = run_experiment(run)
+    @pytest.mark.parametrize("method", ["proposed", "exhaustive", "azimuth_only"])
+    def test_deterministic_aggregate_csv(self, method):
+        run = self.make_run(method=method)
+        records1, rows1 = run_experiment(run)
+        records2, rows2 = run_experiment(run)
+        assert records_to_csv(records1) == records_to_csv(records2)
         assert aggregate_to_csv(rows1) == aggregate_to_csv(rows2)
+
+    @pytest.mark.parametrize("method", ["exhaustive", "azimuth_only"])
+    def test_interleaved_runs_match_runs_alone(self, method):
+        """The scans reuse work arrays per N. Trials of two runs at one N and
+        of one at another N, interleaved, give the bytes of each run alone."""
+        runs = [
+            self.make_run(method=method, q_targets=3, k_users=1),
+            self.make_run(method=method, q_targets=1, include_clutter=False, seed=8),
+            self.make_run(method=method, system=ODD_CONFIGS[0], q_targets=2),
+        ]
+        alone = []
+        for run in runs:
+            simkit.scan_work.cache_clear()
+            alone.append(records_to_csv(run_experiment(run)[0]))
+        interleaved = [[] for _ in runs]
+        for trial in range(3):
+            for records, run in zip(interleaved, runs):
+                records.append(run_single_trial(run, 0, trial))
+        assert [records_to_csv(records) for records in interleaved] == alone
 
     def test_trial_records_complete(self):
         run = self.make_run(trials=2)
