@@ -31,11 +31,9 @@ from .config import RunConfig, SystemConfig, db_to_linear, dbm_to_watt
 from .detection import (
     CountingVector,
     DetectionResult,
-    MeasurementMatrix,
     ProposedPlan,
     assemble_observation,
     azimuth_candidates,
-    build_measurement_matrix,
     elevation_candidates,
     hierarchical_detect,
     modified_mp,

@@ -1,5 +1,6 @@
-"""Measurement matrices over dense angle candidates, modified matching
-pursuit with a counting vector, and the hierarchical EAS -> AAS pipeline.
+"""Modified matching pursuit with a counting vector, run per stage over one
+(L, N) dictionary of dense angle candidates, and the hierarchical EAS -> AAS
+pipeline.
 
 What does not depend on the scene is computed once per config and cached
 read-only in one :func:`proposed_plan`: the whole EAS stage and, for the AAS
@@ -46,13 +47,6 @@ from .power import aas_grid_strength, allocate_sensing, grid_echo_strength
 # [sin(theta_min), sin(theta_max)], plus one bin on each side out to 0 and 1,
 # each with its AAS block bounds
 AAS_BINS = 16
-
-
-@dataclass(frozen=True)
-class MeasurementMatrix:
-    columns: np.ndarray     # (N, L) real nonnegative
-    candidates: np.ndarray  # (L,) angles: elevation (stage 0) or azimuth
-    norms: np.ndarray       # (L,) column 2-norms
 
 
 @dataclass(frozen=True)
@@ -112,66 +106,30 @@ def assemble_observation(
     return signal + noise.reshape(signal.shape)
 
 
-def build_measurement_matrix(
-    cfg: SystemConfig,
-    weights: BeamformerWeights,
-    powers: np.ndarray,
-) -> MeasurementMatrix:
-    """Dictionary whose column l is the sensing gain pattern of candidate l.
-
-    Entry (n, l) = sqrt(p_n) * alpha(candidate) * |gain(candidate, f_n)|^2;
-    alpha uses the candidate's implied distance H / cos(theta). The (L, N)
-    gain table is scaled in place and returned transposed, so each column
-    is contiguous in memory.
-
-    AAS weights are aas_beamformer(cfg, theta_hat), with theta_hat their PS
-    elevation. Their gain at (theta_hat, candidate) is the Fejer kernel of the
-    :func:`proposed_plan` phase table scaled by sin(theta_hat), times a
-    vertical power of exactly 1, since the beam's vertical chain is locked at
-    theta_hat; sqrt(p_n) and alpha follow as one row scale. Other beam kinds
-    raise ConfigError.
-    """
-    n_idx = np.arange(cfg.n_subcarriers)
-    sqrt_p = np.sqrt(np.asarray(powers, dtype=float))
-    if weights.kind == "eas":
-        cand = elevation_candidates(cfg)
-        phi_probe = 0.5 * (cfg.phi_min + cfg.phi_max)  # flat model: phi-independent
-        gains = weights.power_gain(cand[:, None], phi_probe, n_idx)  # (L, N)
-        alpha = sensing_attenuation(cfg, cfg.height / np.cos(cand), cfg.sigma_rcs)[:, None]
-    elif weights.kind == "aas":
-        theta_hat = weights.ps_theta
-        cand = proposed_plan(cfg).aas_candidates
-        gains = _aas_rows(cfg, theta_hat, slice(None))  # (L, N)
-        alpha = sensing_attenuation(cfg, cfg.height / np.cos(theta_hat), cfg.sigma_rcs)
-    else:
-        raise ConfigError("a measurement matrix takes an eas or aas beamformer")
-    gains *= sqrt_p * alpha
-    norms = np.sqrt(np.einsum("ln,ln->l", gains, gains))
-    return MeasurementMatrix(columns=gains.T, candidates=cand, norms=norms)
-
-
-def _aas_rows(cfg: SystemConfig, theta_hat: float, index, out=None) -> np.ndarray:
+def _aas_rows(cfg: SystemConfig, plan, theta_hat: float, index, out=None) -> np.ndarray:
     """Rows ``index`` of the (L, N) Fejer power table of the AAS beam at theta_hat,
-    written to ``out`` when given."""
-    table = proposed_plan(cfg).aas_unit_phase
-    return uniform_phase_power(table[index], cfg.m_h, scale=np.sin(theta_hat), out=out)
+    from ``plan`` = proposed_plan(cfg), written to ``out`` when given."""
+    rows = plan.aas_unit_phase[index]
+    return uniform_phase_power(rows, cfg.m_h, scale=np.sin(theta_hat), out=out)
 
 
 def modified_mp(
     obs: np.ndarray,
-    mtx: MeasurementMatrix,
+    rows: np.ndarray,
+    norms: np.ndarray,
     iterations: int,
 ) -> CountingVector:
     """Greedy matching pursuit with phasor-normalized coefficients.
 
-    Each iteration selects the column maximizing the norm-normalized
-    correlation with the residual, normalizes the estimated coefficient to
-    unit magnitude (the true coefficients are range phasors), deflates the
-    residual, and increments the counting vector. Repeated selection of one
-    index is allowed. The real dictionary is correlated with the complex
-    residual in one real GEMM over the residual's (N, 2) float view.
+    ``rows`` (L, N) is the dictionary, row l the real nonnegative pattern of
+    candidate l, and ``norms`` (L,) its row 2-norms. Each iteration selects
+    the row maximizing the norm-normalized correlation with the residual,
+    normalizes the estimated coefficient to unit magnitude (the true
+    coefficients are range phasors), deflates the residual, and increments
+    the counting vector. Repeated selection of one index is allowed. The real
+    dictionary is correlated with the complex residual in one real GEMM over
+    the residual's (N, 2) float view.
     """
-    norms, rows = mtx.norms, mtx.columns.T
     if iterations > 0 and np.any(norms == 0.0):
         raise ConfigError("degenerate dictionary: zero-norm column")
     return _block_pursuit(obs, iterations, len(norms), len(norms), None, None, (rows, norms))
@@ -249,24 +207,24 @@ def _block_pursuit(
 
 
 def eas_pursuit(cfg: SystemConfig, obs, iterations: int) -> CountingVector:
-    """modified_mp over the plan's EAS dictionary D. Past FEJER_BLOCK entries it
-    runs :func:`_block_pursuit` on blocks of ceil(L/N) rows, with bound
+    """Picks equal to those of modified_mp over the stage's whole (L, N) table,
+    the plan's EAS dictionary D = eas_rows. Past FEJER_BLOCK entries it runs
+    :func:`_block_pursuit` on blocks of ceil(L/N) rows, with bound
     (1 + ENVELOPE_MARGIN) sum_n U(b, n) |r_n|, U the plan's eas_block_bound:
     since D >= 0, |corr_l| / norm_l is at most that sum for every row l of
-    block b. Picks are the dictionary's; a GEMM of fewer rows may round apart.
-    Up to FEJER_BLOCK entries the whole GEMM of modified_mp is kept: EAS rows
-    are read from the cached dictionary, not computed, so bounds save no
-    kernel work there. A dictionary with a zero-norm row goes to modified_mp,
-    which rejects it."""
+    block b; a GEMM of fewer rows may round apart. Up to FEJER_BLOCK entries
+    the whole GEMM of modified_mp is kept: EAS rows are read from the cached
+    dictionary, not computed, so bounds save no kernel work there. A
+    dictionary with a zero-norm row goes to modified_mp, which rejects it."""
     plan = proposed_plan(cfg)
-    mtx = plan.eas_matrix
-    if mtx.columns.size <= FEJER_BLOCK or (iterations > 0 and not mtx.norms.all()):
-        return modified_mp(obs, mtx, iterations)
-    n, n_cand = mtx.columns.shape
+    table, norms = plan.eas_rows, plan.eas_norms
+    if table.size <= FEJER_BLOCK or (iterations > 0 and not norms.all()):
+        return modified_mp(obs, table, norms, iterations)
+    n_cand, n = table.shape
 
     def rows(index, out):
-        np.take(mtx.columns.T, index, axis=0, out=out, mode="clip")  # "raise" copies twice
-        return mtx.norms[index]
+        np.take(table, index, axis=0, out=out, mode="clip")  # "raise" copies twice
+        return norms[index]
 
     return _block_pursuit(
         obs, iterations, n_cand, -(-n_cand // n),
@@ -274,21 +232,23 @@ def eas_pursuit(cfg: SystemConfig, obs, iterations: int) -> CountingVector:
     )
 
 
-def aas_pursuit(cfg: SystemConfig, weights, powers, obs, iterations: int) -> CountingVector:
-    """modified_mp over build_measurement_matrix(cfg, weights, powers) for an
-    AAS beam, at every table size through :func:`_block_pursuit` on the plan's
-    blocks of ceil(L/N) rows, with bound (1 + ENVELOPE_MARGIN) sum_n U(b, n)
-    scale_n |r_n| / ((1 - ENVELOPE_MARGIN) floor(b) min(scale)), inf for a zero divisor:
-    U and floor are the :func:`aas_bin_tables` of the bin holding |sin(theta_hat)|
-    and scale_n = sqrt(p_n) alpha. Each row is computed at most once per stage.
-    Picks are the table's; a GEMM of fewer rows may round apart."""
+def aas_pursuit(cfg: SystemConfig, theta_hat, powers, obs, iterations: int) -> CountingVector:
+    """Picks equal to those of modified_mp over the stage's whole (L, N) table
+    at elevation theta_hat with sensing powers p: row l is :func:`_aas_rows`
+    row l, the power gain of aas_beamformer(cfg, theta_hat) at candidate l,
+    times scale_n = sqrt(p_n) alpha(theta_hat). It runs at every table size
+    through :func:`_block_pursuit` on the plan's blocks of ceil(L/N) rows, with
+    bound (1 + ENVELOPE_MARGIN) sum_n U(b, n) scale_n |r_n| / ((1 -
+    ENVELOPE_MARGIN) floor(b) min(scale)), inf for a zero divisor: U and floor
+    are the :func:`aas_bin_tables` of the bin holding |sin(theta_hat)|. Each row
+    is computed at most once per stage. A GEMM of fewer rows may round apart."""
     plan = proposed_plan(cfg)
     n_cand, n = plan.aas_unit_phase.shape
-    sin_theta = abs(np.sin(weights.ps_theta))
+    sin_theta = abs(np.sin(theta_hat))
     envelope, floor = aas_bin_tables(
         cfg, int(np.searchsorted(plan.aas_bin_edges[1:-1], sin_theta, side="right"))
     )
-    alpha = sensing_attenuation(cfg, cfg.height / np.cos(weights.ps_theta), cfg.sigma_rcs)
+    alpha = sensing_attenuation(cfg, cfg.height / np.cos(theta_hat), cfg.sigma_rcs)
     scale = np.sqrt(np.asarray(powers, dtype=float)) * alpha
     divisor = (1 - ENVELOPE_MARGIN) / (1 + ENVELOPE_MARGIN) * scale.min() * floor
 
@@ -297,7 +257,7 @@ def aas_pursuit(cfg: SystemConfig, weights, powers, obs, iterations: int) -> Cou
         return np.divide(top, divisor, out=np.full(len(divisor), np.inf), where=divisor > 0)
 
     def rows(index, out):
-        _aas_rows(cfg, weights.ps_theta, index, out=out)
+        _aas_rows(cfg, plan, theta_hat, index, out=out)
         out *= scale
         return np.sqrt(np.einsum("ln,ln->l", out, out))
 
@@ -331,12 +291,16 @@ def aas_bin_tables(cfg: SystemConfig, j: int):
 
 
 class ProposedPlan(NamedTuple):
-    """Config-invariant part of the proposed method; its arrays are read-only."""
+    """Config-invariant part of the proposed method; its arrays are read-only.
+    :func:`eas_pursuit` picks what modified_mp picks over the whole eas_rows:
+    row l = sqrt(p_0) alpha(theta_l) |gain(theta_l, f_n)|^2 of the EAS beam."""
 
     eas_weights: BeamformerWeights
     eas_symbol_count: int          # T_0
     eas_powers: np.ndarray         # (N,) sensing powers p_0
-    eas_matrix: MeasurementMatrix  # stage-0 dictionary
+    eas_candidates: np.ndarray     # (L,) elevation candidates
+    eas_rows: np.ndarray           # (L, N) stage-0 dictionary
+    eas_norms: np.ndarray          # (L,) its row 2-norms
     eas_block_bound: np.ndarray    # (B, N) largest entry over least norm per block of rows
     aas_candidates: np.ndarray     # (L,) azimuth candidates
     aas_unit_phase: np.ndarray     # (L, N) horizontal phase over sin(theta_hat)
@@ -356,15 +320,18 @@ def proposed_plan(cfg: SystemConfig) -> ProposedPlan:
     so they are computed once per config, shared by every trial and AAS
     stage, and made read-only."""
     weights = eas_beamformer(cfg)
-    strengths = grid_echo_strength(
-        cfg, weights, eas_elevation_grid(cfg), 0.5 * (cfg.phi_min + cfg.phi_max)
-    )
+    phi_probe = 0.5 * (cfg.phi_min + cfg.phi_max)  # flat model: phi-independent
+    strengths = grid_echo_strength(cfg, weights, eas_elevation_grid(cfg), phi_probe)
     t0, p0 = allocate_sensing(cfg, strengths)
-    mtx = build_measurement_matrix(cfg, weights, p0)
+    eas_cand = elevation_candidates(cfg)
+    rows = weights.power_gain(eas_cand[:, None], phi_probe, np.arange(cfg.n_subcarriers))
+    alpha = sensing_attenuation(cfg, cfg.height / np.cos(eas_cand), cfg.sigma_rcs)[:, None]
+    rows *= np.sqrt(p0) * alpha
+    norms = np.sqrt(np.einsum("ln,ln->l", rows, rows))
     starts = np.arange(0, cfg.n_candidates, -(-cfg.n_candidates // cfg.n_subcarriers))
     # one (B, N) reduction each, with no (L, N) temporary
-    eas_bound = np.maximum.reduceat(mtx.columns.T, starts)
-    eas_bound /= np.minimum.reduceat(mtx.norms, starts)[:, None]
+    eas_bound = np.maximum.reduceat(rows, starts)
+    eas_bound /= np.minimum.reduceat(norms, starts)[:, None]
     cand = azimuth_candidates(cfg)
     unit_phase = aas_unit_phase(cfg, cand)
     magnitude = np.abs(unit_phase)
@@ -374,14 +341,12 @@ def proposed_plan(cfg: SystemConfig) -> ProposedPlan:
     window = np.take_along_axis(magnitude, first[:, None] + np.arange(width), axis=1)
     # the squint grid's ends can sit an ulp outside [theta_min, theta_max]: the
     # inner bins span the candidates, so every EAS pick takes an inner bin
-    inner = np.linspace(*np.sin([mtx.candidates.min(), mtx.candidates.max()]), AAS_BINS + 1)
+    inner = np.linspace(*np.sin([eas_cand.min(), eas_cand.max()]), AAS_BINS + 1)
     edges = np.concatenate([[0.0], inner, [1.0]])
-    arrays = (p0, *vars(mtx).values(), eas_bound, cand, unit_phase, block_range, window, edges)
+    arrays = (p0, eas_cand, rows, norms, eas_bound, cand, unit_phase, block_range, window, edges)
     for arr in arrays:
         arr.flags.writeable = False
-    return ProposedPlan(
-        weights, t0, p0, mtx, eas_bound, cand, unit_phase, block_range, window, edges
-    )
+    return ProposedPlan(weights, t0, *arrays)
 
 
 def hierarchical_detect(
@@ -399,7 +364,7 @@ def hierarchical_detect(
     stage, EAS first, so the random stream is consumed in stage order.
     """
     plan = proposed_plan(cfg)
-    eas_w, t0, p0, mtx0 = plan[:4]
+    eas_w, t0, p0 = plan.eas_weights, plan.eas_symbol_count, plan.eas_powers
     echoes = scene_arrays(cfg, scene)
 
     obs0 = assemble_observation(cfg, echoes, eas_w, p0, t0, rng)
@@ -407,7 +372,7 @@ def hierarchical_detect(
 
     selected = np.flatnonzero(cv0.counts)
     elevations = tuple(
-        (float(mtx0.candidates[idx]), int(cv0.counts[idx])) for idx in selected
+        (float(plan.eas_candidates[idx]), int(cv0.counts[idx])) for idx in selected
     )
     thetas = [theta_hat for theta_hat, _ in elevations]
     aas_ws = [aas_beamformer(cfg, theta_hat) for theta_hat in thetas]
@@ -423,10 +388,10 @@ def hierarchical_detect(
         )
     estimates = []
     traces = [cv0]
-    for (theta_hat, multiplicity), aas_w, p_i, obs in zip(
-        elevations, aas_ws, sensing_powers[1:], observations
+    for (theta_hat, multiplicity), p_i, obs in zip(
+        elevations, sensing_powers[1:], observations
     ):
-        cv = aas_pursuit(cfg, aas_w, p_i, obs, multiplicity)
+        cv = aas_pursuit(cfg, theta_hat, p_i, obs, multiplicity)
         stage_azimuths = np.repeat(plan.aas_candidates, cv.counts)
         estimates.extend((theta_hat, float(ph)) for ph in stage_azimuths)
         traces.append(cv)

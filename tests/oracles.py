@@ -4,12 +4,12 @@ Steering vectors are horizontal-major: element index = (m_h - 1) * M_v + m_v."""
 
 import numpy as np
 
+from squintsense import detection
 from squintsense.beamforming import aas_beamformer
 from squintsense.channel import comm_attenuation, scene_arrays, sensing_attenuation
 from squintsense.detection import (
     DetectionResult,
     assemble_observation,
-    build_measurement_matrix,
     modified_mp,
     proposed_plan,
 )
@@ -111,17 +111,32 @@ def comm_gain(cfg, theta, phi, weights, n: int) -> complex:
     return complex(beta * np.exp(-2j * np.pi * distance / cfg.wavelength) * g)
 
 
+def aas_table(cfg, theta_hat, powers):
+    """The whole (L, N) dictionary of the AAS stage at theta_hat with sensing
+    powers p, every row of :func:`~squintsense.detection._aas_rows` times
+    sqrt(p_n) alpha(theta_hat), and its row 2-norms: (rows, norms).
+    proposed_plan and _aas_rows are looked up on the detection module, so a
+    test's patch of either applies here too."""
+    plan = detection.proposed_plan(cfg)
+    rows = detection._aas_rows(cfg, plan, theta_hat, slice(None))
+    alpha = sensing_attenuation(cfg, cfg.height / np.cos(theta_hat), cfg.sigma_rcs)
+    rows *= np.sqrt(np.asarray(powers, dtype=float)) * alpha
+    return rows, np.sqrt(np.einsum("ln,ln->l", rows, rows))
+
+
 def per_stage_detect(cfg, scene, rng) -> DetectionResult:
-    """hierarchical_detect one AAS stage at a time: each stage builds its own
-    beam, its strength alpha(theta_hat)^2 on an (N,) array, its allocation,
-    and its observation from the scene's echo form, echo and noise together."""
-    eas_w, t0, p0, mtx0 = proposed_plan(cfg)[:4]
+    """hierarchical_detect one AAS stage at a time, each stage's pursuit
+    modified_mp over its whole table: each stage builds its own beam, its
+    strength alpha(theta_hat)^2 on an (N,) array, its allocation, and its
+    observation from the scene's echo form, echo and noise together."""
+    plan = proposed_plan(cfg)
+    eas_w, t0, p0 = plan.eas_weights, plan.eas_symbol_count, plan.eas_powers
     echoes = scene_arrays(cfg, scene)
     obs0 = assemble_observation(cfg, echoes, eas_w, p0, t0, rng)
-    cv0 = modified_mp(obs0, mtx0, len(scene.targets))
+    cv0 = modified_mp(obs0, plan.eas_rows, plan.eas_norms, len(scene.targets))
     selected = np.flatnonzero(cv0.counts)
     elevations = tuple(
-        (float(mtx0.candidates[idx]), int(cv0.counts[idx])) for idx in selected
+        (float(plan.eas_candidates[idx]), int(cv0.counts[idx])) for idx in selected
     )
     estimates, symbol_counts, sensing_powers = [], [t0], [p0]
     stage_weights, traces = [eas_w], [cv0]
@@ -132,9 +147,10 @@ def per_stage_detect(cfg, scene, rng) -> DetectionResult:
         alpha = sensing_attenuation(cfg, cfg.height / np.cos(grid), cfg.sigma_rcs)
         t_i, p_i = allocate_sensing(cfg, alpha**2)
         obs = assemble_observation(cfg, echoes, aas_w, p_i, t_i, rng)
-        mtx = build_measurement_matrix(cfg, aas_w, p_i)
-        cv = modified_mp(obs, mtx, multiplicity)
-        estimates.extend((theta_hat, float(ph)) for ph in np.repeat(mtx.candidates, cv.counts))
+        cv = modified_mp(obs, *aas_table(cfg, theta_hat, p_i), multiplicity)
+        estimates.extend(
+            (theta_hat, float(ph)) for ph in np.repeat(plan.aas_candidates, cv.counts)
+        )
         symbol_counts.append(t_i)
         sensing_powers.append(p_i)
         stage_weights.append(aas_w)

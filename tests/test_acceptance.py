@@ -25,11 +25,7 @@ from squintsense.beamforming import (
 )
 from squintsense.channel import generate_scene
 from squintsense.config import RunConfig, SystemConfig
-from squintsense.detection import (
-    build_measurement_matrix,
-    hierarchical_detect,
-    modified_mp,
-)
+from squintsense.detection import hierarchical_detect, modified_mp, proposed_plan
 from squintsense.power import allocate_comm, allocate_sensing, grid_echo_strength
 from squintsense.simkit import (
     azimuth_only_plan,
@@ -266,12 +262,8 @@ def test_matching_pursuit_recovery():
     cfg = SystemConfig(
         m_h=16, m_v=64, n_subcarriers=32, n_candidates=32, tau_s_db=25.0, n_clutter=0
     )
-    bf = eas_beamformer(cfg)
-    strengths = grid_echo_strength(
-        cfg, bf, eas_elevation_grid(cfg), 0.5 * (cfg.phi_min + cfg.phi_max)
-    )
-    _, p = allocate_sensing(cfg, strengths)
-    mtx = build_measurement_matrix(cfg, bf, p)
+    plan = proposed_plan(cfg)  # the EAS dictionary at T_0, p_0
+    rows, norms = plan.eas_rows, plan.eas_norms
 
     rng = np.random.default_rng(7)
     for _ in range(100):
@@ -279,15 +271,15 @@ def test_matching_pursuit_recovery():
         idx = rng.choice(cfg.n_candidates, size=q, replace=False)
         obs = np.zeros(cfg.n_subcarriers, dtype=complex)
         for i in idx:
-            obs += np.exp(1j * rng.uniform(0, 2 * np.pi)) * mtx.columns[:, i]
-        cv = modified_mp(obs, mtx, q)
+            obs += np.exp(1j * rng.uniform(0, 2 * np.pi)) * rows[i]
+        cv = modified_mp(obs, rows, norms, q)
         expected = np.zeros(cfg.n_candidates, dtype=int)
         expected[idx] = 1
         np.testing.assert_array_equal(cv.counts, expected)
 
     # two targets sharing one candidate: multiplicity two
-    obs = 2.0 * np.exp(0.2j) * mtx.columns[:, 20]
-    cv = modified_mp(obs, mtx, 2)
+    obs = 2.0 * np.exp(0.2j) * rows[20]
+    cv = modified_mp(obs, rows, norms, 2)
     assert cv.counts[20] == 2 and cv.counts.sum() == 2
 
 

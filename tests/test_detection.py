@@ -6,10 +6,8 @@ import pytest
 import oracles
 
 from squintsense.beamforming import (
-    BeamformerWeights,
     aas_beamformer,
     aas_unit_phase,
-    comm_beamformer,
     eas_beamformer,
     eas_elevation_grid,
 )
@@ -21,8 +19,6 @@ from squintsense.detection import (
     aas_pursuit,
     assemble_observation,
     azimuth_candidates,
-    MeasurementMatrix,
-    build_measurement_matrix,
     eas_pursuit,
     elevation_candidates,
     hierarchical_detect,
@@ -30,7 +26,12 @@ from squintsense.detection import (
     proposed_plan,
 )
 from squintsense.exceptions import ConfigError
-from squintsense.geometry import ENVELOPE_MARGIN, fejer_envelope, uniform_phase_power
+from squintsense.geometry import (
+    ENVELOPE_MARGIN,
+    FEJER_BLOCK,
+    fejer_envelope,
+    uniform_phase_power,
+)
 from squintsense.power import allocate_sensing, grid_echo_strength
 
 CFG = SystemConfig(
@@ -39,10 +40,9 @@ CFG = SystemConfig(
 
 
 def eas_matrix(cfg):
-    bf = eas_beamformer(cfg)
-    strengths = grid_echo_strength(cfg, bf, eas_elevation_grid(cfg), 1.5)
-    t, p = allocate_sensing(cfg, strengths)
-    return build_measurement_matrix(cfg, bf, p), bf, t, p
+    """The plan's EAS dictionary: (rows (L, N), norms (L,))."""
+    plan = proposed_plan(cfg)
+    return plan.eas_rows, plan.eas_norms
 
 
 def reference_mp(obs, columns, iterations):
@@ -89,29 +89,22 @@ class TestCandidates:
 
 class TestMeasurementMatrix:
     def test_shape_and_positivity(self):
-        mtx, _, _, _ = eas_matrix(CFG)
-        assert mtx.columns.shape == (CFG.n_subcarriers, CFG.n_candidates)
-        assert np.all(mtx.columns >= 0)
-        assert np.all(np.linalg.norm(mtx.columns, axis=0) > 0)
+        rows, _ = eas_matrix(CFG)
+        assert rows.shape == (CFG.n_candidates, CFG.n_subcarriers)
+        assert np.all(rows >= 0)
+        assert np.all(np.linalg.norm(rows, axis=1) > 0)
 
     def test_entries_match_direct_evaluation(self):
         cfg = CFG
-        mtx, bf, _, p = eas_matrix(cfg)
+        plan = proposed_plan(cfg)
+        bf, p = plan.eas_weights, plan.eas_powers
         cand = elevation_candidates(cfg)
         for l in (0, 100, 255):
             alpha = sensing_attenuation(cfg, cfg.height / np.cos(cand[l]), cfg.sigma_rcs)
             for n in (0, 17, 31):
                 g = abs(oracles.gain(bf, cand[l], 0.5 * (cfg.phi_min + cfg.phi_max), n))
-                assert mtx.columns[n, l] == pytest.approx(np.sqrt(p[n]) * alpha * g**2, rel=1e-9)
-
-    def test_rejects_comm_and_stack_beams(self):
-        """The AAS phase table holds only aas_beamformer(cfg, theta_hat)'s beam,
-        so a comm beam, or a stack of AAS beams, is refused at any elevation."""
-        comm = comm_beamformer(CFG, 0.7, CFG.phi_min)
-        stack = BeamformerWeights.stack([aas_beamformer(CFG, 0.7)])
-        for bf in (comm, stack):
-            with pytest.raises(ConfigError):
-                build_measurement_matrix(CFG, bf, np.ones(CFG.n_subcarriers))
+                want = np.sqrt(p[n]) * alpha * g**2
+                assert plan.eas_rows[l, n] == pytest.approx(want, rel=1e-9)
 
     @pytest.mark.parametrize(
         "cfg, thetas, cells",
@@ -130,20 +123,20 @@ class TestMeasurementMatrix:
         with the steering vector and weights materialized."""
         rng = np.random.default_rng(13)
         cand = azimuth_candidates(cfg)
+        np.testing.assert_array_equal(proposed_plan(cfg).aas_candidates, cand)
         f = cfg.subcarrier_offsets()
         for theta_hat in thetas:
             bf = aas_beamformer(cfg, theta_hat)
             p = rng.uniform(1e-4, 1e-2, cfg.n_subcarriers)
-            mtx = build_measurement_matrix(cfg, bf, p)
-            np.testing.assert_array_equal(mtx.candidates, cand)
+            rows, _ = oracles.aas_table(cfg, theta_hat, p)
             alpha = sensing_attenuation(cfg, cfg.height / np.cos(theta_hat), cfg.sigma_rcs)
             for l, n in cells:
                 a = oracles.upa_steering(cfg, theta_hat, cand[l], f[n])
                 want = np.sqrt(p[n]) * alpha * abs(a @ oracles.weight_vector(bf, n)) ** 2
                 # the explicit M-term sum is accurate only to ~1e-15 of the
                 # beam peak in deep sidelobes: floor at 1e-12 of the column peak
-                peak = mtx.columns[:, l].max()
-                assert mtx.columns[n, l] == pytest.approx(want, rel=1e-12, abs=1e-12 * peak)
+                peak = rows[l].max()
+                assert rows[l, n] == pytest.approx(want, rel=1e-12, abs=1e-12 * peak)
 
     def test_aas_unit_phase_times_sine_is_horizontal_phase(self):
         plan = proposed_plan(CFG)
@@ -160,11 +153,11 @@ class TestMeasurementMatrix:
 
 
 class TestModifiedMp:
-    def synth(self, mtx, entries):
-        """Observation = sum of phasor * column for (index, phase) entries."""
-        obs = np.zeros(mtx.columns.shape[0], dtype=complex)
+    def synth(self, rows, entries):
+        """Observation = sum of phasor * row for (index, phase) entries."""
+        obs = np.zeros(rows.shape[1], dtype=complex)
         for idx, phase in entries:
-            obs += np.exp(1j * phase) * mtx.columns[:, idx]
+            obs += np.exp(1j * phase) * rows[idx]
         return obs
 
     # narrow vertical beam + one candidate per subcarrier: low-coherence
@@ -175,87 +168,83 @@ class TestModifiedMp:
 
     def test_exact_recovery_distinct_candidates(self):
         cfg = self.MP_CFG
-        mtx, _, _, _ = eas_matrix(cfg)
+        rows, norms = eas_matrix(cfg)
         rng = np.random.default_rng(5)
         for _ in range(100):
             q = int(rng.integers(1, 4))
             idx = rng.choice(cfg.n_candidates, size=q, replace=False)
             entries = [(int(i), float(rng.uniform(0, 2 * np.pi))) for i in idx]
-            cv = modified_mp(self.synth(mtx, entries), mtx, q)
+            cv = modified_mp(self.synth(rows, entries), rows, norms, q)
             expected = np.zeros(cfg.n_candidates, dtype=int)
             expected[idx] = 1
             np.testing.assert_array_equal(cv.counts, expected)
 
     def test_support_localized_on_dense_grid(self):
         """On the dense (coherent) grid, supports land within a beamwidth."""
-        mtx, _, _, _ = eas_matrix(CFG)
+        rows, norms = eas_matrix(CFG)
         rng = np.random.default_rng(6)
         beam_bins = 24  # main-lobe width in candidate bins at this config
         for _ in range(50):
             idx = rng.choice(np.arange(32, CFG.n_candidates - 32, 1))
-            cv = modified_mp(self.synth(mtx, [(int(idx), 0.4)]), mtx, 1)
+            cv = modified_mp(self.synth(rows, [(int(idx), 0.4)]), rows, norms, 1)
             got = int(np.flatnonzero(cv.counts)[0])
             assert abs(got - idx) <= beam_bins
 
     def test_repeated_candidate_counted_twice(self):
-        mtx, _, _, _ = eas_matrix(CFG)
-        obs = self.synth(mtx, [(90, 0.2), (90, 0.2)])
-        cv = modified_mp(obs, mtx, 2)
+        rows, norms = eas_matrix(CFG)
+        obs = self.synth(rows, [(90, 0.2), (90, 0.2)])
+        cv = modified_mp(obs, rows, norms, 2)
         assert cv.counts[90] == 2
         assert cv.counts.sum() == 2
 
     def test_phasors_unit_magnitude(self):
-        mtx, _, _, _ = eas_matrix(CFG)
-        cv = modified_mp(self.synth(mtx, [(10, 1.0), (200, 2.0)]), mtx, 2)
+        rows, norms = eas_matrix(CFG)
+        cv = modified_mp(self.synth(rows, [(10, 1.0), (200, 2.0)]), rows, norms, 2)
         for ph in cv.phasors:
             assert abs(ph) == pytest.approx(1.0, rel=1e-12)
 
     def test_residual_norm_nonincreasing_in_trace(self):
-        mtx, _, _, _ = eas_matrix(CFG)
+        rows, norms = eas_matrix(CFG)
         rng = np.random.default_rng(9)
-        obs = self.synth(mtx, [(40, 0.5), (60, 1.5)])
+        obs = self.synth(rows, [(40, 0.5), (60, 1.5)])
         obs = obs + 1e-3 * np.linalg.norm(obs) * (
             rng.standard_normal(len(obs)) + 1j * rng.standard_normal(len(obs))
         )
-        cv = modified_mp(obs, mtx, 6)
+        cv = modified_mp(obs, rows, norms, 6)
         norms = [r for (_, _, r) in cv.trace]
         start = np.linalg.norm(obs)
         assert norms[0] <= start
         # deflation with unit phasors is not strictly monotone, but the trace
         # must never exceed the starting norm by more than a column's worth
-        col_max = np.linalg.norm(mtx.columns, axis=0).max()
+        col_max = np.linalg.norm(rows, axis=1).max()
         assert all(r <= start + col_max for r in norms)
 
     def test_zero_iterations(self):
-        mtx, _, _, _ = eas_matrix(CFG)
-        cv = modified_mp(np.zeros(CFG.n_subcarriers, dtype=complex), mtx, 0)
+        rows, norms = eas_matrix(CFG)
+        cv = modified_mp(np.zeros(CFG.n_subcarriers, dtype=complex), rows, norms, 0)
         assert cv.counts.sum() == 0
         assert cv.trace == ()
 
     def test_matches_complex_reference(self):
         """Real-GEMM correlation and stored norms reproduce the complex-cast
         pursuit: same indices, metrics, residual norms and phasors."""
-        eas, _, _, _ = eas_matrix(CFG)
-        aas = build_measurement_matrix(
-            CFG, aas_beamformer(CFG, 0.7), np.full(CFG.n_subcarriers, 1e-3)
-        )
+        eas = eas_matrix(CFG)
+        aas = oracles.aas_table(CFG, 0.7, np.full(CFG.n_subcarriers, 1e-3))
         rng = np.random.default_rng(11)
-        for mtx in (eas, aas):
-            np.testing.assert_allclose(
-                mtx.norms, np.linalg.norm(mtx.columns, axis=0), rtol=1e-14, atol=0
-            )
-            obs = self.synth(mtx, [(40, 0.5), (60, 1.5), (200, 2.5)])
+        for rows, norms in (eas, aas):
+            np.testing.assert_allclose(norms, np.linalg.norm(rows, axis=1), rtol=1e-14, atol=0)
+            obs = self.synth(rows, [(40, 0.5), (60, 1.5), (200, 2.5)])
             noise = rng.standard_normal(len(obs)) + 1j * rng.standard_normal(len(obs))
             obs = obs + 1e-2 * np.linalg.norm(obs) * noise
             cases = (
                 (obs, 4),                                      # q > 1, noisy
-                (self.synth(mtx, [(90, 0.2), (90, 0.2)]), 2),  # repeated index
+                (self.synth(rows, [(90, 0.2), (90, 0.2)]), 2),  # repeated index
             )
             selected = []
             for obs, iterations in cases:
                 scale = np.linalg.norm(obs)
-                cv = modified_mp(obs, mtx, iterations)
-                steps = reference_mp(obs, mtx.columns, iterations)
+                cv = modified_mp(obs, rows, norms, iterations)
+                steps = reference_mp(obs, rows.T, iterations)
                 assert len(cv.trace) == len(steps)
                 for (idx, metric, res), phasor, (r_idx, r_metric, r_res, r_phasor) in zip(
                     cv.trace, cv.phasors, steps
@@ -304,27 +293,25 @@ class TestEasStageCache:
 
     def test_matches_fresh_computation(self):
         plan = proposed_plan(CFG)
-        mtx, bf, t, p = eas_matrix(CFG)
+        fresh = proposed_plan.__wrapped__(CFG)
+        strengths = grid_echo_strength(CFG, eas_beamformer(CFG), eas_elevation_grid(CFG), 1.5)
+        t, p = allocate_sensing(CFG, strengths)
         assert plan.eas_symbol_count == t
         np.testing.assert_array_equal(plan.eas_powers, p)
-        np.testing.assert_array_equal(plan.eas_matrix.columns, mtx.columns)
-        np.testing.assert_array_equal(plan.eas_matrix.candidates, mtx.candidates)
+        np.testing.assert_array_equal(plan.eas_rows, fresh.eas_rows)
+        np.testing.assert_array_equal(plan.eas_norms, fresh.eas_norms)
+        np.testing.assert_array_equal(plan.eas_candidates, elevation_candidates(CFG))
         assert plan.eas_weights.kind == "eas"
 
     def test_cached_arrays_are_read_only(self):
         plan = proposed_plan(CFG)
-        arrays = (
-            plan.eas_powers,
-            plan.eas_matrix.columns,
-            plan.eas_matrix.candidates,
-            plan.eas_matrix.norms,
-        )
+        arrays = (plan.eas_powers, plan.eas_rows, plan.eas_candidates, plan.eas_norms)
         for arr in arrays:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 1.0
         with pytest.raises(ValueError):
-            plan.eas_matrix.columns *= 2.0
+            plan.eas_rows *= 2.0
 
     def test_one_entry_per_config(self):
         assert proposed_plan(CFG) is proposed_plan(SystemConfig(**{
@@ -345,11 +332,11 @@ class TestEasStageCache:
 
     def test_detection_leaves_cache_intact(self):
         plan = proposed_plan(CFG)
-        before = plan.eas_matrix.columns.copy(), plan.eas_powers.copy()
+        before = plan.eas_rows.copy(), plan.eas_powers.copy()
         scene = generate_scene(CFG, 2, 0, 5)
         result = hierarchical_detect(CFG, scene, np.random.default_rng(1))
         assert result.sensing_powers[0] is plan.eas_powers
-        np.testing.assert_array_equal(plan.eas_matrix.columns, before[0])
+        np.testing.assert_array_equal(plan.eas_rows, before[0])
         np.testing.assert_array_equal(plan.eas_powers, before[1])
 
 
@@ -476,6 +463,61 @@ class TestStackedStages:
         assert len(got.stage_weights) == 1
 
 
+# the random configs of TestRandomConfigs: m_h and m_v from these sets, N in
+# 8..48 and L = N * (1..64), at the default ROI; scenes with q in {1, 2, 3}
+# targets and clutter on
+RANDOM_M_H = (3, 5, 6, 7, 9, 12, 13, 16, 24)
+RANDOM_M_V = (3, 5, 7, 13, 16)
+RANDOM_CONFIGS = 100
+
+
+class TestRandomConfigs:
+    """hierarchical_detect against oracles.per_stage_detect, whose every stage
+    runs modified_mp over its whole table, on seeded random configs."""
+
+    def test_matches_per_stage_reference(self, monkeypatch):
+        observations = []  # each pursuit's observation, in stage order
+        for name in ("eas_pursuit", "aas_pursuit"):
+            def record(*args, real=getattr(detection, name)):
+                observations.append(args[-2])
+                return real(*args)
+
+            monkeypatch.setattr(detection, name, record)
+        rng = np.random.default_rng(26)
+        ran = skipped = bounded = 0
+        for i in range(RANDOM_CONFIGS):
+            n = int(rng.integers(8, 49))
+            fields = dict(
+                m_h=int(rng.choice(RANDOM_M_H)), m_v=int(rng.choice(RANDOM_M_V)),
+                n_subcarriers=n, n_candidates=n * int(rng.integers(1, 65)),
+            )
+            try:
+                cfg = SystemConfig(**fields)
+                runs = []
+                for q in (1, 2, 3):
+                    scene = generate_scene(cfg, q, 0, (i, q))
+                    observations.clear()
+                    got = hierarchical_detect(cfg, scene, np.random.default_rng((i, q, 1)))
+                    want = oracles.per_stage_detect(cfg, scene, np.random.default_rng((i, q, 1)))
+                    runs.append((got, want, list(observations)))
+            except ConfigError:
+                skipped += 1
+                continue
+            ran += 1
+            bounded += cfg.n_candidates * n > FEJER_BLOCK  # eas_pursuit takes its bounds
+            for got, want, stage_obs in runs:
+                assert got.elevations == want.elevations, fields
+                assert got.estimates == want.estimates, fields
+                assert got.symbol_counts == want.symbol_counts, fields
+                assert len(got.sensing_powers) == len(want.sensing_powers), fields
+                for a, b in zip(got.sensing_powers, want.sensing_powers):
+                    np.testing.assert_array_equal(a, b, err_msg=str(fields))
+                for a, b, obs in zip(got.traces, want.traces, stage_obs, strict=True):
+                    assert_same_pursuit(a, b, obs)
+        assert ran >= 0.75 * RANDOM_CONFIGS, skipped  # most configs ran
+        assert 0 < bounded < ran
+
+
 FULL = SystemConfig()
 # every config whose EAS dictionary exceeds one kernel block, so eas_pursuit bounds it
 CERTIFIED = [FULL, SCALED.replace(n_candidates=1024), SCALED.replace(n_candidates=2048)]
@@ -486,15 +528,14 @@ OFF_LOBE = SystemConfig(m_h=64, m_v=16, n_subcarriers=16, n_candidates=2048)
 
 
 def spy_rows(monkeypatch):
-    """Record the candidates whose rows aas_pursuit evaluates, one list per call;
-    a whole-table build inside it counts every row."""
+    """Record the candidates whose rows aas_pursuit evaluates, one list per call."""
     calls, active = [], []
     real_rows, real_pursuit = detection._aas_rows, detection.aas_pursuit
 
-    def rows(cfg, theta_hat, index, out=None):
+    def rows(cfg, plan, theta_hat, index, out=None):
         if active:
             calls[-1].extend(np.arange(cfg.n_candidates)[index].tolist())
-        return real_rows(cfg, theta_hat, index, out=out)
+        return real_rows(cfg, plan, theta_hat, index, out=out)
 
     def pursuit(*args):
         calls.append([])
@@ -581,9 +622,9 @@ class TestCertifiedAasPursuit:
         stages = []
         real = detection.aas_pursuit
 
-        def record(cfg, weights, powers, obs, iterations):
-            got = real(cfg, weights, powers, obs, iterations)
-            stages.append((weights, powers, obs, iterations, got))
+        def record(cfg, theta_hat, powers, obs, iterations):
+            got = real(cfg, theta_hat, powers, obs, iterations)
+            stages.append((theta_hat, powers, obs, iterations, got))
             return got
 
         monkeypatch.setattr(detection, "aas_pursuit", record)
@@ -596,17 +637,16 @@ class TestCertifiedAasPursuit:
         edges = proposed_plan(cfg).aas_bin_edges
         for theta_hat in (0.05, 1.5):  # one elevation in each outer bin
             assert not edges[1] <= np.sin(theta_hat) <= edges[-2]
-            weights = aas_beamformer(cfg, theta_hat)
             powers = rng.uniform(1e-4, 1e-2, cfg.n_subcarriers)
-            columns = build_measurement_matrix(cfg, weights, powers).columns
-            obs = columns[:, rng.choice(cfg.n_candidates, 3, replace=False)] @ np.exp(
-                2j * np.pi * rng.random(3)
-            )
+            rows, _ = oracles.aas_table(cfg, theta_hat, powers)
+            obs = np.exp(2j * np.pi * rng.random(3)) @ rows[
+                rng.choice(cfg.n_candidates, 3, replace=False)
+            ]
             obs += 0.05 * np.abs(obs).max() * rng.standard_normal(cfg.n_subcarriers)
-            detection.aas_pursuit(cfg, weights, powers, obs, 3)
+            detection.aas_pursuit(cfg, theta_hat, powers, obs, 3)
         assert len(stages) >= 42
-        for weights, powers, obs, iterations, got in stages:
-            want = modified_mp(obs, build_measurement_matrix(cfg, weights, powers), iterations)
+        for theta_hat, powers, obs, iterations, got in stages:
+            want = modified_mp(obs, *oracles.aas_table(cfg, theta_hat, powers), iterations)
             assert_same_pursuit(got, want, obs)
         evaluated = [len(rows) for rows in calls]
         assert len(evaluated) == len(stages)
@@ -624,15 +664,14 @@ class TestCertifiedAasPursuit:
         n = cfg.n_subcarriers
         thetas = [*rng.uniform(cfg.theta_min, cfg.theta_max, 12), 0.05, 1.5]
         for theta_hat in thetas:
-            weights = aas_beamformer(cfg, theta_hat)
             powers = rng.uniform(1e-4, 1e-2, n)
             residual = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            mtx = build_measurement_matrix(cfg, weights, powers)
-            metric = np.abs(mtx.columns.T @ residual) / mtx.norms
+            rows, norms = oracles.aas_table(cfg, theta_hat, powers)
+            metric = np.abs(rows @ residual) / norms
             bound, block = reference_block_bound(cfg, theta_hat, powers, residual)
             assert np.all(metric <= bound[block])
 
-            got = detection.aas_pursuit(cfg, weights, powers, residual, 1)
+            got = detection.aas_pursuit(cfg, theta_hat, powers, residual, 1)
             assert got.trace[0][0] == int(np.argmax(metric))
             needed = np.flatnonzero(bound >= metric.max())
             assert set(needed) <= set(block[calls[-1]])
@@ -701,10 +740,9 @@ class TestCertifiedAasPursuit:
 
     @pytest.mark.parametrize("cfg", [*CERTIFIED[:2], SCALED], ids=["full", "s1024", "s512"])
     def test_zero_powers_raise(self, cfg):
-        weights = aas_beamformer(cfg, 0.7)
         obs = np.ones(cfg.n_subcarriers, dtype=complex)
         with pytest.raises(ConfigError, match="zero-norm"):
-            aas_pursuit(cfg, weights, np.zeros(cfg.n_subcarriers), obs, 1)
+            aas_pursuit(cfg, 0.7, np.zeros(cfg.n_subcarriers), obs, 1)
 
     def test_few_rows_for_a_separated_target(self, monkeypatch):
         """A lone target at full scale: each stage evaluates at most 160 of the
@@ -752,8 +790,8 @@ def spy_blocks(monkeypatch):
 def reference_eas_table(cfg):
     """eas_block_bound from the EAS dictionary one block of ceil(L/N) rows at a
     time: (table (B, N), block of each candidate (L,))."""
-    mtx = proposed_plan(cfg).eas_matrix
-    rows, norms = mtx.columns.T, mtx.norms
+    plan = proposed_plan(cfg)
+    rows, norms = plan.eas_rows, plan.eas_norms
     size = -(-len(rows) // cfg.n_subcarriers)
     table = [rows[i : i + size].max(axis=0) / norms[i : i + size].min()
              for i in range(0, len(rows), size)]
@@ -781,9 +819,10 @@ class TestCertifiedEasPursuit:
                     scene = generate_scene(cfg, q, 2, (seed, q), include_clutter)
                     hierarchical_detect(cfg, scene, np.random.default_rng((seed, q, 1)))
         assert len(stages) == 40
-        mtx = proposed_plan(cfg).eas_matrix
+        plan = proposed_plan(cfg)
         for obs, iterations, got, call in stages:
-            assert_same_pursuit(got, modified_mp(obs, mtx, iterations), obs)
+            want = modified_mp(obs, plan.eas_rows, plan.eas_norms, iterations)
+            assert_same_pursuit(got, want, obs)
         evaluated = [len(calls[call][1]) for _, _, _, call in stages]
         assert np.median(evaluated) < cfg.n_candidates  # the bounds pruned rows
 
@@ -794,16 +833,16 @@ class TestCertifiedEasPursuit:
         with the reference table times 1 + ENVELOPE_MARGIN, and every block
         whose bound reaches the pick's metric was evaluated."""
         calls = spy_blocks(monkeypatch)
-        mtx = proposed_plan(cfg).eas_matrix
+        rows, norms = eas_matrix(cfg)
         table, block = reference_eas_table(cfg)
         rng = np.random.default_rng(18)
         n = cfg.n_subcarriers
         for i in range(16):
             residual = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             if i % 2:  # a phased dictionary row: bounds near the pick, so blocks are pruned
-                row = mtx.columns[:, rng.integers(cfg.n_candidates)]
+                row = rows[rng.integers(cfg.n_candidates)]
                 residual = np.exp(2j * np.pi * rng.random()) * row + 0.05 * row.max() * residual
-            metric = np.abs(mtx.columns.T @ residual) / mtx.norms
+            metric = np.abs(rows @ residual) / norms
             assert np.all(metric <= (table @ np.abs(residual))[block])
 
             got = eas_pursuit(cfg, residual, 1)
@@ -842,11 +881,9 @@ class TestCertifiedEasPursuit:
     @pytest.mark.parametrize("cfg", CERTIFIED[:2], ids=["full", "s1024"])
     def test_zero_norm_row_raises(self, monkeypatch, cfg):
         plan = proposed_plan(cfg)
-        columns, norms = plan.eas_matrix.columns.copy(), plan.eas_matrix.norms.copy()
-        columns[:, 7], norms[7] = 0.0, 0.0
-        degenerate = plan._replace(
-            eas_matrix=MeasurementMatrix(columns, plan.eas_matrix.candidates, norms)
-        )
+        rows, norms = plan.eas_rows.copy(), plan.eas_norms.copy()
+        rows[7], norms[7] = 0.0, 0.0
+        degenerate = plan._replace(eas_rows=rows, eas_norms=norms)
         monkeypatch.setattr(detection, "proposed_plan", lambda cfg: degenerate)
         obs = np.ones(cfg.n_subcarriers, dtype=complex)
         with pytest.raises(ConfigError, match="zero-norm"):
@@ -880,17 +917,16 @@ class TestBlockPursuitPicks:
         size = -(-cfg.n_candidates // cfg.n_subcarriers)
         assert lo // size != hi // size
         if stage == "eas":
-            mtx = plan.eas_matrix
+            rows, norms = plan.eas_rows, plan.eas_norms
             pursue = functools.partial(eas_pursuit, cfg)
         else:
-            weights = aas_beamformer(cfg, 0.7)
             powers = np.random.default_rng(19).uniform(1e-4, 1e-2, cfg.n_subcarriers)
-            mtx = build_measurement_matrix(cfg, weights, powers)
-            pursue = functools.partial(aas_pursuit, cfg, weights, powers)
-        obs = np.exp(0.3j) * mtx.columns[:, hi]
-        metric = np.abs(mtx.columns.T @ obs) / mtx.norms
+            rows, norms = oracles.aas_table(cfg, 0.7, powers)
+            pursue = functools.partial(aas_pursuit, cfg, 0.7, powers)
+        obs = np.exp(0.3j) * rows[hi]
+        metric = np.abs(rows @ obs) / norms
         assert metric[lo] == metric[hi] == metric.max()  # an exact tie
-        want = modified_mp(obs, mtx, 1)
+        want = modified_mp(obs, rows, norms, 1)
         got = pursue(obs, 1)
         assert want.trace[0][0] == got.trace[0][0] == lo
         assert_same_pursuit(got, want, obs)
@@ -900,12 +936,12 @@ class TestBlockPursuitPicks:
     @pytest.mark.parametrize("cfg", CERTIFIED[:2], ids=["full", "s1024"])
     def test_zero_residual_makes_no_pick(self, cfg):
         zero = np.zeros(cfg.n_subcarriers, dtype=complex)
-        weights, powers = aas_beamformer(cfg, 0.7), np.full(cfg.n_subcarriers, 1e-3)
-        for got, mtx in (
-            (eas_pursuit(cfg, zero, 2), proposed_plan(cfg).eas_matrix),
-            (aas_pursuit(cfg, weights, powers, zero, 2), build_measurement_matrix(cfg, weights, powers)),
+        powers = np.full(cfg.n_subcarriers, 1e-3)
+        for got, table in (
+            (eas_pursuit(cfg, zero, 2), eas_matrix(cfg)),
+            (aas_pursuit(cfg, 0.7, powers, zero, 2), oracles.aas_table(cfg, 0.7, powers)),
         ):
-            want = modified_mp(zero, mtx, 2)
+            want = modified_mp(zero, *table, 2)
             assert want.trace == got.trace == () and want.phasors == got.phasors == ()
             np.testing.assert_array_equal(got.counts, want.counts)
             assert not got.counts.any()

@@ -16,7 +16,6 @@ from squintsense.beamforming import (
 from squintsense.channel import Scene, generate_scene, scene_arrays, sensing_attenuation
 from squintsense.config import RunConfig, SystemConfig
 from squintsense.detection import (
-    MeasurementMatrix,
     azimuth_candidates,
     elevation_candidates,
     hierarchical_detect,
@@ -688,12 +687,9 @@ class TestScanTopCells:
 
 
 def plan_arrays(plan):
-    """(name, array) of every ndarray of a method plan, the nested EAS
-    dictionary's included."""
+    """(name, array) of every ndarray of a method plan."""
     for name, value in plan._asdict().items():
-        if isinstance(value, MeasurementMatrix):
-            yield from ((f"{name}.{key}", arr) for key, arr in vars(value).items())
-        elif isinstance(value, np.ndarray):
+        if isinstance(value, np.ndarray):
             yield name, value
 
 
@@ -751,7 +747,7 @@ class TestProposedPlanCache(PlanCacheContract):
         assert plan.eas_symbol_count == fresh.eas_symbol_count
         assert plan.eas_weights.kind == "eas"
         assert plan.eas_weights.v_slope == fresh.eas_weights.v_slope
-        np.testing.assert_array_equal(plan.eas_matrix.candidates, elevation_candidates(SCALED))
+        np.testing.assert_array_equal(plan.eas_candidates, elevation_candidates(SCALED))
         np.testing.assert_array_equal(plan.aas_candidates, azimuth_candidates(SCALED))
         assert plan.aas_unit_phase.shape == (SCALED.n_candidates, SCALED.n_subcarriers)
         np.testing.assert_array_equal(
