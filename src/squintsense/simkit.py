@@ -1,12 +1,9 @@
 """Monte Carlo experiment harness, metrics, and scan baselines.
 
-Both scan baselines fill (N, N) work arrays that every trial of one N in the
-process reuses (:func:`scan_work`), so a steady-state trial allocates
-nothing of N^2 size. A trial's fresh N^2 temporaries used to exceed glibc's
-heap trim threshold: each trial handed them back to the kernel and the next
-faulted them in again, ~100 minor page faults per full-scale exhaustive
-trial and 928 per azimuth-only trial. A scan is therefore not safe to run
-from two threads at once; separate processes are.
+Both scan baselines rank their N x N statistic by one threshold loop
+(:func:`_top_q_scan`) in four arrays that every trial of one N reuses
+(:func:`scan_work`): fresh N^2 arrays were faulted in anew by every trial.
+A scan is therefore not safe to run from two threads; processes are.
 """
 
 from __future__ import annotations
@@ -194,8 +191,7 @@ def run_proposed_trial(
 def _scan_record(method: str, cfg: SystemConfig, scene: Scene, statistic, grids, powers):
     """Record of an N x N scan: the top-q cells of its statistic, whose rows
     and columns follow grids = (elevation grid, azimuth grid), and a one-stage
-    plan whose sensing powers have every symbol's T folded in. Cells at -inf
-    (rows the scan did not evaluate) are never picked."""
+    plan with every symbol's T folded in. Unevaluated (-inf) cells are skipped."""
     theta_grid, phi_grid = grids
     n = statistic.shape[1]
     values = statistic.ravel()
@@ -227,34 +223,19 @@ class ExhaustivePlan(NamedTuple):
 
 
 class ScanWork(NamedTuple):
-    """Work arrays of the scan baselines at one N, overwritten by every trial.
-    B is the azimuth-only scan's scatterers per block, max(1, FEJER_BLOCK // N^2)."""
+    """Work arrays of the scan baselines at one N, overwritten by every trial."""
 
     draws: np.ndarray      # (2, N, N) standard normal draws: real parts, then imaginary
     noise: np.ndarray      # (N, N) complex receiver noise
     statistic: np.ndarray  # (N, N) scan statistic
-    bound: np.ndarray      # (N, N) exhaustive scan's cell bounds
-    response: np.ndarray   # (N, N) complex azimuth-only response of the scene
-    slope: np.ndarray      # (B, N, N) azimuth-only horizontal slopes of a block
-    power: np.ndarray      # (B, N, N) azimuth-only power gains of a block
-    term: np.ndarray       # (B, N, N) complex azimuth-only responses of a block
+    bound: np.ndarray      # (N, N) cell bounds of the threshold loop
 
 
 @functools.lru_cache(maxsize=4)
 def scan_work(n: int) -> ScanWork:
     """The work arrays of the scans at N subcarriers, shared by every trial
     of the process; see the module docstring for why, and its thread caveat."""
-    block = (max(1, FEJER_BLOCK // (n * n)), n, n)
-    return ScanWork(
-        draws=np.empty((2, n, n)),
-        noise=np.empty((n, n), dtype=complex),
-        statistic=np.empty((n, n)),
-        bound=np.empty((n, n)),
-        response=np.empty((n, n), dtype=complex),
-        slope=np.empty(block),
-        power=np.empty(block),
-        term=np.empty(block, dtype=complex),
-    )
+    return ScanWork(np.empty((2, n, n)), np.empty((n, n), complex), *np.empty((2, n, n)))
 
 
 def _scan_noise(work: ScanWork, rng: np.random.Generator, scale) -> np.ndarray:
@@ -346,6 +327,36 @@ def _cell_bound(cfg: SystemConfig, echoes, noise, vertical, rows):
     return bound * ((1.0 + ENVELOPE_MARGIN) / plan.expected[rows, None])
 
 
+def _top_q_scan(work: ScanWork, q: int, first, row_bound, cell_bound, evaluate, batch):
+    """work.statistic: the scan statistic at every cell that could be one of
+    its q largest, -inf elsewhere (a threshold rule, Fagin, Lotem & Naor, PODS
+    2001). ``row_bound`` (N,) bounds each row, ``cell_bound(rows)`` each cell
+    of the given rows, ``evaluate(cells)`` is the statistic at flat cells.
+    The ``first`` rows of largest bound are bounded, then unevaluated cells of
+    largest bound are evaluated in batches of ``batch``, 2 batch, ..., each
+    followed by bounding every row above the q-th largest statistic, until no
+    cell's is. A batch-independent ``evaluate`` gives a full-grid record."""
+    statistic, bound = work.statistic, work.bound
+    statistic.fill(-np.inf)
+    bound.fill(-np.inf)  # cell bounds; -inf once evaluated or unbounded
+    flat_statistic, flat_bound = statistic.reshape(-1), bound.reshape(-1)
+    top = np.full(q, -np.inf)  # the q largest statistics so far
+    rows = np.argsort(row_bound)[-first:]
+    while q:
+        bound[rows] = cell_bound(rows)
+        row_bound[rows] = -np.inf  # these rows are bounded cell by cell
+        live = (flat_bound > top[0]).nonzero()[0]
+        if not live.size:
+            break
+        if live.size > batch:
+            live = live[flat_bound[live].argpartition(-batch)[-batch:]]
+        flat_statistic[live] = values = evaluate(live)
+        flat_bound[live] = -np.inf
+        top = np.partition(np.concatenate((top, values)), -q)[-q:]
+        rows, batch = (row_bound > top[0]).nonzero()[0], 2 * batch
+    return statistic
+
+
 def run_exhaustive_baseline(
     cfg: SystemConfig,
     scene: Scene,
@@ -358,23 +369,12 @@ def run_exhaustive_baseline(
     costs N times the single-subcarrier tight power of its cell. The
     scene-independent part is the cached :func:`exhaustive_plan`.
 
-    Only the top-q cells of the statistic reach the record, so the exact
-    statistic |sqrt(p_r) response + noise| / (sqrt(p_r) alpha_r) is computed
-    only at cells that could be one (a threshold stopping rule, as in
-    Fagin, Lotem & Naor, PODS 2001); the other cells hold -inf. With E_m the
+    :func:`_top_q_scan` evaluates its statistic |sqrt(p_r) response + noise| /
+    (sqrt(p_r) alpha_r) from 4 rows and max(8, q) cells. With E_m the
     ``geometry.fejer_envelope`` over the subcarrier ratios, scatterer s adds
-    at most W[r, s] = |amp_s| E_{m_v}(cos theta_s - cos theta_r) to row r,
-    and W[r, s] E_{m_h}(h_s - h_rc) to cell (r, c); a row's bound adds its
-    largest |noise|, a cell's its own, each times 1 + ENVELOPE_MARGIN. The
-    noise is drawn first (the response draws no random numbers). The cells
-    of the 4 rows of largest bound are bounded first. Then the unevaluated
-    cells of largest bound are evaluated in batches of 8, 16, ... (the first
-    at least q), and after each batch every row whose bound is above the
-    q-th largest statistic has its cells bounded, until no unevaluated
-    cell's bound is above that statistic. :func:`_cell_response` computes
-    each cell the same way whatever other cells it is given, so evaluated
-    cells, the top-q cells and the record are bit-identical to a full-grid
-    scan. The noise, statistic and bounds live in :func:`scan_work`.
+    at most W[r, s] = |amp_s| E_{m_v}(cos theta_s - cos theta_r) to row r and
+    W[r, s] E_{m_h}(h_s - h_rc) to cell (r, c); a bound adds the row's largest
+    |noise| or the cell's own, and the whole is times 1 + ENVELOPE_MARGIN.
     """
     n = cfg.n_subcarriers
     plan = exhaustive_plan(cfg)
@@ -382,27 +382,14 @@ def run_exhaustive_baseline(
     noise = _scan_noise(work, rng, np.sqrt(cfg.noise_variance() / (2.0 * n)))
     echoes = scene_arrays(cfg, scene)
     q = len(scene.targets)
-    statistic = work.statistic
-    statistic.fill(-np.inf)
-    if q:
-        row_bound, vertical = _row_bound(cfg, echoes, noise)
-        bound = work.bound  # cell bounds; -inf once evaluated or unbounded
-        bound.fill(-np.inf)
-        top = np.full(q, -np.inf)  # the q largest statistics so far
-        rows, batch = np.argsort(row_bound)[-4:], max(8, q)
-        while True:
-            bound[rows] = _cell_bound(cfg, echoes, noise, vertical, rows)
-            row_bound[rows] = -np.inf  # these rows are bounded cell by cell
-            live = np.flatnonzero(bound > top[0])
-            if not live.size:
-                break
-            cells = live[np.argsort(bound.flat[live])[-batch:]]
-            r, c = np.divmod(cells, n)
-            signal = plan.sqrt_powers[r] * _cell_response(cfg, echoes, r, c)
-            statistic[r, c] = np.abs(signal + noise[r, c]) / plan.expected[r]
-            bound[r, c] = -np.inf
-            top = np.partition(np.concatenate((top, statistic[r, c])), -q)[-q:]
-            rows, batch = np.flatnonzero(row_bound > top[0]), 2 * batch
+    row_bound, vertical = _row_bound(cfg, echoes, noise)
+
+    def evaluate(cells):
+        r, c = np.divmod(cells, n)
+        signal = plan.sqrt_powers[r] * _cell_response(cfg, echoes, r, c)
+        return np.abs(signal + noise.take(cells)) / plan.expected[r]
+    cell_bound = functools.partial(_cell_bound, cfg, echoes, noise, vertical)
+    statistic = _top_q_scan(work, q, 4, row_bound, cell_bound, evaluate, max(8, q))
     grids = (plan.theta_grid, plan.phi_grid)
     return _scan_record("exhaustive", cfg, scene, statistic, grids, plan.powers)
 
@@ -436,6 +423,7 @@ class AzimuthOnlyPlan(NamedTuple):
     flat: float             # flat ROI-wide horizontal gain
     pointed: np.ndarray     # (N, N) cells whose pointed beam beats the flat one
     sqrt_powers: np.ndarray  # (N, N) square roots of the tight cell powers
+    peak_signal: np.ndarray  # (N, N) sqrt_powers times the cell's largest horizontal power
     powers: np.ndarray      # (N, N) tau_s-tight sensing power per cell
     expected: np.ndarray    # (N, N) noise-free echo amplitude of an on-grid target
 
@@ -472,6 +460,7 @@ def azimuth_only_plan(cfg: SystemConfig) -> AzimuthOnlyPlan:
         flat=flat,
         pointed=pointed,
         sqrt_powers=sqrt_powers,
+        peak_signal=np.where(pointed, sqrt_powers, sqrt_powers * flat**2),
         powers=powers,
         expected=sqrt_powers * alpha_grid[:, None] * g_design**2,
     )
@@ -479,6 +468,24 @@ def azimuth_only_plan(cfg: SystemConfig) -> AzimuthOnlyPlan:
         if isinstance(value, np.ndarray):
             value.flags.writeable = False
     return plan
+
+
+def _azimuth_only_bound(cfg: SystemConfig, echoes, noise, out):
+    """Upper bound of the azimuth-only statistic at every cell, in out[0] of
+    the (2, N, N) scratch ``out``, and the vertical powers p_v, (S, N). A cell
+    responds sum_s amp_s p_v(s, n) H(s, n, m), H <= 1 if pointed and flat^2
+    if flat, so the bound is (1 + ENVELOPE_MARGIN) (A_n peak_signal_nm +
+    |noise_nm|) / expected_nm, A_n = sum_s |amp_s| p_v(s, n). The margin
+    carries weight: test scenes reach statistic/bound = 1 / (1 + margin)."""
+    plan = azimuth_only_plan(cfg)
+    s_theta, _, s_amp = echoes
+    x_v = np.cos(s_theta)[:, None] * plan.ratio - np.cos(cfg.theta_min) + plan.v_ttd
+    p_v = uniform_phase_power(x_v, cfg.m_v)
+    bound = np.abs(noise, out=out[0])
+    bound += np.multiply((np.abs(s_amp) @ p_v)[:, None], plan.peak_signal, out=out[1])
+    bound /= plan.expected
+    bound *= 1.0 + ENVELOPE_MARGIN
+    return bound, p_v
 
 
 def run_azimuth_only_baseline(
@@ -490,47 +497,40 @@ def run_azimuth_only_baseline(
 
     Symbol m points the horizontal beam at azimuth phi_m while the stage-0
     vertical TTD spreads subcarriers over the N elevation grid points. The
-    horizontal chain can only realize an affine-in-frequency phase slope,
-    so mid-band cells suffer a pointing mismatch; wherever the pointed beam
-    is worse than the ROI-wide flat beam, the symbol falls back to the flat
-    beam for those subcarriers. The power rule stays tau_s-tight against
-    the resulting (degraded) design-point gain. The scene-independent part
-    is the cached :func:`azimuth_only_plan`.
+    horizontal chain realizes only an affine-in-frequency phase slope; where
+    the mispointed beam is worse than the ROI-wide flat beam, a subcarrier
+    uses the flat beam, and the tau_s-tight power follows the design-point
+    gain. The scene-independent part is :func:`azimuth_only_plan`, cached.
 
-    The response over (subcarrier, symbol) is computed in the arrays of
-    :func:`scan_work`, for blocks of scatterers of at most FEJER_BLOCK
-    elements (one scatterer each from N = 128 up), and added up from zero
-    one scatterer at a time, in scatterer order: the order in which numpy
-    sums a (scatterer, subcarrier, symbol) array over its first axis.
+    :func:`_top_q_scan` evaluates its statistic from the cell bounds of
+    :func:`_azimuth_only_bound`: the 16 rows of largest bound first (8 left a
+    fifth of scaled trials a second batch; all N would rank N^2 bounds in
+    temporaries freed to the kernel), then batches of 128 q, 256 q, ... cells,
+    FEJER_BLOCK // (4 S) per kernel call for S scatterers (~128 KB temporaries).
     """
+    n = cfg.n_subcarriers
     plan = azimuth_only_plan(cfg)
-    work = scan_work(cfg.n_subcarriers)
-    s_theta, s_phi, s_amp = scene_arrays(cfg, scene)
-    s_h = np.sin(s_theta) * np.cos(s_phi)
-    # vertical phase per (scatterer, subcarrier)
-    x_v = np.cos(s_theta)[:, None] * plan.ratio - np.cos(cfg.theta_min) + plan.v_ttd
-    p_v = uniform_phase_power(x_v, cfg.m_v)
-    flat_cells = ~plan.pointed
-    response = work.response
-    response.fill(0.0)
-    per_block = len(work.slope)
-    for start in range(0, len(s_amp), per_block):
-        block = slice(start, start + per_block)
-        k = len(s_amp[block])
-        # horizontal phase per (scatterer, subcarrier, symbol)
-        slope = np.subtract(
-            s_h[block, None, None] * plan.ratio[:, None], plan.steer_h, out=work.slope[:k]
-        )
-        power = uniform_phase_power(slope, cfg.m_h, out=work.power[:k])
-        np.copyto(power, plan.flat**2, where=flat_cells)
-        power *= p_v[block, :, None]
-        for term in np.multiply(s_amp[block, None, None], power, out=work.term[:k]):
-            response += term
+    work = scan_work(n)
     noise = _scan_noise(work, rng, np.sqrt(cfg.noise_variance() / 2.0))
-    signal = np.multiply(plan.sqrt_powers, response, out=response)
-    signal += noise
-    statistic = np.abs(signal, out=work.statistic)
-    statistic /= plan.expected
+    echoes = scene_arrays(cfg, scene)
+    s_theta, s_phi, s_amp = echoes
+    bound, p_v = _azimuth_only_bound(cfg, echoes, noise, work.draws)  # draws are spent
+    x_target = (np.sin(s_theta) * np.cos(s_phi))[:, None] * plan.ratio  # (scatterer, n)
+    block = FEJER_BLOCK // max(1, 4 * len(s_amp))
+
+    def evaluate(cells):
+        if len(cells) > block:
+            return np.concatenate([*map(evaluate, np.array_split(cells, len(cells) // block + 1))])
+        r = cells // n
+        x_h = x_target.take(r, axis=1) - plan.steer_h.take(cells)
+        power = np.where(plan.pointed.take(cells), uniform_phase_power(x_h, cfg.m_h), plan.flat**2)
+        power *= p_v.take(r, axis=1)
+        terms = np.multiply(s_amp[:, None], power)
+        response = np.add.accumulate(terms, out=terms)[-1]  # in scatterer order
+        signal = plan.sqrt_powers.take(cells) * response
+        return np.abs(signal + noise.take(cells)) / plan.expected.take(cells)
+    q = len(scene.targets)
+    statistic = _top_q_scan(work, q, 16, bound.max(axis=1), bound.__getitem__, evaluate, 128 * q)
     grids = (plan.theta_grid, plan.phi_grid)
     # sensing powers of N symbols x N subcarriers, T folded in
     return _scan_record("azimuth_only", cfg, scene, statistic, grids, plan.powers.ravel())

@@ -31,6 +31,7 @@ from squintsense.power import (
     sinr_context,
 )
 from squintsense.simkit import (
+    _azimuth_only_bound,
     _cell_bound,
     _cell_response,
     _row_bound,
@@ -51,6 +52,7 @@ from squintsense.simkit import (
     sum_rate,
     transmit_power_metrics,
 )
+from test_detection import RANDOM_M_H, RANDOM_M_V
 
 SCALED = SystemConfig(
     m_h=16, m_v=16, n_subcarriers=32, n_candidates=512, tau_s_db=25.0
@@ -429,22 +431,45 @@ class TestScanBound:
     def test_bounds_hold_on_grid_cells(self, cfg):
         self.check(cfg, on_grid_scene(cfg), 5)
 
+    @staticmethod
+    def check_azimuth_only(cfg, scene, seed):
+        _, statistic = reference_azimuth_only_scan(cfg, scene, seed)
+        noise = azimuth_only_noise(cfg, np.random.default_rng(seed))
+        out = np.empty((2, cfg.n_subcarriers, cfg.n_subcarriers))
+        bound, _ = _azimuth_only_bound(cfg, scene_arrays(cfg, scene), noise, out)
+        assert np.all(bound >= statistic)
+
+    @EVERY_CONFIG
+    @pytest.mark.parametrize("q", [1, 3])
+    @pytest.mark.parametrize("include_clutter", [True, False], ids=["clutter", "los"])
+    def test_azimuth_only_bound_holds(self, cfg, q, include_clutter):
+        for seed in range(4):
+            self.check_azimuth_only(cfg, generate_scene(cfg, q, 0, seed, include_clutter), seed)
+
+    @EVERY_CONFIG
+    def test_azimuth_only_bound_holds_on_grid_cells(self, cfg):
+        self.check_azimuth_only(cfg, on_grid_scene(cfg), 5)
+
+
+def azimuth_only_noise(cfg, rng):
+    """The azimuth-only scan's noise draw, as the first use of its generator."""
+    n = cfg.n_subcarriers
+    return np.sqrt(cfg.noise_variance() / 2.0) * (
+        rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    )
+
 
 def reference_azimuth_only_scan(cfg, scene, seed):
     """The azimuth-only scan as one (scatterer, subcarrier, symbol) broadcast
-    summed over its first axis: (record, statistic)."""
-    n = cfg.n_subcarriers
+    summed over its first axis: (record, statistic on every cell)."""
     plan = azimuth_only_plan(cfg)
-    rng = np.random.default_rng(seed)
     s_theta, s_phi, s_amp = scene_arrays(cfg, scene)
     x_h = (np.sin(s_theta) * np.cos(s_phi))[:, None, None] * plan.ratio[:, None] - plan.steer_h
     x_v = np.cos(s_theta)[:, None] * plan.ratio - np.cos(cfg.theta_min) + plan.v_ttd
     p_h = np.where(plan.pointed, uniform_phase_power(x_h, cfg.m_h), plan.flat**2)
     p_h *= uniform_phase_power(x_v, cfg.m_v)[:, :, None]
     response = np.sum(s_amp[:, None, None] * p_h, axis=0)
-    noise = np.sqrt(cfg.noise_variance() / 2.0) * (
-        rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    )
+    noise = azimuth_only_noise(cfg, np.random.default_rng(seed))
     statistic = np.abs(plan.sqrt_powers * response + noise) / plan.expected
     grids = (plan.theta_grid, plan.phi_grid)
     record = _scan_record("azimuth_only", cfg, scene, statistic, grids, plan.powers.ravel())
@@ -452,8 +477,9 @@ def reference_azimuth_only_scan(cfg, scene, seed):
 
 
 class TestAzimuthOnlyScan:
-    """The scan's record and every bit of its statistic equal the broadcast
-    reference's, whatever scene the reused work arrays held before."""
+    """The scan evaluates only cells that may be a top-q cell, each with the
+    bits of the broadcast reference, and its record is the reference's,
+    whatever scene the reused work arrays held before."""
 
     @staticmethod
     def check(monkeypatch, cfg, scene, seed):
@@ -468,7 +494,11 @@ class TestAzimuthOnlyScan:
         monkeypatch.undo()
         want_rec, want = reference_azimuth_only_scan(cfg, scene, seed)
         assert rec == want_rec
-        assert seen[0].tobytes() == want.tobytes()
+        statistic = seen[0]
+        evaluated = np.isfinite(statistic)
+        assert statistic[evaluated].tobytes() == want[evaluated].tobytes()
+        assert np.all(statistic[~evaluated] == -np.inf)
+        assert evaluated.any() == bool(len(scene.targets))
 
     @EVERY_CONFIG
     @pytest.mark.parametrize("q", [0, 1, 3])
@@ -482,15 +512,53 @@ class TestAzimuthOnlyScan:
         self.check(monkeypatch, cfg, on_grid_scene(cfg), 4)
 
     def test_empty_scene_after_a_full_one(self, monkeypatch):
-        """With no scatterers the reused response reads zero again."""
+        """With no scatterers no cell of the reused statistic is left over."""
         self.check(monkeypatch, SCALED, generate_scene(SCALED, 3, 0, 1), 1)
         self.check(monkeypatch, SCALED, Scene(), 2)
 
     def test_more_scatterers_than_a_block(self, monkeypatch):
-        """At N = 32 a block holds 16 scatterers; 20 take two blocks."""
-        assert len(simkit.scan_work(SCALED.n_subcarriers).slope) == 16
+        """20 scatterers at N = 32: a kernel call takes 204 cells, a quarter
+        kernel block, so the first batch of 384 cells takes two calls."""
         cfg = SCALED.replace(n_clutter=17)
         self.check(monkeypatch, cfg, generate_scene(cfg, 3, 0, 5), 5)
+
+
+RANDOM_SCAN_CONFIGS = 50
+
+
+class TestRandomConfigScans:
+    """Both scans against their full-grid references on seeded random configs
+    in the ranges of test_detection.TestRandomConfigs (N in 8..48), with q in
+    {1, 2, 3} targets and clutter on and off."""
+
+    def test_same_records_as_full_grid(self):
+        rng = np.random.default_rng(27)
+        skipped = 0
+        for i in range(RANDOM_SCAN_CONFIGS):
+            n = int(rng.integers(8, 49))
+            fields = dict(
+                m_h=int(rng.choice(RANDOM_M_H)), m_v=int(rng.choice(RANDOM_M_V)),
+                n_subcarriers=n, n_candidates=n,
+            )
+            try:
+                cfg = SystemConfig(**fields)
+                runs = []
+                for q, include_clutter in itertools.product((1, 2, 3), (True, False)):
+                    scene = generate_scene(cfg, q, 0, (i, q), include_clutter)
+                    seed = (i, q, 1)
+                    runs.append((
+                        run_exhaustive_baseline(cfg, scene, np.random.default_rng(seed)),
+                        full_grid_scan(cfg, scene, seed),
+                        run_azimuth_only_baseline(cfg, scene, np.random.default_rng(seed)),
+                        reference_azimuth_only_scan(cfg, scene, seed)[0],
+                    ))
+            except ConfigError:
+                skipped += 1
+                continue
+            for exhaustive, want_exhaustive, azimuth_only, want_azimuth_only in runs:
+                assert exhaustive == want_exhaustive, fields
+                assert azimuth_only == want_azimuth_only, fields
+        assert skipped == 0
 
 
 def traced_peak(scan, cfg, scene):
@@ -517,15 +585,14 @@ class TestExhaustiveMemory:
         peak = traced_peak(run_exhaustive_baseline, cfg, generate_scene(cfg, 2, 2, 1))
         assert peak < 4 * cfg.n_subcarriers**2 * 8
 
-    def test_azimuth_only_peak_independent_of_scatterers(self):
-        """The azimuth-only scan holds one scatterer's arrays at a time at
-        full scale: q = 8 peaks within 10% of q = 1."""
+    def test_azimuth_only_holds_no_scatterer_grid(self):
+        """No (scatterer, N, N) array: at full scale with 12 scatterers, where
+        one such array alone is 12 N x N float64 arrays, the azimuth-only
+        scan's traced peak stays below 8 of them."""
         cfg = SystemConfig()
-        peaks = [
-            traced_peak(run_azimuth_only_baseline, cfg, generate_scene(cfg, q, 0, 1))
-            for q in (1, 8)
-        ]
-        assert peaks[1] <= 1.1 * peaks[0]
+        scene = generate_scene(cfg, 8, 0, 1)
+        assert len(scene_arrays(cfg, scene)[2]) == 12
+        assert traced_peak(run_azimuth_only_baseline, cfg, scene) < 8 * cfg.n_subcarriers**2 * 8
 
 
 def reference_comm_plan(cfg, scene, stage_weights, sensing_powers):
