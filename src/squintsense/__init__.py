@@ -55,7 +55,6 @@ from .geometry import (
 from .power import (
     PowerPlan,
     SinrContext,
-    aas_grid_strength,
     allocate_comm,
     allocate_sensing,
     backoff_tau_c,

@@ -18,7 +18,6 @@ their echoes are one (stages x scatterers x N) broadcast.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,16 +51,15 @@ class Scene:
 def sensing_attenuation(cfg: SystemConfig, distance, rcs):
     """Two-way sensing amplitude gain sqrt(lambda^2 M^2 rcs / ((4 pi)^3 l^4)).
 
-    Broadcasts over distance and rcs arrays; scalars give a float, through
-    the same float64 expression without a round trip through numpy.
+    Broadcasts over distance and rcs arrays; a scalar gives a float. A scalar
+    distance goes through the same expression as a 0-d array, so it gets the
+    bits it has inside an array: a Python or numpy float's d**4 rounds apart
+    at some distances.
     """
-    gain = cfg.wavelength**2 * cfg.m_total**2 * rcs
-    if isinstance(distance, float) and isinstance(rcs, float) and rcs >= 0:
-        if distance <= 0:
-            raise ConfigError("distance must be positive")
-        return math.sqrt(gain / ((4.0 * math.pi) ** 3 * float(distance) ** 4))
-    if np.any(np.asarray(distance) <= 0):
+    distance = np.asarray(distance, dtype=float)
+    if np.any(distance <= 0):
         raise ConfigError("distance must be positive")
+    gain = cfg.wavelength**2 * cfg.m_total**2 * rcs
     out = np.sqrt(gain / ((4.0 * np.pi) ** 3 * distance**4))
     return out if np.ndim(out) else float(out)
 

@@ -17,9 +17,10 @@ built once, on the first stage that falls in it.
 
 The AAS stages depend only on the elevations the EAS pursuit picks, not on
 each other. So a trial builds its scene's echo form once, then all AAS
-beams, their grid strengths and allocations, and synthesizes every AAS
-echo in one stacked power-gain call; each stage keeps its own noise draw,
-in stage order, and its own dictionary and pursuit."""
+beams, allocates every AAS stage in one stacked call from the plan's
+eas_alpha of its candidate, and synthesizes every AAS echo in one stacked
+power-gain call; each stage keeps its own noise draw, in stage order, and
+its own dictionary, scaled by sqrt(p) alpha, and pursuit."""
 
 from __future__ import annotations
 
@@ -41,7 +42,7 @@ from .channel import Scene, echo_gain, scene_arrays, sensing_attenuation
 from .config import SystemConfig
 from .exceptions import ConfigError
 from .geometry import ENVELOPE_MARGIN, FEJER_BLOCK, fejer_envelope, uniform_phase_power
-from .power import aas_grid_strength, allocate_sensing, grid_echo_strength
+from .power import allocate_sensing, grid_echo_strength
 
 # Uniform bins of |sin(theta_hat)| over the EAS candidates' range, about
 # [sin(theta_min), sin(theta_max)], plus one bin on each side out to 0 and 1,
@@ -232,24 +233,23 @@ def eas_pursuit(cfg: SystemConfig, obs, iterations: int) -> CountingVector:
     )
 
 
-def aas_pursuit(cfg: SystemConfig, theta_hat, powers, obs, iterations: int) -> CountingVector:
+def aas_pursuit(cfg: SystemConfig, theta_hat, scale, obs, iterations: int) -> CountingVector:
     """Picks equal to those of modified_mp over the stage's whole (L, N) table
-    at elevation theta_hat with sensing powers p: row l is :func:`_aas_rows`
+    at elevation theta_hat with dictionary scale (N,): row l is :func:`_aas_rows`
     row l, the power gain of aas_beamformer(cfg, theta_hat) at candidate l,
-    times scale_n = sqrt(p_n) alpha(theta_hat). It runs at every table size
-    through :func:`_block_pursuit` on the plan's blocks of ceil(L/N) rows, with
-    bound (1 + ENVELOPE_MARGIN) sum_n U(b, n) scale_n |r_n| / ((1 -
-    ENVELOPE_MARGIN) floor(b) min(scale)), inf for a zero divisor: U and floor
-    are the :func:`aas_bin_tables` of the bin holding |sin(theta_hat)|. Each row
-    is computed at most once per stage. A GEMM of fewer rows may round apart."""
+    times scale_n = sqrt(p_n) alpha(theta_hat) for the stage's powers p. It
+    runs at every table size through :func:`_block_pursuit` on the plan's
+    blocks of ceil(L/N) rows, with bound (1 + ENVELOPE_MARGIN) sum_n U(b, n)
+    scale_n |r_n| / ((1 - ENVELOPE_MARGIN) floor(b) min(scale)), inf for a
+    zero divisor: U and floor are the :func:`aas_bin_tables` of the bin
+    holding |sin(theta_hat)|. Each row is computed at most once per stage. A
+    GEMM of fewer rows may round apart."""
     plan = proposed_plan(cfg)
     n_cand, n = plan.aas_unit_phase.shape
     sin_theta = abs(np.sin(theta_hat))
     envelope, floor = aas_bin_tables(
         cfg, int(np.searchsorted(plan.aas_bin_edges[1:-1], sin_theta, side="right"))
     )
-    alpha = sensing_attenuation(cfg, cfg.height / np.cos(theta_hat), cfg.sigma_rcs)
-    scale = np.sqrt(np.asarray(powers, dtype=float)) * alpha
     divisor = (1 - ENVELOPE_MARGIN) / (1 + ENVELOPE_MARGIN) * scale.min() * floor
 
     def bound(residual):
@@ -293,12 +293,14 @@ def aas_bin_tables(cfg: SystemConfig, j: int):
 class ProposedPlan(NamedTuple):
     """Config-invariant part of the proposed method; its arrays are read-only.
     :func:`eas_pursuit` picks what modified_mp picks over the whole eas_rows:
-    row l = sqrt(p_0) alpha(theta_l) |gain(theta_l, f_n)|^2 of the EAS beam."""
+    row l = sqrt(p_0) alpha(theta_l) |gain(theta_l, f_n)|^2 of the EAS beam,
+    alpha(theta_l) = eas_alpha[l]."""
 
     eas_weights: BeamformerWeights
     eas_symbol_count: int          # T_0
     eas_powers: np.ndarray         # (N,) sensing powers p_0
     eas_candidates: np.ndarray     # (L,) elevation candidates
+    eas_alpha: np.ndarray          # (L,) sensing attenuation alpha at each candidate
     eas_rows: np.ndarray           # (L, N) stage-0 dictionary
     eas_norms: np.ndarray          # (L,) its row 2-norms
     eas_block_bound: np.ndarray    # (B, N) largest entry over least norm per block of rows
@@ -325,8 +327,8 @@ def proposed_plan(cfg: SystemConfig) -> ProposedPlan:
     t0, p0 = allocate_sensing(cfg, strengths)
     eas_cand = elevation_candidates(cfg)
     rows = weights.power_gain(eas_cand[:, None], phi_probe, np.arange(cfg.n_subcarriers))
-    alpha = sensing_attenuation(cfg, cfg.height / np.cos(eas_cand), cfg.sigma_rcs)[:, None]
-    rows *= np.sqrt(p0) * alpha
+    alpha = sensing_attenuation(cfg, cfg.height / np.cos(eas_cand), cfg.sigma_rcs)
+    rows *= np.sqrt(p0) * alpha[:, None]
     norms = np.sqrt(np.einsum("ln,ln->l", rows, rows))
     starts = np.arange(0, cfg.n_candidates, -(-cfg.n_candidates // cfg.n_subcarriers))
     # one (B, N) reduction each, with no (L, N) temporary
@@ -343,7 +345,9 @@ def proposed_plan(cfg: SystemConfig) -> ProposedPlan:
     # inner bins span the candidates, so every EAS pick takes an inner bin
     inner = np.linspace(*np.sin([eas_cand.min(), eas_cand.max()]), AAS_BINS + 1)
     edges = np.concatenate([[0.0], inner, [1.0]])
-    arrays = (p0, eas_cand, rows, norms, eas_bound, cand, unit_phase, block_range, window, edges)
+    arrays = (
+        p0, eas_cand, alpha, rows, norms, eas_bound, cand, unit_phase, block_range, window, edges
+    )
     for arr in arrays:
         arr.flags.writeable = False
     return ProposedPlan(weights, t0, *arrays)
@@ -359,8 +363,10 @@ def hierarchical_detect(
     The number of targets q = len(scene.targets) is assumed known; it fixes
     the MP iteration counts. Each distinct elevation candidate selected in
     stage 0 spawns one AAS stage whose iteration count is that candidate's
-    multiplicity. The scene's echo form is built once, and every AAS
-    stage's echo comes from one stacked call; the noise is drawn stage by
+    multiplicity. An AAS beam has unit gain on its design grid, so one
+    allocate_sensing call on the (S, 1) stack of the candidates' eas_alpha^2
+    allocates every AAS stage. The scene's echo form is built once, and every
+    AAS stage's echo comes from one stacked call; the noise is drawn stage by
     stage, EAS first, so the random stream is consumed in stage order.
     """
     plan = proposed_plan(cfg)
@@ -374,24 +380,21 @@ def hierarchical_detect(
     elevations = tuple(
         (float(plan.eas_candidates[idx]), int(cv0.counts[idx])) for idx in selected
     )
-    thetas = [theta_hat for theta_hat, _ in elevations]
-    aas_ws = [aas_beamformer(cfg, theta_hat) for theta_hat in thetas]
-    plans = [allocate_sensing(cfg, row) for row in aas_grid_strength(cfg, thetas)]
-    symbol_counts = [t0] + [t_i for t_i, _ in plans]
-    sensing_powers = [p0] + [p_i for _, p_i in plans]
+    aas_ws = [aas_beamformer(cfg, theta_hat) for theta_hat, _ in elevations]
+    alphas = plan.eas_alpha[selected]
+    t_aas, p_aas = allocate_sensing(cfg, alphas[:, None] ** 2)
 
     observations = ()
     if aas_ws:
         observations = assemble_observation(
-            cfg, echoes, BeamformerWeights.stack(aas_ws), sensing_powers[1:],
-            symbol_counts[1:], rng,
+            cfg, echoes, BeamformerWeights.stack(aas_ws), p_aas, t_aas, rng
         )
     estimates = []
     traces = [cv0]
-    for (theta_hat, multiplicity), p_i, obs in zip(
-        elevations, sensing_powers[1:], observations
+    for (theta_hat, multiplicity), alpha, p_i, obs in zip(
+        elevations, alphas, p_aas, observations
     ):
-        cv = aas_pursuit(cfg, theta_hat, p_i, obs, multiplicity)
+        cv = aas_pursuit(cfg, theta_hat, np.sqrt(p_i) * alpha, obs, multiplicity)
         stage_azimuths = np.repeat(plan.aas_candidates, cv.counts)
         estimates.extend((theta_hat, float(ph)) for ph in stage_azimuths)
         traces.append(cv)
@@ -399,8 +402,8 @@ def hierarchical_detect(
     return DetectionResult(
         elevations=elevations,
         estimates=tuple(estimates),
-        symbol_counts=tuple(symbol_counts),
-        sensing_powers=tuple(sensing_powers),
+        symbol_counts=(t0, *t_aas.tolist()),
+        sensing_powers=(p0, *p_aas),
         stage_weights=(eas_w, *aas_ws),
         traces=tuple(traces),
     )

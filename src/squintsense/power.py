@@ -7,12 +7,13 @@ noise, and with it the comm powers, changes from one sensing stage to the
 next. The K user beams and the AAS stages' beams are all full beams, so
 one stacked power-gain call over (beams x users x subcarriers) gives chi
 and every AAS stage's leakage; the EAS beam's flat model takes one more.
-An AAS stage's grid echo strength is alpha(theta_hat)^2 in closed form
-(:func:`aas_grid_strength`), for every stage of a trial at once."""
+An AAS beam has unit gain on its design grid, so an AAS stage's grid echo
+strength is alpha(theta_hat)^2 on every subcarrier: one number per stage,
+and :func:`allocate_sensing` allocates a trial's AAS stages in one call on
+the (S, 1) stack of them."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,8 +64,8 @@ def grid_echo_strength(
     """|b^H G^los b|^2 at the per-subcarrier design grid points.
 
     A single hypothetical on-grid LoS target with the configured RCS is
-    assumed; equals alpha(grid)^2 * |array gain|^4. AAS stages have the
-    closed form :func:`aas_grid_strength`.
+    assumed; equals alpha(grid)^2 * |array gain|^4. On an AAS beam's own
+    design grid that is alpha(theta_hat)^2, which callers take in closed form.
     """
     n = cfg.n_subcarriers
     grid_theta = np.broadcast_to(np.asarray(grid_theta, float), (n,))
@@ -73,35 +74,28 @@ def grid_echo_strength(
     return alpha**2 * weights.power_gain(grid_theta, grid_phi, np.arange(n)) ** 2
 
 
-def aas_grid_strength(cfg: SystemConfig, theta_hat) -> np.ndarray:
-    """:func:`grid_echo_strength` of the AAS stages locked at theta_hat.
-
-    An AAS beam has unit gain at each subcarrier's design grid point
-    (theta_hat, phi_n), so the strength is alpha(theta_hat)^2 on every
-    subcarrier: (N,) for one elevation, (S, N) for S of them. alpha is
-    evaluated on that broadcast array, never on a scalar: numpy's array
-    d**4 rounds differently from its scalar d**4 at some distances.
-    """
-    theta = np.asarray(theta_hat, dtype=float)
-    grid = np.broadcast_to(theta[..., None], theta.shape + (cfg.n_subcarriers,))
-    return sensing_attenuation(cfg, cfg.height / np.cos(grid), cfg.sigma_rcs) ** 2
-
-
 def allocate_sensing(cfg: SystemConfig, strengths: np.ndarray):
     """Minimal (T_i, p^s_{i,n}) meeting the grid SNR threshold tau_s.
 
     T_i = ceil(sum_n tau_s sigma^2 / (P_max strength_n)) and
     p^s_{i,n} = tau_s sigma^2 / (T_i strength_n), which makes every grid SNR
-    exactly tau_s and keeps the per-symbol sum within the budget.
+    exactly tau_s and keeps the per-symbol sum within the budget. Takes a
+    stack of strengths (..., N), one stage per row, a last axis of 1 meaning
+    one strength on every subcarrier, and gives T (...,) and p (..., N); T
+    is a Python int for an (N,) row. A broadcast row sums to the bits of its
+    full (N,) row, which N times the term would not.
     """
     strengths = np.asarray(strengths, dtype=float)
     if np.any(strengths <= 0.0):
         raise InfeasibleError("zero echo strength on some subcarrier: infeasible grid")
-    sigma2 = cfg.noise_variance()
-    required = cfg.tau_s * sigma2 / strengths
-    t_sym = max(1, math.ceil(np.sum(required) / cfg.p_s_max - 1e-12))
-    powers = required / t_sym
-    return t_sym, powers
+    required = cfg.tau_s * cfg.noise_variance() / strengths
+    required = np.broadcast_to(required, required.shape[:-1] + (cfg.n_subcarriers,))
+    t_sym = np.ceil(required.sum(axis=-1) / cfg.p_s_max - 1e-12)
+    if not np.all(t_sym < 2.0**63):  # inf and NaN fail too
+        raise InfeasibleError("sensing budget too small: symbol count exceeds int64")
+    t_sym = np.maximum(1, t_sym).astype(int)
+    powers = required / t_sym[..., None]
+    return (t_sym.item() if t_sym.ndim == 0 else t_sym), powers
 
 
 def sinr_context(

@@ -111,16 +111,22 @@ def comm_gain(cfg, theta, phi, weights, n: int) -> complex:
     return complex(beta * np.exp(-2j * np.pi * distance / cfg.wavelength) * g)
 
 
-def aas_table(cfg, theta_hat, powers):
-    """The whole (L, N) dictionary of the AAS stage at theta_hat with sensing
-    powers p, every row of :func:`~squintsense.detection._aas_rows` times
-    sqrt(p_n) alpha(theta_hat), and its row 2-norms: (rows, norms).
-    proposed_plan and _aas_rows are looked up on the detection module, so a
-    test's patch of either applies here too."""
+def aas_scale(cfg, theta_hat, powers):
+    """The dictionary scale sqrt(p_n) alpha(theta_hat) of the AAS stage at
+    theta_hat with sensing powers p, the scale aas_pursuit takes."""
+    alpha = sensing_attenuation(cfg, cfg.height / np.cos(theta_hat), cfg.sigma_rcs)
+    return np.sqrt(np.asarray(powers, dtype=float)) * alpha
+
+
+def aas_table(cfg, theta_hat, scale):
+    """The whole (L, N) dictionary of the AAS stage at theta_hat with
+    dictionary scale (N,), every row of :func:`~squintsense.detection._aas_rows`
+    times scale_n, and its row 2-norms: (rows, norms). proposed_plan and
+    _aas_rows are looked up on the detection module, so a test's patch of
+    either applies here too."""
     plan = detection.proposed_plan(cfg)
     rows = detection._aas_rows(cfg, plan, theta_hat, slice(None))
-    alpha = sensing_attenuation(cfg, cfg.height / np.cos(theta_hat), cfg.sigma_rcs)
-    rows *= np.sqrt(np.asarray(powers, dtype=float)) * alpha
+    rows *= scale
     return rows, np.sqrt(np.einsum("ln,ln->l", rows, rows))
 
 
@@ -147,7 +153,8 @@ def per_stage_detect(cfg, scene, rng) -> DetectionResult:
         alpha = sensing_attenuation(cfg, cfg.height / np.cos(grid), cfg.sigma_rcs)
         t_i, p_i = allocate_sensing(cfg, alpha**2)
         obs = assemble_observation(cfg, echoes, aas_w, p_i, t_i, rng)
-        cv = modified_mp(obs, *aas_table(cfg, theta_hat, p_i), multiplicity)
+        table = aas_table(cfg, theta_hat, aas_scale(cfg, theta_hat, p_i))
+        cv = modified_mp(obs, *table, multiplicity)
         estimates.extend(
             (theta_hat, float(ph)) for ph in np.repeat(plan.aas_candidates, cv.counts)
         )

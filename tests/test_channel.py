@@ -78,20 +78,22 @@ class TestAttenuation:
             comm_attenuation(SystemConfig(), np.array([50.0, 0.0]))
 
     def test_array_distances_match_scalar_calls(self):
+        """On 10k random distances, each as a Python float and as a numpy
+        float, a scalar call gives a float with the bits of that distance's
+        entry in one array call."""
         cfg = SystemConfig()
-        dist = np.array([42.0, 55.5, 90.0])
-        np.testing.assert_array_equal(
-            sensing_attenuation(cfg, dist, 2.0), [sensing_attenuation(cfg, d, 2.0) for d in dist]
-        )
-        np.testing.assert_array_equal(
-            comm_attenuation(cfg, dist), [comm_attenuation(cfg, d) for d in dist]
-        )
-        assert isinstance(sensing_attenuation(cfg, 42.0, 2.0), float)
+        dist = cfg.height / np.cos(np.random.default_rng(29).uniform(0.0, 1.5, 10_000))
+        for scalars in (list(dist), dist.tolist()):  # np.float64, then float
+            got = [sensing_attenuation(cfg, d, 2.0) for d in scalars]
+            assert all(type(a) is float for a in got)
+            np.testing.assert_array_equal(sensing_attenuation(cfg, dist, 2.0), got)
+            np.testing.assert_array_equal(
+                comm_attenuation(cfg, dist), [comm_attenuation(cfg, d) for d in scalars]
+            )
 
     def test_scalar_path_keeps_the_numpy_expression_bits(self):
-        """On 10k random scalar distances, as Python and numpy floats, the
-        scalar path gives the bits of the numpy expression evaluated on that
-        scalar, and arrays of distances or cross sections still take it."""
+        """Arrays of distances or cross sections give the bits of the numpy
+        expression evaluated on them."""
         cfg = SystemConfig()
         rng = np.random.default_rng(23)
         dist = cfg.height / np.cos(rng.uniform(0.0, 1.5, 10_000))
@@ -99,13 +101,8 @@ class TestAttenuation:
 
         def expression(distance, rcs):
             lam = cfg.wavelength
-            out = np.sqrt(lam**2 * cfg.m_total**2 * rcs / ((4.0 * np.pi) ** 3 * distance**4))
-            return out if np.ndim(out) else float(out)
+            return np.sqrt(lam**2 * cfg.m_total**2 * rcs / ((4.0 * np.pi) ** 3 * distance**4))
 
-        for scalars in (list(dist), dist.tolist()):  # np.float64, then float
-            got = [sensing_attenuation(cfg, d, rcs) for d in scalars]
-            assert all(type(a) is float for a in got)
-            np.testing.assert_array_equal(got, [expression(d, rcs) for d in scalars])
         rcs_rows = rng.uniform(0.5, 2.0, dist.size)
         np.testing.assert_array_equal(sensing_attenuation(cfg, dist, rcs), expression(dist, rcs))
         np.testing.assert_array_equal(

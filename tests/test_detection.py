@@ -128,7 +128,7 @@ class TestMeasurementMatrix:
         for theta_hat in thetas:
             bf = aas_beamformer(cfg, theta_hat)
             p = rng.uniform(1e-4, 1e-2, cfg.n_subcarriers)
-            rows, _ = oracles.aas_table(cfg, theta_hat, p)
+            rows, _ = oracles.aas_table(cfg, theta_hat, oracles.aas_scale(cfg, theta_hat, p))
             alpha = sensing_attenuation(cfg, cfg.height / np.cos(theta_hat), cfg.sigma_rcs)
             for l, n in cells:
                 a = oracles.upa_steering(cfg, theta_hat, cand[l], f[n])
@@ -229,7 +229,8 @@ class TestModifiedMp:
         """Real-GEMM correlation and stored norms reproduce the complex-cast
         pursuit: same indices, metrics, residual norms and phasors."""
         eas = eas_matrix(CFG)
-        aas = oracles.aas_table(CFG, 0.7, np.full(CFG.n_subcarriers, 1e-3))
+        scale = oracles.aas_scale(CFG, 0.7, np.full(CFG.n_subcarriers, 1e-3))
+        aas = oracles.aas_table(CFG, 0.7, scale)
         rng = np.random.default_rng(11)
         for rows, norms in (eas, aas):
             np.testing.assert_allclose(norms, np.linalg.norm(rows, axis=1), rtol=1e-14, atol=0)
@@ -622,9 +623,9 @@ class TestCertifiedAasPursuit:
         stages = []
         real = detection.aas_pursuit
 
-        def record(cfg, theta_hat, powers, obs, iterations):
-            got = real(cfg, theta_hat, powers, obs, iterations)
-            stages.append((theta_hat, powers, obs, iterations, got))
+        def record(cfg, theta_hat, scale, obs, iterations):
+            got = real(cfg, theta_hat, scale, obs, iterations)
+            stages.append((theta_hat, scale, obs, iterations, got))
             return got
 
         monkeypatch.setattr(detection, "aas_pursuit", record)
@@ -637,16 +638,16 @@ class TestCertifiedAasPursuit:
         edges = proposed_plan(cfg).aas_bin_edges
         for theta_hat in (0.05, 1.5):  # one elevation in each outer bin
             assert not edges[1] <= np.sin(theta_hat) <= edges[-2]
-            powers = rng.uniform(1e-4, 1e-2, cfg.n_subcarriers)
-            rows, _ = oracles.aas_table(cfg, theta_hat, powers)
+            scale = oracles.aas_scale(cfg, theta_hat, rng.uniform(1e-4, 1e-2, cfg.n_subcarriers))
+            rows, _ = oracles.aas_table(cfg, theta_hat, scale)
             obs = np.exp(2j * np.pi * rng.random(3)) @ rows[
                 rng.choice(cfg.n_candidates, 3, replace=False)
             ]
             obs += 0.05 * np.abs(obs).max() * rng.standard_normal(cfg.n_subcarriers)
-            detection.aas_pursuit(cfg, theta_hat, powers, obs, 3)
+            detection.aas_pursuit(cfg, theta_hat, scale, obs, 3)
         assert len(stages) >= 42
-        for theta_hat, powers, obs, iterations, got in stages:
-            want = modified_mp(obs, *oracles.aas_table(cfg, theta_hat, powers), iterations)
+        for theta_hat, scale, obs, iterations, got in stages:
+            want = modified_mp(obs, *oracles.aas_table(cfg, theta_hat, scale), iterations)
             assert_same_pursuit(got, want, obs)
         evaluated = [len(rows) for rows in calls]
         assert len(evaluated) == len(stages)
@@ -666,12 +667,13 @@ class TestCertifiedAasPursuit:
         for theta_hat in thetas:
             powers = rng.uniform(1e-4, 1e-2, n)
             residual = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            rows, norms = oracles.aas_table(cfg, theta_hat, powers)
+            scale = oracles.aas_scale(cfg, theta_hat, powers)
+            rows, norms = oracles.aas_table(cfg, theta_hat, scale)
             metric = np.abs(rows @ residual) / norms
             bound, block = reference_block_bound(cfg, theta_hat, powers, residual)
             assert np.all(metric <= bound[block])
 
-            got = detection.aas_pursuit(cfg, theta_hat, powers, residual, 1)
+            got = detection.aas_pursuit(cfg, theta_hat, scale, residual, 1)
             assert got.trace[0][0] == int(np.argmax(metric))
             needed = np.flatnonzero(bound >= metric.max())
             assert set(needed) <= set(block[calls[-1]])
@@ -741,8 +743,9 @@ class TestCertifiedAasPursuit:
     @pytest.mark.parametrize("cfg", [*CERTIFIED[:2], SCALED], ids=["full", "s1024", "s512"])
     def test_zero_powers_raise(self, cfg):
         obs = np.ones(cfg.n_subcarriers, dtype=complex)
+        zero = oracles.aas_scale(cfg, 0.7, np.zeros(cfg.n_subcarriers))
         with pytest.raises(ConfigError, match="zero-norm"):
-            aas_pursuit(cfg, 0.7, np.zeros(cfg.n_subcarriers), obs, 1)
+            aas_pursuit(cfg, 0.7, zero, obs, 1)
 
     def test_few_rows_for_a_separated_target(self, monkeypatch):
         """A lone target at full scale: each stage evaluates at most 160 of the
@@ -921,8 +924,9 @@ class TestBlockPursuitPicks:
             pursue = functools.partial(eas_pursuit, cfg)
         else:
             powers = np.random.default_rng(19).uniform(1e-4, 1e-2, cfg.n_subcarriers)
-            rows, norms = oracles.aas_table(cfg, 0.7, powers)
-            pursue = functools.partial(aas_pursuit, cfg, 0.7, powers)
+            scale = oracles.aas_scale(cfg, 0.7, powers)
+            rows, norms = oracles.aas_table(cfg, 0.7, scale)
+            pursue = functools.partial(aas_pursuit, cfg, 0.7, scale)
         obs = np.exp(0.3j) * rows[hi]
         metric = np.abs(rows @ obs) / norms
         assert metric[lo] == metric[hi] == metric.max()  # an exact tie
@@ -936,10 +940,10 @@ class TestBlockPursuitPicks:
     @pytest.mark.parametrize("cfg", CERTIFIED[:2], ids=["full", "s1024"])
     def test_zero_residual_makes_no_pick(self, cfg):
         zero = np.zeros(cfg.n_subcarriers, dtype=complex)
-        powers = np.full(cfg.n_subcarriers, 1e-3)
+        scale = oracles.aas_scale(cfg, 0.7, np.full(cfg.n_subcarriers, 1e-3))
         for got, table in (
             (eas_pursuit(cfg, zero, 2), eas_matrix(cfg)),
-            (aas_pursuit(cfg, 0.7, powers, zero, 2), oracles.aas_table(cfg, 0.7, powers)),
+            (aas_pursuit(cfg, 0.7, scale, zero, 2), oracles.aas_table(cfg, 0.7, scale)),
         ):
             want = modified_mp(zero, *table, 2)
             assert want.trace == got.trace == () and want.phasors == got.phasors == ()

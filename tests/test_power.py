@@ -13,13 +13,12 @@ from squintsense.beamforming import (
     eas_beamformer,
     eas_elevation_grid,
 )
-from squintsense.channel import generate_scene
+from squintsense.channel import generate_scene, sensing_attenuation
 from squintsense.config import SystemConfig
-from squintsense.detection import elevation_candidates
+from squintsense.detection import hierarchical_detect, proposed_plan
 from squintsense.exceptions import InfeasibleError
 from squintsense.power import (
     SinrContext,
-    aas_grid_strength,
     allocate_comm,
     allocate_sensing,
     backoff_tau_c,
@@ -28,6 +27,7 @@ from squintsense.power import (
 )
 
 CFG = SystemConfig(m_h=16, m_v=16, n_subcarriers=32, n_candidates=32)
+SCALED = CFG.replace(n_candidates=512)
 
 
 def oracle_symbol_count(cfg, strengths):
@@ -71,8 +71,13 @@ class TestAllocateSensing:
             )
 
     def test_zero_strength_infeasible(self):
-        with pytest.raises(InfeasibleError):
-            allocate_sensing(CFG, np.array([1e-12, 0.0]))
+        """A zero strength anywhere, in one row or in any row of a stack."""
+        stacks = [np.full((3, w), 1e-12) for w in (1, CFG.n_subcarriers)]
+        for stack in stacks:
+            stack[1, -1] = 0.0
+        for strengths in (np.array([1e-12, 0.0]), *stacks):
+            with pytest.raises(InfeasibleError):
+                allocate_sensing(CFG, strengths)
 
     def test_single_symbol_when_budget_ample(self):
         cfg = CFG.replace(p_s_max=1e9)
@@ -81,48 +86,107 @@ class TestAllocateSensing:
         assert t == 1
 
 
+class TestStackedAllocateSensing:
+    @pytest.mark.parametrize("n", [8, 13, 32, 48, 128])
+    def test_stack_matches_row_by_row_calls(self, n):
+        """(S, N) and (S, 1) stacks give the T and p of one call per (N,) row,
+        bit for bit; an (S, 1) row is its strength on every subcarrier."""
+        cfg = CFG.replace(n_subcarriers=n, n_candidates=128)
+        rng = np.random.default_rng(n)
+        full = 10 ** rng.uniform(-12.5, -10, (40, n))
+        equal = 10 ** rng.uniform(-12.5, -10, (40, 1))
+        for stack, rows in ((full, full), (equal, np.broadcast_to(equal, (40, n)))):
+            t, p = allocate_sensing(cfg, stack)
+            assert t.shape == (40,) and p.shape == (40, n)
+            assert len(set(t.tolist())) > 1
+            for t_i, p_i, row in zip(t, p, rows):
+                want_t, want_p = allocate_sensing(cfg, np.array(row))
+                assert t_i == want_t
+                np.testing.assert_array_equal(p_i, want_p)
+
+    def test_equal_rows_sum_like_their_full_rows(self):
+        """Where the sum of N equal terms and N times the term round apart, a
+        budget on the ceil boundary between them gives an (S, 1) row the T of
+        its full (N,) row, which N times the term would miss."""
+        for n in (13, 48, 128):
+            cfg = CFG.replace(n_subcarriers=n, n_candidates=128)
+            for s in 10 ** np.random.default_rng(n).uniform(-12.5, -10, 200):
+                r = cfg.tau_s * cfg.noise_variance() / s
+                full, times = np.sum(np.full(n, r)), n * r
+                budget = full / (4 + 1e-12)
+                for _ in range(8):  # step the budget until the two sums part
+                    if np.ceil(full / budget - 1e-12) != np.ceil(times / budget - 1e-12):
+                        break
+                    budget = np.nextafter(budget, 0.0 if times < full else np.inf)
+                else:
+                    continue
+                cfg = cfg.replace(p_s_max=float(budget))
+                t, _ = allocate_sensing(cfg, np.array([[s]]))
+                want, _ = allocate_sensing(cfg, np.full(n, s))
+                assert t[0] == want == np.ceil(full / budget - 1e-12)
+                break
+            else:
+                pytest.fail(f"no boundary budget found at N={n}")
+
+    def test_one_row_gives_a_python_int(self):
+        """An (N,) row gives T as a Python int, as every stage of a detection
+        does, so the CSV symbol_counts text stays that of the ints."""
+        strengths = 10 ** np.random.default_rng(3).uniform(-12.5, -10, CFG.n_subcarriers)
+        t, p = allocate_sensing(CFG, strengths)
+        assert type(t) is int and p.shape == (CFG.n_subcarriers,)
+        t, _ = allocate_sensing(CFG, strengths[None])
+        assert t.shape == (1,)
+        result = hierarchical_detect(CFG, generate_scene(CFG, 3, 0, 5), np.random.default_rng(5))
+        assert len(result.symbol_counts) > 1
+        assert all(type(t) is int for t in result.symbol_counts)
+
+    def test_symbol_count_beyond_int64_infeasible(self):
+        """A budget so small that T would not fit an int64 raises, for one
+        row and for a stack, instead of wrapping."""
+        cfg = CFG.replace(p_s_max=1e-20)
+        for strengths in (np.full(cfg.n_subcarriers, 1e-12), np.full((2, 1), 1e-12)):
+            with pytest.raises(InfeasibleError, match="symbol count"):
+                allocate_sensing(cfg, strengths)
+
+
 class TestGridEchoStrength:
     def test_alpha_squared_gain_fourth(self):
         """alpha^2 |g|^4 against the explicit gain: at an arbitrary azimuth
-        for EAS weights, and on the design grid for AAS weights, which the
-        AAS closed form assumes."""
-        from squintsense.channel import sensing_attenuation
-
+        for EAS weights, and for the AAS beam of every EAS candidate on its
+        design grid, where the plan's eas_alpha^2 stands for it."""
         cfg = CFG
         theta_hat = 0.8
         alpha = sensing_attenuation(cfg, cfg.height / math.cos(theta_hat), cfg.sigma_rcs)
-        eas, aas = eas_beamformer(cfg), aas_beamformer(cfg, theta_hat)
-        eas_phi, aas_phi = np.full(cfg.n_subcarriers, 1.2), aas_azimuth_grid(cfg)
-        cases = (
-            (eas, eas_phi, grid_echo_strength(cfg, eas, theta_hat, eas_phi)),
-            (aas, aas_phi, aas_grid_strength(cfg, theta_hat)),
-        )
-        for bf, phi, out in cases:
+        eas, eas_phi = eas_beamformer(cfg), np.full(cfg.n_subcarriers, 1.2)
+        out = grid_echo_strength(cfg, eas, theta_hat, eas_phi)
+        for n in (0, 13, 31):
+            g = abs(oracles.gain(eas, theta_hat, eas_phi[n], n))
+            assert g > 0.0
+            assert out[n] == pytest.approx(alpha**2 * g**4, rel=1e-12)
+        cfg = SCALED
+        plan, aas_phi = proposed_plan(cfg), aas_azimuth_grid(cfg)
+        for theta_hat, closed in zip(plan.eas_candidates, plan.eas_alpha**2):
+            aas = aas_beamformer(cfg, theta_hat)
+            alpha = sensing_attenuation(cfg, cfg.height / np.cos(theta_hat), cfg.sigma_rcs)
             for n in (0, 13, 31):
-                g = abs(oracles.gain(bf, theta_hat, phi[n], n))
-                assert g > 0.0
-                assert out[n] == pytest.approx(alpha**2 * g**4, rel=1e-12)
+                g = abs(oracles.gain(aas, theta_hat, aas_phi[n], n))
+                assert closed == pytest.approx(alpha**2 * g**4, rel=1e-15, abs=0.0)
 
     def test_aas_closed_form_matches_kernel_on_every_candidate(self):
-        """For AAS stages the strength is alpha(theta_hat)^2 with no kernel
-        call; the kernel evaluation on the design grid agrees to 1e-15. All
-        stages at once give the same rows, bit for bit."""
-        from squintsense.channel import sensing_attenuation
-
-        cfg = SystemConfig(m_h=16, m_v=16, n_subcarriers=32, n_candidates=512)
-        phi_grid = aas_azimuth_grid(cfg)
+        """For AAS stages the strength is the plan's eas_alpha^2 of the
+        stage's EAS candidate, with no kernel call; the kernel evaluation on
+        the design grid agrees to 1e-15 on every candidate and subcarrier."""
+        cfg = SCALED
+        plan, phi_grid = proposed_plan(cfg), aas_azimuth_grid(cfg)
         n_idx = np.arange(cfg.n_subcarriers)
-        thetas = elevation_candidates(cfg)
-        stacked = aas_grid_strength(cfg, thetas)
-        assert stacked.shape == (len(thetas), cfg.n_subcarriers)
-        for theta_hat, row in zip(thetas, stacked):
+        assert plan.eas_alpha.shape == (cfg.n_candidates,)
+        for theta_hat, closed in zip(plan.eas_candidates, plan.eas_alpha**2):
             bf = aas_beamformer(cfg, theta_hat)
             alpha = sensing_attenuation(cfg, cfg.height / np.cos(theta_hat), cfg.sigma_rcs)
             kernel = alpha**2 * bf.power_gain(theta_hat, phi_grid, n_idx) ** 2
-            closed = aas_grid_strength(cfg, theta_hat)
-            assert closed.shape == (cfg.n_subcarriers,)
-            np.testing.assert_allclose(closed, kernel, rtol=1e-15, atol=0)
-            np.testing.assert_array_equal(row, closed)
+            np.testing.assert_allclose(
+                np.full(cfg.n_subcarriers, closed), kernel, rtol=1e-15, atol=0
+            )
 
 
 def random_feasible_context(rng, k, n=1, margin=2.0, tau_c=10.0):
