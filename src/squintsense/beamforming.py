@@ -26,7 +26,12 @@ into one beamformer of kind ``stack``, whose PS angles and slopes are (B,)
 arrays. ``power_gain`` puts them on a leading axis of the same phase
 expression, so a stack gives (B, angles..., N) in one kernel call per
 array axis, and a single beam is the same code without that axis. A
-trial's AAS echoes and its SINR gain table are each one stacked call.
+proposed trial evaluates each beam of its frame once, over the scene's
+scatterers followed by its users: the EAS beam in one call (one kernel
+call: its horizontal chain is the flat model), and its AAS beams stacked
+with the users' beams in one more (two kernel calls). Their scatterer rows
+give every echo, their user rows the SINR gain table and every stage's
+leakage.
 
 An AAS beam's PS term and horizontal TTD slope both scale with sin(theta_hat),
 so its horizontal phase at (theta_hat, phi) is sin(theta_hat) * X(phi, f),

@@ -12,8 +12,11 @@ the beamforming power |g|^2, which is evaluated through the real Fejer kernel
 (:meth:`~squintsense.beamforming.BeamformerWeights.power_gain`) for all
 scatterers x subcarriers in one broadcast over the echo form of
 :func:`scene_arrays`, which a caller builds once per scene and passes to
-:func:`echo_gain`. With a stack of several sensing stages' beams, all
-their echoes are one (stages x scatterers x N) broadcast.
+:func:`echo_gain`. :func:`echo_sum` sums such a power table over its
+scatterers, so a trial that evaluates its beams once, over the scene's
+scatterers and users together, takes every stage's echo from the scatterer
+rows of its two power-gain calls: one for the EAS beam, and one for the AAS
+beams stacked with the users' beams, (beams x points x N).
 """
 
 from __future__ import annotations
@@ -109,8 +112,13 @@ def echo_gain(cfg: SystemConfig, echoes, weights: BeamformerWeights, n_idx):
     stack of B beams gives a (B, len(n_idx)) result, one row per beam.
     """
     theta, phi, amp = echoes
-    power = weights.power_gain(theta[:, None], phi[:, None], n_idx)
-    return np.sum(amp[:, None] * power, axis=-2)
+    return echo_sum(amp, weights.power_gain(theta[:, None], phi[:, None], n_idx))
+
+
+def echo_sum(amplitudes: np.ndarray, power: np.ndarray) -> np.ndarray:
+    """b^H G_n b of each beam of a power table (..., S, N) over S contributors
+    with complex ``amplitudes`` (S,): the (..., N) sum of amplitude * |gain|^2."""
+    return np.sum(amplitudes[:, None] * power, axis=-2)
 
 
 def _draw_angles(cfg: SystemConfig, rng: np.random.Generator, count: int):

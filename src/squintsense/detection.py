@@ -3,11 +3,12 @@
 pipeline.
 
 What does not depend on the scene is computed once per config and cached
-read-only in one :func:`proposed_plan`: the whole EAS stage and, for the AAS
-stages, the azimuth candidates with their horizontal phase per unit
-sin(theta_hat). Every AAS stage's pursuit, and past one kernel block the
-EAS pursuit, evaluates only the dictionary rows whose block bound can reach
-the best pick, and each pick is still certified against the whole
+read-only in one :func:`proposed_plan`, which :func:`hierarchical_detect`
+fetches once per trial and hands to both pursuits: the whole EAS stage and,
+for the AAS stages, the azimuth candidates with their horizontal phase per
+unit sin(theta_hat). Every AAS stage's pursuit, and past one kernel block
+the EAS pursuit, evaluates only the dictionary rows whose block bound can
+reach the best pick, and each pick is still certified against the whole
 dictionary. AAS rows are kernel evaluations, so skipping them pays at every
 size; EAS rows are read from the cached dictionary, so up to one kernel
 block its whole-dictionary GEMM is cheaper than the bounds. An AAS stage's
@@ -16,11 +17,15 @@ tabulated per bin of |sin(theta_hat)| (:func:`aas_bin_tables`), each bin
 built once, on the first stage that falls in it.
 
 The AAS stages depend only on the elevations the EAS pursuit picks, not on
-each other. So a trial builds its scene's echo form once, then all AAS
-beams, allocates every AAS stage in one stacked call from the plan's
-eas_alpha of its candidate, and synthesizes every AAS echo in one stacked
-power-gain call; each stage keeps its own noise draw, in stage order, and
-its own dictionary, scaled by sqrt(p) alpha, and pursuit."""
+each other. Every beam of a trial's frame is evaluated once, over the
+scene's scatterers followed by its users: the EAS beam in one power-gain
+call, and the AAS beams stacked with the K user beams in one more. The
+scatterer rows give every stage's echo; the user rows, each stage beam's
+leakage and the users' cross gains, go to the communication allocation in
+:attr:`DetectionResult.user_gains`. All AAS stages are allocated in one
+stacked call from the plan's eas_alpha of their candidates; each stage
+keeps its own noise draw, in stage order, and its own dictionary, scaled by
+sqrt(p) alpha, and pursuit."""
 
 from __future__ import annotations
 
@@ -35,10 +40,11 @@ from .beamforming import (
     aas_azimuth_grid,
     aas_beamformer,
     aas_unit_phase,
+    comm_beamformer,
     eas_beamformer,
     eas_elevation_grid,
 )
-from .channel import Scene, echo_gain, scene_arrays, sensing_attenuation
+from .channel import Scene, echo_sum, scene_arrays, sensing_attenuation
 from .config import SystemConfig
 from .exceptions import ConfigError
 from .geometry import ENVELOPE_MARGIN, FEJER_BLOCK, fejer_envelope, uniform_phase_power
@@ -63,7 +69,8 @@ class DetectionResult:
     estimates: tuple     # Q final (theta, phi) pairs
     symbol_counts: tuple
     sensing_powers: tuple
-    stage_weights: tuple
+    user_gains: np.ndarray  # (stages + K, K, N) power gain |g|^2 at each of the K users
+                            # of each stage's beam, EAS first, then of each user's beam
     traces: tuple        # CountingVector per stage
 
 
@@ -81,8 +88,7 @@ def azimuth_candidates(cfg: SystemConfig) -> np.ndarray:
 
 def assemble_observation(
     cfg: SystemConfig,
-    echoes,
-    weights: BeamformerWeights,
+    echo: np.ndarray,
     powers: np.ndarray,
     t_symbols,
     rng: np.random.Generator,
@@ -91,16 +97,16 @@ def assemble_observation(
 
     The matched filter preserves the circular Gaussian noise statistics, so
     the T-symbol average is drawn directly with variance sigma^2 / T.
-    ``echoes`` is a scene's echo form :func:`~squintsense.channel.scene_arrays`.
-    A stack of B beams takes (B, N) powers and B symbol counts and gives
-    (B, N): every echo in one call, and every beam's noise in one draw, beam
-    by beam in the random stream.
+    ``echo`` (N,) is the beam's noise-free echo b^H G_n b at unit power, as
+    :func:`~squintsense.channel.echo_gain` gives it. A stack of B beams takes
+    (B, N) echoes and powers and B symbol counts and gives (B, N): every
+    beam's noise in one draw, beam by beam in the random stream.
     """
     t_symbols = np.asarray(t_symbols)
     if np.any(t_symbols < 1):
         raise ConfigError("t_symbols must be at least 1")
     n = cfg.n_subcarriers
-    signal = np.sqrt(powers) * echo_gain(cfg, echoes, weights, np.arange(n))
+    signal = np.sqrt(powers) * echo
     scales = np.sqrt(cfg.noise_variance() / (2.0 * t_symbols))
     draws = rng.standard_normal((scales.size, 2, n))  # beam by beam: real, then imaginary
     noise = scales.reshape(-1, 1) * (draws[:, 0] + 1j * draws[:, 1])
@@ -207,17 +213,17 @@ def _block_pursuit(
     return CountingVector(counts=counts, phasors=tuple(phasors), trace=tuple(trace))
 
 
-def eas_pursuit(cfg: SystemConfig, obs, iterations: int) -> CountingVector:
+def eas_pursuit(plan, obs, iterations: int) -> CountingVector:
     """Picks equal to those of modified_mp over the stage's whole (L, N) table,
-    the plan's EAS dictionary D = eas_rows. Past FEJER_BLOCK entries it runs
-    :func:`_block_pursuit` on blocks of ceil(L/N) rows, with bound
-    (1 + ENVELOPE_MARGIN) sum_n U(b, n) |r_n|, U the plan's eas_block_bound:
-    since D >= 0, |corr_l| / norm_l is at most that sum for every row l of
-    block b; a GEMM of fewer rows may round apart. Up to FEJER_BLOCK entries
-    the whole GEMM of modified_mp is kept: EAS rows are read from the cached
-    dictionary, not computed, so bounds save no kernel work there. A
-    dictionary with a zero-norm row goes to modified_mp, which rejects it."""
-    plan = proposed_plan(cfg)
+    the EAS dictionary D = eas_rows of ``plan`` = proposed_plan(cfg). Past
+    FEJER_BLOCK entries it runs :func:`_block_pursuit` on blocks of ceil(L/N)
+    rows, with bound (1 + ENVELOPE_MARGIN) sum_n U(b, n) |r_n|, U the plan's
+    eas_block_bound: since D >= 0, |corr_l| / norm_l is at most that sum for
+    every row l of block b; a GEMM of fewer rows may round apart. Up to
+    FEJER_BLOCK entries the whole GEMM of modified_mp is kept: EAS rows are
+    read from the cached dictionary, not computed, so bounds save no kernel
+    work there. A dictionary with a zero-norm row goes to modified_mp, which
+    rejects it."""
     table, norms = plan.eas_rows, plan.eas_norms
     if table.size <= FEJER_BLOCK or (iterations > 0 and not norms.all()):
         return modified_mp(obs, table, norms, iterations)
@@ -233,18 +239,20 @@ def eas_pursuit(cfg: SystemConfig, obs, iterations: int) -> CountingVector:
     )
 
 
-def aas_pursuit(cfg: SystemConfig, theta_hat, scale, obs, iterations: int) -> CountingVector:
+def aas_pursuit(
+    cfg: SystemConfig, plan, theta_hat, scale, obs, iterations: int
+) -> CountingVector:
     """Picks equal to those of modified_mp over the stage's whole (L, N) table
-    at elevation theta_hat with dictionary scale (N,): row l is :func:`_aas_rows`
-    row l, the power gain of aas_beamformer(cfg, theta_hat) at candidate l,
-    times scale_n = sqrt(p_n) alpha(theta_hat) for the stage's powers p. It
-    runs at every table size through :func:`_block_pursuit` on the plan's
-    blocks of ceil(L/N) rows, with bound (1 + ENVELOPE_MARGIN) sum_n U(b, n)
-    scale_n |r_n| / ((1 - ENVELOPE_MARGIN) floor(b) min(scale)), inf for a
-    zero divisor: U and floor are the :func:`aas_bin_tables` of the bin
-    holding |sin(theta_hat)|. Each row is computed at most once per stage. A
-    GEMM of fewer rows may round apart."""
-    plan = proposed_plan(cfg)
+    at elevation theta_hat with dictionary scale (N,), from ``plan`` =
+    proposed_plan(cfg): row l is :func:`_aas_rows` row l, the power gain of
+    aas_beamformer(cfg, theta_hat) at candidate l, times scale_n = sqrt(p_n)
+    alpha(theta_hat) for the stage's powers p. It runs at every table size
+    through :func:`_block_pursuit` on the plan's blocks of ceil(L/N) rows,
+    with bound (1 + ENVELOPE_MARGIN) sum_n U(b, n) scale_n |r_n| /
+    ((1 - ENVELOPE_MARGIN) floor(b) min(scale)), inf for a zero divisor: U
+    and floor are the :func:`aas_bin_tables` of the bin holding
+    |sin(theta_hat)|. Each row is computed at most once per stage. A GEMM of
+    fewer rows may round apart."""
     n_cand, n = plan.aas_unit_phase.shape
     sin_theta = abs(np.sin(theta_hat))
     envelope, floor = aas_bin_tables(
@@ -365,36 +373,46 @@ def hierarchical_detect(
     stage 0 spawns one AAS stage whose iteration count is that candidate's
     multiplicity. An AAS beam has unit gain on its design grid, so one
     allocate_sensing call on the (S, 1) stack of the candidates' eas_alpha^2
-    allocates every AAS stage. The scene's echo form is built once, and every
-    AAS stage's echo comes from one stacked call; the noise is drawn stage by
-    stage, EAS first, so the random stream is consumed in stage order.
+    allocates every AAS stage. The EAS beam, and then the AAS beams stacked
+    with the users' beams, each take one power-gain call over the scene's
+    scatterers followed by its users; the noise is drawn stage by stage,
+    EAS first, so the random stream is consumed in stage order.
     """
     plan = proposed_plan(cfg)
-    eas_w, t0, p0 = plan.eas_weights, plan.eas_symbol_count, plan.eas_powers
-    echoes = scene_arrays(cfg, scene)
+    t0, p0 = plan.eas_symbol_count, plan.eas_powers
+    s_theta, s_phi, amp = scene_arrays(cfg, scene)
+    n_scat = len(amp)
+    theta = np.concatenate((s_theta, scene.users[:, 0]))[:, None]
+    phi = np.concatenate((s_phi, scene.users[:, 1]))[:, None]
+    n_idx = np.arange(cfg.n_subcarriers)
 
-    obs0 = assemble_observation(cfg, echoes, eas_w, p0, t0, rng)
-    cv0 = eas_pursuit(cfg, obs0, len(scene.targets))
+    eas_gain = plan.eas_weights.power_gain(theta, phi, n_idx)  # (S + K, N)
+    obs0 = assemble_observation(cfg, echo_sum(amp, eas_gain[:n_scat]), p0, t0, rng)
+    cv0 = eas_pursuit(plan, obs0, len(scene.targets))
 
     selected = np.flatnonzero(cv0.counts)
     elevations = tuple(
         (float(plan.eas_candidates[idx]), int(cv0.counts[idx])) for idx in selected
     )
-    aas_ws = [aas_beamformer(cfg, theta_hat) for theta_hat, _ in elevations]
     alphas = plan.eas_alpha[selected]
     t_aas, p_aas = allocate_sensing(cfg, alphas[:, None] ** 2)
-
+    beams = [aas_beamformer(cfg, theta_hat) for theta_hat, _ in elevations]
+    beams += [comm_beamformer(cfg, *user) for user in scene.users]
+    user_gains = eas_gain[None, n_scat:]
     observations = ()
-    if aas_ws:
-        observations = assemble_observation(
-            cfg, echoes, BeamformerWeights.stack(aas_ws), p_aas, t_aas, rng
-        )
+    if beams:
+        # (A + K, S + K, N): the A AAS beams, then the K user beams
+        gains = BeamformerWeights.stack(beams).power_gain(theta, phi, n_idx)
+        user_gains = np.concatenate((user_gains, gains[:, n_scat:]))
+        if elevations:
+            echoes = echo_sum(amp, gains[: len(elevations), :n_scat])
+            observations = assemble_observation(cfg, echoes, p_aas, t_aas, rng)
     estimates = []
     traces = [cv0]
     for (theta_hat, multiplicity), alpha, p_i, obs in zip(
         elevations, alphas, p_aas, observations
     ):
-        cv = aas_pursuit(cfg, theta_hat, np.sqrt(p_i) * alpha, obs, multiplicity)
+        cv = aas_pursuit(cfg, plan, theta_hat, np.sqrt(p_i) * alpha, obs, multiplicity)
         stage_azimuths = np.repeat(plan.aas_candidates, cv.counts)
         estimates.extend((theta_hat, float(ph)) for ph in stage_azimuths)
         traces.append(cv)
@@ -404,6 +422,6 @@ def hierarchical_detect(
         estimates=tuple(estimates),
         symbol_counts=(t0, *t_aas.tolist()),
         sensing_powers=(p0, *p_aas),
-        stage_weights=(eas_w, *aas_ws),
+        user_gains=user_gains,
         traces=tuple(traces),
     )

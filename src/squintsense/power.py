@@ -4,16 +4,20 @@ power allocation via the diagonally dominant linear system.
 Each user's squint-compensated beam is fixed for the whole frame, so the
 cross-gain table chi is built once per trial; only the sensing-leakage
 noise, and with it the comm powers, changes from one sensing stage to the
-next. The K user beams and the AAS stages' beams are all full beams, so
-one stacked power-gain call over (beams x users x subcarriers) gives chi
-and every AAS stage's leakage; the EAS beam's flat model takes one more.
-An AAS beam has unit gain on its design grid, so an AAS stage's grid echo
-strength is alpha(theta_hat)^2 on every subcarrier: one number per stage,
-and :func:`allocate_sensing` allocates a trial's AAS stages in one call on
-the (S, 1) stack of them."""
+next. Detection evaluates every beam of the frame once, over the scene's
+scatterers and users together, and hands the user rows on: each stage
+beam's power gain at the users and each user beam's, from which
+:func:`sinr_context` forms chi and every stage's effective noise in one
+broadcast, with no power-gain call of its own. chi's diagonal and its ratio
+sums are computed once per context and shared by the backoff, the
+feasibility test and the achieved SINR. An AAS beam has unit gain on its
+design grid, so an AAS stage's grid echo strength is alpha(theta_hat)^2 on
+every subcarrier: one number per stage, and :func:`allocate_sensing`
+allocates a trial's AAS stages in one call on the (S, 1) stack of them."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,10 +53,25 @@ class SinrContext:
     chi[k, l, n] = beta_k^2 |h_n(user k) . w_{l,n}|^2;
     effective_noise[i, k, n] = beta_k^2 |h_n(user k) . b_{i,n}|^2 p^s_{i,n} + sigma^2
     for sensing stage i. allocate_comm also accepts a single stage's (K, N).
+    ``diag`` and ``ratio_sums`` are computed from chi on first use, once per
+    context.
     """
 
     chi: np.ndarray              # (K, K, N), fixed for the trial
     effective_noise: np.ndarray  # (S, K, N), one row per sensing stage
+
+    @functools.cached_property
+    def diag(self) -> np.ndarray:
+        """Direct gains chi[k, k, n], shape (K, N)."""
+        return np.einsum("kkn->kn", self.chi)
+
+    @functools.cached_property
+    def ratio_sums(self) -> np.ndarray:
+        """Cross-gain ratio sums sum_{l != k} chi[k, l, n] / chi[k, k, n], shape (K, N)."""
+        diag = self.diag
+        if np.any(diag == 0.0):
+            raise InfeasibleError("a user has zero direct beamforming gain")
+        return (self.chi.sum(axis=1) - diag) / diag
 
 
 def grid_echo_strength(
@@ -101,62 +120,50 @@ def allocate_sensing(cfg: SystemConfig, strengths: np.ndarray):
 def sinr_context(
     cfg: SystemConfig,
     scene: Scene,
-    comm_weights: list,
-    stage_weights: list,
-    stage_powers: list,
+    user_gains: np.ndarray,
+    stage_powers,
 ) -> SinrContext:
     """Gain table of one trial and the effective noise of each sensing stage.
 
-    Reads the user angles from ``scene.users``; each user's distance H /
-    cos(theta) and noise power cfg.noise_variance() follow from the config.
-    chi[k, l, :] = beta_k^2 |w_l gain at user k|^2, and effective_noise[i]
-    adds the leakage of stage i's sensing beam at stage_powers[i]. The comm
-    beams, one or more, and the full (AAS) stage beams form one stack, so
-    one power-gain call over (beams x users x subcarriers) serves them all;
-    each EAS stage's flat-model beam takes a call of its own.
+    ``user_gains`` (S + K, K, N) is the power gain |g|^2 at each of the K
+    users of scene.users of each of the S stage beams, then of each user's
+    beam, as :attr:`~squintsense.detection.DetectionResult.user_gains` holds
+    it; ``stage_powers`` the S stages' sensing powers (N,). Each user's
+    distance H / cos(theta) and noise power cfg.noise_variance() follow from
+    the config. chi[k, l, :] = beta_k^2 |w_l gain at user k|^2, and
+    effective_noise[i] adds the leakage of stage i's sensing beam at
+    stage_powers[i], every stage in one broadcast.
     """
-    n_idx = np.arange(cfg.n_subcarriers)
-    theta, phi = scene.users.T[:, :, None]  # each (K, 1)
-    k, n_comm = len(theta), len(comm_weights)
-    beta2 = comm_attenuation(cfg, cfg.height / np.cos(theta)) ** 2  # (K, 1)
-    full = [i for i, w in enumerate(stage_weights) if w.kind != "eas"]
-    stack = BeamformerWeights.stack([*comm_weights, *(stage_weights[i] for i in full)])
-    gains = beta2 * stack.power_gain(theta, phi, n_idx)  # (n_comm + len(full), K, N)
-    leaks = dict(zip(full, gains[n_comm:]))
+    theta = scene.users[:, 0, None]  # (K, 1)
+    beta2 = comm_attenuation(cfg, cfg.height / np.cos(theta)) ** 2
+    gains = beta2 * user_gains
+    n_stages = len(stage_powers)
     # chi keeps the C-ordered (K, K, N) layout its sums round by
-    chi = np.ascontiguousarray(np.swapaxes(gains[:n_comm], 0, 1))
-    eff_noise = np.empty((len(stage_weights), k, cfg.n_subcarriers))
-    for i, (w, p) in enumerate(zip(stage_weights, stage_powers)):
-        leak = leaks[i] if i in leaks else beta2 * w.power_gain(theta, phi, n_idx)
-        eff_noise[i] = leak * p + cfg.noise_variance()
+    chi = np.ascontiguousarray(np.swapaxes(gains[n_stages:], 0, 1))
+    eff_noise = gains[:n_stages]
+    eff_noise *= np.asarray(stage_powers)[:, None]
+    eff_noise += cfg.noise_variance()
     return SinrContext(chi=chi, effective_noise=eff_noise)
-
-
-def _ratio_sums(chi: np.ndarray) -> np.ndarray:
-    """Cross-gain ratio sums sum_{l != k} chi[k, l, n] / chi[k, k, n], shape (K, N)."""
-    diag = np.einsum("kkn->kn", chi)
-    if np.any(diag == 0.0):
-        raise InfeasibleError("a user has zero direct beamforming gain")
-    return (chi.sum(axis=1) - diag) / diag
 
 
 def allocate_comm(ctx: SinrContext, tau_c: float) -> np.ndarray:
     """Solve D_n p = s_n for the per-user powers on every subcarrier n.
 
-    Feasibility, diag and D_n depend only on chi, so they are formed once;
-    then every subcarrier of every stage is solved in one batched call. The
-    result has the shape of ``ctx.effective_noise``: (K, N), or (S, K, N)
-    with a leading stage axis. Requires the diagonal-dominance condition to
+    Feasibility, diag and D_n depend only on chi, so they are formed once
+    (the first two with the context); then every subcarrier of every stage
+    is solved in one batched call. The result has the shape of
+    ``ctx.effective_noise``: (K, N), or (S, K, N) with a leading stage axis.
+    Requires the diagonal-dominance condition to
     hold at tau_c on every subcarrier; the returned powers are strictly
     positive and achieve SINR exactly tau_c per user.
     """
-    feasible = np.all(1.0 / tau_c > _ratio_sums(ctx.chi), axis=0)
+    feasible = np.all(1.0 / tau_c > ctx.ratio_sums, axis=0)
     if not feasible.all():
         bad = int(np.argmin(feasible))
         raise InfeasibleError(
             f"SINR threshold infeasible on subcarrier {bad}", last_threshold=tau_c
         )
-    diag = np.einsum("kkn->kn", ctx.chi)
+    diag = ctx.diag
     k, n = diag.shape
     d_mtx = np.moveaxis(-tau_c * ctx.chi / diag[:, None, :], 2, 0)  # (N, K, K)
     d_mtx[:, np.arange(k), np.arange(k)] = 1.0
@@ -182,7 +189,7 @@ def backoff_tau_c(ctx: SinrContext, tau_c: float) -> float:
     NaN, which no candidate passes). The ladder is the repeated product
     tau_c * step * step ..., so every candidate keeps its bits.
     """
-    worst = float(np.max(_ratio_sums(ctx.chi), initial=-np.inf))
+    worst = float(np.max(ctx.ratio_sums, initial=-np.inf))
     floor = tau_c * BACKOFF_FLOOR_RATIO
     candidate = tau_c
     step = 10.0 ** (-BACKOFF_STEP_DB / 10.0)

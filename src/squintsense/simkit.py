@@ -19,7 +19,6 @@ import numpy as np
 from .beamforming import (
     aas_azimuth_grid,
     check_ttd_range,
-    comm_beamformer,
     eas_beamformer,
     eas_elevation_grid,
 )
@@ -122,27 +121,25 @@ def transmit_power_metrics(plan: PowerPlan):
     return total_sensing, average
 
 
-def allocate_comm_plan(cfg: SystemConfig, scene: Scene, stage_weights, sensing_powers):
+def allocate_comm_plan(cfg: SystemConfig, scene: Scene, user_gains, sensing_powers):
     """Per-stage communication powers under the (possibly backed-off) SINR target.
 
     The comm beams and their gain table are fixed for the trial, so one SINR
-    context, one backoff and one allocation serve every sensing stage.
-    Returns (comm_powers per stage, achieved SINR arrays per stage, effective
-    tau_c). With no users, all outputs are empty and tau_c passes through.
+    context, from detection's ``user_gains`` (see :func:`sinr_context`), one
+    backoff and one allocation serve every sensing stage, and one stage-axis
+    einsum gives every stage's achieved SINR. Returns (comm_powers per stage,
+    achieved SINR arrays per stage, effective tau_c). With no users, all
+    outputs are empty and tau_c passes through.
     """
-    k_users = len(scene.users)
-    if k_users == 0:
-        return [np.zeros((0, cfg.n_subcarriers)) for _ in stage_weights], [], cfg.tau_c
-    comm_w = [comm_beamformer(cfg, theta, phi) for theta, phi in scene.users]
-    ctx = sinr_context(cfg, scene, comm_w, stage_weights, sensing_powers)
+    if len(scene.users) == 0:
+        return [np.zeros((0, cfg.n_subcarriers)) for _ in sensing_powers], [], cfg.tau_c
+    ctx = sinr_context(cfg, scene, user_gains, sensing_powers)
     tau_eff = backoff_tau_c(ctx, cfg.tau_c)
-    comm_powers = list(allocate_comm(ctx, tau_eff))
-    diag = np.einsum("kkn->kn", ctx.chi)
-    sinrs = []
-    for p_stage, noise in zip(comm_powers, ctx.effective_noise):
-        interference = np.einsum("kln,ln->kn", ctx.chi, p_stage) - diag * p_stage
-        sinrs.append(diag * p_stage / (interference + noise))
-    return comm_powers, sinrs, tau_eff
+    comm_powers = allocate_comm(ctx, tau_eff)
+    wanted = ctx.diag * comm_powers
+    interference = np.einsum("kln,sln->skn", ctx.chi, comm_powers) - wanted
+    sinrs = wanted / (interference + ctx.effective_noise)
+    return list(comm_powers), list(sinrs), tau_eff
 
 
 def _finish_record(method: str, cfg: SystemConfig, scene: Scene, estimates, plan, sinrs):
@@ -167,7 +164,7 @@ def plan_proposed_trial(
     (DetectionResult, PowerPlan, achieved SINR arrays per stage)."""
     result = hierarchical_detect(cfg, scene, rng)
     comm_powers, sinrs, tau_eff = allocate_comm_plan(
-        cfg, scene, result.stage_weights, result.sensing_powers
+        cfg, scene, result.user_gains, result.sensing_powers
     )
     plan = PowerPlan(
         symbol_counts=list(result.symbol_counts),
@@ -278,12 +275,39 @@ def exhaustive_plan(cfg: SystemConfig) -> ExhaustivePlan:
     return plan
 
 
+def _in_blocks(fn, block: int, *arrays):
+    """fn over the arrays split along their first axis into pieces of at most
+    ``block`` entries, concatenated; one call when they fit. A scan's kernel
+    call holds a few temporaries of its input's size, and temporaries that
+    outgrow the allocator's trim threshold are handed back and faulted in
+    anew by every call; the callers size ``block`` to keep them small."""
+    if len(arrays[0]) <= block:
+        return fn(*arrays)
+    pieces = zip(*(np.array_split(a, len(a) // block + 1) for a in arrays))
+    return np.concatenate([fn(*piece) for piece in pieces])
+
+
+def _scan_block(cfg: SystemConfig, echoes) -> int:
+    """Rows or cells per exhaustive-scan kernel call: at most FEJER_BLOCK // 2
+    slopes (64 KB), each row or cell taking N per scatterer. Whole calls took
+    144 minor page faults per steady-state full-scale trial at q = 5 and 454
+    at q = 8; capped, under 1 (getrusage over trials 20-220). At q = 2 no call
+    reaches the cap."""
+    return max(1, FEJER_BLOCK // max(1, 2 * len(echoes[2]) * cfg.n_subcarriers))
+
+
 def _cell_response(cfg: SystemConfig, echoes, rows, cols):
     """Noise-free echo of the scan cells (rows[i], cols[i]), averaged coherently
     over subcarriers: (len(rows),). ``echoes`` is the scene's echo form
     scene_arrays(cfg, scene). Every step is elementwise or a reduction along a
     cell's own axes, so each cell has the same bits whatever other cells it
-    is given."""
+    is given, and the cells go to the kernel :func:`_scan_block` at a time."""
+    block = functools.partial(_block_response, cfg, echoes)
+    return _in_blocks(block, _scan_block(cfg, echoes), rows, cols)
+
+
+def _block_response(cfg: SystemConfig, echoes, rows, cols):
+    """:func:`_cell_response` in one kernel call per axis."""
     plan = exhaustive_plan(cfg)
     s_theta, s_phi, s_amp = echoes
     s_h = np.sin(s_theta) * np.cos(s_phi)
@@ -315,7 +339,14 @@ def _row_bound(cfg: SystemConfig, echoes, noise):
 
 def _cell_bound(cfg: SystemConfig, echoes, noise, vertical, rows):
     """Upper bound of the scan statistic at every cell of the given rows,
-    (len(rows), N), from the W of _row_bound."""
+    (len(rows), N), from the W of _row_bound; the rows go to the envelope
+    :func:`_scan_block` at a time, each with the bits it has alone."""
+    block = functools.partial(_block_bound, cfg, echoes, noise, vertical)
+    return _in_blocks(block, _scan_block(cfg, echoes), rows)
+
+
+def _block_bound(cfg: SystemConfig, echoes, noise, vertical, rows):
+    """:func:`_cell_bound` in one envelope call."""
     plan = exhaustive_plan(cfg)
     s_theta, s_phi, _ = echoes
     s_h = np.sin(s_theta) * np.cos(s_phi)
@@ -520,7 +551,7 @@ def run_azimuth_only_baseline(
 
     def evaluate(cells):
         if len(cells) > block:
-            return np.concatenate([*map(evaluate, np.array_split(cells, len(cells) // block + 1))])
+            return _in_blocks(evaluate, block, cells)
         r = cells // n
         x_h = x_target.take(r, axis=1) - plan.steer_h.take(cells)
         power = np.where(plan.pointed.take(cells), uniform_phase_power(x_h, cfg.m_h), plan.flat**2)

@@ -5,8 +5,8 @@ Steering vectors are horizontal-major: element index = (m_h - 1) * M_v + m_v."""
 import numpy as np
 
 from squintsense import detection
-from squintsense.beamforming import aas_beamformer
-from squintsense.channel import comm_attenuation, scene_arrays, sensing_attenuation
+from squintsense.beamforming import aas_beamformer, comm_beamformer
+from squintsense.channel import comm_attenuation, echo_gain, scene_arrays, sensing_attenuation
 from squintsense.detection import (
     DetectionResult,
     assemble_observation,
@@ -134,25 +134,27 @@ def per_stage_detect(cfg, scene, rng) -> DetectionResult:
     """hierarchical_detect one AAS stage at a time, each stage's pursuit
     modified_mp over its whole table: each stage builds its own beam, its
     strength alpha(theta_hat)^2 on an (N,) array, its allocation, and its
-    observation from the scene's echo form, echo and noise together."""
+    observation from the scene's echo form, echo and noise together. Each
+    beam's gain at the users is its own power_gain call."""
     plan = proposed_plan(cfg)
     eas_w, t0, p0 = plan.eas_weights, plan.eas_symbol_count, plan.eas_powers
     echoes = scene_arrays(cfg, scene)
-    obs0 = assemble_observation(cfg, echoes, eas_w, p0, t0, rng)
+    n_idx = np.arange(cfg.n_subcarriers)
+    obs0 = assemble_observation(cfg, echo_gain(cfg, echoes, eas_w, n_idx), p0, t0, rng)
     cv0 = modified_mp(obs0, plan.eas_rows, plan.eas_norms, len(scene.targets))
     selected = np.flatnonzero(cv0.counts)
     elevations = tuple(
         (float(plan.eas_candidates[idx]), int(cv0.counts[idx])) for idx in selected
     )
     estimates, symbol_counts, sensing_powers = [], [t0], [p0]
-    stage_weights, traces = [eas_w], [cv0]
+    beams, traces = [eas_w], [cv0]
     n = cfg.n_subcarriers
     for theta_hat, multiplicity in elevations:
         aas_w = aas_beamformer(cfg, theta_hat)
         grid = np.broadcast_to(theta_hat, (n,))
         alpha = sensing_attenuation(cfg, cfg.height / np.cos(grid), cfg.sigma_rcs)
         t_i, p_i = allocate_sensing(cfg, alpha**2)
-        obs = assemble_observation(cfg, echoes, aas_w, p_i, t_i, rng)
+        obs = assemble_observation(cfg, echo_gain(cfg, echoes, aas_w, n_idx), p_i, t_i, rng)
         table = aas_table(cfg, theta_hat, aas_scale(cfg, theta_hat, p_i))
         cv = modified_mp(obs, *table, multiplicity)
         estimates.extend(
@@ -160,13 +162,18 @@ def per_stage_detect(cfg, scene, rng) -> DetectionResult:
         )
         symbol_counts.append(t_i)
         sensing_powers.append(p_i)
-        stage_weights.append(aas_w)
+        beams.append(aas_w)
         traces.append(cv)
+    users = scene.users
+    beams += [comm_beamformer(cfg, theta, phi) for theta, phi in users]
+    user_gains = np.empty((len(beams), len(users), n))
+    for row, w in zip(user_gains, beams):
+        row[...] = w.power_gain(users[:, :1], users[:, 1:], n_idx)
     return DetectionResult(
         elevations=elevations,
         estimates=tuple(estimates),
         symbol_counts=tuple(symbol_counts),
         sensing_powers=tuple(sensing_powers),
-        stage_weights=tuple(stage_weights),
+        user_gains=user_gains,
         traces=tuple(traces),
     )

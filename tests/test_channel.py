@@ -91,9 +91,11 @@ class TestAttenuation:
                 comm_attenuation(cfg, dist), [comm_attenuation(cfg, d) for d in scalars]
             )
 
-    def test_scalar_path_keeps_the_numpy_expression_bits(self):
+    def test_zero_d_path_keeps_the_numpy_expression_bits(self):
         """Arrays of distances or cross sections give the bits of the numpy
-        expression evaluated on them."""
+        expression evaluated on them. A scalar distance takes the 0-d array
+        path: on each of the first 2,000 distances, with an array of cross
+        sections, it gives the bits of the expression on np.asarray(distance)."""
         cfg = SystemConfig()
         rng = np.random.default_rng(23)
         dist = cfg.height / np.cos(rng.uniform(0.0, 1.5, 10_000))
@@ -108,9 +110,10 @@ class TestAttenuation:
         np.testing.assert_array_equal(
             sensing_attenuation(cfg, dist, rcs_rows), expression(dist, rcs_rows)
         )
-        np.testing.assert_array_equal(
-            sensing_attenuation(cfg, dist[0], rcs_rows), expression(dist[0], rcs_rows)
-        )
+        for d in dist[:2000]:
+            np.testing.assert_array_equal(
+                sensing_attenuation(cfg, d, rcs_rows), expression(np.asarray(d), rcs_rows)
+            )
 
 
 class TestEchoGainOracle:

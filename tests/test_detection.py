@@ -11,7 +11,7 @@ from squintsense.beamforming import (
     eas_beamformer,
     eas_elevation_grid,
 )
-from squintsense.channel import Scene, generate_scene, scene_arrays
+from squintsense.channel import Scene, echo_gain, generate_scene, scene_arrays
 from squintsense.config import SystemConfig
 from squintsense.channel import sensing_attenuation
 from squintsense import detection
@@ -260,31 +260,35 @@ class TestModifiedMp:
             assert selected[1] == [90, 90]
 
 
+def unit_echo(cfg, scene, bf):
+    """The noise-free echo of beam bf off scene at unit power, (N,)."""
+    return echo_gain(cfg, scene_arrays(cfg, scene), bf, np.arange(cfg.n_subcarriers))
+
+
 class TestObservation:
     def test_noise_variance_scales_with_symbols(self):
         cfg = CFG
-        bf = eas_beamformer(cfg)
+        echo = unit_echo(cfg, Scene(), eas_beamformer(cfg))
         p = np.zeros(cfg.n_subcarriers)
         draws = []
         for seed in range(200):
             rng = np.random.default_rng(seed)
-            draws.append(assemble_observation(cfg, scene_arrays(cfg, Scene()), bf, p, 4, rng))
+            draws.append(assemble_observation(cfg, echo, p, 4, rng))
         var = np.var(np.concatenate(draws))
         assert var == pytest.approx(cfg.noise_variance() / 4, rel=0.1)
 
     def test_signal_part_deterministic(self):
         cfg = CFG
-        echoes = scene_arrays(cfg, generate_scene(cfg, 1, 0, 3))
-        bf = eas_beamformer(cfg)
+        echo = unit_echo(cfg, generate_scene(cfg, 1, 0, 3), eas_beamformer(cfg))
         p = np.full(cfg.n_subcarriers, 1e-3)
-        a = assemble_observation(cfg, echoes, bf, p, 1, np.random.default_rng(0))
-        b = assemble_observation(cfg, echoes, bf, p, 1, np.random.default_rng(0))
+        a = assemble_observation(cfg, echo, p, 1, np.random.default_rng(0))
+        b = assemble_observation(cfg, echo, p, 1, np.random.default_rng(0))
         np.testing.assert_array_equal(a, b)
 
     def test_rejects_zero_symbols(self):
         with pytest.raises(ConfigError):
             assemble_observation(
-                CFG, scene_arrays(CFG, Scene()), eas_beamformer(CFG), np.zeros(32), 0,
+                CFG, unit_echo(CFG, Scene(), eas_beamformer(CFG)), np.zeros(32), 0,
                 np.random.default_rng(0),
             )
 
@@ -445,9 +449,8 @@ class TestStackedStages:
             assert len(got.sensing_powers) == len(want.sensing_powers)
             for a, b in zip(got.sensing_powers, want.sensing_powers):
                 np.testing.assert_array_equal(a, b)
-            assert [w.kind for w in got.stage_weights] == [w.kind for w in want.stage_weights]
-            for a, b in zip(got.stage_weights[1:], want.stage_weights[1:]):
-                assert (a.ps_theta, a.h_slope, a.v_slope) == (b.ps_theta, b.h_slope, b.v_slope)
+            assert got.user_gains.shape == (len(got.symbol_counts) + k, k, cfg.n_subcarriers)
+            np.testing.assert_array_equal(got.user_gains, want.user_gains)
             for a, b in zip(got.traces, want.traces):
                 np.testing.assert_array_equal(a.counts, b.counts)
                 assert a.phasors == b.phasors
@@ -461,15 +464,17 @@ class TestStackedStages:
         want = oracles.per_stage_detect(CROWDED, scene, np.random.default_rng(3))
         assert got.estimates == want.estimates == ()
         assert got.symbol_counts == want.symbol_counts
-        assert len(got.stage_weights) == 1
+        assert got.user_gains.shape == (3, 2, CROWDED.n_subcarriers)
+        np.testing.assert_array_equal(got.user_gains, want.user_gains)
 
 
 # the random configs of TestRandomConfigs: m_h and m_v from these sets, N in
 # 8..48 and L = N * (1..64), at the default ROI; scenes with q in {1, 2, 3}
-# targets and clutter on
+# targets and no users, and one with q = 2 targets and k = 3 users, clutter on
 RANDOM_M_H = (3, 5, 6, 7, 9, 12, 13, 16, 24)
 RANDOM_M_V = (3, 5, 7, 13, 16)
 RANDOM_CONFIGS = 100
+RANDOM_SCENES = ((1, 0), (2, 0), (3, 0), (2, 3))  # (q, k)
 
 
 class TestRandomConfigs:
@@ -495,8 +500,8 @@ class TestRandomConfigs:
             try:
                 cfg = SystemConfig(**fields)
                 runs = []
-                for q in (1, 2, 3):
-                    scene = generate_scene(cfg, q, 0, (i, q))
+                for q, k in RANDOM_SCENES:
+                    scene = generate_scene(cfg, q, k, (i, q) if k == 0 else (i, q, k))
                     observations.clear()
                     got = hierarchical_detect(cfg, scene, np.random.default_rng((i, q, 1)))
                     want = oracles.per_stage_detect(cfg, scene, np.random.default_rng((i, q, 1)))
@@ -513,6 +518,7 @@ class TestRandomConfigs:
                 assert len(got.sensing_powers) == len(want.sensing_powers), fields
                 for a, b in zip(got.sensing_powers, want.sensing_powers):
                     np.testing.assert_array_equal(a, b, err_msg=str(fields))
+                np.testing.assert_array_equal(got.user_gains, want.user_gains, str(fields))
                 for a, b, obs in zip(got.traces, want.traces, stage_obs, strict=True):
                     assert_same_pursuit(a, b, obs)
         assert ran >= 0.75 * RANDOM_CONFIGS, skipped  # most configs ran
@@ -623,8 +629,8 @@ class TestCertifiedAasPursuit:
         stages = []
         real = detection.aas_pursuit
 
-        def record(cfg, theta_hat, scale, obs, iterations):
-            got = real(cfg, theta_hat, scale, obs, iterations)
+        def record(cfg, plan, theta_hat, scale, obs, iterations):
+            got = real(cfg, plan, theta_hat, scale, obs, iterations)
             stages.append((theta_hat, scale, obs, iterations, got))
             return got
 
@@ -644,7 +650,7 @@ class TestCertifiedAasPursuit:
                 rng.choice(cfg.n_candidates, 3, replace=False)
             ]
             obs += 0.05 * np.abs(obs).max() * rng.standard_normal(cfg.n_subcarriers)
-            detection.aas_pursuit(cfg, theta_hat, scale, obs, 3)
+            detection.aas_pursuit(cfg, proposed_plan(cfg), theta_hat, scale, obs, 3)
         assert len(stages) >= 42
         for theta_hat, scale, obs, iterations, got in stages:
             want = modified_mp(obs, *oracles.aas_table(cfg, theta_hat, scale), iterations)
@@ -673,7 +679,7 @@ class TestCertifiedAasPursuit:
             bound, block = reference_block_bound(cfg, theta_hat, powers, residual)
             assert np.all(metric <= bound[block])
 
-            got = detection.aas_pursuit(cfg, theta_hat, scale, residual, 1)
+            got = detection.aas_pursuit(cfg, proposed_plan(cfg), theta_hat, scale, residual, 1)
             assert got.trace[0][0] == int(np.argmax(metric))
             needed = np.flatnonzero(bound >= metric.max())
             assert set(needed) <= set(block[calls[-1]])
@@ -745,7 +751,7 @@ class TestCertifiedAasPursuit:
         obs = np.ones(cfg.n_subcarriers, dtype=complex)
         zero = oracles.aas_scale(cfg, 0.7, np.zeros(cfg.n_subcarriers))
         with pytest.raises(ConfigError, match="zero-norm"):
-            aas_pursuit(cfg, 0.7, zero, obs, 1)
+            aas_pursuit(cfg, proposed_plan(cfg), 0.7, zero, obs, 1)
 
     def test_few_rows_for_a_separated_target(self, monkeypatch):
         """A lone target at full scale: each stage evaluates at most 160 of the
@@ -810,8 +816,8 @@ class TestCertifiedEasPursuit:
         stages = []
         real = detection.eas_pursuit
 
-        def record(cfg, obs, iterations):
-            got = real(cfg, obs, iterations)
+        def record(plan, obs, iterations):
+            got = real(plan, obs, iterations)
             stages.append((obs, iterations, got, len(calls) - 1))
             return got
 
@@ -848,7 +854,7 @@ class TestCertifiedEasPursuit:
             metric = np.abs(rows @ residual) / norms
             assert np.all(metric <= (table @ np.abs(residual))[block])
 
-            got = eas_pursuit(cfg, residual, 1)
+            got = eas_pursuit(proposed_plan(cfg), residual, 1)
             assert got.trace[0][0] == int(np.argmax(metric))
             bound, seen = calls[-1]
             want = (1 + ENVELOPE_MARGIN) * (table @ np.abs(residual))
@@ -874,24 +880,23 @@ class TestCertifiedEasPursuit:
         for seed in range(10):
             scene = generate_scene(FULL, 1, 0, seed, include_clutter=False)
             obs = assemble_observation(
-                FULL, scene_arrays(FULL, scene), plan.eas_weights, plan.eas_powers,
+                FULL, unit_echo(FULL, scene, plan.eas_weights), plan.eas_powers,
                 plan.eas_symbol_count, np.random.default_rng(seed),
             )
-            eas_pursuit(FULL, obs, 1)
+            eas_pursuit(plan, obs, 1)
         assert len(calls) == 10
         assert max(len(seen) for _, seen in calls) <= 512
 
     @pytest.mark.parametrize("cfg", CERTIFIED[:2], ids=["full", "s1024"])
-    def test_zero_norm_row_raises(self, monkeypatch, cfg):
+    def test_zero_norm_row_raises(self, cfg):
         plan = proposed_plan(cfg)
         rows, norms = plan.eas_rows.copy(), plan.eas_norms.copy()
         rows[7], norms[7] = 0.0, 0.0
         degenerate = plan._replace(eas_rows=rows, eas_norms=norms)
-        monkeypatch.setattr(detection, "proposed_plan", lambda cfg: degenerate)
         obs = np.ones(cfg.n_subcarriers, dtype=complex)
         with pytest.raises(ConfigError, match="zero-norm"):
-            eas_pursuit(cfg, obs, 1)
-        assert eas_pursuit(cfg, obs, 0).trace == ()
+            eas_pursuit(degenerate, obs, 1)
+        assert eas_pursuit(degenerate, obs, 0).trace == ()
 
 
 class TestBlockPursuitPicks:
@@ -921,12 +926,12 @@ class TestBlockPursuitPicks:
         assert lo // size != hi // size
         if stage == "eas":
             rows, norms = plan.eas_rows, plan.eas_norms
-            pursue = functools.partial(eas_pursuit, cfg)
+            pursue = functools.partial(eas_pursuit, plan)
         else:
             powers = np.random.default_rng(19).uniform(1e-4, 1e-2, cfg.n_subcarriers)
             scale = oracles.aas_scale(cfg, 0.7, powers)
             rows, norms = oracles.aas_table(cfg, 0.7, scale)
-            pursue = functools.partial(aas_pursuit, cfg, 0.7, scale)
+            pursue = functools.partial(aas_pursuit, cfg, plan, 0.7, scale)
         obs = np.exp(0.3j) * rows[hi]
         metric = np.abs(rows @ obs) / norms
         assert metric[lo] == metric[hi] == metric.max()  # an exact tie
@@ -941,9 +946,10 @@ class TestBlockPursuitPicks:
     def test_zero_residual_makes_no_pick(self, cfg):
         zero = np.zeros(cfg.n_subcarriers, dtype=complex)
         scale = oracles.aas_scale(cfg, 0.7, np.full(cfg.n_subcarriers, 1e-3))
+        plan = proposed_plan(cfg)
         for got, table in (
-            (eas_pursuit(cfg, zero, 2), eas_matrix(cfg)),
-            (aas_pursuit(cfg, 0.7, scale, zero, 2), oracles.aas_table(cfg, 0.7, scale)),
+            (eas_pursuit(plan, zero, 2), eas_matrix(cfg)),
+            (aas_pursuit(cfg, plan, 0.7, scale, zero, 2), oracles.aas_table(cfg, 0.7, scale)),
         ):
             want = modified_mp(zero, *table, 2)
             assert want.trace == got.trace == () and want.phasors == got.phasors == ()

@@ -13,7 +13,7 @@ from squintsense.beamforming import (
     eas_beamformer,
     eas_elevation_grid,
 )
-from squintsense.channel import generate_scene, sensing_attenuation
+from squintsense.channel import comm_attenuation, generate_scene, sensing_attenuation
 from squintsense.config import SystemConfig
 from squintsense.detection import hierarchical_detect, proposed_plan
 from squintsense.exceptions import InfeasibleError
@@ -339,7 +339,7 @@ class TestBackoff:
                 tables.append(table)
         results = []
         for table in tables:
-            monkeypatch.setattr(power, "_ratio_sums", lambda chi, table=table: table)
+            monkeypatch.setattr(SinrContext, "ratio_sums", property(lambda self, t=table: t))
             results.append(self.assert_same_outcome(ctx, tau_c))
         assert results[:2] == [None, tau_c]
         ties = results[2:]
@@ -349,7 +349,7 @@ class TestBackoff:
 def reference_backoff_tau_c(ctx, tau_c):
     """backoff_tau_c as an elementwise test of the whole ratio-sum table at
     every step of the ladder."""
-    ratio_sums = power._ratio_sums(ctx.chi)
+    ratio_sums = ctx.ratio_sums
     floor = tau_c * power.BACKOFF_FLOOR_RATIO
     candidate = tau_c
     step = 10.0 ** (-power.BACKOFF_STEP_DB / 10.0)
@@ -362,19 +362,32 @@ def reference_backoff_tau_c(ctx, tau_c):
     )
 
 
+def beam_rows(cfg, scene, beams):
+    """(B, K, N) power gain of each of B beams at each user of the scene, one
+    power_gain call per beam."""
+    users, n_idx = scene.users, np.arange(cfg.n_subcarriers)
+    rows = np.empty((len(beams), len(users), cfg.n_subcarriers))
+    for row, w in zip(rows, beams):
+        row[...] = w.power_gain(users[:, :1], users[:, 1:], n_idx)
+    return rows
+
+
 def sinr_context_reference(cfg, scene, comm_weights, sensing_weights, sensing_powers):
-    """Scalar per-subcarrier reference: |h_n(user) . w_n|^2 from comm_gain."""
-    k_users, n = len(scene.users), cfg.n_subcarriers
-    chi = np.empty((k_users, k_users, n))
-    eff_noise = np.empty((k_users, n))
-    for k, (theta, phi) in enumerate(scene.users):
-        for l, w in enumerate(comm_weights):
-            for sc in range(n):
-                chi[k, l, sc] = abs(oracles.comm_gain(cfg, theta, phi, w, sc)) ** 2
-        for sc in range(n):
-            leak = abs(oracles.comm_gain(cfg, theta, phi, sensing_weights, sc)) ** 2
-            eff_noise[k, sc] = leak * sensing_powers[sc] + cfg.noise_variance()
-    return chi, eff_noise
+    """chi (K, K, N) and each stage's effective noise (S, K, N), from one
+    power_gain call per beam, each beam's own user rows."""
+    beta2 = comm_attenuation(cfg, cfg.height / np.cos(scene.users[:, :1])) ** 2
+    chi = np.stack([beta2 * row for row in beam_rows(cfg, scene, comm_weights)], axis=1)
+    eff_noise = [
+        beta2 * row * p + cfg.noise_variance()
+        for row, p in zip(beam_rows(cfg, scene, sensing_weights), sensing_powers)
+    ]
+    return chi, np.array(eff_noise).reshape(-1, *chi.shape[1:])
+
+
+def context_of(cfg, scene, comm_weights, sensing_weights, sensing_powers):
+    """sinr_context on the user rows of the stage beams, then the comm beams."""
+    rows = beam_rows(cfg, scene, [*sensing_weights, *comm_weights])
+    return sinr_context(cfg, scene, rows, sensing_powers)
 
 
 class TestSinrContext:
@@ -384,7 +397,7 @@ class TestSinrContext:
         comm_w = [comm_beamformer(cfg, th, ph) for th, ph in scene.users]
         bf = eas_beamformer(cfg)
         p = np.full(cfg.n_subcarriers, 1e-3)
-        ctx = sinr_context(cfg, scene, comm_w, [bf], [p])
+        ctx = context_of(cfg, scene, comm_w, [bf], [p])
         assert ctx.chi.shape == (2, 2, cfg.n_subcarriers)
         assert ctx.effective_noise.shape == (1, 2, cfg.n_subcarriers)
         assert np.all(ctx.effective_noise >= cfg.noise_variance())
@@ -393,14 +406,16 @@ class TestSinrContext:
         cfg = CFG
         scene = generate_scene(cfg, 1, 2, 11)
         comm_w = [comm_beamformer(cfg, th, ph) for th, ph in scene.users]
-        ctx = sinr_context(
+        ctx = context_of(
             cfg, scene, comm_w, [eas_beamformer(cfg)], [np.zeros(cfg.n_subcarriers)]
         )
-        diag = np.einsum("kkn->kn", ctx.chi)
-        assert np.all(diag > 0)
+        np.testing.assert_array_equal(ctx.diag, np.einsum("kkn->kn", ctx.chi))
+        assert np.all(ctx.diag > 0)
 
     @pytest.mark.parametrize("stage", ["eas", "aas"])
     def test_matches_per_subcarrier_comm_gain_reference(self, stage):
+        """chi and the effective noise against the complex oracle |h_n . w_n|^2,
+        and bit for bit against one power_gain call per beam."""
         cfg = CFG
         rng = np.random.default_rng(16)
         for seed in range(4):
@@ -408,10 +423,18 @@ class TestSinrContext:
             comm_w = [comm_beamformer(cfg, th, ph) for th, ph in scene.users]
             bf = eas_beamformer(cfg) if stage == "eas" else aas_beamformer(cfg, 0.9)
             p = 10 ** rng.uniform(-4, -2, cfg.n_subcarriers)
-            ctx = sinr_context(cfg, scene, comm_w, [bf], [p])
-            chi, eff_noise = sinr_context_reference(cfg, scene, comm_w, bf, p)
-            np.testing.assert_allclose(ctx.chi, chi, rtol=1e-12, atol=0)
-            np.testing.assert_allclose(ctx.effective_noise[0], eff_noise, rtol=1e-12, atol=0)
+            ctx = context_of(cfg, scene, comm_w, [bf], [p])
+            chi, eff_noise = sinr_context_reference(cfg, scene, comm_w, [bf], [p])
+            np.testing.assert_array_equal(ctx.chi, chi)
+            np.testing.assert_array_equal(ctx.effective_noise, eff_noise)
+            for k, (theta, phi) in enumerate(scene.users):
+                for sc in range(cfg.n_subcarriers):
+                    for l, w in enumerate(comm_w):
+                        want = abs(oracles.comm_gain(cfg, theta, phi, w, sc)) ** 2
+                        assert chi[k, l, sc] == pytest.approx(want, rel=1e-12, abs=0)
+                    leak = abs(oracles.comm_gain(cfg, theta, phi, bf, sc)) ** 2
+                    want = leak * p[sc] + cfg.noise_variance()
+                    assert eff_noise[0, k, sc] == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_two_stages_share_chi_and_get_one_noise_row_each(self):
         cfg = CFG
@@ -420,12 +443,34 @@ class TestSinrContext:
         comm_w = [comm_beamformer(cfg, th, ph) for th, ph in scene.users]
         stages = [eas_beamformer(cfg), aas_beamformer(cfg, 0.9)]
         powers = [10 ** rng.uniform(-4, -2, cfg.n_subcarriers) for _ in stages]
-        ctx = sinr_context(cfg, scene, comm_w, stages, powers)
+        ctx = context_of(cfg, scene, comm_w, stages, powers)
         assert ctx.effective_noise.shape == (2, 3, cfg.n_subcarriers)
         for row, bf, p in zip(ctx.effective_noise, stages, powers):
-            chi, eff_noise = sinr_context_reference(cfg, scene, comm_w, bf, p)
-            np.testing.assert_allclose(ctx.chi, chi, rtol=1e-12, atol=0)
-            np.testing.assert_allclose(row, eff_noise, rtol=1e-12, atol=0)
+            chi, eff_noise = sinr_context_reference(cfg, scene, comm_w, [bf], [p])
+            np.testing.assert_array_equal(ctx.chi, chi)
+            np.testing.assert_array_equal(row, eff_noise[0])
+
+    @pytest.mark.parametrize("q,k", [(0, 2), (2, 2), (4, 6)])
+    def test_detection_rows_match_per_beam_reference(self, q, k):
+        """The user rows hierarchical_detect returns, from its two stacked
+        calls, give the context of one power_gain call per beam, bit for bit."""
+        cfg = SCALED
+        for seed in range(5):
+            scene = generate_scene(cfg, q, k, (seed, 0))
+            result = hierarchical_detect(cfg, scene, np.random.default_rng((seed, 1)))
+            stages = [proposed_plan(cfg).eas_weights]
+            stages += [aas_beamformer(cfg, theta) for theta, _ in result.elevations]
+            comm_w = [comm_beamformer(cfg, th, ph) for th, ph in scene.users]
+            np.testing.assert_array_equal(
+                result.user_gains, beam_rows(cfg, scene, [*stages, *comm_w])
+            )
+            ctx = sinr_context(cfg, scene, result.user_gains, result.sensing_powers)
+            chi, eff_noise = sinr_context_reference(
+                cfg, scene, comm_w, stages, result.sensing_powers
+            )
+            np.testing.assert_array_equal(ctx.chi, chi)
+            np.testing.assert_array_equal(ctx.effective_noise, eff_noise)
+            assert ctx.chi.flags.c_contiguous  # its sums round by layout
 
 
 def stacked_context(rng, k, n_stages, n=7, tau_c=10.0):

@@ -5,10 +5,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import oracles
+
 import squintsense.simkit as simkit
 from squintsense.beamforming import (
     BeamformerWeights,
     aas_azimuth_grid,
+    aas_beamformer,
     aas_unit_phase,
     comm_beamformer,
     eas_elevation_grid,
@@ -28,7 +31,6 @@ from squintsense.power import (
     SinrContext,
     allocate_comm,
     backoff_tau_c,
-    sinr_context,
 )
 from squintsense.simkit import (
     _azimuth_only_bound,
@@ -53,6 +55,7 @@ from squintsense.simkit import (
     transmit_power_metrics,
 )
 from test_detection import RANDOM_M_H, RANDOM_M_V
+from test_power import sinr_context_reference
 
 SCALED = SystemConfig(
     m_h=16, m_v=16, n_subcarriers=32, n_candidates=512, tau_s_db=25.0
@@ -595,16 +598,22 @@ class TestExhaustiveMemory:
         assert traced_peak(run_azimuth_only_baseline, cfg, scene) < 8 * cfg.n_subcarriers**2 * 8
 
 
-def reference_comm_plan(cfg, scene, stage_weights, sensing_powers):
-    """The comm plan built stage by stage: one SINR context per sensing stage,
-    the smallest of their backed-off thresholds, then one allocation each."""
+def stage_beams(cfg, result):
+    """The sensing beams of a detection result, in stage order: the EAS beam,
+    then the AAS beam of each elevation."""
+    aas = [aas_beamformer(cfg, theta) for theta, _ in result.elevations]
+    return [proposed_plan(cfg).eas_weights, *aas]
+
+
+def reference_comm_plan(cfg, scene, sensing_beams, sensing_powers):
+    """The comm plan built stage by stage from one power_gain call per beam:
+    one SINR context per sensing stage, the smallest of their backed-off
+    thresholds, then one allocation and one SINR per stage."""
     if len(scene.users) == 0:
-        return [np.zeros((0, cfg.n_subcarriers)) for _ in stage_weights], [], cfg.tau_c
+        return [np.zeros((0, cfg.n_subcarriers)) for _ in sensing_beams], [], cfg.tau_c
     comm_w = [comm_beamformer(cfg, theta, phi) for theta, phi in scene.users]
-    contexts = []
-    for w, p in zip(stage_weights, sensing_powers):
-        ctx = sinr_context(cfg, scene, comm_w, [w], [p])
-        contexts.append(SinrContext(chi=ctx.chi, effective_noise=ctx.effective_noise[0]))
+    chi, eff_noise = sinr_context_reference(cfg, scene, comm_w, sensing_beams, sensing_powers)
+    contexts = [SinrContext(chi=chi, effective_noise=noise) for noise in eff_noise]
     tau_eff = min(backoff_tau_c(ctx, cfg.tau_c) for ctx in contexts)
     comm_powers = []
     sinrs = []
@@ -615,6 +624,19 @@ def reference_comm_plan(cfg, scene, stage_weights, sensing_powers):
         interference = np.einsum("kln,ln->kn", ctx.chi, p_stage) - diag * p_stage
         sinrs.append(diag * p_stage / (interference + ctx.effective_noise))
     return comm_powers, sinrs, tau_eff
+
+
+def reference_proposed_trial(cfg, scene, rng):
+    """The proposed trial from oracles.per_stage_detect, the per-stage comm
+    plan and _finish_record."""
+    result = oracles.per_stage_detect(cfg, scene, rng)
+    comm_powers, sinrs, tau_eff = reference_comm_plan(
+        cfg, scene, stage_beams(cfg, result), result.sensing_powers
+    )
+    plan = PowerPlan(
+        list(result.symbol_counts), list(result.sensing_powers), comm_powers, tau_eff
+    )
+    return simkit._finish_record("proposed", cfg, scene, result.estimates, plan, sinrs)
 
 
 # the scaled config of the benchmark workloads
@@ -628,16 +650,20 @@ def detected_stages(cfg, q, k, seed, include_clutter=True):
 
 
 def comm_plan_args(cfg, scene, result):
-    return cfg, scene, result.stage_weights, result.sensing_powers
+    return cfg, scene, result.user_gains, result.sensing_powers
+
+
+def reference_plan_args(cfg, scene, result):
+    return cfg, scene, stage_beams(cfg, result), result.sensing_powers
 
 
 class TestCommPlan:
     @staticmethod
     def assert_same_plan(cfg, scene, result):
         got = allocate_comm_plan(*comm_plan_args(cfg, scene, result))
-        want = reference_comm_plan(*comm_plan_args(cfg, scene, result))
+        want = reference_comm_plan(*reference_plan_args(cfg, scene, result))
         assert got[2] == want[2]
-        assert len(got[0]) == len(want[0]) == len(result.stage_weights)
+        assert len(got[0]) == len(want[0]) == len(result.symbol_counts)
         assert len(got[1]) == len(want[1])
         for a, b in zip(got[0] + got[1], want[0] + want[1]):
             np.testing.assert_array_equal(a, b)
@@ -668,21 +694,21 @@ class TestCommPlan:
 
     def test_infeasible_raises_the_same_error(self):
         cfg = COMM_CFG.replace(tau_c_db=80.0)
-        args = comm_plan_args(cfg, *detected_stages(cfg, 2, 6, 5))
+        stages = detected_stages(cfg, 2, 6, 5)
         errors = []
-        for plan in (allocate_comm_plan, reference_comm_plan):
+        for plan, args in (
+            (allocate_comm_plan, comm_plan_args(cfg, *stages)),
+            (reference_comm_plan, reference_plan_args(cfg, *stages)),
+        ):
             with pytest.raises(InfeasibleError) as info:
                 plan(*args)
             errors.append((str(info.value), info.value.last_threshold))
         assert errors[0] == errors[1]
 
-    def test_gain_table_built_once_per_trial(self, monkeypatch):
-        """One stacked call for chi and every AAS stage's leakage, then one
-        for the EAS stage's flat-model beam."""
+    def test_frame_beams_evaluated_once_per_trial(self, monkeypatch):
+        """Detection makes one power_gain call for the EAS beam and one for
+        the AAS beams stacked with the users' beams; the comm plan makes none."""
         cfg = COMM_CFG.replace(tau_c_db=20.0)
-        plan_args = comm_plan_args(cfg, *detected_stages(cfg, 4, 6, 3))
-        n_stages = len(plan_args[2])
-        assert n_stages > 1
         calls = []
         power_gain = BeamformerWeights.power_gain
 
@@ -691,8 +717,35 @@ class TestCommPlan:
             return power_gain(self, *args)
 
         monkeypatch.setattr(BeamformerWeights, "power_gain", counted)
-        allocate_comm_plan(*plan_args)
-        assert calls == ["stack", "eas"]
+        scene, result = detected_stages(cfg, 4, 6, 3)
+        assert len(result.symbol_counts) > 2
+        assert calls == ["eas", "stack"]
+        allocate_comm_plan(*comm_plan_args(cfg, scene, result))
+        assert calls == ["eas", "stack"]
+
+
+class TestProposedRecord:
+    """run_proposed_trial's record against reference_proposed_trial, field by field."""
+
+    @pytest.mark.parametrize(
+        "cfg, q, k, include_clutter",
+        [
+            (COMM_CFG, 2, 2, True),
+            (COMM_CFG.replace(tau_c_db=20.0), 4, 6, True),
+            (COMM_CFG, 0, 2, True),
+            (COMM_CFG, 2, 0, True),
+            (COMM_CFG, 3, 6, False),
+            (COMM_CFG.replace(m_h=8, m_v=13), 2, 2, True),
+        ],
+        ids=["q2k2", "crowded", "q0k2", "q2k0", "q3k6-los", "mh8-mv13"],
+    )
+    def test_matches_reference_trial(self, cfg, q, k, include_clutter):
+        for seed in range(5):
+            scene = generate_scene(cfg, q, k, (seed, 0), include_clutter)
+            got = run_proposed_trial(cfg, scene, np.random.default_rng((seed, 1)))
+            want = reference_proposed_trial(cfg, scene, np.random.default_rng((seed, 1)))
+            for name in simkit.TRIAL_FIELDS:
+                np.testing.assert_equal(getattr(got, name), getattr(want, name), name)
 
 
 class TestTrialCallCounts:
@@ -730,8 +783,8 @@ class TestTrialCallCounts:
                 seen.add((len(result.symbol_counts), k, counts["kernel"]))
         stages = {n for n, _, _ in seen}
         assert len(stages) >= 3 and max(stages) >= 4
-        # EAS echo 1, stacked AAS echoes 2, stacked SINR table 2, EAS leakage 1
-        assert {kernel for _, _, kernel in seen} == {6}
+        # the EAS beam 1, the AAS beams stacked with the users' beams 2
+        assert {kernel for _, _, kernel in seen} == {3}
 
 
 class TestScanTopCells:
@@ -961,3 +1014,43 @@ class TestRunExperiment:
         assert a[0]["mean_distance_error_m"] == pytest.approx(
             b[0]["mean_distance_error_m"]
         )
+
+
+class TestScanBlocks:
+    """The exhaustive scan's cell helpers cap each kernel call at
+    simkit._scan_block rows or cells; every row and cell keeps the bits it
+    has in a call of its own."""
+
+    @pytest.mark.parametrize("q", [2, 5, 8])
+    def test_capped_calls_keep_each_cells_bits(self, monkeypatch, q):
+        cfg = SystemConfig()
+        n = cfg.n_subcarriers
+        scene = generate_scene(cfg, q, 0, (q, 0))
+        echoes = scene_arrays(cfg, scene)
+        noise = scan_noise(cfg, np.random.default_rng(q))
+        _, vertical = _row_bound(cfg, echoes, noise)
+        rng = np.random.default_rng(q)
+        rows = rng.permutation(n)[:40]
+        cells = rng.choice(n * n, 300, replace=False)
+        r, c = np.divmod(cells, n)
+        block = simkit._scan_block(cfg, echoes)
+        assert block * len(echoes[2]) * n <= simkit.FEJER_BLOCK // 2
+        assert (block >= 8) == (q == 2)  # the q = 2 scan's first batch of 8 cells fits
+
+        kernel_inputs = []
+        kernel = simkit.uniform_phase_power
+
+        def counted(slope, m, *args, **kwargs):
+            kernel_inputs.append(np.size(slope))
+            return kernel(slope, m, *args, **kwargs)
+
+        monkeypatch.setattr(simkit, "uniform_phase_power", counted)
+        bound = _cell_bound(cfg, echoes, noise, vertical, rows)
+        response = _cell_response(cfg, echoes, r, c)
+        assert max(kernel_inputs) <= simkit.FEJER_BLOCK // 2
+        for i, row in enumerate(rows):
+            np.testing.assert_array_equal(
+                bound[i], _cell_bound(cfg, echoes, noise, vertical, np.array([row]))[0]
+            )
+        for i in range(len(cells)):
+            assert response[i] == _cell_response(cfg, echoes, r[i : i + 1], c[i : i + 1])[0]
