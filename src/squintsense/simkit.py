@@ -1,9 +1,9 @@
 """Monte Carlo experiment harness, metrics, and scan baselines.
 
 Both scan baselines rank their N x N statistic by one threshold loop
-(:func:`_top_q_scan`) in four arrays that every trial of one N reuses
-(:func:`scan_work`): fresh N^2 arrays were faulted in anew by every trial.
-A scan is therefore not safe to run from two threads; processes are.
+(:func:`_top_q_scan`), which splits every callback call at the scan's cap,
+in four arrays that every trial of one N reuses (:func:`scan_work`). A scan
+is therefore not safe to run from two threads; processes are.
 """
 
 from __future__ import annotations
@@ -230,8 +230,8 @@ class ScanWork(NamedTuple):
 
 @functools.lru_cache(maxsize=4)
 def scan_work(n: int) -> ScanWork:
-    """The work arrays of the scans at N subcarriers, shared by every trial
-    of the process; see the module docstring for why, and its thread caveat."""
+    """The scans' work arrays at N subcarriers, shared by every trial of the
+    process so none faults in fresh N^2 arrays; see the module docstring."""
     return ScanWork(np.empty((2, n, n)), np.empty((n, n), complex), *np.empty((2, n, n)))
 
 
@@ -280,7 +280,7 @@ def _in_blocks(fn, block: int, *arrays):
     ``block`` entries, concatenated; one call when they fit. A scan's kernel
     call holds a few temporaries of its input's size, and temporaries that
     outgrow the allocator's trim threshold are handed back and faulted in
-    anew by every call; the callers size ``block`` to keep them small."""
+    anew by every call; each scan sizes ``block`` to keep them small."""
     if len(arrays[0]) <= block:
         return fn(*arrays)
     pieces = zip(*(np.array_split(a, len(a) // block + 1) for a in arrays))
@@ -296,19 +296,12 @@ def _scan_block(cfg: SystemConfig, echoes) -> int:
     return max(1, FEJER_BLOCK // max(1, 2 * len(echoes[2]) * cfg.n_subcarriers))
 
 
-def _cell_response(cfg: SystemConfig, echoes, rows, cols):
+def _cell_response(cfg: SystemConfig, plan: ExhaustivePlan, echoes, rows, cols):
     """Noise-free echo of the scan cells (rows[i], cols[i]), averaged coherently
-    over subcarriers: (len(rows),). ``echoes`` is the scene's echo form
-    scene_arrays(cfg, scene). Every step is elementwise or a reduction along a
-    cell's own axes, so each cell has the same bits whatever other cells it
-    is given, and the cells go to the kernel :func:`_scan_block` at a time."""
-    block = functools.partial(_block_response, cfg, echoes)
-    return _in_blocks(block, _scan_block(cfg, echoes), rows, cols)
-
-
-def _block_response(cfg: SystemConfig, echoes, rows, cols):
-    """:func:`_cell_response` in one kernel call per axis."""
-    plan = exhaustive_plan(cfg)
+    over subcarriers: (len(rows),), in one kernel call per axis. ``echoes`` is
+    the scene's echo form scene_arrays(cfg, scene). Every step is elementwise
+    or a reduction along a cell's own axes, so each cell has the same bits
+    whatever other cells it is given."""
     s_theta, s_phi, s_amp = echoes
     s_h = np.sin(s_theta) * np.cos(s_phi)
     # squint-compensated pencil at cell (r, c): residual slope is (1 + f/fc) *
@@ -323,11 +316,10 @@ def _block_response(cfg: SystemConfig, echoes, rows, cols):
     return (power * s_amp).sum(axis=2).mean(axis=1)
 
 
-def _row_bound(cfg: SystemConfig, echoes, noise):
+def _row_bound(cfg: SystemConfig, plan: ExhaustivePlan, echoes, noise):
     """Upper bound of the scan statistic over each row, (N,), and the (N, S)
     array W whose entry W[r, s] bounds scatterer s's vertical power times
     |amplitude| at row r, on every subcarrier."""
-    plan = exhaustive_plan(cfg)
     s_theta, _, s_amp = echoes
     vertical = np.abs(s_amp) * fejer_envelope(
         np.cos(s_theta) - plan.cos_theta[:, None], cfg.m_v, plan.ratio.min(), plan.ratio.max()
@@ -337,17 +329,10 @@ def _row_bound(cfg: SystemConfig, echoes, noise):
     return bound, vertical
 
 
-def _cell_bound(cfg: SystemConfig, echoes, noise, vertical, rows):
+def _cell_bound(cfg: SystemConfig, plan: ExhaustivePlan, echoes, noise, vertical, rows):
     """Upper bound of the scan statistic at every cell of the given rows,
-    (len(rows), N), from the W of _row_bound; the rows go to the envelope
-    :func:`_scan_block` at a time, each with the bits it has alone."""
-    block = functools.partial(_block_bound, cfg, echoes, noise, vertical)
-    return _in_blocks(block, _scan_block(cfg, echoes), rows)
-
-
-def _block_bound(cfg: SystemConfig, echoes, noise, vertical, rows):
-    """:func:`_cell_bound` in one envelope call."""
-    plan = exhaustive_plan(cfg)
+    (len(rows), N), from the W of _row_bound, in one envelope call; each row
+    has the bits it has alone."""
     s_theta, s_phi, _ = echoes
     s_h = np.sin(s_theta) * np.cos(s_phi)
     horizontal = fejer_envelope(
@@ -358,7 +343,7 @@ def _block_bound(cfg: SystemConfig, echoes, noise, vertical, rows):
     return bound * ((1.0 + ENVELOPE_MARGIN) / plan.expected[rows, None])
 
 
-def _top_q_scan(work: ScanWork, q: int, first, row_bound, cell_bound, evaluate, batch):
+def _top_q_scan(work: ScanWork, q: int, first, row_bound, cell_bound, evaluate, batch, block):
     """work.statistic: the scan statistic at every cell that could be one of
     its q largest, -inf elsewhere (a threshold rule, Fagin, Lotem & Naor, PODS
     2001). ``row_bound`` (N,) bounds each row, ``cell_bound(rows)`` each cell
@@ -366,7 +351,8 @@ def _top_q_scan(work: ScanWork, q: int, first, row_bound, cell_bound, evaluate, 
     The ``first`` rows of largest bound are bounded, then unevaluated cells of
     largest bound are evaluated in batches of ``batch``, 2 batch, ..., each
     followed by bounding every row above the q-th largest statistic, until no
-    cell's is. A batch-independent ``evaluate`` gives a full-grid record."""
+    cell's is. The loop hands each callback at most ``block`` rows or cells a
+    call; callbacks that give each its bits alone give a full-grid record."""
     statistic, bound = work.statistic, work.bound
     statistic.fill(-np.inf)
     bound.fill(-np.inf)  # cell bounds; -inf once evaluated or unbounded
@@ -374,14 +360,14 @@ def _top_q_scan(work: ScanWork, q: int, first, row_bound, cell_bound, evaluate, 
     top = np.full(q, -np.inf)  # the q largest statistics so far
     rows = np.argsort(row_bound)[-first:]
     while q:
-        bound[rows] = cell_bound(rows)
+        bound[rows] = _in_blocks(cell_bound, block, rows)
         row_bound[rows] = -np.inf  # these rows are bounded cell by cell
         live = (flat_bound > top[0]).nonzero()[0]
         if not live.size:
             break
         if live.size > batch:
             live = live[flat_bound[live].argpartition(-batch)[-batch:]]
-        flat_statistic[live] = values = evaluate(live)
+        flat_statistic[live] = values = _in_blocks(evaluate, block, live)
         flat_bound[live] = -np.inf
         top = np.partition(np.concatenate((top, values)), -q)[-q:]
         rows, batch = (row_bound > top[0]).nonzero()[0], 2 * batch
@@ -401,11 +387,11 @@ def run_exhaustive_baseline(
     scene-independent part is the cached :func:`exhaustive_plan`.
 
     :func:`_top_q_scan` evaluates its statistic |sqrt(p_r) response + noise| /
-    (sqrt(p_r) alpha_r) from 4 rows and max(8, q) cells. With E_m the
-    ``geometry.fejer_envelope`` over the subcarrier ratios, scatterer s adds
-    at most W[r, s] = |amp_s| E_{m_v}(cos theta_s - cos theta_r) to row r and
-    W[r, s] E_{m_h}(h_s - h_rc) to cell (r, c); a bound adds the row's largest
-    |noise| or the cell's own, and the whole is times 1 + ENVELOPE_MARGIN.
+    (sqrt(p_r) alpha_r) from 4 rows and max(8, q) cells, _scan_block a call.
+    With E_m the ``geometry.fejer_envelope`` over the subcarrier ratios,
+    scatterer s adds at most W[r, s] = |amp_s| E_{m_v}(cos theta_s - cos
+    theta_r) to row r and W[r, s] E_{m_h}(h_s - h_rc) to cell (r, c); a bound
+    adds the row's largest |noise| or the cell's own, times 1 + ENVELOPE_MARGIN.
     """
     n = cfg.n_subcarriers
     plan = exhaustive_plan(cfg)
@@ -413,14 +399,15 @@ def run_exhaustive_baseline(
     noise = _scan_noise(work, rng, np.sqrt(cfg.noise_variance() / (2.0 * n)))
     echoes = scene_arrays(cfg, scene)
     q = len(scene.targets)
-    row_bound, vertical = _row_bound(cfg, echoes, noise)
+    row_bound, vertical = _row_bound(cfg, plan, echoes, noise)
 
     def evaluate(cells):
         r, c = np.divmod(cells, n)
-        signal = plan.sqrt_powers[r] * _cell_response(cfg, echoes, r, c)
+        signal = plan.sqrt_powers[r] * _cell_response(cfg, plan, echoes, r, c)
         return np.abs(signal + noise.take(cells)) / plan.expected[r]
-    cell_bound = functools.partial(_cell_bound, cfg, echoes, noise, vertical)
-    statistic = _top_q_scan(work, q, 4, row_bound, cell_bound, evaluate, max(8, q))
+    cell_bound = functools.partial(_cell_bound, cfg, plan, echoes, noise, vertical)
+    block = _scan_block(cfg, echoes)
+    statistic = _top_q_scan(work, q, 4, row_bound, cell_bound, evaluate, max(8, q), block)
     grids = (plan.theta_grid, plan.phi_grid)
     return _scan_record("exhaustive", cfg, scene, statistic, grids, plan.powers)
 
@@ -501,14 +488,13 @@ def azimuth_only_plan(cfg: SystemConfig) -> AzimuthOnlyPlan:
     return plan
 
 
-def _azimuth_only_bound(cfg: SystemConfig, echoes, noise, out):
+def _azimuth_only_bound(cfg: SystemConfig, plan: AzimuthOnlyPlan, echoes, noise, out):
     """Upper bound of the azimuth-only statistic at every cell, in out[0] of
     the (2, N, N) scratch ``out``, and the vertical powers p_v, (S, N). A cell
     responds sum_s amp_s p_v(s, n) H(s, n, m), H <= 1 if pointed and flat^2
     if flat, so the bound is (1 + ENVELOPE_MARGIN) (A_n peak_signal_nm +
     |noise_nm|) / expected_nm, A_n = sum_s |amp_s| p_v(s, n). The margin
     carries weight: test scenes reach statistic/bound = 1 / (1 + margin)."""
-    plan = azimuth_only_plan(cfg)
     s_theta, _, s_amp = echoes
     x_v = np.cos(s_theta)[:, None] * plan.ratio - np.cos(cfg.theta_min) + plan.v_ttd
     p_v = uniform_phase_power(x_v, cfg.m_v)
@@ -545,13 +531,11 @@ def run_azimuth_only_baseline(
     noise = _scan_noise(work, rng, np.sqrt(cfg.noise_variance() / 2.0))
     echoes = scene_arrays(cfg, scene)
     s_theta, s_phi, s_amp = echoes
-    bound, p_v = _azimuth_only_bound(cfg, echoes, noise, work.draws)  # draws are spent
+    bound, p_v = _azimuth_only_bound(cfg, plan, echoes, noise, work.draws)  # draws are spent
     x_target = (np.sin(s_theta) * np.cos(s_phi))[:, None] * plan.ratio  # (scatterer, n)
     block = FEJER_BLOCK // max(1, 4 * len(s_amp))
 
     def evaluate(cells):
-        if len(cells) > block:
-            return _in_blocks(evaluate, block, cells)
         r = cells // n
         x_h = x_target.take(r, axis=1) - plan.steer_h.take(cells)
         power = np.where(plan.pointed.take(cells), uniform_phase_power(x_h, cfg.m_h), plan.flat**2)
@@ -561,7 +545,8 @@ def run_azimuth_only_baseline(
         signal = plan.sqrt_powers.take(cells) * response
         return np.abs(signal + noise.take(cells)) / plan.expected.take(cells)
     q = len(scene.targets)
-    statistic = _top_q_scan(work, q, 16, bound.max(axis=1), bound.__getitem__, evaluate, 128 * q)
+    row_bound, cell_bound = bound.max(axis=1), bound.__getitem__
+    statistic = _top_q_scan(work, q, 16, row_bound, cell_bound, evaluate, 128 * q, block)
     grids = (plan.theta_grid, plan.phi_grid)
     # sensing powers of N symbols x N subcarriers, T folded in
     return _scan_record("azimuth_only", cfg, scene, statistic, grids, plan.powers.ravel())

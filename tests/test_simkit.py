@@ -230,13 +230,14 @@ def reference_exhaustive_response(cfg, scene):
 
 
 def every_cell_response(cfg, scene):
-    """_cell_response on all N^2 cells, (N, N): in one call up to N = 45, in
-    calls of 2048 cells above, so a full-scale grid forms no ~100 MB array."""
+    """The uncapped _cell_response on all N^2 cells, (N, N): in one call up to
+    N = 45, in calls of 2048 cells above, so a full-scale grid forms no ~100 MB
+    array; each cell has its bits whatever cells share its call."""
     n = cfg.n_subcarriers
     rows, cols = np.divmod(np.arange(n * n), n)
-    echoes = scene_arrays(cfg, scene)
+    plan, echoes = exhaustive_plan(cfg), scene_arrays(cfg, scene)
     parts = [
-        _cell_response(cfg, echoes, rows[i : i + 2048], cols[i : i + 2048])
+        _cell_response(cfg, plan, echoes, rows[i : i + 2048], cols[i : i + 2048])
         for i in range(0, n * n, 2048)
     ]
     return np.concatenate(parts).reshape(n, n)
@@ -322,13 +323,13 @@ def spy_scan(monkeypatch, cfg, scene, seed):
     each batch of cells it evaluated, the rows whose cells it bounded)."""
     seen = {"batches": [], "bounded": []}
 
-    def response(cfg, echoes, rows, cols):
+    def response(cfg, plan, echoes, rows, cols):
         seen["batches"].append(len(rows))
-        return _cell_response(cfg, echoes, rows, cols)
+        return _cell_response(cfg, plan, echoes, rows, cols)
 
-    def cell_bound(cfg, echoes, noise, vertical, rows):
+    def cell_bound(cfg, plan, echoes, noise, vertical, rows):
         seen["bounded"].extend(rows)
-        return _cell_bound(cfg, echoes, noise, vertical, rows)
+        return _cell_bound(cfg, plan, echoes, noise, vertical, rows)
 
     def record(method, cfg, scene, statistic, grids, powers):
         seen["statistic"] = statistic.copy()
@@ -417,9 +418,9 @@ class TestScanBound:
     def check(cfg, scene, seed):
         noise = scan_noise(cfg, np.random.default_rng(seed))
         statistic = full_grid_statistic(cfg, scene, noise)
-        echoes = scene_arrays(cfg, scene)
-        rows, vertical = _row_bound(cfg, echoes, noise)
-        cells = _cell_bound(cfg, echoes, noise, vertical, np.arange(cfg.n_subcarriers))
+        plan, echoes = exhaustive_plan(cfg), scene_arrays(cfg, scene)
+        rows, vertical = _row_bound(cfg, plan, echoes, noise)
+        cells = _cell_bound(cfg, plan, echoes, noise, vertical, np.arange(cfg.n_subcarriers))
         assert np.all(cells >= statistic)
         assert np.all(rows >= cells.max(axis=1))
 
@@ -439,7 +440,8 @@ class TestScanBound:
         _, statistic = reference_azimuth_only_scan(cfg, scene, seed)
         noise = azimuth_only_noise(cfg, np.random.default_rng(seed))
         out = np.empty((2, cfg.n_subcarriers, cfg.n_subcarriers))
-        bound, _ = _azimuth_only_bound(cfg, scene_arrays(cfg, scene), noise, out)
+        plan = azimuth_only_plan(cfg)
+        bound, _ = _azimuth_only_bound(cfg, plan, scene_arrays(cfg, scene), noise, out)
         assert np.all(bound >= statistic)
 
     @EVERY_CONFIG
@@ -524,44 +526,6 @@ class TestAzimuthOnlyScan:
         kernel block, so the first batch of 384 cells takes two calls."""
         cfg = SCALED.replace(n_clutter=17)
         self.check(monkeypatch, cfg, generate_scene(cfg, 3, 0, 5), 5)
-
-
-RANDOM_SCAN_CONFIGS = 50
-
-
-class TestRandomConfigScans:
-    """Both scans against their full-grid references on seeded random configs
-    in the ranges of test_detection.TestRandomConfigs (N in 8..48), with q in
-    {1, 2, 3} targets and clutter on and off."""
-
-    def test_same_records_as_full_grid(self):
-        rng = np.random.default_rng(27)
-        skipped = 0
-        for i in range(RANDOM_SCAN_CONFIGS):
-            n = int(rng.integers(8, 49))
-            fields = dict(
-                m_h=int(rng.choice(RANDOM_M_H)), m_v=int(rng.choice(RANDOM_M_V)),
-                n_subcarriers=n, n_candidates=n,
-            )
-            try:
-                cfg = SystemConfig(**fields)
-                runs = []
-                for q, include_clutter in itertools.product((1, 2, 3), (True, False)):
-                    scene = generate_scene(cfg, q, 0, (i, q), include_clutter)
-                    seed = (i, q, 1)
-                    runs.append((
-                        run_exhaustive_baseline(cfg, scene, np.random.default_rng(seed)),
-                        full_grid_scan(cfg, scene, seed),
-                        run_azimuth_only_baseline(cfg, scene, np.random.default_rng(seed)),
-                        reference_azimuth_only_scan(cfg, scene, seed)[0],
-                    ))
-            except ConfigError:
-                skipped += 1
-                continue
-            for exhaustive, want_exhaustive, azimuth_only, want_azimuth_only in runs:
-                assert exhaustive == want_exhaustive, fields
-                assert azimuth_only == want_azimuth_only, fields
-        assert skipped == 0
 
 
 def traced_peak(scan, cfg, scene):
@@ -746,6 +710,62 @@ class TestProposedRecord:
             want = reference_proposed_trial(cfg, scene, np.random.default_rng((seed, 1)))
             for name in simkit.TRIAL_FIELDS:
                 np.testing.assert_equal(getattr(got, name), getattr(want, name), name)
+
+
+RANDOM_RECORD_CONFIGS = 50
+RANDOM_RECORD_SKIPS = 0  # configs of the seed-27 draw that raise ConfigError
+
+
+class TestRandomConfigRecords:
+    """Every method's record against its reference, field by field, on seeded
+    random configs in the ranges of test_detection.TestRandomConfigs (N in
+    8..48, here with L = N): run_proposed_trial against
+    reference_proposed_trial, run_exhaustive_baseline against full_grid_scan
+    and run_azimuth_only_baseline against reference_azimuth_only_scan. Each
+    config runs q in {1, 2, 3} targets with clutter on and off, and k = 0 or
+    3 users by turns, so every (q, k, clutter) case runs on 25 configs.
+    A scene's targets and clutter do not depend on k, and the scans read no
+    user. Of the 50 drawn configs, RANDOM_RECORD_SKIPS (0) raise ConfigError."""
+
+    def test_every_method_matches_its_reference(self):
+        rng = np.random.default_rng(27)
+        skipped = 0
+        for i in range(RANDOM_RECORD_CONFIGS):
+            n = int(rng.integers(8, 49))
+            fields = dict(
+                m_h=int(rng.choice(RANDOM_M_H)), m_v=int(rng.choice(RANDOM_M_V)),
+                n_subcarriers=n, n_candidates=n,
+            )
+            try:
+                cfg = SystemConfig(**fields)
+                runs = []
+                for q, include_clutter in itertools.product((1, 2, 3), (True, False)):
+                    k = 3 * ((i + q) % 2)
+                    scene = generate_scene(cfg, q, k, (i, q), include_clutter)
+                    seed = (i, q, 1)
+                    runs += [
+                        (
+                            run_proposed_trial(cfg, scene, np.random.default_rng(seed)),
+                            reference_proposed_trial(cfg, scene, np.random.default_rng(seed)),
+                        ),
+                        (
+                            run_exhaustive_baseline(cfg, scene, np.random.default_rng(seed)),
+                            full_grid_scan(cfg, scene, seed),
+                        ),
+                        (
+                            run_azimuth_only_baseline(cfg, scene, np.random.default_rng(seed)),
+                            reference_azimuth_only_scan(cfg, scene, seed)[0],
+                        ),
+                    ]
+            except ConfigError:
+                skipped += 1
+                continue
+            for got, want in runs:
+                for name in simkit.TRIAL_FIELDS:
+                    np.testing.assert_equal(
+                        getattr(got, name), getattr(want, name), f"{name} {fields}"
+                    )
+        assert skipped == RANDOM_RECORD_SKIPS
 
 
 class TestTrialCallCounts:
@@ -1017,40 +1037,112 @@ class TestRunExperiment:
 
 
 class TestScanBlocks:
-    """The exhaustive scan's cell helpers cap each kernel call at
-    simkit._scan_block rows or cells; every row and cell keeps the bits it
-    has in a call of its own."""
+    """The threshold loop splits every callback call at its scan's cap: at
+    most simkit._scan_block rows or cells for the exhaustive scan, FEJER_BLOCK
+    // (4 S) for the azimuth-only scan. The split is safe because the uncapped
+    helpers give every row and cell the bits it has in a call of its own."""
 
     @pytest.mark.parametrize("q", [2, 5, 8])
-    def test_capped_calls_keep_each_cells_bits(self, monkeypatch, q):
+    def test_capped_calls_keep_each_cells_bits(self, q):
+        """The uncapped helpers at full scale: 40 rows and 300 cells in one
+        call each, every row and cell with the bits of a call of its own."""
         cfg = SystemConfig()
         n = cfg.n_subcarriers
         scene = generate_scene(cfg, q, 0, (q, 0))
-        echoes = scene_arrays(cfg, scene)
+        plan, echoes = exhaustive_plan(cfg), scene_arrays(cfg, scene)
         noise = scan_noise(cfg, np.random.default_rng(q))
-        _, vertical = _row_bound(cfg, echoes, noise)
+        _, vertical = _row_bound(cfg, plan, echoes, noise)
         rng = np.random.default_rng(q)
         rows = rng.permutation(n)[:40]
         cells = rng.choice(n * n, 300, replace=False)
         r, c = np.divmod(cells, n)
-        block = simkit._scan_block(cfg, echoes)
-        assert block * len(echoes[2]) * n <= simkit.FEJER_BLOCK // 2
-        assert (block >= 8) == (q == 2)  # the q = 2 scan's first batch of 8 cells fits
-
-        kernel_inputs = []
-        kernel = simkit.uniform_phase_power
-
-        def counted(slope, m, *args, **kwargs):
-            kernel_inputs.append(np.size(slope))
-            return kernel(slope, m, *args, **kwargs)
-
-        monkeypatch.setattr(simkit, "uniform_phase_power", counted)
-        bound = _cell_bound(cfg, echoes, noise, vertical, rows)
-        response = _cell_response(cfg, echoes, r, c)
-        assert max(kernel_inputs) <= simkit.FEJER_BLOCK // 2
+        bound = _cell_bound(cfg, plan, echoes, noise, vertical, rows)
+        response = _cell_response(cfg, plan, echoes, r, c)
         for i, row in enumerate(rows):
-            np.testing.assert_array_equal(
-                bound[i], _cell_bound(cfg, echoes, noise, vertical, np.array([row]))[0]
-            )
+            alone = _cell_bound(cfg, plan, echoes, noise, vertical, np.array([row]))
+            np.testing.assert_array_equal(bound[i], alone[0])
         for i in range(len(cells)):
-            assert response[i] == _cell_response(cfg, echoes, r[i : i + 1], c[i : i + 1])[0]
+            assert response[i] == _cell_response(cfg, plan, echoes, r[i : i + 1], c[i : i + 1])[0]
+
+    @pytest.mark.parametrize("q", [2, 5, 8])
+    def test_loop_caps_every_callback_call(self, monkeypatch, q):
+        """Full-scale scans: every loop request goes out in pieces of at most
+        the scan's cap, every exhaustive kernel input holds at most
+        FEJER_BLOCK // 2 slopes, and each record is its reference's."""
+        cfg = SystemConfig()
+        n = cfg.n_subcarriers
+        scene = generate_scene(cfg, q, 0, (q, 0))
+        echoes = scene_arrays(cfg, scene)
+        scatterers = len(echoes[2])
+        caps = {
+            "exhaustive": simkit._scan_block(cfg, echoes),
+            "azimuth_only": simkit.FEJER_BLOCK // max(1, 4 * scatterers),
+        }
+        assert caps["exhaustive"] * scatterers * n <= simkit.FEJER_BLOCK // 2
+        assert (caps["exhaustive"] >= 8) == (q == 2)  # the q = 2 first batch of 8 fits
+        seen = {scan: {"blocks": [], "requests": [], "calls": [], "kernel": []} for scan in caps}
+        scan = None
+
+        def counted(key, fn, size=lambda *args: len(args[-1])):  # rows or cells
+            def wrapper(*args, **kwargs):
+                seen[scan][key].append(size(*args))
+                return fn(*args, **kwargs)
+            return wrapper
+
+        def top_q_scan(work, q, first, row_bound, cell_bound, evaluate, batch, block):
+            seen[scan]["blocks"].append(block)
+            cell_bound, evaluate = counted("calls", cell_bound), counted("calls", evaluate)
+            return real_scan(work, q, first, row_bound, cell_bound, evaluate, batch, block)
+
+        real_scan = simkit._top_q_scan
+        monkeypatch.setattr(simkit, "_top_q_scan", top_q_scan)
+        monkeypatch.setattr(simkit, "_in_blocks", counted("requests", simkit._in_blocks))
+        for name in ("_cell_bound", "_cell_response"):
+            monkeypatch.setattr(simkit, name, counted("calls", getattr(simkit, name)))
+        monkeypatch.setattr(simkit, "uniform_phase_power", counted(
+            "kernel", simkit.uniform_phase_power, lambda slope, m: np.size(slope)
+        ))
+        scan = "exhaustive"
+        rec = run_exhaustive_baseline(cfg, scene, np.random.default_rng(q))
+        assert rec == full_grid_scan(cfg, scene, q)
+        scan = "azimuth_only"
+        rec = run_azimuth_only_baseline(cfg, scene, np.random.default_rng(q))
+        assert rec == reference_azimuth_only_scan(cfg, scene, q)[0]
+        for scan, cap in caps.items():
+            assert seen[scan]["blocks"] == [cap]
+            assert 0 < max(seen[scan]["calls"]) <= cap
+            # at q = 5 and q = 8 the loop asks for more than one call's worth
+            assert (max(seen[scan]["requests"]) > cap) == (q != 2)
+        assert max(seen["exhaustive"]["kernel"]) <= simkit.FEJER_BLOCK // 2
+
+    @pytest.mark.parametrize("q", [1, 3])
+    def test_statistic_independent_of_block(self, q):
+        """A toy statistic: the loop's work array comes out bit-equal whether
+        each callback call takes 1 row or cell, 3, or all of them."""
+        n = 16
+        rng = np.random.default_rng(q)
+        values = rng.rayleigh(size=(n, n))
+        bounds = values + rng.uniform(0.0, 1.0, (n, n))
+        results = []
+        for block in (1, 3, n * n):
+            work = simkit.scan_work.__wrapped__(n)  # fresh arrays for each block
+            sizes = []
+
+            def cell_bound(rows):
+                sizes.append(len(rows))
+                return bounds[rows]
+
+            def evaluate(cells):
+                sizes.append(len(cells))
+                return values.take(cells)
+
+            statistic = simkit._top_q_scan(
+                work, q, 2, bounds.max(axis=1), cell_bound, evaluate, 4, block
+            )
+            assert max(sizes) <= block
+            results.append(statistic.tobytes())
+        assert results[0] == results[1] == results[2]
+        evaluated = np.isfinite(statistic)
+        assert np.array_equal(statistic[evaluated], values[evaluated])
+        top = np.sort(values.ravel())[-q:]
+        assert np.array_equal(np.sort(statistic.ravel())[-q:], top)
