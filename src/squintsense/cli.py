@@ -18,8 +18,8 @@ from .detection import hierarchical_detect
 from .exceptions import ConfigError, SquintSenseError
 from .simkit import (
     aggregate_to_csv,
+    allocate_comm_plan,
     csv_text,
-    plan_proposed_trial,
     records_to_csv,
     run_experiment,
     trial_seed,
@@ -216,14 +216,16 @@ def cmd_detect(run: RunConfig, args, stdout) -> int:
 
 def cmd_power(run: RunConfig, args, stdout) -> int:
     scene, rng = _first_trial(run)
-    _, plan, _ = plan_proposed_trial(run.system, scene, rng)
+    result = hierarchical_detect(run.system, scene, rng)
+    plan = allocate_comm_plan(run.system, scene, result)
     provenance = provenance_lines(run) + [
         f"effective sinr threshold (linear) {plan.effective_tau_c:.12g}"
     ]
     rows = []
-    for stage, (t, p_s) in enumerate(zip(plan.symbol_counts, plan.sensing_powers)):
+    counts = plan.symbol_counts.tolist()
+    for stage, (t, p_s) in enumerate(zip(counts, plan.sensing_powers)):
         rows.extend(["sensing", stage, "", n, t, f"{p:.12e}"] for n, p in enumerate(p_s))
-    for stage, (t, p_c) in enumerate(zip(plan.symbol_counts, plan.comm_powers)):
+    for stage, (t, p_c) in enumerate(zip(counts, plan.comm_powers)):
         rows.extend(["comm", stage, k, n, t, f"{p:.12e}"] for (k, n), p in np.ndenumerate(p_c))
     header = ["kind", "stage", "user", "subcarrier", "symbols", "power_w"]
     _write(args.output, csv_text(header, rows, provenance), stdout)

@@ -18,7 +18,8 @@ allocates a trial's AAS stages in one call on the (S, 1) stack of them."""
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,18 +33,16 @@ BACKOFF_FLOOR_RATIO = 1e-3
 SOLVE_RESIDUAL_TOL = 1e-10
 
 
-@dataclass
-class PowerPlan:
-    """Allocated symbol counts and powers for all stages of one frame."""
+class PowerPlan(NamedTuple):
+    """Symbol counts, powers and achieved SINR of every stage of one frame,
+    as arrays over S stages, K users and N subcarriers. A scan's one stage
+    holds its N^2 symbols' sensing powers as (1, N^2), T folded in."""
 
-    symbol_counts: list = field(default_factory=list)      # T_i per stage
-    sensing_powers: list = field(default_factory=list)     # per stage: array (N,)
-    comm_powers: list = field(default_factory=list)        # per stage: array (K, N)
-    effective_tau_c: float = 0.0
-
-    @property
-    def n_stages(self) -> int:
-        return len(self.symbol_counts)
+    symbol_counts: np.ndarray   # (S,) T_i per stage
+    sensing_powers: np.ndarray  # (S, N) p^s_{i,n}
+    effective_tau_c: float      # the (possibly backed-off) SINR target
+    comm_powers: np.ndarray     # (S, K, N) p^c_{i,k,n}
+    sinrs: np.ndarray           # (S, K, N) achieved SINR
 
 
 @dataclass(frozen=True)

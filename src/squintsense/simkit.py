@@ -100,79 +100,58 @@ def distance_error(height: float, truth, estimates) -> float:
     return float(np.mean(np.hypot(diff[:, 0], diff[:, 1])))
 
 
-def sum_rate(sinr_stages) -> float:
-    """(1/(I+1)) sum over stages, users, subcarriers of log2(1 + SINR)."""
-    stages = [np.asarray(s, dtype=float) for s in sinr_stages]
-    if not stages:
-        return 0.0
-    return float(sum(np.sum(np.log2(1.0 + s)) for s in stages) / len(stages))
+def sum_rate(sinrs: np.ndarray) -> float:
+    """(1/(I+1)) sum over stages, users, subcarriers of log2(1 + SINR), from
+    the (S, K, N) achieved SINR: each stage summed over its own axes, then
+    the S stage sums in order."""
+    stage_rates = np.log2(1.0 + sinrs).sum(axis=(1, 2)).tolist()
+    return sum(stage_rates) / len(stage_rates)
 
 
 def transmit_power_metrics(plan: PowerPlan):
-    """(total sensing energy, average transmit power) in W * symbols."""
-    total_sensing = sum(
-        t * float(np.sum(p)) for t, p in zip(plan.symbol_counts, plan.sensing_powers)
-    )
-    per_stage = []
-    for i, t in enumerate(plan.symbol_counts):
-        comm = float(np.sum(plan.comm_powers[i])) if i < len(plan.comm_powers) else 0.0
-        per_stage.append((float(np.sum(plan.sensing_powers[i])) + comm) * t)
-    average = sum(per_stage) / len(per_stage) if per_stage else 0.0
-    return total_sensing, average
+    """(total sensing energy, average transmit power) in W * symbols: each
+    stage's powers summed over its own axes, then the S stage values in order."""
+    sensing = plan.sensing_powers.sum(axis=1)
+    total_sensing = sum((plan.symbol_counts * sensing).tolist())
+    per_stage = (sensing + plan.comm_powers.sum(axis=(1, 2))) * plan.symbol_counts
+    return total_sensing, sum(per_stage.tolist()) / len(per_stage)
 
 
-def allocate_comm_plan(cfg: SystemConfig, scene: Scene, user_gains, sensing_powers):
-    """Per-stage communication powers under the (possibly backed-off) SINR target.
+def allocate_comm_plan(cfg: SystemConfig, scene: Scene, result) -> PowerPlan:
+    """The frame's power plan: detection ``result``'s stages with the comm
+    powers under the (possibly backed-off) SINR target and their SINR.
 
     The comm beams and their gain table are fixed for the trial, so one SINR
-    context, from detection's ``user_gains`` (see :func:`sinr_context`), one
+    context, from the result's ``user_gains`` (see :func:`sinr_context`), one
     backoff and one allocation serve every sensing stage, and one stage-axis
-    einsum gives every stage's achieved SINR. Returns (comm_powers per stage,
-    achieved SINR arrays per stage, effective tau_c). With no users, all
-    outputs are empty and tau_c passes through.
+    einsum gives every stage's achieved SINR. With no users, the comm powers
+    and SINR are (S, 0, N) and tau_c passes through.
     """
+    counts = np.array(result.symbol_counts)
+    sensing = np.stack(result.sensing_powers)
     if len(scene.users) == 0:
-        return [np.zeros((0, cfg.n_subcarriers)) for _ in sensing_powers], [], cfg.tau_c
-    ctx = sinr_context(cfg, scene, user_gains, sensing_powers)
+        none = np.zeros((len(counts), 0, cfg.n_subcarriers))
+        return PowerPlan(counts, sensing, cfg.tau_c, none, none)
+    ctx = sinr_context(cfg, scene, result.user_gains, sensing)
     tau_eff = backoff_tau_c(ctx, cfg.tau_c)
     comm_powers = allocate_comm(ctx, tau_eff)
     wanted = ctx.diag * comm_powers
     interference = np.einsum("kln,sln->skn", ctx.chi, comm_powers) - wanted
     sinrs = wanted / (interference + ctx.effective_noise)
-    return list(comm_powers), list(sinrs), tau_eff
+    return PowerPlan(counts, sensing, tau_eff, comm_powers, sinrs)
 
 
-def _finish_record(method: str, cfg: SystemConfig, scene: Scene, estimates, plan, sinrs):
+def _finish_record(method: str, cfg: SystemConfig, scene: Scene, estimates, plan: PowerPlan):
     record = TrialRecord(method=method, q_targets=len(scene.targets))
     record.distance_error_m = distance_error(cfg.height, scene.targets.tolist(), estimates)
     record.total_sensing_energy, record.avg_transmit_power = transmit_power_metrics(plan)
-    record.sum_rate = sum_rate(sinrs)
+    record.sum_rate = sum_rate(plan.sinrs)
     record.energy_efficiency = (
         record.sum_rate / record.avg_transmit_power if record.avg_transmit_power > 0 else 0.0
     )
-    record.n_stages = plan.n_stages
-    record.symbol_counts = tuple(plan.symbol_counts)
+    record.symbol_counts = tuple(plan.symbol_counts.tolist())
+    record.n_stages = len(record.symbol_counts)
     return record
-
-
-def plan_proposed_trial(
-    cfg: SystemConfig,
-    scene: Scene,
-    rng: np.random.Generator,
-):
-    """Hierarchical detection, then communication allocation over its stages:
-    (DetectionResult, PowerPlan, achieved SINR arrays per stage)."""
-    result = hierarchical_detect(cfg, scene, rng)
-    comm_powers, sinrs, tau_eff = allocate_comm_plan(
-        cfg, scene, result.user_gains, result.sensing_powers
-    )
-    plan = PowerPlan(
-        symbol_counts=list(result.symbol_counts),
-        sensing_powers=list(result.sensing_powers),
-        comm_powers=comm_powers,
-        effective_tau_c=tau_eff,
-    )
-    return result, plan, sinrs
 
 
 def run_proposed_trial(
@@ -181,27 +160,25 @@ def run_proposed_trial(
     rng: np.random.Generator,
 ) -> TrialRecord:
     """Hierarchical detection plus communication allocation for one scene."""
-    result, plan, sinrs = plan_proposed_trial(cfg, scene, rng)
-    return _finish_record("proposed", cfg, scene, result.estimates, plan, sinrs)
+    result = hierarchical_detect(cfg, scene, rng)
+    plan = allocate_comm_plan(cfg, scene, result)
+    return _finish_record("proposed", cfg, scene, result.estimates, plan)
 
 
 def _scan_record(method: str, cfg: SystemConfig, scene: Scene, statistic, grids, powers):
     """Record of an N x N scan: the top-q cells of its statistic, whose rows
     and columns follow grids = (elevation grid, azimuth grid), and a one-stage
-    plan with every symbol's T folded in. Unevaluated (-inf) cells are skipped."""
+    plan of the N^2 symbols' sensing ``powers``, T folded in, and no comm.
+    Unevaluated (-inf) cells are skipped."""
     theta_grid, phi_grid = grids
     n = statistic.shape[1]
     values = statistic.ravel()
     cells = np.flatnonzero(values > -np.inf)
     flat = cells[np.argsort(values[cells])[::-1][: len(scene.targets)]]
     estimates = [(float(theta_grid[i // n]), float(phi_grid[i % n])) for i in flat]
-    plan = PowerPlan(
-        symbol_counts=[1],
-        sensing_powers=[powers],
-        comm_powers=[],
-        effective_tau_c=cfg.tau_c,
-    )
-    return _finish_record(method, cfg, scene, estimates, plan, [])
+    none = np.zeros((1, 0, cfg.n_subcarriers))
+    plan = PowerPlan(np.ones(1, int), powers.reshape(1, -1), cfg.tau_c, none, none)
+    return _finish_record(method, cfg, scene, estimates, plan)
 
 
 class ExhaustivePlan(NamedTuple):

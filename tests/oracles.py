@@ -1,11 +1,18 @@
-"""Complex-gain oracles that the Fejer power kernels are checked against, and
-the per-stage detection pipeline that the stacked one is checked against.
+"""Complex-gain oracles that the Fejer power kernels are checked against, the
+per-stage detection pipeline that the stacked one is checked against, and
+the references of each method's trial record: the proposed trial stage by
+stage, and both scans on the whole grid.
 Steering vectors are horizontal-major: element index = (m_h - 1) * M_v + m_v."""
 
 import numpy as np
 
 from squintsense import detection
-from squintsense.beamforming import aas_beamformer, comm_beamformer
+from squintsense.beamforming import (
+    aas_azimuth_grid,
+    aas_beamformer,
+    comm_beamformer,
+    eas_elevation_grid,
+)
 from squintsense.channel import comm_attenuation, echo_gain, scene_arrays, sensing_attenuation
 from squintsense.detection import (
     DetectionResult,
@@ -14,7 +21,9 @@ from squintsense.detection import (
     proposed_plan,
 )
 from squintsense.exceptions import ConfigError
-from squintsense.power import allocate_sensing
+from squintsense.geometry import uniform_phase_power
+from squintsense.power import SinrContext, allocate_comm, allocate_sensing, backoff_tau_c
+from squintsense.simkit import TrialRecord, _scan_record, azimuth_only_plan, distance_error
 
 
 def uniform_phase_sum(slope, m):
@@ -164,16 +173,160 @@ def per_stage_detect(cfg, scene, rng) -> DetectionResult:
         sensing_powers.append(p_i)
         beams.append(aas_w)
         traces.append(cv)
-    users = scene.users
-    beams += [comm_beamformer(cfg, theta, phi) for theta, phi in users]
-    user_gains = np.empty((len(beams), len(users), n))
-    for row, w in zip(user_gains, beams):
-        row[...] = w.power_gain(users[:, :1], users[:, 1:], n_idx)
+    beams += [comm_beamformer(cfg, theta, phi) for theta, phi in scene.users]
     return DetectionResult(
         elevations=elevations,
         estimates=tuple(estimates),
         symbol_counts=tuple(symbol_counts),
         sensing_powers=tuple(sensing_powers),
-        user_gains=user_gains,
+        user_gains=beam_rows(cfg, scene, beams),
         traces=tuple(traces),
     )
+
+
+def beam_rows(cfg, scene, beams):
+    """(B, K, N) power gain of each of B beams at each user of the scene, one
+    power_gain call per beam."""
+    users, n_idx = scene.users, np.arange(cfg.n_subcarriers)
+    rows = np.empty((len(beams), len(users), cfg.n_subcarriers))
+    for row, w in zip(rows, beams):
+        row[...] = w.power_gain(users[:, :1], users[:, 1:], n_idx)
+    return rows
+
+
+def sinr_context_reference(cfg, scene, comm_weights, sensing_weights, sensing_powers):
+    """chi (K, K, N) and each stage's effective noise (S, K, N), from one
+    power_gain call per beam, each beam's own user rows."""
+    beta2 = comm_attenuation(cfg, cfg.height / np.cos(scene.users[:, :1])) ** 2
+    chi = np.stack([beta2 * row for row in beam_rows(cfg, scene, comm_weights)], axis=1)
+    eff_noise = [
+        beta2 * row * p + cfg.noise_variance()
+        for row, p in zip(beam_rows(cfg, scene, sensing_weights), sensing_powers)
+    ]
+    return chi, np.array(eff_noise).reshape(-1, *chi.shape[1:])
+
+
+def stage_beams(cfg, result):
+    """The sensing beams of a detection result, in stage order: the EAS beam,
+    then the AAS beam of each elevation."""
+    aas = [aas_beamformer(cfg, theta) for theta, _ in result.elevations]
+    return [proposed_plan(cfg).eas_weights, *aas]
+
+
+def reference_comm_plan(cfg, scene, sensing_beams, sensing_powers):
+    """The comm plan built stage by stage from one power_gain call per beam:
+    one SINR context per sensing stage, the smallest of their backed-off
+    thresholds, then one allocation and one SINR per stage. Returns (comm
+    powers (K, N) per stage, achieved SINR (K, N) per stage, tau_eff); with
+    no users both are (0, N) and tau_c passes through."""
+    if len(scene.users) == 0:
+        none = [np.zeros((0, cfg.n_subcarriers)) for _ in sensing_beams]
+        return none, none, cfg.tau_c
+    comm_w = [comm_beamformer(cfg, theta, phi) for theta, phi in scene.users]
+    chi, eff_noise = sinr_context_reference(cfg, scene, comm_w, sensing_beams, sensing_powers)
+    contexts = [SinrContext(chi=chi, effective_noise=noise) for noise in eff_noise]
+    tau_eff = min(backoff_tau_c(ctx, cfg.tau_c) for ctx in contexts)
+    comm_powers = []
+    sinrs = []
+    for ctx in contexts:
+        p_stage = allocate_comm(ctx, tau_eff)
+        comm_powers.append(p_stage)
+        diag = np.einsum("kkn->kn", ctx.chi)
+        interference = np.einsum("kln,ln->kn", ctx.chi, p_stage) - diag * p_stage
+        sinrs.append(diag * p_stage / (interference + ctx.effective_noise))
+    return comm_powers, sinrs, tau_eff
+
+
+def reference_power_metrics(symbol_counts, sensing_powers, comm_powers):
+    """(total sensing energy, average transmit power) summed one stage at a
+    time: per stage, the float sum of each power array, times T_i."""
+    total = sum(t * float(np.sum(p)) for t, p in zip(symbol_counts, sensing_powers))
+    per_stage = [
+        (float(np.sum(p)) + float(np.sum(c))) * t
+        for t, p, c in zip(symbol_counts, sensing_powers, comm_powers)
+    ]
+    return total, sum(per_stage) / len(per_stage)
+
+
+def reference_sum_rate(sinrs):
+    """Sum rate from the achieved SINR of each stage, one stage at a time."""
+    return float(sum(np.sum(np.log2(1.0 + s)) for s in sinrs) / len(sinrs))
+
+
+def reference_proposed_trial(cfg, scene, rng):
+    """The proposed trial's record from per_stage_detect and the per-stage
+    comm plan, its metrics summed one stage at a time."""
+    result = per_stage_detect(cfg, scene, rng)
+    counts, sensing = result.symbol_counts, result.sensing_powers
+    comm_powers, sinrs, _ = reference_comm_plan(cfg, scene, stage_beams(cfg, result), sensing)
+    record = TrialRecord(q_targets=len(scene.targets), n_stages=len(counts), symbol_counts=counts)
+    record.distance_error_m = distance_error(cfg.height, scene.targets.tolist(), result.estimates)
+    total, average = reference_power_metrics(counts, sensing, comm_powers)
+    record.total_sensing_energy, record.avg_transmit_power = total, average
+    record.sum_rate = reference_sum_rate(sinrs)
+    record.energy_efficiency = record.sum_rate / average if average > 0 else 0.0
+    return record
+
+
+def reference_exhaustive_response(cfg, scene):
+    """The scan's noise-free response as one (N, N, N) kernel broadcast per
+    scatterer, averaged over subcarriers."""
+    n = cfg.n_subcarriers
+    theta_grid, phi_grid = eas_elevation_grid(cfg), aas_azimuth_grid(cfg)
+    ratio = 1.0 + cfg.subcarrier_offsets() / cfg.fc
+    cell_h = np.sin(theta_grid)[:, None] * np.cos(phi_grid)[None, :]
+    cell_v = np.cos(theta_grid)
+    response = np.zeros((n, n), dtype=complex)
+    for th, ph, amp in zip(*scene_arrays(cfg, scene)):
+        x_h = ratio[None, None, :] * (np.sin(th) * np.cos(ph) - cell_h[:, :, None])
+        x_v = ratio[None, :] * (np.cos(th) - cell_v[:, None])
+        gain2 = uniform_phase_power(x_h, cfg.m_h) * uniform_phase_power(x_v, cfg.m_v)[:, None, :]
+        response += amp * np.mean(gain2, axis=2)
+    return response
+
+
+def scan_noise(cfg, rng):
+    """The exhaustive scan's noise draw, as the first use of its generator."""
+    n = cfg.n_subcarriers
+    return np.sqrt(cfg.noise_variance() / (2.0 * n)) * (
+        rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    )
+
+
+def full_grid_scan(cfg, scene, seed):
+    """The exhaustive scan's record from the per-scatterer reference response
+    on the whole grid, the same noise draw and the same top-q rule."""
+    n = cfg.n_subcarriers
+    theta_grid, phi_grid = eas_elevation_grid(cfg), aas_azimuth_grid(cfg)
+    alpha = sensing_attenuation(cfg, cfg.height / np.cos(theta_grid), cfg.sigma_rcs)
+    p_cell = cfg.tau_s * cfg.noise_variance() / alpha**2
+    noise = scan_noise(cfg, np.random.default_rng(seed))
+    signal = np.sqrt(p_cell)[:, None] * reference_exhaustive_response(cfg, scene)
+    statistic = np.abs(signal + noise) / (np.sqrt(p_cell)[:, None] * alpha[:, None])
+    grids = (theta_grid, phi_grid)
+    return _scan_record("exhaustive", cfg, scene, statistic, grids, n * np.repeat(p_cell, n))
+
+
+def azimuth_only_noise(cfg, rng):
+    """The azimuth-only scan's noise draw, as the first use of its generator."""
+    n = cfg.n_subcarriers
+    return np.sqrt(cfg.noise_variance() / 2.0) * (
+        rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    )
+
+
+def reference_azimuth_only_scan(cfg, scene, seed):
+    """The azimuth-only scan as one (scatterer, subcarrier, symbol) broadcast
+    summed over its first axis: (record, statistic on every cell)."""
+    plan = azimuth_only_plan(cfg)
+    s_theta, s_phi, s_amp = scene_arrays(cfg, scene)
+    x_h = (np.sin(s_theta) * np.cos(s_phi))[:, None, None] * plan.ratio[:, None] - plan.steer_h
+    x_v = np.cos(s_theta)[:, None] * plan.ratio - np.cos(cfg.theta_min) + plan.v_ttd
+    p_h = np.where(plan.pointed, uniform_phase_power(x_h, cfg.m_h), plan.flat**2)
+    p_h *= uniform_phase_power(x_v, cfg.m_v)[:, :, None]
+    response = np.sum(s_amp[:, None, None] * p_h, axis=0)
+    noise = azimuth_only_noise(cfg, np.random.default_rng(seed))
+    statistic = np.abs(plan.sqrt_powers * response + noise) / plan.expected
+    grids = (plan.theta_grid, plan.phi_grid)
+    record = _scan_record("azimuth_only", cfg, scene, statistic, grids, plan.powers.ravel())
+    return record, statistic

@@ -13,7 +13,7 @@ from squintsense.beamforming import (
     eas_beamformer,
     eas_elevation_grid,
 )
-from squintsense.channel import comm_attenuation, generate_scene, sensing_attenuation
+from squintsense.channel import generate_scene, sensing_attenuation
 from squintsense.config import SystemConfig
 from squintsense.detection import hierarchical_detect, proposed_plan
 from squintsense.exceptions import InfeasibleError
@@ -362,31 +362,9 @@ def reference_backoff_tau_c(ctx, tau_c):
     )
 
 
-def beam_rows(cfg, scene, beams):
-    """(B, K, N) power gain of each of B beams at each user of the scene, one
-    power_gain call per beam."""
-    users, n_idx = scene.users, np.arange(cfg.n_subcarriers)
-    rows = np.empty((len(beams), len(users), cfg.n_subcarriers))
-    for row, w in zip(rows, beams):
-        row[...] = w.power_gain(users[:, :1], users[:, 1:], n_idx)
-    return rows
-
-
-def sinr_context_reference(cfg, scene, comm_weights, sensing_weights, sensing_powers):
-    """chi (K, K, N) and each stage's effective noise (S, K, N), from one
-    power_gain call per beam, each beam's own user rows."""
-    beta2 = comm_attenuation(cfg, cfg.height / np.cos(scene.users[:, :1])) ** 2
-    chi = np.stack([beta2 * row for row in beam_rows(cfg, scene, comm_weights)], axis=1)
-    eff_noise = [
-        beta2 * row * p + cfg.noise_variance()
-        for row, p in zip(beam_rows(cfg, scene, sensing_weights), sensing_powers)
-    ]
-    return chi, np.array(eff_noise).reshape(-1, *chi.shape[1:])
-
-
 def context_of(cfg, scene, comm_weights, sensing_weights, sensing_powers):
     """sinr_context on the user rows of the stage beams, then the comm beams."""
-    rows = beam_rows(cfg, scene, [*sensing_weights, *comm_weights])
+    rows = oracles.beam_rows(cfg, scene, [*sensing_weights, *comm_weights])
     return sinr_context(cfg, scene, rows, sensing_powers)
 
 
@@ -424,7 +402,7 @@ class TestSinrContext:
             bf = eas_beamformer(cfg) if stage == "eas" else aas_beamformer(cfg, 0.9)
             p = 10 ** rng.uniform(-4, -2, cfg.n_subcarriers)
             ctx = context_of(cfg, scene, comm_w, [bf], [p])
-            chi, eff_noise = sinr_context_reference(cfg, scene, comm_w, [bf], [p])
+            chi, eff_noise = oracles.sinr_context_reference(cfg, scene, comm_w, [bf], [p])
             np.testing.assert_array_equal(ctx.chi, chi)
             np.testing.assert_array_equal(ctx.effective_noise, eff_noise)
             for k, (theta, phi) in enumerate(scene.users):
@@ -446,7 +424,7 @@ class TestSinrContext:
         ctx = context_of(cfg, scene, comm_w, stages, powers)
         assert ctx.effective_noise.shape == (2, 3, cfg.n_subcarriers)
         for row, bf, p in zip(ctx.effective_noise, stages, powers):
-            chi, eff_noise = sinr_context_reference(cfg, scene, comm_w, [bf], [p])
+            chi, eff_noise = oracles.sinr_context_reference(cfg, scene, comm_w, [bf], [p])
             np.testing.assert_array_equal(ctx.chi, chi)
             np.testing.assert_array_equal(row, eff_noise[0])
 
@@ -462,10 +440,10 @@ class TestSinrContext:
             stages += [aas_beamformer(cfg, theta) for theta, _ in result.elevations]
             comm_w = [comm_beamformer(cfg, th, ph) for th, ph in scene.users]
             np.testing.assert_array_equal(
-                result.user_gains, beam_rows(cfg, scene, [*stages, *comm_w])
+                result.user_gains, oracles.beam_rows(cfg, scene, [*stages, *comm_w])
             )
             ctx = sinr_context(cfg, scene, result.user_gains, result.sensing_powers)
-            chi, eff_noise = sinr_context_reference(
+            chi, eff_noise = oracles.sinr_context_reference(
                 cfg, scene, comm_w, stages, result.sensing_powers
             )
             np.testing.assert_array_equal(ctx.chi, chi)

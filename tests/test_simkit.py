@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 import tracemalloc
@@ -11,12 +12,10 @@ import squintsense.simkit as simkit
 from squintsense.beamforming import (
     BeamformerWeights,
     aas_azimuth_grid,
-    aas_beamformer,
     aas_unit_phase,
-    comm_beamformer,
     eas_elevation_grid,
 )
-from squintsense.channel import Scene, generate_scene, scene_arrays, sensing_attenuation
+from squintsense.channel import Scene, generate_scene, scene_arrays
 from squintsense.config import RunConfig, SystemConfig
 from squintsense.detection import (
     azimuth_candidates,
@@ -25,13 +24,7 @@ from squintsense.detection import (
     proposed_plan,
 )
 from squintsense.exceptions import ConfigError, InfeasibleError
-from squintsense.geometry import uniform_phase_power
-from squintsense.power import (
-    PowerPlan,
-    SinrContext,
-    allocate_comm,
-    backoff_tau_c,
-)
+from squintsense.power import PowerPlan
 from squintsense.simkit import (
     _azimuth_only_bound,
     _cell_bound,
@@ -44,7 +37,6 @@ from squintsense.simkit import (
     azimuth_only_plan,
     distance_error,
     exhaustive_plan,
-    plan_proposed_trial,
     records_to_csv,
     run_azimuth_only_baseline,
     run_exhaustive_baseline,
@@ -55,7 +47,6 @@ from squintsense.simkit import (
     transmit_power_metrics,
 )
 from test_detection import RANDOM_M_H, RANDOM_M_V
-from test_power import sinr_context_reference
 
 SCALED = SystemConfig(
     m_h=16, m_v=16, n_subcarriers=32, n_candidates=512, tau_s_db=25.0
@@ -107,38 +98,42 @@ class TestDistanceError:
 
 class TestSumRate:
     def test_all_zero_sinr(self):
-        assert sum_rate([np.zeros((2, 4))]) == 0.0
+        assert sum_rate(np.zeros((1, 2, 4))) == 0.0
 
     def test_uniform_threshold_closed_form(self):
         tau, k, n, stages = 9.0, 3, 8, 4
-        rate = sum_rate([np.full((k, n), tau)] * stages)
+        rate = sum_rate(np.full((stages, k, n), tau))
         assert rate == pytest.approx(k * n * math.log2(1 + tau), rel=1e-12)
 
     def test_hand_arithmetic(self):
-        assert sum_rate([np.array([[1.0, 3.0]])]) == pytest.approx(3.0)
+        assert sum_rate(np.array([[[1.0, 3.0]]])) == pytest.approx(3.0)
+
+
+def frame_plan(symbol_counts, sensing_powers, comm_powers):
+    """A PowerPlan of the given stages, with zero SINR."""
+    comm_powers = np.array(comm_powers, dtype=float)
+    return PowerPlan(
+        np.array(symbol_counts), np.array(sensing_powers), 1.0, comm_powers, 0.0 * comm_powers
+    )
 
 
 class TestTransmitPowerMetrics:
     def test_zero_comm_reduces_to_sensing(self):
-        plan = PowerPlan(
-            symbol_counts=[2, 3],
-            sensing_powers=[np.array([1.0, 2.0]), np.array([0.5, 0.5])],
-            comm_powers=[np.zeros((0, 2)), np.zeros((0, 2))],
-        )
+        plan = frame_plan([2, 3], [[1.0, 2.0], [0.5, 0.5]], np.zeros((2, 0, 2)))
         total, avg = transmit_power_metrics(plan)
         assert total == pytest.approx(2 * 3.0 + 3 * 1.0)
         assert avg == pytest.approx((3.0 * 2 + 1.0 * 3) / 2)
 
     def test_doubling_symbols_doubles_metrics(self):
-        p = [np.array([1.0, 2.0])]
-        c = [np.array([[0.1, 0.2]])]
-        t1 = transmit_power_metrics(PowerPlan([2], p, c))
-        t2 = transmit_power_metrics(PowerPlan([4], p, c))
+        p = [[1.0, 2.0]]
+        c = [[[0.1, 0.2]]]
+        t1 = transmit_power_metrics(frame_plan([2], p, c))
+        t2 = transmit_power_metrics(frame_plan([4], p, c))
         assert t2[0] == pytest.approx(2 * t1[0])
         assert t2[1] == pytest.approx(2 * t1[1])
 
     def test_single_stage_hand_sum(self):
-        plan = PowerPlan([5], [np.array([0.2, 0.3])], [np.array([[0.1, 0.1], [0.2, 0.2]])])
+        plan = frame_plan([5], [[0.2, 0.3]], [[[0.1, 0.1], [0.2, 0.2]]])
         total, avg = transmit_power_metrics(plan)
         assert total == pytest.approx(5 * 0.5)
         assert avg == pytest.approx(5 * (0.5 + 0.6))
@@ -212,23 +207,6 @@ EVERY_CONFIG = pytest.mark.parametrize(
 )
 
 
-def reference_exhaustive_response(cfg, scene):
-    """The scan's noise-free response as one (N, N, N) kernel broadcast per
-    scatterer, averaged over subcarriers."""
-    n = cfg.n_subcarriers
-    theta_grid, phi_grid = eas_elevation_grid(cfg), aas_azimuth_grid(cfg)
-    ratio = 1.0 + cfg.subcarrier_offsets() / cfg.fc
-    cell_h = np.sin(theta_grid)[:, None] * np.cos(phi_grid)[None, :]
-    cell_v = np.cos(theta_grid)
-    response = np.zeros((n, n), dtype=complex)
-    for th, ph, amp in zip(*scene_arrays(cfg, scene)):
-        x_h = ratio[None, None, :] * (np.sin(th) * np.cos(ph) - cell_h[:, :, None])
-        x_v = ratio[None, :] * (np.cos(th) - cell_v[:, None])
-        gain2 = uniform_phase_power(x_h, cfg.m_h) * uniform_phase_power(x_v, cfg.m_v)[:, None, :]
-        response += amp * np.mean(gain2, axis=2)
-    return response
-
-
 def every_cell_response(cfg, scene):
     """The uncapped _cell_response on all N^2 cells, (N, N): in one call up to
     N = 45, in calls of 2048 cells above, so a full-scale grid forms no ~100 MB
@@ -259,7 +237,7 @@ class TestExhaustiveResponse:
     def check(cfg, scene):
         with np.errstate(all="raise"):
             got = every_cell_response(cfg, scene)
-        want = reference_exhaustive_response(cfg, scene)
+        want = oracles.reference_exhaustive_response(cfg, scene)
         peak = np.max(np.abs(want))
         assert np.max(np.abs(got - want)) <= 1e-12 * peak
 
@@ -289,33 +267,11 @@ class TestExhaustiveResponse:
         assert not response.any()
 
 
-def scan_noise(cfg, rng):
-    """The exhaustive scan's noise draw, as the first use of its generator."""
-    n = cfg.n_subcarriers
-    return np.sqrt(cfg.noise_variance() / (2.0 * n)) * (
-        rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    )
-
-
 def full_grid_statistic(cfg, scene, noise):
     """The scan statistic on every cell, from the response of every cell."""
     plan = exhaustive_plan(cfg)
     response = every_cell_response(cfg, scene)
     return np.abs(plan.sqrt_powers[:, None] * response + noise) / plan.expected[:, None]
-
-
-def full_grid_scan(cfg, scene, seed):
-    """The scan's record from the per-scatterer reference response on the
-    whole grid, the same noise draw and the same top-q rule."""
-    n = cfg.n_subcarriers
-    theta_grid, phi_grid = eas_elevation_grid(cfg), aas_azimuth_grid(cfg)
-    alpha = sensing_attenuation(cfg, cfg.height / np.cos(theta_grid), cfg.sigma_rcs)
-    p_cell = cfg.tau_s * cfg.noise_variance() / alpha**2
-    noise = scan_noise(cfg, np.random.default_rng(seed))
-    signal = np.sqrt(p_cell)[:, None] * reference_exhaustive_response(cfg, scene)
-    statistic = np.abs(signal + noise) / (np.sqrt(p_cell)[:, None] * alpha[:, None])
-    grids = (theta_grid, phi_grid)
-    return _scan_record("exhaustive", cfg, scene, statistic, grids, n * np.repeat(p_cell, n))
 
 
 def spy_scan(monkeypatch, cfg, scene, seed):
@@ -350,13 +306,13 @@ class TestExhaustivePruning:
     @staticmethod
     def check(monkeypatch, cfg, scene, seed):
         rec, statistic, batches, bounded = spy_scan(monkeypatch, cfg, scene, seed)
-        assert rec == full_grid_scan(cfg, scene, seed)
+        assert rec == oracles.full_grid_scan(cfg, scene, seed)
         evaluated = np.isfinite(statistic)
         assert np.all(statistic[~evaluated] == -np.inf)
         assert sum(batches) == evaluated.sum()
         assert evaluated.any() == bool(len(scene.targets))
         assert len(set(bounded)) == len(bounded)
-        full = full_grid_statistic(cfg, scene, scan_noise(cfg, np.random.default_rng(seed)))
+        full = full_grid_statistic(cfg, scene, oracles.scan_noise(cfg, np.random.default_rng(seed)))
         assert np.array_equal(statistic[evaluated], full[evaluated])
         return batches, bounded
 
@@ -407,7 +363,7 @@ class TestExhaustivePruning:
         assert sum(batches) <= 16
         assert len(bounded) < n // 8
         assert rec.distance_error_m < 1.0
-        full = full_grid_statistic(cfg, scene, scan_noise(cfg, np.random.default_rng(3)))
+        full = full_grid_statistic(cfg, scene, oracles.scan_noise(cfg, np.random.default_rng(3)))
         assert np.array_equal(np.argsort(statistic.ravel())[-2:], np.argsort(full.ravel())[-2:])
 
 
@@ -416,7 +372,7 @@ class TestScanBound:
 
     @staticmethod
     def check(cfg, scene, seed):
-        noise = scan_noise(cfg, np.random.default_rng(seed))
+        noise = oracles.scan_noise(cfg, np.random.default_rng(seed))
         statistic = full_grid_statistic(cfg, scene, noise)
         plan, echoes = exhaustive_plan(cfg), scene_arrays(cfg, scene)
         rows, vertical = _row_bound(cfg, plan, echoes, noise)
@@ -437,8 +393,8 @@ class TestScanBound:
 
     @staticmethod
     def check_azimuth_only(cfg, scene, seed):
-        _, statistic = reference_azimuth_only_scan(cfg, scene, seed)
-        noise = azimuth_only_noise(cfg, np.random.default_rng(seed))
+        _, statistic = oracles.reference_azimuth_only_scan(cfg, scene, seed)
+        noise = oracles.azimuth_only_noise(cfg, np.random.default_rng(seed))
         out = np.empty((2, cfg.n_subcarriers, cfg.n_subcarriers))
         plan = azimuth_only_plan(cfg)
         bound, _ = _azimuth_only_bound(cfg, plan, scene_arrays(cfg, scene), noise, out)
@@ -454,31 +410,6 @@ class TestScanBound:
     @EVERY_CONFIG
     def test_azimuth_only_bound_holds_on_grid_cells(self, cfg):
         self.check_azimuth_only(cfg, on_grid_scene(cfg), 5)
-
-
-def azimuth_only_noise(cfg, rng):
-    """The azimuth-only scan's noise draw, as the first use of its generator."""
-    n = cfg.n_subcarriers
-    return np.sqrt(cfg.noise_variance() / 2.0) * (
-        rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    )
-
-
-def reference_azimuth_only_scan(cfg, scene, seed):
-    """The azimuth-only scan as one (scatterer, subcarrier, symbol) broadcast
-    summed over its first axis: (record, statistic on every cell)."""
-    plan = azimuth_only_plan(cfg)
-    s_theta, s_phi, s_amp = scene_arrays(cfg, scene)
-    x_h = (np.sin(s_theta) * np.cos(s_phi))[:, None, None] * plan.ratio[:, None] - plan.steer_h
-    x_v = np.cos(s_theta)[:, None] * plan.ratio - np.cos(cfg.theta_min) + plan.v_ttd
-    p_h = np.where(plan.pointed, uniform_phase_power(x_h, cfg.m_h), plan.flat**2)
-    p_h *= uniform_phase_power(x_v, cfg.m_v)[:, :, None]
-    response = np.sum(s_amp[:, None, None] * p_h, axis=0)
-    noise = azimuth_only_noise(cfg, np.random.default_rng(seed))
-    statistic = np.abs(plan.sqrt_powers * response + noise) / plan.expected
-    grids = (plan.theta_grid, plan.phi_grid)
-    record = _scan_record("azimuth_only", cfg, scene, statistic, grids, plan.powers.ravel())
-    return record, statistic
 
 
 class TestAzimuthOnlyScan:
@@ -497,7 +428,7 @@ class TestAzimuthOnlyScan:
         monkeypatch.setattr(simkit, "_scan_record", record)
         rec = run_azimuth_only_baseline(cfg, scene, np.random.default_rng(seed))
         monkeypatch.undo()
-        want_rec, want = reference_azimuth_only_scan(cfg, scene, seed)
+        want_rec, want = oracles.reference_azimuth_only_scan(cfg, scene, seed)
         assert rec == want_rec
         statistic = seen[0]
         evaluated = np.isfinite(statistic)
@@ -562,47 +493,6 @@ class TestExhaustiveMemory:
         assert traced_peak(run_azimuth_only_baseline, cfg, scene) < 8 * cfg.n_subcarriers**2 * 8
 
 
-def stage_beams(cfg, result):
-    """The sensing beams of a detection result, in stage order: the EAS beam,
-    then the AAS beam of each elevation."""
-    aas = [aas_beamformer(cfg, theta) for theta, _ in result.elevations]
-    return [proposed_plan(cfg).eas_weights, *aas]
-
-
-def reference_comm_plan(cfg, scene, sensing_beams, sensing_powers):
-    """The comm plan built stage by stage from one power_gain call per beam:
-    one SINR context per sensing stage, the smallest of their backed-off
-    thresholds, then one allocation and one SINR per stage."""
-    if len(scene.users) == 0:
-        return [np.zeros((0, cfg.n_subcarriers)) for _ in sensing_beams], [], cfg.tau_c
-    comm_w = [comm_beamformer(cfg, theta, phi) for theta, phi in scene.users]
-    chi, eff_noise = sinr_context_reference(cfg, scene, comm_w, sensing_beams, sensing_powers)
-    contexts = [SinrContext(chi=chi, effective_noise=noise) for noise in eff_noise]
-    tau_eff = min(backoff_tau_c(ctx, cfg.tau_c) for ctx in contexts)
-    comm_powers = []
-    sinrs = []
-    for ctx in contexts:
-        p_stage = allocate_comm(ctx, tau_eff)
-        comm_powers.append(p_stage)
-        diag = np.einsum("kkn->kn", ctx.chi)
-        interference = np.einsum("kln,ln->kn", ctx.chi, p_stage) - diag * p_stage
-        sinrs.append(diag * p_stage / (interference + ctx.effective_noise))
-    return comm_powers, sinrs, tau_eff
-
-
-def reference_proposed_trial(cfg, scene, rng):
-    """The proposed trial from oracles.per_stage_detect, the per-stage comm
-    plan and _finish_record."""
-    result = oracles.per_stage_detect(cfg, scene, rng)
-    comm_powers, sinrs, tau_eff = reference_comm_plan(
-        cfg, scene, stage_beams(cfg, result), result.sensing_powers
-    )
-    plan = PowerPlan(
-        list(result.symbol_counts), list(result.sensing_powers), comm_powers, tau_eff
-    )
-    return simkit._finish_record("proposed", cfg, scene, result.estimates, plan, sinrs)
-
-
 # the scaled config of the benchmark workloads
 COMM_CFG = SystemConfig(m_h=16, m_v=16, n_subcarriers=32, n_candidates=512)
 
@@ -613,32 +503,31 @@ def detected_stages(cfg, q, k, seed, include_clutter=True):
     return scene, hierarchical_detect(cfg, scene, np.random.default_rng((seed, 1)))
 
 
-def comm_plan_args(cfg, scene, result):
-    return cfg, scene, result.user_gains, result.sensing_powers
-
-
 def reference_plan_args(cfg, scene, result):
-    return cfg, scene, stage_beams(cfg, result), result.sensing_powers
+    return cfg, scene, oracles.stage_beams(cfg, result), result.sensing_powers
 
 
 class TestCommPlan:
     @staticmethod
     def assert_same_plan(cfg, scene, result):
-        got = allocate_comm_plan(*comm_plan_args(cfg, scene, result))
-        want = reference_comm_plan(*reference_plan_args(cfg, scene, result))
-        assert got[2] == want[2]
-        assert len(got[0]) == len(want[0]) == len(result.symbol_counts)
-        assert len(got[1]) == len(want[1])
-        for a, b in zip(got[0] + got[1], want[0] + want[1]):
+        got = allocate_comm_plan(cfg, scene, result)
+        comm_powers, sinrs, tau_eff = oracles.reference_comm_plan(
+            *reference_plan_args(cfg, scene, result)
+        )
+        assert got.effective_tau_c == tau_eff
+        assert got.symbol_counts.tolist() == list(result.symbol_counts)
+        np.testing.assert_array_equal(got.sensing_powers, np.stack(result.sensing_powers))
+        assert len(got.comm_powers) == len(comm_powers) == len(result.symbol_counts)
+        assert len(got.sinrs) == len(sinrs)
+        for a, b in zip([*got.comm_powers, *got.sinrs], comm_powers + sinrs):
             np.testing.assert_array_equal(a, b)
-        # the trial metrics sum over the powers: they must round alike too
-        plans = [
-            PowerPlan(list(result.symbol_counts), list(result.sensing_powers), powers, tau)
-            for powers, _, tau in (got, want)
-        ]
-        assert transmit_power_metrics(plans[0]) == transmit_power_metrics(plans[1])
-        assert sum_rate(got[1]) == sum_rate(want[1])
-        return got[2]
+        # the trial metrics sum over the powers: they must round as a sum
+        # one stage at a time does
+        assert transmit_power_metrics(got) == oracles.reference_power_metrics(
+            result.symbol_counts, result.sensing_powers, comm_powers
+        )
+        assert sum_rate(got.sinrs) == oracles.reference_sum_rate(sinrs)
+        return got.effective_tau_c
 
     @pytest.mark.parametrize("include_clutter", [True, False])
     @pytest.mark.parametrize("tau_c_db", [10.0, 20.0])
@@ -661,8 +550,8 @@ class TestCommPlan:
         stages = detected_stages(cfg, 2, 6, 5)
         errors = []
         for plan, args in (
-            (allocate_comm_plan, comm_plan_args(cfg, *stages)),
-            (reference_comm_plan, reference_plan_args(cfg, *stages)),
+            (allocate_comm_plan, (cfg, *stages)),
+            (oracles.reference_comm_plan, reference_plan_args(cfg, *stages)),
         ):
             with pytest.raises(InfeasibleError) as info:
                 plan(*args)
@@ -684,12 +573,24 @@ class TestCommPlan:
         scene, result = detected_stages(cfg, 4, 6, 3)
         assert len(result.symbol_counts) > 2
         assert calls == ["eas", "stack"]
-        allocate_comm_plan(*comm_plan_args(cfg, scene, result))
+        allocate_comm_plan(cfg, scene, result)
         assert calls == ["eas", "stack"]
+
+    def test_backed_off_target_is_item_2(self):
+        """The _backoff hook of bench/run.py reads the configured target as
+        args[0].tau_c and the backed-off one as result[2] of
+        allocate_comm_plan; a reordered PowerPlan would silently misreport
+        its power.backoff_db."""
+        cfg = COMM_CFG.replace(tau_c_db=20.0)
+        scene, result = detected_stages(cfg, 4, 6, 0)
+        plan = allocate_comm_plan(cfg, scene, result)
+        assert plan[2] == plan.effective_tau_c < cfg.tau_c
+        assert next(iter(inspect.signature(allocate_comm_plan).parameters)) == "cfg"
 
 
 class TestProposedRecord:
-    """run_proposed_trial's record against reference_proposed_trial, field by field."""
+    """run_proposed_trial's record against oracles.reference_proposed_trial,
+    field by field."""
 
     @pytest.mark.parametrize(
         "cfg, q, k, include_clutter",
@@ -707,7 +608,7 @@ class TestProposedRecord:
         for seed in range(5):
             scene = generate_scene(cfg, q, k, (seed, 0), include_clutter)
             got = run_proposed_trial(cfg, scene, np.random.default_rng((seed, 1)))
-            want = reference_proposed_trial(cfg, scene, np.random.default_rng((seed, 1)))
+            want = oracles.reference_proposed_trial(cfg, scene, np.random.default_rng((seed, 1)))
             for name in simkit.TRIAL_FIELDS:
                 np.testing.assert_equal(getattr(got, name), getattr(want, name), name)
 
@@ -746,15 +647,17 @@ class TestRandomConfigRecords:
                     runs += [
                         (
                             run_proposed_trial(cfg, scene, np.random.default_rng(seed)),
-                            reference_proposed_trial(cfg, scene, np.random.default_rng(seed)),
+                            oracles.reference_proposed_trial(
+                                cfg, scene, np.random.default_rng(seed)
+                            ),
                         ),
                         (
                             run_exhaustive_baseline(cfg, scene, np.random.default_rng(seed)),
-                            full_grid_scan(cfg, scene, seed),
+                            oracles.full_grid_scan(cfg, scene, seed),
                         ),
                         (
                             run_azimuth_only_baseline(cfg, scene, np.random.default_rng(seed)),
-                            reference_azimuth_only_scan(cfg, scene, seed)[0],
+                            oracles.reference_azimuth_only_scan(cfg, scene, seed)[0],
                         ),
                     ]
             except ConfigError:
@@ -798,7 +701,8 @@ class TestTrialCallCounts:
             for seed in range(6):
                 scene = generate_scene(cfg, q, k, (seed, 0))
                 counts.update(scene_arrays=0, kernel=0)
-                result, _, _ = plan_proposed_trial(cfg, scene, np.random.default_rng((seed, 1)))
+                result = hierarchical_detect(cfg, scene, np.random.default_rng((seed, 1)))
+                allocate_comm_plan(cfg, scene, result)
                 assert counts["scene_arrays"] == 1
                 seen.add((len(result.symbol_counts), k, counts["kernel"]))
         stages = {n for n, _, _ in seen}
@@ -821,7 +725,8 @@ class TestScanTopCells:
             statistic = np.full((n, n), -np.inf)
             rows = rng.choice(n, evaluated, replace=False)
             statistic[rows] = rng.rayleigh(size=(evaluated, n))
-            _scan_record("exhaustive", SCALED, Scene(np.zeros((q, 2))), statistic, grids, None)
+            scene = Scene(np.zeros((q, 2)))
+            _scan_record("exhaustive", SCALED, scene, statistic, grids, np.ones(n * n))
             flat = np.argsort(statistic.ravel())[::-1][:q]
             assert picked.pop() == [(float(i // n), float(i % n)) for i in flat]
 
@@ -1050,7 +955,7 @@ class TestScanBlocks:
         n = cfg.n_subcarriers
         scene = generate_scene(cfg, q, 0, (q, 0))
         plan, echoes = exhaustive_plan(cfg), scene_arrays(cfg, scene)
-        noise = scan_noise(cfg, np.random.default_rng(q))
+        noise = oracles.scan_noise(cfg, np.random.default_rng(q))
         _, vertical = _row_bound(cfg, plan, echoes, noise)
         rng = np.random.default_rng(q)
         rows = rng.permutation(n)[:40]
@@ -1104,10 +1009,10 @@ class TestScanBlocks:
         ))
         scan = "exhaustive"
         rec = run_exhaustive_baseline(cfg, scene, np.random.default_rng(q))
-        assert rec == full_grid_scan(cfg, scene, q)
+        assert rec == oracles.full_grid_scan(cfg, scene, q)
         scan = "azimuth_only"
         rec = run_azimuth_only_baseline(cfg, scene, np.random.default_rng(q))
-        assert rec == reference_azimuth_only_scan(cfg, scene, q)[0]
+        assert rec == oracles.reference_azimuth_only_scan(cfg, scene, q)[0]
         for scan, cap in caps.items():
             assert seen[scan]["blocks"] == [cap]
             assert 0 < max(seen[scan]["calls"]) <= cap
