@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import itertools
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -77,27 +78,64 @@ class TrialRecord:
 TRIAL_FIELDS = [field.name for field in fields(TrialRecord)]
 
 
-def _positions(height: float, pairs) -> np.ndarray:
-    pairs = sorted(pairs)
-    out = np.empty((len(pairs), 2))
-    for i, (theta, phi) in enumerate(pairs):
-        radius = height * np.tan(theta)
-        out[i] = (radius * np.cos(phi), radius * np.sin(phi))
-    return out
+BRUTE_FORCE_MAX_Q = 6  # 720 permutations
+
+
+@functools.lru_cache(maxsize=BRUTE_FORCE_MAX_Q + 1)
+def _permutations(q: int) -> np.ndarray:
+    return np.array(list(itertools.permutations(range(q))))
+
+
+def min_cost_assignment(cost: np.ndarray) -> np.ndarray:
+    """Column of each row in an assignment of least total cost of a square
+    matrix: every permutation as one index up to BRUTE_FORCE_MAX_Q rows,
+    else Kuhn's Hungarian method (1955) in its O(q^3) form with row and
+    column potentials u, v and shortest augmenting paths."""
+    q = len(cost)
+    if q <= BRUTE_FORCE_MAX_Q:
+        perms = _permutations(q)
+        return perms[cost[np.arange(q), perms].sum(axis=1).argmin()]
+    u, v = np.zeros(q + 1), np.zeros(q + 1)
+    owner = np.zeros(q + 1, int)  # row (1-based) of each column; column 0 is the root
+    for row in range(1, q + 1):
+        owner[0], col = row, 0
+        slack, via = np.full(q + 1, np.inf), np.zeros(q + 1, int)
+        used = np.zeros(q + 1, bool)
+        while owner[col]:
+            used[col] = True
+            reduced = cost[owner[col] - 1] - u[owner[col]] - v[1:]
+            closer = ~used[1:] & (reduced < slack[1:])
+            slack[1:][closer], via[1:][closer] = reduced[closer], col
+            free = np.flatnonzero(~used)
+            col = free[slack[free].argmin()]
+            delta = slack[col]
+            u[owner[used]] += delta
+            v[used] -= delta
+            slack[~used] -= delta
+        while col:  # augment along the path back to the root
+            owner[col] = owner[via[col]]
+            col = via[col]
+    assignment = np.empty(q, int)
+    assignment[owner[1:] - 1] = np.arange(q)
+    return assignment
 
 
 def distance_error(height: float, truth, estimates) -> float:
-    """Mean ground-plane distance after sorting both lists by (theta, phi)."""
-    truth = list(truth)
-    estimates = list(estimates)
+    """Mean ground-plane distance between truth and estimates paired by a
+    minimum-cost assignment: the OSPA distance (Schuhmacher, Vo & Vo, IEEE
+    TSP 2008) of order 1 with equal counts and no cutoff."""
     if len(truth) != len(estimates):
         raise ConfigError(
             f"length mismatch: {len(truth)} truths vs {len(estimates)} estimates"
         )
-    if not truth:
+    q = len(truth)
+    if not q:
         return 0.0
-    diff = _positions(height, truth) - _positions(height, estimates)
-    return float(np.mean(np.hypot(diff[:, 0], diff[:, 1])))
+    theta, phi = np.array([*truth, *estimates], dtype=float).T
+    radius = height * np.tan(theta)
+    x, y = radius * np.cos(phi), radius * np.sin(phi)  # ground positions
+    cost = np.hypot(x[:q, None] - x[q:], y[:q, None] - y[q:])
+    return float(np.mean(cost[np.arange(q), min_cost_assignment(cost)]))
 
 
 def sum_rate(sinrs: np.ndarray) -> float:

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 import oracles
 
@@ -70,7 +71,8 @@ class TestDistanceError:
         assert err == pytest.approx(r * dphi, rel=1e-4)
 
     def test_sorting_matches_min_cost_assignment_on_fixture(self):
-        """Crossed two-target fixture: the sort-based pairing is optimal."""
+        """Crossed two-target fixture, estimates in swapped order: the least
+        mean distance over every pairing."""
         h = 40.0
         truth = [(0.5, 1.0), (0.8, 2.0)]
         estimates = [(0.81, 2.02), (0.52, 0.97)]  # given in swapped order
@@ -87,6 +89,57 @@ class TestDistanceError:
             for perm in itertools.permutations(estimates)
         )
         assert got == pytest.approx(best, rel=1e-12)
+
+    def test_pairs_across_the_sort_order(self):
+        """Sorting by (theta, phi) would pair each truth with the other's
+        estimate; the least-cost pairing keeps each with its own."""
+        h = 40.0
+        truth = [(0.50, 1.0), (0.51, 2.0)]
+        estimates = [(0.52, 1.0), (0.49, 2.0)]
+        own, crossed = (
+            np.mean([
+                np.linalg.norm(ground_position(h, *t) - ground_position(h, *e))
+                for t, e in zip(truth, pairing)
+            ])
+            for pairing in (estimates, estimates[::-1])
+        )
+        assert distance_error(h, truth, estimates) == pytest.approx(own, rel=1e-12)
+        assert own < crossed
+
+    @pytest.mark.parametrize("brute_force_max_q", [0, simkit.BRUTE_FORCE_MAX_Q])
+    def test_matches_scipy_assignment(self, monkeypatch, brute_force_max_q):
+        """Random instances with q = 1..8, by brute force up to
+        BRUTE_FORCE_MAX_Q and by the Hungarian method above it (at 0, for
+        every q): the assignment of scipy's linear_sum_assignment, and its
+        mean distance on ground positions from scalar trig."""
+        monkeypatch.setattr(simkit, "BRUTE_FORCE_MAX_Q", brute_force_max_q)
+        rng = np.random.default_rng(8)
+        h = 40.0
+        for q in itertools.chain.from_iterable(itertools.repeat(range(1, 9), 25)):
+            cost = rng.random((q, q)) * 10.0 ** rng.integers(-3, 3)
+            rows, cols = linear_sum_assignment(cost)
+            np.testing.assert_array_equal(simkit.min_cost_assignment(cost), cols)
+            truth = rng.uniform((0.3, 0.5), (1.2, 2.6), (q, 2))
+            estimates = truth + rng.normal(0.0, 0.05, (q, 2))
+            pos_t = [ground_position(h, *t) for t in truth]
+            pos_e = [ground_position(h, *e) for e in estimates]
+            dist = np.array([[np.linalg.norm(t - e) for e in pos_e] for t in pos_t])
+            rows, cols = linear_sum_assignment(dist)
+            got = distance_error(h, truth.tolist(), estimates.tolist())
+            assert got == pytest.approx(dist[rows, cols].mean(), rel=1e-12)
+
+    def test_single_target_keeps_scalar_bits(self):
+        """q = 1: the bits of the scalar expression, each angle through
+        numpy's scalar trig, on 2000 random pairs."""
+        rng = np.random.default_rng(1)
+        for truth, estimate in rng.uniform((0.2, 0.4), (1.3, 2.7), (2000, 2, 2)):
+            radius = [40.0 * np.tan(float(theta)) for theta, _ in (truth, estimate)]
+            x, y = (
+                [r * f(float(phi)) for r, (_, phi) in zip(radius, (truth, estimate))]
+                for f in (np.cos, np.sin)
+            )
+            want = float(np.hypot(x[0] - x[1], y[0] - y[1]))
+            assert distance_error(40.0, [tuple(truth)], [tuple(estimate)]) == want
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ConfigError):
