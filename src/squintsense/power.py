@@ -1,5 +1,7 @@
 """Closed-form sensing power / symbol-count allocation and communication
-power allocation via the diagonally dominant linear system.
+power allocation via the diagonally dominant linear system, and the frame's
+power plan as one array form (:class:`PowerPlan`), which
+:func:`squintsense.simkit.allocate_comm_plan` builds once per trial.
 
 Each user's squint-compensated beam is fixed for the whole frame, so the
 cross-gain table chi is built once per trial; only the sensing-leakage

@@ -1,5 +1,8 @@
 """Monte Carlo experiment harness, metrics, and scan baselines.
 
+A trial's record reads one :class:`~squintsense.power.PowerPlan` of arrays:
+the proposed trial's from :func:`allocate_comm_plan`, a scan's one stage.
+
 Both scan baselines rank their N x N statistic by one threshold loop
 (:func:`_top_q_scan`), which splits every callback call at the scan's cap,
 in four arrays that every trial of one N reuses (:func:`scan_work`). A scan
@@ -86,7 +89,7 @@ def _permutations(q: int) -> np.ndarray:
     return np.array(list(itertools.permutations(range(q))))
 
 
-def min_cost_assignment(cost: np.ndarray) -> np.ndarray:
+def _min_cost_assignment(cost: np.ndarray) -> np.ndarray:
     """Column of each row in an assignment of least total cost of a square
     matrix: every permutation as one index up to BRUTE_FORCE_MAX_Q rows,
     else Kuhn's Hungarian method (1955) in its O(q^3) form with row and
@@ -135,7 +138,7 @@ def distance_error(height: float, truth, estimates) -> float:
     radius = height * np.tan(theta)
     x, y = radius * np.cos(phi), radius * np.sin(phi)  # ground positions
     cost = np.hypot(x[:q, None] - x[q:], y[:q, None] - y[q:])
-    return float(np.mean(cost[np.arange(q), min_cost_assignment(cost)]))
+    return float(np.mean(cost[np.arange(q), _min_cost_assignment(cost)]))
 
 
 def sum_rate(sinrs: np.ndarray) -> float:
@@ -375,8 +378,9 @@ def _top_q_scan(work: ScanWork, q: int, first, row_bound, cell_bound, evaluate, 
     top = np.full(q, -np.inf)  # the q largest statistics so far
     rows = np.argsort(row_bound)[-first:]
     while q:
-        bound[rows] = _in_blocks(cell_bound, block, rows)
-        row_bound[rows] = -np.inf  # these rows are bounded cell by cell
+        if rows.size:  # else only cells of earlier rows can still be live
+            bound[rows] = _in_blocks(cell_bound, block, rows)
+            row_bound[rows] = -np.inf  # these rows are bounded cell by cell
         live = (flat_bound > top[0]).nonzero()[0]
         if not live.size:
             break

@@ -118,7 +118,7 @@ class TestDistanceError:
         for q in itertools.chain.from_iterable(itertools.repeat(range(1, 9), 25)):
             cost = rng.random((q, q)) * 10.0 ** rng.integers(-3, 3)
             rows, cols = linear_sum_assignment(cost)
-            np.testing.assert_array_equal(simkit.min_cost_assignment(cost), cols)
+            np.testing.assert_array_equal(simkit._min_cost_assignment(cost), cols)
             truth = rng.uniform((0.3, 0.5), (1.2, 2.6), (q, 2))
             estimates = truth + rng.normal(0.0, 0.05, (q, 2))
             pos_t = [ground_position(h, *t) for t in truth]
@@ -673,9 +673,10 @@ RANDOM_RECORD_SKIPS = 0  # configs of the seed-27 draw that raise ConfigError
 class TestRandomConfigRecords:
     """Every method's record against its reference, field by field, on seeded
     random configs in the ranges of test_detection.TestRandomConfigs (N in
-    8..48, here with L = N): run_proposed_trial against
-    reference_proposed_trial, run_exhaustive_baseline against full_grid_scan
-    and run_azimuth_only_baseline against reference_azimuth_only_scan. Each
+    8..48, L = N {1, ..., 64}): run_proposed_trial against
+    oracles.reference_proposed_trial, run_exhaustive_baseline against
+    oracles.full_grid_scan and run_azimuth_only_baseline against
+    oracles.reference_azimuth_only_scan. Each
     config runs q in {1, 2, 3} targets with clutter on and off, and k = 0 or
     3 users by turns, so every (q, k, clutter) case runs on 25 configs.
     A scene's targets and clutter do not depend on k, and the scans read no
@@ -683,12 +684,12 @@ class TestRandomConfigRecords:
 
     def test_every_method_matches_its_reference(self):
         rng = np.random.default_rng(27)
-        skipped = 0
+        skipped = bounded = 0
         for i in range(RANDOM_RECORD_CONFIGS):
             n = int(rng.integers(8, 49))
             fields = dict(
                 m_h=int(rng.choice(RANDOM_M_H)), m_v=int(rng.choice(RANDOM_M_V)),
-                n_subcarriers=n, n_candidates=n,
+                n_subcarriers=n, n_candidates=n * int(rng.integers(1, 65)),
             )
             try:
                 cfg = SystemConfig(**fields)
@@ -716,12 +717,14 @@ class TestRandomConfigRecords:
             except ConfigError:
                 skipped += 1
                 continue
+            bounded += cfg.n_candidates * n > simkit.FEJER_BLOCK  # eas_pursuit takes its bounds
             for got, want in runs:
                 for name in simkit.TRIAL_FIELDS:
                     np.testing.assert_equal(
                         getattr(got, name), getattr(want, name), f"{name} {fields}"
                     )
         assert skipped == RANDOM_RECORD_SKIPS
+        assert 0 < bounded < RANDOM_RECORD_CONFIGS - skipped, bounded
 
 
 class TestTrialCallCounts:
@@ -1072,6 +1075,30 @@ class TestScanBlocks:
             # at q = 5 and q = 8 the loop asks for more than one call's worth
             assert (max(seen[scan]["requests"]) > cap) == (q != 2)
         assert max(seen["exhaustive"]["kernel"]) <= simkit.FEJER_BLOCK // 2
+
+    def test_no_row_set_bounded_empty(self, monkeypatch):
+        """Full-scale scans at q = 2 often end with no row bound above the
+        q-th statistic while cells of earlier rows are still live: the loop
+        then evaluates those cells without a cell_bound call on no rows, and
+        each record is its reference's."""
+        cfg = SystemConfig()
+        sizes = []
+        real_scan = simkit._top_q_scan
+
+        def top_q_scan(work, q, first, row_bound, cell_bound, *rest):
+            def spied(rows):
+                sizes.append(len(rows))
+                return cell_bound(rows)
+            return real_scan(work, q, first, row_bound, spied, *rest)
+
+        monkeypatch.setattr(simkit, "_top_q_scan", top_q_scan)
+        for seed in range(3):
+            scene = generate_scene(cfg, 2, 2, (seed, 0))
+            rec = run_exhaustive_baseline(cfg, scene, np.random.default_rng(seed))
+            assert rec == oracles.full_grid_scan(cfg, scene, seed)
+            rec = run_azimuth_only_baseline(cfg, scene, np.random.default_rng(seed))
+            assert rec == oracles.reference_azimuth_only_scan(cfg, scene, seed)[0]
+        assert sizes and min(sizes) > 0
 
     @pytest.mark.parametrize("q", [1, 3])
     def test_statistic_independent_of_block(self, q):
