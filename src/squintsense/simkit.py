@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import functools
 import io
-import itertools
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -81,45 +80,42 @@ class TrialRecord:
 TRIAL_FIELDS = [field.name for field in fields(TrialRecord)]
 
 
-BRUTE_FORCE_MAX_Q = 6  # 720 permutations
-
-
-@functools.lru_cache(maxsize=BRUTE_FORCE_MAX_Q + 1)
-def _permutations(q: int) -> np.ndarray:
-    return np.array(list(itertools.permutations(range(q))))
-
-
 def _min_cost_assignment(cost: np.ndarray) -> np.ndarray:
     """Column of each row in an assignment of least total cost of a square
-    matrix: every permutation as one index up to BRUTE_FORCE_MAX_Q rows,
-    else Kuhn's Hungarian method (1955) in its O(q^3) form with row and
-    column potentials u, v and shortest augmenting paths."""
+    matrix, by Kuhn's Hungarian method (1955) in its O(q^3) form with row
+    and column potentials u, v and shortest augmenting paths. Scalar loops:
+    q is the target count, and numpy calls cost more than they save here."""
     q = len(cost)
-    if q <= BRUTE_FORCE_MAX_Q:
-        perms = _permutations(q)
-        return perms[cost[np.arange(q), perms].sum(axis=1).argmin()]
-    u, v = np.zeros(q + 1), np.zeros(q + 1)
-    owner = np.zeros(q + 1, int)  # row (1-based) of each column; column 0 is the root
+    rows = cost.tolist()
+    u, v = [0.0] * (q + 1), [0.0] * (q + 1)
+    owner = [0] * (q + 1)  # row (1-based) of each column; column 0 is the root
     for row in range(1, q + 1):
         owner[0], col = row, 0
-        slack, via = np.full(q + 1, np.inf), np.zeros(q + 1, int)
-        used = np.zeros(q + 1, bool)
+        slack, via = [float("inf")] * (q + 1), [0] * (q + 1)
+        used = [False] * (q + 1)
         while owner[col]:
             used[col] = True
-            reduced = cost[owner[col] - 1] - u[owner[col]] - v[1:]
-            closer = ~used[1:] & (reduced < slack[1:])
-            slack[1:][closer], via[1:][closer] = reduced[closer], col
-            free = np.flatnonzero(~used)
-            col = free[slack[free].argmin()]
-            delta = slack[col]
-            u[owner[used]] += delta
-            v[used] -= delta
-            slack[~used] -= delta
+            r = owner[col]
+            delta, nearest = float("inf"), 0
+            for j in range(1, q + 1):
+                if not used[j]:
+                    reduced = rows[r - 1][j - 1] - u[r] - v[j]
+                    if reduced < slack[j]:
+                        slack[j], via[j] = reduced, col
+                    if slack[j] < delta:
+                        delta, nearest = slack[j], j
+            for j in range(q + 1):
+                if used[j]:
+                    u[owner[j]] += delta
+                    v[j] -= delta
+                else:
+                    slack[j] -= delta
+            col = nearest
         while col:  # augment along the path back to the root
             owner[col] = owner[via[col]]
             col = via[col]
     assignment = np.empty(q, int)
-    assignment[owner[1:] - 1] = np.arange(q)
+    assignment[np.array(owner[1:]) - 1] = np.arange(q)
     return assignment
 
 

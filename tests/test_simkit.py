@@ -106,13 +106,10 @@ class TestDistanceError:
         assert distance_error(h, truth, estimates) == pytest.approx(own, rel=1e-12)
         assert own < crossed
 
-    @pytest.mark.parametrize("brute_force_max_q", [0, simkit.BRUTE_FORCE_MAX_Q])
-    def test_matches_scipy_assignment(self, monkeypatch, brute_force_max_q):
-        """Random instances with q = 1..8, by brute force up to
-        BRUTE_FORCE_MAX_Q and by the Hungarian method above it (at 0, for
-        every q): the assignment of scipy's linear_sum_assignment, and its
-        mean distance on ground positions from scalar trig."""
-        monkeypatch.setattr(simkit, "BRUTE_FORCE_MAX_Q", brute_force_max_q)
+    def test_matches_scipy_assignment(self):
+        """Random instances with q = 1..8: the assignment of scipy's
+        linear_sum_assignment, and its mean distance on ground positions
+        from scalar trig."""
         rng = np.random.default_rng(8)
         h = 40.0
         for q in itertools.chain.from_iterable(itertools.repeat(range(1, 9), 25)):
