@@ -21,9 +21,9 @@ half-angle tangents in cache-sized blocks. ``power_gain`` builds the
 horizontal phase table in one array and multiplies the vertical power into
 the kernel's output in place.
 
-:meth:`BeamformerWeights.stack` joins B full (``aas`` or ``comm``) beams
-into one beamformer of kind ``stack``, whose PS angles and slopes are (B,)
-arrays. ``power_gain`` puts them on a leading axis of the same phase
+:meth:`BeamformerWeights.stack` joins B >= 0 full (``aas`` or ``comm``)
+beams into one beamformer of kind ``stack``, whose PS angles and slopes are
+(B,) arrays. ``power_gain`` puts them on a leading axis of the same phase
 expression, so a stack gives (B, angles..., N) in one kernel call per
 array axis, and a single beam is the same code without that axis. A
 proposed trial evaluates each beam of its frame once, over the scene's
@@ -135,7 +135,7 @@ class BeamformerWeights:
         # seconds per element
         if kind == "stack":
             self.h_slope, self.v_slope = np.asarray(h_slope, float), np.asarray(v_slope, float)
-            check_ttd_range(cfg, np.abs(self.h_slope).max(), np.abs(self.v_slope).max())
+            check_ttd_range(cfg, *np.abs([self.h_slope, self.v_slope]).max(axis=1, initial=0.0))
         else:
             self.h_slope, self.v_slope = float(h_slope), float(v_slope)
             check_ttd_range(cfg, self.h_slope, self.v_slope)
@@ -143,18 +143,18 @@ class BeamformerWeights:
         self._flat = flat_horizontal_gain(cfg) if kind == "eas" else None
 
     @classmethod
-    def stack(cls, beams) -> "BeamformerWeights":
-        """One beamformer of kind ``stack`` over B full (aas or comm) beams, in
-        order; its power_gain gives (B, angles..., N), whose row b is
-        beams[b].power_gain over the same angles."""
+    def stack(cls, cfg: SystemConfig, beams) -> "BeamformerWeights":
+        """One beamformer of kind ``stack`` of cfg over B full (aas or comm)
+        beams, in order; its power_gain gives (B, angles..., N), whose row b is
+        beams[b].power_gain over the same angles. B may be 0."""
         beams = list(beams)
-        if not beams or any(b.kind not in ("aas", "comm") for b in beams):
-            raise ConfigError("a stack takes one or more aas or comm beamformers")
+        if any(b.kind not in ("aas", "comm") for b in beams):
+            raise ConfigError("a stack takes only aas or comm beamformers")
         state = (
             np.array([getattr(b, name) for b in beams])
             for name in ("ps_theta", "ps_phi", "h_slope", "v_slope")
         )
-        return cls(beams[0].cfg, "stack", *state)
+        return cls(cfg, "stack", *state)
 
     @staticmethod
     def _lead(value, lead):

@@ -12,7 +12,6 @@ import numpy as np
 
 from . import __version__
 from .beamforming import aas_beamformer, comm_beamformer, eas_beamformer
-from .channel import generate_scene
 from .config import RunConfig, SystemConfig
 from .detection import hierarchical_detect
 from .exceptions import ConfigError, SquintSenseError
@@ -22,7 +21,7 @@ from .simkit import (
     csv_text,
     records_to_csv,
     run_experiment,
-    trial_seed,
+    trial_inputs,
 )
 
 OUTPUT_DIR_ENV = "SQUINTSENSE_OUTPUT_DIR"
@@ -194,16 +193,9 @@ def cmd_simulate(run: RunConfig, args, stdout) -> int:
     return 0
 
 
-def _first_trial(run: RunConfig):
-    """Scene and noise stream of trial 0 on the unswept base system."""
-    seed = trial_seed(run.seed, 0, 0, 0)
-    scene = generate_scene(run.system, run.q_targets, run.k_users, seed, run.include_clutter)
-    return scene, np.random.default_rng(trial_seed(run.seed, 0, 0, 1))
-
-
 def cmd_detect(run: RunConfig, args, stdout) -> int:
-    scene, rng = _first_trial(run)
-    result = hierarchical_detect(run.system, scene, rng)
+    cfg, scene, rng = trial_inputs(run.replace(sweep_var=None), 0, 0)  # the unswept base system
+    result = hierarchical_detect(cfg, scene, rng)
     rows = (
         [stage, it, idx, f"{corr:.12e}", f"{res:.12e}"]
         for stage, counting in enumerate(result.traces)
@@ -215,9 +207,9 @@ def cmd_detect(run: RunConfig, args, stdout) -> int:
 
 
 def cmd_power(run: RunConfig, args, stdout) -> int:
-    scene, rng = _first_trial(run)
-    result = hierarchical_detect(run.system, scene, rng)
-    plan = allocate_comm_plan(run.system, scene, result)
+    cfg, scene, rng = trial_inputs(run.replace(sweep_var=None), 0, 0)
+    result = hierarchical_detect(cfg, scene, rng)
+    plan = allocate_comm_plan(cfg, scene, result)
     provenance = provenance_lines(run) + [
         f"effective sinr threshold (linear) {plan.effective_tau_c:.12g}"
     ]

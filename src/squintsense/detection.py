@@ -376,7 +376,8 @@ def hierarchical_detect(
     allocates every AAS stage. The EAS beam, and then the AAS beams stacked
     with the users' beams, each take one power-gain call over the scene's
     scatterers followed by its users; the noise is drawn stage by stage,
-    EAS first, so the random stream is consumed in stage order.
+    EAS first, so the random stream is consumed in stage order. A frame with
+    no AAS stage or no user takes the same path on empty stacks.
     """
     plan = proposed_plan(cfg)
     t0, p0 = plan.eas_symbol_count, plan.eas_powers
@@ -398,15 +399,10 @@ def hierarchical_detect(
     t_aas, p_aas = allocate_sensing(cfg, alphas[:, None] ** 2)
     beams = [aas_beamformer(cfg, theta_hat) for theta_hat, _ in elevations]
     beams += [comm_beamformer(cfg, *user) for user in scene.users]
-    user_gains = eas_gain[None, n_scat:]
-    observations = ()
-    if beams:
-        # (A + K, S + K, N): the A AAS beams, then the K user beams
-        gains = BeamformerWeights.stack(beams).power_gain(theta, phi, n_idx)
-        user_gains = np.concatenate((user_gains, gains[:, n_scat:]))
-        if elevations:
-            echoes = echo_sum(amp, gains[: len(elevations), :n_scat])
-            observations = assemble_observation(cfg, echoes, p_aas, t_aas, rng)
+    # (A + K, S + K, N): the A AAS beams, then the K user beams
+    gains = BeamformerWeights.stack(cfg, beams).power_gain(theta, phi, n_idx)
+    echoes = echo_sum(amp, gains[: len(elevations), :n_scat])
+    observations = assemble_observation(cfg, echoes, p_aas, t_aas, rng)
     estimates = []
     traces = [cv0]
     for (theta_hat, multiplicity), alpha, p_i, obs in zip(
@@ -422,6 +418,6 @@ def hierarchical_detect(
         estimates=tuple(estimates),
         symbol_counts=(t0, *t_aas.tolist()),
         sensing_powers=(p0, *p_aas),
-        user_gains=user_gains,
+        user_gains=np.concatenate((eas_gain[None, n_scat:], gains[:, n_scat:])),
         traces=tuple(traces),
     )

@@ -82,25 +82,23 @@ def _fejer_pass(x, m, t=None, s=None, w=None, scale=1.0):
     np.multiply(s, s, out=w)
     w += 1.0
     s /= w  # sin(m u)/2
+    # where sin u vanishes the kernel is its limit (cos(m u) / cos u)^2, which
+    # rounds to exactly 1.0 there: m / (m * 1) below
     near_zero = np.abs(t, out=w) < 0.5e-12
-    limit = None
     if near_zero.any():
-        u_near = 0.5 * np.pi * scale * x[near_zero]
-        limit = np.cos(m * u_near) / np.cos(u_near)
-        t[near_zero] = 1.0
+        t[near_zero], s[near_zero] = 1.0, m
     t *= m
     s /= t
     s *= s
-    if limit is not None:
-        s[near_zero] = limit * limit
     return s
 
 
 def uniform_phase_power(slope, m, scale=1.0, out=None):
     """|(1/m) sum_{k<m} exp(-1j*pi*k*scale*slope)|^2 as a real Fejer kernel, over slope.
 
-    Equals (sin(m u) / (m sin u))^2 with u = pi*scale*slope/2, and the
-    squared limit (cos(m u) / cos(u))^2 where |sin u| < 1e-12. No complex
+    Equals (sin(m u) / (m sin u))^2 with u = pi*scale*slope/2, and 1.0 where
+    |sin u| < 1e-12: there the squared limit (cos(m u) / cos u)^2 rounds to
+    exactly 1.0 (a fuzz over m up to 1000 and u up to 150 pi). No complex
     numbers are formed. The scalar ``scale`` joins the constant of the
     kernel's first multiply, so a table of slopes shared by many calls is
     scaled without a pass of its own; the default 1.0 leaves that constant,
@@ -112,7 +110,7 @@ def uniform_phase_power(slope, m, scale=1.0, out=None):
     elements (2-core Xeon, numpy 2.4.6) tan takes 0.9 ms at arguments in
     [0, 3) and 2.1 ms in [0, 192), against 6.3 and 11.3 ms for sin. The
     poles of tan(u/2) are the even-integer singularities, handled by the
-    limit branch; those of tan(m u/2) are nulls, where sin(m u) -> 0.
+    near-zero branch; those of tan(m u/2) are nulls, where sin(m u) -> 0.
     Inputs larger than FEJER_BLOCK elements are evaluated block by block
     over the flattened input, so the work arrays stay in L2 cache. A
     C-contiguous array ``out`` of the input's shape takes the result in place

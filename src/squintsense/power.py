@@ -53,9 +53,8 @@ class SinrContext:
 
     chi[k, l, n] = beta_k^2 |h_n(user k) . w_{l,n}|^2;
     effective_noise[i, k, n] = beta_k^2 |h_n(user k) . b_{i,n}|^2 p^s_{i,n} + sigma^2
-    for sensing stage i. allocate_comm also accepts a single stage's (K, N).
-    ``diag`` and ``ratio_sums`` are computed from chi on first use, once per
-    context.
+    for sensing stage i. ``diag`` and ``ratio_sums`` are computed from chi on
+    first use, once per context.
     """
 
     chi: np.ndarray              # (K, K, N), fixed for the trial
@@ -153,9 +152,9 @@ def allocate_comm(ctx: SinrContext, tau_c: float) -> np.ndarray:
     Feasibility, diag and D_n depend only on chi, so they are formed once
     (the first two with the context); then every subcarrier of every stage
     is solved in one batched call. The result has the shape of
-    ``ctx.effective_noise``: (K, N), or (S, K, N) with a leading stage axis.
-    Requires the diagonal-dominance condition to
-    hold at tau_c on every subcarrier; the returned powers are strictly
+    ``ctx.effective_noise``, (..., K, N) with any leading stage axes: one
+    stage's (K, N), a frame's (S, K, N); K may be 0. Requires diagonal
+    dominance at tau_c on every subcarrier; the returned powers are strictly
     positive and achieve SINR exactly tau_c per user.
     """
     feasible = np.all(1.0 / tau_c > ctx.ratio_sums, axis=0)
@@ -165,21 +164,19 @@ def allocate_comm(ctx: SinrContext, tau_c: float) -> np.ndarray:
             f"SINR threshold infeasible on subcarrier {bad}", last_threshold=tau_c
         )
     diag = ctx.diag
-    k, n = diag.shape
+    k = len(diag)
     d_mtx = np.moveaxis(-tau_c * ctx.chi / diag[:, None, :], 2, 0)  # (N, K, K)
     d_mtx[:, np.arange(k), np.arange(k)] = 1.0
-    stages = (tau_c * ctx.effective_noise / diag).reshape(-1, k, n)
-    rhs = np.swapaxes(stages, 1, 2)[..., None]  # (S, N, K, 1)
-    solved = np.linalg.solve(d_mtx, rhs)  # d_mtx broadcasts over the stage axis
-    residual = np.linalg.norm(d_mtx @ solved - rhs, axis=(2, 3))
-    limit = SOLVE_RESIDUAL_TOL * np.maximum(np.linalg.norm(rhs, axis=(2, 3)), 1e-300)
+    rhs = np.swapaxes(tau_c * ctx.effective_noise / diag, -1, -2)[..., None]  # (..., N, K, 1)
+    solved = np.linalg.solve(d_mtx, rhs)  # d_mtx broadcasts over the stage axes
+    residual = np.linalg.norm(d_mtx @ solved - rhs, axis=(-2, -1))
+    limit = SOLVE_RESIDUAL_TOL * np.maximum(np.linalg.norm(rhs, axis=(-2, -1)), 1e-300)
     if np.any(residual > limit):
         raise InfeasibleError(f"power solve residual too large: {residual.max()}")
     # each stage's powers stay the transposed view of a C-ordered (N, K)
     # block: numpy's sums round by memory layout, and a (K, N) copy would
     # move the trial's power sums in the last digit
-    powers = np.swapaxes(solved[..., 0], 1, 2)
-    return powers if ctx.effective_noise.ndim == 3 else powers[0]
+    return np.swapaxes(solved[..., 0], -1, -2)
 
 
 def backoff_tau_c(ctx: SinrContext, tau_c: float) -> float:

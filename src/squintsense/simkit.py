@@ -122,7 +122,8 @@ def _min_cost_assignment(cost: np.ndarray) -> np.ndarray:
 def distance_error(height: float, truth, estimates) -> float:
     """Mean ground-plane distance between truth and estimates paired by a
     minimum-cost assignment: the OSPA distance (Schuhmacher, Vo & Vo, IEEE
-    TSP 2008) of order 1 with equal counts and no cutoff."""
+    TSP 2008) of order 1 with equal counts and no cutoff. A non-finite angle
+    raises ConfigError: the assignment finds no least cost among NaNs."""
     if len(truth) != len(estimates):
         raise ConfigError(
             f"length mismatch: {len(truth)} truths vs {len(estimates)} estimates"
@@ -130,7 +131,10 @@ def distance_error(height: float, truth, estimates) -> float:
     q = len(truth)
     if not q:
         return 0.0
-    theta, phi = np.array([*truth, *estimates], dtype=float).T
+    angles = np.array([*truth, *estimates], dtype=float)
+    if not np.isfinite(angles).all():
+        raise ConfigError("distance_error takes finite angles")
+    theta, phi = angles.T
     radius = height * np.tan(theta)
     x, y = radius * np.cos(phi), radius * np.sin(phi)  # ground positions
     cost = np.hypot(x[:q, None] - x[q:], y[:q, None] - y[q:])
@@ -161,14 +165,11 @@ def allocate_comm_plan(cfg: SystemConfig, scene: Scene, result) -> PowerPlan:
     The comm beams and their gain table are fixed for the trial, so one SINR
     context, from the result's ``user_gains`` (see :func:`sinr_context`), one
     backoff and one allocation serve every sensing stage, and one stage-axis
-    einsum gives every stage's achieved SINR. With no users, the comm powers
-    and SINR are (S, 0, N) and tau_c passes through.
+    einsum gives every stage's achieved SINR. With no users, the same path
+    gives (S, 0, N) comm powers and SINR, and tau_c passes through.
     """
     counts = np.array(result.symbol_counts)
     sensing = np.stack(result.sensing_powers)
-    if len(scene.users) == 0:
-        none = np.zeros((len(counts), 0, cfg.n_subcarriers))
-        return PowerPlan(counts, sensing, cfg.tau_c, none, none)
     ctx = sinr_context(cfg, scene, result.user_gains, sensing)
     tau_eff = backoff_tau_c(ctx, cfg.tau_c)
     comm_powers = allocate_comm(ctx, tau_eff)
@@ -587,14 +588,19 @@ def _label(record: TrialRecord, run: RunConfig, sweep_idx: int, trial: int, valu
     return record
 
 
-def run_single_trial(run: RunConfig, sweep_idx: int, trial: int, value=None) -> TrialRecord:
-    """One seeded trial; scene and noise streams derive from (master, sweep, trial)."""
+def trial_inputs(run: RunConfig, sweep_idx: int, trial: int, value=None):
+    """(system, scene, noise stream) of one seeded trial at sweep value
+    ``value``: the scene from stream 0 of (master, sweep, trial), the noise
+    generator on stream 1."""
     cfg, q, k = run.at_sweep_value(value)
-    scene = generate_scene(
-        cfg, q, k, trial_seed(run.seed, sweep_idx, trial, 0), run.include_clutter
-    )
-    rng = np.random.default_rng(trial_seed(run.seed, sweep_idx, trial, 1))
-    record = _METHODS[run.method](cfg, scene, rng)
+    seed = trial_seed(run.seed, sweep_idx, trial, 0)
+    scene = generate_scene(cfg, q, k, seed, run.include_clutter)
+    return cfg, scene, np.random.default_rng(trial_seed(run.seed, sweep_idx, trial, 1))
+
+
+def run_single_trial(run: RunConfig, sweep_idx: int, trial: int, value=None) -> TrialRecord:
+    """One seeded trial of run.method on its :func:`trial_inputs`."""
+    record = _METHODS[run.method](*trial_inputs(run, sweep_idx, trial, value))
     return _label(record, run, sweep_idx, trial, value)
 
 

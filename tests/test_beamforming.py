@@ -232,7 +232,7 @@ class TestStackedPowerGain:
             (0.7, 1.2, 3),
         )
         for count in (1, len(beams)):
-            stack = BeamformerWeights.stack(beams[:count])
+            stack = BeamformerWeights.stack(cfg, beams[:count])
             assert stack.kind == "stack"
             for args in probes:
                 got = stack.power_gain(*args)
@@ -247,14 +247,17 @@ class TestStackedPowerGain:
         theta = rng.uniform(SMALL.theta_min, SMALL.theta_max, 6)[:, None]
         phi = rng.uniform(SMALL.phi_min, SMALL.phi_max, 6)[:, None]
         n_idx = np.arange(SMALL.n_subcarriers)
-        got = BeamformerWeights.stack(beams).power_gain(theta, phi, n_idx)
+        got = BeamformerWeights.stack(SMALL, beams).power_gain(theta, phi, n_idx)
         for row, bf in zip(got, beams):
             np.testing.assert_array_equal(row, bf.power_gain(theta, phi, n_idx))
 
     def test_only_full_beams_stack(self):
-        for beams in ([], [eas_beamformer(SMALL)], [aas_beamformer(SMALL, 0.7), eas_beamformer(SMALL)]):
+        phi, n_idx = aas_azimuth_grid(SMALL)[:, None], np.arange(SMALL.n_subcarriers)
+        empty = BeamformerWeights.stack(SMALL, []).power_gain(0.8, phi, n_idx)
+        assert empty.shape == (0, len(phi), len(n_idx))
+        for beams in ([eas_beamformer(SMALL)], [aas_beamformer(SMALL, 0.7), eas_beamformer(SMALL)]):
             with pytest.raises(ConfigError):
-                BeamformerWeights.stack(beams)
+                BeamformerWeights.stack(SMALL, beams)
 
     def test_stack_is_held_to_max_abs_ttd(self):
         beams = [aas_beamformer(SMALL, 0.7), comm_beamformer(SMALL, 0.9, 1.1)]
@@ -262,7 +265,9 @@ class TestStackedPowerGain:
             max((SMALL.m_h - 1) * abs(b.h_slope), (SMALL.m_v - 1) * abs(b.v_slope)) for b in beams
         )
         cfg = SMALL.replace(max_abs_ttd=largest)
-        stack = BeamformerWeights.stack([aas_beamformer(cfg, 0.7), comm_beamformer(cfg, 0.9, 1.1)])
+        stack = BeamformerWeights.stack(
+            cfg, [aas_beamformer(cfg, 0.7), comm_beamformer(cfg, 0.9, 1.1)]
+        )
         assert stack.h_slope.shape == stack.v_slope.shape == (2,)
         with pytest.raises(ConfigError, match="max_abs_ttd"):
             BeamformerWeights(

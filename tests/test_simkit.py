@@ -1,6 +1,8 @@
 import inspect
 import itertools
 import math
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -137,6 +139,29 @@ class TestDistanceError:
             )
             want = float(np.hypot(x[0] - x[1], y[0] - y[1]))
             assert distance_error(40.0, [tuple(truth)], [tuple(estimate)]) == want
+
+    def test_non_finite_angle_raises_promptly(self):
+        """A NaN or infinite angle, in the truth or the estimates, at q = 1 and
+        q = 2, raises ConfigError. Run in a subprocess with a timeout, so an
+        assignment loop that never ends fails the test instead of hanging."""
+        code = (
+            "from squintsense.exceptions import ConfigError\n"
+            "from squintsense.simkit import distance_error\n"
+            "nan, inf = float('nan'), float('inf')\n"
+            "for truth, estimates in (\n"
+            "    ([(0.5, 1.0)], [(nan, 1.0)]),\n"
+            "    ([(0.5, 1.0), (0.7, 2.0)], [(0.5, nan), (0.7, 2.0)]),\n"
+            "    ([(0.5, 1.0), (inf, 2.0)], [(0.5, 1.0), (0.7, 2.0)]),\n"
+            "):\n"
+            "    try:\n"
+            "        distance_error(40.0, truth, estimates)\n"
+            "    except ConfigError:\n"
+            "        print('raised')\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60
+        )
+        assert done.stdout.split() == ["raised"] * 3
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ConfigError):
@@ -674,8 +699,9 @@ class TestRandomConfigRecords:
     oracles.reference_proposed_trial, run_exhaustive_baseline against
     oracles.full_grid_scan and run_azimuth_only_baseline against
     oracles.reference_azimuth_only_scan. Each
-    config runs q in {1, 2, 3} targets with clutter on and off, and k = 0 or
-    3 users by turns, so every (q, k, clutter) case runs on 25 configs.
+    config runs q in {0, 1, 2, 3} targets with clutter on and off, and k = 0
+    or 3 users by turns, so every (q, k, clutter) case runs on 25 configs:
+    q = 0 gives frames with no AAS stage, and with k = 0 no beam at all.
     A scene's targets and clutter do not depend on k, and the scans read no
     user. Of the 50 drawn configs, RANDOM_RECORD_SKIPS (0) raise ConfigError."""
 
@@ -691,7 +717,7 @@ class TestRandomConfigRecords:
             try:
                 cfg = SystemConfig(**fields)
                 runs = []
-                for q, include_clutter in itertools.product((1, 2, 3), (True, False)):
+                for q, include_clutter in itertools.product((0, 1, 2, 3), (True, False)):
                     k = 3 * ((i + q) % 2)
                     scene = generate_scene(cfg, q, k, (i, q), include_clutter)
                     seed = (i, q, 1)
