@@ -18,6 +18,7 @@ from .beamforming import (
     comm_beamformer,
     eas_beamformer,
     eas_elevation_grid,
+    frame_beams,
 )
 from .channel import (
     Scene,

@@ -21,17 +21,17 @@ half-angle tangents in cache-sized blocks. ``power_gain`` builds the
 horizontal phase table in one array and multiplies the vertical power into
 the kernel's output in place.
 
-:meth:`BeamformerWeights.stack` joins B >= 0 full (``aas`` or ``comm``)
-beams into one beamformer of kind ``stack``, whose PS angles and slopes are
-(B,) arrays. ``power_gain`` puts them on a leading axis of the same phase
-expression, so a stack gives (B, angles..., N) in one kernel call per
+:func:`frame_beams` builds a frame's A AAS beams and K user beams as one
+beamformer of kind ``stack``, whose PS angles and slopes are (A + K,)
+arrays computed with no per-beam object; a single beam's slopes are 0-d
+arrays. ``power_gain`` puts a stack's state on a leading axis of the same
+phase expression, so a stack gives (B, angles..., N) in one kernel call per
 array axis, and a single beam is the same code without that axis. A
 proposed trial evaluates each beam of its frame once, over the scene's
 scatterers followed by its users: the EAS beam in one call (one kernel
-call: its horizontal chain is the flat model), and its AAS beams stacked
-with the users' beams in one more (two kernel calls). Their scatterer rows
-give every echo, their user rows the SINR gain table and every stage's
-leakage.
+call: its horizontal chain is the flat model), and its frame_beams stack in
+one more (two kernel calls). Their scatterer rows give every echo, their
+user rows the SINR gain table and every stage's leakage.
 
 An AAS beam's PS term and horizontal TTD slope both scale with sin(theta_hat),
 so its horizontal phase at (theta_hat, phi) is sin(theta_hat) * X(phi, f),
@@ -88,13 +88,16 @@ def _squinted_phase(cfg: SystemConfig, direction, steered, slope, f_dev):
     return phase
 
 
-def _aas_h_slope(cfg: SystemConfig, sin_theta):
-    """Horizontal TTD slope of the AAS beam whose locked elevation has sine sin_theta."""
-    return (
-        sin_theta
-        * (np.cos(cfg.phi_min) - np.cos(cfg.phi_max) * (1.0 + cfg.bandwidth / cfg.fc))
-        / (2.0 * cfg.bandwidth)
-    )
+def _sweep_slope(cfg: SystemConfig, lo: float, hi: float, scale=1.0):
+    """TTD slope whose squint sweeps an axis from lo (f = 0) to hi (f = F), times
+    scale: the EAS vertical slope, and the AAS horizontal one with scale sin(theta_hat)."""
+    c_hi = np.cos(hi) * (1.0 + cfg.bandwidth / cfg.fc)
+    return scale * (np.cos(lo) - c_hi) / (2.0 * cfg.bandwidth)
+
+
+def _locked_v_slope(cfg: SystemConfig, theta):
+    """Vertical TTD slope that locks an AAS or user beam's vertical chain at theta."""
+    return -np.cos(theta) / (2.0 * cfg.fc)
 
 
 def aas_unit_phase(cfg: SystemConfig, phi: np.ndarray) -> np.ndarray:
@@ -104,15 +107,18 @@ def aas_unit_phase(cfg: SystemConfig, phi: np.ndarray) -> np.ndarray:
         cfg,
         np.cos(phi)[:, None],
         np.cos(cfg.phi_min),
-        _aas_h_slope(cfg, 1.0),
+        _sweep_slope(cfg, cfg.phi_min, cfg.phi_max),
         cfg.subcarrier_offsets(),
     )
 
 
-def check_ttd_range(cfg: SystemConfig, h_slope: float, v_slope: float) -> None:
+def check_ttd_range(cfg: SystemConfig, h_slope, v_slope) -> None:
     """ConfigError if the largest delay, at the last element of an axis, exceeds
-    cfg.max_abs_ttd. A caller that steers many beams passes its largest |slope|."""
-    largest = max((cfg.m_h - 1) * abs(h_slope), (cfg.m_v - 1) * abs(v_slope))
+    cfg.max_abs_ttd; the slopes are scalars or the arrays of many beams."""
+    largest = max(
+        (cfg.m_h - 1) * np.abs(h_slope).max(initial=0.0),
+        (cfg.m_v - 1) * np.abs(v_slope).max(initial=0.0),
+    )
     if largest > cfg.max_abs_ttd:
         raise ConfigError("TTD delay exceeds configured max_abs_ttd")
 
@@ -120,9 +126,9 @@ def check_ttd_range(cfg: SystemConfig, h_slope: float, v_slope: float) -> None:
 class BeamformerWeights:
     """Analog beamformer state (PS angles + TTD slopes) plus power-gain evaluation.
 
-    A beamformer of kind ``stack``, made by :meth:`stack`, holds B full beams:
-    its PS angles and slopes are (B,) arrays, and every phase and power it
-    forms has a leading beam axis.
+    The slopes are arrays: 0-d for a single beam, (B,) for a beamformer of
+    kind ``stack`` (made by :func:`frame_beams`), whose PS angles are (B,)
+    arrays too and whose every phase and power has a leading beam axis.
     """
 
     def __init__(self, cfg: SystemConfig, kind: str, ps_theta, ps_phi, h_slope, v_slope):
@@ -133,28 +139,10 @@ class BeamformerWeights:
         self.ps_theta = ps_theta
         self.ps_phi = ps_phi  # None for EAS: never numerically needed
         # seconds per element
-        if kind == "stack":
-            self.h_slope, self.v_slope = np.asarray(h_slope, float), np.asarray(v_slope, float)
-            check_ttd_range(cfg, *np.abs([self.h_slope, self.v_slope]).max(axis=1, initial=0.0))
-        else:
-            self.h_slope, self.v_slope = float(h_slope), float(v_slope)
-            check_ttd_range(cfg, self.h_slope, self.v_slope)
+        self.h_slope, self.v_slope = np.asarray(h_slope, float), np.asarray(v_slope, float)
+        check_ttd_range(cfg, self.h_slope, self.v_slope)
         self._f = cfg.offsets
         self._flat = flat_horizontal_gain(cfg) if kind == "eas" else None
-
-    @classmethod
-    def stack(cls, cfg: SystemConfig, beams) -> "BeamformerWeights":
-        """One beamformer of kind ``stack`` of cfg over B full (aas or comm)
-        beams, in order; its power_gain gives (B, angles..., N), whose row b is
-        beams[b].power_gain over the same angles. B may be 0."""
-        beams = list(beams)
-        if any(b.kind not in ("aas", "comm") for b in beams):
-            raise ConfigError("a stack takes only aas or comm beamformers")
-        state = (
-            np.array([getattr(b, name) for b in beams])
-            for name in ("ps_theta", "ps_phi", "h_slope", "v_slope")
-        )
-        return cls(cfg, "stack", *state)
 
     @staticmethod
     def _lead(value, lead):
@@ -214,28 +202,37 @@ class BeamformerWeights:
 
 def eas_beamformer(cfg: SystemConfig) -> BeamformerWeights:
     """Stage-0 beamformer: PS elevation at theta_min, flat horizontal model."""
-    v_slope = (
-        np.cos(cfg.theta_min)
-        - np.cos(cfg.theta_max) * (1.0 + cfg.bandwidth / cfg.fc)
-    ) / (2.0 * cfg.bandwidth)
-    return BeamformerWeights(
-        cfg, "eas", ps_theta=cfg.theta_min, ps_phi=None, h_slope=0.0, v_slope=v_slope
-    )
+    v_slope = _sweep_slope(cfg, cfg.theta_min, cfg.theta_max)
+    return BeamformerWeights(cfg, "eas", cfg.theta_min, None, h_slope=0.0, v_slope=v_slope)
+
+
+def _aas_beams(cfg: SystemConfig, theta_hat):
+    """PS angles and slopes of the AAS beams at elevations theta_hat (scalar or array)."""
+    phi = np.full(np.shape(theta_hat), cfg.phi_min)
+    h_slope = _sweep_slope(cfg, cfg.phi_min, cfg.phi_max, np.sin(theta_hat))
+    return theta_hat, phi, h_slope, _locked_v_slope(cfg, theta_hat)
+
+
+def _comm_beams(cfg: SystemConfig, theta_u, phi_u):
+    """PS angles and slopes of the beams of users at (theta_u, phi_u) (scalars or arrays)."""
+    h_slope = -np.sin(theta_u) * np.cos(phi_u) / (2.0 * cfg.fc)
+    return theta_u, phi_u, h_slope, _locked_v_slope(cfg, theta_u)
 
 
 def aas_beamformer(cfg: SystemConfig, theta_hat: float) -> BeamformerWeights:
     """Stage-i beamformer: PS at (theta_hat, phi_min), closed-form TTDs."""
-    v_slope = -np.cos(theta_hat) / (2.0 * cfg.fc)
-    h_slope = _aas_h_slope(cfg, np.sin(theta_hat))
-    return BeamformerWeights(
-        cfg, "aas", ps_theta=theta_hat, ps_phi=cfg.phi_min, h_slope=h_slope, v_slope=v_slope
-    )
+    return BeamformerWeights(cfg, "aas", *_aas_beams(cfg, theta_hat))
 
 
 def comm_beamformer(cfg: SystemConfig, theta_u: float, phi_u: float) -> BeamformerWeights:
     """User beamformer with squint fully compensated (gain 1 at the user)."""
-    h_slope = -np.sin(theta_u) * np.cos(phi_u) / (2.0 * cfg.fc)
-    v_slope = -np.cos(theta_u) / (2.0 * cfg.fc)
-    return BeamformerWeights(
-        cfg, "comm", ps_theta=theta_u, ps_phi=phi_u, h_slope=h_slope, v_slope=v_slope
-    )
+    return BeamformerWeights(cfg, "comm", *_comm_beams(cfg, theta_u, phi_u))
+
+
+def frame_beams(cfg: SystemConfig, theta_hat, users) -> BeamformerWeights:
+    """One beamformer of kind ``stack``: the AAS beams at the (A,) elevations
+    theta_hat, then the beams of the (K, 2) users; A or K may be 0. Row b of
+    its power_gain has the bits of that beam's single-beam power_gain."""
+    users = np.asarray(users, dtype=float).reshape(-1, 2)
+    state = zip(_aas_beams(cfg, np.asarray(theta_hat, dtype=float)), _comm_beams(cfg, *users.T))
+    return BeamformerWeights(cfg, "stack", *(np.concatenate(pair) for pair in state))

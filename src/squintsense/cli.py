@@ -236,6 +236,9 @@ def cmd_beampattern(run: RunConfig, args, stdout) -> int:
     for n in subcarriers:
         if not 0 <= n < cfg.n_subcarriers:
             raise ConfigError(f"subcarrier index {n} outside [0, {cfg.n_subcarriers - 1}]")
+    for flag, value in (("--theta-hat", args.theta_hat), ("--phi", args.phi)):
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"{flag} must be finite (got {value})")
     if kind == "eas":
         bf = eas_beamformer(cfg)
         # sweep elevation at mid azimuth
@@ -254,10 +257,11 @@ def cmd_beampattern(run: RunConfig, args, stdout) -> int:
         # sweep azimuth at the pointing elevation
         phi = np.linspace(cfg.phi_min, cfg.phi_max, args.points)
     thetas, phis = np.broadcast_arrays(theta, phi)
+    gains = np.sqrt(bf.power_gain(theta, phi, np.array(subcarriers)[:, None]))
     rows = (
         [kind, n, f"{math.degrees(th):.6f}", f"{math.degrees(ph):.6f}", f"{g:.12e}"]
-        for n in subcarriers
-        for th, ph, g in zip(thetas, phis, np.sqrt(bf.power_gain(theta, phi, n)))
+        for n, gain in zip(subcarriers, gains)
+        for th, ph, g in zip(thetas, phis, gain)
     )
     header = ["stage", "subcarrier", "theta_deg", "phi_deg", "gain_abs"]
     _write(args.output, csv_text(header, rows, provenance_lines(run)), stdout)

@@ -38,11 +38,10 @@ import numpy as np
 from .beamforming import (
     BeamformerWeights,
     aas_azimuth_grid,
-    aas_beamformer,
     aas_unit_phase,
-    comm_beamformer,
     eas_beamformer,
     eas_elevation_grid,
+    frame_beams,
 )
 from .channel import Scene, echo_sum, scene_arrays, sensing_attenuation
 from .config import SystemConfig
@@ -373,8 +372,9 @@ def hierarchical_detect(
     stage 0 spawns one AAS stage whose iteration count is that candidate's
     multiplicity. An AAS beam has unit gain on its design grid, so one
     allocate_sensing call on the (S, 1) stack of the candidates' eas_alpha^2
-    allocates every AAS stage. The EAS beam, and then the AAS beams stacked
-    with the users' beams, each take one power-gain call over the scene's
+    allocates every AAS stage. The plan's EAS beam and the trial's one
+    beamformer, :func:`~squintsense.beamforming.frame_beams` of the selected
+    candidates and the users, each take one power-gain call over the scene's
     scatterers followed by its users; the noise is drawn stage by stage,
     EAS first, so the random stream is consumed in stage order. A frame with
     no AAS stage or no user takes the same path on empty stacks.
@@ -392,15 +392,12 @@ def hierarchical_detect(
     cv0 = eas_pursuit(plan, obs0, len(scene.targets))
 
     selected = np.flatnonzero(cv0.counts)
-    elevations = tuple(
-        (float(plan.eas_candidates[idx]), int(cv0.counts[idx])) for idx in selected
-    )
+    theta_hats = plan.eas_candidates[selected]
+    elevations = tuple(zip(theta_hats.tolist(), cv0.counts[selected].tolist()))
     alphas = plan.eas_alpha[selected]
     t_aas, p_aas = allocate_sensing(cfg, alphas[:, None] ** 2)
-    beams = [aas_beamformer(cfg, theta_hat) for theta_hat, _ in elevations]
-    beams += [comm_beamformer(cfg, *user) for user in scene.users]
     # (A + K, S + K, N): the A AAS beams, then the K user beams
-    gains = BeamformerWeights.stack(cfg, beams).power_gain(theta, phi, n_idx)
+    gains = frame_beams(cfg, theta_hats, scene.users).power_gain(theta, phi, n_idx)
     echoes = echo_sum(amp, gains[: len(elevations), :n_scat])
     observations = assemble_observation(cfg, echoes, p_aas, t_aas, rng)
     estimates = []

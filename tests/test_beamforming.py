@@ -7,12 +7,12 @@ import pytest
 import oracles
 
 from squintsense.beamforming import (
-    BeamformerWeights,
     aas_azimuth_grid,
     aas_beamformer,
     comm_beamformer,
     eas_beamformer,
     eas_elevation_grid,
+    frame_beams,
 )
 from squintsense.config import SystemConfig
 from squintsense.exceptions import ConfigError
@@ -207,21 +207,26 @@ class TestPowerGain:
 
 
 class TestStackedPowerGain:
-    """A stack's power_gain against each beam's own call, bit for bit."""
+    """frame_beams' power_gain against each beam's own call, bit for bit."""
 
     @staticmethod
-    def beams(cfg, kind, count, rng):
-        theta = rng.uniform(cfg.theta_min, cfg.theta_max, count)
-        phi = rng.uniform(cfg.phi_min, cfg.phi_max, count)
-        if kind == "aas":
-            return [aas_beamformer(cfg, t) for t in theta]
-        return [comm_beamformer(cfg, t, p) for t, p in zip(theta, phi)]
+    def frame(cfg, aas_count, user_count, rng):
+        """(theta_hat, users) of a frame and its single beams, in frame order."""
+        theta_hat = rng.uniform(cfg.theta_min, cfg.theta_max, aas_count)
+        users = np.column_stack(
+            [
+                rng.uniform(cfg.theta_min, cfg.theta_max, user_count),
+                rng.uniform(cfg.phi_min, cfg.phi_max, user_count),
+            ]
+        )
+        beams = [aas_beamformer(cfg, t) for t in theta_hat]
+        beams += [comm_beamformer(cfg, t, p) for t, p in users]
+        return theta_hat, users, beams
 
     @pytest.mark.parametrize("cfg", [SMALL, SystemConfig()], ids=["scaled", "full"])
     @pytest.mark.parametrize("kind", ["aas", "comm"])
     def test_equals_per_beam_evaluation(self, cfg, kind):
         rng = np.random.default_rng(31)
-        beams = self.beams(cfg, kind, 5, rng)
         # scatterer-like angle rows, the AAS design grid and one scalar probe
         theta = rng.uniform(cfg.theta_min, cfg.theta_max, 9)[:, None]
         phi = rng.uniform(cfg.phi_min, cfg.phi_max, 9)[:, None]
@@ -231,49 +236,44 @@ class TestStackedPowerGain:
             (0.8, aas_azimuth_grid(cfg), n_idx),
             (0.7, 1.2, 3),
         )
-        for count in (1, len(beams)):
-            stack = BeamformerWeights.stack(cfg, beams[:count])
-            assert stack.kind == "stack"
+        for count in (1, 5):
+            counts = (count, 0) if kind == "aas" else (0, count)
+            theta_hat, users, beams = self.frame(cfg, *counts, rng)
+            frame = frame_beams(cfg, theta_hat, users)
+            assert frame.kind == "stack"
             for args in probes:
-                got = stack.power_gain(*args)
-                want = [bf.power_gain(*args) for bf in beams[:count]]
+                got = frame.power_gain(*args)
+                want = [bf.power_gain(*args) for bf in beams]
                 assert got.shape == (count, *np.shape(want[0]))
                 for row, one in zip(got, want):
                     np.testing.assert_array_equal(row, one)
 
     def test_mixed_kinds_keep_their_order(self):
         rng = np.random.default_rng(32)
-        beams = self.beams(SMALL, "comm", 3, rng) + self.beams(SMALL, "aas", 2, rng)
+        theta_hat, users, beams = self.frame(SMALL, 2, 3, rng)
         theta = rng.uniform(SMALL.theta_min, SMALL.theta_max, 6)[:, None]
         phi = rng.uniform(SMALL.phi_min, SMALL.phi_max, 6)[:, None]
         n_idx = np.arange(SMALL.n_subcarriers)
-        got = BeamformerWeights.stack(SMALL, beams).power_gain(theta, phi, n_idx)
+        got = frame_beams(SMALL, theta_hat, users).power_gain(theta, phi, n_idx)
+        assert len(got) == len(beams) == 5
         for row, bf in zip(got, beams):
             np.testing.assert_array_equal(row, bf.power_gain(theta, phi, n_idx))
 
-    def test_only_full_beams_stack(self):
+    def test_empty_frame(self):
         phi, n_idx = aas_azimuth_grid(SMALL)[:, None], np.arange(SMALL.n_subcarriers)
-        empty = BeamformerWeights.stack(SMALL, []).power_gain(0.8, phi, n_idx)
+        empty = frame_beams(SMALL, np.zeros(0), np.zeros((0, 2))).power_gain(0.8, phi, n_idx)
         assert empty.shape == (0, len(phi), len(n_idx))
-        for beams in ([eas_beamformer(SMALL)], [aas_beamformer(SMALL, 0.7), eas_beamformer(SMALL)]):
-            with pytest.raises(ConfigError):
-                BeamformerWeights.stack(SMALL, beams)
 
     def test_stack_is_held_to_max_abs_ttd(self):
         beams = [aas_beamformer(SMALL, 0.7), comm_beamformer(SMALL, 0.9, 1.1)]
-        largest = max(
+        largest = float(max(
             max((SMALL.m_h - 1) * abs(b.h_slope), (SMALL.m_v - 1) * abs(b.v_slope)) for b in beams
-        )
+        ))
         cfg = SMALL.replace(max_abs_ttd=largest)
-        stack = BeamformerWeights.stack(
-            cfg, [aas_beamformer(cfg, 0.7), comm_beamformer(cfg, 0.9, 1.1)]
-        )
-        assert stack.h_slope.shape == stack.v_slope.shape == (2,)
+        frame = frame_beams(cfg, [0.7], [(0.9, 1.1)])
+        assert frame.h_slope.shape == frame.v_slope.shape == (2,)
         with pytest.raises(ConfigError, match="max_abs_ttd"):
-            BeamformerWeights(
-                cfg.replace(max_abs_ttd=math.nextafter(largest, 0.0)), "stack",
-                stack.ps_theta, stack.ps_phi, stack.h_slope, stack.v_slope,
-            )
+            frame_beams(cfg.replace(max_abs_ttd=math.nextafter(largest, 0.0)), [0.7], [(0.9, 1.1)])
 
 
 class TestEasBeamformer:

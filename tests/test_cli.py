@@ -398,3 +398,19 @@ class TestDispatch:
         messages = [line for line in err.splitlines() if not line.startswith("#")]
         assert len(messages) == 1 and messages[0].startswith("config error:")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--stage", "aas", "--theta-hat", "nan"],
+            ["--stage", "aas", "--theta-hat", "inf"],
+            ["--stage", "comm", "--theta-hat", "40", "--phi", "nan"],
+        ],
+        ids=["aas-nan-theta", "aas-inf-theta", "comm-nan-phi"],
+    )
+    def test_beampattern_rejects_non_finite_angles(self, tmp_path, flags):
+        path = write_config(tmp_path, SCALED_LINES)
+        code, out, err = run_cli(["beampattern", "--config", path, *flags])
+        assert code == 1 and out == ""
+        messages = [line for line in err.splitlines() if not line.startswith("#")]
+        assert len(messages) == 1 and "must be finite" in messages[0]

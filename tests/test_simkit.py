@@ -760,7 +760,7 @@ class TestTrialCallCounts:
 
         cfg = COMM_CFG.replace(tau_c_db=20.0)
         proposed_plan(cfg)  # the cached plan is built once per config, not per trial
-        counts = {"scene_arrays": 0, "kernel": 0}
+        counts = {"scene_arrays": 0, "kernel": 0, "beamformers": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -775,14 +775,23 @@ class TestTrialCallCounts:
         monkeypatch.setattr(
             beamforming, "uniform_phase_power", counted("kernel", beamforming.uniform_phase_power)
         )
+        init = beamforming.BeamformerWeights.__init__
+
+        def counted_init(self, *args, **kwargs):
+            counts["beamformers"] += 1
+            init(self, *args, **kwargs)
+
+        # the AAS and user beams of the frame are one beamformer, not A + K
+        monkeypatch.setattr(beamforming.BeamformerWeights, "__init__", counted_init)
         seen = set()
         for q, k in ((4, 6), (4, 1), (1, 6), (3, 3)):
             for seed in range(6):
                 scene = generate_scene(cfg, q, k, (seed, 0))
-                counts.update(scene_arrays=0, kernel=0)
+                counts.update(scene_arrays=0, kernel=0, beamformers=0)
                 result = hierarchical_detect(cfg, scene, np.random.default_rng((seed, 1)))
                 allocate_comm_plan(cfg, scene, result)
                 assert counts["scene_arrays"] == 1
+                assert counts["beamformers"] == 1
                 seen.add((len(result.symbol_counts), k, counts["kernel"]))
         stages = {n for n, _, _ in seen}
         assert len(stages) >= 3 and max(stages) >= 4
