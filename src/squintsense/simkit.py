@@ -6,7 +6,9 @@ the proposed trial's from :func:`allocate_comm_plan`, a scan's one stage.
 Both scan baselines rank their N x N statistic by one threshold loop
 (:func:`_top_q_scan`), which splits every callback call at the scan's cap,
 in four arrays that every trial of one N reuses (:func:`scan_work`). A scan
-is therefore not safe to run from two threads; processes are.
+is therefore not safe to run from two threads; processes are. A scan trial
+draws its receiver noise as one block of uniforms and turns them into noise
+only where the loop reads it (:func:`_noise_magnitude`, :func:`_noise_at`).
 """
 
 from __future__ import annotations
@@ -237,26 +239,35 @@ class ExhaustivePlan(NamedTuple):
 class ScanWork(NamedTuple):
     """Work arrays of the scan baselines at one N, overwritten by every trial."""
 
-    draws: np.ndarray      # (2, N, N) standard normal draws: real parts, then imaginary
-    noise: np.ndarray      # (N, N) complex receiver noise
-    statistic: np.ndarray  # (N, N) scan statistic
-    bound: np.ndarray      # (N, N) cell bounds of the threshold loop
+    draws: np.ndarray       # (2, N, N) uniform draws of the noise: magnitudes U0, then phases U1
+    statistic: np.ndarray   # (N, N) scan statistic
+    bound: np.ndarray       # (N, N) cell bounds of the threshold loop
+    grid_bound: np.ndarray  # (N, N) the azimuth-only scan's bound of every cell
 
 
 @functools.lru_cache(maxsize=4)
 def scan_work(n: int) -> ScanWork:
     """The scans' work arrays at N subcarriers, shared by every trial of the
     process so none faults in fresh N^2 arrays; see the module docstring."""
-    return ScanWork(np.empty((2, n, n)), np.empty((n, n), complex), *np.empty((2, n, n)))
+    return ScanWork(np.empty((2, n, n)), *np.empty((3, n, n)))
 
 
-def _scan_noise(work: ScanWork, rng: np.random.Generator, scale) -> np.ndarray:
-    """work.noise filled with scale * (x + 1j y), x and y the generator's next
-    two (N, N) standard normal draws; the bits of that expression."""
-    draws = rng.standard_normal(out=work.draws)
-    draws *= scale
-    work.noise.real, work.noise.imag = draws
-    return work.noise
+def _noise_magnitude(u: np.ndarray, variance, out=None) -> np.ndarray:
+    """|n| of circular Gaussian noise n of the given variance per cell, from
+    the magnitude uniforms u in [0, 1) it is drawn from: |n|^2 = -variance
+    log1p(-u) is Exp(variance). Increasing in u, so a row's largest u gives
+    its largest |n|; elementwise, so each cell has its bits alone."""
+    magnitude = np.negative(u, out=out)
+    np.log1p(magnitude, out=magnitude)
+    magnitude *= -variance
+    return np.sqrt(magnitude, out=magnitude)
+
+
+def _noise_at(magnitude: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Complex noise of the given magnitudes and phases 2 pi u, u the phase
+    uniforms: a uniform phase independent of |n|, which with |n|^2 Exp(s^2)
+    makes n circular Gaussian of variance s^2."""
+    return magnitude * np.exp(2j * np.pi * u)
 
 
 @functools.lru_cache(maxsize=4)
@@ -298,7 +309,7 @@ def _in_blocks(fn, block: int, *arrays):
     anew by every call; each scan sizes ``block`` to keep them small."""
     if len(arrays[0]) <= block:
         return fn(*arrays)
-    pieces = zip(*(np.array_split(a, len(a) // block + 1) for a in arrays))
+    pieces = zip(*(np.array_split(a, -(-len(a) // block)) for a in arrays))
     return np.concatenate([fn(*piece) for piece in pieces])
 
 
@@ -331,30 +342,33 @@ def _cell_response(cfg: SystemConfig, plan: ExhaustivePlan, echoes, rows, cols):
     return (power * s_amp).sum(axis=2).mean(axis=1)
 
 
-def _row_bound(cfg: SystemConfig, plan: ExhaustivePlan, echoes, noise):
+def _row_bound(cfg: SystemConfig, plan: ExhaustivePlan, echoes, u_mag, variance):
     """Upper bound of the scan statistic over each row, (N,), and the (N, S)
     array W whose entry W[r, s] bounds scatterer s's vertical power times
-    |amplitude| at row r, on every subcarrier."""
+    |amplitude| at row r, on every subcarrier. A row's largest |noise| is the
+    magnitude of its largest noise uniform in ``u_mag``: N transforms."""
     s_theta, _, s_amp = echoes
     vertical = np.abs(s_amp) * fejer_envelope(
         np.cos(s_theta) - plan.cos_theta[:, None], cfg.m_v, plan.ratio.min(), plan.ratio.max()
     )
-    bound = plan.sqrt_powers * vertical.sum(axis=1) + np.abs(noise).max(axis=1)
+    row_noise = _noise_magnitude(u_mag.max(axis=1), variance)
+    bound = plan.sqrt_powers * vertical.sum(axis=1) + row_noise
     bound *= (1.0 + ENVELOPE_MARGIN) / plan.expected
     return bound, vertical
 
 
-def _cell_bound(cfg: SystemConfig, plan: ExhaustivePlan, echoes, noise, vertical, rows):
+def _cell_bound(cfg: SystemConfig, plan: ExhaustivePlan, echoes, u_mag, variance, vertical, rows):
     """Upper bound of the scan statistic at every cell of the given rows,
     (len(rows), N), from the W of _row_bound, in one envelope call; each row
-    has the bits it has alone."""
+    has the bits it has alone. Only these rows' noise uniforms are turned
+    into |noise|."""
     s_theta, s_phi, _ = echoes
     s_h = np.sin(s_theta) * np.cos(s_phi)
     horizontal = fejer_envelope(
         s_h[:, None] - plan.cell_h[rows, None, :], cfg.m_h, plan.ratio.min(), plan.ratio.max()
     )  # (r, s, c)
     response = np.matmul(vertical[rows, None, :], horizontal)[:, 0]
-    bound = plan.sqrt_powers[rows, None] * response + np.abs(noise[rows])
+    bound = plan.sqrt_powers[rows, None] * response + _noise_magnitude(u_mag[rows], variance)
     return bound * ((1.0 + ENVELOPE_MARGIN) / plan.expected[rows, None])
 
 
@@ -408,20 +422,25 @@ def run_exhaustive_baseline(
     scatterer s adds at most W[r, s] = |amp_s| E_{m_v}(cos theta_s - cos
     theta_r) to row r and W[r, s] E_{m_h}(h_s - h_rc) to cell (r, c); a bound
     adds the row's largest |noise| or the cell's own, times 1 + ENVELOPE_MARGIN.
+    The noise, of variance noise_variance / N per cell, is one (2, N, N) draw
+    of uniforms: a row's largest |noise| is the magnitude of its largest U0,
+    and only rows bounded cell by cell and evaluated cells transform theirs.
     """
     n = cfg.n_subcarriers
     plan = exhaustive_plan(cfg)
     work = scan_work(n)
-    noise = _scan_noise(work, rng, np.sqrt(cfg.noise_variance() / (2.0 * n)))
+    u_mag, u_phase = rng.random(out=work.draws)
+    variance = cfg.noise_variance() / n
     echoes = scene_arrays(cfg, scene)
     q = len(scene.targets)
-    row_bound, vertical = _row_bound(cfg, plan, echoes, noise)
+    row_bound, vertical = _row_bound(cfg, plan, echoes, u_mag, variance)
 
     def evaluate(cells):
         r, c = np.divmod(cells, n)
         signal = plan.sqrt_powers[r] * _cell_response(cfg, plan, echoes, r, c)
-        return np.abs(signal + noise.take(cells)) / plan.expected[r]
-    cell_bound = functools.partial(_cell_bound, cfg, plan, echoes, noise, vertical)
+        noise = _noise_at(_noise_magnitude(u_mag.take(cells), variance), u_phase.take(cells))
+        return np.abs(signal + noise) / plan.expected[r]
+    cell_bound = functools.partial(_cell_bound, cfg, plan, echoes, u_mag, variance, vertical)
     block = _scan_block(cfg, echoes)
     statistic = _top_q_scan(work, q, 4, row_bound, cell_bound, evaluate, max(8, q), block)
     grids = (plan.theta_grid, plan.phi_grid)
@@ -504,18 +523,19 @@ def azimuth_only_plan(cfg: SystemConfig) -> AzimuthOnlyPlan:
     return plan
 
 
-def _azimuth_only_bound(cfg: SystemConfig, plan: AzimuthOnlyPlan, echoes, noise, out):
-    """Upper bound of the azimuth-only statistic at every cell, in out[0] of
-    the (2, N, N) scratch ``out``, and the vertical powers p_v, (S, N). A cell
-    responds sum_s amp_s p_v(s, n) H(s, n, m), H <= 1 if pointed and flat^2
-    if flat, so the bound is (1 + ENVELOPE_MARGIN) (A_n peak_signal_nm +
-    |noise_nm|) / expected_nm, A_n = sum_s |amp_s| p_v(s, n). The margin
-    carries weight: test scenes reach statistic/bound = 1 / (1 + margin)."""
+def _azimuth_only_bound(cfg: SystemConfig, plan: AzimuthOnlyPlan, echoes, magnitude, out):
+    """Upper bound of the azimuth-only statistic at every cell, in the (N, N)
+    ``out``, from every cell's |noise| ``magnitude``, and the vertical powers
+    p_v, (S, N). A cell responds sum_s amp_s p_v(s, n) H(s, n, m), H <= 1 if
+    pointed and flat^2 if flat, so the bound is (1 + ENVELOPE_MARGIN) (A_n
+    peak_signal_nm + |noise_nm|) / expected_nm, A_n = sum_s |amp_s| p_v(s, n).
+    The margin carries weight: test scenes reach statistic/bound = 1 / (1 +
+    margin)."""
     s_theta, _, s_amp = echoes
     x_v = np.cos(s_theta)[:, None] * plan.ratio - np.cos(cfg.theta_min) + plan.v_ttd
     p_v = uniform_phase_power(x_v, cfg.m_v)
-    bound = np.abs(noise, out=out[0])
-    bound += np.multiply((np.abs(s_amp) @ p_v)[:, None], plan.peak_signal, out=out[1])
+    bound = np.multiply((np.abs(s_amp) @ p_v)[:, None], plan.peak_signal, out=out)
+    bound += magnitude
     bound /= plan.expected
     bound *= 1.0 + ENVELOPE_MARGIN
     return bound, p_v
@@ -540,14 +560,18 @@ def run_azimuth_only_baseline(
     fifth of scaled trials a second batch; all N would rank N^2 bounds in
     temporaries freed to the kernel), then batches of 128 q, 256 q, ... cells,
     FEJER_BLOCK // (4 S) per kernel call for S scatterers (~128 KB temporaries).
+    The noise, of variance noise_variance per cell, is one (2, N, N) draw of
+    uniforms; the bound reads every cell's |noise|, so U0 is turned into it
+    in place, and evaluated cells take their phase from U1.
     """
     n = cfg.n_subcarriers
     plan = azimuth_only_plan(cfg)
     work = scan_work(n)
-    noise = _scan_noise(work, rng, np.sqrt(cfg.noise_variance() / 2.0))
+    u_mag, u_phase = rng.random(out=work.draws)
+    magnitude = _noise_magnitude(u_mag, cfg.noise_variance(), out=u_mag)
     echoes = scene_arrays(cfg, scene)
     s_theta, s_phi, s_amp = echoes
-    bound, p_v = _azimuth_only_bound(cfg, plan, echoes, noise, work.draws)  # draws are spent
+    bound, p_v = _azimuth_only_bound(cfg, plan, echoes, magnitude, work.grid_bound)
     x_target = (np.sin(s_theta) * np.cos(s_phi))[:, None] * plan.ratio  # (scatterer, n)
     block = FEJER_BLOCK // max(1, 4 * len(s_amp))
 
@@ -559,7 +583,8 @@ def run_azimuth_only_baseline(
         terms = np.multiply(s_amp[:, None], power)
         response = np.add.accumulate(terms, out=terms)[-1]  # in scatterer order
         signal = plan.sqrt_powers.take(cells) * response
-        return np.abs(signal + noise.take(cells)) / plan.expected.take(cells)
+        noise = _noise_at(magnitude.take(cells), u_phase.take(cells))
+        return np.abs(signal + noise) / plan.expected.take(cells)
     q = len(scene.targets)
     row_bound, cell_bound = bound.max(axis=1), bound.__getitem__
     statistic = _top_q_scan(work, q, 16, row_bound, cell_bound, evaluate, 128 * q, block)

@@ -285,12 +285,27 @@ def reference_exhaustive_response(cfg, scene):
     return response
 
 
-def scan_noise(cfg, rng):
-    """The exhaustive scan's noise draw, as the first use of its generator."""
+def scan_noise(cfg, rng, variance):
+    """A scan's (N, N) complex receiver noise of the given variance per cell,
+    on every cell, as the first use of its generator: from (2, N, N)
+    uniforms U, magnitude sqrt(-variance log1p(-U[0])) and phase 2 pi U[1]."""
     n = cfg.n_subcarriers
-    return np.sqrt(cfg.noise_variance() / (2.0 * n)) * (
-        rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    )
+    u = rng.random((2, n, n))
+    return np.sqrt(-variance * np.log1p(-u[0])) * np.exp(2j * np.pi * u[1])
+
+
+def eager_scan_noise(cfg, rng, variance):
+    """The same noise from 2 N^2 standard normals, real parts then imaginary:
+    the statistical reference of :func:`scan_noise`."""
+    n = cfg.n_subcarriers
+    draws = np.sqrt(variance / 2.0) * rng.standard_normal((2, n, n))
+    return draws[0] + 1j * draws[1]
+
+
+def exhaustive_variance(cfg):
+    """The exhaustive scan's noise variance per cell: one subcarrier's noise,
+    averaged coherently over N subcarriers."""
+    return cfg.noise_variance() / cfg.n_subcarriers
 
 
 def full_grid_scan(cfg, scene, seed):
@@ -300,19 +315,11 @@ def full_grid_scan(cfg, scene, seed):
     theta_grid, phi_grid = eas_elevation_grid(cfg), aas_azimuth_grid(cfg)
     alpha = sensing_attenuation(cfg, cfg.height / np.cos(theta_grid), cfg.sigma_rcs)
     p_cell = cfg.tau_s * cfg.noise_variance() / alpha**2
-    noise = scan_noise(cfg, np.random.default_rng(seed))
+    noise = scan_noise(cfg, np.random.default_rng(seed), exhaustive_variance(cfg))
     signal = np.sqrt(p_cell)[:, None] * reference_exhaustive_response(cfg, scene)
     statistic = np.abs(signal + noise) / (np.sqrt(p_cell)[:, None] * alpha[:, None])
     grids = (theta_grid, phi_grid)
     return _scan_record("exhaustive", cfg, scene, statistic, grids, n * np.repeat(p_cell, n))
-
-
-def azimuth_only_noise(cfg, rng):
-    """The azimuth-only scan's noise draw, as the first use of its generator."""
-    n = cfg.n_subcarriers
-    return np.sqrt(cfg.noise_variance() / 2.0) * (
-        rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    )
 
 
 def reference_azimuth_only_scan(cfg, scene, seed):
@@ -325,7 +332,7 @@ def reference_azimuth_only_scan(cfg, scene, seed):
     p_h = np.where(plan.pointed, uniform_phase_power(x_h, cfg.m_h), plan.flat**2)
     p_h *= uniform_phase_power(x_v, cfg.m_v)[:, :, None]
     response = np.sum(s_amp[:, None, None] * p_h, axis=0)
-    noise = azimuth_only_noise(cfg, np.random.default_rng(seed))
+    noise = scan_noise(cfg, np.random.default_rng(seed), cfg.noise_variance())
     statistic = np.abs(plan.sqrt_powers * response + noise) / plan.expected
     grids = (plan.theta_grid, plan.phi_grid)
     record = _scan_record("azimuth_only", cfg, scene, statistic, grids, plan.powers.ravel())

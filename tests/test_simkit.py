@@ -7,6 +7,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import stats
 from scipy.optimize import linear_sum_assignment
 
 import oracles
@@ -342,6 +345,17 @@ class TestExhaustiveResponse:
         assert not response.any()
 
 
+def exhaustive_noise(cfg, seed):
+    """The exhaustive scan's noise on every cell, for the trial generator seed."""
+    return oracles.scan_noise(cfg, np.random.default_rng(seed), oracles.exhaustive_variance(cfg))
+
+
+def magnitude_uniforms(cfg, seed):
+    """The magnitude uniforms U0, (N, N), a scan draws from the generator seed."""
+    n = cfg.n_subcarriers
+    return np.random.default_rng(seed).random((2, n, n))[0]
+
+
 def full_grid_statistic(cfg, scene, noise):
     """The scan statistic on every cell, from the response of every cell."""
     plan = exhaustive_plan(cfg)
@@ -358,9 +372,9 @@ def spy_scan(monkeypatch, cfg, scene, seed):
         seen["batches"].append(len(rows))
         return _cell_response(cfg, plan, echoes, rows, cols)
 
-    def cell_bound(cfg, plan, echoes, noise, vertical, rows):
-        seen["bounded"].extend(rows)
-        return _cell_bound(cfg, plan, echoes, noise, vertical, rows)
+    def cell_bound(*args):
+        seen["bounded"].extend(args[-1])
+        return _cell_bound(*args)
 
     def record(method, cfg, scene, statistic, grids, powers):
         seen["statistic"] = statistic.copy()
@@ -387,7 +401,7 @@ class TestExhaustivePruning:
         assert sum(batches) == evaluated.sum()
         assert evaluated.any() == bool(len(scene.targets))
         assert len(set(bounded)) == len(bounded)
-        full = full_grid_statistic(cfg, scene, oracles.scan_noise(cfg, np.random.default_rng(seed)))
+        full = full_grid_statistic(cfg, scene, exhaustive_noise(cfg, seed))
         assert np.array_equal(statistic[evaluated], full[evaluated])
         return batches, bounded
 
@@ -438,7 +452,7 @@ class TestExhaustivePruning:
         assert sum(batches) <= 16
         assert len(bounded) < n // 8
         assert rec.distance_error_m < 1.0
-        full = full_grid_statistic(cfg, scene, oracles.scan_noise(cfg, np.random.default_rng(3)))
+        full = full_grid_statistic(cfg, scene, exhaustive_noise(cfg, 3))
         assert np.array_equal(np.argsort(statistic.ravel())[-2:], np.argsort(full.ravel())[-2:])
 
 
@@ -447,11 +461,11 @@ class TestScanBound:
 
     @staticmethod
     def check(cfg, scene, seed):
-        noise = oracles.scan_noise(cfg, np.random.default_rng(seed))
-        statistic = full_grid_statistic(cfg, scene, noise)
+        statistic = full_grid_statistic(cfg, scene, exhaustive_noise(cfg, seed))
         plan, echoes = exhaustive_plan(cfg), scene_arrays(cfg, scene)
-        rows, vertical = _row_bound(cfg, plan, echoes, noise)
-        cells = _cell_bound(cfg, plan, echoes, noise, vertical, np.arange(cfg.n_subcarriers))
+        noise = magnitude_uniforms(cfg, seed), oracles.exhaustive_variance(cfg)
+        rows, vertical = _row_bound(cfg, plan, echoes, *noise)
+        cells = _cell_bound(cfg, plan, echoes, *noise, vertical, np.arange(cfg.n_subcarriers))
         assert np.all(cells >= statistic)
         assert np.all(rows >= cells.max(axis=1))
 
@@ -469,10 +483,10 @@ class TestScanBound:
     @staticmethod
     def check_azimuth_only(cfg, scene, seed):
         _, statistic = oracles.reference_azimuth_only_scan(cfg, scene, seed)
-        noise = oracles.azimuth_only_noise(cfg, np.random.default_rng(seed))
-        out = np.empty((2, cfg.n_subcarriers, cfg.n_subcarriers))
+        noise = oracles.scan_noise(cfg, np.random.default_rng(seed), cfg.noise_variance())
+        out = np.empty((cfg.n_subcarriers, cfg.n_subcarriers))
         plan = azimuth_only_plan(cfg)
-        bound, _ = _azimuth_only_bound(cfg, plan, scene_arrays(cfg, scene), noise, out)
+        bound, _ = _azimuth_only_bound(cfg, plan, scene_arrays(cfg, scene), np.abs(noise), out)
         assert np.all(bound >= statistic)
 
     @EVERY_CONFIG
@@ -1029,6 +1043,76 @@ class TestRunExperiment:
         )
 
 
+class TestScanNoiseSampler:
+    """The scans draw their noise as uniforms U and turn them into circular
+    Gaussian noise of variance s^2 by _noise_magnitude and _noise_at. The
+    bounds were fixed before any run: every KS test passes at p >= 1e-3 on
+    its fixed seed, over 20,000 rows of N = 32 cells."""
+
+    ROWS, N, VARIANCE = 20_000, 32, 0.37
+
+    def sample(self, seed):
+        u = np.random.default_rng(seed).random((2, self.ROWS, self.N))
+        magnitude = simkit._noise_magnitude(u[0], self.VARIANCE)
+        return u, simkit._noise_at(magnitude, u[1])
+
+    def test_power_is_exponential_and_phase_uniform(self):
+        _, noise = self.sample(1)
+        power = (np.abs(noise) ** 2 / self.VARIANCE).ravel()
+        assert stats.kstest(power, "expon").pvalue >= 1e-3
+        phase = (np.angle(noise.ravel()) / (2 * np.pi)) % 1.0
+        assert stats.kstest(phase, "uniform").pvalue >= 1e-3
+        scale = np.sqrt(self.VARIANCE / 2)
+        for part in (noise.real.ravel(), noise.imag.ravel()):
+            assert stats.kstest(part, "norm", args=(0.0, scale)).pvalue >= 1e-3
+
+    def test_row_maxima_follow_their_cdf(self):
+        """A row's largest |n|^2 / s^2, from its largest U0, has the CDF
+        (1 - e^-x)^N of the largest of N Exp(1) draws."""
+        u, _ = self.sample(2)
+        largest = simkit._noise_magnitude(u[0].max(axis=1), self.VARIANCE) ** 2 / self.VARIANCE
+        result = stats.kstest(largest, lambda x: (-np.expm1(-x)) ** self.N)
+        assert result.pvalue >= 1e-3
+
+    def test_matches_eager_normal_draw_at_fixed_cells(self):
+        """Two-sample KS tests of the materialized noise against the eager
+        draw of 2 N^2 normals at three fixed cells: 6,667 scans a side,
+        20,001 values."""
+        cfg = SCALED
+        variance = oracles.exhaustive_variance(cfg)
+        cells = np.array([0, 5 * 32 + 17, 32 * 32 - 1])
+        draws = {"uniform": [], "eager": []}
+        rng = {"uniform": np.random.default_rng(3), "eager": np.random.default_rng(4)}
+        sampler = {"uniform": oracles.scan_noise, "eager": oracles.eager_scan_noise}
+        for _ in range(-(-self.ROWS // len(cells))):
+            for kind in draws:
+                draws[kind].append(sampler[kind](cfg, rng[kind], variance).take(cells))
+        uniform, eager = (np.concatenate(draws[kind]) for kind in ("uniform", "eager"))
+        for part in (np.abs, np.real, np.imag):
+            assert stats.ks_2samp(part(uniform), part(eager)).pvalue >= 1e-3
+
+    @given(
+        u=st.lists(
+            st.one_of(st.floats(0.0, 1.0, exclude_max=True), st.just(1.0 - 2.0**-53)),
+            min_size=1,
+            max_size=64,
+        ),
+        ulps=st.integers(0, 3),
+        variance=st.floats(1e-30, 1e3),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_row_max_magnitude_bounds_every_cell(self, u, ulps, variance):
+        """The transform of a row's largest uniform is >= the transform of
+        every uniform in the row, and equal at the largest; rows hold values
+        a few ulps apart, where a non-monotone log1p would show."""
+        row = np.array(u)
+        row = np.minimum(np.concatenate([row, row + ulps * np.spacing(row)]), 1.0 - 2.0**-53)
+        cells = simkit._noise_magnitude(row, variance)
+        largest = simkit._noise_magnitude(row.max(keepdims=True), variance)[0]
+        assert np.all(largest >= cells)
+        assert largest == cells[row.argmax()]
+
+
 class TestScanBlocks:
     """The threshold loop splits every callback call at its scan's cap: at
     most simkit._scan_block rows or cells for the exhaustive scan, FEJER_BLOCK
@@ -1043,16 +1127,16 @@ class TestScanBlocks:
         n = cfg.n_subcarriers
         scene = generate_scene(cfg, q, 0, (q, 0))
         plan, echoes = exhaustive_plan(cfg), scene_arrays(cfg, scene)
-        noise = oracles.scan_noise(cfg, np.random.default_rng(q))
-        _, vertical = _row_bound(cfg, plan, echoes, noise)
+        noise = magnitude_uniforms(cfg, q), oracles.exhaustive_variance(cfg)
+        _, vertical = _row_bound(cfg, plan, echoes, *noise)
         rng = np.random.default_rng(q)
         rows = rng.permutation(n)[:40]
         cells = rng.choice(n * n, 300, replace=False)
         r, c = np.divmod(cells, n)
-        bound = _cell_bound(cfg, plan, echoes, noise, vertical, rows)
+        bound = _cell_bound(cfg, plan, echoes, *noise, vertical, rows)
         response = _cell_response(cfg, plan, echoes, r, c)
         for i, row in enumerate(rows):
-            alone = _cell_bound(cfg, plan, echoes, noise, vertical, np.array([row]))
+            alone = _cell_bound(cfg, plan, echoes, *noise, vertical, np.array([row]))
             np.testing.assert_array_equal(bound[i], alone[0])
         for i in range(len(cells)):
             assert response[i] == _cell_response(cfg, plan, echoes, r[i : i + 1], c[i : i + 1])[0]
@@ -1131,6 +1215,23 @@ class TestScanBlocks:
             rec = run_azimuth_only_baseline(cfg, scene, np.random.default_rng(seed))
             assert rec == oracles.reference_azimuth_only_scan(cfg, scene, seed)[0]
         assert sizes and min(sizes) > 0
+
+    @pytest.mark.parametrize(
+        "length, block, sizes",
+        [(20, 10, [10, 10]), (30, 10, [10, 10, 10]), (21, 10, [7, 7, 7]), (7, 10, [7])],
+    )
+    def test_fewest_pieces_of_at_most_block(self, length, block, sizes):
+        """A length that is an exact multiple of the cap goes in length / cap
+        calls, not one more."""
+        seen = []
+
+        def fn(a):
+            seen.append(len(a))
+            return a
+
+        out = simkit._in_blocks(fn, block, np.arange(length))
+        assert seen == sizes
+        assert np.array_equal(out, np.arange(length))
 
     @pytest.mark.parametrize("q", [1, 3])
     def test_statistic_independent_of_block(self, q):
