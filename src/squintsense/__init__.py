@@ -59,7 +59,6 @@ from .power import (
     allocate_comm,
     allocate_sensing,
     backoff_tau_c,
-    grid_echo_strength,
     sinr_context,
 )
 from .simkit import (

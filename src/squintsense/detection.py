@@ -4,8 +4,9 @@ pipeline.
 
 What does not depend on the scene is computed once per config and cached
 read-only in one :func:`proposed_plan`, which :func:`hierarchical_detect`
-fetches once per trial and hands to both pursuits: the whole EAS stage and,
-for the AAS stages, the azimuth candidates with their horizontal phase per
+fetches once per trial and hands to both pursuits: the whole EAS stage, its
+(T_0, p_0) from the closed-form grid strength of :mod:`squintsense.power`,
+and, for the AAS stages, the azimuth candidates with their horizontal phase per
 unit sin(theta_hat). Every AAS stage's pursuit, and past one kernel block
 the EAS pursuit, evaluates only the dictionary rows whose block bound can
 reach the best pick, and each pick is still certified against the whole
@@ -25,7 +26,10 @@ leakage and the users' cross gains, go to the communication allocation in
 :attr:`DetectionResult.user_gains`. All AAS stages are allocated in one
 stacked call from the plan's eas_alpha of their candidates; each stage
 keeps its own noise draw, in stage order, and its own dictionary, scaled by
-sqrt(p) alpha, and pursuit."""
+sqrt(p) alpha, and pursuit. A :class:`DetectionResult` holds the frame's
+schedule and estimates as arrays: (S,) int64 symbol counts and (S, N)
+sensing powers, which the comm allocation takes as they are, and (Q, 2)
+estimates."""
 
 from __future__ import annotations
 
@@ -46,8 +50,14 @@ from .beamforming import (
 from .channel import Scene, echo_sum, scene_arrays, sensing_attenuation
 from .config import SystemConfig
 from .exceptions import ConfigError
-from .geometry import ENVELOPE_MARGIN, FEJER_BLOCK, fejer_envelope, uniform_phase_power
-from .power import allocate_sensing, grid_echo_strength
+from .geometry import (
+    ENVELOPE_MARGIN,
+    FEJER_BLOCK,
+    fejer_envelope,
+    flat_horizontal_gain,
+    uniform_phase_power,
+)
+from .power import allocate_sensing
 
 # Uniform bins of |sin(theta_hat)| over the EAS candidates' range, about
 # [sin(theta_min), sin(theta_max)], plus one bin on each side out to 0 and 1,
@@ -65,9 +75,9 @@ class CountingVector:
 @dataclass(frozen=True)
 class DetectionResult:
     elevations: tuple    # ((theta_hat, Q_i), ...) from the EAS stage
-    estimates: tuple     # Q final (theta, phi) pairs
-    symbol_counts: tuple
-    sensing_powers: tuple
+    estimates: np.ndarray       # (Q, 2) final (theta, phi) rows, Q <= q
+    symbol_counts: np.ndarray   # (S,) int64 T_i per stage, EAS first
+    sensing_powers: np.ndarray  # (S, N) p^s_{i,n} per stage
     user_gains: np.ndarray  # (stages + K, K, N) power gain |g|^2 at each of the K users
                             # of each stage's beam, EAS first, then of each user's beam
     traces: tuple        # CountingVector per stage
@@ -304,7 +314,7 @@ class ProposedPlan(NamedTuple):
     alpha(theta_l) = eas_alpha[l]."""
 
     eas_weights: BeamformerWeights
-    eas_symbol_count: int          # T_0
+    eas_symbol_count: np.int64     # T_0
     eas_powers: np.ndarray         # (N,) sensing powers p_0
     eas_candidates: np.ndarray     # (L,) elevation candidates
     eas_alpha: np.ndarray          # (L,) sensing attenuation alpha at each candidate
@@ -330,8 +340,13 @@ def proposed_plan(cfg: SystemConfig) -> ProposedPlan:
     stage, and made read-only."""
     weights = eas_beamformer(cfg)
     phi_probe = 0.5 * (cfg.phi_min + cfg.phi_max)  # flat model: phi-independent
-    strengths = grid_echo_strength(cfg, weights, eas_elevation_grid(cfg), phi_probe)
-    t0, p0 = allocate_sensing(cfg, strengths)
+    # on its design grid the EAS beam's vertical power is exactly 1, so its
+    # grid echo strength alpha^2 |gain|^4 is alpha^2 (g^2)^2, g the flat gain,
+    # squared by products as the kernel path squares (pow can round apart)
+    grid = eas_elevation_grid(cfg)
+    grid_alpha = sensing_attenuation(cfg, cfg.height / np.cos(grid), cfg.sigma_rcs)
+    g = flat_horizontal_gain(cfg)
+    t0, p0 = allocate_sensing(cfg, grid_alpha**2 * ((g * g) * (g * g)))
     eas_cand = elevation_candidates(cfg)
     rows = weights.power_gain(eas_cand[:, None], phi_probe, np.arange(cfg.n_subcarriers))
     alpha = sensing_attenuation(cfg, cfg.height / np.cos(eas_cand), cfg.sigma_rcs)
@@ -400,21 +415,25 @@ def hierarchical_detect(
     gains = frame_beams(cfg, theta_hats, scene.users).power_gain(theta, phi, n_idx)
     echoes = echo_sum(amp, gains[: len(elevations), :n_scat])
     observations = assemble_observation(cfg, echoes, p_aas, t_aas, rng)
-    estimates = []
+    estimates = np.empty((len(scene.targets), 2))  # the EAS picks bound the AAS ones
+    found = 0
     traces = [cv0]
     for (theta_hat, multiplicity), alpha, p_i, obs in zip(
         elevations, alphas, p_aas, observations
     ):
         cv = aas_pursuit(cfg, plan, theta_hat, np.sqrt(p_i) * alpha, obs, multiplicity)
-        stage_azimuths = np.repeat(plan.aas_candidates, cv.counts)
-        estimates.extend((theta_hat, float(ph)) for ph in stage_azimuths)
+        azimuths = np.repeat(plan.aas_candidates, cv.counts)
+        end = found + len(azimuths)
+        estimates[found:end, 0] = theta_hat
+        estimates[found:end, 1] = azimuths
+        found = end
         traces.append(cv)
 
     return DetectionResult(
         elevations=elevations,
-        estimates=tuple(estimates),
-        symbol_counts=(t0, *t_aas.tolist()),
-        sensing_powers=(p0, *p_aas),
+        estimates=estimates[:found],
+        symbol_counts=np.concatenate(([t0], t_aas)),
+        sensing_powers=np.concatenate((p0[None], p_aas)),
         user_gains=np.concatenate((eas_gain[None, n_scat:], gains[:, n_scat:])),
         traces=tuple(traces),
     )

@@ -12,10 +12,13 @@ beam's power gain at the users and each user beam's, from which
 :func:`sinr_context` forms chi and every stage's effective noise in one
 broadcast, with no power-gain call of its own. chi's diagonal and its ratio
 sums are computed once per context and shared by the backoff, the
-feasibility test and the achieved SINR. An AAS beam has unit gain on its
-design grid, so an AAS stage's grid echo strength is alpha(theta_hat)^2 on
-every subcarrier: one number per stage, and :func:`allocate_sensing`
-allocates a trial's AAS stages in one call on the (S, 1) stack of them."""
+feasibility test and the achieved SINR. A stage's grid echo strength, the
+alpha^2 |gain|^4 of one on-grid LoS target at each design grid point, is in
+closed form: alpha(theta_n)^2 (g^2)^2 for the EAS beam, whose vertical power
+there is exactly 1 and whose horizontal chain is the flat gain g, and
+alpha(theta_hat)^2 on every subcarrier for an AAS beam, unit gain on its
+grid: one number per stage, so :func:`allocate_sensing` allocates a trial's
+AAS stages in one call on the (S, 1) stack of them."""
 
 from __future__ import annotations
 
@@ -25,8 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .beamforming import BeamformerWeights
-from .channel import Scene, comm_attenuation, sensing_attenuation
+from .channel import Scene, comm_attenuation
 from .config import SystemConfig
 from .exceptions import InfeasibleError
 
@@ -74,25 +76,6 @@ class SinrContext:
         return (self.chi.sum(axis=1) - diag) / diag
 
 
-def grid_echo_strength(
-    cfg: SystemConfig,
-    weights: BeamformerWeights,
-    grid_theta: np.ndarray,
-    grid_phi: np.ndarray,
-) -> np.ndarray:
-    """|b^H G^los b|^2 at the per-subcarrier design grid points.
-
-    A single hypothetical on-grid LoS target with the configured RCS is
-    assumed; equals alpha(grid)^2 * |array gain|^4. On an AAS beam's own
-    design grid that is alpha(theta_hat)^2, which callers take in closed form.
-    """
-    n = cfg.n_subcarriers
-    grid_theta = np.broadcast_to(np.asarray(grid_theta, float), (n,))
-    grid_phi = np.broadcast_to(np.asarray(grid_phi, float), (n,))
-    alpha = sensing_attenuation(cfg, cfg.height / np.cos(grid_theta), cfg.sigma_rcs)
-    return alpha**2 * weights.power_gain(grid_theta, grid_phi, np.arange(n)) ** 2
-
-
 def allocate_sensing(cfg: SystemConfig, strengths: np.ndarray):
     """Minimal (T_i, p^s_{i,n}) meeting the grid SNR threshold tau_s.
 
@@ -100,9 +83,9 @@ def allocate_sensing(cfg: SystemConfig, strengths: np.ndarray):
     p^s_{i,n} = tau_s sigma^2 / (T_i strength_n), which makes every grid SNR
     exactly tau_s and keeps the per-symbol sum within the budget. Takes a
     stack of strengths (..., N), one stage per row, a last axis of 1 meaning
-    one strength on every subcarrier, and gives T (...,) and p (..., N); T
-    is a Python int for an (N,) row. A broadcast row sums to the bits of its
-    full (N,) row, which N times the term would not.
+    one strength on every subcarrier, and gives int64 T (...,) and p (..., N),
+    T 0-d for an (N,) row. A broadcast row sums to the bits of its full (N,)
+    row, which N times the term would not.
     """
     strengths = np.asarray(strengths, dtype=float)
     if np.any(strengths <= 0.0):
@@ -112,23 +95,22 @@ def allocate_sensing(cfg: SystemConfig, strengths: np.ndarray):
     t_sym = np.ceil(required.sum(axis=-1) / cfg.p_s_max - 1e-12)
     if not np.all(t_sym < 2.0**63):  # inf and NaN fail too
         raise InfeasibleError("sensing budget too small: symbol count exceeds int64")
-    t_sym = np.maximum(1, t_sym).astype(int)
-    powers = required / t_sym[..., None]
-    return (t_sym.item() if t_sym.ndim == 0 else t_sym), powers
+    t_sym = np.maximum(1, t_sym).astype(np.int64)
+    return t_sym, required / t_sym[..., None]
 
 
 def sinr_context(
     cfg: SystemConfig,
     scene: Scene,
     user_gains: np.ndarray,
-    stage_powers,
+    stage_powers: np.ndarray,
 ) -> SinrContext:
     """Gain table of one trial and the effective noise of each sensing stage.
 
     ``user_gains`` (S + K, K, N) is the power gain |g|^2 at each of the K
     users of scene.users of each of the S stage beams, then of each user's
     beam, as :attr:`~squintsense.detection.DetectionResult.user_gains` holds
-    it; ``stage_powers`` the S stages' sensing powers (N,). Each user's
+    it; ``stage_powers`` the S stages' sensing powers (S, N). Each user's
     distance H / cos(theta) and noise power cfg.noise_variance() follow from
     the config. chi[k, l, :] = beta_k^2 |w_l gain at user k|^2, and
     effective_noise[i] adds the leakage of stage i's sensing beam at
@@ -141,7 +123,7 @@ def sinr_context(
     # chi keeps the C-ordered (K, K, N) layout its sums round by
     chi = np.ascontiguousarray(np.swapaxes(gains[n_stages:], 0, 1))
     eff_noise = gains[:n_stages]
-    eff_noise *= np.asarray(stage_powers)[:, None]
+    eff_noise *= stage_powers[:, None]
     eff_noise += cfg.noise_variance()
     return SinrContext(chi=chi, effective_noise=eff_noise)
 

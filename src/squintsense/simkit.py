@@ -122,10 +122,10 @@ def _min_cost_assignment(cost: np.ndarray) -> np.ndarray:
 
 
 def distance_error(height: float, truth, estimates) -> float:
-    """Mean ground-plane distance between truth and estimates paired by a
-    minimum-cost assignment: the OSPA distance (Schuhmacher, Vo & Vo, IEEE
-    TSP 2008) of order 1 with equal counts and no cutoff. A non-finite angle
-    raises ConfigError: the assignment finds no least cost among NaNs."""
+    """Mean ground-plane distance between the (q, 2) (theta, phi) rows truth
+    and estimates paired by a minimum-cost assignment: the OSPA distance
+    (Schuhmacher, Vo & Vo, IEEE TSP 2008) of order 1 with equal counts and no
+    cutoff. A non-finite angle raises ConfigError: no least cost among NaNs."""
     if len(truth) != len(estimates):
         raise ConfigError(
             f"length mismatch: {len(truth)} truths vs {len(estimates)} estimates"
@@ -133,7 +133,7 @@ def distance_error(height: float, truth, estimates) -> float:
     q = len(truth)
     if not q:
         return 0.0
-    angles = np.array([*truth, *estimates], dtype=float)
+    angles = np.concatenate((truth, estimates), dtype=float)
     if not np.isfinite(angles).all():
         raise ConfigError("distance_error takes finite angles")
     theta, phi = angles.T
@@ -170,20 +170,18 @@ def allocate_comm_plan(cfg: SystemConfig, scene: Scene, result) -> PowerPlan:
     einsum gives every stage's achieved SINR. With no users, the same path
     gives (S, 0, N) comm powers and SINR, and tau_c passes through.
     """
-    counts = np.array(result.symbol_counts)
-    sensing = np.stack(result.sensing_powers)
-    ctx = sinr_context(cfg, scene, result.user_gains, sensing)
+    ctx = sinr_context(cfg, scene, result.user_gains, result.sensing_powers)
     tau_eff = backoff_tau_c(ctx, cfg.tau_c)
     comm_powers = allocate_comm(ctx, tau_eff)
     wanted = ctx.diag * comm_powers
     interference = np.einsum("kln,sln->skn", ctx.chi, comm_powers) - wanted
     sinrs = wanted / (interference + ctx.effective_noise)
-    return PowerPlan(counts, sensing, tau_eff, comm_powers, sinrs)
+    return PowerPlan(result.symbol_counts, result.sensing_powers, tau_eff, comm_powers, sinrs)
 
 
 def _finish_record(method: str, cfg: SystemConfig, scene: Scene, estimates, plan: PowerPlan):
     record = TrialRecord(method=method, q_targets=len(scene.targets))
-    record.distance_error_m = distance_error(cfg.height, scene.targets.tolist(), estimates)
+    record.distance_error_m = distance_error(cfg.height, scene.targets, estimates)
     record.total_sensing_energy, record.avg_transmit_power = transmit_power_metrics(plan)
     record.sum_rate = sum_rate(plan.sinrs)
     record.energy_efficiency = (
@@ -211,11 +209,11 @@ def _scan_record(method: str, cfg: SystemConfig, scene: Scene, statistic, grids,
     plan of the N^2 symbols' sensing ``powers``, T folded in, and no comm.
     Unevaluated (-inf) cells are skipped."""
     theta_grid, phi_grid = grids
-    n = statistic.shape[1]
     values = statistic.ravel()
     cells = np.flatnonzero(values > -np.inf)
-    flat = cells[np.argsort(values[cells])[::-1][: len(scene.targets)]]
-    estimates = [(float(theta_grid[i // n]), float(phi_grid[i % n])) for i in flat]
+    picked = cells[np.argsort(values[cells])[::-1][: len(scene.targets)]]
+    rows, cols = np.divmod(picked, len(phi_grid))
+    estimates = np.array((theta_grid[rows], phi_grid[cols])).T
     none = np.zeros((1, 0, cfg.n_subcarriers))
     plan = PowerPlan(np.ones(1, int), powers.reshape(1, -1), cfg.tau_c, none, none)
     return _finish_record(method, cfg, scene, estimates, plan)

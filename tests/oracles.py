@@ -1,5 +1,6 @@
 """Complex-gain oracles that the Fejer power kernels are checked against, the
-per-stage detection pipeline that the stacked one is checked against, and
+numerical grid echo strength that the closed-form ones are checked against,
+the per-stage detection pipeline that the stacked one is checked against, and
 the references of each method's trial record: the proposed trial stage by
 stage, and both scans on the whole grid.
 Steering vectors are horizontal-major: element index = (m_h - 1) * M_v + m_v."""
@@ -120,6 +121,19 @@ def comm_gain(cfg, theta, phi, weights, n: int) -> complex:
     return complex(beta * np.exp(-2j * np.pi * distance / cfg.wavelength) * g)
 
 
+def grid_echo_strength(cfg, weights, grid_theta, grid_phi):
+    """|b^H G^los b|^2 at the per-subcarrier design grid points, through the
+    power-gain kernel: a single hypothetical on-grid LoS target with the
+    configured RCS, alpha(grid)^2 |array gain|^4. The numerical reference of
+    the closed forms: alpha(theta_n)^2 (g^2)^2 for the EAS beam, g the flat
+    gain, and alpha(theta_hat)^2 for an AAS beam on its design grid."""
+    n = cfg.n_subcarriers
+    grid_theta = np.broadcast_to(np.asarray(grid_theta, float), (n,))
+    grid_phi = np.broadcast_to(np.asarray(grid_phi, float), (n,))
+    alpha = sensing_attenuation(cfg, cfg.height / np.cos(grid_theta), cfg.sigma_rcs)
+    return alpha**2 * weights.power_gain(grid_theta, grid_phi, np.arange(n)) ** 2
+
+
 def aas_scale(cfg, theta_hat, powers):
     """The dictionary scale sqrt(p_n) alpha(theta_hat) of the AAS stage at
     theta_hat with sensing powers p, the scale aas_pursuit takes."""
@@ -144,7 +158,9 @@ def per_stage_detect(cfg, scene, rng) -> DetectionResult:
     modified_mp over its whole table: each stage builds its own beam, its
     strength alpha(theta_hat)^2 on an (N,) array, its allocation, and its
     observation from the scene's echo form, echo and noise together. Each
-    beam's gain at the users is its own power_gain call."""
+    beam's gain at the users is its own power_gain call. The stage lists
+    become the result's arrays at the end: (Q, 2) estimates, (S,) int64
+    symbol counts and (S, N) sensing powers."""
     plan = proposed_plan(cfg)
     eas_w, t0, p0 = plan.eas_weights, plan.eas_symbol_count, plan.eas_powers
     echoes = scene_arrays(cfg, scene)
@@ -176,9 +192,9 @@ def per_stage_detect(cfg, scene, rng) -> DetectionResult:
     beams += [comm_beamformer(cfg, theta, phi) for theta, phi in scene.users]
     return DetectionResult(
         elevations=elevations,
-        estimates=tuple(estimates),
-        symbol_counts=tuple(symbol_counts),
-        sensing_powers=tuple(sensing_powers),
+        estimates=np.array(estimates, dtype=float).reshape(-1, 2),
+        symbol_counts=np.array(symbol_counts, dtype=np.int64),
+        sensing_powers=np.array(sensing_powers),
         user_gains=beam_rows(cfg, scene, beams),
         traces=tuple(traces),
     )
@@ -259,8 +275,10 @@ def reference_proposed_trial(cfg, scene, rng):
     result = per_stage_detect(cfg, scene, rng)
     counts, sensing = result.symbol_counts, result.sensing_powers
     comm_powers, sinrs, _ = reference_comm_plan(cfg, scene, stage_beams(cfg, result), sensing)
-    record = TrialRecord(q_targets=len(scene.targets), n_stages=len(counts), symbol_counts=counts)
-    record.distance_error_m = distance_error(cfg.height, scene.targets.tolist(), result.estimates)
+    record = TrialRecord(
+        q_targets=len(scene.targets), n_stages=len(counts), symbol_counts=tuple(counts.tolist())
+    )
+    record.distance_error_m = distance_error(cfg.height, scene.targets, result.estimates)
     total, average = reference_power_metrics(counts, sensing, comm_powers)
     record.total_sensing_energy, record.avg_transmit_power = total, average
     record.sum_rate = reference_sum_rate(sinrs)

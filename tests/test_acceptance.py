@@ -26,7 +26,7 @@ from squintsense.beamforming import (
 from squintsense.channel import generate_scene
 from squintsense.config import RunConfig, SystemConfig
 from squintsense.detection import hierarchical_detect, modified_mp, proposed_plan
-from squintsense.power import allocate_comm, allocate_sensing, grid_echo_strength
+from squintsense.power import allocate_comm, allocate_sensing
 from squintsense.simkit import (
     azimuth_only_plan,
     distance_error,
@@ -200,14 +200,14 @@ def test_sensing_allocation_tight_and_minimal():
     sigma2 = cfg.noise_variance()
 
     strength_sets = [
-        grid_echo_strength(
+        oracles.grid_echo_strength(
             cfg, eas_beamformer(cfg), eas_elevation_grid(cfg),
             0.5 * (cfg.phi_min + cfg.phi_max),
         )
     ]
     for theta_hat in (0.5, 1.0):
         strength_sets.append(
-            grid_echo_strength(
+            oracles.grid_echo_strength(
                 cfg, aas_beamformer(cfg, theta_hat), theta_hat, aas_azimuth_grid(cfg)
             )
         )

@@ -32,7 +32,8 @@ from squintsense.geometry import (
     fejer_envelope,
     uniform_phase_power,
 )
-from squintsense.power import allocate_sensing, grid_echo_strength
+from squintsense.power import allocate_sensing
+from squintsense.simkit import allocate_comm_plan
 
 CFG = SystemConfig(
     m_h=16, m_v=16, n_subcarriers=32, n_candidates=256, tau_s_db=25.0, n_clutter=0
@@ -299,7 +300,9 @@ class TestEasStageCache:
     def test_matches_fresh_computation(self):
         plan = proposed_plan(CFG)
         fresh = proposed_plan.__wrapped__(CFG)
-        strengths = grid_echo_strength(CFG, eas_beamformer(CFG), eas_elevation_grid(CFG), 1.5)
+        strengths = oracles.grid_echo_strength(
+            CFG, eas_beamformer(CFG), eas_elevation_grid(CFG), 1.5
+        )
         t, p = allocate_sensing(CFG, strengths)
         assert plan.eas_symbol_count == t
         np.testing.assert_array_equal(plan.eas_powers, p)
@@ -340,7 +343,7 @@ class TestEasStageCache:
         before = plan.eas_rows.copy(), plan.eas_powers.copy()
         scene = generate_scene(CFG, 2, 0, 5)
         result = hierarchical_detect(CFG, scene, np.random.default_rng(1))
-        assert result.sensing_powers[0] is plan.eas_powers
+        np.testing.assert_array_equal(result.sensing_powers[0], plan.eas_powers)
         np.testing.assert_array_equal(plan.eas_rows, before[0])
         np.testing.assert_array_equal(plan.eas_powers, before[1])
 
@@ -429,6 +432,15 @@ SCALED = SystemConfig(m_h=16, m_v=16, n_subcarriers=32, n_candidates=512)
 CROWDED = SCALED.replace(tau_c_db=20.0)
 
 
+def assert_same_schedule(got, want, err_msg=""):
+    """Estimates, symbol counts and sensing powers of two detection results
+    equal, shape and dtype included."""
+    for name in ("estimates", "symbol_counts", "sensing_powers"):
+        np.testing.assert_array_equal(
+            getattr(got, name), getattr(want, name), f"{name} {err_msg}", strict=True
+        )
+
+
 class TestStackedStages:
     """The stacked pipeline against the per-stage reference in oracles.py."""
 
@@ -444,11 +456,7 @@ class TestStackedStages:
             got = hierarchical_detect(cfg, scene, np.random.default_rng((seed, 1)))
             want = oracles.per_stage_detect(cfg, scene, np.random.default_rng((seed, 1)))
             assert got.elevations == want.elevations
-            assert got.estimates == want.estimates
-            assert got.symbol_counts == want.symbol_counts
-            assert len(got.sensing_powers) == len(want.sensing_powers)
-            for a, b in zip(got.sensing_powers, want.sensing_powers):
-                np.testing.assert_array_equal(a, b)
+            assert_same_schedule(got, want)
             assert got.user_gains.shape == (len(got.symbol_counts) + k, k, cfg.n_subcarriers)
             np.testing.assert_array_equal(got.user_gains, want.user_gains)
             for a, b in zip(got.traces, want.traces):
@@ -462,8 +470,8 @@ class TestStackedStages:
         scene = generate_scene(CROWDED, 0, 2, 3)
         got = hierarchical_detect(CROWDED, scene, np.random.default_rng(3))
         want = oracles.per_stage_detect(CROWDED, scene, np.random.default_rng(3))
-        assert got.estimates == want.estimates == ()
-        assert got.symbol_counts == want.symbol_counts
+        assert got.estimates.shape == (0, 2)
+        assert_same_schedule(got, want)
         assert got.user_gains.shape == (3, 2, CROWDED.n_subcarriers)
         np.testing.assert_array_equal(got.user_gains, want.user_gains)
 
@@ -513,16 +521,51 @@ class TestRandomConfigs:
             bounded += cfg.n_candidates * n > FEJER_BLOCK  # eas_pursuit takes its bounds
             for got, want, stage_obs in runs:
                 assert got.elevations == want.elevations, fields
-                assert got.estimates == want.estimates, fields
-                assert got.symbol_counts == want.symbol_counts, fields
-                assert len(got.sensing_powers) == len(want.sensing_powers), fields
-                for a, b in zip(got.sensing_powers, want.sensing_powers):
-                    np.testing.assert_array_equal(a, b, err_msg=str(fields))
+                assert_same_schedule(got, want, str(fields))
                 np.testing.assert_array_equal(got.user_gains, want.user_gains, str(fields))
                 for a, b, obs in zip(got.traces, want.traces, stage_obs, strict=True):
                     assert_same_pursuit(a, b, obs)
         assert ran >= 0.75 * RANDOM_CONFIGS, skipped  # most configs ran
         assert 0 < bounded < ran
+
+    def test_result_arrays_have_one_form(self):
+        """Every detection result holds (Q, 2) float estimates, Q at most q and
+        one per AAS pick, (S,) int64 symbol counts, S = 1 + the AAS stages, and
+        (S, N) float sensing powers, at q in {0, 1, 3} and K in {0, 2}, the
+        empty frame included; allocate_comm_plan's plan holds the latter two
+        arrays themselves, not copies."""
+        rng = np.random.default_rng(35)
+        ran = 0
+        for i in range(RANDOM_CONFIGS // 5):
+            n = int(rng.integers(8, 49))
+            fields = dict(
+                m_h=int(rng.choice(RANDOM_M_H)), m_v=int(rng.choice(RANDOM_M_V)),
+                n_subcarriers=n, n_candidates=n * int(rng.integers(1, 17)),
+            )
+            try:
+                cfg = SystemConfig(**fields)
+                proposed_plan(cfg)
+            except ConfigError:
+                continue
+            ran += 1
+            for q in (0, 1, 3):
+                for k in (0, 2):
+                    scene = generate_scene(cfg, q, k, (i, q, k))
+                    result = hierarchical_detect(cfg, scene, np.random.default_rng((i, 1)))
+                    stages = 1 + len(result.elevations)
+                    picks = sum(len(cv.trace) for cv in result.traces[1:])
+                    for name, shape, kind in (
+                        ("estimates", (picks, 2), "f"),
+                        ("symbol_counts", (stages,), "i"),
+                        ("sensing_powers", (stages, n), "f"),
+                    ):
+                        got = getattr(result, name)
+                        assert got.shape == shape and got.dtype.kind == kind, (name, fields)
+                    assert picks <= q and result.symbol_counts.dtype == np.int64
+                    plan = allocate_comm_plan(cfg, scene, result)
+                    assert plan.symbol_counts is result.symbol_counts
+                    assert plan.sensing_powers is result.sensing_powers
+        assert ran >= 10
 
 
 FULL = SystemConfig()

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import numpy as np
@@ -16,15 +18,16 @@ from squintsense.beamforming import (
 from squintsense.channel import generate_scene, sensing_attenuation
 from squintsense.config import SystemConfig
 from squintsense.detection import hierarchical_detect, proposed_plan
-from squintsense.exceptions import InfeasibleError
+from squintsense.exceptions import InfeasibleError, SquintSenseError
+from squintsense.geometry import flat_horizontal_gain
 from squintsense.power import (
     SinrContext,
     allocate_comm,
     allocate_sensing,
     backoff_tau_c,
-    grid_echo_strength,
     sinr_context,
 )
+from squintsense.simkit import records_to_csv, run_proposed_trial
 
 CFG = SystemConfig(m_h=16, m_v=16, n_subcarriers=32, n_candidates=32)
 SCALED = CFG.replace(n_candidates=512)
@@ -45,7 +48,7 @@ class TestAllocateSensing:
         """Allocated power times echo strength equals tau_s * sigma^2 * T."""
         cfg = CFG
         bf = eas_beamformer(cfg)
-        strengths = grid_echo_strength(cfg, bf, eas_elevation_grid(cfg), 1.5)
+        strengths = oracles.grid_echo_strength(cfg, bf, eas_elevation_grid(cfg), 1.5)
         t, p = allocate_sensing(cfg, strengths)
         snr = t * p * strengths / cfg.noise_variance()
         np.testing.assert_allclose(snr, cfg.tau_s, rtol=1e-9)
@@ -53,7 +56,7 @@ class TestAllocateSensing:
     def test_budget_respected_and_minimal(self):
         cfg = CFG
         bf = eas_beamformer(cfg)
-        strengths = grid_echo_strength(cfg, bf, eas_elevation_grid(cfg), 1.5)
+        strengths = oracles.grid_echo_strength(cfg, bf, eas_elevation_grid(cfg), 1.5)
         t, p = allocate_sensing(cfg, strengths)
         assert np.sum(p) <= cfg.p_s_max * (1 + 1e-12)
         if t > 1:
@@ -128,17 +131,27 @@ class TestStackedAllocateSensing:
             else:
                 pytest.fail(f"no boundary budget found at N={n}")
 
-    def test_one_row_gives_a_python_int(self):
-        """An (N,) row gives T as a Python int, as every stage of a detection
-        does, so the CSV symbol_counts text stays that of the ints."""
-        strengths = 10 ** np.random.default_rng(3).uniform(-12.5, -10, CFG.n_subcarriers)
-        t, p = allocate_sensing(CFG, strengths)
-        assert type(t) is int and p.shape == (CFG.n_subcarriers,)
-        t, _ = allocate_sensing(CFG, strengths[None])
-        assert t.shape == (1,)
-        result = hierarchical_detect(CFG, generate_scene(CFG, 3, 0, 5), np.random.default_rng(5))
+    def test_one_form_of_symbol_counts(self):
+        """T is int64 with the stack's leading shape, 0-d for an (N,) row, and
+        p has the stack's shape with N last. A detection's symbol counts are
+        one (S,) int64 array, and the trial CSV's symbol_counts text stays
+        that of the integers."""
+        n = CFG.n_subcarriers
+        strengths = 10 ** np.random.default_rng(3).uniform(-12.5, -10, n)
+        stacks = (strengths, strengths[None], np.full((0, 1), 1e-11), np.full((2, 3, 1), 1e-11))
+        for stack in stacks:
+            t, p = allocate_sensing(CFG, stack)
+            assert t.dtype == np.int64 and t.shape == stack.shape[:-1]
+            assert p.shape == stack.shape[:-1] + (n,)
+        scene = generate_scene(CFG, 3, 0, 5)
+        result = hierarchical_detect(CFG, scene, np.random.default_rng(5))
+        assert result.symbol_counts.dtype == np.int64
+        assert result.symbol_counts.shape == (1 + len(result.elevations),)
         assert len(result.symbol_counts) > 1
-        assert all(type(t) is int for t in result.symbol_counts)
+        record = run_proposed_trial(CFG, scene, np.random.default_rng(5))
+        row = next(csv.DictReader(io.StringIO(records_to_csv([record]))))
+        assert row["symbol_counts"] == ";".join(map(str, result.symbol_counts.tolist()))
+        assert all(part.isdigit() for part in row["symbol_counts"].split(";"))
 
     def test_symbol_count_beyond_int64_infeasible(self):
         """A budget so small that T would not fit an int64 raises, for one
@@ -158,7 +171,7 @@ class TestGridEchoStrength:
         theta_hat = 0.8
         alpha = sensing_attenuation(cfg, cfg.height / math.cos(theta_hat), cfg.sigma_rcs)
         eas, eas_phi = eas_beamformer(cfg), np.full(cfg.n_subcarriers, 1.2)
-        out = grid_echo_strength(cfg, eas, theta_hat, eas_phi)
+        out = oracles.grid_echo_strength(cfg, eas, theta_hat, eas_phi)
         for n in (0, 13, 31):
             g = abs(oracles.gain(eas, theta_hat, eas_phi[n], n))
             assert g > 0.0
@@ -187,6 +200,56 @@ class TestGridEchoStrength:
             np.testing.assert_allclose(
                 np.full(cfg.n_subcarriers, closed), kernel, rtol=1e-15, atol=0
             )
+
+    def test_eas_closed_form_matches_kernel(self):
+        """proposed_plan takes the EAS grid strength in closed form,
+        alpha(theta_n)^2 (g^2)^2 with g the flat gain: its T_0 and p_0 are
+        allocate_sensing's of the kernel's strength bit for bit, on both
+        shipped configs and on random valid configs with m, N, L, ROI, fc and
+        bandwidth off the shipped values. The premise: the EAS beam's power
+        gain is exactly g^2 at every design-grid point, its vertical power 1."""
+        configs = [SystemConfig(), SCALED, *random_roi_configs(np.random.default_rng(35), 300)]
+        assert len(configs) >= 2 + 200
+        for cfg in configs:
+            weights, grid = eas_beamformer(cfg), eas_elevation_grid(cfg)
+            phi_mid = 0.5 * (cfg.phi_min + cfg.phi_max)
+            g = flat_horizontal_gain(cfg)
+            np.testing.assert_array_equal(
+                weights.power_gain(grid, phi_mid, np.arange(cfg.n_subcarriers)),
+                np.full(cfg.n_subcarriers, g * g),
+            )
+            t, p = allocate_sensing(cfg, oracles.grid_echo_strength(cfg, weights, grid, phi_mid))
+            plan = proposed_plan.__wrapped__(cfg)
+            assert plan.eas_symbol_count == t
+            np.testing.assert_array_equal(plan.eas_powers, p)
+
+
+def random_roi_configs(rng, draws):
+    """The valid configs among ``draws`` seeded random ones: m_h, m_v in
+    1..96, N in 2..128, L = N * (1..4), a random ROI, fc in 10^(9.5..11.5)
+    Hz and bandwidth 1-50% of fc. The config or the EAS beam rejects 68 of
+    300 draws at seed 35, each a squint that takes an arccos argument out
+    of [-1, 1]."""
+    configs = []
+    for _ in range(draws):
+        n = int(rng.integers(2, 129))
+        theta = np.sort(rng.uniform(0.02, 1.55, 2))
+        phi = np.sort(rng.uniform(0.02, 3.12, 2))
+        fc = float(10 ** rng.uniform(9.5, 11.5))
+        fields = dict(
+            m_h=int(rng.integers(1, 97)), m_v=int(rng.integers(1, 97)),
+            n_subcarriers=n, n_candidates=n * int(rng.integers(1, 5)),
+            theta_min=float(theta[0]), theta_max=float(theta[1]),
+            phi_min=float(phi[0]), phi_max=float(phi[1]),
+            fc=fc, bandwidth=fc * float(rng.uniform(0.01, 0.5)),
+        )
+        try:
+            cfg = SystemConfig(**fields)
+            eas_beamformer(cfg)
+        except SquintSenseError:
+            continue
+        configs.append(cfg)
+    return configs
 
 
 def random_feasible_context(rng, k, n=1, margin=2.0, tau_c=10.0):
@@ -365,7 +428,7 @@ def reference_backoff_tau_c(ctx, tau_c):
 def context_of(cfg, scene, comm_weights, sensing_weights, sensing_powers):
     """sinr_context on the user rows of the stage beams, then the comm beams."""
     rows = oracles.beam_rows(cfg, scene, [*sensing_weights, *comm_weights])
-    return sinr_context(cfg, scene, rows, sensing_powers)
+    return sinr_context(cfg, scene, rows, np.asarray(sensing_powers))
 
 
 class TestSinrContext:

@@ -127,7 +127,7 @@ class TestDistanceError:
             pos_e = [ground_position(h, *e) for e in estimates]
             dist = np.array([[np.linalg.norm(t - e) for e in pos_e] for t in pos_t])
             rows, cols = linear_sum_assignment(dist)
-            got = distance_error(h, truth.tolist(), estimates.tolist())
+            got = distance_error(h, truth, estimates)
             assert got == pytest.approx(dist[rows, cols].mean(), rel=1e-12)
 
     def test_single_target_keeps_scalar_bits(self):
@@ -141,7 +141,7 @@ class TestDistanceError:
                 for f in (np.cos, np.sin)
             )
             want = float(np.hypot(x[0] - x[1], y[0] - y[1]))
-            assert distance_error(40.0, [tuple(truth)], [tuple(estimate)]) == want
+            assert distance_error(40.0, truth[None], estimate[None]) == want
 
     def test_non_finite_angle_raises_promptly(self):
         """A NaN or infinite angle, in the truth or the estimates, at q = 1 and
@@ -604,8 +604,8 @@ class TestCommPlan:
             *reference_plan_args(cfg, scene, result)
         )
         assert got.effective_tau_c == tau_eff
-        assert got.symbol_counts.tolist() == list(result.symbol_counts)
-        np.testing.assert_array_equal(got.sensing_powers, np.stack(result.sensing_powers))
+        assert got.symbol_counts is result.symbol_counts
+        assert got.sensing_powers is result.sensing_powers
         assert len(got.comm_powers) == len(comm_powers) == len(result.symbol_counts)
         assert len(got.sinrs) == len(sinrs)
         for a, b in zip([*got.comm_powers, *got.sinrs], comm_powers + sinrs):
@@ -830,7 +830,8 @@ class TestScanTopCells:
             scene = Scene(np.zeros((q, 2)))
             _scan_record("exhaustive", SCALED, scene, statistic, grids, np.ones(n * n))
             flat = np.argsort(statistic.ravel())[::-1][:q]
-            assert picked.pop() == [(float(i // n), float(i % n)) for i in flat]
+            want = np.array([(i // n, i % n) for i in flat], dtype=float).reshape(-1, 2)
+            np.testing.assert_array_equal(picked.pop(), want, strict=True)
 
 
 def plan_arrays(plan):
@@ -902,7 +903,7 @@ class TestProposedPlanCache(PlanCacheContract):
         )
         scene = generate_scene(SCALED, 2, 0, 5)
         result = hierarchical_detect(SCALED, scene, np.random.default_rng(1))
-        assert result.sensing_powers[0] is plan.eas_powers
+        np.testing.assert_array_equal(result.sensing_powers[0], plan.eas_powers)
         lower = proposed_plan(SCALED.replace(tau_s_db=24.0))
         assert lower.eas_symbol_count <= plan.eas_symbol_count
 
