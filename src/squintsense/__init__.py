@@ -42,7 +42,6 @@ from .detection import (
 )
 from .exceptions import (
     ConfigError,
-    DegenerateIntervalError,
     InfeasibleError,
     SquintSenseError,
 )

@@ -110,6 +110,12 @@ class SystemConfig:
             raise ConfigError("p_s_max must be positive")
         if self.user_min_separation < 0:
             raise ConfigError("user_min_separation must be nonnegative")
+        from .geometry import composite_aod_bounds  # geometry imports this module
+
+        try:  # the squint must keep sin(theta_max) cos(phi_max) a direction cosine
+            composite_aod_bounds(self)
+        except ConfigError as exc:
+            raise ConfigError(f"unrealizable squint at theta_max, phi_max: {exc}") from None
 
     @property
     def m_total(self) -> int:

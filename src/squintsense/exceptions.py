@@ -9,10 +9,6 @@ class ConfigError(SquintSenseError):
     """Invalid configuration value or configuration-file syntax."""
 
 
-class DegenerateIntervalError(SquintSenseError):
-    """An angular interval collapsed to zero or negative width."""
-
-
 class InfeasibleError(SquintSenseError):
     """A power allocation problem has no feasible solution."""
 

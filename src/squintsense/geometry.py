@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import SystemConfig
-from .exceptions import ConfigError, DegenerateIntervalError
+from .exceptions import ConfigError
 
 ARCCOS_CLAMP_TOL = 1e-9
 # Elements per pass of uniform_phase_power: its work arrays and the block of
@@ -50,7 +50,7 @@ def composite_aod_bounds(cfg: SystemConfig):
     )
     psi_min, psi_max = (lo, hi) if lo <= hi else (hi, lo)
     if psi_max - psi_min <= 0.0:
-        raise DegenerateIntervalError(
+        raise ConfigError(
             f"composite-AoD interval is degenerate: [{psi_min}, {psi_max}]"
         )
     return psi_min, psi_max

@@ -4,11 +4,11 @@ A trial's record reads one :class:`~squintsense.power.PowerPlan` of arrays:
 the proposed trial's from :func:`allocate_comm_plan`, a scan's one stage.
 
 Both scan baselines rank their N x N statistic by one threshold loop
-(:func:`_top_q_scan`), which splits every callback call at the scan's cap,
-in four arrays that every trial of one N reuses (:func:`scan_work`). A scan
-is therefore not safe to run from two threads; processes are. A scan trial
-draws its receiver noise as one block of uniforms and turns them into noise
-only where the loop reads it (:func:`_noise_magnitude`, :func:`_noise_at`).
+(:func:`_top_q_scan`), in four arrays that every trial of one N reuses
+(:func:`scan_work`). A scan is therefore not safe to run from two threads;
+processes are. A scan trial draws its receiver noise as one block of
+uniforms and turns them into noise only where the loop reads it
+(:func:`_noise_magnitude`, :func:`_noise_at`).
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .detection import hierarchical_detect
 from .exceptions import ConfigError, SquintSenseError
 from .geometry import (
     ENVELOPE_MARGIN,
-    FEJER_BLOCK,
     fejer_envelope,
     flat_horizontal_gain,
     uniform_phase_power,
@@ -299,27 +298,6 @@ def exhaustive_plan(cfg: SystemConfig) -> ExhaustivePlan:
     return plan
 
 
-def _in_blocks(fn, block: int, *arrays):
-    """fn over the arrays split along their first axis into pieces of at most
-    ``block`` entries, concatenated; one call when they fit. A scan's kernel
-    call holds a few temporaries of its input's size, and temporaries that
-    outgrow the allocator's trim threshold are handed back and faulted in
-    anew by every call; each scan sizes ``block`` to keep them small."""
-    if len(arrays[0]) <= block:
-        return fn(*arrays)
-    pieces = zip(*(np.array_split(a, -(-len(a) // block)) for a in arrays))
-    return np.concatenate([fn(*piece) for piece in pieces])
-
-
-def _scan_block(cfg: SystemConfig, echoes) -> int:
-    """Rows or cells per exhaustive-scan kernel call: at most FEJER_BLOCK // 2
-    slopes (64 KB), each row or cell taking N per scatterer. Whole calls took
-    144 minor page faults per steady-state full-scale trial at q = 5 and 454
-    at q = 8; capped, under 1 (getrusage over trials 20-220). At q = 2 no call
-    reaches the cap."""
-    return max(1, FEJER_BLOCK // max(1, 2 * len(echoes[2]) * cfg.n_subcarriers))
-
-
 def _cell_response(cfg: SystemConfig, plan: ExhaustivePlan, echoes, rows, cols):
     """Noise-free echo of the scan cells (rows[i], cols[i]), averaged coherently
     over subcarriers: (len(rows),), in one kernel call per axis. ``echoes`` is
@@ -370,7 +348,7 @@ def _cell_bound(cfg: SystemConfig, plan: ExhaustivePlan, echoes, u_mag, variance
     return bound * ((1.0 + ENVELOPE_MARGIN) / plan.expected[rows, None])
 
 
-def _top_q_scan(work: ScanWork, q: int, first, row_bound, cell_bound, evaluate, batch, block):
+def _top_q_scan(work: ScanWork, q: int, first, row_bound, cell_bound, evaluate, batch):
     """work.statistic: the scan statistic at every cell that could be one of
     its q largest, -inf elsewhere (a threshold rule, Fagin, Lotem & Naor, PODS
     2001). ``row_bound`` (N,) bounds each row, ``cell_bound(rows)`` each cell
@@ -378,7 +356,7 @@ def _top_q_scan(work: ScanWork, q: int, first, row_bound, cell_bound, evaluate, 
     The ``first`` rows of largest bound are bounded, then unevaluated cells of
     largest bound are evaluated in batches of ``batch``, 2 batch, ..., each
     followed by bounding every row above the q-th largest statistic, until no
-    cell's is. The loop hands each callback at most ``block`` rows or cells a
+    cell's is. Each callback gets exactly the rows or cells chosen, in one
     call; callbacks that give each its bits alone give a full-grid record."""
     statistic, bound = work.statistic, work.bound
     statistic.fill(-np.inf)
@@ -388,14 +366,14 @@ def _top_q_scan(work: ScanWork, q: int, first, row_bound, cell_bound, evaluate, 
     rows = np.argsort(row_bound)[-first:]
     while q:
         if rows.size:  # else only cells of earlier rows can still be live
-            bound[rows] = _in_blocks(cell_bound, block, rows)
+            bound[rows] = cell_bound(rows)
             row_bound[rows] = -np.inf  # these rows are bounded cell by cell
         live = (flat_bound > top[0]).nonzero()[0]
         if not live.size:
             break
         if live.size > batch:
             live = live[flat_bound[live].argpartition(-batch)[-batch:]]
-        flat_statistic[live] = values = _in_blocks(evaluate, block, live)
+        flat_statistic[live] = values = evaluate(live)
         flat_bound[live] = -np.inf
         top = np.partition(np.concatenate((top, values)), -q)[-q:]
         rows, batch = (row_bound > top[0]).nonzero()[0], 2 * batch
@@ -415,7 +393,7 @@ def run_exhaustive_baseline(
     scene-independent part is the cached :func:`exhaustive_plan`.
 
     :func:`_top_q_scan` evaluates its statistic |sqrt(p_r) response + noise| /
-    (sqrt(p_r) alpha_r) from 4 rows and max(8, q) cells, _scan_block a call.
+    (sqrt(p_r) alpha_r) from 4 rows and max(8, q) cells.
     With E_m the ``geometry.fejer_envelope`` over the subcarrier ratios,
     scatterer s adds at most W[r, s] = |amp_s| E_{m_v}(cos theta_s - cos
     theta_r) to row r and W[r, s] E_{m_h}(h_s - h_rc) to cell (r, c); a bound
@@ -439,8 +417,7 @@ def run_exhaustive_baseline(
         noise = _noise_at(_noise_magnitude(u_mag.take(cells), variance), u_phase.take(cells))
         return np.abs(signal + noise) / plan.expected[r]
     cell_bound = functools.partial(_cell_bound, cfg, plan, echoes, u_mag, variance, vertical)
-    block = _scan_block(cfg, echoes)
-    statistic = _top_q_scan(work, q, 4, row_bound, cell_bound, evaluate, max(8, q), block)
+    statistic = _top_q_scan(work, q, 4, row_bound, cell_bound, evaluate, max(8, q))
     grids = (plan.theta_grid, plan.phi_grid)
     return _scan_record("exhaustive", cfg, scene, statistic, grids, plan.powers)
 
@@ -556,8 +533,7 @@ def run_azimuth_only_baseline(
     :func:`_top_q_scan` evaluates its statistic from the cell bounds of
     :func:`_azimuth_only_bound`: the 16 rows of largest bound first (8 left a
     fifth of scaled trials a second batch; all N would rank N^2 bounds in
-    temporaries freed to the kernel), then batches of 128 q, 256 q, ... cells,
-    FEJER_BLOCK // (4 S) per kernel call for S scatterers (~128 KB temporaries).
+    temporaries freed to the kernel), then batches of 128 q, 256 q, ... cells.
     The noise, of variance noise_variance per cell, is one (2, N, N) draw of
     uniforms; the bound reads every cell's |noise|, so U0 is turned into it
     in place, and evaluated cells take their phase from U1.
@@ -571,7 +547,6 @@ def run_azimuth_only_baseline(
     s_theta, s_phi, s_amp = echoes
     bound, p_v = _azimuth_only_bound(cfg, plan, echoes, magnitude, work.grid_bound)
     x_target = (np.sin(s_theta) * np.cos(s_phi))[:, None] * plan.ratio  # (scatterer, n)
-    block = FEJER_BLOCK // max(1, 4 * len(s_amp))
 
     def evaluate(cells):
         r = cells // n
@@ -585,7 +560,7 @@ def run_azimuth_only_baseline(
         return np.abs(signal + noise) / plan.expected.take(cells)
     q = len(scene.targets)
     row_bound, cell_bound = bound.max(axis=1), bound.__getitem__
-    statistic = _top_q_scan(work, q, 16, row_bound, cell_bound, evaluate, 128 * q, block)
+    statistic = _top_q_scan(work, q, 16, row_bound, cell_bound, evaluate, 128 * q)
     grids = (plan.theta_grid, plan.phi_grid)
     # sensing powers of N symbols x N subcarriers, T folded in
     return _scan_record("azimuth_only", cfg, scene, statistic, grids, plan.powers.ravel())

@@ -140,11 +140,13 @@ output = out/res.csv
 """
 
 # valid degree range of each degree key while the others keep their defaults
+# with the other keys at their defaults; above 74.2 deg theta_max and 152.4
+# deg phi_max the default squint leaves the direction cosines, a config error
 DEGREE_RANGES = {
     "theta_min_deg": (0.01, 69.99),
-    "theta_max_deg": (15.01, 89.99),
+    "theta_max_deg": (15.01, 74.2),
     "phi_min_deg": (0.01, 149.99),
-    "phi_max_deg": (30.01, 179.99),
+    "phi_max_deg": (30.01, 152.4),
     "user_min_separation_deg": (0.0, 180.0),
 }
 
@@ -201,6 +203,18 @@ class TestDispatch:
         code, _, err = run_cli(["simulate", "--config", path])
         assert code == 1
         assert "config error" in err
+
+    @pytest.mark.parametrize("method", ["proposed", "exhaustive", "azimuth_only"])
+    def test_unrealizable_squint_exits_one(self, tmp_path, method):
+        """A squint past the realizable direction cosines fails at load, for
+        every method: no trial runs and the CLI exits 1."""
+        lines = "bandwidth_hz = 12e9\ntheta_max_deg = 88\nphi_max_deg = 175\n"
+        path = write_config(tmp_path, SCALED_LINES + lines + f"method = {method}\n")
+        code, out, err = run_cli(["simulate", "--config", path])
+        assert code == 1
+        assert err.startswith("config error:")
+        assert "unrealizable squint" in err
+        assert out == ""
 
     @pytest.mark.parametrize(
         "config, flags",

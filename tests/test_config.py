@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from squintsense.config import RunConfig, SystemConfig
 from squintsense.exceptions import ConfigError
 from squintsense.simkit import run_experiment, run_single_trial
+from test_power import random_roi_configs
 
 FLOAT_FIELDS = [f.name for f in fields(SystemConfig) if type(f.default) is float]
 INT_FIELDS = [f.name for f in fields(SystemConfig) if type(f.default) is int]
@@ -51,6 +52,28 @@ class TestFieldValidation:
     def test_nan_height_sweep_fails_fast(self):
         with pytest.raises(ConfigError, match="height"):
             RunConfig(system=SCALED, sweep_var="height", sweep_values=(40.0, math.nan))
+
+
+class TestRealizableSquint:
+    def test_unrealizable_squint_rejected(self):
+        """sin(88 deg) cos(175 deg) (1 + 12/30) < -1: no beam reaches the
+        squinted composite AoD, so no method may run the config."""
+        with pytest.raises(ConfigError, match="unrealizable squint"):
+            SCALED.replace(
+                bandwidth=12e9, theta_max=math.radians(88.0), phi_max=math.radians(175.0)
+            )
+
+    def test_every_loaded_random_config_runs(self):
+        """Of 300 seeded random draws, the 232 that load run one q = 1, k = 0
+        trial of every method without a failure; the other 68 raise
+        ConfigError at load (see random_roi_configs)."""
+        configs = random_roi_configs(np.random.default_rng(35), 300)
+        assert len(configs) == 232
+        for cfg in configs:
+            for method in ("proposed", "exhaustive", "azimuth_only"):
+                run = RunConfig(system=cfg, method=method, k_users=0, trials=1)
+                records, _ = run_experiment(run)
+                assert records[0].ok, (records[0].error, cfg)
 
 
 class TestRunFieldValidation:

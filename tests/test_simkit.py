@@ -30,6 +30,7 @@ from squintsense.detection import (
     proposed_plan,
 )
 from squintsense.exceptions import ConfigError, InfeasibleError
+from squintsense.geometry import FEJER_BLOCK
 from squintsense.power import PowerPlan
 from squintsense.simkit import (
     _azimuth_only_bound,
@@ -286,7 +287,7 @@ EVERY_CONFIG = pytest.mark.parametrize(
 
 
 def every_cell_response(cfg, scene):
-    """The uncapped _cell_response on all N^2 cells, (N, N): in one call up to
+    """_cell_response on all N^2 cells, (N, N): in one call up to
     N = 45, in calls of 2048 cells above, so a full-scale grid forms no ~100 MB
     array; each cell has its bits whatever cells share its call."""
     n = cfg.n_subcarriers
@@ -754,7 +755,7 @@ class TestRandomConfigRecords:
             except ConfigError:
                 skipped += 1
                 continue
-            bounded += cfg.n_candidates * n > simkit.FEJER_BLOCK  # eas_pursuit takes its bounds
+            bounded += cfg.n_candidates * n > FEJER_BLOCK  # eas_pursuit takes its bounds
             for got, want in runs:
                 for name in simkit.TRIAL_FIELDS:
                     np.testing.assert_equal(
@@ -1115,15 +1116,14 @@ class TestScanNoiseSampler:
 
 
 class TestScanBlocks:
-    """The threshold loop splits every callback call at its scan's cap: at
-    most simkit._scan_block rows or cells for the exhaustive scan, FEJER_BLOCK
-    // (4 S) for the azimuth-only scan. The split is safe because the uncapped
-    helpers give every row and cell the bits it has in a call of its own."""
+    """The threshold loop hands each callback exactly the rows or cells it
+    chose, in one call. That is safe because the helpers give every row and
+    cell the bits it has in a call of its own, so the loop may batch freely."""
 
     @pytest.mark.parametrize("q", [2, 5, 8])
-    def test_capped_calls_keep_each_cells_bits(self, q):
-        """The uncapped helpers at full scale: 40 rows and 300 cells in one
-        call each, every row and cell with the bits of a call of its own."""
+    def test_batched_calls_keep_each_cells_bits(self, q):
+        """The helpers at full scale: 40 rows and 300 cells in one call each,
+        every row and cell with the bits of a call of its own."""
         cfg = SystemConfig()
         n = cfg.n_subcarriers
         scene = generate_scene(cfg, q, 0, (q, 0))
@@ -1143,55 +1143,46 @@ class TestScanBlocks:
             assert response[i] == _cell_response(cfg, plan, echoes, r[i : i + 1], c[i : i + 1])[0]
 
     @pytest.mark.parametrize("q", [2, 5, 8])
-    def test_loop_caps_every_callback_call(self, monkeypatch, q):
-        """Full-scale scans: every loop request goes out in pieces of at most
-        the scan's cap, every exhaustive kernel input holds at most
-        FEJER_BLOCK // 2 slopes, and each record is its reference's."""
+    def test_full_scale_records_one_call_per_request(self, monkeypatch, q):
+        """Full-scale scans, the suite's only reference check above q = 3:
+        each record is its reference's, and each request of the loop reaches
+        the scan's helpers in one call, whole. The exhaustive scan's requests
+        go to _cell_bound and _cell_response, the azimuth-only scan's cells
+        to one kernel call on (scatterer, cell) slopes."""
         cfg = SystemConfig()
-        n = cfg.n_subcarriers
         scene = generate_scene(cfg, q, 0, (q, 0))
-        echoes = scene_arrays(cfg, scene)
-        scatterers = len(echoes[2])
-        caps = {
-            "exhaustive": simkit._scan_block(cfg, echoes),
-            "azimuth_only": simkit.FEJER_BLOCK // max(1, 4 * scatterers),
-        }
-        assert caps["exhaustive"] * scatterers * n <= simkit.FEJER_BLOCK // 2
-        assert (caps["exhaustive"] >= 8) == (q == 2)  # the q = 2 first batch of 8 fits
-        seen = {scan: {"blocks": [], "requests": [], "calls": [], "kernel": []} for scan in caps}
-        scan = None
+        scatterers = len(scene_arrays(cfg, scene)[2])
+        seen = {"requests": [], "helpers": []}
 
         def counted(key, fn, size=lambda *args: len(args[-1])):  # rows or cells
-            def wrapper(*args, **kwargs):
-                seen[scan][key].append(size(*args))
-                return fn(*args, **kwargs)
+            def wrapper(*args):
+                seen[key].append(size(*args))
+                return fn(*args)
             return wrapper
 
-        def top_q_scan(work, q, first, row_bound, cell_bound, evaluate, batch, block):
-            seen[scan]["blocks"].append(block)
-            cell_bound, evaluate = counted("calls", cell_bound), counted("calls", evaluate)
-            return real_scan(work, q, first, row_bound, cell_bound, evaluate, batch, block)
+        def top_q_scan(work, q, first, row_bound, cell_bound, evaluate, batch):
+            seen["helpers"].clear()  # the azimuth-only bound's kernel call precedes the loop
+            if scan == "exhaustive":
+                cell_bound = counted("requests", cell_bound)
+            evaluate = counted("requests", evaluate)
+            return real_scan(work, q, first, row_bound, cell_bound, evaluate, batch)
 
         real_scan = simkit._top_q_scan
         monkeypatch.setattr(simkit, "_top_q_scan", top_q_scan)
-        monkeypatch.setattr(simkit, "_in_blocks", counted("requests", simkit._in_blocks))
         for name in ("_cell_bound", "_cell_response"):
-            monkeypatch.setattr(simkit, name, counted("calls", getattr(simkit, name)))
-        monkeypatch.setattr(simkit, "uniform_phase_power", counted(
-            "kernel", simkit.uniform_phase_power, lambda slope, m: np.size(slope)
-        ))
+            monkeypatch.setattr(simkit, name, counted("helpers", getattr(simkit, name)))
         scan = "exhaustive"
         rec = run_exhaustive_baseline(cfg, scene, np.random.default_rng(q))
         assert rec == oracles.full_grid_scan(cfg, scene, q)
+        assert seen["requests"] and seen["helpers"] == seen["requests"]
+        seen["requests"].clear()
+        monkeypatch.setattr(simkit, "uniform_phase_power", counted(
+            "helpers", simkit.uniform_phase_power, lambda slope, m: np.size(slope) // scatterers
+        ))
         scan = "azimuth_only"
         rec = run_azimuth_only_baseline(cfg, scene, np.random.default_rng(q))
         assert rec == oracles.reference_azimuth_only_scan(cfg, scene, q)[0]
-        for scan, cap in caps.items():
-            assert seen[scan]["blocks"] == [cap]
-            assert 0 < max(seen[scan]["calls"]) <= cap
-            # at q = 5 and q = 8 the loop asks for more than one call's worth
-            assert (max(seen[scan]["requests"]) > cap) == (q != 2)
-        assert max(seen["exhaustive"]["kernel"]) <= simkit.FEJER_BLOCK // 2
+        assert seen["requests"] and seen["helpers"] == seen["requests"]
 
     def test_no_row_set_bounded_empty(self, monkeypatch):
         """Full-scale scans at q = 2 often end with no row bound above the
@@ -1217,51 +1208,29 @@ class TestScanBlocks:
             assert rec == oracles.reference_azimuth_only_scan(cfg, scene, seed)[0]
         assert sizes and min(sizes) > 0
 
-    @pytest.mark.parametrize(
-        "length, block, sizes",
-        [(20, 10, [10, 10]), (30, 10, [10, 10, 10]), (21, 10, [7, 7, 7]), (7, 10, [7])],
-    )
-    def test_fewest_pieces_of_at_most_block(self, length, block, sizes):
-        """A length that is an exact multiple of the cap goes in length / cap
-        calls, not one more."""
-        seen = []
-
-        def fn(a):
-            seen.append(len(a))
-            return a
-
-        out = simkit._in_blocks(fn, block, np.arange(length))
-        assert seen == sizes
-        assert np.array_equal(out, np.arange(length))
-
     @pytest.mark.parametrize("q", [1, 3])
-    def test_statistic_independent_of_block(self, q):
-        """A toy statistic: the loop's work array comes out bit-equal whether
-        each callback call takes 1 row or cell, 3, or all of them."""
+    def test_statistic_independent_of_first_batch(self, q):
+        """A toy statistic: whether the loop's first batch of cells is 1, 3,
+        or all of them, every cell it evaluates holds its exact value, every
+        other cell -inf, and its q largest cells are the true q largest."""
         n = 16
         rng = np.random.default_rng(q)
         values = rng.rayleigh(size=(n, n))
         bounds = values + rng.uniform(0.0, 1.0, (n, n))
-        results = []
-        for block in (1, 3, n * n):
-            work = simkit.scan_work.__wrapped__(n)  # fresh arrays for each block
+        top = np.argsort(values.ravel())[-q:]
+        for batch in (1, 3, n * n):
+            work = simkit.scan_work.__wrapped__(n)  # fresh arrays for each batch
             sizes = []
-
-            def cell_bound(rows):
-                sizes.append(len(rows))
-                return bounds[rows]
 
             def evaluate(cells):
                 sizes.append(len(cells))
                 return values.take(cells)
 
             statistic = simkit._top_q_scan(
-                work, q, 2, bounds.max(axis=1), cell_bound, evaluate, 4, block
+                work, q, 2, bounds.max(axis=1), bounds.__getitem__, evaluate, batch
             )
-            assert max(sizes) <= block
-            results.append(statistic.tobytes())
-        assert results[0] == results[1] == results[2]
-        evaluated = np.isfinite(statistic)
-        assert np.array_equal(statistic[evaluated], values[evaluated])
-        top = np.sort(values.ravel())[-q:]
-        assert np.array_equal(np.sort(statistic.ravel())[-q:], top)
+            assert sizes[0] <= batch
+            evaluated = np.isfinite(statistic)
+            assert np.array_equal(statistic[evaluated], values[evaluated])
+            assert np.all(statistic[~evaluated] == -np.inf)
+            assert np.array_equal(np.argsort(statistic.ravel())[-q:], top)
